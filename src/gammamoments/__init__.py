@@ -20,7 +20,8 @@ from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
                      PoleError, RefusesError, SearchError, TruncationError,
                      UndecidedError)
 from .mellin import (ContourSpec, adapted_contour, contour_density,
-                     contour_log_density, default_contour, inverse_mellin,
+                     contour_log_densities, contour_log_density,
+                     default_contour, inverse_mellin,
                      inverse_mellin_log, mellin_convolve,
                      mellin_convolve_many, saddle_abscissa)
 from .moments import (MomentSequence, gamma_product, log_moment,
@@ -48,7 +49,8 @@ __all__ = [
     # mellin machinery
     "ContourSpec", "default_contour", "adapted_contour", "saddle_abscissa",
     "inverse_mellin", "inverse_mellin_log", "contour_density",
-    "contour_log_density", "mellin_convolve", "mellin_convolve_many",
+    "contour_log_density", "contour_log_densities", "mellin_convolve",
+    "mellin_convolve_many",
     # weights
     "WeightFunction", "w1", "w2", "w3", "w4", "w4_via_convolution",
     "weight_w1", "weight_tm1", "weight_tm2", "weight_tm3", "weight_tm4",

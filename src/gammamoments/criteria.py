@@ -7,11 +7,13 @@ Three classical tests are decided numerically and combined into one report:
   C3 (converse):    psi(y) = -ln W(e^y) convex beyond some y', together
                     with a convergent Carleman sum  =>  non-unique
 
-Series/integral convergence is classified by exponent fitting with an
-explicit dead zone; borderline cases surface as Undecided rather than
-being silently resolved.  For densities whose tail law is certified by a
-closed form, the Krein exponent is taken from that law; for quadrature-
-backed densities the verdict stays Undecided on principle.
+C1 is decided exactly from A = sum_j a_j (the sum diverges iff A <= 2);
+the fitted decay exponent is kept as a cross-check.  Integral convergence
+is classified by exponent fitting with an explicit dead zone; borderline
+cases surface as Undecided rather than being silently resolved.  For
+densities whose tail law is certified by a closed form, the Krein
+exponent is taken from that law; for quadrature-backed densities the
+verdict stays Undecided on principle.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ __all__ = [
 ]
 
 _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
+_SUM_A_ROUNDOFF = 1e-12  # |A - 2| this small cannot be told from A = 2
 _KREIN_DEAD_ZONE = 0.02  # around the critical growth exponent 1
 
 
 @dataclass(frozen=True)
 class CarlemanResult:
-    verdict: str  # "Divergent" | "Convergent"
+    verdict: str  # "Divergent" | "Convergent" | "Undecided"
     terms: tuple  # of (n, a_n)
     fitted_decay_exponent: float
     n_a_n_limit: float = math.nan  # lim n*a_n when the slope sits at -1
@@ -99,10 +102,11 @@ class CriterionReport:
 def carleman(seq: MomentSequence, n_max: int = 200) -> CarlemanResult:
     """Classify S = sum a_n, a_n = rho(n)^{-1/2n}, as divergent/convergent.
 
-    The decay exponent of a_n is fitted on the upper half of the range;
-    slopes shallower than -1 diverge, steeper converge.  At the critical
-    slope the limit of n*a_n decides (logarithmic test): a positive stable
-    limit means divergence.
+    ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
+    n^{-A/2} times a positive constant: S diverges exactly when A <= 2.
+    The verdict comes from A.  The decay exponent of a_n fitted on the
+    upper half of the range, and at a fitted slope near -1 the limit of
+    n*a_n, are kept as numeric cross-checks.
     """
     if n_max < 50:
         raise ConstraintError(f"carleman requires n_max >= 50, got {n_max}")
@@ -115,25 +119,24 @@ def carleman(seq: MomentSequence, n_max: int = 200) -> CarlemanResult:
     slope, _ = np.polyfit(np.log(ns[upper]), log_a[upper], 1)
     slope = float(slope)
 
-    if slope < -1.0 - _SLOPE_DEAD_ZONE:
-        return CarlemanResult("Convergent", terms, slope)
-    if slope > -1.0 + _SLOPE_DEAD_ZONE:
-        return CarlemanResult("Divergent", terms, slope)
+    limit = math.nan
+    if abs(slope + 1.0) <= _SLOPE_DEAD_ZONE:
+        # critical slope: n * a_n tends to a positive constant or grows
+        tail = ns >= (3 * n_max) // 4
+        lim_seq = ns[tail] * a[tail]
+        if float(np.ptp(lim_seq) / np.max(lim_seq)) < 0.02:
+            limit = float(lim_seq[-1])
+        elif np.all(np.diff(lim_seq) > 0.0):
+            limit = math.inf
 
-    # critical slope: logarithmic test on n * a_n
-    tail = ns >= (3 * n_max) // 4
-    lim_seq = ns[tail] * a[tail]
-    spread = float(np.ptp(lim_seq) / np.max(lim_seq))
-    if spread < 0.02 and lim_seq[-1] > 0.0:
-        return CarlemanResult("Divergent", terms, slope,
-                              n_a_n_limit=float(lim_seq[-1]))
-    if np.all(np.diff(lim_seq) > 0.0):
-        # n*a_n growing without bound: terms beat 1/n, series diverges
-        return CarlemanResult("Divergent", terms, slope,
-                              n_a_n_limit=math.inf)
-    raise UndecidedError(
-        f"Carleman decay exponent {slope:.4f} sits in the dead zone around "
-        "-1 and n*a_n has no stable limit")
+    big_a = seq.sum_a
+    if big_a != 2.0 and abs(big_a - 2.0) <= _SUM_A_ROUNDOFF:
+        # factors parsed from decimals may sum to 2 only up to rounding
+        raise UndecidedError(
+            f"A = sum a_j = {big_a!r} equals the critical value 2 to within "
+            "rounding; the Carleman sum may diverge or converge")
+    verdict = "Divergent" if big_a <= 2.0 else "Convergent"
+    return CarlemanResult(verdict, terms, slope, n_a_n_limit=limit)
 
 
 # -- C2: Krein --------------------------------------------------------------
@@ -238,17 +241,15 @@ def full_report(seq: MomentSequence, w: WeightFunction,
                 "non-solution are meaningless")
 
     notes = []
-    undecided_c1 = False
     try:
         c1 = carleman(seq, n_max=n_max)
     except UndecidedError as exc:
-        undecided_c1 = True
         notes.append(str(exc))
-        c1 = CarlemanResult("Convergent", (), math.nan)  # placeholder
+        c1 = CarlemanResult("Undecided", (), math.nan)
 
     c2 = krein(w)
 
-    if not undecided_c1 and c1.verdict == "Convergent":
+    if c1.verdict == "Convergent":
         try:
             c3 = converse_carleman(seq, w, c1=c1)
         except InconclusiveError as exc:
@@ -257,7 +258,7 @@ def full_report(seq: MomentSequence, w: WeightFunction,
     else:
         c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
 
-    if undecided_c1:
+    if c1.verdict == "Undecided":
         overall = "Undecided"
     elif c1.verdict == "Divergent":
         if c2.verdict == "Finite" or c3.verdict == "NonUnique":

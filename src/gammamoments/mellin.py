@@ -5,6 +5,16 @@ log-values, the quadrature renormalizes by the peak magnitude, so gamma
 products with huge arguments never overflow.  For tail evaluation the
 abscissa is shifted to the real saddle point of the integrand, which keeps
 the oscillatory sum cancellation-free at any x.
+
+Densities are evaluated by one engine, `contour_log_densities`, on an
+array of ln x values.  The symbol does not depend on x, and on a fixed
+vertical line c + it the x-dependence is the factor x^-c e^{-it ln x}, so
+one set of symbol values serves many knots: neighbouring knots are grouped
+into bands that share the saddle abscissa of the band's middle knot (each
+member loses at most about one digit to off-saddle cancellation), and
+each band is summed as a phase-matrix product.  The trapezoid grids are
+nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
+new midpoints.  `contour_log_density` is the one-knot case.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
-from scipy.optimize import brentq
 
 from .errors import ConstraintError, ConvergenceError, TruncationError
 from .moments import MomentSequence, mellin_symbol
@@ -28,15 +37,17 @@ __all__ = [
     "adapted_contour",
     "contour_density",
     "contour_log_density",
+    "contour_log_densities",
     "mellin_convolve",
     "mellin_convolve_many",
 ]
 
 RULE_TRAPEZOID = "trapezoid"
-RULE_DOUBLE_EXPONENTIAL = "double-exponential"
 
 _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
+_BAND_LOSS = np.log(10.0)  # off-saddle cancellation a band member may pay
+_BLOCK = 1 << 17  # complex entries per block of the phase matrix
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,7 @@ class ContourSpec:
             raise ConstraintError("t_max must be positive")
         if self.n_points < 64:
             raise ConstraintError("n_points must be at least 64")
-        if self.rule not in (RULE_TRAPEZOID, RULE_DOUBLE_EXPONENTIAL):
+        if self.rule != RULE_TRAPEZOID:
             raise ConstraintError(f"unknown contour rule {self.rule!r}")
 
     def refined(self, factor=2):
@@ -60,35 +71,39 @@ class ContourSpec:
 
 def contour_nodes(spec: ContourSpec):
     """Nodes t_i and weights for integrating along c + i t, t in [-t_max, t_max]."""
-    n = spec.n_points
-    if spec.rule == RULE_TRAPEZOID:
-        t = np.linspace(-spec.t_max, spec.t_max, n)
-        w = np.full(n, t[1] - t[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return t, w
-    # double-exponential flavour: t = sinh(u) on a uniform u-grid
-    u_max = float(np.arcsinh(spec.t_max))
-    u = np.linspace(-u_max, u_max, n)
-    h = u[1] - u[0]
-    t = np.sinh(u)
-    w = np.cosh(u) * h
+    t = np.linspace(-spec.t_max, spec.t_max, spec.n_points)
+    w = np.full(spec.n_points, t[1] - t[0])
     w[0] *= 0.5
     w[-1] *= 0.5
     return t, w
 
 
-def _contour_sum(symbol, x, spec):
-    """Renormalized quadrature sum; returns (log_scale, complex_sum, diag)."""
-    t, w = contour_nodes(spec)
-    s = spec.c + 1j * t
-    lw = symbol(s) - s * np.log(x)
-    m = float(np.max(lw.real))
-    terms = np.exp(lw - m) * w
-    total = np.sum(terms)
-    mag = float(np.sum(np.abs(terms)))
-    tail = float(np.sum(np.abs(terms[np.abs(t) > 0.9 * spec.t_max])))
-    return m, total, mag, tail
+def _check_sums(total, mag, tail, n_points):
+    """Raise unless every renormalized contour sum in `total` can be trusted.
+
+    mag = sum |terms| and tail = the part of it from |t| > 0.9 t_max, each
+    a scalar shared by all sums or one value per sum.
+    """
+    total = np.atleast_1d(total)
+    mag = np.broadcast_to(mag, total.shape)
+    tail = np.broadcast_to(tail, total.shape)
+    truncated = (mag > 0) & (tail > 1e-10 * mag)
+    if np.any(truncated):
+        i = int(np.argmax(truncated))
+        raise TruncationError(
+            f"contour tail contributes {tail[i] / mag[i]:.2e} of the integral; "
+            "increase t_max")
+    if np.any(np.abs(total) < _CANCEL_FLOOR * mag):
+        raise TruncationError(
+            "contour sum cancels below the noise floor; shift the abscissa "
+            "toward the saddle point")
+    roundoff = 10.0 * np.finfo(float).eps * mag * np.sqrt(n_points)
+    im = np.abs(total.imag)
+    skewed = (im > 1e-9 * np.abs(total)) & (im > roundoff)
+    if np.any(skewed):
+        i = int(np.argmax(skewed))
+        raise ConvergenceError(
+            f"contour sum asymmetry: Im/|sum| = {im[i] / abs(total[i]):.2e}")
 
 
 def inverse_mellin(symbol, x, spec: ContourSpec) -> float:
@@ -104,19 +119,15 @@ def inverse_mellin_log(symbol, x, spec: ContourSpec):
     """Like inverse_mellin but returns (log |value|, sign); overflow-safe."""
     if x <= 0:
         raise ConstraintError("inverse Mellin transform requires x > 0")
-    m, total, mag, tail = _contour_sum(symbol, x, spec)
-    if mag > 0 and tail > 1e-10 * mag:
-        raise TruncationError(
-            f"contour tail contributes {tail / mag:.2e} of the integral; "
-            "increase t_max")
-    if abs(total) < _CANCEL_FLOOR * mag:
-        raise TruncationError(
-            "contour sum cancels below the noise floor; shift the abscissa "
-            "toward the saddle point")
-    roundoff = 10.0 * np.finfo(float).eps * mag * np.sqrt(spec.n_points)
-    if abs(total.imag) > 1e-9 * abs(total) and abs(total.imag) > roundoff:
-        raise ConvergenceError(
-            f"contour sum asymmetry: Im/|sum| = {abs(total.imag) / abs(total):.2e}")
+    t, w = contour_nodes(spec)
+    s = spec.c + 1j * t
+    lw = symbol(s) - s * np.log(x)
+    m = float(np.max(lw.real))
+    terms = np.exp(lw - m) * w
+    total = np.sum(terms)
+    mag = float(np.sum(np.abs(terms)))
+    tail = float(np.sum(np.abs(terms[np.abs(t) > 0.9 * spec.t_max])))
+    _check_sums(total, mag, tail, spec.n_points)
     value = total.real / (2.0 * np.pi)
     return m + np.log(abs(value)), float(np.sign(value))
 
@@ -126,40 +137,66 @@ def default_contour(seq: MomentSequence, x: float = 1.0) -> ContourSpec:
     c = seq.rightmost_pole + 1.0
     rate = 0.5 * np.pi * seq.sum_a
     t_max = _LOG_DROP / rate
-    n = _phase_resolved_points(seq, c, t_max, x)
+    n = _phase_resolved_points(seq, c, t_max, np.log(x))
     return ContourSpec(c, t_max, n)
 
 
-def _phase_resolved_points(seq, c, t_max, x, minimum=2048):
+def _phase_resolved_points(seq, c, t_max, log_x, minimum=2048):
     phase_rate = sum(a * (np.log1p(abs(a) * (abs(c) + t_max)) + 2.0)
-                     for a, _ in seq.factors) + abs(np.log(x))
+                     for a, _ in seq.factors) + abs(log_x)
     n = int(max(minimum, 6.0 * t_max * phase_rate))
     return 1 << int(np.ceil(np.log2(n)))
 
 
-def saddle_abscissa(seq: MomentSequence, x: float) -> float:
-    """Real saddle of exp(symbol(s) - s ln x): sum_j a_j psi(a_j(s-1)+b_j) = ln x."""
-    if x <= 0:
+def saddle_abscissa(seq: MomentSequence, x):
+    """Real saddle of exp(symbol(s) - s ln x): sum_j a_j psi(a_j(s-1)+b_j) = ln x.
+
+    Vectorized over x; a scalar x gives a float.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(arr > 0):
         raise ConstraintError("saddle abscissa requires x > 0")
-    lo = seq.rightmost_pole + 1e-9
-    target = np.log(x)
+    c = _saddles(seq, np.log(np.atleast_1d(arr)))
+    return float(c[0]) if arr.ndim == 0 else c.reshape(arr.shape)
+
+
+def _saddles(seq, log_x):
+    """Bisection for the saddle of every ln x at once (the left side is increasing)."""
+    pole = seq.rightmost_pole
 
     def deriv(c):
-        return sum(a * sps.digamma(a * (c - 1.0) + b) for a, b in seq.factors) - target
+        return sum(a * sps.digamma(a * (c - 1.0) + b) for a, b in seq.factors) - log_x
 
-    hi = seq.rightmost_pole + 1.0
-    while deriv(hi) < 0:
-        hi = seq.rightmost_pole + 2.0 * (hi - seq.rightmost_pole)
-        if hi > 1e12:
+    lo = np.full(log_x.shape, pole + 1e-9)
+    hi = np.full(log_x.shape, pole + 1.0)
+    while True:
+        short = deriv(hi) < 0
+        if not np.any(short):
+            break
+        hi[short] = pole + 2.0 * (hi[short] - pole)
+        if np.any(hi > 1e12):
             raise ConvergenceError("saddle search failed to bracket")
-    if deriv(lo) > 0:
-        return lo
-    return float(brentq(deriv, lo, hi, xtol=1e-10, rtol=1e-12))
+    at_pole = deriv(lo) > 0
+    while True:
+        # each bracket stops on its own, so a saddle does not depend on
+        # which other knots share the call
+        wide = hi - lo > 1e-10 + 1e-12 * np.abs(hi)
+        if not np.any(wide):
+            return np.where(at_pole, lo, 0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+        below = deriv(mid) < 0
+        lo = np.where(wide & below, mid, lo)
+        hi = np.where(wide & ~below, mid, hi)
 
 
 def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
     c = max(saddle_abscissa(seq, x), seq.rightmost_pole + 1e-8)
+    return _saddle_contour(seq, c, np.log(x))
+
+
+def _saddle_contour(seq, c, log_x):
+    """Contour at abscissa c, resolving the phase of x = e^{log_x}."""
     curvature = sum(a * a * sps.polygamma(1, a * (c - 1.0) + b)
                     for a, b in seq.factors)
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))
@@ -172,7 +209,7 @@ def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
 
     while drop(t_max) > -(_LOG_DROP - 4.0):
         t_max *= 1.5
-    n = _phase_resolved_points(seq, c, t_max, x, minimum=512)
+    n = _phase_resolved_points(seq, c, t_max, log_x, minimum=512)
     # near a pole the peak is narrow (width ~ 1/sqrt(phi'')); resolve it
     n_peak = int(12.0 * t_max * np.sqrt(curvature))
     if n_peak > n:
@@ -183,27 +220,120 @@ def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
 def contour_log_density(seq: MomentSequence, x: float, rtol: float = 1e-10,
                         max_points: int = 1 << 17):
     """(log W(x), sign) for the principal density, by self-converging contour."""
-    spec = adapted_contour(seq, x)
-
-    def symbol(s):
-        return mellin_symbol(seq, s)
-
-    # always allow at least two refinement rounds for the convergence check
-    max_points = max(max_points, 4 * spec.n_points)
-    log_val, sign = inverse_mellin_log(symbol, x, spec)
-    while spec.n_points < max_points:
-        spec = spec.refined()
-        log_ref, sign_ref = inverse_mellin_log(symbol, x, spec)
-        if sign_ref == sign and abs(log_ref - log_val) < rtol:
-            return log_ref, sign_ref
-        log_val, sign = log_ref, sign_ref
-    raise ConvergenceError(
-        f"contour density did not converge below {rtol} at x={x}")
+    if not x > 0:
+        raise ConstraintError("contour density requires x > 0")
+    log_w, sign = contour_log_densities(seq, np.log([x]), rtol, max_points)
+    return float(log_w[0]), float(sign[0])
 
 
 def contour_density(seq: MomentSequence, x: float, rtol: float = 1e-10) -> float:
     log_val, sign = contour_log_density(seq, x, rtol)
     return sign * float(np.exp(log_val))
+
+
+def contour_log_densities(seq: MomentSequence, log_x, rtol: float = 1e-10,
+                          max_points: int = 1 << 17):
+    """(log W, sign) arrays of the principal density at every x = e^{log_x}.
+
+    Each knot is accepted once two successive nested grids agree to rtol
+    in log W with the same sign; the finest grid has max(max_points,
+    4 n) intervals, n being the band's phase-resolved point count.
+    """
+    lx = np.atleast_1d(np.asarray(log_x, dtype=np.float64))
+    if not np.all(np.isfinite(lx)):
+        raise ConstraintError("contour density requires 0 < x < inf")
+    c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
+    phi_star = mellin_symbol(seq, c_star).real
+    log_w = np.empty_like(lx)
+    sign = np.empty_like(lx)
+    order = np.argsort(lx, kind="stable")
+    for band in _bands(lx[order], c_star[order], phi_star[order]):
+        idx = order[band]
+        c = c_star[order[(band.start + band.stop - 1) // 2]]
+        log_w[idx], sign[idx] = _band_log_density(seq, c, lx[idx], rtol,
+                                                  max_points)
+    return log_w, sign
+
+
+def _bands(lx, c_star, phi_star):
+    """Slices of consecutive (sorted) knots that can share one abscissa.
+
+    phi_star is the real log-symbol at each knot's saddle c_star.  A band
+    at abscissa c costs knot k the off-saddle loss
+    [phi(c) - c ln x_k] - [phi(c*_k) - c*_k ln x_k] >= 0 (nats) of its
+    sum's digits; c is the saddle of the band's middle knot, so phi(c) is
+    known.
+    """
+    own_peak = phi_star - c_star * lx
+
+    def fits(start, stop):
+        mid = (start + stop - 1) // 2
+        loss = phi_star[mid] - c_star[mid] * lx[start:stop] - own_peak[start:stop]
+        return float(np.max(loss)) <= _BAND_LOSS
+
+    start = 0
+    while start < lx.size:
+        stop = start + 1
+        while stop < lx.size and fits(start, stop + 1):
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
+def _band_log_density(seq, c, lx, rtol, max_points):
+    """Self-converging nested trapezoid sums for the knots lx at abscissa c."""
+    spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))))
+    cap = max(max_points, 4 * spec.n_points)
+    n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
+    h = 2.0 * spec.t_max / n
+    t = np.linspace(-spec.t_max, spec.t_max, n + 1)
+    phi = mellin_symbol(seq, c + 1j * t)
+    m = float(np.max(phi.real))
+    v = np.exp(phi - m)
+    v[0] *= 0.5
+    v[-1] *= 0.5
+    # |x^{-(c+it)}| = x^-c for every t, so mag and tail serve the whole band
+    edge = np.abs(t) > 0.9 * spec.t_max
+    mag = h * float(np.sum(np.abs(v)))
+    tail = h * float(np.sum(np.abs(v[edge])))
+    total = h * _phase_sum(t, v, lx)
+    _check_sums(total, mag, tail, n + 1)
+    log_w, sign = _log_values(m, c, lx, total)
+    active = np.arange(lx.size)
+    while active.size:
+        if 2 * n > cap:
+            x = float(np.exp(lx[active[0]]))
+            raise ConvergenceError(
+                f"contour density did not converge below {rtol} at x={x}")
+        # the refined grid keeps every node and adds the midpoints
+        n *= 2
+        h *= 0.5
+        t = -spec.t_max + h * np.arange(1, n, 2)
+        v = np.exp(mellin_symbol(seq, c + 1j * t) - m)
+        edge = np.abs(t) > 0.9 * spec.t_max
+        mag = 0.5 * mag + h * float(np.sum(np.abs(v)))
+        tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
+        total = 0.5 * total + h * _phase_sum(t, v, lx[active])
+        _check_sums(total, mag, tail, n + 1)
+        log_ref, sign_ref = _log_values(m, c, lx[active], total)
+        done = (sign_ref == sign[active]) & (np.abs(log_ref - log_w[active]) < rtol)
+        log_w[active], sign[active] = log_ref, sign_ref
+        active, total = active[~done], total[~done]
+    return log_w, sign
+
+
+def _phase_sum(t, v, lx):
+    """sum_j v_j e^{-i t_j lx_k} for every k, in blocks of <= _BLOCK entries."""
+    out = np.zeros(lx.size, dtype=np.complex128)
+    step = max(1, _BLOCK // lx.size)
+    for j in range(0, t.size, step):
+        out += np.exp(np.multiply.outer(lx, -1j * t[j:j + step])) @ v[j:j + step]
+    return out
+
+
+def _log_values(m, c, lx, total):
+    value = total.real / (2.0 * np.pi)
+    return m - c * lx + np.log(np.abs(value)), np.sign(value)
 
 
 # ---------------------------------------------------------------------------

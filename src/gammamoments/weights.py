@@ -2,10 +2,12 @@
 
 The first two families have closed forms (stretched exponential, Bessel K0);
 the third and fourth are defined operationally as inverse Mellin transforms
-of their gamma-product symbols.  For those, a log-log cubic spline of the
-density is built once per (kind, r) from saddle-shifted contour evaluations,
-giving ~1e-9 pointwise accuracy at quadrature-friendly speed; w3/w4 also
-expose direct per-point contour evaluation for cross-checks.
+of their gamma-product symbols.  For those, and for any other gamma
+product, a log-log cubic spline of the density is built once per sequence
+from a single call of the contour engine on all its knots (knots sharing a
+saddle band share one set of symbol evaluations), giving ~1e-9 pointwise
+accuracy at quadrature-friendly speed; w3/w4 evaluate the engine's
+one-knot case directly, for cross-checks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConstraintError, DomainError, TruncationError
-from .mellin import contour_density, contour_log_density, mellin_convolve
+from .mellin import contour_density, contour_log_densities, mellin_convolve
 from .moments import MomentSequence, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
 
@@ -169,13 +171,12 @@ def _density_spline(seq: MomentSequence):
     g, p = seq.tail_coefficient, seq.tail_power
     x_max = (_SPLINE_LOG_DEPTH / g) ** (1.0 / p)
     lx = np.linspace(np.log(_SPLINE_X_MIN), np.log(x_max), _SPLINE_POINTS)
-    lw = np.empty_like(lx)
-    for i, v in enumerate(lx):
-        lw[i], sign = contour_log_density(seq, float(np.exp(v)))
-        if sign <= 0:
-            raise TruncationError(
-                f"principal density of {seq.descriptor()} evaluated negative "
-                f"at ln x = {v:.3f}; contour resolution insufficient")
+    lw, sign = contour_log_densities(seq, lx)
+    if np.any(sign <= 0):
+        v = lx[int(np.argmax(sign <= 0))]
+        raise TruncationError(
+            f"principal density of {seq.descriptor()} evaluated negative "
+            f"at ln x = {v:.3f}; contour resolution insufficient")
     return CubicSpline(lx, lw), lx[0], lx[-1]
 
 

@@ -42,6 +42,14 @@ class TestJsonOutput:
         assert payload["c1"]["verdict"] == "Convergent"
         assert len(payload["c1"]["terms"]) == 10
 
+    def test_criteria_indeterminate_gamma_product(self, capsys):
+        # A = 2.02 > 2: the Carleman sum converges, so never "Unique"
+        code, out, _ = run(capsys, "criteria", "--seq", "gamma:2.02n+1")
+        payload = json.loads(out)
+        assert payload["c1"]["verdict"] == "Convergent"
+        assert (payload["overall"], code) in (("NonUnique", 0),
+                                              ("Undecided", 2))
+
     def test_criteria_full_terms(self, capsys):
         code, out, _ = run(capsys, "criteria", "--seq", "tm1:r=2",
                            "--full-terms")

@@ -7,7 +7,8 @@ import pytest
 
 from gammamoments import (ConsistencyError, ConstraintError, RefusesError,
                           UndecidedError, carleman, converse_carleman,
-                          full_report, krein, principal_solution, tm1, tm2,
+                          full_report, gamma_product, krein,
+                          parse_descriptor, principal_solution, tm1, tm2,
                           tm3, tm4, weight_tm1, weight_tm2, weight_w1)
 
 
@@ -36,6 +37,20 @@ class TestCarleman:
     def test_rejects_short_runs(self):
         with pytest.raises(ConstraintError):
             carleman(tm1(2), n_max=30)
+
+    def test_verdict_from_sum_a_near_critical(self):
+        # A = 2.02: a_n ~ n^{-1.01}, but the fitted slope (-0.9986) sits on
+        # the divergent side of -1; the verdict must follow A exactly
+        res = carleman(parse_descriptor("gamma:2.02n+1"))
+        assert res.verdict == "Convergent"
+        assert res.fitted_decay_exponent == pytest.approx(-1.0, abs=0.05)
+        assert carleman(parse_descriptor("gamma:1.98n+1")).verdict == "Divergent"
+
+    def test_sum_a_at_two_within_rounding_undecided(self):
+        seq = gamma_product([(0.7, 1.0), (0.6, 1.0), (0.7, 1.0)])
+        assert seq.sum_a != 2.0 and seq.sum_a == pytest.approx(2.0)
+        with pytest.raises(UndecidedError):
+            carleman(seq)
 
 
 class TestKrein:
@@ -95,6 +110,23 @@ class TestFullReport:
         assert back["c1"]["verdict"] == "Convergent"
         assert back["c2"] == payload["c2"]
         assert back["c3"] == payload["c3"]
+
+    def test_indeterminate_gamma_product_not_unique(self):
+        seq = parse_descriptor("gamma:2.02n+1")
+        report = full_report(seq, principal_solution(seq))
+        assert report.c1.verdict == "Convergent"
+        assert report.overall != "Unique"
+
+    def test_undecided_carleman_serialized(self, monkeypatch):
+        import gammamoments.criteria as crit
+
+        def undecided(seq, n_max=200):
+            raise UndecidedError("forced for the serialization test")
+        monkeypatch.setattr(crit, "carleman", undecided)
+        payload = crit.full_report(tm1(2), weight_tm1(2)).to_dict()
+        assert payload["c1"]["verdict"] == "Undecided"
+        assert payload["overall"] == "Undecided"
+        assert payload["c3"]["verdict"] == "Inconclusive"
 
     def test_spline_reports_note_extrapolation(self):
         report = full_report(tm3(2), principal_solution(tm3(2)))

@@ -7,11 +7,14 @@ import pytest
 import scipy.integrate
 import scipy.special as sps
 
-from gammamoments import (ConstraintError, ContourSpec, adapted_contour,
-                          bessel_k0, contour_density, contour_log_density,
+import gammamoments.mellin as mellin
+from gammamoments import (ConstraintError, ContourSpec, TruncationError,
+                          adapted_contour, bessel_k0, contour_density,
+                          contour_log_densities, contour_log_density,
                           default_contour, inverse_mellin, mellin_convolve,
                           mellin_convolve_many, mellin_symbol,
-                          saddle_abscissa, tm2, tm3, tm4, w1, w2)
+                          parse_descriptor, saddle_abscissa, tm2, tm3, tm4,
+                          w1, w2)
 
 # frozen with mpmath (meijerg / besselk at 25 digits)
 W3_R1_AT_1 = 0.16404160674837607
@@ -125,6 +128,74 @@ class TestContourDensities:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ConstraintError):
             contour_density(tm3(1), 0.0)
+
+
+def _spline_knots(seq):
+    from gammamoments.weights import _density_spline
+    return _density_spline(seq)[0].x
+
+
+class TestBandEngine:
+    @pytest.mark.parametrize("seq", [tm3(1), tm4(1),
+                                     parse_descriptor("gamma:2.02n+1")],
+                             ids=["tm3:r=1", "tm4:r=1", "gamma:2.02n+1"])
+    def test_bands_match_one_knot_contours(self, seq):
+        lx = _spline_knots(seq)
+        log_w, sign = contour_log_densities(seq, lx)
+        assert np.all(sign > 0)
+        one = np.array([contour_log_density(seq, float(np.exp(v)))[0]
+                        for v in lx])
+        assert np.max(np.abs(log_w - one)) <= 1e-11
+
+    def test_refinement_evaluates_only_midpoints(self, monkeypatch):
+        seq = tm4(1)
+        grids = []
+
+        def recording(seq_, s):
+            s = np.asarray(s)
+            if s.size > 1 and np.any(s.imag != 0.0):
+                grids.append(s.imag.copy())
+            return mellin_symbol(seq_, s)
+
+        monkeypatch.setattr(mellin, "mellin_symbol", recording)
+        log_w, _ = contour_log_density(seq, 1.0)
+        assert log_w == pytest.approx(math.log(W4_R1_AT_1), abs=1e-10)
+        assert len(grids) >= 2
+        first, n = grids[0], grids[0].size - 1
+        assert n >= 64 and n & (n - 1) == 0  # 2^k + 1 nodes
+        for mids in grids[1:]:
+            assert mids.size == n  # one new node per old interval
+            n *= 2
+        nodes = np.sort(np.concatenate(grids))
+        # every node evaluated once, and together they form the finest grid
+        assert nodes.size == n + 1
+        assert np.allclose(np.diff(nodes), (first[-1] - first[0]) / n,
+                           rtol=1e-9)
+
+    def test_forced_wide_band_cancels(self, monkeypatch):
+        # one abscissa for the whole knot range leaves the far knots no
+        # significant digits; the floor check must refuse, not return noise
+        seq = tm3(1)
+        lx = _spline_knots(seq)
+        monkeypatch.setattr(mellin, "_BAND_LOSS", math.inf)
+        with pytest.raises(TruncationError, match="cancels"):
+            contour_log_densities(seq, lx)
+
+    def test_unsorted_knots(self):
+        seq = tm3(1)
+        lx = np.array([2.0, -3.0, 0.5])
+        log_w, _ = contour_log_densities(seq, lx)
+        for v, got in zip(lx, log_w):
+            assert got == pytest.approx(
+                contour_log_density(seq, math.exp(v))[0], abs=1e-11)
+
+    def test_vectorized_saddle(self):
+        seq = tm3(2)
+        xs = np.array([1e-6, 1.0, 1e8])
+        got = saddle_abscissa(seq, xs)
+        assert got.shape == xs.shape
+        for x, c in zip(xs, got):
+            assert c == saddle_abscissa(seq, float(x))
 
 
 class TestConvolution:
