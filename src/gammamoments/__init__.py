@@ -7,10 +7,10 @@ via the Carleman, Krein, and converse-Carleman criteria.
 """
 
 from .backend import BACKEND
-from .classes import (Perturbation, StieltjesClassMember, certify_nonnegative,
-                      class_member_tm1, class_member_tm2, class_member_tm3,
-                      find_gamma_max, omega1, omega2, omega2_v,
-                      omega2_via_convolution, omega3, perturbation_tm1,
+from .classes import (Perturbation, certify_nonnegative, class_member_tm1,
+                      class_member_tm2, class_member_tm3, find_gamma_max,
+                      omega1, omega2, omega2_v, omega2_via_convolution,
+                      omega3, omega3_via_convolution, perturbation_tm1,
                       perturbation_tm2, perturbation_tm3)
 from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
@@ -56,8 +56,8 @@ __all__ = [
     "weight_w1", "weight_tm1", "weight_tm2", "weight_tm3", "weight_tm4",
     "principal_solution",
     # classes
-    "Perturbation", "StieltjesClassMember", "omega1", "omega2", "omega2_v",
-    "omega2_via_convolution", "omega3", "perturbation_tm1",
+    "Perturbation", "omega1", "omega2", "omega2_v", "omega2_via_convolution",
+    "omega3", "omega3_via_convolution", "perturbation_tm1",
     "perturbation_tm2", "perturbation_tm3", "class_member_tm1",
     "class_member_tm2", "class_member_tm3", "find_gamma_max",
     "certify_nonnegative",

@@ -1,36 +1,37 @@
 """Vanishing-moment perturbations and the non-unique solution families.
 
 omega1 is a sine-modulated copy of the first principal density, omega2 its
-"near factorization" through complex K0, omega3 a purely numeric Mellin
-convolution.  Class members are principal solution + amplitude * omega;
-for the second family the admissible amplitude is found by a grid search
-over the oscillating ratio V/K0 with golden-section refinement.
+"near factorization" through complex K0, omega3 the Mellin convolution
+W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
+by the contour engine (the convolution route is kept as an oracle).  Class
+members are principal solution + amplitude * omega; for the second family
+the admissible amplitude is found by a grid search over the oscillating
+ratio V/K0 with golden-section refinement.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special as sps
 from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SearchError
-from .mellin import mellin_convolve_many
+from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .special import bessel_k0_complex, log_bessel_k0
-from .weights import WeightFunction, log_w1, w1, weight_tm1, weight_tm2, weight_tm3
+from .special import bessel_k0_complex
+from .weights import log_w1, w1, weight_tm2, weight_tm3
 
 __all__ = [
     "Perturbation",
-    "StieltjesClassMember",
     "omega1",
     "omega2",
     "omega2_v",
     "omega2_via_convolution",
     "omega3",
+    "omega3_via_convolution",
     "perturbation_tm1",
     "perturbation_tm2",
     "perturbation_tm3",
@@ -53,21 +54,6 @@ class Perturbation:
     growth: tuple  # (g, p): -ln |omega| <~ g x^p in the tail
     evaluate: object = field(repr=False)  # callable, vectorized
     log_envelope: object = field(repr=False)  # callable: bound on ln |omega|
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-
-@dataclass(frozen=True)
-class StieltjesClassMember:
-    """principal solution + amplitude * perturbation; same moments as base."""
-
-    base: WeightFunction
-    perturbation: Perturbation
-    amplitude: float
-
-    def evaluate(self, x):
-        return self.base.evaluate(x) + self.amplitude * self.perturbation.evaluate(x)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -112,20 +98,27 @@ def perturbation_tm1(r, k) -> Perturbation:
 
 # -- family 2 ---------------------------------------------------------------
 
+def _check_tm2(r, k):
+    _check_k(k)
+    if not r > 2 * abs(k):
+        raise ConstraintError(f"second family requires r > 2|k| (r={r}, k={k})")
+
+
 def _beta(r, k):
     """Principal square root of 1 + i tan(pi k / r); Re > 0 for r > 2|k|."""
     return complex(np.sqrt(1.0 + 1j * math.tan(math.pi * k / r)))
 
 
+def _v_phase(r, k):
+    return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
+
+
 def omega2_v(r, k, x):
     """The oscillating factor V: Re[e^{i pi(1/2 - k(r-1)/r)} K0(2 x^{1/2r} beta)]."""
-    _check_k(k)
-    if not r > 2 * abs(k):
-        raise ConstraintError(f"second family requires r > 2|k| (r={r}, k={k})")
-    phase = np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
+    _check_tm2(r, k)
     u = np.asarray(x, dtype=float) ** (1.0 / (2.0 * r))
     vals = bessel_k0_complex(2.0 * u * _beta(r, k))
-    out = np.real(phase * vals)
+    out = np.real(_v_phase(r, k) * vals)
     return float(out) if np.isscalar(x) else out
 
 
@@ -138,9 +131,7 @@ def omega2(r, k, x):
 
 def omega2_via_convolution(r, k, x, rtol=1e-9):
     """Same function by the convolution route (half-index densities)."""
-    _check_k(k)
-    if not r > 2 * abs(k):
-        raise ConstraintError(f"second family requires r > 2|k| (r={r}, k={k})")
+    _check_tm2(r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w1(r, v),
@@ -168,11 +159,40 @@ def _log_omega2_envelope(r, x):
 
 # -- family 3 ---------------------------------------------------------------
 
-def omega3(r, k, x, rtol=1e-9):
-    """Third-family perturbation: W2 convolved with the half-index omega1."""
+def _check_tm3(r, k):
     _check_k(k)
     if not r > abs(k):
         raise ConstraintError(f"third family requires r > |k| (r={r}, k={k})")
+    if r <= 2 * abs(k):  # the convolution partner omega1_general(r, k)
+        raise ConstraintError(f"omega1 factor requires q > 2|k| (q={r}, k={k})")
+
+
+def omega3(r, k, x, rtol=1e-9):
+    """Third-family perturbation W2 * omega1_general(r, k), by one contour.
+
+    With theta = k pi / r, omega1_general(r, k, x) = sec^{r-1}(theta)
+    Im w1(r, lambda x), log lambda = r ln sec(theta) - i k pi, the
+    continuation of w1 in log x (it decays because r > 2|k|).  Mellin
+    transforms turn f(lambda .) into lambda^-s M[f] and the convolution
+    into M[W2] M[w1(r, .)] = Gamma(r(s-1)+1)^3 = M[W3], so
+    omega3(r, k, x) = sec^{r-1}(theta) Im W3(r, lambda x): the tm3 contour
+    sum with e^{i k pi s} in the symbol, at L = ln x + r ln sec(theta).
+    """
+    _check_tm3(r, k)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs <= 0):
+        raise ConstraintError("omega3 requires x > 0")
+    log_sec = -math.log(math.cos(math.pi * k / r))
+    scale, total = _contour_sums(tm3(r), np.log(xs) + r * log_sec,
+                                 math.pi * k, rtol)
+    with np.errstate(under="ignore"):
+        out = np.exp(scale + (r - 1) * log_sec) * (total.imag / (2.0 * np.pi))
+    return float(out[0]) if np.isscalar(x) else out
+
+
+def omega3_via_convolution(r, k, x, rtol=1e-9):
+    """Same function by the convolution route, W2 * omega1_general(r, k)."""
+    _check_tm3(r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     w2w = weight_tm2(r)
     out = mellin_convolve_many(
@@ -185,10 +205,7 @@ def omega3(r, k, x, rtol=1e-9):
 
 
 def perturbation_tm3(r, k) -> Perturbation:
-    _check_k(k)
-    if not r > abs(k):
-        raise ConstraintError(f"third family requires r > |k| (r={r}, k={k})")
-    omega1_general(r, k, 1.0)  # the convolution partner has its own condition
+    _check_tm3(r, k)
     seq = tm3(r)
     return Perturbation(
         family="tm3", r=r, k=k, seq=seq,
@@ -213,13 +230,12 @@ def class_member_tm2(r, k, gamma, x, gamma_bound=None):
     """W2 * [1 + gamma V/K0]; |gamma| must stay within the certified bound."""
     if gamma_bound is None:
         gamma_bound = find_gamma_max(r, k)
-    if abs(gamma) > gamma_bound:
+    if not abs(gamma) <= gamma_bound:  # a NaN bound certifies nothing
         raise ConstraintError(
             f"|gamma| = {abs(gamma):.6g} exceeds the certified bound "
             f"{gamma_bound:.6g} for (r={r}, k={k})")
     xa = np.asarray(x, dtype=float)
-    u = xa ** (1.0 / (2.0 * r))
-    ratio = omega2_v(r, k, xa) * np.exp(-log_bessel_k0(2.0 * u))
+    ratio = _ratio_v_over_k0(r, k, xa ** (1.0 / (2.0 * r)))
     return weight_tm2(r).evaluate(xa) * (1.0 + gamma * ratio)
 
 
@@ -233,33 +249,20 @@ def class_member_tm3(r, k, gamma, x, rtol=1e-9):
     return weight_tm3(r).evaluate(xa) + gamma * omega3(r, k, xa, rtol=rtol)
 
 
-def member_tm1(r, k, eps) -> StieltjesClassMember:
-    class_member_tm1(r, k, eps, 1.0)  # constraint check
-    return StieltjesClassMember(weight_tm1(r), perturbation_tm1(r, k), eps)
-
-
-def member_tm2(r, k, gamma) -> StieltjesClassMember:
-    class_member_tm2(r, k, gamma, 1.0)  # constraint + bound check
-    return StieltjesClassMember(weight_tm2(r), perturbation_tm2(r, k), gamma)
-
-
 # -- amplitude search -------------------------------------------------------
 
-def _ratio_v_over_k0(r, k, x):
-    u = np.asarray(x, dtype=float) ** (1.0 / (2.0 * r))
-    return omega2_v(r, k, x) * np.exp(-log_bessel_k0(2.0 * u))
+def _ratio_v_over_k0(r, k, u):
+    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
 
-
-def _grid_eval(func, xs):
-    """Chunked, optionally threaded grid evaluation; deterministic reduce."""
-    n_threads = int(os.environ.get("GAMMOMENTS_THREADS", "1"))
-    chunks = np.array_split(xs, max(1, xs.size // 512))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(func, chunks))
-    else:
-        parts = [func(c) for c in chunks]
-    return np.concatenate(parts)
+    K0(z) = kve(0, z) e^{-z}, so the ratio is
+    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
+    finite where V underflows and 1/K0 overflows.
+    """
+    _check_tm2(r, k)
+    beta = _beta(r, k)
+    z = 2.0 * np.asarray(u, dtype=float)
+    scaled = sps.kve(0, z * beta) * np.exp(-z * (beta - 1.0))
+    return np.real(_v_phase(r, k) * scaled) / sps.k0e(z)
 
 
 def find_gamma_max(r, k, grid_points=4000, safety=0.99):
@@ -267,33 +270,35 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
 
     The ratio tends to cos(pi(1/2 - k(r-1)/r)) at the origin and decays to
     zero at infinity (Re beta > 1), so its infimum lives on a finite window.
+    The scan runs in u = x^{1/2r} over x in [1e-8, u*^{2r}], where the
+    ratio has decayed by e^{-2u*(Re beta - 1)} = 1e-8.
     """
-    _check_k(k)
-    if not r > 2 * abs(k):
-        raise ConstraintError(f"second family requires r > 2|k| (r={r}, k={k})")
+    _check_tm2(r, k)
     beta_re = _beta(r, k).real
     u_star = math.log(1e8) / (2.0 * (beta_re - 1.0))
-    x_hi = u_star ** (2 * r)
-    xs = np.logspace(-8, math.log10(x_hi), grid_points)
-    ratio = _grid_eval(lambda c: _ratio_v_over_k0(r, k, c), xs)
-    neg = -ratio
+    us = np.logspace(-8.0 / (2 * r), math.log10(u_star), grid_points)
+    neg = -_ratio_v_over_k0(r, k, us)
     i = int(np.argmax(neg))
     worst = float(neg[i])
     if worst <= 0.0:
         raise SearchError(
             f"V/K0 never negative on the scan grid for (r={r}, k={k}); "
             "cannot certify an amplitude bound")
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
+    lo = us[max(i - 1, 0)]
+    hi = us[min(i + 1, us.size - 1)]
     res = minimize_scalar(lambda v: float(_ratio_v_over_k0(r, k, np.exp(v))),
                           bounds=(math.log(lo), math.log(hi)), method="bounded",
-                          options={"xatol": 1e-10})
+                          options={"xatol": 1e-10 / (2 * r)})
     refined = max(worst, -float(res.fun))
     if refined > 10.0 * worst:
         raise SearchError(
             f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "
             "ratio may be unbounded")
-    return safety / refined
+    bound = safety / refined
+    if not math.isfinite(bound):
+        raise SearchError(
+            f"amplitude bound for (r={r}, k={k}) is not finite: {bound!r}")
+    return bound
 
 
 def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):

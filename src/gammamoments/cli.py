@@ -4,8 +4,6 @@ uniqueness criteria, construct class members, convolve densities.
 Exit codes: 0 success/decided, 1 usage or constraint violation, 2 criteria
 undecided, 3 numeric convergence failure.  All JSON artifacts carry a
 "schema_version" field; identical configs produce byte-identical output.
-The environment variable GAMMOMENTS_THREADS controls the parallelism of
-grid scans (results are reduced deterministically).
 """
 
 from __future__ import annotations
@@ -263,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "moment verification, uniqueness criteria, and "
                     "non-unique solution families.",
         epilog="Sequence descriptors: tm1:r=2, tm2:r=3, tm3:r=1, tm4:r=2, "
-               "or gamma:2n+1,n+1,n+1.  Set GAMMOMENTS_THREADS to "
-               "parallelize grid scans (output is unchanged).")
+               "or gamma:2n+1,n+1,n+1.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

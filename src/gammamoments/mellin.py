@@ -15,6 +15,11 @@ member loses at most about one digit to off-saddle cancellation), and
 each band is summed as a phase-matrix product.  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
 new midpoints.  `contour_log_density` is the one-knot case.
+
+The same engine serves perturbations whose transform is a density symbol
+phi(s) times e^{i psi s}: it returns the complex sums
+(1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
+saddle of each band (see `classes.omega3`).
 """
 
 from __future__ import annotations
@@ -78,11 +83,12 @@ def contour_nodes(spec: ContourSpec):
     return t, w
 
 
-def _check_sums(total, mag, tail, n_points):
+def _check_sums(total, mag, tail, n_points, real=True):
     """Raise unless every renormalized contour sum in `total` can be trusted.
 
     mag = sum |terms| and tail = the part of it from |t| > 0.9 t_max, each
-    a scalar shared by all sums or one value per sum.
+    a scalar shared by all sums or one value per sum.  With `real`, the
+    sums must also be real up to roundoff (a symmetric integrand).
     """
     total = np.atleast_1d(total)
     mag = np.broadcast_to(mag, total.shape)
@@ -97,6 +103,8 @@ def _check_sums(total, mag, tail, n_points):
         raise TruncationError(
             "contour sum cancels below the noise floor; shift the abscissa "
             "toward the saddle point")
+    if not real:
+        return
     roundoff = 10.0 * np.finfo(float).eps * mag * np.sqrt(n_points)
     im = np.abs(total.imag)
     skewed = (im > 1e-9 * np.abs(total)) & (im > roundoff)
@@ -141,8 +149,9 @@ def default_contour(seq: MomentSequence, x: float = 1.0) -> ContourSpec:
     return ContourSpec(c, t_max, n)
 
 
-def _phase_resolved_points(seq, c, t_max, log_x, minimum=2048):
-    phase_rate = sum(a * (np.log1p(abs(a) * (abs(c) + t_max)) + 2.0)
+def _phase_resolved_points(seq, s0, t_max, log_x, minimum=2048):
+    """Points resolving the phase on s0 + i[-t_max, t_max] (s0 real or complex)."""
+    phase_rate = sum(a * (np.log1p(abs(a) * (abs(s0) + t_max)) + 2.0)
                      for a, _ in seq.factors) + abs(log_x)
     n = int(max(minimum, 6.0 * t_max * phase_rate))
     return 1 << int(np.ceil(np.log2(n)))
@@ -189,27 +198,82 @@ def _saddles(seq, log_x):
         hi = np.where(wide & ~below, mid, hi)
 
 
+def _digamma(z):
+    """Complex digamma via psi(z) = psi(z + 8) - sum_{j<8} 1/(z + j).
+
+    SciPy's complex digamma takes ~8 us a point for |z| < 3 (0.3 us from
+    |z| = 8 on), and saddles near the pole have such arguments.
+    """
+    return sps.digamma(z + 8.0) - sum(1.0 / (z + j) for j in range(8))
+
+
+def _complex_saddles(seq, target, s):
+    """Newton from s for sum_j a_j psi(a_j(s-1)+b_j) = target, per element.
+
+    SciPy has no complex trigamma, so the derivative is a central
+    difference of the digamma.  Steps are halved to stay right of the
+    rightmost pole.
+    """
+    pole = seq.rightmost_pole
+
+    def deriv(z):
+        return sum(a * _digamma(a * (z - 1.0) + b) for a, b in seq.factors)
+
+    s = np.array(s, dtype=np.complex128)
+    active = np.arange(s.size)
+    for _ in range(100):
+        z = s[active]
+        h = 1e-5 * (z.real - pole)
+        step = (deriv(z) - target[active]) * (2.0 * h) / (deriv(z + h) - deriv(z - h))
+        if not np.all(np.isfinite(step)):
+            break
+        while True:
+            left = z.real - step.real <= pole
+            if not np.any(left):
+                break
+            step[left] *= 0.5
+        s[active] = z - step
+        active = active[np.abs(step) > 1e-12 * np.abs(z)]
+        if not active.size:
+            return s
+    raise ConvergenceError("complex saddle search did not converge")
+
+
 def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
     c = max(saddle_abscissa(seq, x), seq.rightmost_pole + 1e-8)
     return _saddle_contour(seq, c, np.log(x))
 
 
-def _saddle_contour(seq, c, log_x):
-    """Contour at abscissa c, resolving the phase of x = e^{log_x}."""
+def _line_symbol(seq, psi, s):
+    """phi(s) + i psi s, the log-integrand without its e^{-s L} factor."""
+    phi = mellin_symbol(seq, s)
+    return phi + 1j * psi * s if psi else phi
+
+
+def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
+    """Contour at abscissa c, resolving the phase of x = e^{log_x}.
+
+    The t-window is centred on t0; its half-width t_max passes the drop
+    test on both sides (one side suffices for a real, symmetric symbol).
+    """
     curvature = sum(a * a * sps.polygamma(1, a * (c - 1.0) + b)
                     for a, b in seq.factors)
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))
     t_linear = _LOG_DROP / (0.5 * np.pi * seq.sum_a)
     t_max = t_gauss + t_linear
 
+    centre = complex(c, t0)
+    peak = _line_symbol(seq, psi, centre)
+    sides = np.array([1.0, -1.0] if psi else [1.0])
+
     def drop(t):
-        return float((mellin_symbol(seq, c + 1j * t)
-                      - mellin_symbol(seq, c + 0j)).real)
+        return float(np.max((_line_symbol(seq, psi, c + 1j * (t0 + sides * t))
+                             - peak).real))
 
     while drop(t_max) > -(_LOG_DROP - 4.0):
         t_max *= 1.5
-    n = _phase_resolved_points(seq, c, t_max, log_x, minimum=512)
+    n = _phase_resolved_points(seq, centre, t_max, log_x, minimum=512)
     # near a pole the peak is narrow (width ~ 1/sqrt(phi'')); resolve it
     n_peak = int(12.0 * t_max * np.sqrt(curvature))
     if n_peak > n:
@@ -239,30 +303,48 @@ def contour_log_densities(seq: MomentSequence, log_x, rtol: float = 1e-10,
     in log W with the same sign; the finest grid has max(max_points,
     4 n) intervals, n being the band's phase-resolved point count.
     """
+    return _log_values(*_contour_sums(seq, log_x, 0.0, rtol, max_points))
+
+
+def _contour_sums(seq, log_x, psi, rtol, max_points=1 << 17):
+    """Band-shared contour sums at every L in log_x.
+
+    Returns (scale, total) with
+    e^scale * total / 2 pi = (1/2 pi) int exp(phi(s) + i psi s - s L) dt
+    along a vertical line s = c + it, phi = mellin_symbol(seq).  psi = 0
+    is the principal density (bisection saddle, real sums, accepted on
+    |delta log W| < rtol with the same sign); otherwise the sums are
+    complex, each band is centred on a complex saddle, and a knot is
+    accepted on |delta total| <= rtol |total|.
+    """
     lx = np.atleast_1d(np.asarray(log_x, dtype=np.float64))
     if not np.all(np.isfinite(lx)):
         raise ConstraintError("contour density requires 0 < x < inf")
     c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
-    phi_star = mellin_symbol(seq, c_star).real
-    log_w = np.empty_like(lx)
-    sign = np.empty_like(lx)
+    s_star = (_complex_saddles(seq, lx - 1j * psi, c_star) if psi
+              else c_star + 0j)
+    # real log-integrand at each knot's saddle, without its -Re(s) L part
+    f_star = _line_symbol(seq, psi, s_star).real
+    scale = np.empty_like(lx)
+    total = np.empty(lx.shape, dtype=np.complex128)
     order = np.argsort(lx, kind="stable")
-    for band in _bands(lx[order], c_star[order], phi_star[order]):
+    for band in _bands(lx[order], s_star.real[order], f_star[order]):
         idx = order[band]
-        c = c_star[order[(band.start + band.stop - 1) // 2]]
-        log_w[idx], sign[idx] = _band_log_density(seq, c, lx[idx], rtol,
-                                                  max_points)
-    return log_w, sign
+        centre = s_star[order[(band.start + band.stop - 1) // 2]]
+        scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol,
+                                            max_points)
+    return scale, total
 
 
 def _bands(lx, c_star, phi_star):
     """Slices of consecutive (sorted) knots that can share one abscissa.
 
-    phi_star is the real log-symbol at each knot's saddle c_star.  A band
-    at abscissa c costs knot k the off-saddle loss
+    phi_star is the real log-integrand at each knot's saddle s*_k
+    (c*_k = Re s*_k), less its -c*_k ln x_k part.  Along a vertical line
+    the modulus of e^{-s ln x} does not depend on t, so a band at the
+    middle knot's saddle costs knot k the off-saddle loss
     [phi(c) - c ln x_k] - [phi(c*_k) - c*_k ln x_k] >= 0 (nats) of its
-    sum's digits; c is the saddle of the band's middle knot, so phi(c) is
-    known.
+    sum's digits, and phi(c) is known.
     """
     own_peak = phi_star - c_star * lx
 
@@ -280,46 +362,71 @@ def _bands(lx, c_star, phi_star):
         start = stop
 
 
-def _band_log_density(seq, c, lx, rtol, max_points):
-    """Self-converging nested trapezoid sums for the knots lx at abscissa c."""
-    spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))))
+def _band_sums(seq, psi, centre, lx, rtol, max_points):
+    """Self-converging nested trapezoid sums for the knots lx around centre.
+
+    The nodes are centre + i tau, tau on [-t_max, t_max]; the phase
+    e^{-i Im(centre) lx} common to a knot's terms is applied at the end.
+    """
+    c, t0 = centre.real, centre.imag
+    spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))), psi, t0)
     cap = max(max_points, 4 * spec.n_points)
     n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
     h = 2.0 * spec.t_max / n
-    t = np.linspace(-spec.t_max, spec.t_max, n + 1)
-    phi = mellin_symbol(seq, c + 1j * t)
+    tau = np.linspace(-spec.t_max, spec.t_max, n + 1)
+    phi = _line_symbol(seq, psi, centre + 1j * tau)
     m = float(np.max(phi.real))
     v = np.exp(phi - m)
     v[0] *= 0.5
     v[-1] *= 0.5
     # |x^{-(c+it)}| = x^-c for every t, so mag and tail serve the whole band
-    edge = np.abs(t) > 0.9 * spec.t_max
+    edge = np.abs(tau) > 0.9 * spec.t_max
     mag = h * float(np.sum(np.abs(v)))
     tail = h * float(np.sum(np.abs(v[edge])))
-    total = h * _phase_sum(t, v, lx)
-    _check_sums(total, mag, tail, n + 1)
-    log_w, sign = _log_values(m, c, lx, total)
+    real = not psi
+
+    def phase_sum(tau, step, v, lx):
+        # density knots keep the direct sum, which fixes their last bits
+        if real:
+            return _phase_sum(tau, v, lx)
+        return _uniform_phase_sum(tau[0], step, v, lx)
+
+    scale = m - c * lx
+    total = h * phase_sum(tau, h, v, lx)
+    _check_sums(total, mag, tail, n + 1, real)
+    out = total.copy()
     active = np.arange(lx.size)
     while active.size:
         if 2 * n > cap:
             x = float(np.exp(lx[active[0]]))
             raise ConvergenceError(
-                f"contour density did not converge below {rtol} at x={x}")
+                f"contour sum did not converge below {rtol} at x={x}"
+                + (f" (psi={psi})" if psi else ""))
         # the refined grid keeps every node and adds the midpoints
         n *= 2
         h *= 0.5
-        t = -spec.t_max + h * np.arange(1, n, 2)
-        v = np.exp(mellin_symbol(seq, c + 1j * t) - m)
-        edge = np.abs(t) > 0.9 * spec.t_max
+        tau = -spec.t_max + h * np.arange(1, n, 2)
+        v = np.exp(_line_symbol(seq, psi, centre + 1j * tau) - m)
+        edge = np.abs(tau) > 0.9 * spec.t_max
         mag = 0.5 * mag + h * float(np.sum(np.abs(v)))
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
-        total = 0.5 * total + h * _phase_sum(t, v, lx[active])
-        _check_sums(total, mag, tail, n + 1)
-        log_ref, sign_ref = _log_values(m, c, lx[active], total)
-        done = (sign_ref == sign[active]) & (np.abs(log_ref - log_w[active]) < rtol)
-        log_w[active], sign[active] = log_ref, sign_ref
+        total = 0.5 * total + h * phase_sum(tau, 2.0 * h, v, lx[active])
+        _check_sums(total, mag, tail, n + 1, real)
+        done = _settled(scale[active], out[active], total, rtol, real)
+        out[active] = total
         active, total = active[~done], total[~done]
-    return log_w, sign
+    if t0:
+        out *= np.exp(-1j * t0 * lx)
+    return scale, out
+
+
+def _settled(scale, old, new, rtol, real):
+    """Knots whose sum moved by less than rtol between two nested grids."""
+    if not real:
+        return np.abs(new - old) <= rtol * np.abs(new)
+    log_old, sign_old = _log_values(scale, old)
+    log_new, sign_new = _log_values(scale, new)
+    return (sign_new == sign_old) & (np.abs(log_new - log_old) < rtol)
 
 
 def _phase_sum(t, v, lx):
@@ -331,9 +438,31 @@ def _phase_sum(t, v, lx):
     return out
 
 
-def _log_values(m, c, lx, total):
+def _uniform_phase_sum(t0, step, v, lx):
+    """_phase_sum for the nodes t_j = t0 + j step, from two small tables.
+
+    With j = a m + b and m ~ sqrt(n), e^{-i t_j lx} is
+    e^{-i (t0 + a m step) lx} e^{-i b step lx}, so each knot needs 2 sqrt(n)
+    exponentials instead of n, and the sums over b are a matrix product.
+    """
+    m = int(np.ceil(np.sqrt(v.size)))
+    q = -(-v.size // m)
+    grid = np.zeros(q * m, dtype=np.complex128)
+    grid[:v.size] = v
+    grid = grid.reshape(q, m).T
+    out = np.empty(lx.size, dtype=np.complex128)
+    rows = max(1, _BLOCK // (m + q))
+    for k in range(0, lx.size, rows):
+        x = lx[k:k + rows]
+        inner = np.exp(np.multiply.outer(x, -1j * step * np.arange(m))) @ grid
+        outer = np.exp(np.multiply.outer(x, -1j * (t0 + m * step * np.arange(q))))
+        out[k:k + rows] = np.sum(outer * inner, axis=1)
+    return out
+
+
+def _log_values(scale, total):
     value = total.real / (2.0 * np.pi)
-    return m - c * lx + np.log(np.abs(value)), np.sign(value)
+    return scale + np.log(np.abs(value)), np.sign(value)
 
 
 # ---------------------------------------------------------------------------

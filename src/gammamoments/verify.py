@@ -125,6 +125,8 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
 
     The substitution u = x^p regularizes the tail; the oscillatory sum is
     taken panel-by-panel between sign changes and combined with math.fsum.
+    The trapezoid grids are nested, so a refinement evaluates omega only
+    at the new midpoints; nodes_used counts the evaluations made.
     """
     _check_n(n)
     g, p = omega.growth
@@ -150,14 +152,21 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
             return (u ** ((n + 1.0) / p) / p
                     * omega.evaluate(u ** (1.0 / p)))
 
-    n_nodes = 4097
+    n_nodes = fresh = 4097
     nodes_used = 0
     prev = None
-    abs_scale = None
-    while nodes_used + n_nodes <= node_cap:
+    h = None
+    while nodes_used + fresh <= node_cap:
         v = np.linspace(v_lo, v_hi, n_nodes)
-        h = integrand(v)
-        nodes_used += n_nodes
+        if h is None:
+            h = integrand(v)
+        else:
+            # grids of 2^k + 1 nodes nest, so the previous values sit at
+            # the even nodes and only the midpoints are evaluated
+            coarse, h = h, np.empty(n_nodes)
+            h[0::2] = coarse
+            h[1::2] = integrand(v[1::2])
+        nodes_used += fresh
         dv = v[1] - v[0]
         segments = 0.5 * (h[:-1] + h[1:]) * dv
         # panel boundaries at sign changes of the integrand
@@ -177,6 +186,7 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
                                          nodes_used)
         prev = total
         n_nodes = 2 * (n_nodes - 1) + 1
+        fresh = n_nodes // 2
     raise ConvergenceError(
         f"vanishing-moment integral n={n} did not stabilize within "
         f"{node_cap} nodes")

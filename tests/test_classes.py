@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConstraintError, class_member_tm1, class_member_tm2,
-                          certify_nonnegative, find_gamma_max, omega1, omega2,
+import gammamoments.classes as classes
+import gammamoments.mellin as mellin
+from gammamoments import (ConstraintError, SearchError, class_member_tm1,
+                          class_member_tm2, certify_nonnegative,
+                          contour_log_density, find_gamma_max, omega1, omega2,
                           omega2_v, omega2_via_convolution, omega3,
-                          perturbation_tm1, perturbation_tm2,
-                          perturbation_tm3, w1, weight_tm1, weight_tm2)
+                          omega3_via_convolution, perturbation_tm1,
+                          perturbation_tm2, perturbation_tm3, tm3, w1,
+                          weight_tm1, weight_tm2, weight_tm3)
 
 
 class TestOmega1:
@@ -76,6 +80,42 @@ class TestOmega3:
         with pytest.raises(ConstraintError):
             omega3(1, 1, 1.0)
 
+    def test_rejects_nonpositive_x(self):
+        with pytest.raises(ConstraintError):
+            omega3(3, 1, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (4, 1), (5, 2), (6, 1),
+                                     (7, 3)])
+    def test_contour_matches_convolution_oracle(self, r, k):
+        xs = np.logspace(-8, 4, 37)
+        env = weight_tm3(r).evaluate(xs)
+        diff = np.abs(omega3(r, k, xs) - omega3_via_convolution(r, k, xs))
+        assert np.all(diff <= 1e-12 * env)
+
+    def test_deep_tail_converges_within_envelope(self):
+        lxs = np.linspace(44.0, 50.0, 13)
+        vals = omega3(3, 1, np.exp(lxs))
+        env = np.exp([contour_log_density(tm3(3), math.exp(v))[0] for v in lxs])
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.abs(vals) <= env * (1 + 1e-9))
+        assert np.any(vals[:5] > 0.0) and np.any(vals[:5] < 0.0)
+        assert vals[-1] == 0.0  # below 1e-300 it underflows cleanly
+
+    def test_complex_saddle_keeps_sums_cancellation_free(self, monkeypatch):
+        # the window is centred on the complex saddle, ~21 below the real
+        # axis at ln x = 45; centred on the real saddle, |sum| / sum |terms|
+        # falls to 0.15 at ln x = 50 and the sum stops converging near 70
+        ratios = []
+        check = mellin._check_sums
+
+        def spy(total, mag, tail, n_points, real=True):
+            ratios.append(float(np.min(np.abs(total))) / mag)
+            return check(total, mag, tail, n_points, real)
+        monkeypatch.setattr(mellin, "_check_sums", spy)
+        vals = omega3(3, 1, np.exp(np.linspace(44.0, 70.0, 27)))
+        assert np.all(np.isfinite(vals))
+        assert min(ratios) >= 0.9
+
 
 class TestClassMembers:
     def test_tm1_identity_at_zero_eps(self):
@@ -117,6 +157,10 @@ class TestClassMembers:
         with pytest.raises(ConstraintError):
             class_member_tm2(3, 1, 2.0 * bound, 1.0, gamma_bound=bound)
 
+    def test_tm2_nan_bound_rejected(self):
+        with pytest.raises(ConstraintError):
+            class_member_tm2(3, 1, 0.5, 1.0, gamma_bound=float("nan"))
+
 
 class TestGammaMax:
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3)])
@@ -139,10 +183,27 @@ class TestGammaMax:
     def test_deterministic(self):
         assert find_gamma_max(5, 2) == find_gamma_max(5, 2)
 
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        serial = find_gamma_max(3, 1)
-        monkeypatch.setenv("GAMMOMENTS_THREADS", "4")
-        assert find_gamma_max(3, 1) == serial
+    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705265),
+                                          (5, 2, 2.294374844349574)])
+    def test_scaled_scan_keeps_small_r_bounds(self, r, k, want):
+        assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("r,want", [(9, 1.178), (15, 1.089), (40, 1.023)])
+    def test_large_r_bound_finite(self, r, want):
+        # K0(2u) underflows (r = 9, 15) and u*^{2r} overflows (r = 40)
+        # on the x-scale; the scaled u-scan sees neither
+        bound = find_gamma_max(r, 1)
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(want, abs=1e-3)
+        xs = np.logspace(-8, 6, 2000)
+        vals = class_member_tm2(r, 1, bound, xs, gamma_bound=bound)
+        assert np.all(vals >= 0.0)
+
+    def test_nonfinite_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(classes, "_ratio_v_over_k0",
+                            lambda r, k, u: np.full(np.shape(u), np.nan))
+        with pytest.raises(SearchError):
+            find_gamma_max(3, 1)
 
     def test_constraint_violation(self):
         with pytest.raises(ConstraintError):

@@ -79,6 +79,14 @@ class TestDeterminism:
         payload = json.loads(first)
         assert payload["monte_carlo"]["nonnegative"] is True
 
+    @pytest.mark.parametrize("r,want", [("9", 1.178), ("40", 1.023)])
+    def test_find_gamma_max_large_r(self, capsys, r, want):
+        code, out, err = run(capsys, "class", "--seq", f"tm2:r={r}", "--k",
+                             "1", "--find-gamma-max")
+        assert code == 0
+        assert "Traceback" not in err
+        assert json.loads(out)["gamma_max"] == pytest.approx(want, abs=1e-3)
+
 
 class TestCsvOutput:
     def test_moments_table(self, capsys):

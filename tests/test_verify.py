@@ -93,6 +93,20 @@ class TestVanishing:
         for n in range(0, 9):
             assert check_vanishing(pert, pert.seq, n).rel_error <= 1e-6
 
+    def test_refinement_evaluates_only_midpoints(self):
+        import dataclasses
+        base = perturbation_tm1(2, 1)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return base.evaluate(x)
+        res = check_vanishing(dataclasses.replace(base, evaluate=counted),
+                              base.seq, 0)
+        # accepted on the second grid: 4097 nodes, then its 4096 midpoints
+        assert sizes == [4097, 4096]
+        assert res.nodes_used == 8193
+
     def test_amplitude_scaling_invariance(self):
         # scaling omega by a constant scales the integral linearly, so the
         # ratio to rho(n) scales the same way: check via a wrapped copy
