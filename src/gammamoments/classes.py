@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sps
 from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SearchError
@@ -258,11 +257,13 @@ def _ratio_v_over_k0(r, k, u):
     Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
     finite where V underflows and 1/K0 overflows.
     """
+    from scipy.special import k0e, kve
+
     _check_tm2(r, k)
     beta = _beta(r, k)
     z = 2.0 * np.asarray(u, dtype=float)
-    scaled = sps.kve(0, z * beta) * np.exp(-z * (beta - 1.0))
-    return np.real(_v_phase(r, k) * scaled) / sps.k0e(z)
+    scaled = kve(0, z * beta) * np.exp(-z * (beta - 1.0))
+    return np.real(_v_phase(r, k) * scaled) / k0e(z)
 
 
 def find_gamma_max(r, k, grid_points=4000, safety=0.99):

@@ -384,15 +384,8 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
     mag = h * float(np.sum(np.abs(v)))
     tail = h * float(np.sum(np.abs(v[edge])))
     real = not psi
-
-    def phase_sum(tau, step, v, lx):
-        # density knots keep the direct sum, which fixes their last bits
-        if real:
-            return _phase_sum(tau, v, lx)
-        return _uniform_phase_sum(tau[0], step, v, lx)
-
     scale = m - c * lx
-    total = h * phase_sum(tau, h, v, lx)
+    total = h * _phase_sum(tau, v, lx)
     _check_sums(total, mag, tail, n + 1, real)
     out = total.copy()
     active = np.arange(lx.size)
@@ -410,7 +403,7 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
         edge = np.abs(tau) > 0.9 * spec.t_max
         mag = 0.5 * mag + h * float(np.sum(np.abs(v)))
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
-        total = 0.5 * total + h * phase_sum(tau, 2.0 * h, v, lx[active])
+        total = 0.5 * total + h * _phase_sum(tau, v, lx[active])
         _check_sums(total, mag, tail, n + 1, real)
         done = _settled(scale[active], out[active], total, rtol, real)
         out[active] = total
@@ -435,28 +428,6 @@ def _phase_sum(t, v, lx):
     step = max(1, _BLOCK // lx.size)
     for j in range(0, t.size, step):
         out += np.exp(np.multiply.outer(lx, -1j * t[j:j + step])) @ v[j:j + step]
-    return out
-
-
-def _uniform_phase_sum(t0, step, v, lx):
-    """_phase_sum for the nodes t_j = t0 + j step, from two small tables.
-
-    With j = a m + b and m ~ sqrt(n), e^{-i t_j lx} is
-    e^{-i (t0 + a m step) lx} e^{-i b step lx}, so each knot needs 2 sqrt(n)
-    exponentials instead of n, and the sums over b are a matrix product.
-    """
-    m = int(np.ceil(np.sqrt(v.size)))
-    q = -(-v.size // m)
-    grid = np.zeros(q * m, dtype=np.complex128)
-    grid[:v.size] = v
-    grid = grid.reshape(q, m).T
-    out = np.empty(lx.size, dtype=np.complex128)
-    rows = max(1, _BLOCK // (m + q))
-    for k in range(0, lx.size, rows):
-        x = lx[k:k + rows]
-        inner = np.exp(np.multiply.outer(x, -1j * step * np.arange(m))) @ grid
-        outer = np.exp(np.multiply.outer(x, -1j * (t0 + m * step * np.arange(q))))
-        out[k:k + rows] = np.sum(outer * inner, axis=1)
     return out
 
 

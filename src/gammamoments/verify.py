@@ -126,7 +126,8 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
     The substitution u = x^p regularizes the tail; the oscillatory sum is
     taken panel-by-panel between sign changes and combined with math.fsum.
     The trapezoid grids are nested, so a refinement evaluates omega only
-    at the new midpoints; nodes_used counts the evaluations made.
+    at the new midpoints; nodes_used counts the evaluations made and
+    node_cap bounds them (the default allows grids up to 131,073 nodes).
     """
     _check_n(n)
     g, p = omega.growth
