@@ -6,7 +6,6 @@ explicit non-unique solution families, and decide uniqueness numerically
 via the Carleman, Krein, and converse-Carleman criteria.
 """
 
-from .backend import BACKEND
 from .classes import (Perturbation, certify_nonnegative, class_member_tm1,
                       class_member_tm2, class_member_tm3, find_gamma_max,
                       omega1, omega2, omega2_v, omega2_via_convolution,
@@ -36,7 +35,7 @@ from .weights import (WeightFunction, principal_solution, w1, w2, w3, w4,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "__version__",
+    "__version__",
     # errors
     "GammomentsError", "DomainError", "PoleError", "ConstraintError",
     "TruncationError", "ConvergenceError", "SearchError", "UndecidedError",

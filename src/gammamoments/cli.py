@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a principal density")
     p.add_argument("--seq", required=True)
     p.add_argument("--x", help="comma-separated evaluation points")
-    p.add_argument("--solution", choices=("principal",), default="principal")
     p.add_argument("--contour-c", type=float,
                    help="override the contour abscissa (direct evaluation)")
     p.add_argument("--contour-tmax", type=float)
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="verify moments against rho(n)")
     p.add_argument("--seq", required=True)
     p.add_argument("--n", default="0..8", help="single n or range like 0..8")
-    p.add_argument("--solution", choices=("principal",), default="principal")
     p.add_argument("--table", action="store_const", dest="emit", const="csv",
                    help="shorthand for --emit csv")
     common(p)
@@ -291,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("criteria", help="run the three uniqueness criteria")
     p.add_argument("--seq", required=True)
-    p.add_argument("--solution", choices=("principal",), default="principal")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--full-terms", action="store_true",
                    help="include every Carleman term instead of the first 10")
     common(p)

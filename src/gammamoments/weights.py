@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConstraintError, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
-from .moments import MomentSequence, tm1, tm2, tm3, tm4
+from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
 
 __all__ = [
@@ -97,11 +97,6 @@ def log_w2(r, x):
 def w2(r, x):
     with np.errstate(under="ignore"):
         return np.exp(log_w2(r, x))
-
-
-def _check_r(r):
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ConstraintError(f"r must be a positive integer, got {r!r}")
 
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------

@@ -1,6 +1,7 @@
 """Log-gamma and Bessel layer: frozen oracles, identities, error paths."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sps
 
-from gammamoments import (DomainError, PoleError, bessel_k0,
+from gammamoments import (ConvergenceError, DomainError, PoleError, bessel_k0,
                           bessel_k0_complex, bessel_k1, ln_gamma,
                           log_bessel_k0)
 from gammamoments.special import UnderflowWarning
@@ -138,3 +139,40 @@ class TestComplexK0:
             want = complex(mp.besselk(0, z))
             got = bessel_k0_complex(z)
             assert abs(got - want) / abs(want) < 1e-12
+
+    def test_mpmath_oracle_seeded(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        rng = np.random.default_rng(20261018)
+        mod = np.exp(rng.uniform(math.log(1e-3), math.log(600.0), 240))
+        z = mod * np.exp(1j * rng.uniform(-1.45, 1.45, mod.size))
+        got = bessel_k0_complex(z)
+        want = np.array([complex(mp.besselk(0, complex(v))) for v in z])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    def test_continuous_across_regime_boundary(self):
+        # quadrature below |z| = 30, asymptotic series above
+        for phi in (0.0, 0.4, -0.7):
+            lo = bessel_k0_complex((30.0 - 1e-6) * np.exp(1j * phi))
+            hi = bessel_k0_complex((30.0 + 1e-6) * np.exp(1j * phi))
+            assert abs(lo - hi) / abs(lo) < 1e-5
+
+    def test_value_independent_of_the_rest_of_the_array(self):
+        rng = np.random.default_rng(7)
+        mod = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 5000))
+        z = mod * np.exp(1j * rng.uniform(-1.45, 1.45, mod.size))
+        together = bessel_k0_complex(z)
+        for i in (0, 1, 1234, 2500, 4999):
+            assert bessel_k0_complex(z[i]) == together[i]
+        assert np.array_equal(bessel_k0_complex(z[::-1])[::-1], together)
+
+    def test_near_imaginary_axis_raises_quickly(self):
+        # a grid resolving the phase 5 * 46e8 would need ~1e11 nodes
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"1e-08\+5j"):
+            bessel_k0_complex(1e-8 + 5.0j)
+        assert time.perf_counter() - start < 1.0
+
+    def test_vanishing_real_part_raises(self):
+        with pytest.raises(ConvergenceError):
+            bessel_k0_complex(5e-324 + 1.0j)
