@@ -6,7 +6,7 @@ W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
 by the contour engine (the convolution route is kept as an oracle).  Class
 members are principal solution + amplitude * omega; for the second family
 the admissible amplitude is found by a grid search over the oscillating
-ratio V/K0 with golden-section refinement.
+ratio V/K0, refined by zooming in on the worst grid point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
@@ -285,12 +284,19 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
         raise SearchError(
             f"V/K0 never negative on the scan grid for (r={r}, k={k}); "
             "cannot certify an amplitude bound")
-    lo = us[max(i - 1, 0)]
-    hi = us[min(i + 1, us.size - 1)]
-    res = minimize_scalar(lambda v: float(_ratio_v_over_k0(r, k, np.exp(v))),
-                          bounds=(math.log(lo), math.log(hi)), method="bounded",
-                          options={"xatol": 1e-10 / (2 * r)})
-    refined = max(worst, -float(res.fun))
+    # zoom in log u: 33 points across the bracket, keep the neighbours of
+    # the largest -V/K0, until the bracket is xatol wide; a bracket a few
+    # ulps wide stops shrinking, so xatol never goes below 64 ulps
+    a = math.log(us[max(i - 1, 0)])
+    b = math.log(us[min(i + 1, us.size - 1)])
+    xatol = max(1e-10 / (2 * r), 64.0 * np.spacing(max(abs(a), abs(b))))
+    refined = worst
+    while b - a > xatol:
+        vs = np.linspace(a, b, 33)
+        vals = -_ratio_v_over_k0(r, k, np.exp(vs))
+        j = int(np.argmax(vals))
+        refined = max(refined, float(vals[j]))
+        a, b = vs[max(j - 1, 0)], vs[min(j + 1, vs.size - 1)]
     if refined > 10.0 * worst:
         raise SearchError(
             f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "

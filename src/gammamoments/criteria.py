@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (ConsistencyError, ConstraintError, InconclusiveError,
                      RefusesError, UndecidedError)
@@ -159,18 +158,20 @@ def krein(w: WeightFunction, x_cut: float = 1e4) -> KreinResult:
     fitted, _ = np.polyfit(np.log(xs), np.log(neg_log), 1)
     fitted = float(fitted)
 
+    beta_true = 2.0 * p
+    # a numeric tail that disagrees with the certified law decides nothing
+    decided = (w.tail_certified
+               and not abs(fitted - beta_true) > 2.0 * _KREIN_DEAD_ZONE + 0.01)
+    if decided and beta_true >= 1.0:
+        return KreinResult("Infinite", math.inf, fitted)
+
+    from scipy.integrate import quad
+
     x_hi = min(x_cut, x_top)
     body, _ = quad(lambda x: float(-w.log_evaluate(np.float64(x * x)))
                    / (1.0 + x * x), 0.0, x_hi, limit=400, points=[1.0])
-
-    beta_true = 2.0 * p
-    if not w.tail_certified:
+    if not decided:
         return KreinResult("Undecided", float(body), fitted)
-    if abs(fitted - beta_true) > 2.0 * _KREIN_DEAD_ZONE + 0.01:
-        # numeric tail disagrees with the certified law: refuse to decide
-        return KreinResult("Undecided", float(body), fitted)
-    if beta_true >= 1.0:
-        return KreinResult("Infinite", math.inf, fitted)
     # finite: add the analytic tail  int_X^inf C x^{beta-2} dx
     c_coef = float(neg_log[-1] / xs[-1] ** beta_true)
     tail = c_coef * x_hi ** (beta_true - 1.0) / (1.0 - beta_true)

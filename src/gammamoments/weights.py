@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, TruncationError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
@@ -172,6 +171,8 @@ def _density_spline(seq: MomentSequence):
         raise TruncationError(
             f"principal density of {seq.descriptor()} evaluated negative "
             f"at ln x = {v:.3f}; contour resolution insufficient")
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(lx, lw), lx[0], lx[-1]
 
 

@@ -199,6 +199,40 @@ class TestGammaMax:
         vals = class_member_tm2(r, 1, bound, xs, gamma_bound=bound)
         assert np.all(vals >= 0.0)
 
+    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.348234710170527),
+                                          (5, 2, 2.294374844349573),
+                                          (7, 3, 4.502411477454808),
+                                          (9, 1, 1.178284989758534),
+                                          (15, 1, 1.0887845211249443),
+                                          (40, 1, 1.0228080242294657)])
+    def test_zoom_matches_brent_refinement(self, r, k, want):
+        # values of the bounded Brent refinement the zoom replaced
+        assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
+    def test_refinement_never_shallower_than_scan(self, r, k, monkeypatch):
+        seen = []
+        ratio = classes._ratio_v_over_k0
+
+        def spy(r, k, u):
+            vals = ratio(r, k, u)
+            seen.append(-vals)
+            return vals
+        monkeypatch.setattr(classes, "_ratio_v_over_k0", spy)
+        bound = find_gamma_max(r, k)
+        worst = float(np.max(seen[0]))  # the scan grid comes first
+        deepest = max(float(np.max(v)) for v in seen)
+        assert len(seen) > 1
+        assert bound <= 0.99 / worst
+        assert bound == 0.99 / deepest
+
+    def test_zoom_stops_on_a_bracket_below_xatol_ulps(self):
+        # for r this large 1e-10/(2r) is below the float spacing of ln u,
+        # and the scan's worst value is nan (scaled K0 is nan out there);
+        # the zoom must still stop, and the nan bound must raise
+        with pytest.raises(SearchError):
+            find_gamma_max(10**6, 1)
+
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",
                             lambda r, k, u: np.full(np.shape(u), np.nan))

@@ -1,8 +1,11 @@
 """Uniqueness criteria: growth-rate test, tail-integral test, and the
 log-convexity converse, plus the combined report."""
 
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from gammamoments import (ConsistencyError, ConstraintError, RefusesError,
@@ -73,6 +76,31 @@ class TestKrein:
     def test_spline_backed_weights_undecided(self):
         assert krein(principal_solution(tm3(2))).verdict == "Undecided"
         assert krein(principal_solution(tm4(2))).verdict == "Undecided"
+
+    @pytest.mark.parametrize("factory", [weight_tm1, weight_tm2])
+    def test_infinite_verdict_skips_quadrature(self, factory, monkeypatch):
+        import scipy.integrate
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called on a certified divergent tail")
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        w = factory(1)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return w.log_evaluate(x)
+        res = krein(dataclasses.replace(w, log_evaluate=counted))
+        assert res.verdict == "Infinite"
+        assert res.integral_estimate == math.inf
+        assert calls == [48]  # the tail fit only
+
+    @pytest.mark.parametrize("w,want", [(weight_tm1(2), 4.397357390267509),
+                                        (weight_tm2(3), 4.540830624289193)])
+    def test_finite_estimate_unchanged(self, w, want):
+        res = krein(w)
+        assert res.verdict == "Finite"
+        assert res.integral_estimate == want
 
 
 class TestConverseCarleman:
