@@ -249,6 +249,9 @@ def class_member_tm3(r, k, gamma, x, rtol=1e-9):
 
 # -- amplitude search -------------------------------------------------------
 
+_KVE_MAX_ABS = 1e9  # scipy.special.kve(0, z) returns nan beyond |z| ~ 1.08e9
+
+
 def _ratio_v_over_k0(r, k, u):
     """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
 
@@ -271,11 +274,22 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
     The ratio tends to cos(pi(1/2 - k(r-1)/r)) at the origin and decays to
     zero at infinity (Re beta > 1), so its infimum lives on a finite window.
     The scan runs in u = x^{1/2r} over x in [1e-8, u*^{2r}], where the
-    ratio has decayed by e^{-2u*(Re beta - 1)} = 1e-8.
+    ratio has decayed by e^{-2u*(Re beta - 1)} = 1e-8, or where
+    |2u beta| reaches _KVE_MAX_ABS if that comes first.  Beyond such a
+    cut |V/K0| follows the envelope |phase| e^{-2u(Re beta - 1)} (the
+    large-argument form of both Bessel functions), and the bound is
+    certified only if that envelope stays below `safety` times the
+    scanned infimum, the margin the bound itself keeps.
     """
     _check_tm2(r, k)
-    beta_re = _beta(r, k).real
-    u_star = math.log(1e8) / (2.0 * (beta_re - 1.0))
+    beta = _beta(r, k)
+    u_star = math.log(1e8) / (2.0 * (beta.real - 1.0))
+    u_cap = 0.5 * _KVE_MAX_ABS / abs(beta)
+    envelope = 0.0
+    if u_star > u_cap:
+        u_star = u_cap
+        envelope = abs(_v_phase(r, k)) * math.exp(
+            -2.0 * u_cap * (beta.real - 1.0))
     us = np.logspace(-8.0 / (2 * r), math.log10(u_star), grid_points)
     neg = -_ratio_v_over_k0(r, k, us)
     i = int(np.argmax(neg))
@@ -301,6 +315,11 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
         raise SearchError(
             f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "
             "ratio may be unbounded")
+    if envelope > safety * refined:
+        raise SearchError(
+            f"V/K0 for (r={r}, k={k}) has not decayed below its scanned "
+            f"infimum {refined:.6g} (envelope {envelope:.6g}) where the "
+            "scaled Bessel function stops being finite")
     bound = safety / refined
     if not math.isfinite(bound):
         raise SearchError(

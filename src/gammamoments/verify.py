@@ -93,8 +93,8 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
 
     v_ceil = None
     if not w.tail_certified:
-        from .weights import _SPLINE_LOG_DEPTH
-        v_ceil = math.log(_SPLINE_LOG_DEPTH / g) - 1e-9
+        from .weights import _LOG_DEPTH
+        v_ceil = math.log(_LOG_DEPTH / g) - 1e-9
     v_pk = math.log(max((n + 1.0) / (p * g), 1e-3))
     v_lo, v_hi = _scan_window(log_integrand, v_pk, v_ceil=v_ceil)
 

@@ -3,10 +3,12 @@
 The first two families have closed forms (stretched exponential, Bessel K0);
 the third and fourth are defined operationally as inverse Mellin transforms
 of their gamma-product symbols.  For those, and for any other gamma
-product, a log-log cubic spline of the density is built once per sequence
-from a single call of the contour engine on all its knots (knots sharing a
-saddle band share one set of symbol evaluations), giving ~1e-9 pointwise
-accuracy at quadrature-friendly speed; w3/w4 evaluate the engine's
+product, ln W is interpolated once per sequence by Chebyshev polynomials
+on panels in ln x, built from a single call of the contour engine at every
+panel's Chebyshev points (knots sharing a saddle band share one set of
+symbol evaluations).  A panel is accepted once its trailing coefficients
+are below 1e-11, so the interpolant certifies its own accuracy (about
+1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine's
 one-knot case directly, for cross-checks.
 """
 
@@ -16,8 +18,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import DomainError, TruncationError
+from .errors import ConvergenceError, DomainError, TruncationError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
 from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
@@ -154,45 +157,118 @@ def weight_tm2(r) -> WeightFunction:
         tail_certified=True)
 
 
-_SPLINE_POINTS = 1400
-_SPLINE_X_MIN = 1e-20
-_SPLINE_LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
+_X_MIN = 1e-20  # below, ln W continues along the edge slope
+_LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
+_PANEL_WIDTH = 8.0  # initial panel width in ln x
+_DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
+_TAIL_TOL = 1e-11  # accepted size of a panel's trailing coefficients
+_MAX_SPLITS = 6  # halvings of an initial panel before the build gives up
+
+
+@dataclass(frozen=True, eq=False)
+class _PanelInterpolant:
+    """Piecewise Chebyshev polynomial in u = ln x on [edges[0], edges[-1]].
+
+    coef[i] holds the Chebyshev coefficients of panel [edges[i],
+    edges[i + 1]]; error is the largest trailing-coefficient sum of an
+    accepted panel, the interpolant's estimate of its own error.
+    """
+
+    edges: np.ndarray
+    coef: np.ndarray
+    error: float
+
+    @property
+    def nodes(self):
+        """ln x at the Chebyshev points of every panel."""
+        return _panel_points(self.edges[:-1], self.edges[1:]).ravel()
+
+    def __call__(self, u):
+        i = np.clip(np.searchsorted(self.edges, u, side="right") - 1,
+                    0, self.coef.shape[0] - 1)
+        left, right = self.edges[i], self.edges[i + 1]
+        t = (2.0 * u - left - right) / (right - left)
+        return chebyshev.chebval(t, self.coef[i].T, tensor=False)
+
+    def edge_slope(self):
+        """d ln W / d ln x at the left end of the window."""
+        width = self.edges[1] - self.edges[0]
+        slope = chebyshev.chebval(-1.0, chebyshev.chebder(self.coef[0]))
+        return float(slope) * 2.0 / width
+
+
+def _panel_points(left, right):
+    """(panels, _DEGREE + 1) array of each panel's Chebyshev points."""
+    t = chebyshev.chebpts1(_DEGREE + 1)
+    return 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * t
+
+
+def _chebyshev_coefficients(values):
+    """Rows of values at chebpts1(_DEGREE + 1) -> rows of coefficients."""
+    n = _DEGREE + 1
+    to_coef = chebyshev.chebvander(chebyshev.chebpts1(n), _DEGREE) * (2.0 / n)
+    to_coef[:, 0] *= 0.5
+    return values @ to_coef
 
 
 @functools.lru_cache(maxsize=16)
 def _density_spline(seq: MomentSequence):
-    """CubicSpline of ln W vs ln x for a contour-evaluated density."""
-    g, p = seq.tail_coefficient, seq.tail_power
-    x_max = (_SPLINE_LOG_DEPTH / g) ** (1.0 / p)
-    lx = np.linspace(np.log(_SPLINE_X_MIN), np.log(x_max), _SPLINE_POINTS)
-    lw, sign = contour_log_densities(seq, lx)
-    if np.any(sign <= 0):
-        v = lx[int(np.argmax(sign <= 0))]
-        raise TruncationError(
-            f"principal density of {seq.descriptor()} evaluated negative "
-            f"at ln x = {v:.3f}; contour resolution insufficient")
-    from scipy.interpolate import CubicSpline
+    """Piecewise Chebyshev interpolant of ln W vs ln x for a contour density.
 
-    return CubicSpline(lx, lw), lx[0], lx[-1]
+    The window runs from x = 1e-20 to where ln W reaches -_LOG_DEPTH.  All
+    panels are evaluated by one engine call; a panel whose last three
+    coefficients sum above _TAIL_TOL is halved, and the halves of every
+    such panel are evaluated by one further call.
+    """
+    g, p = seq.tail_coefficient, seq.tail_power
+    lo = np.log(_X_MIN)
+    hi = np.log((_LOG_DEPTH / g) ** (1.0 / p))
+    cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
+    left, right = cuts[:-1], cuts[1:]
+    accepted = []  # (left edge, coef, tail) of the accepted panels
+    for _ in range(_MAX_SPLITS + 1):
+        lx = _panel_points(left, right)
+        lw, sign = contour_log_densities(seq, lx.ravel())
+        if np.any(sign <= 0):
+            v = float(np.min(lx.ravel()[sign <= 0]))
+            raise TruncationError(
+                f"principal density of {seq.descriptor()} evaluated negative "
+                f"at ln x = {v:.3f}; contour resolution insufficient")
+        coef = _chebyshev_coefficients(lw.reshape(lx.shape))
+        tail = np.sum(np.abs(coef[:, -3:]), axis=1)
+        ok = tail <= _TAIL_TOL
+        accepted.append((left[ok], coef[ok], tail[ok]))
+        if np.all(ok):
+            break
+        mid = 0.5 * (left[~ok] + right[~ok])
+        left = np.concatenate([left[~ok], mid])
+        right = np.concatenate([mid, right[~ok]])
+    else:
+        raise ConvergenceError(
+            f"{seq.descriptor()}: Chebyshev panels at most "
+            f"{_PANEL_WIDTH / 2 ** _MAX_SPLITS:g} wide in ln x still leave "
+            f"trailing coefficients above {_TAIL_TOL:g}")
+    left, coef, tail = (np.concatenate(part) for part in zip(*accepted))
+    order = np.argsort(left)
+    return _PanelInterpolant(np.append(left[order], hi), coef[order],
+                             float(np.max(tail)))
 
 
 def _spline_log_evaluate(seq, x):
-    spline, lo, hi = _density_spline(seq)
+    interp = _density_spline(seq)
     arr = _check_x(x)
     scalar = arr.ndim == 0
     lx = np.atleast_1d(np.log(arr))
-    out = np.empty_like(lx)
-    inside = (lx >= lo) & (lx <= hi)
-    out[inside] = spline(lx[inside])
-    below = lx < lo
-    if np.any(below):
-        # clamp to the edge slope; only exercised at x < 1e-20
-        slope = float(spline(lo, 1))
-        out[below] = float(spline(lo)) + slope * (lx[below] - lo)
+    lo, hi = interp.edges[0], interp.edges[-1]
     if np.any(lx > hi):
         raise TruncationError(
             f"{seq.descriptor()}: density tail beyond the certified window "
             f"(ln x = {float(np.max(lx)):.2f} > {hi:.2f})")
+    out = interp(np.maximum(lx, lo))
+    below = lx < lo
+    if np.any(below):
+        # clamp to the edge slope; only exercised at x < 1e-20
+        out[below] += interp.edge_slope() * (lx[below] - lo)
     return float(out[0]) if scalar else out
 
 

@@ -226,11 +226,27 @@ class TestGammaMax:
         assert bound <= 0.99 / worst
         assert bound == 0.99 / deepest
 
+    @pytest.mark.parametrize("r", [10**4, 3 * 10**4])
+    def test_bound_finite_where_kve_overflows(self, r):
+        # the ratio decays by 1e-8 only past |2u beta| = 1.08e9, where
+        # scipy's kve(0, z) is nan; the scan stops short of that
+        bound = find_gamma_max(r, 1)
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(0.9904, abs=1e-3)
+        # W2 > 0, so the member is nonnegative iff 1 + gamma V/K0 is; x =
+        # u^{2r} overflows for u > 1.04, so sample in u up to the scan's cut
+        rng = np.random.default_rng(7)
+        us = np.exp(rng.uniform(0.0, math.log(5e8), 20000))
+        assert np.all(1.0 + bound * classes._ratio_v_over_k0(r, 1, us) >= 0.0)
+        xs = np.logspace(-8, 300, 2000)
+        vals = class_member_tm2(r, 1, bound, xs, gamma_bound=bound)
+        assert np.all(vals >= 0.0)
+
     def test_zoom_stops_on_a_bracket_below_xatol_ulps(self):
-        # for r this large 1e-10/(2r) is below the float spacing of ln u,
-        # and the scan's worst value is nan (scaled K0 is nan out there);
-        # the zoom must still stop, and the nan bound must raise
-        with pytest.raises(SearchError):
+        # for r this large 1e-10/(2r) is below the float spacing of ln u;
+        # the zoom must still stop, and since the ratio has not decayed
+        # where scaled K0 stops being finite, the search must raise
+        with pytest.raises(SearchError, match="not decayed"):
             find_gamma_max(10**6, 1)
 
     def test_nonfinite_bound_raises(self, monkeypatch):

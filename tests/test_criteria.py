@@ -49,6 +49,34 @@ class TestCarleman:
         assert res.fitted_decay_exponent == pytest.approx(-1.0, abs=0.05)
         assert carleman(parse_descriptor("gamma:1.98n+1")).verdict == "Divergent"
 
+    def test_inconsistent_fit_adds_note(self, monkeypatch):
+        # log-moments growing 1.5 times too fast fit a decay exponent of
+        # about -1.5 A/2; the verdict still follows A
+        import gammamoments.criteria as crit
+
+        seq = tm1(2)
+        consistent = crit.full_report(seq, weight_tm1(2))
+        assert not any("decay exponent" in n for n in consistent.notes)
+        true_log_moment = crit.log_moment
+        monkeypatch.setattr(crit, "log_moment",
+                            lambda s, n: 1.5 * true_log_moment(s, n))
+        report = crit.full_report(seq, weight_tm1(2))
+        assert report.c1.verdict == consistent.c1.verdict == "Convergent"
+        assert report.overall == consistent.overall
+        assert any("decay exponent" in n and "-A/2 = -2.0000" in n
+                   for n in report.notes)
+
+    @pytest.mark.parametrize("seq", [tm1(1), tm2(1), tm2(3), tm3(2), tm4(2),
+                                     parse_descriptor("gamma:2.02n+1"),
+                                     parse_descriptor("gamma:0.5n+30")])
+    def test_consistent_fit_adds_no_note(self, seq):
+        import gammamoments.criteria as crit
+
+        for n_max in (50, 200, 400):
+            c1 = carleman(seq, n_max=n_max)
+            assert (abs(c1.fitted_decay_exponent + seq.sum_a / 2.0)
+                    <= crit._decay_tolerance(seq, n_max // 2))
+
     def test_sum_a_at_two_within_rounding_undecided(self):
         seq = gamma_product([(0.7, 1.0), (0.6, 1.0), (0.7, 1.0)])
         assert seq.sum_a != 2.0 and seq.sum_a == pytest.approx(2.0)
@@ -79,11 +107,11 @@ class TestKrein:
 
     @pytest.mark.parametrize("factory", [weight_tm1, weight_tm2])
     def test_infinite_verdict_skips_quadrature(self, factory, monkeypatch):
-        import scipy.integrate
+        import gammamoments.criteria as crit
 
         def no_quad(*args, **kwargs):
-            raise AssertionError("quad called on a certified divergent tail")
-        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+            raise AssertionError("quadrature on a certified divergent tail")
+        monkeypatch.setattr(crit, "_krein_body", no_quad)
         w = factory(1)
         calls = []
 
@@ -95,12 +123,31 @@ class TestKrein:
         assert res.integral_estimate == math.inf
         assert calls == [48]  # the tail fit only
 
-    @pytest.mark.parametrize("w,want", [(weight_tm1(2), 4.397357390267509),
-                                        (weight_tm2(3), 4.540830624289193)])
-    def test_finite_estimate_unchanged(self, w, want):
+    # int_0^{1e4} -ln W(x^2)/(1+x^2) dx, frozen from mpmath.quad at 30
+    # digits with breakpoints 1e-6, 1e-3, 0.1, 1, 10, 100, 1000 (W2 through
+    # mpmath.besselk)
+    KREIN_BODY = {"W1(2)": 4.3773573789361107723,
+                  "W2(3)": 4.5343673151807016412}
+
+    @pytest.mark.parametrize("w,parent", [(weight_tm1(2), 4.397357390267509),
+                                          (weight_tm2(3), 4.540830624289193)])
+    def test_finite_estimate_unchanged(self, w, parent):
+        # parent: the estimate of the former scipy.integrate.quad body; the
+        # estimate may move only toward the mpmath body plus the same
+        # analytic tail C X^{beta-1}/(1-beta), C fitted at the top of the
+        # evaluable range
+        import gammamoments.criteria as crit
+
         res = krein(w)
         assert res.verdict == "Finite"
-        assert res.integral_estimate == want
+        beta = 2.0 * w.growth[1]
+        x_top = float(np.exp(np.log(crit._tail_limit(w))))
+        c_coef = (float(-w.log_evaluate(np.float64(x_top * x_top)))
+                  / x_top ** beta)
+        tail = c_coef * 1e4 ** (beta - 1.0) / (1.0 - beta)
+        want = self.KREIN_BODY[w.name] + tail
+        assert abs(res.integral_estimate - want) <= abs(parent - want)
+        assert res.integral_estimate == pytest.approx(want, rel=1e-14)
 
 
 class TestConverseCarleman:

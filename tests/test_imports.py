@@ -1,5 +1,6 @@
-"""Import cost: SciPy subpackages other than scipy.special load only in the
-one function that uses them, so closed-form CLI calls never import them."""
+"""Import cost: scipy.special is the only SciPy subpackage the package
+imports, so no CLI call loads scipy.optimize, scipy.integrate or
+scipy.interpolate."""
 
 import json
 import os
@@ -10,24 +11,29 @@ import gammamoments
 
 _DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
 
-# runs `import gammamoments`, then each argv list in turn through cli.main,
-# and prints [exit code, deferred subpackages loaded so far] after each step
+# runs `import gammamoments`, then each step in turn: an argv list through
+# cli.main, or a module name through importlib (exit code None); prints
+# [exit code, deferred subpackages loaded so far] after each step
 _SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 import gammamoments
 from gammamoments import cli
 deferred = {deferred!r}
 steps = [[None, [m for m in deferred if m in sys.modules]]]
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
+for step in json.loads(sys.argv[1]):
+    code = None
+    if isinstance(step, str):
+        importlib.import_module(step)
+    else:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(step)
     steps.append([code, [m for m in deferred if m in sys.modules]])
 print(json.dumps(steps))
 """.format(deferred=_DEFERRED)
 
 
 def _steps(*argvs):
-    """[exit code, loaded deferred subpackages] after the import and each call."""
+    """[exit code, loaded deferred subpackages] after import and each step."""
     src = os.path.dirname(os.path.dirname(gammamoments.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -44,6 +50,7 @@ def test_closed_form_calls_skip_deferred_subpackages():
         ["eval", "--seq", "tm2:r=2"],
         ["moments", "--seq", "tm2:r=3", "--n", "0..8"],
         ["criteria", "--seq", "tm1:r=1"],
+        ["criteria", "--seq", "tm2:r=2"],
         ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5"],
         ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "1.0"],
         ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max"],
@@ -55,12 +62,24 @@ def test_closed_form_calls_skip_deferred_subpackages():
         assert (code, loaded) == (0, []), " ".join(argv)
 
 
+def test_contour_calls_skip_deferred_subpackages():
+    # interpolant builds and Krein quadratures run on NumPy alone
+    argvs = [
+        ["eval", "--seq", "tm3:r=1"],
+        ["moments", "--seq", "tm4:r=1", "--n", "0..8"],
+        ["criteria", "--seq", "gamma:2.02n+1"],
+    ]
+    steps = _steps(*argvs)
+    assert steps[0] == [None, []], "import gammamoments"
+    for argv, (code, loaded) in zip(argvs, steps[1:]):
+        assert (code, loaded) == (0, []), " ".join(argv)
+
+
 def test_guard_sees_a_deferred_import():
-    # positive controls: a spline build and a finite Krein integral do load
-    # their subpackage, so the guard above can fail
-    for argv, module in [(["eval", "--seq", "tm3:r=1"], "scipy.interpolate"),
-                         (["criteria", "--seq", "tm2:r=2"], "scipy.integrate")]:
-        (_, before), (code, after) = _steps(argv)
-        assert module not in before
-        assert code == 0
-        assert module in after, " ".join(argv)
+    # positive control: a deferred subpackage imported after a CLI call
+    # shows up in the next step's list, so the guards above can fail
+    (_, before), (code, during), (_, after) = _steps(
+        ["eval", "--seq", "tm3:r=1"], "scipy.interpolate")
+    assert code == 0
+    assert "scipy.interpolate" not in before + during
+    assert "scipy.interpolate" in after

@@ -132,7 +132,7 @@ class TestContourDensities:
 
 def _spline_knots(seq):
     from gammamoments.weights import _density_spline
-    return _density_spline(seq)[0].x
+    return _density_spline(seq).nodes
 
 
 class TestBandEngine:

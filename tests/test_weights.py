@@ -1,4 +1,4 @@
-"""Principal weight functions: closed forms, spline-backed densities,
+"""Principal weight functions: closed forms, interpolated contour densities,
 origin/tail behaviour, and the convolution cross-check."""
 
 import math
@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConstraintError, DomainError, TruncationError,
-                          bessel_k0, contour_density, principal_solution,
-                          tm1, tm2, tm3, tm4, w1, w2, w3, w4,
-                          w4_via_convolution, weight_tm1, weight_tm2,
+import gammamoments.weights as weights
+from gammamoments import (ConstraintError, ConvergenceError, DomainError,
+                          TruncationError, bessel_k0, contour_density,
+                          contour_log_densities, parse_descriptor,
+                          principal_solution, tm1, tm2, tm3, tm4, w1, w2, w3,
+                          w4, w4_via_convolution, weight_tm1, weight_tm2,
                           weight_tm3, weight_tm4, weight_w1)
 
 TWO_K0_2 = 2.0 * 0.1138938727495334  # 2 K0(2), frozen with mpmath
@@ -112,6 +114,78 @@ class TestSplineDensities:
         w = weight_tm3(1)
         with pytest.raises(TruncationError):
             w.log_evaluate(np.float64(1e40))
+
+
+_CONTOUR_SEQS = pytest.mark.parametrize(
+    "seq", [tm3(1), tm4(1), parse_descriptor("gamma:2.02n+1")],
+    ids=["tm3:r=1", "tm4:r=1", "gamma:2.02n+1"])
+
+
+def _counting_engine(monkeypatch):
+    """Patch the engine the interpolant calls; returns knots per call."""
+    calls = []
+    engine = weights.contour_log_densities
+
+    def counted(seq, log_x, *args, **kwargs):
+        calls.append(np.size(log_x))
+        return engine(seq, log_x, *args, **kwargs)
+    monkeypatch.setattr(weights, "contour_log_densities", counted)
+    return calls
+
+
+class TestPanelInterpolant:
+    @_CONTOUR_SEQS
+    def test_matches_engine_across_window(self, seq):
+        interp = weights._density_spline(seq)
+        edges = interp.edges
+        rng = np.random.default_rng(6)
+        lx = np.concatenate([0.5 * (edges[1:] + edges[:-1]),
+                             rng.uniform(edges[0], edges[-1], 300),
+                             edges[[0, -1]]])
+        want, sign = contour_log_densities(seq, lx)
+        assert np.all(sign > 0)
+        got = weights._spline_log_evaluate(seq, np.exp(lx))
+        assert np.max(np.abs(got - want)) <= 1e-10
+        assert 0.0 < interp.error <= 1e-10
+
+    @_CONTOUR_SEQS
+    def test_clamp_follows_edge_slope(self, seq):
+        interp = weights._density_spline(seq)
+        lo = interp.edges[0]
+        assert lo == pytest.approx(math.log(1e-20), abs=1e-12)
+        h = 1e-3
+        (w_lo, w_plus), _ = contour_log_densities(seq, np.array([lo, lo + h]))
+        (w_minus,), _ = contour_log_densities(seq, np.array([lo - h]))
+        assert interp.edge_slope() == pytest.approx(
+            (w_plus - w_minus) / (2.0 * h), abs=1e-6)
+        lx = lo - np.array([1e-6, 1.0, 30.0])
+        got = weights._spline_log_evaluate(seq, np.exp(lx))
+        assert np.allclose(got, w_lo + interp.edge_slope() * (lx - lo),
+                           rtol=0.0, atol=1e-10)
+
+    @_CONTOUR_SEQS
+    def test_build_makes_one_engine_call(self, seq, monkeypatch):
+        calls = _counting_engine(monkeypatch)
+        interp = weights._density_spline.__wrapped__(seq)
+        assert calls == [interp.nodes.size]
+
+    def test_rejected_panels_are_halved(self, monkeypatch):
+        # one panel over the whole window leaves large trailing coefficients;
+        # halving must recover the accuracy, one engine call per round
+        seq = tm3(1)
+        monkeypatch.setattr(weights, "_PANEL_WIDTH", 100.0)
+        calls = _counting_engine(monkeypatch)
+        interp = weights._density_spline.__wrapped__(seq)
+        assert len(calls) > 1 and calls[0] == weights._DEGREE + 1
+        assert interp.edges.size - 1 > 1
+        assert np.all(np.diff(interp.edges) > 0.0)
+        lx = np.random.default_rng(3).uniform(interp.edges[0],
+                                              interp.edges[-1], 200)
+        want, _ = contour_log_densities(seq, lx)
+        assert np.max(np.abs(interp(lx) - want)) <= 1e-10
+        monkeypatch.setattr(weights, "_MAX_SPLITS", 1)
+        with pytest.raises(ConvergenceError):
+            weights._density_spline.__wrapped__(seq)
 
 
 class TestDualRoute:
