@@ -20,7 +20,6 @@ from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
                      UndecidedError)
 from .mellin import (ContourSpec, adapted_contour, contour_density,
                      contour_log_densities, contour_log_density,
-                     default_contour, inverse_mellin,
                      inverse_mellin_log, mellin_convolve,
                      mellin_convolve_many, saddle_abscissa)
 from .moments import (MomentSequence, gamma_product, log_moment,
@@ -46,8 +45,8 @@ __all__ = [
     "MomentSequence", "tm1", "tm2", "tm3", "tm4", "gamma_product",
     "log_moment", "mellin_symbol", "parse_descriptor",
     # mellin machinery
-    "ContourSpec", "default_contour", "adapted_contour", "saddle_abscissa",
-    "inverse_mellin", "inverse_mellin_log", "contour_density",
+    "ContourSpec", "adapted_contour", "saddle_abscissa",
+    "inverse_mellin_log", "contour_density",
     "contour_log_density", "contour_log_densities", "mellin_convolve",
     "mellin_convolve_many",
     # weights

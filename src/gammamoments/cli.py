@@ -20,8 +20,8 @@ from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
                      SearchError, TruncationError, UndecidedError)
-from .mellin import ContourSpec, inverse_mellin, mellin_convolve_many
-from .moments import mellin_symbol, parse_descriptor
+from .mellin import mellin_convolve_many
+from .moments import parse_descriptor
 from .weights import principal_solution
 
 SCHEMA_VERSION = 1
@@ -67,14 +67,20 @@ def _write(text, path):
 
 
 def _parse_xs(text):
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+    try:
+        return np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise ConstraintError(
+            f"--x expects comma-separated numbers, got {text!r}") from None
 
 
 def _parse_n_range(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise ConstraintError(
+            f"--n expects an integer or a range like 0..8, got {text!r}") from None
 
 
 def _default_grid(w, n_points=200):
@@ -91,16 +97,7 @@ def _cmd_eval(args):
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
     xs = _parse_xs(args.x) if args.x else _default_grid(w)
-    if args.contour_c is not None or args.contour_tmax or args.contour_n:
-        spec = ContourSpec(
-            c=args.contour_c if args.contour_c is not None
-            else seq.rightmost_pole + 1.0,
-            t_max=args.contour_tmax or 48.0 / (1.5 * seq.sum_a),
-            n_points=args.contour_n or 4096)
-        vals = [inverse_mellin(lambda s: mellin_symbol(seq, s), float(x), spec)
-                for x in xs]
-    else:
-        vals = [float(v) for v in np.atleast_1d(w.evaluate(xs))]
+    vals = [float(v) for v in np.atleast_1d(w.evaluate(xs))]
     if args.emit == "csv":
         _emit_csv(["x", "density"],
                   [[repr(float(x)), repr(float(v))] for x, v in zip(xs, vals)],
@@ -254,8 +251,16 @@ def _cmd_convolve(args):
 
 # -- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; 2 means "criteria undecided" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammamoments",
         description="Gamma-product Stieltjes moment problems: densities, "
                     "moment verification, uniqueness criteria, and "
@@ -272,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a principal density")
     p.add_argument("--seq", required=True)
     p.add_argument("--x", help="comma-separated evaluation points")
-    p.add_argument("--contour-c", type=float,
-                   help="override the contour abscissa (direct evaluation)")
-    p.add_argument("--contour-tmax", type=float)
-    p.add_argument("--contour-n", type=int)
     common(p)
     p.set_defaults(func=_cmd_eval)
 

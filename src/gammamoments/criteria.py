@@ -19,7 +19,7 @@ verdict stays Undecided on principle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,12 +56,6 @@ class CarlemanResult:
     fitted_decay_exponent: float
     n_a_n_limit: float = math.nan  # lim n*a_n when the slope sits at -1
 
-    def to_dict(self):
-        return {"verdict": self.verdict,
-                "fitted_decay_exponent": self.fitted_decay_exponent,
-                "n_a_n_limit": self.n_a_n_limit,
-                "terms": [[int(n), a] for n, a in self.terms]}
-
 
 @dataclass(frozen=True)
 class KreinResult:
@@ -69,22 +63,12 @@ class KreinResult:
     integral_estimate: float
     growth_exponent: float
 
-    def to_dict(self):
-        return {"verdict": self.verdict,
-                "integral_estimate": self.integral_estimate,
-                "growth_exponent": self.growth_exponent}
-
 
 @dataclass(frozen=True)
 class ConverseCarlemanResult:
     verdict: str  # "NonUnique" | "Inconclusive"
     convexity_margin: float
     y_prime: float
-
-    def to_dict(self):
-        return {"verdict": self.verdict,
-                "convexity_margin": self.convexity_margin,
-                "y_prime": self.y_prime}
 
 
 @dataclass(frozen=True)
@@ -96,9 +80,7 @@ class CriterionReport:
     notes: tuple = field(default=())
 
     def to_dict(self):
-        return {"c1": self.c1.to_dict(), "c2": self.c2.to_dict(),
-                "c3": self.c3.to_dict(), "overall": self.overall,
-                "notes": list(self.notes)}
+        return asdict(self)
 
 
 # -- C1: Carleman -----------------------------------------------------------

@@ -14,7 +14,10 @@ into bands that share the saddle abscissa of the band's middle knot (each
 member loses at most about one digit to off-saddle cancellation), and
 each band is summed as a phase-matrix product.  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
-new midpoints.  `contour_log_density` is the one-knot case.
+new midpoints.  `contour_log_density` is the one-knot case.  This engine
+is the package's only contour route: `inverse_mellin_log` on an
+`adapted_contour` is a fixed, unbanded trapezoid sum kept as the
+reference the tests compare the engine against.
 
 The same engine serves perturbations whose transform is a density symbol
 phi(s) times e^{i psi s}: it returns the complex sums
@@ -34,10 +37,7 @@ from .moments import MomentSequence, mellin_symbol
 
 __all__ = [
     "ContourSpec",
-    "contour_nodes",
-    "inverse_mellin",
     "inverse_mellin_log",
-    "default_contour",
     "saddle_abscissa",
     "adapted_contour",
     "contour_density",
@@ -46,8 +46,6 @@ __all__ = [
     "mellin_convolve",
     "mellin_convolve_many",
 ]
-
-RULE_TRAPEZOID = "trapezoid"
 
 _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
@@ -60,27 +58,12 @@ class ContourSpec:
     c: float
     t_max: float
     n_points: int
-    rule: str = RULE_TRAPEZOID
 
     def __post_init__(self):
         if self.t_max <= 0:
             raise ConstraintError("t_max must be positive")
         if self.n_points < 64:
             raise ConstraintError("n_points must be at least 64")
-        if self.rule != RULE_TRAPEZOID:
-            raise ConstraintError(f"unknown contour rule {self.rule!r}")
-
-    def refined(self, factor=2):
-        return ContourSpec(self.c, self.t_max, factor * self.n_points, self.rule)
-
-
-def contour_nodes(spec: ContourSpec):
-    """Nodes t_i and weights for integrating along c + i t, t in [-t_max, t_max]."""
-    t = np.linspace(-spec.t_max, spec.t_max, spec.n_points)
-    w = np.full(spec.n_points, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return t, w
 
 
 def _check_sums(total, mag, tail, n_points, real=True):
@@ -114,20 +97,18 @@ def _check_sums(total, mag, tail, n_points, real=True):
             f"contour sum asymmetry: Im/|sum| = {im[i] / abs(total[i]):.2e}")
 
 
-def inverse_mellin(symbol, x, spec: ContourSpec) -> float:
-    """(1/2 pi) int exp(symbol(c+it) - (c+it) ln x) dt, real part.
-
-    symbol maps a complex array s to log-values of the transform.
-    """
-    log_val, sign = inverse_mellin_log(symbol, x, spec)
-    return sign * np.exp(log_val)
-
-
 def inverse_mellin_log(symbol, x, spec: ContourSpec):
-    """Like inverse_mellin but returns (log |value|, sign); overflow-safe."""
+    """(log |value|, sign) of (1/2 pi) int exp(symbol(c+it) - (c+it) ln x) dt.
+
+    One trapezoid sum on the grid of `spec`; symbol maps a complex array s
+    to log-values of the transform.
+    """
     if x <= 0:
         raise ConstraintError("inverse Mellin transform requires x > 0")
-    t, w = contour_nodes(spec)
+    t = np.linspace(-spec.t_max, spec.t_max, spec.n_points)
+    w = np.full(spec.n_points, t[1] - t[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
     s = spec.c + 1j * t
     lw = symbol(s) - s * np.log(x)
     m = float(np.max(lw.real))
@@ -140,20 +121,11 @@ def inverse_mellin_log(symbol, x, spec: ContourSpec):
     return m + np.log(abs(value)), float(np.sign(value))
 
 
-def default_contour(seq: MomentSequence, x: float = 1.0) -> ContourSpec:
-    """Static contour: abscissa one unit right of the rightmost symbol pole."""
-    c = seq.rightmost_pole + 1.0
-    rate = 0.5 * np.pi * seq.sum_a
-    t_max = _LOG_DROP / rate
-    n = _phase_resolved_points(seq, c, t_max, np.log(x))
-    return ContourSpec(c, t_max, n)
-
-
-def _phase_resolved_points(seq, s0, t_max, log_x, minimum=2048):
+def _phase_resolved_points(seq, s0, t_max, log_x):
     """Points resolving the phase on s0 + i[-t_max, t_max] (s0 real or complex)."""
     phase_rate = sum(a * (np.log1p(abs(a) * (abs(s0) + t_max)) + 2.0)
                      for a, _ in seq.factors) + abs(log_x)
-    n = int(max(minimum, 6.0 * t_max * phase_rate))
+    n = int(max(512, 6.0 * t_max * phase_rate))
     return 1 << int(np.ceil(np.log2(n)))
 
 
@@ -273,7 +245,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
 
     while drop(t_max) > -(_LOG_DROP - 4.0):
         t_max *= 1.5
-    n = _phase_resolved_points(seq, centre, t_max, log_x, minimum=512)
+    n = _phase_resolved_points(seq, centre, t_max, log_x)
     # near a pole the peak is narrow (width ~ 1/sqrt(phi'')); resolve it
     n_peak = int(12.0 * t_max * np.sqrt(curvature))
     if n_peak > n:

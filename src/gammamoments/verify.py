@@ -74,6 +74,28 @@ def _scan_window(log_f, v_pk, v_floor=-800.0, v_ceil=None, step=0.5):
     return v_lo, v_hi
 
 
+def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap, used=0):
+    """Yield (v, func(v), evaluations) on nested grids of 2^k + 1 nodes.
+
+    A refinement evaluates func only at the new midpoints.  The count
+    starts at `used`, and a grid that would pass node_cap is not started.
+    """
+    fresh = n_nodes
+    vals = None
+    while used + fresh <= node_cap:
+        v = np.linspace(v_lo, v_hi, n_nodes)
+        if vals is None:
+            vals = func(v)
+        else:
+            coarse, vals = vals, np.empty(n_nodes)
+            vals[0::2] = coarse
+            vals[1::2] = func(v[1::2])
+        used += fresh
+        yield v, vals, used
+        n_nodes = 2 * (n_nodes - 1) + 1
+        fresh = n_nodes // 2
+
+
 def check_moment(w: WeightFunction, seq: MomentSequence, n,
                  rtol: float = 1e-9, node_cap: int = _NODE_CAP) -> MomentCheckResult:
     """Verify int_0^inf x^n W(x) dx = rho(n) in log domain.
@@ -81,13 +103,18 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     Integrates in v = ln(x^p) with p the tail power of W, where the
     integrand decays like e^{-g e^v} on the right and like a pure
     exponential on the left -- trapezoid doubling is then spectrally
-    accurate.
+    accurate.  nodes_used counts every integrand evaluation, the window
+    scan included, and node_cap bounds them.
     """
     _check_n(n)
     g, p = w.growth
     log_target = log_moment(seq, n)
 
+    evaluations = 0
+
     def log_integrand(v):
+        nonlocal evaluations
+        evaluations += v.size
         # x = e^{v/p};  x^n W(x) dx  ->  exp(((n+1)/p) v + ln W - ln p) dv
         return ((n + 1.0) / p) * v + w.log_evaluate(np.exp(v / p)) - math.log(p)
 
@@ -98,23 +125,18 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     v_pk = math.log(max((n + 1.0) / (p * g), 1e-3))
     v_lo, v_hi = _scan_window(log_integrand, v_pk, v_ceil=v_ceil)
 
-    nodes_used = 33 + 2  # window scan bookkeeping (approximate, small)
-    n_nodes = 257
     prev = None
-    while nodes_used + n_nodes <= node_cap:
-        v = np.linspace(v_lo, v_hi, n_nodes)
-        lv = log_integrand(v)
+    for v, lv, nodes_used in _nested_grids(log_integrand, v_lo, v_hi, 257,
+                                           node_cap, evaluations):
         m = float(np.max(lv))
         with np.errstate(under="ignore"):
             total = float(np.trapezoid(np.exp(lv - m), v))
         log_integral = m + math.log(total)
-        nodes_used += n_nodes
         if prev is not None and abs(log_integral - prev) < rtol:
             rel = abs(math.expm1(log_integral - log_target))
             return MomentCheckResult(int(n), log_integral, log_target, rel,
                                      nodes_used)
         prev = log_integral
-        n_nodes = 2 * (n_nodes - 1) + 1
     raise ConvergenceError(
         f"moment integral n={n} did not stabilize within {node_cap} nodes")
 
@@ -125,9 +147,8 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
 
     The substitution u = x^p regularizes the tail; the oscillatory sum is
     taken panel-by-panel between sign changes and combined with math.fsum.
-    The trapezoid grids are nested, so a refinement evaluates omega only
-    at the new midpoints; nodes_used counts the evaluations made and
-    node_cap bounds them (the default allows grids up to 131,073 nodes).
+    nodes_used counts the evaluations of omega and node_cap bounds them
+    (the default allows grids up to 131,073 nodes).
     """
     _check_n(n)
     g, p = omega.growth
@@ -153,21 +174,9 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
             return (u ** ((n + 1.0) / p) / p
                     * omega.evaluate(u ** (1.0 / p)))
 
-    n_nodes = fresh = 4097
-    nodes_used = 0
     prev = None
-    h = None
-    while nodes_used + fresh <= node_cap:
-        v = np.linspace(v_lo, v_hi, n_nodes)
-        if h is None:
-            h = integrand(v)
-        else:
-            # grids of 2^k + 1 nodes nest, so the previous values sit at
-            # the even nodes and only the midpoints are evaluated
-            coarse, h = h, np.empty(n_nodes)
-            h[0::2] = coarse
-            h[1::2] = integrand(v[1::2])
-        nodes_used += fresh
+    for v, h, nodes_used in _nested_grids(integrand, v_lo, v_hi, 4097,
+                                          node_cap):
         dv = v[1] - v[0]
         segments = 0.5 * (h[:-1] + h[1:]) * dv
         # panel boundaries at sign changes of the integrand
@@ -186,8 +195,6 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
                 return MomentCheckResult(int(n), log_integral, log_target, rel,
                                          nodes_used)
         prev = total
-        n_nodes = 2 * (n_nodes - 1) + 1
-        fresh = n_nodes // 2
     raise ConvergenceError(
         f"vanishing-moment integral n={n} did not stabilize within "
         f"{node_cap} nodes")

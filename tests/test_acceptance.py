@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from gammamoments import (WeightFunction, bessel_k0, carleman, check_moment,
-                          check_vanishing, class_member_tm1, full_report,
-                          inverse_mellin, ContourSpec, omega2,
-                          omega2_via_convolution, perturbation_tm1,
+                          check_vanishing, class_member_tm1, contour_density,
+                          full_report, omega2, omega2_via_convolution,
+                          parse_descriptor, perturbation_tm1,
                           perturbation_tm2, perturbation_tm3,
                           principal_solution, tm1, tm2, tm3, tm4, w4,
                           w4_via_convolution, weight_tm1)
@@ -150,12 +150,11 @@ def test_06_criteria_table():
 
 def test_07_oracle_equivalences():
     """Independent routes to the same numbers agree at stated tolerances."""
-    # inverse Mellin of Gamma(s)^2 against 2 K0(2 sqrt(x))
-    import scipy.special as sps
-    spec = ContourSpec(c=1.5, t_max=60.0, n_points=8192)
+    # inverse Mellin of Gamma(s)^2 (moments (n!)^2) against 2 K0(2 sqrt(x))
+    seq = parse_descriptor("gamma:n+1,n+1")
     worst_a = 0.0
     for x in (0.25, 1.0, 4.0, 9.0):
-        got = inverse_mellin(lambda s: 2.0 * sps.loggamma(s), x, spec)
+        got = contour_density(seq, x)
         want = 2.0 * bessel_k0(2.0 * math.sqrt(x))
         worst_a = max(worst_a, abs(got - want) / want)
 

@@ -137,6 +137,35 @@ class TestExitCodes:
                          "--find-gamma-max")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval"],  # missing --seq
+        ["eval", "--seq", "tm1:r=1", "--bogus"],
+        ["eval", "--seq", "tm1:r=1", "--contour-c", "1"],  # removed option
+        ["eval", "--seq", "tm1:r=1", "--x", "1,abc"],
+        ["moments", "--seq", "tm1:r=1", "--n", "a..b"],
+        ["moments", "--seq", "tm1:r=1", "--n", "1..2..3"],
+    ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
+            "bad-n-range", "bad-n-split"])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        # 2 is the code for "criteria undecided", never for bad arguments;
+        # any other exception would escape main as a traceback
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_undecided_exit(self, capsys, monkeypatch):
         import gammamoments.criteria as crit
         from gammamoments import UndecidedError

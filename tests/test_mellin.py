@@ -11,7 +11,7 @@ import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, ContourSpec, TruncationError,
                           adapted_contour, bessel_k0, contour_density,
                           contour_log_densities, contour_log_density,
-                          default_contour, inverse_mellin, mellin_convolve,
+                          inverse_mellin_log, mellin_convolve,
                           mellin_convolve_many, mellin_symbol,
                           parse_descriptor, saddle_abscissa, tm2, tm3, tm4,
                           w1, w2)
@@ -25,10 +25,10 @@ W4_R1_AT_1 = 0.12293692982559143
 W4_R1_AT_10 = 0.004407618900766703
 
 
-def _gamma_symbol(power):
-    def symbol(s):
-        return power * sps.loggamma(s)
-    return symbol
+def _reference(seq, x, spec):
+    """The fixed-grid trapezoid sum for the density of seq at x."""
+    log_w, sign = inverse_mellin_log(lambda s: mellin_symbol(seq, s), x, spec)
+    return sign * math.exp(log_w)
 
 
 class TestContourSpec:
@@ -37,35 +37,30 @@ class TestContourSpec:
             ContourSpec(c=1.0, t_max=-1.0, n_points=128)
         with pytest.raises(ConstraintError):
             ContourSpec(c=1.0, t_max=10.0, n_points=8)
-        with pytest.raises(ConstraintError):
-            ContourSpec(c=1.0, t_max=10.0, n_points=128, rule="gauss")
-
-    def test_refined_doubles(self):
-        spec = ContourSpec(c=1.0, t_max=10.0, n_points=128)
-        assert spec.refined().n_points == 256
 
 
 class TestClosedFormTransforms:
+    """The band engine against known Mellin pairs: rho(n) = M(n + 1)."""
+
     def test_gamma_gives_exponential(self):
-        spec = ContourSpec(c=1.5, t_max=40.0, n_points=4096)
+        seq = parse_descriptor("gamma:n+1")
         for x in (0.3, 1.0, 2.0, 5.0):
-            got = inverse_mellin(_gamma_symbol(1), x, spec)
+            got = contour_density(seq, x)
             assert got == pytest.approx(math.exp(-x), rel=1e-10)
 
     def test_gamma_squared_gives_bessel(self):
         # Mellin pair: Gamma(s)^2  <->  2 K0(2 sqrt(x))
-        spec = ContourSpec(c=1.5, t_max=60.0, n_points=8192)
+        seq = parse_descriptor("gamma:n+1,n+1")
         for x in (0.25, 1.0, 4.0, 9.0):
-            got = inverse_mellin(_gamma_symbol(2), x, spec)
+            got = contour_density(seq, x)
             want = 2.0 * bessel_k0(2.0 * math.sqrt(x))
             assert abs(got - want) / want < 1e-8
 
     def test_gamma_cubed_vs_convolution_oracle(self):
         # inverse of Gamma^3 equals (inverse of Gamma^2) convolved with e^-t
-        symbol3 = _gamma_symbol(3)
-        spec = ContourSpec(c=1.5, t_max=80.0, n_points=16384)
+        seq = tm3(1)
         for x in (0.5, 1.0, 3.0):
-            got = inverse_mellin(symbol3, x, spec)
+            got = contour_density(seq, x)
             want, _ = scipy.integrate.quad(
                 lambda t: 2.0 * bessel_k0(2.0 * math.sqrt(x / t))
                 * math.exp(-t) / t, 0.0, 60.0, limit=300)
@@ -91,11 +86,6 @@ class TestSaddle:
         want = float(log_w2(1, np.float64(x)))
         assert log_w == pytest.approx(want, abs=1e-8)
 
-    def test_default_contour_abscissa(self):
-        seq = tm4(2)
-        spec = default_contour(seq)
-        assert spec.c == pytest.approx(seq.rightmost_pole + 1.0)
-
 
 class TestContourDensities:
     @pytest.mark.parametrize("x,want", [
@@ -120,9 +110,9 @@ class TestContourDensities:
         seq = tm4(1)
         x = 2.5
         spec = adapted_contour(seq, x)
-        coarse = inverse_mellin(lambda s: mellin_symbol(seq, s), x, spec)
-        fine = inverse_mellin(lambda s: mellin_symbol(seq, s), x,
-                              spec.refined())
+        coarse = _reference(seq, x, spec)
+        fine = _reference(seq, x,
+                          ContourSpec(spec.c, spec.t_max, 2 * spec.n_points))
         assert abs(fine - coarse) / fine < 1e-9
 
     def test_rejects_nonpositive_x(self):
@@ -146,6 +136,24 @@ class TestBandEngine:
         one = np.array([contour_log_density(seq, float(np.exp(v)))[0]
                         for v in lx])
         assert np.max(np.abs(log_w - one)) <= 1e-11
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm4(1),
+                                     parse_descriptor("gamma:2.02n+1")],
+                             ids=["tm3:r=1", "tm4:r=1", "gamma:2.02n+1"])
+    def test_bands_match_fixed_grid_reference(self, seq):
+        # an oracle that shares no banding, nesting or acceptance rule with
+        # the engine: one saddle contour per knot at four times its points
+        rng = np.random.default_rng(8)
+        lx = rng.choice(_spline_knots(seq), 12, replace=False)
+        log_w, sign = contour_log_densities(seq, lx)
+        for v, got, got_sign in zip(lx, log_w, sign):
+            x = float(np.exp(v))
+            spec = adapted_contour(seq, x)
+            want, want_sign = inverse_mellin_log(
+                lambda s: mellin_symbol(seq, s), x,
+                ContourSpec(spec.c, spec.t_max, 4 * spec.n_points))
+            assert got_sign == want_sign
+            assert abs(got - want) <= 1e-10
 
     def test_refinement_evaluates_only_midpoints(self, monkeypatch):
         seq = tm4(1)

@@ -8,7 +8,8 @@ import scipy.integrate
 
 from gammamoments import (ConstraintError, ConvergenceError, check_moment,
                           check_vanishing, perturbation_tm1,
-                          perturbation_tm2, tm1, tm2, weight_tm1, weight_tm2)
+                          perturbation_tm2, principal_solution, tm1, tm2,
+                          weight_tm1, weight_tm2)
 
 
 class TestClosedFormMoments:
@@ -74,6 +75,26 @@ class TestHarnessPlumbing:
             check_moment(weight_tm1(1), tm1(1), -1)
         with pytest.raises(ConstraintError):
             check_vanishing(perturbation_tm1(2, 1), tm1(2), -3)
+
+    @pytest.mark.parametrize("seq", [tm1(2), tm2(3)], ids=["tm1:r=2", "tm2:r=3"])
+    def test_nodes_used_counts_evaluations(self, seq):
+        import dataclasses
+        base = principal_solution(seq)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return base.log_evaluate(x)
+        res = check_moment(dataclasses.replace(base, log_evaluate=counted),
+                           seq, 4)
+        assert res.nodes_used == sum(sizes)
+        # the window scan: 33 probes, then one point per step; then the
+        # 257-node grid and, per refinement, only its new midpoints
+        grids = sizes[sizes.index(257):]
+        assert sizes[0] == 33 and set(sizes[1:-len(grids)]) == {1}
+        assert len(grids) >= 2
+        assert grids == [257] + [256 << k for k in range(len(grids) - 1)]
+        assert res.log_integral == check_moment(base, seq, 4).log_integral
 
     def test_result_fields(self):
         res = check_moment(weight_tm1(2), tm1(2), 4)
