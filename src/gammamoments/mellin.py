@@ -11,8 +11,10 @@ array of ln x values.  The symbol does not depend on x, and on a fixed
 vertical line c + it the x-dependence is the factor x^-c e^{-it ln x}, so
 one set of symbol values serves many knots: neighbouring knots are grouped
 into bands that share the saddle abscissa of the band's middle knot (each
-member loses at most about one digit to off-saddle cancellation), and
-each band is summed as a phase-matrix product.  The trapezoid grids are
+member loses at most about one digit to off-saddle cancellation).  A
+band's nodes are uniform, t_j = t0 + j d, so its phase sum factors into
+baby and giant steps: e^{-i t_j ln x} costs about 2 sqrt(n) exponentials
+per knot, and the rest is one matrix product.  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
 new midpoints.  `contour_log_density` is the one-knot case.  This engine
 is the package's only contour route: `inverse_mellin_log` on an
@@ -27,13 +29,14 @@ saddle of each band (see `classes.omega3`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
 
 from .errors import ConstraintError, ConvergenceError, TruncationError
-from .moments import MomentSequence, mellin_symbol
+from .moments import MomentSequence, _grouped_factors, mellin_symbol
 
 __all__ = [
     "ContourSpec",
@@ -50,7 +53,7 @@ __all__ = [
 _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
 _BAND_LOSS = np.log(10.0)  # off-saddle cancellation a band member may pay
-_BLOCK = 1 << 17  # complex entries per block of the phase matrix
+_BLOCK = 1 << 17  # complex entries per matrix of a phase-sum chunk of knots
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,11 @@ def saddle_abscissa(seq: MomentSequence, x):
 def _saddles(seq, log_x):
     """Bisection for the saddle of every ln x at once (the left side is increasing)."""
     pole = seq.rightmost_pole
+    groups = _grouped_factors(seq)
 
     def deriv(c):
-        return sum(a * sps.digamma(a * (c - 1.0) + b) for a, b in seq.factors) - log_x
+        return sum(mult * (a * sps.digamma(a * (c - 1.0) + b))
+                   for (a, b), mult in groups) - log_x
 
     lo = np.full(log_x.shape, pole + 1e-9)
     hi = np.full(log_x.shape, pole + 1.0)
@@ -187,9 +192,11 @@ def _complex_saddles(seq, target, s):
     rightmost pole.
     """
     pole = seq.rightmost_pole
+    groups = _grouped_factors(seq)
 
     def deriv(z):
-        return sum(a * _digamma(a * (z - 1.0) + b) for a, b in seq.factors)
+        return sum(mult * (a * _digamma(a * (z - 1.0) + b))
+                   for (a, b), mult in groups)
 
     s = np.array(s, dtype=np.complex128)
     active = np.arange(s.size)
@@ -229,8 +236,8 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     The t-window is centred on t0; its half-width t_max passes the drop
     test on both sides (one side suffices for a real, symmetric symbol).
     """
-    curvature = sum(a * a * sps.polygamma(1, a * (c - 1.0) + b)
-                    for a, b in seq.factors)
+    curvature = sum(mult * (a * a * sps.polygamma(1, a * (c - 1.0) + b))
+                    for (a, b), mult in _grouped_factors(seq))
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))
     t_linear = _LOG_DROP / (0.5 * np.pi * seq.sum_a)
     t_max = t_gauss + t_linear
@@ -273,7 +280,9 @@ def contour_log_densities(seq: MomentSequence, log_x, rtol: float = 1e-10,
 
     Each knot is accepted once two successive nested grids agree to rtol
     in log W with the same sign; the finest grid has max(max_points,
-    4 n) intervals, n being the band's phase-resolved point count.
+    4 n) intervals, n being the band's phase-resolved point count.  A
+    band whose coarsest grid (n / 16 intervals) would exceed max_points
+    raises ConvergenceError before its symbol is evaluated.
     """
     return _log_values(*_contour_sums(seq, log_x, 0.0, rtol, max_points))
 
@@ -316,20 +325,20 @@ def _bands(lx, c_star, phi_star):
     the modulus of e^{-s ln x} does not depend on t, so a band at the
     middle knot's saddle costs knot k the off-saddle loss
     [phi(c) - c ln x_k] - [phi(c*_k) - c*_k ln x_k] >= 0 (nats) of its
-    sum's digits, and phi(c) is known.
+    sum's digits, and phi(c) is known.  That loss is convex in ln x_k (an
+    affine function less a Legendre transform) and zero at the middle
+    knot, so a band's largest loss is at one of its two ends, and every
+    candidate stop is tested at once.
     """
     own_peak = phi_star - c_star * lx
-
-    def fits(start, stop):
-        mid = (start + stop - 1) // 2
-        loss = phi_star[mid] - c_star[mid] * lx[start:stop] - own_peak[start:stop]
-        return float(np.max(loss)) <= _BAND_LOSS
-
     start = 0
     while start < lx.size:
-        stop = start + 1
-        while stop < lx.size and fits(start, stop + 1):
-            stop += 1
+        ends = np.arange(start + 1, lx.size)  # last member of each candidate
+        mid = (start + ends) // 2
+        base = phi_star[mid] - c_star[mid] * lx[start] - own_peak[start]
+        tip = phi_star[mid] - c_star[mid] * lx[ends] - own_peak[ends]
+        fits = np.append(np.maximum(base, tip) <= _BAND_LOSS, False)
+        stop = start + 1 + int(np.argmin(fits))  # the first band that fails
         yield slice(start, stop)
         start = stop
 
@@ -342,10 +351,15 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
     """
     c, t0 = centre.real, centre.imag
     spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))), psi, t0)
-    cap = max(max_points, 4 * spec.n_points)
     n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
+    if n > max_points:
+        x = float(np.exp(lx[np.argmax(np.abs(lx))]))
+        raise ConvergenceError(
+            f"contour at x={x} needs a coarsest grid of {n} intervals, "
+            f"more than max_points={max_points}")
+    cap = max(max_points, 4 * spec.n_points)
     h = 2.0 * spec.t_max / n
-    tau = np.linspace(-spec.t_max, spec.t_max, n + 1)
+    tau = -spec.t_max + h * np.arange(n + 1)
     phi = _line_symbol(seq, psi, centre + 1j * tau)
     m = float(np.max(phi.real))
     v = np.exp(phi - m)
@@ -357,7 +371,7 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
     tail = h * float(np.sum(np.abs(v[edge])))
     real = not psi
     scale = m - c * lx
-    total = h * _phase_sum(tau, v, lx)
+    total = h * _phase_sum(-spec.t_max, h, v, lx)
     _check_sums(total, mag, tail, n + 1, real)
     out = total.copy()
     active = np.arange(lx.size)
@@ -370,12 +384,13 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
         # the refined grid keeps every node and adds the midpoints
         n *= 2
         h *= 0.5
-        tau = -spec.t_max + h * np.arange(1, n, 2)
+        start = -spec.t_max + h
+        tau = start + 2.0 * h * np.arange(n // 2)
         v = np.exp(_line_symbol(seq, psi, centre + 1j * tau) - m)
         edge = np.abs(tau) > 0.9 * spec.t_max
         mag = 0.5 * mag + h * float(np.sum(np.abs(v)))
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
-        total = 0.5 * total + h * _phase_sum(tau, v, lx[active])
+        total = 0.5 * total + h * _phase_sum(start, 2.0 * h, v, lx[active])
         _check_sums(total, mag, tail, n + 1, real)
         done = _settled(scale[active], out[active], total, rtol, real)
         out[active] = total
@@ -394,13 +409,38 @@ def _settled(scale, old, new, rtol, real):
     return (sign_new == sign_old) & (np.abs(log_new - log_old) < rtol)
 
 
-def _phase_sum(t, v, lx):
-    """sum_j v_j e^{-i t_j lx_k} for every k, in blocks of <= _BLOCK entries."""
-    out = np.zeros(lx.size, dtype=np.complex128)
-    step = max(1, _BLOCK // lx.size)
-    for j in range(0, t.size, step):
-        out += np.exp(np.multiply.outer(lx, -1j * t[j:j + step])) @ v[j:j + step]
+def _phase_sum(t0, d, v, lx):
+    """sum_j v_j e^{-i (t0 + j d) lx_k} for every k, by baby and giant steps.
+
+    With b = ceil(sqrt(n)) and j = p b + q, the phase factors into a giant
+    step e^{-i (t0 + p b d) lx} and a baby step e^{-i q d lx}: a knot costs
+    about 2 sqrt(n) exponentials, and the sum over q is one matrix product.
+    The giant-step nodes t0 + d (p b) are computed as the caller's nodes
+    t0 + d j are.  Knots are taken in chunks whose matrices hold at most
+    _BLOCK entries each.
+    """
+    n = v.size
+    b = math.isqrt(n - 1) + 1
+    rows = -(-n // b)
+    grid = np.zeros(rows * b, dtype=np.complex128)
+    grid[:n] = v
+    grid = grid.reshape(rows, b).T  # grid[q, p] = v[p b + q]
+    giant = -1j * (t0 + d * (b * np.arange(rows)))
+    baby = -1j * (d * np.arange(b))
+    out = np.empty(lx.size, dtype=np.complex128)
+    step = max(1, _BLOCK // b)
+    for k in range(0, lx.size, step):
+        chunk = lx[k:k + step]
+        # one expression, so at most two matrices are alive at once
+        out[k:k + step] = np.einsum("kp,kp->k", _unit_phases(chunk, baby) @ grid,
+                                    _unit_phases(chunk, giant))
     return out
+
+
+def _unit_phases(lx, angles):
+    """e^{lx_k angles_j} as a (k, j) matrix, exponentiated in place."""
+    phases = np.multiply.outer(lx, angles)
+    return np.exp(phases, out=phases)
 
 
 def _log_values(scale, total):

@@ -8,13 +8,14 @@ import scipy.integrate
 import scipy.special as sps
 
 import gammamoments.mellin as mellin
-from gammamoments import (ConstraintError, ContourSpec, TruncationError,
-                          adapted_contour, bessel_k0, contour_density,
+from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
+                          TruncationError, adapted_contour, bessel_k0,
+                          check_vanishing, contour_density,
                           contour_log_densities, contour_log_density,
                           inverse_mellin_log, mellin_convolve,
                           mellin_convolve_many, mellin_symbol,
-                          parse_descriptor, saddle_abscissa, tm2, tm3, tm4,
-                          w1, w2)
+                          parse_descriptor, perturbation_tm3,
+                          saddle_abscissa, tm2, tm3, tm4, w1, w2)
 
 # frozen with mpmath (meijerg / besselk at 25 digits)
 W3_R1_AT_1 = 0.16404160674837607
@@ -197,6 +198,22 @@ class TestBandEngine:
             assert got == pytest.approx(
                 contour_log_density(seq, math.exp(v))[0], abs=1e-11)
 
+    @pytest.mark.parametrize("log_x", [45.0, 50.0])
+    def test_deep_tail_grid_over_max_points_raises(self, log_x):
+        # the coarsest grid would hold 3.4e7 (ln x = 45) and 1.3e8 (ln x =
+        # 50) intervals; the engine must refuse before allocating it
+        with pytest.raises(ConvergenceError, match="max_points"):
+            contour_log_density(tm2(1), math.exp(log_x))
+
+    @pytest.mark.parametrize("log_x", [10.0, 20.0])
+    def test_tail_within_max_points_matches_closed_form(self, log_x):
+        from gammamoments.weights import log_w2
+        x = math.exp(log_x)
+        log_w, sign = contour_log_density(tm2(1), x)
+        assert sign > 0
+        assert log_w == pytest.approx(float(log_w2(1, np.float64(x))),
+                                      rel=1e-13)
+
     def test_vectorized_saddle(self):
         seq = tm3(2)
         xs = np.array([1e-6, 1.0, 1e8])
@@ -204,6 +221,136 @@ class TestBandEngine:
         assert got.shape == xs.shape
         for x, c in zip(xs, got):
             assert c == saddle_abscissa(seq, float(x))
+
+
+def _direct_phase_sum(t, v, lx, block=1 << 17):
+    """sum_j v_j e^{-i t_j lx_k}: one exponential per node and knot."""
+    out = np.zeros(lx.size, dtype=np.complex128)
+    step = max(1, block // lx.size)
+    for j in range(0, t.size, step):
+        out += np.exp(np.multiply.outer(lx, -1j * t[j:j + step])) @ v[j:j + step]
+    return out
+
+
+class TestPhaseSum:
+    """The baby-step/giant-step phase sum against the direct sum."""
+
+    # (knots, nodes, t_max, largest |ln x|): the shapes of spline builds and
+    # of omega3's check_vanishing bands
+    SHAPES = [(1, 65, 3.0, 0.5), (1, 64, 8.0, 12.0), (7, 129, 5.0, 10.0),
+              (101, 513, 11.1, 28.5), (264, 257, 6.7, 16.3),
+              (1237, 1025, 11.3, 60.0), (410, 1024, 20.0, 40.6),
+              (3060, 4097, 3.6, 60.0), (50, 4096, 101.0, 60.0)]
+
+    @pytest.mark.parametrize("knots,nodes,t_max,log_x", SHAPES)
+    def test_matches_direct_sum(self, knots, nodes, t_max, log_x):
+        rng = np.random.default_rng(knots * 7919 + nodes)
+        # a coarse grid (2^k + 1 nodes from -t_max) or a refinement's
+        # midpoints (2^k nodes from -t_max + h/2)
+        h = 2.0 * t_max / (nodes - 1 if nodes % 2 else nodes)
+        t0 = -t_max if nodes % 2 else -t_max + 0.5 * h
+        t = t0 + h * np.arange(nodes)
+        lx = np.sort(rng.uniform(-log_x, log_x, knots))
+        lx[np.argmax(np.abs(lx))] = math.copysign(log_x, lx[-1])
+        v = (np.exp(-0.5 * (6.0 * t / t_max) ** 2 + 1j * rng.uniform(0, 20) * t)
+             * (1.0 + 0.1 * rng.standard_normal(nodes)))
+        got = mellin._phase_sum(t0, h, v, lx)
+        want = _direct_phase_sum(t, v, lx)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(v))
+
+    @pytest.mark.parametrize("knots,nodes", [(3060, 4097), (1, 4096),
+                                             (300, 129), (3060, 65)])
+    def test_chunks_stay_within_block(self, monkeypatch, knots, nodes):
+        # every phase matrix of a chunk holds at most _BLOCK entries (the
+        # product with the node grid is no larger), and the chunks still
+        # add up to the direct sum
+        block = 1 << 12
+        monkeypatch.setattr(mellin, "_BLOCK", block)
+        shapes = []
+        unit_phases = mellin._unit_phases
+
+        def spy(lx, angles):
+            out = unit_phases(lx, angles)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(mellin, "_unit_phases", spy)
+        lx = np.linspace(-30.0, 30.0, knots)
+        v = np.cos(np.arange(nodes)) + 1j
+        d = 10.0 / nodes
+        got = mellin._phase_sum(-5.0, d, v, lx)
+        assert max(rows * cols for rows, cols in shapes) <= block
+        assert sum(rows for rows, _ in shapes) == 2 * knots
+        want = _direct_phase_sum(-5.0 + d * np.arange(nodes), v, lx)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(v))
+
+
+def _band_inputs(monkeypatch, run):
+    """The (ln x, c*, phi*) arguments of every _bands call made by run()."""
+    calls = []
+    bands = mellin._bands
+
+    def spy(lx, c_star, phi_star):
+        calls.append((lx.copy(), c_star.copy(), phi_star.copy()))
+        return bands(lx, c_star, phi_star)
+
+    monkeypatch.setattr(mellin, "_bands", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _slice_max_bands(lx, c_star, phi_star):
+    """The band partition by its definition: the largest loss over each slice."""
+    own_peak = phi_star - c_star * lx
+
+    def fits(start, stop):
+        mid = (start + stop - 1) // 2
+        loss = phi_star[mid] - c_star[mid] * lx[start:stop] - own_peak[start:stop]
+        return float(np.max(loss)) <= mellin._BAND_LOSS
+
+    out, start = [], 0
+    while start < lx.size:
+        stop = start + 1
+        while stop < lx.size and fits(start, stop + 1):
+            stop += 1
+        out.append((start, stop))
+        start = stop
+    return out
+
+
+class TestBands:
+    """_bands tests band ends only; its partition is the slice-max one."""
+
+    @staticmethod
+    def _check(lx, c_star, phi_star):
+        got = [(b.start, b.stop) for b in mellin._bands(lx, c_star, phi_star)]
+        assert got == _slice_max_bands(lx, c_star, phi_star)
+        return got
+
+    def test_omega3_vanishing_grids(self, monkeypatch):
+        pert = perturbation_tm3(3, 1)
+        calls = _band_inputs(monkeypatch,
+                             lambda: check_vanishing(pert, pert.seq, 0))
+        sizes = [c[0].size for c in calls]
+        assert sizes[:2] == [4097, 4096]
+        for call in calls:
+            self._check(*call)
+        # the nested 8,193-knot grid: saddles are per knot, so merging the
+        # two calls gives the arguments of one call on the whole grid
+        merged = [np.concatenate(parts) for parts in zip(calls[0], calls[1])]
+        order = np.argsort(merged[0], kind="stable")
+        bands = self._check(*(part[order] for part in merged))
+        assert len(bands) > 1
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm4(1),
+                                     parse_descriptor("gamma:2.02n+1")],
+                             ids=["tm3:r=1", "tm4:r=1", "gamma:2.02n+1"])
+    def test_interpolant_knots(self, monkeypatch, seq):
+        lx = _spline_knots(seq)
+        (call,) = _band_inputs(monkeypatch,
+                               lambda: contour_log_densities(seq, lx))
+        assert len(self._check(*call)) > 1
 
 
 class TestConvolution:
