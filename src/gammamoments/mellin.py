@@ -425,8 +425,8 @@ def _phase_sum(t0, d, v, lx):
     grid = np.zeros(rows * b, dtype=np.complex128)
     grid[:n] = v
     grid = grid.reshape(rows, b).T  # grid[q, p] = v[p b + q]
-    giant = -1j * (t0 + d * (b * np.arange(rows)))
-    baby = -1j * (d * np.arange(b))
+    giant = -(t0 + d * (b * np.arange(rows)))
+    baby = -(d * np.arange(b))
     out = np.empty(lx.size, dtype=np.complex128)
     step = max(1, _BLOCK // b)
     for k in range(0, lx.size, step):
@@ -437,10 +437,17 @@ def _phase_sum(t0, d, v, lx):
     return out
 
 
-def _unit_phases(lx, angles):
-    """e^{lx_k angles_j} as a (k, j) matrix, exponentiated in place."""
-    phases = np.multiply.outer(lx, angles)
-    return np.exp(phases, out=phases)
+def _unit_phases(lx, freqs):
+    """e^{i lx_k freqs_j} as a (k, j) matrix.
+
+    cos and sin are written into the halves of one complex matrix: a
+    complex outer product would allocate a second, same-sized temporary.
+    """
+    theta = np.multiply.outer(lx, freqs)
+    phases = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=phases.real)
+    np.sin(theta, out=phases.imag)
+    return phases
 
 
 def _log_values(scale, total):

@@ -5,7 +5,10 @@ peak magnitude factored out and compared to ln rho(n), never by subtracting
 astronomically large numbers.  The substitution u = x^p (p the tail power)
 maps each stretched-exponential density to an ~e^{-g u} integrand, and
 oscillatory vanishing-moment integrals are summed panel-by-panel between
-sign changes with compensated arithmetic.
+sign changes with compensated arithmetic, their integrand evaluated in
+units of rho(n).  Both checks refine trapezoid grids nested from
+_FIRST_GRID = 257 nodes until two successive grids agree; the default
+node cap allows grids up to 131,073 nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .weights import WeightFunction
 __all__ = ["MomentCheckResult", "check_moment", "check_vanishing"]
 
 _NODE_CAP = 200_000  # evaluations per moment; exceeding it is an error
+_FIRST_GRID = 257  # nodes of the first nested grid in both checks
 _WINDOW_DROP = 60.0  # integrand log-range kept around the peak
 
 
@@ -126,8 +130,8 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     v_lo, v_hi = _scan_window(log_integrand, v_pk, v_ceil=v_ceil)
 
     prev = None
-    for v, lv, nodes_used in _nested_grids(log_integrand, v_lo, v_hi, 257,
-                                           node_cap, evaluations):
+    for v, lv, nodes_used in _nested_grids(log_integrand, v_lo, v_hi,
+                                           _FIRST_GRID, node_cap, evaluations):
         m = float(np.max(lv))
         with np.errstate(under="ignore"):
             total = float(np.trapezoid(np.exp(lv - m), v))
@@ -145,10 +149,14 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
                     node_cap: int = _NODE_CAP) -> MomentCheckResult:
     """Verify int_0^inf x^n omega(x) dx = 0, measured relative to rho(n).
 
-    The substitution u = x^p regularizes the tail; the oscillatory sum is
-    taken panel-by-panel between sign changes and combined with math.fsum.
-    nodes_used counts the evaluations of omega and node_cap bounds them
-    (the default allows grids up to 131,073 nodes).
+    The substitution u = x^p regularizes the tail, and the integrand is
+    evaluated in units of rho(n) from ln |omega|, so neither x^{n+1} nor
+    rho(n) is ever formed on its own.  Trapezoid grids are nested from
+    _FIRST_GRID nodes; the oscillatory sum is taken panel-by-panel between
+    sign changes and combined with math.fsum.  nodes_used counts the
+    evaluations of omega and node_cap bounds them (the default allows
+    grids up to 131,073 nodes).  A non-finite integrand raises
+    ConvergenceError.
     """
     _check_n(n)
     g, p = omega.growth
@@ -165,35 +173,43 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
     while (big_a + 1.0) * math.log(u_hi) - g * u_hi > peak - _WINDOW_DROP:
         u_hi += max(1.0, 0.05 * u_hi)
     v_hi = math.log(u_hi)
-    v_lo = math.log(u_pk) - _WINDOW_DROP / (big_a + 1.0)
+    # with d = v - ln u_pk the envelope falls (A+1) d - g u_pk (e^d - 1)
+    # <= (A+1) d + g u_pk below its peak, so this edge is _WINDOW_DROP down
+    # (without the g u_pk term it is only ~10 nats down once A is ~100).
+    # Below p ln(tiny) x = e^{v/p} underflows to 0, and the envelope there
+    # is under e^{(A+1) v} <= tiny^{n+1+alpha0}.
+    v_lo = max(math.log(u_pk) - (_WINDOW_DROP + g * u_pk) / (big_a + 1.0),
+               p * math.log(np.finfo(float).tiny))
 
     def integrand(v):
-        # x = u^{1/p}, u = e^v;  x^n omega(x) dx -> (u^{(n+1)/p} / p) omega dv
-        u = np.exp(v)
-        with np.errstate(under="ignore"):
-            return (u ** ((n + 1.0) / p) / p
-                    * omega.evaluate(u ** (1.0 / p)))
+        # x = u^{1/p}, u = e^v;  x^n omega(x) dx / rho(n)
+        #   -> sign(omega) exp(((n+1)/p) v - ln p + ln|omega| - ln rho(n)) dv
+        w = omega.evaluate(np.exp(v / p))
+        with np.errstate(divide="ignore", under="ignore"):
+            return np.sign(w) * np.exp(((n + 1.0) / p) * v - math.log(p)
+                                       + np.log(np.abs(w)) - log_target)
 
     prev = None
-    for v, h, nodes_used in _nested_grids(integrand, v_lo, v_hi, 4097,
+    for v, h, nodes_used in _nested_grids(integrand, v_lo, v_hi, _FIRST_GRID,
                                           node_cap):
         dv = v[1] - v[0]
         segments = 0.5 * (h[:-1] + h[1:]) * dv
+        abs_scale = float(np.sum(np.abs(segments)))
+        if not math.isfinite(abs_scale):  # finite, it bounds every panel
+            raise ConvergenceError(
+                f"vanishing-moment integrand n={n} is not finite")
         # panel boundaries at sign changes of the integrand
         flips = np.nonzero(np.diff(np.signbit(h)))[0]
         starts = np.unique(np.concatenate(([0], flips + 1)))
         starts = starts[starts < segments.size]
         panels = np.add.reduceat(segments, starts)
         total = math.fsum(panels.tolist())
-        abs_scale = float(np.sum(np.abs(segments)))
-        if prev is not None:
-            tol = max(1e-10 * abs_scale,
-                      math.exp(min(log_target + math.log(1e-9), 700.0)))
-            if abs(total - prev) <= tol:
-                log_integral = math.log(abs(total)) if total != 0.0 else -math.inf
-                rel = math.exp(log_integral - log_target) if total != 0.0 else 0.0
-                return MomentCheckResult(int(n), log_integral, log_target, rel,
-                                         nodes_used)
+        if prev is not None and abs(total - prev) <= max(1e-10 * abs_scale,
+                                                          1e-9):
+            log_integral = (math.log(abs(total)) + log_target
+                            if total != 0.0 else -math.inf)
+            return MomentCheckResult(int(n), log_integral, log_target,
+                                     abs(total), nodes_used)
         prev = total
     raise ConvergenceError(
         f"vanishing-moment integral n={n} did not stabilize within "

@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.special as sps
 
 import gammamoments.mellin as mellin
+import gammamoments.verify as verify
 from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
                           TruncationError, adapted_contour, bessel_k0,
                           check_vanishing, contour_density,
@@ -329,6 +330,8 @@ class TestBands:
         return got
 
     def test_omega3_vanishing_grids(self, monkeypatch):
+        # a 4,097-node first grid keeps the partitions large
+        monkeypatch.setattr(verify, "_FIRST_GRID", 4097)
         pert = perturbation_tm3(3, 1)
         calls = _band_inputs(monkeypatch,
                              lambda: check_vanishing(pert, pert.seq, 0))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import gammamoments.verify as verify
 from gammamoments import (ConstraintError, ConvergenceError, check_moment,
                           check_vanishing, perturbation_tm1,
-                          perturbation_tm2, principal_solution, tm1, tm2,
-                          weight_tm1, weight_tm2)
+                          perturbation_tm2, perturbation_tm3,
+                          principal_solution, tm1, tm2, weight_tm1,
+                          weight_tm2)
 
 
 class TestClosedFormMoments:
@@ -114,19 +116,77 @@ class TestVanishing:
         for n in range(0, 9):
             assert check_vanishing(pert, pert.seq, n).rel_error <= 1e-6
 
-    def test_refinement_evaluates_only_midpoints(self):
+    @staticmethod
+    def _grid_sizes(pert, n):
         import dataclasses
-        base = perturbation_tm1(2, 1)
         sizes = []
 
         def counted(x):
             sizes.append(np.size(x))
-            return base.evaluate(x)
-        res = check_vanishing(dataclasses.replace(base, evaluate=counted),
-                              base.seq, 0)
-        # accepted on the second grid: 4097 nodes, then its 4096 midpoints
-        assert sizes == [4097, 4096]
-        assert res.nodes_used == 8193
+            return pert.evaluate(x)
+        res = check_vanishing(dataclasses.replace(pert, evaluate=counted),
+                              pert.seq, n)
+        return sizes, res
+
+    def test_refinement_evaluates_only_midpoints(self):
+        sizes, res = self._grid_sizes(perturbation_tm1(2, 1), 0)
+        # the first grid, then per refinement only its new midpoints
+        first = verify._FIRST_GRID
+        assert sizes == [first] + [(first - 1) << k
+                                   for k in range(len(sizes) - 1)]
+        assert res.nodes_used == sum(sizes)
+
+    def test_refines_past_first_refinement(self):
+        # this integrand needs a third grid: the stop test, not the first
+        # grid's size, decides where nested doubling ends
+        _, res = self._grid_sizes(perturbation_tm1(2, 1), 0)
+        assert res.nodes_used == 4 * (verify._FIRST_GRID - 1) + 1
+        assert res.rel_error <= 1e-6
+
+    @pytest.mark.parametrize("family,r,n", [
+        ("tm1", 8, 0), ("tm1", 8, 7), ("tm2", 9, 7), ("tm2", 9, 8),
+        ("tm3", 7, 7), ("tm2", 12, 8)])
+    def test_large_r_stays_finite(self, family, r, n):
+        # in linear scale x underflowed to 0 at the window's left edge
+        # (tm1:r=8, n=0) or x^{n+1} overflowed to inf (r = 7..9); a left
+        # edge set by the envelope's linear term alone cut tm2:r=12 at 3e-6
+        make = {"tm1": perturbation_tm1, "tm2": perturbation_tm2,
+                "tm3": perturbation_tm3}[family]
+        pert = make(r, 1)
+        res = check_vanishing(pert, pert.seq, n)
+        assert math.isfinite(res.log_integral)
+        assert res.rel_error <= (1e-5 if family == "tm3" else 1e-6)
+
+    @pytest.mark.parametrize("bad", [(math.inf,), (-math.inf,), (math.nan,),
+                                     (math.inf, -math.inf)])
+    def test_non_finite_integrand_raises(self, bad):
+        # raised on the first grid, not after refining to the node cap, and
+        # +inf and -inf in two panels never reach math.fsum
+        import dataclasses
+        base = perturbation_tm1(2, 1)
+
+        def spoiled(x):
+            vals = np.array(base.evaluate(x), dtype=float)
+            vals[[vals.size // (i + 2) for i in range(len(bad))]] = bad
+            return vals
+        with pytest.raises(ConvergenceError, match="not finite"):
+            check_vanishing(dataclasses.replace(base, evaluate=spoiled),
+                            base.seq, 0)
+
+    def test_matches_large_first_grid(self, monkeypatch):
+        # oracle: the same checks started on a 4,097-node grid.  The result
+        # carries |I| / rho(n) only, so the magnitudes are compared.
+        perts = [perturbation_tm1(2, 1), perturbation_tm1(3, 2),
+                 perturbation_tm2(3, 1), perturbation_tm2(5, 2),
+                 perturbation_tm3(3, 1)]
+        small = [[check_vanishing(p, p.seq, n).rel_error for n in range(9)]
+                 for p in perts]
+        monkeypatch.setattr(verify, "_FIRST_GRID", 4097)
+        for pert, got in zip(perts, small):
+            for n in range(9):
+                ref = check_vanishing(pert, pert.seq, n)
+                assert ref.nodes_used >= 8193
+                assert abs(got[n] - ref.rel_error) <= 1e-12
 
     def test_amplitude_scaling_invariance(self):
         # scaling omega by a constant scales the integral linearly, so the
