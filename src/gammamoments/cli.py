@@ -1,6 +1,12 @@
 """Command-line interface: evaluate densities, verify moments, run
 uniqueness criteria, construct class members, convolve densities.
 
+Every subcommand takes its densities from a closed form or from the
+contour engine.  `convolve` evaluates the Mellin convolution W_a * W_b as
+the principal density of the product sequence rho_a(n) rho_b(n), whose
+factor list is the two lists joined; the convolution integral in `mellin`
+is kept only as an oracle for it.
+
 Exit codes: 0 success/decided, 1 usage or constraint violation, 2 criteria
 undecided, 3 numeric convergence failure.  All JSON artifacts carry a
 "schema_version" field; identical configs produce byte-identical output.
@@ -20,8 +26,8 @@ from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
                      SearchError, TruncationError, UndecidedError)
-from .mellin import mellin_convolve_many
-from .moments import parse_descriptor
+from .mellin import contour_log_densities
+from .moments import gamma_product, parse_descriptor
 from .weights import principal_solution
 
 SCHEMA_VERSION = 1
@@ -199,10 +205,12 @@ def _cmd_class(args):
         if args.gamma is None:
             raise ConstraintError("tm3 class members require --gamma")
         pert = cls.perturbation_tm3(seq.r, k)
-        member = cls.class_member_tm3(seq.r, k, args.gamma, xs)
         amplitude = args.gamma
     base = w.evaluate(xs)
     omega = pert.evaluate(xs)
+    if seq.kind == "tm3":
+        # class_member_tm3 from the columns at hand: omega3 is costly
+        member = base + amplitude * omega
     if args.emit == "json":
         _emit_json({
             "command": "class", "seq": seq.descriptor(), "k": k,
@@ -223,18 +231,26 @@ def _cmd_class(args):
 def _cmd_convolve(args):
     seq_a = parse_descriptor(args.seq_a)
     seq_b = parse_descriptor(args.seq_b)
-    wa = principal_solution(seq_a)
-    wb = principal_solution(seq_b)
+    # M[W_a * W_b](s) = rho_a(s-1) rho_b(s-1): the convolution is the
+    # principal density of the product sequence
+    product = gamma_product(seq_a.factors + seq_b.factors)
     if args.x:
         xs = _parse_xs(args.x)
+        if not np.all((xs > 0.0) & (xs < np.inf)):
+            raise ConstraintError("convolve requires 0 < x < inf")
     else:
-        # the convolution's tail power adds the two gamma weights
-        xs = np.logspace(-4.0, np.log10(
-            (300.0 / 1.0) ** (1.0 / (seq_a.tail_power * seq_b.tail_power
-                                     / (seq_a.tail_power + seq_b.tail_power)))),
-            200)
-    vals = mellin_convolve_many(wa.evaluate, wb.evaluate, xs,
-                                log_f=wa.log_evaluate, log_g=wb.log_evaluate)
+        # the product's tail power is 1 / (A_a + A_b)
+        xs = np.logspace(-4.0, np.log10(300.0 ** (1.0 / product.tail_power)),
+                         200)
+    log_w, sign = contour_log_densities(product, np.log(xs))
+    if np.any(sign <= 0):
+        x = float(np.min(xs[sign <= 0]))
+        raise TruncationError(
+            f"convolution of {seq_a.descriptor()} and {seq_b.descriptor()} "
+            f"evaluated negative at x = {x:.6g}; contour resolution "
+            "insufficient")
+    with np.errstate(under="ignore"):
+        vals = np.exp(log_w)
     if args.emit == "csv":
         _emit_csv(["x", "convolution"],
                   [[repr(float(x)), repr(float(v))] for x, v in zip(xs, vals)],
@@ -308,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_class)
 
-    p = sub.add_parser("convolve", help="Mellin-convolve two densities")
+    p = sub.add_parser("convolve", help="Mellin-convolve two principal "
+                       "densities (the product sequence's density)")
     p.add_argument("--seq-a", required=True)
     p.add_argument("--seq-b", required=True)
     p.add_argument("--x", help="comma-separated evaluation points")

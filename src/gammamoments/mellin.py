@@ -1,4 +1,5 @@
-"""Vertical-contour inverse Mellin transforms and Mellin convolution.
+"""Vertical-contour inverse Mellin transforms, and Mellin convolution as
+an oracle.
 
 Everything on the contour is done in log domain: the symbol returns
 log-values, the quadrature renormalizes by the peak magnitude, so gamma
@@ -25,6 +26,15 @@ The same engine serves perturbations whose transform is a density symbol
 phi(s) times e^{i psi s}: it returns the complex sums
 (1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
 saddle of each band (see `classes.omega3`).
+
+A Mellin convolution of two principal densities needs no integral: its
+transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
+so the CLI's `convolve` evaluates that sequence's density with the
+engine.  `mellin_convolve` and `mellin_convolve_many` integrate
+f(x/t) g(t) dt/t directly.  Only the oracle routes call them
+(`weights.w4_via_convolution`, `classes.omega2_via_convolution`,
+`classes.omega3_via_convolution`), which the tests check the engine and
+the closed forms against.
 """
 
 from __future__ import annotations
@@ -456,7 +466,7 @@ def _log_values(scale, total):
 
 
 # ---------------------------------------------------------------------------
-# Mellin convolution
+# Mellin convolution, called only by the oracle routes
 
 
 def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):

@@ -49,8 +49,10 @@ def ln_gamma(z):
 
     Scalar in, scalar out; arrays are mapped elementwise.  Nonpositive real
     integers raise PoleError.  Re z <= 0 is served by the reflection formula
-    (only the form the contour machinery needs; branch continuity across
-    Im z = 0 is not promised there).
+    (branch continuity across Im z = 0 is not promised there).  The
+    contour machinery never reaches that branch: every contour lies right
+    of the symbol's rightmost pole, where each argument a_j(s-1) + b_j
+    has a positive real part.
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     arr = _as_1d_complex(z)

@@ -1,7 +1,8 @@
 """Principal weight functions for the four model families.
 
-The first two families have closed forms (stretched exponential, Bessel K0);
-the third and fourth are defined operationally as inverse Mellin transforms
+The first two families have closed forms (stretched exponential, Bessel K0),
+which `principal_solution` reads off any factor list of their shape; the
+third and fourth are defined operationally as inverse Mellin transforms
 of their gamma-product symbols.  For those, and for any other gamma
 product, ln W is interpolated once per sequence by Chebyshev polynomials
 on panels in ln x, built from a single call of the contour engine at every
@@ -15,7 +16,7 @@ one-knot case directly, for cross-checks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -293,11 +294,20 @@ def weight_tm4(r) -> WeightFunction:
 
 
 def principal_solution(seq: MomentSequence) -> WeightFunction:
-    """Principal density for a sequence: closed form if known, else contour."""
-    if seq.kind == "tm1":
-        return weight_tm1(seq.r)
-    if seq.kind == "tm2":
-        return weight_tm2(seq.r)
+    """Principal density for a sequence: closed form if known, else contour.
+
+    The closed form is read off the factor list, so a gamma descriptor
+    gets the density of the named kind with the same factors: one factor
+    (q, 1) with q >= 1 is w1(q, .), two equal factors (r, 1) with integer
+    r are W2(r).
+    """
+    (a, b), count = seq.factors[0], len(seq.factors)
+    if b == 1 and count == 1 and a >= 1:
+        w = weight_tm1(int(a) // 2) if a % 2 == 0 else weight_w1(a)
+        return replace(w, seq=seq)
+    if (b == 1 and count == 2 and seq.factors[1] == (a, b)
+            and float(a).is_integer()):
+        return replace(weight_tm2(int(a)), seq=seq)
     if seq.kind == "tm3":
         return weight_tm3(seq.r)
     if seq.kind == "tm4":

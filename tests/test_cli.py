@@ -4,8 +4,13 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+import gammamoments.classes as classes
+import gammamoments.cli as cli
+import gammamoments.mellin as mellin
+from gammamoments import class_member_tm3, contour_log_densities, tm4
 from gammamoments.cli import main
 
 
@@ -188,6 +193,13 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_convolve_rejects_nonpositive_x(self, capsys):
+        code, out, err = run(capsys, "convolve", "--seq-a", "tm1:r=1",
+                             "--seq-b", "tm2:r=1", "--x", "1,0")
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_class_convolution_member(self, capsys):
         code, out, _ = run(capsys, "class", "--seq", "tm1:r=2", "--k", "1",
                            "--eps", "0.5", "--x", "1,10")
@@ -206,3 +218,76 @@ class TestConvolve:
         payload = json.loads(out)
         assert payload["points"][0]["convolution"] == pytest.approx(
             0.12293692982559143, rel=1e-7)
+
+    def test_no_subcommand_convolves(self, capsys, monkeypatch):
+        # every subcommand gets its densities from a closed form or the
+        # contour engine; the convolution integral is an oracle only
+        def boom(*args, **kwargs):
+            raise AssertionError("Mellin convolution called")
+        for name in ("mellin_convolve", "mellin_convolve_many",
+                     "_convolve_chunk"):
+            monkeypatch.setattr(mellin, name, boom)
+            assert not hasattr(cli, name)
+        argvs = [
+            ["eval", "--seq", "tm3:r=1"],
+            ["moments", "--seq", "tm4:r=1", "--n", "0..2"],
+            ["criteria", "--seq", "tm1:r=2"],
+            ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "0.1",
+             "--x", "0.5,2"],
+            ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=1"],
+        ]
+        for argv in argvs:
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), " ".join(argv)
+
+    @pytest.mark.parametrize("seq_a,seq_b", [
+        ("tm3:r=1", "tm1:r=1"), ("tm4:r=1", "tm2:r=1"),
+        ("gamma:2.5n+1", "tm1:r=1"), ("tm1:r=1", "tm2:r=3"),
+    ])
+    def test_contour_factor_pairs(self, capsys, seq_a, seq_b):
+        # the convolution route refused these: a spline factor's window
+        # ends before the integrand does, or the quadrature never settles
+        code, out, _ = run(capsys, "convolve", "--seq-a", seq_a,
+                           "--seq-b", seq_b)
+        assert code == 0
+        vals = np.array([p["convolution"] for p in json.loads(out)["points"]])
+        assert vals.size == 200
+        assert np.all(np.isfinite(vals))
+        # positive up to the end of the double range, where W underflows
+        positive = int(np.sum(vals > 0.0))
+        assert np.all(vals[:positive] > 0.0)
+        assert np.all(vals[positive:] == 0.0)
+        assert positive == 200 or vals[positive - 1] < 1e-300
+
+    def test_default_grid_matches_tm4(self, capsys):
+        # W1(1) * W2(1) is W4(1): the product of (2n)! and (n!)^2
+        code, out, _ = run(capsys, "convolve", "--seq-a", "tm1:r=1",
+                           "--seq-b", "tm2:r=1")
+        assert code == 0
+        points = json.loads(out)["points"]
+        xs = np.array([p["x"] for p in points])
+        vals = np.array([p["convolution"] for p in points])
+        log_w, sign = contour_log_densities(tm4(1), np.log(xs))
+        assert np.all(sign > 0)
+        normal = vals >= np.finfo(float).tiny
+        assert np.max(np.abs(np.log(vals[normal]) - log_w[normal])) <= 1e-12
+        assert np.all(log_w[~normal] < np.log(np.finfo(float).tiny))
+
+
+class TestClassTm3:
+    def test_omega3_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        omega3 = classes.omega3
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return omega3(*args, **kwargs)
+        monkeypatch.setattr(classes, "omega3", counted)
+        code, out, _ = run(capsys, "class", "--seq", "tm3:r=3", "--k", "1",
+                           "--gamma", "0.1")
+        assert code == 0
+        assert len(calls) == 1
+        points = json.loads(out)["points"]
+        xs = np.array([p["x"] for p in points])
+        member = np.array([p["member"] for p in points])
+        assert np.array_equal(member, class_member_tm3(3, 1, 0.1, xs))

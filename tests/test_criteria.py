@@ -192,6 +192,17 @@ class TestFullReport:
         assert report.c1.verdict == "Convergent"
         assert report.overall != "Unique"
 
+    @pytest.mark.parametrize("gamma,named", [
+        ("gamma:4n+1", "tm1:r=2"), ("gamma:2n+1,2n+1", "tm2:r=2"),
+    ])
+    def test_gamma_descriptor_reports_as_named_kind(self, gamma, named):
+        # the closed form is read off the factor list: the same moment
+        # problem gets the same certified tail, so the same verdicts
+        reports = [full_report(seq, principal_solution(seq))
+                   for seq in map(parse_descriptor, (gamma, named))]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert reports[0].c2.verdict == "Finite"
+
     def test_undecided_carleman_serialized(self, monkeypatch):
         import gammamoments.criteria as crit
 
