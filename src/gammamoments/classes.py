@@ -250,6 +250,8 @@ def class_member_tm3(r, k, gamma, x, rtol=1e-9):
 # -- amplitude search -------------------------------------------------------
 
 _KVE_MAX_ABS = 1e9  # scipy.special.kve(0, z) returns nan beyond |z| ~ 1.08e9
+_SCAN_POINTS = 4000  # log-spaced u grid of the amplitude scan
+_SAFETY = 0.99  # fraction of the certified amplitude bound returned
 
 
 def _ratio_v_over_k0(r, k, u):
@@ -268,8 +270,8 @@ def _ratio_v_over_k0(r, k, u):
     return np.real(_v_phase(r, k) * scaled) / k0e(z)
 
 
-def find_gamma_max(r, k, grid_points=4000, safety=0.99):
-    """Largest amplitude keeping 1 + gamma V/K0 nonnegative, times `safety`.
+def find_gamma_max(r, k):
+    """Largest amplitude keeping 1 + gamma V/K0 nonnegative, times _SAFETY.
 
     The ratio tends to cos(pi(1/2 - k(r-1)/r)) at the origin and decays to
     zero at infinity (Re beta > 1), so its infimum lives on a finite window.
@@ -278,7 +280,7 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
     |2u beta| reaches _KVE_MAX_ABS if that comes first.  Beyond such a
     cut |V/K0| follows the envelope |phase| e^{-2u(Re beta - 1)} (the
     large-argument form of both Bessel functions), and the bound is
-    certified only if that envelope stays below `safety` times the
+    certified only if that envelope stays below _SAFETY times the
     scanned infimum, the margin the bound itself keeps.
     """
     _check_tm2(r, k)
@@ -290,7 +292,7 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
         u_star = u_cap
         envelope = abs(_v_phase(r, k)) * math.exp(
             -2.0 * u_cap * (beta.real - 1.0))
-    us = np.logspace(-8.0 / (2 * r), math.log10(u_star), grid_points)
+    us = np.logspace(-8.0 / (2 * r), math.log10(u_star), _SCAN_POINTS)
     neg = -_ratio_v_over_k0(r, k, us)
     i = int(np.argmax(neg))
     worst = float(neg[i])
@@ -315,12 +317,12 @@ def find_gamma_max(r, k, grid_points=4000, safety=0.99):
         raise SearchError(
             f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "
             "ratio may be unbounded")
-    if envelope > safety * refined:
+    if envelope > _SAFETY * refined:
         raise SearchError(
             f"V/K0 for (r={r}, k={k}) has not decayed below its scanned "
             f"infimum {refined:.6g} (envelope {envelope:.6g}) where the "
             "scaled Bessel function stops being finite")
-    bound = safety / refined
+    bound = _SAFETY / refined
     if not math.isfinite(bound):
         raise SearchError(
             f"amplitude bound for (r={r}, k={k}) is not finite: {bound!r}")

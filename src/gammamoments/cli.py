@@ -175,7 +175,7 @@ def _cmd_class(args):
                 "(amplitude bound of the K0-ratio family)")
         bound = cls.find_gamma_max(seq.r, k)
         payload = {"command": "class", "seq": seq.descriptor(), "k": k,
-                   "gamma_max": bound, "safety_factor": 0.99}
+                   "gamma_max": bound, "safety_factor": cls._SAFETY}
         if args.mc_seed is not None:
             ok, min_val = cls.certify_nonnegative(
                 lambda xs: cls.class_member_tm2(seq.r, k, bound, xs,

@@ -47,6 +47,7 @@ _KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
 _KREIN_PANEL = 2.0  # Gauss-Legendre panel width in ln x
 _KREIN_ORDERS = (16, 32, 64)  # points per panel, tried in turn
 _KREIN_RTOL = 1e-13  # agreement of two successive orders
+_CONVEXITY_POINTS = 2001  # ln x grid of the converse-Carleman scan
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,7 @@ def _tail_limit(w: WeightFunction) -> float:
 # -- C3: converse Carleman --------------------------------------------------
 
 def converse_carleman(seq: MomentSequence, w: WeightFunction,
-                      c1: CarlemanResult | None = None,
-                      grid_points: int = 2001) -> ConverseCarlemanResult:
+                      c1: CarlemanResult | None = None) -> ConverseCarlemanResult:
     """Certify convexity of psi(y) = -ln W(e^y) beyond a searched y'.
 
     Fires (NonUnique) only when the Carleman sum is convergent; the
@@ -232,13 +232,8 @@ def converse_carleman(seq: MomentSequence, w: WeightFunction,
         raise ConstraintError(
             "converse Carleman criterion needs a convergent Carleman sum "
             f"(got {c1.verdict})")
-    return _convexity_scan(w, grid_points)
-
-
-def _convexity_scan(w: WeightFunction, grid_points: int) -> ConverseCarlemanResult:
-    g, p = w.growth
     x_top = _tail_limit(w)
-    y = np.linspace(-10.0, 2.0 * math.log(x_top), grid_points)
+    y = np.linspace(-10.0, 2.0 * math.log(x_top), _CONVEXITY_POINTS)
     psi = -w.log_evaluate(np.exp(y))
     h = y[1] - y[0]
     d2 = np.diff(psi, 2) / (h * h)

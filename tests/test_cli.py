@@ -31,6 +31,13 @@ class TestJsonOutput:
         assert len(payload["points"]) == 3
         assert all(p["density"] > 0 for p in payload["points"])
 
+    @pytest.mark.parametrize("seq,n", [("tm4:r=2", "8"), ("tm3:r=3", "7")])
+    def test_moments_interpolated_high_n(self, capsys, seq, n):
+        # both once exited 3: the moment window passed the interpolant's end
+        code, out, _ = run(capsys, "moments", "--seq", seq, "--n", n)
+        assert code == 0
+        assert json.loads(out)["results"][0]["rel_error"] <= 1e-5
+
     def test_moments_report_small_errors(self, capsys):
         code, out, _ = run(capsys, "moments", "--seq", "tm2:r=1",
                            "--n", "0..4")

@@ -7,11 +7,11 @@ import pytest
 import scipy.integrate
 
 import gammamoments.verify as verify
-from gammamoments import (ConstraintError, ConvergenceError, check_moment,
-                          check_vanishing, perturbation_tm1,
-                          perturbation_tm2, perturbation_tm3,
-                          principal_solution, tm1, tm2, weight_tm1,
-                          weight_tm2)
+from gammamoments import (ConstraintError, ConvergenceError, TruncationError,
+                          check_moment, check_vanishing, parse_descriptor,
+                          perturbation_tm1, perturbation_tm2,
+                          perturbation_tm3, principal_solution, tm1, tm2,
+                          tm3, weight_tm1, weight_tm2)
 
 
 class TestClosedFormMoments:
@@ -40,6 +40,24 @@ class TestClosedFormMoments:
         assert res.rel_error <= 1e-10
 
 
+class TestInterpolatedMoments:
+    @pytest.mark.parametrize("desc", ["tm3:r=2", "tm3:r=3", "tm4:r=2"])
+    def test_moments_through_n8(self, desc):
+        # tm3:r=3 at n = 7 and tm4:r=2 at n = 8 once raised
+        # TruncationError: a window walked out in 0.5 steps of ln u passed
+        # the interpolant's end although the integrand had decayed before it
+        seq = parse_descriptor(desc)
+        w = principal_solution(seq)
+        for n in range(9):
+            assert check_moment(w, seq, n).rel_error <= 1e-5
+
+    def test_window_past_interpolant_raises(self):
+        # at n = 50 the envelope window of tm3:r=1 ends beyond ln W = -320,
+        # where the interpolant stops
+        with pytest.raises(TruncationError):
+            check_moment(principal_solution(tm3(1)), tm3(1), 50)
+
+
 class TestHarnessPlumbing:
     def test_substitution_invariance(self):
         # same integrals straight in x-space via scipy, with the origin
@@ -61,16 +79,14 @@ class TestHarnessPlumbing:
                 assert math.log(head + tail) == pytest.approx(
                     res.log_integral, abs=1e-6)
 
-    def test_tolerance_halving_stability(self):
-        w = weight_tm2(2)
-        seq = tm2(2)
-        a = check_moment(w, seq, 3, rtol=1e-9)
-        b = check_moment(w, seq, 3, rtol=5e-10)
-        assert abs(a.log_integral - b.log_integral) < 1e-8
-
     def test_node_cap_enforced(self):
-        with pytest.raises(ConvergenceError):
-            check_moment(weight_tm1(1), tm1(1), 0, rtol=0.0, node_cap=2000)
+        # this moment settles on the second grid, 257 + 256 evaluations;
+        # one evaluation less leaves the second grid unstarted
+        first = verify._FIRST_GRID
+        assert check_moment(weight_tm1(1), tm1(1), 0,
+                            node_cap=2 * first - 1).nodes_used == 2 * first - 1
+        with pytest.raises(ConvergenceError, match="did not stabilize"):
+            check_moment(weight_tm1(1), tm1(1), 0, node_cap=2 * first - 2)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ConstraintError):
@@ -90,13 +106,17 @@ class TestHarnessPlumbing:
         res = check_moment(dataclasses.replace(base, log_evaluate=counted),
                            seq, 4)
         assert res.nodes_used == sum(sizes)
-        # the window scan: 33 probes, then one point per step; then the
-        # 257-node grid and, per refinement, only its new midpoints
-        grids = sizes[sizes.index(257):]
-        assert sizes[0] == 33 and set(sizes[1:-len(grids)]) == {1}
-        assert len(grids) >= 2
-        assert grids == [257] + [256 << k for k in range(len(grids) - 1)]
+        # the 257-node grid, then per refinement only its new midpoints;
+        # nothing else evaluates ln W
+        assert len(sizes) >= 2
+        assert sizes == [257] + [256 << k for k in range(len(sizes) - 1)]
         assert res.log_integral == check_moment(base, seq, 4).log_integral
+
+    def test_mismatched_density_fails_without_error(self):
+        # I / rho(n) = 10! / 2000! underflows to 0 in units of rho(n): the
+        # check must still return and fail, not raise from ln 0
+        res = check_moment(weight_tm1(1), tm1(200), 5)
+        assert res.rel_error == 1.0 and not res.passed
 
     def test_result_fields(self):
         res = check_moment(weight_tm1(2), tm1(2), 4)
