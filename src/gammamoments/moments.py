@@ -72,6 +72,11 @@ class MomentSequence:
         return big_a * math.prod(a ** (-a / big_a) for a, _ in self.factors)
 
     @property
+    def tail_exponent(self) -> float:
+        """beta in  W(x) ~ C x^beta e^{-g x^p}  as x -> inf (Fox H asymptotics)."""
+        return (sum(b - 0.5 for _, b in self.factors) + 0.5) / self.sum_a - 1.0
+
+    @property
     def alpha0(self) -> float:
         """Exponent of the principal density at the origin (log factors aside)."""
         return -self.rightmost_pole

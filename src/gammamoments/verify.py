@@ -4,7 +4,7 @@ Both checks take the same integral, int_0^inf x^n f(x) dx / rho(n), with
 f = W for check_moment (target 1) and f = omega for check_vanishing
 (target 0).  The substitution u = x^p (p the tail power) maps each
 stretched-exponential density to an ~e^{-g u} integrand; one window, the
-_WINDOW_DROP-nat range of the envelope u^A e^{-g u} in v = ln u, and one
+_WINDOW_DROP-nat range of the envelopes u^A e^{-g u} in v = ln u, and one
 summation serve both.  The integrand is evaluated in units of rho(n) from
 ln |f|, so neither x^{n+1} nor rho(n) is formed on its own, and each
 trapezoid grid, nested from _FIRST_GRID = 257 nodes until two successive
@@ -52,18 +52,22 @@ def _check_n(n):
         raise ConstraintError(f"moment order must be a nonnegative integer, got {n!r}")
 
 
-def _window(n, g, p, alpha0):
-    """[v_lo, v_hi] in v = ln x^p for the envelope u^A e^{-g u}, u = e^v.
+def _window(n, g, p, alpha0, beta):
+    """[v_lo, v_hi] in v = ln x^p for the envelopes u^A e^{-g u}, u = e^v.
 
-    A = (n + 1 + alpha0)/p - 1 >= 0 by alpha0 > -1, and both edges lie at
-    least _WINDOW_DROP nats below the envelope's peak.
+    The density goes as x^alpha0 at the origin and as x^beta e^{-g x^p} in
+    the tail.  A = (n + 1 + alpha0)/p - 1 >= 0 (by alpha0 > -1) sets the
+    left edge and A with max(alpha0, beta) in place of alpha0 the right one;
+    each edge lies at least _WINDOW_DROP nats below its envelope's peak.
     """
-    big_a = (n + 1.0 + alpha0) / p - 1.0
+    big_a = (n + 1.0 + max(alpha0, beta)) / p - 1.0
     u_pk = max((big_a + 1.0) / g, 1.0)
     u_hi = u_pk + 1.0
     peak = (big_a + 1.0) * math.log(u_pk) - g * u_pk
     while (big_a + 1.0) * math.log(u_hi) - g * u_hi > peak - _WINDOW_DROP:
         u_hi += max(1.0, 0.05 * u_hi)
+    big_a = (n + 1.0 + alpha0) / p - 1.0
+    u_pk = max((big_a + 1.0) / g, 1.0)
     # with d = v - ln u_pk the envelope falls (A+1) d - g u_pk (e^d - 1)
     # <= (A+1) d + g u_pk below its peak, so this edge is _WINDOW_DROP down
     # (without the g u_pk term it is only ~10 nats down once A is ~100).
@@ -96,8 +100,7 @@ def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
         fresh = n_nodes // 2
 
 
-def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap,
-                     what):
+def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
     """(int_0^inf x^n f(x) dx / rho(n), evaluations) on nested grids.
 
     sign_log_f(x) returns (sign f, ln |f|).  In v = ln x^p the integrand
@@ -105,12 +108,12 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap,
     whole line, so trapezoid doubling is spectral.  Each grid's sum is
     taken panel-by-panel between sign changes and combined with math.fsum;
     two successive grids agreeing within 1e-10 of the absolute sum (or
-    1e-9) end the refinement, and a non-finite integrand raises
-    ConvergenceError.
+    1e-9) end the refinement.  A non-finite integrand returns an infinite
+    total at once.
     """
     def integrand(v):
         sign, log_f = sign_log_f(np.exp(v / p))
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             return sign * np.exp(((n + 1.0) / p) * v - math.log(p)
                                  + log_f - log_target)
 
@@ -121,7 +124,7 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap,
         segments = 0.5 * (h[:-1] + h[1:]) * dv
         abs_scale = float(np.sum(np.abs(segments)))
         if not math.isfinite(abs_scale):  # finite, it bounds every panel
-            raise ConvergenceError(f"{what} integrand n={n} is not finite")
+            return math.inf, nodes_used
         # panel boundaries at sign changes of the integrand
         flips = np.nonzero(np.diff(np.signbit(h)))[0]
         starts = np.unique(np.concatenate(([0], flips + 1)))
@@ -133,29 +136,32 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap,
             return total, nodes_used
         prev = total
     raise ConvergenceError(
-        f"{what} integral n={n} did not stabilize within {node_cap} nodes")
+        f"moment integral n={n} did not stabilize within {node_cap} nodes")
 
 
 def check_moment(w: WeightFunction, seq: MomentSequence, n,
                  node_cap: int = _NODE_CAP) -> MomentCheckResult:
     """Verify int_0^inf x^n W(x) dx = rho(n), measured relative to rho(n).
 
-    rel_error is |I/rho(n) - 1|.  nodes_used counts the evaluations of
-    ln W and node_cap bounds them.  A density without a certified tail
-    raises TruncationError when the window passes its interpolant's end,
-    where ln W reaches -_LOG_DEPTH.
+    rel_error is |I/rho(n) - 1|, and inf when the integrand overflows in
+    units of rho(n).  log_integral is ln I only while I/rho(n) stays in
+    double range (past it, -inf or inf), so it is meaningful when w solves
+    seq.
+    nodes_used counts the evaluations of ln W and node_cap bounds them.  A
+    density without a certified tail raises TruncationError when the window
+    passes its interpolant's end, where ln W reaches -_LOG_DEPTH.
     """
     _check_n(n)
     g, p = w.growth
     log_target = log_moment(seq, n)
-    v_lo, v_hi = _window(n, g, p, w.alpha0)
+    v_lo, v_hi = _window(n, g, p, w.alpha0, w.seq.tail_exponent)
     if not w.tail_certified and v_hi > math.log(_LOG_DEPTH / g):
         raise TruncationError(
             "integration window exceeds the certified density range; "
             "the integrand has not decayed enough at the window edge")
     total, nodes_used = _moment_integral(
         lambda x: (1.0, w.log_evaluate(x)), n, p, v_lo, v_hi, log_target,
-        node_cap, "moment")
+        node_cap)
     log_integral = (math.log(total) + log_target if total > 0.0
                     else -math.inf)
     return MomentCheckResult(int(n), log_integral, log_target,
@@ -167,20 +173,23 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
     """Verify int_0^inf x^n omega(x) dx = 0, measured relative to rho(n).
 
     rel_error is |I|/rho(n), and log_integral is ln |I|.  nodes_used
-    counts the evaluations of omega and node_cap bounds them.
+    counts the evaluations of omega and node_cap bounds them.  A non-finite
+    integrand raises ConvergenceError.
     """
     _check_n(n)
     g, p = omega.growth
     log_target = log_moment(seq, n)
-    v_lo, v_hi = _window(n, g, p, omega.seq.alpha0)
+    v_lo, v_hi = _window(n, g, p, omega.seq.alpha0, omega.seq.tail_exponent)
 
     def sign_log_omega(x):
         f = omega.evaluate(x)
         with np.errstate(divide="ignore"):
             return np.sign(f), np.log(np.abs(f))
     total, nodes_used = _moment_integral(sign_log_omega, n, p, v_lo, v_hi,
-                                         log_target, node_cap,
-                                         "vanishing-moment")
+                                         log_target, node_cap)
+    if math.isinf(total):
+        raise ConvergenceError(
+            f"vanishing-moment integrand n={n} is not finite")
     log_integral = (math.log(abs(total)) + log_target
                     if total != 0.0 else -math.inf)
     return MomentCheckResult(int(n), log_integral, log_target, abs(total),

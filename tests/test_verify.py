@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 import gammamoments.verify as verify
-from gammamoments import (ConstraintError, ConvergenceError, TruncationError,
-                          check_moment, check_vanishing, parse_descriptor,
+from gammamoments import (ConstraintError, ConvergenceError, RefusesError,
+                          TruncationError, WeightFunction, check_moment,
+                          check_vanishing, full_report, gamma_product,
+                          parse_descriptor,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, principal_solution, tm1, tm2,
                           tm3, weight_tm1, weight_tm2)
@@ -38,6 +41,33 @@ class TestClosedFormMoments:
         res = check_moment(weight_tm2(2), tm2(2), 0)
         assert res.log_target == 0.0
         assert res.rel_error <= 1e-10
+
+    @pytest.mark.parametrize("b", [41, 101])
+    def test_tail_prefactor_widens_window(self, b):
+        # rho(n) = n! Gamma(n + b) has W = 2 x^{nu/2} K_nu(2 sqrt x), nu = b - 1:
+        # W ~ Gamma(nu) at the origin (alpha0 = 0) but ~ x^{(b - 1.5)/2}
+        # e^{-2 sqrt x} in the tail, so a right edge set by alpha0 alone
+        # cuts the integral (b = 101: 5e-6 to 3e-5 at n = 0..8)
+        nu = b - 1.0
+
+        def log_w(x):
+            z = 2.0 * np.sqrt(x)
+            with np.errstate(over="ignore", divide="ignore"):
+                log_k = np.log(scipy.special.kve(nu, z)) - z
+            # where K_nu overflows, its small-z series to (z/2)^4
+            small = ~np.isfinite(log_k)
+            xs = x[small]
+            log_k[small] = (math.lgamma(nu) - math.log(2.0)
+                            - 0.5 * nu * np.log(xs)
+                            + np.log1p(-xs / (nu - 1.0) + xs * xs
+                                       / (2.0 * (nu - 1.0) * (nu - 2.0))))
+            return math.log(2.0) + 0.5 * nu * np.log(x) + log_k
+        seq = gamma_product([(1, 1), (1, b)])
+        w = WeightFunction(f"K[nu={nu:g}]", seq, 0.0, (2.0, 0.5), log_w,
+                           tail_certified=True)
+        assert seq.tail_exponent == pytest.approx((b - 1.5) / 2.0)
+        for n in range(9):
+            assert check_moment(w, seq, n).rel_error <= 1e-10
 
 
 class TestInterpolatedMoments:
@@ -117,6 +147,19 @@ class TestHarnessPlumbing:
         # check must still return and fail, not raise from ln 0
         res = check_moment(weight_tm1(1), tm1(200), 5)
         assert res.rel_error == 1.0 and not res.passed
+
+    def test_overflowing_density_fails_without_error(self):
+        # e^800 W has I / rho(n) = e^800, past the double range in units of
+        # rho(n): the check fails with rel_error inf, and full_report
+        # refuses the density rather than raising ConvergenceError
+        import dataclasses
+        base = weight_tm2(2)
+        w = dataclasses.replace(
+            base, log_evaluate=lambda x: base.log_evaluate(x) + 800.0)
+        res = check_moment(w, tm2(2), 3)
+        assert res.rel_error == math.inf and not res.passed
+        with pytest.raises(RefusesError, match="n=0"):
+            full_report(tm2(2), w)
 
     def test_result_fields(self):
         res = check_moment(weight_tm1(2), tm1(2), 4)
