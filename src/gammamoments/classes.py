@@ -216,7 +216,7 @@ def perturbation_tm3(r, k) -> Perturbation:
 
 def class_member_tm1(r, k, eps, x):
     """W1 * [1 + eps * sin(...)]; nonnegative for |eps| < 1."""
-    if abs(eps) >= 1.0:
+    if not abs(eps) < 1.0:  # NaN fails too
         raise ConstraintError(f"first family needs |eps| < 1, got {eps}")
     _check_k(k)
     if not r > abs(k):
@@ -243,8 +243,16 @@ def class_member_tm3(r, k, gamma, x, rtol=1e-9):
     No closed positivity bound exists here; callers certify nonnegativity
     numerically (certify_nonnegative) for their amplitude of interest.
     """
+    _check_tm3_amplitude(gamma)
     xa = np.asarray(x, dtype=float)
     return weight_tm3(r).evaluate(xa) + gamma * omega3(r, k, xa, rtol=rtol)
+
+
+def _check_tm3_amplitude(gamma):
+    """Reject an amplitude that would make the member NaN or infinite."""
+    if not math.isfinite(gamma):
+        raise ConstraintError(
+            f"third family needs a finite amplitude, got {gamma}")
 
 
 # -- amplitude search -------------------------------------------------------
@@ -285,13 +293,17 @@ def find_gamma_max(r, k):
     """
     _check_tm2(r, k)
     beta = _beta(r, k)
-    u_star = math.log(1e8) / (2.0 * (beta.real - 1.0))
+    decay = beta.real - 1.0
+    if not decay > 0.0:
+        raise SearchError(
+            f"Re beta - 1 rounds to {decay!r} for (r={r}, k={k}): V/K0 does "
+            "not decay in double precision; cannot certify an amplitude bound")
+    u_star = math.log(1e8) / (2.0 * decay)
     u_cap = 0.5 * _KVE_MAX_ABS / abs(beta)
     envelope = 0.0
     if u_star > u_cap:
         u_star = u_cap
-        envelope = abs(_v_phase(r, k)) * math.exp(
-            -2.0 * u_cap * (beta.real - 1.0))
+        envelope = abs(_v_phase(r, k)) * math.exp(-2.0 * u_cap * decay)
     us = np.logspace(-8.0 / (2 * r), math.log10(u_star), _SCAN_POINTS)
     neg = -_ratio_v_over_k0(r, k, us)
     i = int(np.argmax(neg))

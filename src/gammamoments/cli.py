@@ -89,12 +89,22 @@ def _parse_n_range(text):
             f"--n expects an integer or a range like 0..8, got {text!r}") from None
 
 
-def _default_grid(w, n_points=200):
+def _default_grid(w):
     """Log-spaced grid from 1e-4 to where W falls ~300 decades below peak."""
     g, p = w.growth
     depth = 690.0 if w.tail_certified else 300.0
-    x_hi = (depth / g) ** (1.0 / p)
-    return np.logspace(-4.0, np.log10(x_hi), n_points)
+    return _log_grid(depth / g, 1.0 / p)
+
+
+def _log_grid(base, exponent):
+    """200 log-spaced points from 1e-4 to base ** exponent."""
+    try:
+        x_hi = base ** exponent
+    except OverflowError:
+        raise ConstraintError(
+            f"the default grid would end at {base:g}^{exponent:g}, beyond "
+            "the double range; pass the evaluation points with --x") from None
+    return np.logspace(-4.0, np.log10(x_hi), 200)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -204,6 +214,7 @@ def _cmd_class(args):
     else:
         if args.gamma is None:
             raise ConstraintError("tm3 class members require --gamma")
+        cls._check_tm3_amplitude(args.gamma)
         pert = cls.perturbation_tm3(seq.r, k)
         amplitude = args.gamma
     base = w.evaluate(xs)
@@ -240,8 +251,7 @@ def _cmd_convolve(args):
             raise ConstraintError("convolve requires 0 < x < inf")
     else:
         # the product's tail power is 1 / (A_a + A_b)
-        xs = np.logspace(-4.0, np.log10(300.0 ** (1.0 / product.tail_power)),
-                         200)
+        xs = _log_grid(300.0, 1.0 / product.tail_power)
     log_w, sign = contour_log_densities(product, np.log(xs))
     if np.any(sign <= 0):
         x = float(np.min(xs[sign <= 0]))

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import ConstraintError, ConvergenceError, TruncationError
 from .moments import MomentSequence, _grouped_factors, mellin_symbol
@@ -156,6 +155,8 @@ def saddle_abscissa(seq: MomentSequence, x):
 
 def _saddles(seq, log_x):
     """Bisection for the saddle of every ln x at once (the left side is increasing)."""
+    import scipy.special as sps
+
     pole = seq.rightmost_pole
     groups = _grouped_factors(seq)
 
@@ -191,6 +192,8 @@ def _digamma(z):
     SciPy's complex digamma takes ~8 us a point for |z| < 3 (0.3 us from
     |z| = 8 on), and saddles near the pole have such arguments.
     """
+    import scipy.special as sps
+
     return sps.digamma(z + 8.0) - sum(1.0 / (z + j) for j in range(8))
 
 
@@ -246,6 +249,8 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     The t-window is centred on t0; its half-width t_max passes the drop
     test on both sides (one side suffices for a real, symmetric symbol).
     """
+    import scipy.special as sps
+
     curvature = sum(mult * (a * a * sps.polygamma(1, a * (c - 1.0) + b))
                     for (a, b), mult in _grouped_factors(seq))
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import ConstraintError
 from .special import ln_gamma
@@ -49,6 +48,10 @@ class MomentSequence:
         for a, b in self.factors:
             if a <= 0:
                 raise ConstraintError(f"gamma factor multiplier must be > 0, got {a}")
+            # b > 0 keeps every pole left of s = 1: rho(0) = prod Gamma(b_j)
+            # is finite and the density's exponent at the origin exceeds -1
+            if not b > 0:
+                raise ConstraintError(f"gamma factor offset must be > 0, got {b}")
 
     @property
     def sum_a(self) -> float:
@@ -120,6 +123,8 @@ def _check_r(r):
 
 def log_moment(seq: MomentSequence, n) -> float:
     """ln rho(n) = sum_j ln Gamma(a_j n + b_j); vectorized over n >= 0."""
+    import scipy.special as sps
+
     n = np.asarray(n, dtype=np.float64)
     out = sum(sps.gammaln(a * n + b) for a, b in seq.factors)
     return float(out) if out.ndim == 0 else out
@@ -158,10 +163,7 @@ def _parse_number(text):
 
 def _format_factor(a, b):
     a_s = f"{a:g}" if a != 1 else ""
-    if b == 0:
-        return f"{a_s}n"
-    sign = "+" if b > 0 else "-"
-    return f"{a_s}n{sign}{abs(b):g}"
+    return f"{a_s}n+{b:g}"
 
 
 def parse_descriptor(text: str) -> MomentSequence:

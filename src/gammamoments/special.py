@@ -1,15 +1,18 @@
 """Log-gamma and modified Bessel functions used by every closed form.
 
 Real K0/K1 and complex log-gamma are delegated to scipy (full double
-accuracy over the whole range).  Complex K0 is the Sommerfeld integral
-K0(z) = int_0^inf exp(-z cosh t) dt summed by a vectorised, self-checking
-trapezoid rule below |z| = 30, and the asymptotic series above.
+accuracy over the whole range).  Each function that calls scipy.special
+imports it itself, so it loads at the first evaluation, not with the
+package: a process that never evaluates one (the first family's closed
+form, `--help`, a usage error) does not pay for it.  Complex K0 is the
+Sommerfeld integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a
+vectorised, self-checking trapezoid rule below |z| = 30, and the
+asymptotic series above.
 """
 
 import warnings
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -54,6 +57,8 @@ def ln_gamma(z):
     of the symbol's rightmost pole, where each argument a_j(s-1) + b_j
     has a positive real part.
     """
+    import scipy.special as sps
+
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     arr = _as_1d_complex(z)
     on_axis = arr.imag == 0.0
@@ -95,6 +100,8 @@ def _warn_underflow(arr):
 
 def bessel_k0(x):
     """Modified Bessel K0 for real x > 0."""
+    import scipy.special as sps
+
     arr = _check_positive_real(x, "bessel_k0")
     _warn_underflow(arr)
     out = sps.k0(arr)
@@ -103,6 +110,8 @@ def bessel_k0(x):
 
 def bessel_k1(x):
     """Modified Bessel K1 for real x > 0."""
+    import scipy.special as sps
+
     arr = _check_positive_real(x, "bessel_k1")
     _warn_underflow(arr)
     out = sps.k1(arr)
@@ -111,6 +120,8 @@ def bessel_k1(x):
 
 def log_bessel_k0(x):
     """ln K0(x) without underflow, via the scaled routine k0e."""
+    import scipy.special as sps
+
     arr = _check_positive_real(x, "log_bessel_k0")
     out = np.log(sps.k0e(arr)) - arr
     return float(out[0]) if np.isscalar(x) else out

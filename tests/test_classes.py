@@ -8,7 +8,8 @@ import pytest
 import gammamoments.classes as classes
 import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, SearchError, class_member_tm1,
-                          class_member_tm2, certify_nonnegative,
+                          class_member_tm2, class_member_tm3,
+                          certify_nonnegative,
                           contour_log_density, find_gamma_max, omega1, omega2,
                           omega2_v, omega2_via_convolution, omega3,
                           omega3_via_convolution, perturbation_tm1,
@@ -135,10 +136,15 @@ class TestClassMembers:
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_tm1_amplitude_band_enforced(self):
-        with pytest.raises(ConstraintError):
-            class_member_tm1(2, 1, 1.0, 1.0)
-        with pytest.raises(ConstraintError):
-            class_member_tm1(2, 1, -1.5, 1.0)
+        # NaN once passed the |eps| >= 1 test and gave a NaN member
+        for eps in (1.0, -1.5, math.nan):
+            with pytest.raises(ConstraintError):
+                class_member_tm1(2, 1, eps, 1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_tm3_nonfinite_amplitude_rejected(self, gamma):
+        with pytest.raises(ConstraintError, match="finite amplitude"):
+            class_member_tm3(3, 1, gamma, 1.0)
 
     def test_tm2_member_at_bound_nonnegative(self):
         r, k = 3, 1
@@ -248,6 +254,12 @@ class TestGammaMax:
         # where scaled K0 stops being finite, the search must raise
         with pytest.raises(SearchError, match="not decayed"):
             find_gamma_max(10**6, 1)
+
+    def test_decay_rounding_to_zero_raises(self):
+        # at r = 1e8, Re beta - 1 ~ (pi/r)^2/8 rounds to 0; the scan's end
+        # u* = ln(1e8) / (2 (Re beta - 1)) once divided by zero
+        with pytest.raises(SearchError, match="does not decay"):
+            find_gamma_max(10**8, 1)
 
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",

@@ -99,6 +99,13 @@ class TestDeterminism:
         assert "Traceback" not in err
         assert json.loads(out)["gamma_max"] == pytest.approx(want, abs=1e-3)
 
+    def test_find_gamma_max_beyond_double_precision(self, capsys):
+        # Re beta - 1 rounds to 0 at r = 1e8: once a ZeroDivisionError
+        code, out, err = run(capsys, "class", "--seq", "tm2:r=100000000",
+                             "--k", "1", "--find-gamma-max")
+        assert (code, out) == (3, "")
+        assert "does not decay" in err
+
 
 class TestCsvOutput:
     def test_moments_table(self, capsys):
@@ -156,8 +163,22 @@ class TestExitCodes:
         ["eval", "--seq", "tm1:r=1", "--x", "1,abc"],
         ["moments", "--seq", "tm1:r=1", "--n", "a..b"],
         ["moments", "--seq", "tm1:r=1", "--n", "1..2..3"],
+        # b <= 0: Gamma(0) moments once divided by zero in the moment
+        # window, and eval once exited 0
+        ["moments", "--seq", "gamma:1n+0", "--n", "0..1"],
+        ["criteria", "--seq", "gamma:1n+0"],
+        ["eval", "--seq", "gamma:1n+0"],
+        # default grids past the double range once raised OverflowError
+        ["eval", "--seq", "tm1:r=99999999999"],
+        ["class", "--seq", "tm1:r=99999999999", "--k", "1", "--eps", "0.5"],
+        ["convolve", "--seq-a", "tm1:r=99999999999", "--seq-b", "tm1:r=1"],
+        # NaN amplitudes once printed "member": "nan" and exited 0
+        ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "nan"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "nan"],
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
-            "bad-n-range", "bad-n-split"])
+            "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
+            "eval-b0", "eval-grid-overflow", "class-grid-overflow",
+            "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan"])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
         # any other exception would escape main as a traceback

@@ -1,6 +1,10 @@
-"""Import cost: scipy.special is the only SciPy subpackage the package
-imports, so no CLI call loads scipy.optimize, scipy.integrate or
-scipy.interpolate."""
+"""Import cost: `import gammamoments` loads no SciPy module.
+
+scipy.special is imported inside each function that evaluates one of its
+functions, so it loads at the first evaluation; a process that never
+evaluates one (the first family's closed form, a usage error) never loads
+it.  It is the only SciPy subpackage the package imports, so no CLI call
+loads scipy.optimize, scipy.integrate or scipy.interpolate."""
 
 import json
 import os
@@ -10,16 +14,19 @@ import sys
 import gammamoments
 
 _DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+# importing any SciPy module first imports the package `scipy` itself, so
+# "scipy" missing from sys.modules means no SciPy module is loaded
+_WATCHED = ("scipy", "scipy.special") + _DEFERRED
 
 # runs `import gammamoments`, then each step in turn: an argv list through
 # cli.main, or a module name through importlib (exit code None); prints
-# [exit code, deferred subpackages loaded so far] after each step
+# [exit code, watched modules loaded so far] after each step
 _SCRIPT = """
 import contextlib, importlib, io, json, sys
 import gammamoments
 from gammamoments import cli
-deferred = {deferred!r}
-steps = [[None, [m for m in deferred if m in sys.modules]]]
+watched = {watched!r}
+steps = [[None, [m for m in watched if m in sys.modules]]]
 for step in json.loads(sys.argv[1]):
     code = None
     if isinstance(step, str):
@@ -27,13 +34,13 @@ for step in json.loads(sys.argv[1]):
     else:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(step)
-    steps.append([code, [m for m in deferred if m in sys.modules]])
+    steps.append([code, [m for m in watched if m in sys.modules]])
 print(json.dumps(steps))
-""".format(deferred=_DEFERRED)
+""".format(watched=_WATCHED)
 
 
 def _steps(*argvs):
-    """[exit code, loaded deferred subpackages] after import and each step."""
+    """[exit code, loaded watched modules] after import and each step."""
     src = os.path.dirname(os.path.dirname(gammamoments.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -42,6 +49,32 @@ def _steps(*argvs):
         [sys.executable, "-c", _SCRIPT, json.dumps(argvs)], env=env,
         capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_closed_forms_load_no_scipy():
+    argvs = [
+        ["eval", "--seq", "tm1:r=2"],
+        ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5"],
+        ["eval", "--seq", "gamma:4n+1"],  # read off as the first family
+        ["moments", "--seq", "tm1:r=1", "--n", "a..b"],  # usage error
+    ]
+    steps = _steps(*argvs)
+    assert steps[0] == [None, []], "import gammamoments, then cli"
+    for argv, (code, loaded) in zip(argvs, steps[1:]):
+        assert loaded == [], " ".join(argv)
+    assert [code for code, _ in steps[1:]] == [0, 0, 0, 1]
+
+
+def test_first_evaluation_loads_scipy_special():
+    # positive control: K0 in the second family's closed form is the first
+    # special function this call evaluates, so the guard above can fail
+    (_, before), (code, after) = _steps(["eval", "--seq", "tm2:r=2"])
+    assert before == []
+    assert (code, after) == (0, ["scipy", "scipy.special"])
+
+
+def _deferred(loaded):
+    return [m for m in loaded if m in _DEFERRED]
 
 
 def test_closed_form_calls_skip_deferred_subpackages():
@@ -59,7 +92,7 @@ def test_closed_form_calls_skip_deferred_subpackages():
     steps = _steps(*argvs)
     assert steps[0] == [None, []], "import gammamoments"
     for argv, (code, loaded) in zip(argvs, steps[1:]):
-        assert (code, loaded) == (0, []), " ".join(argv)
+        assert (code, _deferred(loaded)) == (0, []), " ".join(argv)
 
 
 def test_contour_calls_skip_deferred_subpackages():
@@ -72,7 +105,7 @@ def test_contour_calls_skip_deferred_subpackages():
     steps = _steps(*argvs)
     assert steps[0] == [None, []], "import gammamoments"
     for argv, (code, loaded) in zip(argvs, steps[1:]):
-        assert (code, loaded) == (0, []), " ".join(argv)
+        assert (code, _deferred(loaded)) == (0, []), " ".join(argv)
 
 
 def test_guard_sees_a_deferred_import():

@@ -90,6 +90,14 @@ class TestStructure:
         with pytest.raises(ConstraintError):
             gamma_product([])
 
+    @pytest.mark.parametrize("factors", [[(1.0, 0.0)], [(2.0, 1.0), (1.0, -0.5)],
+                                         [(1.0, math.nan)]])
+    def test_nonpositive_offset_rejected(self, factors):
+        # b <= 0 puts a pole at or right of s = 1: rho(0) = Gamma(0) is
+        # infinite and the moment window's A + 1 = 0 divided by zero
+        with pytest.raises(ConstraintError, match="offset"):
+            gamma_product(factors)
+
 
 class TestDescriptors:
     @pytest.mark.parametrize("text", ["tm1:r=2", "tm2:r=3", "tm3:r=1",
@@ -97,6 +105,11 @@ class TestDescriptors:
     def test_named_round_trip(self, text):
         seq = parse_descriptor(text)
         assert seq.descriptor() == text
+        assert parse_descriptor(seq.descriptor()) == seq
+
+    def test_unlabelled_round_trip(self):
+        seq = gamma_product([(2, 1), (0.5, 0.7)])
+        assert seq.descriptor() == "gamma:2n+1,0.5n+0.7"
         assert parse_descriptor(seq.descriptor()) == seq
 
     def test_gamma_form(self):
