@@ -20,7 +20,7 @@ from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
 from .special import bessel_k0_complex
-from .weights import log_w1, w1, weight_tm2, weight_tm3
+from .weights import log_w1, log_w2, w1, w2, weight_tm2, weight_tm3
 
 __all__ = [
     "Perturbation",
@@ -51,7 +51,6 @@ class Perturbation:
     seq: MomentSequence  # yardstick rho(n) for "vanishing"
     growth: tuple  # (g, p): -ln |omega| <~ g x^p in the tail
     evaluate: object = field(repr=False)  # callable, vectorized
-    log_envelope: object = field(repr=False)  # callable: bound on ln |omega|
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -78,20 +77,23 @@ def omega1_general(q, k, x):
     return w1(q, x) * _sine_factor(q, k, x)
 
 
-def omega1(r, k, x):
-    """First-family perturbation; the side condition is r > |k|."""
+def _check_tm1(r, k):
     _check_k(k)
     if not r > abs(k):
         raise ConstraintError(f"first family requires r > |k| (r={r}, k={k})")
+
+
+def omega1(r, k, x):
+    """First-family perturbation; the side condition is r > |k|."""
+    _check_tm1(r, k)
     return omega1_general(2 * r, k, x)
 
 
 def perturbation_tm1(r, k) -> Perturbation:
-    omega1(r, k, 1.0)  # constraint check
+    _check_tm1(r, k)
     return Perturbation(
         family="tm1", r=r, k=k, seq=tm1(r), growth=(1.0, 1.0 / (2.0 * r)),
-        evaluate=lambda x, r=r, k=k: omega1(r, k, x),
-        log_envelope=lambda x, r=r: log_w1(2 * r, x))
+        evaluate=lambda x, r=r, k=k: omega1(r, k, x))
 
 
 # -- family 2 ---------------------------------------------------------------
@@ -141,28 +143,19 @@ def omega2_via_convolution(r, k, x, rtol=1e-9):
 
 
 def perturbation_tm2(r, k) -> Perturbation:
-    omega2_v(r, k, 1.0)  # constraint check
+    _check_tm2(r, k)
     return Perturbation(
         family="tm2", r=r, k=k, seq=tm2(r), growth=(2.0, 1.0 / (2.0 * r)),
-        evaluate=lambda x, r=r, k=k: omega2(r, k, x),
-        log_envelope=lambda x, r=r: _log_omega2_envelope(r, x))
-
-
-def _log_omega2_envelope(r, x):
-    # |V| <= K0(2 x^{1/2r} Re beta) <= K0 at the real axis; the plain W2
-    # envelope is a safe overestimate
-    from .weights import log_w2
-    return log_w2(r, x)
+        evaluate=lambda x, r=r, k=k: omega2(r, k, x))
 
 
 # -- family 3 ---------------------------------------------------------------
 
 def _check_tm3(r, k):
+    # r > 2|k| makes the convolution partner omega1_general(r, k) decay
     _check_k(k)
-    if not r > abs(k):
-        raise ConstraintError(f"third family requires r > |k| (r={r}, k={k})")
-    if r <= 2 * abs(k):  # the convolution partner omega1_general(r, k)
-        raise ConstraintError(f"omega1 factor requires q > 2|k| (q={r}, k={k})")
+    if not r > 2 * abs(k):
+        raise ConstraintError(f"third family requires r > 2|k| (r={r}, k={k})")
 
 
 def omega3(r, k, x, rtol=1e-9):
@@ -192,12 +185,11 @@ def omega3_via_convolution(r, k, x, rtol=1e-9):
     """Same function by the convolution route, W2 * omega1_general(r, k)."""
     _check_tm3(r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    w2w = weight_tm2(r)
     out = mellin_convolve_many(
-        w2w.evaluate,
+        lambda v: w2(r, v),
         lambda v: omega1_general(r, k, v),
         xs, rtol=rtol,
-        log_f=w2w.log_evaluate,
+        log_f=lambda v: log_w2(r, v),
         log_g=lambda v: log_w1(r, v))
     return float(out[0]) if np.isscalar(x) else out
 
@@ -208,8 +200,7 @@ def perturbation_tm3(r, k) -> Perturbation:
     return Perturbation(
         family="tm3", r=r, k=k, seq=seq,
         growth=(seq.tail_coefficient, seq.tail_power),
-        evaluate=lambda x, r=r, k=k: omega3(r, k, x),
-        log_envelope=lambda x, r=r: weight_tm3(r).log_evaluate(x))
+        evaluate=lambda x, r=r, k=k: omega3(r, k, x))
 
 
 # -- class members ----------------------------------------------------------
@@ -218,9 +209,7 @@ def class_member_tm1(r, k, eps, x):
     """W1 * [1 + eps * sin(...)]; nonnegative for |eps| < 1."""
     if not abs(eps) < 1.0:  # NaN fails too
         raise ConstraintError(f"first family needs |eps| < 1, got {eps}")
-    _check_k(k)
-    if not r > abs(k):
-        raise ConstraintError(f"first family requires r > |k| (r={r}, k={k})")
+    _check_tm1(r, k)
     return w1(2 * r, x) * (1.0 + eps * _sine_factor(2 * r, k, x))
 
 

@@ -13,7 +13,9 @@ is classified by exponent fitting with an explicit dead zone; borderline
 cases surface as Undecided rather than being silently resolved.  For
 densities whose tail law is certified by a closed form, the Krein
 exponent is taken from that law; for quadrature-backed densities the
-verdict stays Undecided on principle.
+verdict stays Undecided on principle.  Densities are evaluated in ln x
+(`WeightFunction.log_density`), so no criterion forms x, x^2 or e^y, and
+the closed forms decide every r even where x leaves the double range.
 """
 
 from __future__ import annotations
@@ -44,10 +46,14 @@ _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
 _SUM_A_ROUNDOFF = 1e-12  # |A - 2| this small cannot be told from A = 2
 _KREIN_DEAD_ZONE = 0.02  # around the critical growth exponent 1
 _KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
+_KREIN_U_MAX = math.log(1e4)  # ln x where the body ends at most
 _KREIN_PANEL = 2.0  # Gauss-Legendre panel width in ln x
 _KREIN_ORDERS = (16, 32, 64)  # points per panel, tried in turn
 _KREIN_RTOL = 1e-13  # agreement of two successive orders
 _CONVEXITY_POINTS = 2001  # ln x grid of the converse-Carleman scan
+_CARLEMAN_N_MAX = 200  # terms of the Carleman sum
+_N_VERIFY = 6  # full_report checks moments n = 0.._N_VERIFY first
+_VERIFY_TOL = 1e-4  # relative error above which full_report refuses w
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,8 @@ class CriterionReport:
 
 # -- C1: Carleman -----------------------------------------------------------
 
-def carleman(seq: MomentSequence, n_max: int = 200) -> CarlemanResult:
+def carleman(seq: MomentSequence,
+             n_max: int = _CARLEMAN_N_MAX) -> CarlemanResult:
     """Classify S = sum a_n, a_n = rho(n)^{-1/2n}, as divergent/convergent.
 
     ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
@@ -139,26 +146,27 @@ def _decay_tolerance(seq: MomentSequence, n_lo: int) -> float:
 
 # -- C2: Krein --------------------------------------------------------------
 
-def krein(w: WeightFunction, x_cut: float = 1e4) -> KreinResult:
+def krein(w: WeightFunction) -> KreinResult:
     """Estimate int_0^inf -ln W(x^2)/(1+x^2) dx and classify it.
 
     The growth exponent beta in -ln W(x^2) ~ C x^beta is fitted on a
-    log-spaced tail sample.  When the tail law is certified by a closed
-    form the verdict uses the exact exponent 2*p; a quadrature-backed tail
-    cannot certify the asymptotics, so the verdict stays Undecided there.
-    Unless the verdict is Infinite, the integral up to X = min(x_cut, the
-    evaluable range) is summed by panelled Gauss-Legendre rules in ln x
-    (one vectorised density call per order, see _krein_body); a Finite
-    verdict adds the analytic tail C X^{beta-1} / (1 - beta).
+    tail sample spaced evenly in ln x.  When the tail law is certified by
+    a closed form the verdict uses the exact exponent 2*p; a
+    quadrature-backed tail cannot certify the asymptotics, so the verdict
+    stays Undecided there.  Unless the verdict is Infinite, the integral up
+    to X = e^{min(_KREIN_U_MAX, the evaluable range)} is summed by panelled
+    Gauss-Legendre rules in ln x (one vectorised density call per order,
+    see _krein_body); a Finite verdict adds the analytic tail
+    C X^{beta-1} / (1 - beta).
     """
     g, p = w.growth
-    # keep x^2 inside the density's evaluable range
-    x_top = _tail_limit(w)
-    xs = np.exp(np.linspace(math.log(x_top) - 4.0, math.log(x_top), 48))
-    neg_log = -w.log_evaluate(xs * xs)
+    # keep ln x^2 inside the density's evaluable range
+    u_top = _tail_limit(w)
+    us = np.linspace(u_top - 4.0, u_top, 48)
+    neg_log = -w.log_density(2.0 * us)
     if np.any(neg_log <= 0.0):
         raise InconclusiveError("density exceeds 1 in the fitting window")
-    fitted, _ = np.polyfit(np.log(xs), np.log(neg_log), 1)
+    fitted, _ = np.polyfit(us, np.log(neg_log), 1)
     fitted = float(fitted)
 
     beta_true = 2.0 * p
@@ -168,24 +176,24 @@ def krein(w: WeightFunction, x_cut: float = 1e4) -> KreinResult:
     if decided and beta_true >= 1.0:
         return KreinResult("Infinite", math.inf, fitted)
 
-    x_hi = min(x_cut, x_top)
-    body = _krein_body(w, math.log(x_hi))
+    u_hi = min(_KREIN_U_MAX, u_top)
+    body = _krein_body(w, u_hi)
     if not decided:
         return KreinResult("Undecided", float(body), fitted)
     # finite: add the analytic tail  int_X^inf C x^{beta-2} dx
-    c_coef = float(neg_log[-1] / xs[-1] ** beta_true)
-    tail = c_coef * x_hi ** (beta_true - 1.0) / (1.0 - beta_true)
+    c_coef = float(neg_log[-1]) * math.exp(-beta_true * u_top)
+    tail = c_coef * math.exp((beta_true - 1.0) * u_hi) / (1.0 - beta_true)
     return KreinResult("Finite", float(body + tail), fitted)
 
 
 def _krein_body(w: WeightFunction, u_hi: float) -> float:
     """int_0^{e^u_hi} -ln W(x^2)/(1+x^2) dx by panelled Gauss-Legendre.
 
-    In u = ln x the integrand is -ln W(e^{2u}) / (2 cosh u): analytic in a
-    strip |Im u| < pi/2 and, as -ln W grows at most linearly in u at the
-    origin, below e^{u} |u| times a constant for u -> -inf, so the range
-    starts at u = _KREIN_U_MIN.  The order doubles until two successive
-    orders agree to _KREIN_RTOL.
+    In u = ln x the integrand is -ln W at ln x = 2u over 2 cosh u: analytic
+    in a strip |Im u| < pi/2 and, as -ln W grows at most linearly in u at
+    the origin, below e^{u} |u| times a constant for u -> -inf, so the
+    range starts at u = _KREIN_U_MIN.  The order doubles until two
+    successive orders agree to _KREIN_RTOL.
     """
     n_panels = int(math.ceil((u_hi - _KREIN_U_MIN) / _KREIN_PANEL))
     edges = np.linspace(_KREIN_U_MIN, u_hi, n_panels + 1)
@@ -195,7 +203,7 @@ def _krein_body(w: WeightFunction, u_hi: float) -> float:
     for order in _KREIN_ORDERS:
         t, weights = leggauss(order)
         u = (mid + half * t).ravel()
-        f = -w.log_evaluate(np.exp(2.0 * u)) / (2.0 * np.cosh(u))
+        f = -w.log_density(2.0 * u) / (2.0 * np.cosh(u))
         body = float(np.dot((half * weights).ravel(), f))
         if abs(body - prev) <= _KREIN_RTOL * abs(body):
             return body
@@ -207,14 +215,14 @@ def _krein_body(w: WeightFunction, u_hi: float) -> float:
 
 
 def _tail_limit(w: WeightFunction) -> float:
-    """Largest x at which -ln W is safely evaluable (and x^2 likewise)."""
+    """Largest ln x at which -ln W at 2 ln x is safely evaluable."""
     g, p = w.growth
     if w.tail_certified:
         depth = 1e8  # closed forms evaluate anywhere in log domain
     else:
         from .weights import _LOG_DEPTH
         depth = _LOG_DEPTH - 2.0
-    return (depth / g) ** (1.0 / (2.0 * p))
+    return math.log(depth / g) / (2.0 * p)
 
 
 # -- C3: converse Carleman --------------------------------------------------
@@ -232,9 +240,8 @@ def converse_carleman(seq: MomentSequence, w: WeightFunction,
         raise ConstraintError(
             "converse Carleman criterion needs a convergent Carleman sum "
             f"(got {c1.verdict})")
-    x_top = _tail_limit(w)
-    y = np.linspace(-10.0, 2.0 * math.log(x_top), _CONVEXITY_POINTS)
-    psi = -w.log_evaluate(np.exp(y))
+    y = np.linspace(-10.0, 2.0 * _tail_limit(w), _CONVEXITY_POINTS)
+    psi = -w.log_density(y)
     h = y[1] - y[0]
     d2 = np.diff(psi, 2) / (h * h)
     # smallest y' beyond which every second difference is positive
@@ -250,14 +257,12 @@ def converse_carleman(seq: MomentSequence, w: WeightFunction,
 
 # -- combined report --------------------------------------------------------
 
-def full_report(seq: MomentSequence, w: WeightFunction,
-                n_verify: int = 6, verify_tol: float = 1e-4,
-                n_max: int = 200) -> CriterionReport:
+def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
     """Run all three criteria after verifying that w actually solves seq."""
     from .verify import check_moment
-    for n in range(n_verify + 1):
+    for n in range(_N_VERIFY + 1):
         res = check_moment(w, seq, n)
-        if res.rel_error > verify_tol:
+        if res.rel_error > _VERIFY_TOL:
             raise RefusesError(
                 f"density does not reproduce moment n={n} "
                 f"(relative error {res.rel_error:.2e}); criteria on a "
@@ -265,14 +270,14 @@ def full_report(seq: MomentSequence, w: WeightFunction,
 
     notes = []
     try:
-        c1 = carleman(seq, n_max=n_max)
+        c1 = carleman(seq)
     except UndecidedError as exc:
         notes.append(str(exc))
         c1 = CarlemanResult("Undecided", (), math.nan)
     else:
         expected = -0.5 * seq.sum_a
         if abs(c1.fitted_decay_exponent - expected) > _decay_tolerance(
-                seq, n_max // 2):
+                seq, _CARLEMAN_N_MAX // 2):
             notes.append(
                 "fitted Carleman decay exponent "
                 f"{c1.fitted_decay_exponent:.4f} disagrees with -A/2 = "

@@ -6,11 +6,12 @@ f = W for check_moment (target 1) and f = omega for check_vanishing
 stretched-exponential density to an ~e^{-g u} integrand; one window, the
 _WINDOW_DROP-nat range of the envelopes u^A e^{-g u} in v = ln u, and one
 summation serve both.  The integrand is evaluated in units of rho(n) from
-ln |f|, so neither x^{n+1} nor rho(n) is formed on its own, and each
-trapezoid grid, nested from _FIRST_GRID = 257 nodes until two successive
-grids agree, is summed panel-by-panel between sign changes with
-compensated arithmetic.  The default node cap allows grids up to 131,073
-nodes.
+ln |f| at ln x = v / p, so neither x, x^{n+1} nor rho(n) is formed on its
+own: densities take ln x, and only check_vanishing forms x for the
+perturbation.  Each trapezoid grid, nested from _FIRST_GRID = 257 nodes
+until two successive grids agree, is summed panel-by-panel between sign
+changes with compensated arithmetic.  The default node cap allows grids
+up to 131,073 nodes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import Perturbation
-from .errors import ConstraintError, ConvergenceError, TruncationError
+from .errors import ConstraintError, ConvergenceError
 from .moments import MomentSequence, log_moment
-from .weights import _LOG_DEPTH, WeightFunction
+from .weights import WeightFunction
 
 __all__ = ["MomentCheckResult", "check_moment", "check_vanishing"]
 
@@ -71,10 +72,7 @@ def _window(n, g, p, alpha0, beta):
     # with d = v - ln u_pk the envelope falls (A+1) d - g u_pk (e^d - 1)
     # <= (A+1) d + g u_pk below its peak, so this edge is _WINDOW_DROP down
     # (without the g u_pk term it is only ~10 nats down once A is ~100).
-    # Below p ln(tiny) x = e^{v/p} underflows to 0, and the envelope there
-    # is under e^{(A+1) v} <= tiny^{n+1+alpha0}.
-    v_lo = max(math.log(u_pk) - (_WINDOW_DROP + g * u_pk) / (big_a + 1.0),
-               p * math.log(np.finfo(float).tiny))
+    v_lo = math.log(u_pk) - (_WINDOW_DROP + g * u_pk) / (big_a + 1.0)
     return v_lo, math.log(u_hi)
 
 
@@ -103,7 +101,7 @@ def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
 def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
     """(int_0^inf x^n f(x) dx / rho(n), evaluations) on nested grids.
 
-    sign_log_f(x) returns (sign f, ln |f|).  In v = ln x^p the integrand
+    sign_log_f(ln x) returns (sign f, ln |f|).  In v = ln x^p the integrand
     sign(f) exp(((n+1)/p) v - ln p + ln|f| - ln rho(n)) is analytic on the
     whole line, so trapezoid doubling is spectral.  Each grid's sum is
     taken panel-by-panel between sign changes and combined with math.fsum;
@@ -112,7 +110,7 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
     total at once.
     """
     def integrand(v):
-        sign, log_f = sign_log_f(np.exp(v / p))
+        sign, log_f = sign_log_f(v / p)
         with np.errstate(under="ignore", over="ignore"):
             return sign * np.exp(((n + 1.0) / p) * v - math.log(p)
                                  + log_f - log_target)
@@ -147,21 +145,17 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     units of rho(n).  log_integral is ln I only while I/rho(n) stays in
     double range (past it, -inf or inf), so it is meaningful when w solves
     seq.
-    nodes_used counts the evaluations of ln W and node_cap bounds them.  A
-    density without a certified tail raises TruncationError when the window
-    passes its interpolant's end, where ln W reaches -_LOG_DEPTH.
+    nodes_used counts the evaluations of ln W and node_cap bounds them.  An
+    interpolated density raises TruncationError when the window passes its
+    interpolant's end, at the window's last node.
     """
     _check_n(n)
     g, p = w.growth
     log_target = log_moment(seq, n)
     v_lo, v_hi = _window(n, g, p, w.alpha0, w.seq.tail_exponent)
-    if not w.tail_certified and v_hi > math.log(_LOG_DEPTH / g):
-        raise TruncationError(
-            "integration window exceeds the certified density range; "
-            "the integrand has not decayed enough at the window edge")
     total, nodes_used = _moment_integral(
-        lambda x: (1.0, w.log_evaluate(x)), n, p, v_lo, v_hi, log_target,
-        node_cap)
+        lambda log_x: (1.0, w.log_density(log_x)), n, p, v_lo, v_hi,
+        log_target, node_cap)
     log_integral = (math.log(total) + log_target if total > 0.0
                     else -math.inf)
     return MomentCheckResult(int(n), log_integral, log_target,
@@ -174,15 +168,18 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
 
     rel_error is |I|/rho(n), and log_integral is ln |I|.  nodes_used
     counts the evaluations of omega and node_cap bounds them.  A non-finite
-    integrand raises ConvergenceError.
+    integrand raises ConvergenceError.  omega is evaluated at x, so the
+    window starts no lower than p ln(tiny), where x underflows to 0; the
+    envelope there is under e^{(A+1) v} <= tiny^{n+1+alpha0}.
     """
     _check_n(n)
     g, p = omega.growth
     log_target = log_moment(seq, n)
     v_lo, v_hi = _window(n, g, p, omega.seq.alpha0, omega.seq.tail_exponent)
+    v_lo = max(v_lo, p * math.log(np.finfo(float).tiny))
 
-    def sign_log_omega(x):
-        f = omega.evaluate(x)
+    def sign_log_omega(log_x):
+        f = omega.evaluate(np.exp(log_x))
         with np.errstate(divide="ignore"):
             return np.sign(f), np.log(np.abs(f))
     total, nodes_used = _moment_integral(sign_log_omega, n, p, v_lo, v_hi,

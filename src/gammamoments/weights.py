@@ -11,6 +11,12 @@ symbol evaluations).  A panel is accepted once its trailing coefficients
 are below 1e-11, so the interpolant certifies its own accuracy (about
 1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine's
 one-knot case directly, for cross-checks.
+
+Every density is evaluated in ln x: `WeightFunction.log_density` takes
+ln x and returns ln W, and the closed forms are written in ln x, so a
+caller working in ln x (the moment window, the criteria) never forms x,
+which leaves the double range long before ln W does.  `evaluate(x)` is the
+one entry in linear x.
 """
 
 from __future__ import annotations
@@ -49,18 +55,21 @@ class WeightFunction:
     growth = (g, p) means -ln W(x) ~ g x^p as x -> inf; alpha0 is the power
     at the origin (log factors aside).  tail_certified marks densities whose
     tail law comes from a closed form rather than from quadrature.
+    log_density maps ln x to ln W and raises DomainError at a non-finite
+    ln x; evaluate(x) checks 0 < x < inf and returns W(x).
     """
 
     name: str
     seq: MomentSequence
     alpha0: float
     growth: tuple  # (g, p)
-    log_evaluate: object = field(repr=False)  # callable: array x -> array ln W
+    log_density: object = field(repr=False)  # callable: array ln x -> ln W
     tail_certified: bool = False
 
     def evaluate(self, x):
+        log_x = np.log(_check_x(x))
         with np.errstate(under="ignore"):
-            return np.exp(self.log_evaluate(x))
+            return np.exp(self.log_density(log_x))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -73,13 +82,25 @@ def _check_x(x):
     return arr
 
 
+def _check_log_x(log_x):
+    arr = np.asarray(log_x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("density argument must satisfy -inf < ln x < inf")
+    return arr
+
+
 # -- family 1: moments (qn)!, density e^{-x^{1/q}} / (q x^{(q-1)/q}) --------
 
-def log_w1(q, x):
-    x = _check_x(x)
+def _log_w1(q, log_x):
+    """ln w1(q, x) at ln x."""
+    log_x = _check_log_x(log_x)
     if q < 1:
         raise DomainError(f"w1 requires q >= 1, got {q}")
-    return -np.log(q) - ((q - 1.0) / q) * np.log(x) - x ** (1.0 / q)
+    return -np.log(q) - ((q - 1.0) / q) * log_x - np.exp(log_x / q)
+
+
+def log_w1(q, x):
+    return _log_w1(q, np.log(_check_x(x)))
 
 
 def w1(q, x):
@@ -90,11 +111,16 @@ def w1(q, x):
 
 # -- family 2: moments [(rn)!]^2, density 2 K0(2 x^{1/2r}) / (r x^{(r-1)/r}) -
 
-def log_w2(r, x):
-    x = _check_x(x)
+def _log_w2(r, log_x):
+    """ln W2(r, x) at ln x."""
+    log_x = _check_log_x(log_x)
     _check_r(r)
-    return (np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * np.log(x)
-            + log_bessel_k0(2.0 * x ** (1.0 / (2.0 * r))))
+    return (np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
+            + log_bessel_k0(2.0 * np.exp(log_x / (2.0 * r))))
+
+
+def log_w2(r, x):
+    return _log_w2(r, np.log(_check_x(x)))
 
 
 def w2(r, x):
@@ -136,7 +162,7 @@ def weight_w1(q) -> WeightFunction:
     return WeightFunction(
         name=f"w1[q={q:g}]", seq=seq, alpha0=-(q - 1.0) / q,
         growth=(1.0, 1.0 / q),
-        log_evaluate=lambda x, q=q: log_w1(q, x),
+        log_density=lambda log_x, q=q: _log_w1(q, log_x),
         tail_certified=True)
 
 
@@ -145,7 +171,7 @@ def weight_tm1(r) -> WeightFunction:
     return WeightFunction(
         name=f"W1({r})", seq=tm1(r), alpha0=-(2.0 * r - 1.0) / (2.0 * r),
         growth=(1.0, 1.0 / (2.0 * r)),
-        log_evaluate=lambda x, r=r: log_w1(2 * r, x),
+        log_density=lambda log_x, r=r: _log_w1(2 * r, log_x),
         tail_certified=True)
 
 
@@ -154,7 +180,7 @@ def weight_tm2(r) -> WeightFunction:
     return WeightFunction(
         name=f"W2({r})", seq=tm2(r), alpha0=-(r - 1.0) / r,
         growth=(2.0, 1.0 / (2.0 * r)),
-        log_evaluate=lambda x, r=r: log_w2(r, x),
+        log_density=lambda log_x, r=r: _log_w2(r, log_x),
         tail_certified=True)
 
 
@@ -255,11 +281,12 @@ def _density_spline(seq: MomentSequence):
                              float(np.max(tail)))
 
 
-def _spline_log_evaluate(seq, x):
+def _spline_log_evaluate(seq, log_x):
+    """ln W at ln x from the interpolant of seq's density."""
     interp = _density_spline(seq)
-    arr = _check_x(x)
+    arr = _check_log_x(log_x)
     scalar = arr.ndim == 0
-    lx = np.atleast_1d(np.log(arr))
+    lx = np.atleast_1d(arr)
     lo, hi = interp.edges[0], interp.edges[-1]
     if np.any(lx > hi):
         raise TruncationError(
@@ -279,7 +306,7 @@ def weight_tm3(r) -> WeightFunction:
     return WeightFunction(
         name=f"W3({r})", seq=seq, alpha0=-(r - 1.0) / r,
         growth=(seq.tail_coefficient, seq.tail_power),
-        log_evaluate=lambda x, seq=seq: _spline_log_evaluate(seq, x),
+        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
         tail_certified=False)
 
 
@@ -289,7 +316,7 @@ def weight_tm4(r) -> WeightFunction:
     return WeightFunction(
         name=f"W4({r})", seq=seq, alpha0=-(2.0 * r - 1.0) / (2.0 * r),
         growth=(seq.tail_coefficient, seq.tail_power),
-        log_evaluate=lambda x, seq=seq: _spline_log_evaluate(seq, x),
+        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
         tail_certified=False)
 
 
@@ -315,5 +342,5 @@ def principal_solution(seq: MomentSequence) -> WeightFunction:
     return WeightFunction(
         name=f"W[{seq.descriptor()}]", seq=seq, alpha0=seq.alpha0,
         growth=(seq.tail_coefficient, seq.tail_power),
-        log_evaluate=lambda x, seq=seq: _spline_log_evaluate(seq, x),
+        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
         tail_certified=False)

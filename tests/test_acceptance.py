@@ -113,7 +113,7 @@ def test_05_nonuniqueness_demonstration():
         member = WeightFunction(
             name=f"tm1-member(eps={eps})", seq=seq, alpha0=base.alpha0,
             growth=base.growth,
-            log_evaluate=lambda x, e=eps: log_member(x, e),
+            log_density=lambda log_x, e=eps: log_member(np.exp(log_x), e),
             tail_certified=True)
         for n in range(9):
             worst = max(worst, check_moment(member, seq, n).rel_error)

@@ -13,7 +13,8 @@ from gammamoments import (ConstraintError, SearchError, class_member_tm1,
                           contour_log_density, find_gamma_max, omega1, omega2,
                           omega2_v, omega2_via_convolution, omega3,
                           omega3_via_convolution, perturbation_tm1,
-                          perturbation_tm2, perturbation_tm3, tm3, w1,
+                          perturbation_tm2, perturbation_tm3,
+                          principal_solution, tm3, w1,
                           weight_tm1, weight_tm2, weight_tm3)
 
 
@@ -74,7 +75,7 @@ class TestOmega3:
     def test_bounded_by_envelope(self):
         pert = perturbation_tm3(3, 1)
         xs = np.logspace(-2, 3, 40)
-        env = np.exp(pert.log_envelope(xs))
+        env = principal_solution(pert.seq).evaluate(xs)
         assert np.all(np.abs(pert.evaluate(xs)) <= env * (1 + 1e-9))
 
     def test_constraint_violation(self):
@@ -305,3 +306,20 @@ class TestPerturbationObjects:
             perturbation_tm2(2, 1)
         with pytest.raises(ConstraintError):
             perturbation_tm3(2, 2)
+
+    def test_build_evaluates_nothing(self, monkeypatch):
+        # the constructors check (r, k) directly: no omega value, and for
+        # the second family no complex-K0 quadrature, is computed
+        def evaluated(*args, **kwargs):
+            raise AssertionError("perturbation evaluated at build")
+        for name in ("w1", "bessel_k0_complex", "_contour_sums"):
+            monkeypatch.setattr(classes, name, evaluated)
+        perturbation_tm1(2, 1)
+        perturbation_tm2(3, 1)
+        perturbation_tm3(3, 1)
+
+    @pytest.mark.parametrize("r,k", [(2, 1), (3, -2), (4, 2)])
+    def test_third_family_needs_r_above_2k(self, r, k):
+        with pytest.raises(ConstraintError,
+                           match=r"third family requires r > 2\|k\|"):
+            perturbation_tm3(r, k)

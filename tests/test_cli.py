@@ -38,6 +38,15 @@ class TestJsonOutput:
         assert code == 0
         assert json.loads(out)["results"][0]["rel_error"] <= 1e-5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_large_r(self, capsys):
+        # the moment window reaches ln x > 709: x once overflowed to inf
+        # and the density raised DomainError (exit 1)
+        code, out, err = run(capsys, "moments", "--seq", "tm1:r=58",
+                             "--n", "2")
+        assert code == 0, err
+        assert json.loads(out)["results"][0]["rel_error"] <= 1e-12
+
     def test_moments_report_small_errors(self, capsys):
         code, out, _ = run(capsys, "moments", "--seq", "tm2:r=1",
                            "--n", "0..4")
@@ -61,6 +70,16 @@ class TestJsonOutput:
         assert payload["c1"]["verdict"] == "Convergent"
         assert (payload["overall"], code) in (("NonUnique", 0),
                                               ("Undecided", 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seq", ["tm1:r=20", "tm1:r=40", "tm1:r=200",
+                                     "tm2:r=40"])
+    def test_criteria_large_r(self, capsys, seq):
+        # Krein once squared x past the double range and the moment window
+        # was cut at the smallest double: exit 1 with a DomainError
+        code, out, err = run(capsys, "criteria", "--seq", seq)
+        assert code == 0, err
+        assert json.loads(out)["overall"] == "NonUnique"
 
     def test_criteria_full_terms(self, capsys):
         code, out, _ = run(capsys, "criteria", "--seq", "tm1:r=2",

@@ -115,10 +115,10 @@ class TestKrein:
         w = factory(1)
         calls = []
 
-        def counted(x):
-            calls.append(np.size(x))
-            return w.log_evaluate(x)
-        res = krein(dataclasses.replace(w, log_evaluate=counted))
+        def counted(log_x):
+            calls.append(np.size(log_x))
+            return w.log_density(log_x)
+        res = krein(dataclasses.replace(w, log_density=counted))
         assert res.verdict == "Infinite"
         assert res.integral_estimate == math.inf
         assert calls == [48]  # the tail fit only
@@ -141,9 +141,9 @@ class TestKrein:
         res = krein(w)
         assert res.verdict == "Finite"
         beta = 2.0 * w.growth[1]
-        x_top = float(np.exp(np.log(crit._tail_limit(w))))
-        c_coef = (float(-w.log_evaluate(np.float64(x_top * x_top)))
-                  / x_top ** beta)
+        u_top = crit._tail_limit(w)
+        c_coef = (float(-w.log_density(np.float64(2.0 * u_top)))
+                  * math.exp(-beta * u_top))
         tail = c_coef * 1e4 ** (beta - 1.0) / (1.0 - beta)
         want = self.KREIN_BODY[w.name] + tail
         assert abs(res.integral_estimate - want) <= abs(parent - want)
@@ -224,6 +224,6 @@ class TestFullReport:
         # contradictory; force the clash by faking the tail-integral result
         import gammamoments.criteria as crit
         fake = crit.KreinResult("Finite", 1.0, 0.5)
-        monkeypatch.setattr(crit, "krein", lambda w, x_cut=1e4: fake)
+        monkeypatch.setattr(crit, "krein", lambda w: fake)
         with pytest.raises(ConsistencyError):
             crit.full_report(tm1(1), weight_tm1(1))

@@ -50,24 +50,36 @@ class TestClosedFormMoments:
         # cuts the integral (b = 101: 5e-6 to 3e-5 at n = 0..8)
         nu = b - 1.0
 
-        def log_w(x):
-            z = 2.0 * np.sqrt(x)
+        def log_w(log_x):
+            z = 2.0 * np.exp(0.5 * log_x)
             with np.errstate(over="ignore", divide="ignore"):
                 log_k = np.log(scipy.special.kve(nu, z)) - z
             # where K_nu overflows, its small-z series to (z/2)^4
             small = ~np.isfinite(log_k)
-            xs = x[small]
+            xs = np.exp(log_x[small])
             log_k[small] = (math.lgamma(nu) - math.log(2.0)
-                            - 0.5 * nu * np.log(xs)
+                            - 0.5 * nu * log_x[small]
                             + np.log1p(-xs / (nu - 1.0) + xs * xs
                                        / (2.0 * (nu - 1.0) * (nu - 2.0))))
-            return math.log(2.0) + 0.5 * nu * np.log(x) + log_k
+            return math.log(2.0) + 0.5 * nu * log_x + log_k
         seq = gamma_product([(1, 1), (1, b)])
         w = WeightFunction(f"K[nu={nu:g}]", seq, 0.0, (2.0, 0.5), log_w,
                            tail_certified=True)
         assert seq.tail_exponent == pytest.approx((b - 1.5) / 2.0)
         for n in range(9):
             assert check_moment(w, seq, n).rel_error <= 1e-10
+
+    @pytest.mark.parametrize("seq", [tm1(20), tm1(30), tm1(40), tm1(58),
+                                     tm1(200), tm2(40)],
+                             ids=lambda seq: seq.descriptor())
+    def test_large_r_window_leaves_double_range(self, seq):
+        # the window in v = p ln x spans ln x below the smallest double
+        # (where a cut of the window lost tm1:r=30 7.5e-6 at n = 0) and
+        # past ln x = 709 (where W at x = inf raised DomainError for
+        # tm1:r=58 at n = 2); densities evaluated in ln x need neither
+        w = principal_solution(seq)
+        for n in range(3):
+            assert check_moment(w, seq, n).rel_error <= 1e-12
 
 
 class TestInterpolatedMoments:
@@ -130,10 +142,10 @@ class TestHarnessPlumbing:
         base = principal_solution(seq)
         sizes = []
 
-        def counted(x):
-            sizes.append(np.size(x))
-            return base.log_evaluate(x)
-        res = check_moment(dataclasses.replace(base, log_evaluate=counted),
+        def counted(log_x):
+            sizes.append(np.size(log_x))
+            return base.log_density(log_x)
+        res = check_moment(dataclasses.replace(base, log_density=counted),
                            seq, 4)
         assert res.nodes_used == sum(sizes)
         # the 257-node grid, then per refinement only its new midpoints;
@@ -155,7 +167,7 @@ class TestHarnessPlumbing:
         import dataclasses
         base = weight_tm2(2)
         w = dataclasses.replace(
-            base, log_evaluate=lambda x: base.log_evaluate(x) + 800.0)
+            base, log_density=lambda log_x: base.log_density(log_x) + 800.0)
         res = check_moment(w, tm2(2), 3)
         assert res.rel_error == math.inf and not res.passed
         with pytest.raises(RefusesError, match="n=0"):

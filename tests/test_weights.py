@@ -41,6 +41,34 @@ class TestClosedForms:
             w2(0, 1.0)
 
 
+class TestLogArgument:
+    @pytest.mark.parametrize("factory,r", [(weight_tm1, 2), (weight_tm2, 3),
+                                           (weight_tm3, 1)])
+    def test_nonfinite_log_x_raises(self, factory, r):
+        w = factory(r)
+        for bad in (-math.inf, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                w.log_density(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_evaluate_checks_x(self, x):
+        with pytest.raises(DomainError):
+            weight_tm1(2).evaluate(np.array([1.0, x]))
+
+    def test_closed_forms_beyond_double_range(self):
+        # ln W at ln x = +-2000, where x itself is 0 or inf in doubles
+        lx = np.array([-2000.0, 2000.0])
+        want1 = -math.log(40.0) - (39.0 / 40.0) * lx - np.exp(lx / 40.0)
+        got1 = weight_tm1(20).log_density(lx)
+        assert np.allclose(got1, want1, rtol=1e-15, atol=0.0)
+        # W2(40): K0(z) ~ -ln(z/2) - Euler gamma at z = 2 e^{-25}
+        got2 = weight_tm2(40).log_density(lx[:1])[0]
+        k0 = 25.0 - 0.5772156649015329
+        want2 = math.log(2.0 / 40.0) + (39.0 / 40.0) * 2000.0 + math.log(k0)
+        assert got2 == pytest.approx(want2, rel=1e-14)
+        assert np.all(np.isfinite(weight_tm2(40).log_density(lx)))
+
+
 class TestWeightObjects:
     def test_tm1_metadata(self):
         w = weight_tm1(2)
@@ -62,10 +90,10 @@ class TestWeightObjects:
                              (tm3(1), weight_tm3), (tm4(1), weight_tm4)]:
             assert principal_solution(seq).name == factory(seq.r).name
 
-    def test_evaluate_matches_log_evaluate(self):
+    def test_evaluate_matches_log_density(self):
         w = weight_tm2(2)
         xs = np.logspace(-3, 3, 11)
-        assert np.allclose(w.evaluate(xs), np.exp(w.log_evaluate(xs)),
+        assert np.allclose(w.evaluate(xs), np.exp(w.log_density(np.log(xs))),
                            rtol=1e-15)
 
 
@@ -74,20 +102,20 @@ class TestOriginExponent:
         # ln W ~ alpha0 ln x near the origin; tm1 is a pure power there
         w = weight_tm1(2)
         xs = np.logspace(-14, -12, 12)
-        slope, _ = np.polyfit(np.log(xs), w.log_evaluate(xs), 1)
+        slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         assert slope == pytest.approx(w.alpha0, abs=0.01)
 
     def test_alpha0_slope_fit_tm2(self):
         # the K0 origin behaviour adds a ln ln(1/x) correction ~ 1/ln(1/x)
         w = weight_tm2(3)
         xs = np.logspace(-14, -12, 12)
-        slope, _ = np.polyfit(np.log(xs), w.log_evaluate(xs), 1)
+        slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         assert slope == pytest.approx(w.alpha0, abs=0.05)
 
     def test_alpha0_slope_fit_spline(self):
         w = weight_tm4(1)
         xs = np.logspace(-14, -12, 12)
-        slope, _ = np.polyfit(np.log(xs), w.log_evaluate(xs), 1)
+        slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         # K0-type log factor perturbs the pure power slightly
         assert slope == pytest.approx(w.alpha0, abs=0.05)
 
@@ -108,12 +136,12 @@ class TestSplineDensities:
     def test_positive_on_wide_grid(self):
         w = weight_tm3(2)
         xs = np.logspace(-18, 10, 400)
-        assert np.all(np.isfinite(w.log_evaluate(xs)))
+        assert np.all(np.isfinite(w.log_density(np.log(xs))))
 
     def test_beyond_window_raises(self):
         w = weight_tm3(1)
         with pytest.raises(TruncationError):
-            w.log_evaluate(np.float64(1e40))
+            w.log_density(np.float64(math.log(1e40)))
 
 
 _CONTOUR_SEQS = pytest.mark.parametrize(
@@ -144,7 +172,7 @@ class TestPanelInterpolant:
                              edges[[0, -1]]])
         want, sign = contour_log_densities(seq, lx)
         assert np.all(sign > 0)
-        got = weights._spline_log_evaluate(seq, np.exp(lx))
+        got = weights._spline_log_evaluate(seq, lx)
         assert np.max(np.abs(got - want)) <= 1e-10
         assert 0.0 < interp.error <= 1e-10
 
@@ -159,7 +187,7 @@ class TestPanelInterpolant:
         assert interp.edge_slope() == pytest.approx(
             (w_plus - w_minus) / (2.0 * h), abs=1e-6)
         lx = lo - np.array([1e-6, 1.0, 30.0])
-        got = weights._spline_log_evaluate(seq, np.exp(lx))
+        got = weights._spline_log_evaluate(seq, lx)
         assert np.allclose(got, w_lo + interp.edge_slope() * (lx - lo),
                            rtol=0.0, atol=1e-10)
 
