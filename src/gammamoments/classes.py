@@ -7,6 +7,14 @@ by the contour engine (the convolution route is kept as an oracle).  Class
 members are principal solution + amplitude * omega; for the second family
 the admissible amplitude is found by a grid search over the oscillating
 ratio V/K0, refined by zooming in on the worst grid point.
+
+Perturbations are evaluated in ln x, as densities are:
+`Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
+moment window never forms x.  omega1 is ln w1 plus ln |sine factor|,
+omega2 is ln W2 plus ln |V/K0| (the ratio the amplitude search scans, from
+SciPy's scaled Bessel functions), and omega3 keeps the scale and
+ln |Im total| of its contour sums.  `evaluate(x)` and the omega functions
+are the entries in linear x.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ import numpy as np
 from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .special import bessel_k0_complex
-from .weights import log_w1, log_w2, w1, w2, weight_tm2, weight_tm3
+from .special import log_bessel_k0
+from .weights import (_log_w1, _log_w2, log_w1, log_w2, w1, w2, weight_tm2,
+                      weight_tm3)
 
 __all__ = [
     "Perturbation",
@@ -43,17 +52,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A function on (0, inf) whose Stieltjes moments all vanish."""
+    """A function on (0, inf) whose Stieltjes moments all vanish.
+
+    log_density maps ln x to (sign omega, ln |omega|); evaluate(x) checks
+    0 < x < inf and returns omega(x).
+    """
 
     family: str  # "tm1" | "tm2" | "tm3"
     r: int
     k: int
     seq: MomentSequence  # yardstick rho(n) for "vanishing"
     growth: tuple  # (g, p): -ln |omega| <~ g x^p in the tail
-    evaluate: object = field(repr=False)  # callable, vectorized
+    log_density: object = field(repr=False)  # array ln x -> (sign, ln |omega|)
+
+    def evaluate(self, x):
+        return _at_x(self.log_density, x)
 
     def __call__(self, x):
         return self.evaluate(x)
+
+
+def _at_x(log_density, x):
+    """omega(x) from its log form; a scalar x gives a float."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise ConstraintError("perturbation requires 0 < x < inf")
+    sign, log_abs = log_density(np.log(arr))
+    with np.errstate(under="ignore"):
+        out = sign * np.exp(log_abs)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _signed_log(log_rest, factor):
+    """(sign factor, log_rest + ln |factor|); a zero factor gives -inf."""
+    with np.errstate(divide="ignore"):
+        return np.sign(factor), log_rest + np.log(np.abs(factor))
 
 
 def _check_k(k):
@@ -63,10 +96,15 @@ def _check_k(k):
 
 # -- family 1 ---------------------------------------------------------------
 
-def _sine_factor(q, k, x):
+def _sine_factor(q, k, log_x):
     phase0 = k * math.pi * (q - 1.0) / q
     slope = math.tan(k * math.pi / q)
-    return np.sin(phase0 + np.asarray(x, dtype=float) ** (1.0 / q) * slope)
+    return np.sin(phase0 + np.exp(log_x / q) * slope)
+
+
+def _log_omega1(q, k, log_x):
+    """(sign, ln |omega1_general(q, k, x)|) at ln x."""
+    return _signed_log(_log_w1(q, log_x), _sine_factor(q, k, log_x))
 
 
 def omega1_general(q, k, x):
@@ -74,7 +112,7 @@ def omega1_general(q, k, x):
     _check_k(k)
     if q <= 2 * abs(k):
         raise ConstraintError(f"omega1 factor requires q > 2|k| (q={q}, k={k})")
-    return w1(q, x) * _sine_factor(q, k, x)
+    return _at_x(lambda log_x: _log_omega1(q, k, log_x), x)
 
 
 def _check_tm1(r, k):
@@ -85,15 +123,14 @@ def _check_tm1(r, k):
 
 def omega1(r, k, x):
     """First-family perturbation; the side condition is r > |k|."""
-    _check_tm1(r, k)
-    return omega1_general(2 * r, k, x)
+    return perturbation_tm1(r, k).evaluate(x)
 
 
 def perturbation_tm1(r, k) -> Perturbation:
     _check_tm1(r, k)
     return Perturbation(
         family="tm1", r=r, k=k, seq=tm1(r), growth=(1.0, 1.0 / (2.0 * r)),
-        evaluate=lambda x, r=r, k=k: omega1(r, k, x))
+        log_density=lambda log_x, r=r, k=k: _log_omega1(2 * r, k, log_x))
 
 
 # -- family 2 ---------------------------------------------------------------
@@ -116,27 +153,32 @@ def _v_phase(r, k):
 def omega2_v(r, k, x):
     """The oscillating factor V: Re[e^{i pi(1/2 - k(r-1)/r)} K0(2 x^{1/2r} beta)]."""
     _check_tm2(r, k)
-    u = np.asarray(x, dtype=float) ** (1.0 / (2.0 * r))
-    vals = bessel_k0_complex(2.0 * u * _beta(r, k))
-    out = np.real(_v_phase(r, k) * vals)
-    return float(out) if np.isscalar(x) else out
+
+    def log_v(log_x):
+        u = np.exp(log_x / (2.0 * r))
+        return _signed_log(log_bessel_k0(2.0 * u), _ratio_v_over_k0(r, k, u))
+    return _at_x(log_v, x)
+
+
+def _log_omega2(r, k, log_x):
+    """(sign, ln |omega2|) at ln x: ln W2 + ln |V/K0|."""
+    return _signed_log(_log_w2(r, log_x),
+                       _ratio_v_over_k0(r, k, np.exp(log_x / (2.0 * r))))
 
 
 def omega2(r, k, x):
-    """Second-family perturbation, closed form via complex K0."""
-    xa = np.asarray(x, dtype=float)
-    out = 2.0 / (r * xa ** ((r - 1.0) / r)) * omega2_v(r, k, x)
-    return float(out) if np.isscalar(x) else out
+    """Second-family perturbation, W2 times the complex-K0 ratio V/K0."""
+    return perturbation_tm2(r, k).evaluate(x)
 
 
-def omega2_via_convolution(r, k, x, rtol=1e-9):
+def omega2_via_convolution(r, k, x):
     """Same function by the convolution route (half-index densities)."""
     _check_tm2(r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w1(r, v),
         lambda v: omega1_general(r, k, v),
-        xs, rtol=rtol,
+        xs,
         log_f=lambda v: log_w1(r, v),
         log_g=lambda v: log_w1(r, v))
     return float(out[0]) if np.isscalar(x) else out
@@ -146,10 +188,13 @@ def perturbation_tm2(r, k) -> Perturbation:
     _check_tm2(r, k)
     return Perturbation(
         family="tm2", r=r, k=k, seq=tm2(r), growth=(2.0, 1.0 / (2.0 * r)),
-        evaluate=lambda x, r=r, k=k: omega2(r, k, x))
+        log_density=lambda log_x, r=r, k=k: _log_omega2(r, k, log_x))
 
 
 # -- family 3 ---------------------------------------------------------------
+
+_OMEGA3_RTOL = 1e-9  # relative change that settles an omega3 contour sum
+
 
 def _check_tm3(r, k):
     # r > 2|k| makes the convolution partner omega1_general(r, k) decay
@@ -158,8 +203,8 @@ def _check_tm3(r, k):
         raise ConstraintError(f"third family requires r > 2|k| (r={r}, k={k})")
 
 
-def omega3(r, k, x, rtol=1e-9):
-    """Third-family perturbation W2 * omega1_general(r, k), by one contour.
+def _log_omega3(r, k, log_x):
+    """(sign, ln |omega3|) at ln x: W2 * omega1_general(r, k), by one contour.
 
     With theta = k pi / r, omega1_general(r, k, x) = sec^{r-1}(theta)
     Im w1(r, lambda x), log lambda = r ln sec(theta) - i k pi, the
@@ -169,26 +214,28 @@ def omega3(r, k, x, rtol=1e-9):
     omega3(r, k, x) = sec^{r-1}(theta) Im W3(r, lambda x): the tm3 contour
     sum with e^{i k pi s} in the symbol, at L = ln x + r ln sec(theta).
     """
-    _check_tm3(r, k)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0):
-        raise ConstraintError("omega3 requires x > 0")
+    lx = np.asarray(log_x, dtype=float)
     log_sec = -math.log(math.cos(math.pi * k / r))
-    scale, total = _contour_sums(tm3(r), np.log(xs) + r * log_sec,
-                                 math.pi * k, rtol)
-    with np.errstate(under="ignore"):
-        out = np.exp(scale + (r - 1) * log_sec) * (total.imag / (2.0 * np.pi))
-    return float(out[0]) if np.isscalar(x) else out
+    scale, total = _contour_sums(tm3(r), lx + r * log_sec, math.pi * k,
+                                 _OMEGA3_RTOL)
+    sign, log_abs = _signed_log(scale + (r - 1) * log_sec
+                                - math.log(2.0 * math.pi), total.imag)
+    return sign.reshape(lx.shape), log_abs.reshape(lx.shape)
 
 
-def omega3_via_convolution(r, k, x, rtol=1e-9):
+def omega3(r, k, x):
+    """Third-family perturbation W2 * omega1_general(r, k), by one contour."""
+    return perturbation_tm3(r, k).evaluate(x)
+
+
+def omega3_via_convolution(r, k, x):
     """Same function by the convolution route, W2 * omega1_general(r, k)."""
     _check_tm3(r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w2(r, v),
         lambda v: omega1_general(r, k, v),
-        xs, rtol=rtol,
+        xs,
         log_f=lambda v: log_w2(r, v),
         log_g=lambda v: log_w1(r, v))
     return float(out[0]) if np.isscalar(x) else out
@@ -200,7 +247,7 @@ def perturbation_tm3(r, k) -> Perturbation:
     return Perturbation(
         family="tm3", r=r, k=k, seq=seq,
         growth=(seq.tail_coefficient, seq.tail_power),
-        evaluate=lambda x, r=r, k=k: omega3(r, k, x))
+        log_density=lambda log_x, r=r, k=k: _log_omega3(r, k, log_x))
 
 
 # -- class members ----------------------------------------------------------
@@ -210,7 +257,7 @@ def class_member_tm1(r, k, eps, x):
     if not abs(eps) < 1.0:  # NaN fails too
         raise ConstraintError(f"first family needs |eps| < 1, got {eps}")
     _check_tm1(r, k)
-    return w1(2 * r, x) * (1.0 + eps * _sine_factor(2 * r, k, x))
+    return w1(2 * r, x) * (1.0 + eps * _sine_factor(2 * r, k, np.log(x)))
 
 
 def class_member_tm2(r, k, gamma, x, gamma_bound=None):
@@ -226,7 +273,7 @@ def class_member_tm2(r, k, gamma, x, gamma_bound=None):
     return weight_tm2(r).evaluate(xa) * (1.0 + gamma * ratio)
 
 
-def class_member_tm3(r, k, gamma, x, rtol=1e-9):
+def class_member_tm3(r, k, gamma, x):
     """W3 + gamma * omega3; the family the construction implies for [(rn)!]^3.
 
     No closed positivity bound exists here; callers certify nonnegativity
@@ -234,7 +281,7 @@ def class_member_tm3(r, k, gamma, x, rtol=1e-9):
     """
     _check_tm3_amplitude(gamma)
     xa = np.asarray(x, dtype=float)
-    return weight_tm3(r).evaluate(xa) + gamma * omega3(r, k, xa, rtol=rtol)
+    return weight_tm3(r).evaluate(xa) + gamma * omega3(r, k, xa)
 
 
 def _check_tm3_amplitude(gamma):
@@ -256,15 +303,20 @@ def _ratio_v_over_k0(r, k, u):
 
     K0(z) = kve(0, z) e^{-z}, so the ratio is
     Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
-    finite where V underflows and 1/K0 overflows.
+    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
+    _KVE_MAX_ABS, where kve returns nan, both functions take their
+    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
+    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
     """
     from scipy.special import k0e, kve
 
     _check_tm2(r, k)
     beta = _beta(r, k)
     z = 2.0 * np.asarray(u, dtype=float)
-    scaled = kve(0, z * beta) * np.exp(-z * (beta - 1.0))
-    return np.real(_v_phase(r, k) * scaled) / k0e(z)
+    decay = np.exp(-z * (beta - 1.0))
+    ratio = np.real(_v_phase(r, k) * (kve(0, z * beta) * decay)) / k0e(z)
+    far = np.abs(z * beta) > _KVE_MAX_ABS
+    return np.where(far, np.real(_v_phase(r, k) * beta ** -0.5 * decay), ratio)
 
 
 def find_gamma_max(r, k):

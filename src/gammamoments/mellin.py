@@ -25,7 +25,7 @@ reference the tests compare the engine against.
 The same engine serves perturbations whose transform is a density symbol
 phi(s) times e^{i psi s}: it returns the complex sums
 (1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
-saddle of each band (see `classes.omega3`).
+saddle of each band (see `classes._log_omega3`).
 
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
@@ -63,6 +63,10 @@ _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
 _BAND_LOSS = np.log(10.0)  # off-saddle cancellation a band member may pay
 _BLOCK = 1 << 17  # complex entries per matrix of a phase-sum chunk of knots
+_RTOL = 1e-10  # change in ln W between nested grids that settles a density
+_MAX_POINTS = 1 << 17  # cap on a band's coarsest grid, floor of its finest
+_CONVOLVE_RTOL = 1e-9  # relative change that settles a convolution
+_CONVOLVE_DEPTH = 14  # nested grids a convolution may take
 
 
 @dataclass(frozen=True)
@@ -275,34 +279,32 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     return ContourSpec(c, t_max, n)
 
 
-def contour_log_density(seq: MomentSequence, x: float, rtol: float = 1e-10,
-                        max_points: int = 1 << 17):
+def contour_log_density(seq: MomentSequence, x: float):
     """(log W(x), sign) for the principal density, by self-converging contour."""
     if not x > 0:
         raise ConstraintError("contour density requires x > 0")
-    log_w, sign = contour_log_densities(seq, np.log([x]), rtol, max_points)
+    log_w, sign = contour_log_densities(seq, np.log([x]))
     return float(log_w[0]), float(sign[0])
 
 
-def contour_density(seq: MomentSequence, x: float, rtol: float = 1e-10) -> float:
-    log_val, sign = contour_log_density(seq, x, rtol)
+def contour_density(seq: MomentSequence, x: float) -> float:
+    log_val, sign = contour_log_density(seq, x)
     return sign * float(np.exp(log_val))
 
 
-def contour_log_densities(seq: MomentSequence, log_x, rtol: float = 1e-10,
-                          max_points: int = 1 << 17):
+def contour_log_densities(seq: MomentSequence, log_x):
     """(log W, sign) arrays of the principal density at every x = e^{log_x}.
 
-    Each knot is accepted once two successive nested grids agree to rtol
-    in log W with the same sign; the finest grid has max(max_points,
+    Each knot is accepted once two successive nested grids agree to _RTOL
+    in log W with the same sign; the finest grid has max(_MAX_POINTS,
     4 n) intervals, n being the band's phase-resolved point count.  A
-    band whose coarsest grid (n / 16 intervals) would exceed max_points
+    band whose coarsest grid (n / 16 intervals) would exceed _MAX_POINTS
     raises ConvergenceError before its symbol is evaluated.
     """
-    return _log_values(*_contour_sums(seq, log_x, 0.0, rtol, max_points))
+    return _log_values(*_contour_sums(seq, log_x, 0.0, _RTOL))
 
 
-def _contour_sums(seq, log_x, psi, rtol, max_points=1 << 17):
+def _contour_sums(seq, log_x, psi, rtol):
     """Band-shared contour sums at every L in log_x.
 
     Returns (scale, total) with
@@ -327,8 +329,7 @@ def _contour_sums(seq, log_x, psi, rtol, max_points=1 << 17):
     for band in _bands(lx[order], s_star.real[order], f_star[order]):
         idx = order[band]
         centre = s_star[order[(band.start + band.stop - 1) // 2]]
-        scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol,
-                                            max_points)
+        scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol)
     return scale, total
 
 
@@ -358,7 +359,7 @@ def _bands(lx, c_star, phi_star):
         start = stop
 
 
-def _band_sums(seq, psi, centre, lx, rtol, max_points):
+def _band_sums(seq, psi, centre, lx, rtol):
     """Self-converging nested trapezoid sums for the knots lx around centre.
 
     The nodes are centre + i tau, tau on [-t_max, t_max]; the phase
@@ -367,12 +368,12 @@ def _band_sums(seq, psi, centre, lx, rtol, max_points):
     c, t0 = centre.real, centre.imag
     spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))), psi, t0)
     n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
-    if n > max_points:
+    if n > _MAX_POINTS:
         x = float(np.exp(lx[np.argmax(np.abs(lx))]))
         raise ConvergenceError(
             f"contour at x={x} needs a coarsest grid of {n} intervals, "
-            f"more than max_points={max_points}")
-    cap = max(max_points, 4 * spec.n_points)
+            f"more than max_points={_MAX_POINTS}")
+    cap = max(_MAX_POINTS, 4 * spec.n_points)
     h = 2.0 * spec.t_max / n
     tau = -spec.t_max + h * np.arange(n + 1)
     phi = _line_symbol(seq, psi, centre + 1j * tau)
@@ -485,18 +486,18 @@ def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):
     return u[alive[0]] - pad, u[alive[-1]] + pad, m
 
 
-def mellin_convolve(f, g, x, rtol: float = 1e-9, max_depth: int = 14) -> float:
+def mellin_convolve(f, g, x) -> float:
     """int_0^inf f(x/t) g(t) dt/t by trapezoid doubling after t = e^u."""
-    return float(mellin_convolve_many(f, g, np.asarray([x], dtype=float),
-                                      rtol=rtol, max_depth=max_depth)[0])
+    return float(mellin_convolve_many(f, g, np.asarray([x], dtype=float))[0])
 
 
-def mellin_convolve_many(f, g, xs, rtol: float = 1e-9, max_depth: int = 14,
-                         log_f=None, log_g=None):
+def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
     """Vectorized Mellin convolution on an array of evaluation points.
 
     f and g must accept numpy arrays.  When log_f/log_g are given, the
     support scan runs in log domain (needed when the factors underflow).
+    Each value is accepted once two successive nested grids agree to
+    _CONVOLVE_RTOL (plus a roundoff floor), within _CONVOLVE_DEPTH grids.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs <= 0):
@@ -513,13 +514,12 @@ def mellin_convolve_many(f, g, xs, rtol: float = 1e-9, max_depth: int = 14,
                and lx[stop] - lx[start] <= 4.0):
             stop += 1
         idx = order[start:stop]
-        out[idx] = _convolve_chunk(f, g, sorted_xs[start:stop], rtol, max_depth,
-                                   log_f, log_g)
+        out[idx] = _convolve_chunk(f, g, sorted_xs[start:stop], log_f, log_g)
         start = stop
     return out
 
 
-def _convolve_chunk(f, g, xs, rtol, max_depth, log_f, log_g):
+def _convolve_chunk(f, g, xs, log_f, log_g):
     lf = log_f if log_f is not None else _log_abs_wrap(f)
     lg = log_g if log_g is not None else _log_abs_wrap(g)
 
@@ -539,11 +539,11 @@ def _convolve_chunk(f, g, xs, rtol, max_depth, log_f, log_g):
     n = 257
     prev = None
     prev_abs = None
-    for _ in range(max_depth):
+    for _ in range(_CONVOLVE_DEPTH):
         if xs.size * n > 50_000_000:
             raise ConvergenceError(
                 "mellin convolution grid exceeded the memory budget before "
-                f"reaching rtol={rtol}")
+                f"reaching rtol={_CONVOLVE_RTOL}")
         u = np.linspace(u_lo, u_hi, n)
         t = np.exp(u)
         with np.errstate(under="ignore"):
@@ -558,12 +558,13 @@ def _convolve_chunk(f, g, xs, rtol, max_depth, log_f, log_g):
             # near zero crossings |vals| << abs_vals; roundoff on the
             # cancelling sum caps the achievable absolute accuracy there
             floor = 1e-12 * np.maximum(abs_vals, prev_abs)
-            if np.all(err <= rtol * np.abs(vals) + floor):
+            if np.all(err <= _CONVOLVE_RTOL * np.abs(vals) + floor):
                 return vals
         prev, prev_abs = vals, abs_vals
         n = 2 * (n - 1) + 1
     raise ConvergenceError(
-        f"mellin convolution failed to reach rtol={rtol} after {max_depth} levels")
+        f"mellin convolution failed to reach rtol={_CONVOLVE_RTOL} after "
+        f"{_CONVOLVE_DEPTH} levels")
 
 
 def _log_abs_wrap(func):

@@ -7,7 +7,10 @@ package: a process that never evaluates one (the first family's closed
 form, `--help`, a usage error) does not pay for it.  Complex K0 is the
 Sommerfeld integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a
 vectorised, self-checking trapezoid rule below |z| = 30, and the
-asymptotic series above.
+asymptotic series above.  No function of the package calls it: the
+second family takes its complex-K0 ratio from SciPy's scaled Bessel
+functions (`classes._ratio_v_over_k0`), and bessel_k0_complex stays a
+public function that the tests and the benchmark hold against mpmath.
 """
 
 import warnings

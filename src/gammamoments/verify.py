@@ -6,12 +6,12 @@ f = W for check_moment (target 1) and f = omega for check_vanishing
 stretched-exponential density to an ~e^{-g u} integrand; one window, the
 _WINDOW_DROP-nat range of the envelopes u^A e^{-g u} in v = ln u, and one
 summation serve both.  The integrand is evaluated in units of rho(n) from
-ln |f| at ln x = v / p, so neither x, x^{n+1} nor rho(n) is formed on its
-own: densities take ln x, and only check_vanishing forms x for the
-perturbation.  Each trapezoid grid, nested from _FIRST_GRID = 257 nodes
-until two successive grids agree, is summed panel-by-panel between sign
-changes with compensated arithmetic.  The default node cap allows grids
-up to 131,073 nodes.
+(sign f, ln |f|) at ln x = v / p, which densities and perturbations both
+return, so neither x, x^{n+1} nor rho(n) is formed on its own.  Each
+trapezoid grid, nested from _FIRST_GRID = 257 nodes until two successive
+grids agree, is summed panel-by-panel between sign changes with
+compensated arithmetic.  The default node cap allows grids up to 131,073
+nodes.
 """
 
 from __future__ import annotations
@@ -167,22 +167,14 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
     """Verify int_0^inf x^n omega(x) dx = 0, measured relative to rho(n).
 
     rel_error is |I|/rho(n), and log_integral is ln |I|.  nodes_used
-    counts the evaluations of omega and node_cap bounds them.  A non-finite
-    integrand raises ConvergenceError.  omega is evaluated at x, so the
-    window starts no lower than p ln(tiny), where x underflows to 0; the
-    envelope there is under e^{(A+1) v} <= tiny^{n+1+alpha0}.
+    counts the evaluations of omega.log_density and node_cap bounds them.
+    A non-finite integrand raises ConvergenceError.
     """
     _check_n(n)
     g, p = omega.growth
     log_target = log_moment(seq, n)
     v_lo, v_hi = _window(n, g, p, omega.seq.alpha0, omega.seq.tail_exponent)
-    v_lo = max(v_lo, p * math.log(np.finfo(float).tiny))
-
-    def sign_log_omega(log_x):
-        f = omega.evaluate(np.exp(log_x))
-        with np.errstate(divide="ignore"):
-            return np.sign(f), np.log(np.abs(f))
-    total, nodes_used = _moment_integral(sign_log_omega, n, p, v_lo, v_hi,
+    total, nodes_used = _moment_integral(omega.log_density, n, p, v_lo, v_hi,
                                          log_target, node_cap)
     if math.isinf(total):
         raise ConvergenceError(

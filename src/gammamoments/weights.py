@@ -130,25 +130,25 @@ def w2(r, x):
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------
 
-def w3(r, x, rtol=1e-10):
+def w3(r, x):
     """Principal density with moments [(rn)!]^3; direct contour evaluation."""
     _check_r(r)
     _check_x(x)
-    return contour_density(tm3(r), float(x), rtol)
+    return contour_density(tm3(r), float(x))
 
 
-def w4(r, x, rtol=1e-10):
+def w4(r, x):
     """Principal density with moments (2rn)! [(rn)!]^2; direct contour."""
     _check_r(r)
     _check_x(x)
-    return contour_density(tm4(r), float(x), rtol)
+    return contour_density(tm4(r), float(x))
 
 
-def w4_via_convolution(r, x, rtol=1e-9):
+def w4_via_convolution(r, x):
     """Same density through the convolution of the first two families."""
     a = weight_tm1(r)
     b = weight_tm2(r)
-    return mellin_convolve(a.evaluate, b.evaluate, float(x), rtol=rtol)
+    return mellin_convolve(a.evaluate, b.evaluate, float(x))
 
 
 # -- WeightFunction factories ----------------------------------------------

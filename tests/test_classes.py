@@ -14,7 +14,7 @@ from gammamoments import (ConstraintError, SearchError, class_member_tm1,
                           omega2_v, omega2_via_convolution, omega3,
                           omega3_via_convolution, perturbation_tm1,
                           perturbation_tm2, perturbation_tm3,
-                          principal_solution, tm3, w1,
+                          principal_solution, tm3, w1, w2,
                           weight_tm1, weight_tm2, weight_tm3)
 
 
@@ -58,6 +58,24 @@ class TestOmega2:
         r, k, x = 3, 1, 2.0
         want = 2.0 / (r * x ** ((r - 1.0) / r)) * omega2_v(r, k, x)
         assert omega2(r, k, x) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (5, 2), (9, 1)])
+    def test_mpmath_oracle_seeded(self, r, k):
+        # full precision against 2 Re[phase K0(2 x^{1/2r} beta)] / (r x^{(r-1)/r})
+        # at 30 digits, measured against W2(x), the envelope of omega2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        rng = np.random.default_rng(1000 * r + k)
+        xs = np.exp(rng.uniform(-8.0, 12.0, 40))
+        beta = mp.sqrt(1 + 1j * mp.tan(mp.pi * k / r))
+        phase = mp.exp(1j * mp.pi * (mp.mpf(1) / 2 - mp.mpf(k) * (r - 1) / r))
+        want = np.array([
+            float(2 * mp.re(phase * mp.besselk(0, 2 * mp.root(mp.mpf(x), 2 * r)
+                                               * beta))
+                  / (r * mp.mpf(x) ** (mp.mpf(r - 1) / r)))
+            for x in xs])
+        err = np.abs(omega2(r, k, xs) - want)
+        assert np.all(err <= 1e-14 * w2(r, xs))
 
     def test_constraint_violations(self):
         with pytest.raises(ConstraintError):
@@ -167,6 +185,22 @@ class TestClassMembers:
     def test_tm2_nan_bound_rejected(self):
         with pytest.raises(ConstraintError):
             class_member_tm2(3, 1, 0.5, 1.0, gamma_bound=float("nan"))
+
+    def test_tm2_finite_past_scaled_bessel_range(self):
+        # kve(0, z) is nan past |z| ~ 1.08e9, which made the member nan at
+        # x = 1e60 (r = 3); there V/K0 takes its large-argument form
+        xs = np.array([1e60, 1e200])
+        assert np.array_equal(class_member_tm2(3, 1, 0.5, xs), [0.0, 0.0])
+        assert np.array_equal(omega2(3, 1, xs), [0.0, 0.0])
+        # and the form joins the scaled Bessel functions at the cut where
+        # the ratio is not yet negligible (Re beta - 1 ~ 5e-8 at r = 5000)
+        beta = classes._beta(5000, 1)
+        u = (0.5 * classes._KVE_MAX_ABS / abs(beta)
+             * np.array([1.0 - 1e-15, 1.0 + 1e-15]))
+        below, above = classes._ratio_v_over_k0(5000, 1, u)
+        envelope = math.exp(-2.0 * u[0] * (beta.real - 1.0)) / abs(beta) ** 0.5
+        assert envelope > 1e-30
+        assert abs(below - above) <= 1e-8 * envelope
 
 
 class TestGammaMax:
@@ -309,10 +343,11 @@ class TestPerturbationObjects:
 
     def test_build_evaluates_nothing(self, monkeypatch):
         # the constructors check (r, k) directly: no omega value, and for
-        # the second family no complex-K0 quadrature, is computed
+        # the second family no complex-K0 ratio, is computed
         def evaluated(*args, **kwargs):
             raise AssertionError("perturbation evaluated at build")
-        for name in ("w1", "bessel_k0_complex", "_contour_sums"):
+        for name in ("_log_w1", "_log_w2", "_ratio_v_over_k0",
+                     "_contour_sums"):
             monkeypatch.setattr(classes, name, evaluated)
         perturbation_tm1(2, 1)
         perturbation_tm2(3, 1)

@@ -324,12 +324,12 @@ class TestConvolve:
 class TestClassTm3:
     def test_omega3_evaluated_once(self, capsys, monkeypatch):
         calls = []
-        omega3 = classes.omega3
+        contour_sums = classes._contour_sums
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return omega3(*args, **kwargs)
-        monkeypatch.setattr(classes, "omega3", counted)
+            return contour_sums(*args, **kwargs)
+        monkeypatch.setattr(classes, "_contour_sums", counted)
         code, out, _ = run(capsys, "class", "--seq", "tm3:r=3", "--k", "1",
                            "--gamma", "0.1")
         assert code == 0

@@ -196,10 +196,10 @@ class TestVanishing:
         import dataclasses
         sizes = []
 
-        def counted(x):
-            sizes.append(np.size(x))
-            return pert.evaluate(x)
-        res = check_vanishing(dataclasses.replace(pert, evaluate=counted),
+        def counted(log_x):
+            sizes.append(np.size(log_x))
+            return pert.log_density(log_x)
+        res = check_vanishing(dataclasses.replace(pert, log_density=counted),
                               pert.seq, n)
         return sizes, res
 
@@ -232,6 +232,16 @@ class TestVanishing:
         assert math.isfinite(res.log_integral)
         assert res.rel_error <= (1e-5 if family == "tm3" else 1e-6)
 
+    @pytest.mark.parametrize("family,r", [("tm1", 20), ("tm1", 30),
+                                          ("tm1", 40), ("tm2", 40)])
+    def test_large_r_window_reaches_the_origin(self, family, r):
+        # evaluated at x, omega cut the window where x underflows, at
+        # ln x = ln(2.2e-308): rel_error was 1.6e-9, 3.9e-7 and 5.6e-6 for
+        # tm1 at r = 20, 30, 40 and 2.6e-8 for tm2 at r = 40
+        make = {"tm1": perturbation_tm1, "tm2": perturbation_tm2}[family]
+        pert = make(r, 1)
+        assert check_vanishing(pert, pert.seq, 0).rel_error <= 1e-12
+
     @pytest.mark.parametrize("bad", [(math.inf,), (-math.inf,), (math.nan,),
                                      (math.inf, -math.inf)])
     def test_non_finite_integrand_raises(self, bad):
@@ -240,12 +250,15 @@ class TestVanishing:
         import dataclasses
         base = perturbation_tm1(2, 1)
 
-        def spoiled(x):
-            vals = np.array(base.evaluate(x), dtype=float)
-            vals[[vals.size // (i + 2) for i in range(len(bad))]] = bad
-            return vals
+        def spoiled(log_x):
+            # omega = +-inf is (+-1, inf) in log form, nan is (nan, nan)
+            sign, log_abs = (np.array(a, dtype=float)
+                             for a in base.log_density(log_x))
+            at = [sign.size // (i + 2) for i in range(len(bad))]
+            sign[at], log_abs[at] = np.sign(bad), np.abs(bad)
+            return sign, log_abs
         with pytest.raises(ConvergenceError, match="not finite"):
-            check_vanishing(dataclasses.replace(base, evaluate=spoiled),
+            check_vanishing(dataclasses.replace(base, log_density=spoiled),
                             base.seq, 0)
 
     def test_matches_large_first_grid(self, monkeypatch):
@@ -268,8 +281,11 @@ class TestVanishing:
         # ratio to rho(n) scales the same way: check via a wrapped copy
         base = perturbation_tm1(2, 1)
         import dataclasses
-        scaled = dataclasses.replace(
-            base, evaluate=lambda x: 100.0 * base.evaluate(x))
+
+        def scaled_log(log_x):
+            sign, log_abs = base.log_density(log_x)
+            return sign, log_abs + math.log(100.0)
+        scaled = dataclasses.replace(base, log_density=scaled_log)
         a = check_vanishing(base, base.seq, 2)
         b = check_vanishing(scaled, base.seq, 2)
         assert b.rel_error == pytest.approx(100.0 * a.rel_error, rel=1e-3)
