@@ -6,11 +6,12 @@ explicit non-unique solution families, and decide uniqueness numerically
 via the Carleman, Krein, and converse-Carleman criteria.
 """
 
-from .classes import (Perturbation, certify_nonnegative, class_member_tm1,
-                      class_member_tm2, class_member_tm3, find_gamma_max,
-                      omega1, omega2, omega2_v, omega2_via_convolution,
-                      omega3, omega3_via_convolution, perturbation_tm1,
-                      perturbation_tm2, perturbation_tm3)
+from .classes import (Perturbation, certify_nonnegative, class_member,
+                      class_member_tm1, class_member_tm2, class_member_tm3,
+                      find_gamma_max, omega1, omega2, omega2_v,
+                      omega2_via_convolution, omega3, omega3_via_convolution,
+                      perturbation, perturbation_tm1, perturbation_tm2,
+                      perturbation_tm3)
 from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
                        krein)
@@ -55,8 +56,9 @@ __all__ = [
     "principal_solution",
     # classes
     "Perturbation", "omega1", "omega2", "omega2_v", "omega2_via_convolution",
-    "omega3", "omega3_via_convolution", "perturbation_tm1",
-    "perturbation_tm2", "perturbation_tm3", "class_member_tm1",
+    "omega3", "omega3_via_convolution", "perturbation", "perturbation_tm1",
+    "perturbation_tm2", "perturbation_tm3", "class_member",
+    "class_member_tm1",
     "class_member_tm2", "class_member_tm3", "find_gamma_max",
     "certify_nonnegative",
     # verification

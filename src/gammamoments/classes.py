@@ -3,10 +3,12 @@
 omega1 is a sine-modulated copy of the first principal density, omega2 its
 "near factorization" through complex K0, omega3 the Mellin convolution
 W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
-by the contour engine (the convolution route is kept as an oracle).  Class
-members are principal solution + amplitude * omega; for the second family
-the admissible amplitude is found by a grid search over the oscillating
-ratio V/K0, refined by zooming in on the worst grid point.
+by the contour engine (the convolution route is kept as an oracle).  Every
+class member is W + amplitude * omega: `perturbation(seq, k)` picks the
+family from seq's kind, and `class_member` adds amplitude * omega to seq's
+principal solution once the amplitude is admissible: |eps| < 1, within
+the second family's bound (a grid search over the oscillating ratio V/K0,
+refined by zooming in on the worst grid point), or finite for the third.
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -28,8 +30,8 @@ from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
 from .special import log_bessel_k0
-from .weights import (_log_w1, _log_w2, log_w1, log_w2, w1, w2, weight_tm2,
-                      weight_tm3)
+from .weights import (_log_w1, _log_w2, log_w1, log_w2, principal_solution,
+                      w1, w2)
 
 __all__ = [
     "Perturbation",
@@ -42,6 +44,8 @@ __all__ = [
     "perturbation_tm1",
     "perturbation_tm2",
     "perturbation_tm3",
+    "perturbation",
+    "class_member",
     "class_member_tm1",
     "class_member_tm2",
     "class_member_tm3",
@@ -96,15 +100,12 @@ def _check_k(k):
 
 # -- family 1 ---------------------------------------------------------------
 
-def _sine_factor(q, k, log_x):
+def _log_omega1(q, k, log_x):
+    """(sign, ln |omega1_general(q, k, x)|) at ln x: ln w1 + ln |sin|."""
     phase0 = k * math.pi * (q - 1.0) / q
     slope = math.tan(k * math.pi / q)
-    return np.sin(phase0 + np.exp(log_x / q) * slope)
-
-
-def _log_omega1(q, k, log_x):
-    """(sign, ln |omega1_general(q, k, x)|) at ln x."""
-    return _signed_log(_log_w1(q, log_x), _sine_factor(q, k, log_x))
+    return _signed_log(_log_w1(q, log_x),
+                       np.sin(phase0 + np.exp(log_x / q) * slope))
 
 
 def omega1_general(q, k, x):
@@ -115,19 +116,15 @@ def omega1_general(q, k, x):
     return _at_x(lambda log_x: _log_omega1(q, k, log_x), x)
 
 
-def _check_tm1(r, k):
-    _check_k(k)
-    if not r > abs(k):
-        raise ConstraintError(f"first family requires r > |k| (r={r}, k={k})")
-
-
 def omega1(r, k, x):
     """First-family perturbation; the side condition is r > |k|."""
     return perturbation_tm1(r, k).evaluate(x)
 
 
 def perturbation_tm1(r, k) -> Perturbation:
-    _check_tm1(r, k)
+    _check_k(k)
+    if not r > abs(k):
+        raise ConstraintError(f"first family requires r > |k| (r={r}, k={k})")
     return Perturbation(
         family="tm1", r=r, k=k, seq=tm1(r), growth=(1.0, 1.0 / (2.0 * r)),
         log_density=lambda log_x, r=r, k=k: _log_omega1(2 * r, k, log_x))
@@ -252,43 +249,54 @@ def perturbation_tm3(r, k) -> Perturbation:
 
 # -- class members ----------------------------------------------------------
 
+def perturbation(seq, k) -> Perturbation:
+    """The perturbation omega with index k of seq's principal density."""
+    make = {"tm1": perturbation_tm1, "tm2": perturbation_tm2,
+            "tm3": perturbation_tm3}.get(seq.kind)
+    if make is None:
+        raise ConstraintError(
+            f"class construction supports tm1/tm2/tm3 sequences, got {seq.kind}")
+    return make(seq.r, k)
+
+
+def class_member(seq, k, amplitude, x, gamma_bound=None):
+    """W + amplitude * omega at x, for an admissible amplitude."""
+    pert = perturbation(seq, k)
+    _check_amplitude(pert, amplitude, gamma_bound)
+    return principal_solution(seq).evaluate(x) + amplitude * pert.evaluate(x)
+
+
+def _check_amplitude(pert, amplitude, gamma_bound=None):
+    """Reject an amplitude that could make W + amplitude * omega negative.
+
+    tm1 needs |eps| < 1 and tm2 |gamma| <= gamma_bound (find_gamma_max
+    unless given); tm3 has no closed bound, so only a finite gamma is
+    required and callers certify nonnegativity (certify_nonnegative).
+    """
+    if pert.family == "tm1" and not abs(amplitude) < 1.0:  # NaN fails too
+        raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
+    if pert.family == "tm2":
+        if gamma_bound is None:
+            gamma_bound = find_gamma_max(pert.r, pert.k)
+        if not abs(amplitude) <= gamma_bound:  # a NaN bound certifies nothing
+            raise ConstraintError(
+                f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
+                f"{gamma_bound:.6g} for (r={pert.r}, k={pert.k})")
+    if pert.family == "tm3" and not math.isfinite(amplitude):
+        raise ConstraintError(
+            f"third family needs a finite amplitude, got {amplitude}")
+
+
 def class_member_tm1(r, k, eps, x):
-    """W1 * [1 + eps * sin(...)]; nonnegative for |eps| < 1."""
-    if not abs(eps) < 1.0:  # NaN fails too
-        raise ConstraintError(f"first family needs |eps| < 1, got {eps}")
-    _check_tm1(r, k)
-    return w1(2 * r, x) * (1.0 + eps * _sine_factor(2 * r, k, np.log(x)))
+    return class_member(tm1(r), k, eps, x)
 
 
 def class_member_tm2(r, k, gamma, x, gamma_bound=None):
-    """W2 * [1 + gamma V/K0]; |gamma| must stay within the certified bound."""
-    if gamma_bound is None:
-        gamma_bound = find_gamma_max(r, k)
-    if not abs(gamma) <= gamma_bound:  # a NaN bound certifies nothing
-        raise ConstraintError(
-            f"|gamma| = {abs(gamma):.6g} exceeds the certified bound "
-            f"{gamma_bound:.6g} for (r={r}, k={k})")
-    xa = np.asarray(x, dtype=float)
-    ratio = _ratio_v_over_k0(r, k, xa ** (1.0 / (2.0 * r)))
-    return weight_tm2(r).evaluate(xa) * (1.0 + gamma * ratio)
+    return class_member(tm2(r), k, gamma, x, gamma_bound)
 
 
 def class_member_tm3(r, k, gamma, x):
-    """W3 + gamma * omega3; the family the construction implies for [(rn)!]^3.
-
-    No closed positivity bound exists here; callers certify nonnegativity
-    numerically (certify_nonnegative) for their amplitude of interest.
-    """
-    _check_tm3_amplitude(gamma)
-    xa = np.asarray(x, dtype=float)
-    return weight_tm3(r).evaluate(xa) + gamma * omega3(r, k, xa)
-
-
-def _check_tm3_amplitude(gamma):
-    """Reject an amplitude that would make the member NaN or infinite."""
-    if not math.isfinite(gamma):
-        raise ConstraintError(
-            f"third family needs a finite amplitude, got {gamma}")
+    return class_member(tm3(r), k, gamma, x)
 
 
 # -- amplitude search -------------------------------------------------------

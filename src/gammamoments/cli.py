@@ -2,10 +2,13 @@
 uniqueness criteria, construct class members, convolve densities.
 
 Every subcommand takes its densities from a closed form or from the
-contour engine.  `convolve` evaluates the Mellin convolution W_a * W_b as
-the principal density of the product sequence rho_a(n) rho_b(n), whose
-factor list is the two lists joined; the convolution integral in `mellin`
-is kept only as an oracle for it.
+contour engine.  `class` prints, for every family, the member
+W + amplitude * omega from the base and omega columns it prints, after
+the one amplitude check of `classes.class_member`.  `convolve` evaluates
+the Mellin convolution W_a * W_b as the principal density of the product
+sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
+on a default grid read off that sequence's tail law; the convolution
+integral in `mellin` is kept only as an oracle for it.
 
 Exit codes: 0 success/decided, 1 usage or constraint violation, 2 criteria
 undecided, 3 numeric convergence failure.  All JSON artifacts carry a
@@ -89,15 +92,11 @@ def _parse_n_range(text):
             f"--n expects an integer or a range like 0..8, got {text!r}") from None
 
 
-def _default_grid(w):
-    """Log-spaced grid from 1e-4 to where W falls ~300 decades below peak."""
-    g, p = w.growth
-    depth = 690.0 if w.tail_certified else 300.0
-    return _log_grid(depth / g, 1.0 / p)
-
-
-def _log_grid(base, exponent):
-    """200 log-spaced points from 1e-4 to base ** exponent."""
+def _default_grid(growth, certified=False):
+    """200 log-spaced x from 1e-4 to where -ln W ~ g x^p reaches 300 nats,
+    or 690 (W ~ 1e-300) for a tail certified by a closed form."""
+    g, p = growth
+    base, exponent = (690.0 if certified else 300.0) / g, 1.0 / p
     try:
         x_hi = base ** exponent
     except OverflowError:
@@ -112,7 +111,8 @@ def _log_grid(base, exponent):
 def _cmd_eval(args):
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
-    xs = _parse_xs(args.x) if args.x else _default_grid(w)
+    xs = (_parse_xs(args.x) if args.x
+          else _default_grid(w.growth, w.tail_certified))
     vals = [float(v) for v in np.atleast_1d(w.evaluate(xs))]
     if args.emit == "csv":
         _emit_csv(["x", "density"],
@@ -171,15 +171,13 @@ def _cmd_criteria(args):
 def _cmd_class(args):
     from . import classes as cls
     seq = parse_descriptor(args.seq)
-    if seq.kind not in ("tm1", "tm2", "tm3"):
-        raise ConstraintError(
-            f"class construction supports tm1/tm2/tm3 sequences, got {seq.kind}")
     k = args.k
     if k is None:
         raise ConstraintError("class construction requires --k")
+    pert = cls.perturbation(seq, k)
 
     if args.find_gamma_max:
-        if seq.kind != "tm2":
+        if pert.family != "tm2":
             raise ConstraintError(
                 "--find-gamma-max applies to tm2 sequences "
                 "(amplitude bound of the K0-ratio family)")
@@ -188,8 +186,8 @@ def _cmd_class(args):
                    "gamma_max": bound, "safety_factor": cls._SAFETY}
         if args.mc_seed is not None:
             ok, min_val = cls.certify_nonnegative(
-                lambda xs: cls.class_member_tm2(seq.r, k, bound, xs,
-                                                gamma_bound=bound),
+                lambda xs: cls.class_member(seq, k, bound, xs,
+                                            gamma_bound=bound),
                 1e-8, 1e6, 20000, args.mc_seed)
             payload["monte_carlo"] = {"seed": args.mc_seed,
                                       "nonnegative": bool(ok),
@@ -198,30 +196,16 @@ def _cmd_class(args):
         return _EXIT_OK
 
     w = principal_solution(seq)
-    xs = _parse_xs(args.x) if args.x else _default_grid(w)
-    if seq.kind == "tm1":
-        if args.eps is None:
-            raise ConstraintError("tm1 class members require --eps")
-        pert = cls.perturbation_tm1(seq.r, k)
-        member = cls.class_member_tm1(seq.r, k, args.eps, xs)
-        amplitude = args.eps
-    elif seq.kind == "tm2":
-        if args.gamma is None:
-            raise ConstraintError("tm2 class members require --gamma")
-        pert = cls.perturbation_tm2(seq.r, k)
-        member = cls.class_member_tm2(seq.r, k, args.gamma, xs)
-        amplitude = args.gamma
-    else:
-        if args.gamma is None:
-            raise ConstraintError("tm3 class members require --gamma")
-        cls._check_tm3_amplitude(args.gamma)
-        pert = cls.perturbation_tm3(seq.r, k)
-        amplitude = args.gamma
+    xs = (_parse_xs(args.x) if args.x
+          else _default_grid(w.growth, w.tail_certified))
+    flag, amplitude = (("--eps", args.eps) if pert.family == "tm1"
+                       else ("--gamma", args.gamma))
+    if amplitude is None:
+        raise ConstraintError(f"{pert.family} class members require {flag}")
+    cls._check_amplitude(pert, amplitude)
     base = w.evaluate(xs)
     omega = pert.evaluate(xs)
-    if seq.kind == "tm3":
-        # class_member_tm3 from the columns at hand: omega3 is costly
-        member = base + amplitude * omega
+    member = base + amplitude * omega
     if args.emit == "json":
         _emit_json({
             "command": "class", "seq": seq.descriptor(), "k": k,
@@ -250,8 +234,7 @@ def _cmd_convolve(args):
         if not np.all((xs > 0.0) & (xs < np.inf)):
             raise ConstraintError("convolve requires 0 < x < inf")
     else:
-        # the product's tail power is 1 / (A_a + A_b)
-        xs = _log_grid(300.0, 1.0 / product.tail_power)
+        xs = _default_grid((product.tail_coefficient, product.tail_power))
     log_w, sign = contour_log_densities(product, np.log(xs))
     if np.any(sign <= 0):
         x = float(np.min(xs[sign <= 0]))

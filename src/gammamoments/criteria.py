@@ -156,8 +156,9 @@ def krein(w: WeightFunction) -> KreinResult:
     stays Undecided there.  Unless the verdict is Infinite, the integral up
     to X = e^{min(_KREIN_U_MAX, the evaluable range)} is summed by panelled
     Gauss-Legendre rules in ln x (one vectorised density call per order,
-    see _krein_body); a Finite verdict adds the analytic tail
-    C X^{beta-1} / (1 - beta).
+    see _krein_body).  A Finite verdict adds int_X^inf of the tail law
+    -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with W ~ x^b e^{-g x^p}
+    (b = seq.tail_exponent) and c matched at X.
     """
     g, p = w.growth
     # keep ln x^2 inside the density's evaluable range
@@ -180,9 +181,11 @@ def krein(w: WeightFunction) -> KreinResult:
     body = _krein_body(w, u_hi)
     if not decided:
         return KreinResult("Undecided", float(body), fitted)
-    # finite: add the analytic tail  int_X^inf C x^{beta-2} dx
-    c_coef = float(neg_log[-1]) * math.exp(-beta_true * u_top)
-    tail = c_coef * math.exp((beta_true - 1.0) * u_hi) / (1.0 - beta_true)
+    b = w.seq.tail_exponent
+    neg_log_top = float(-w.log_density(2.0 * u_hi))  # -ln W(X^2)
+    c = neg_log_top - g * math.exp(beta_true * u_hi) + 2.0 * b * u_hi
+    tail = (g * math.exp((beta_true - 1.0) * u_hi) / (1.0 - beta_true)
+            + (c - 2.0 * b * (u_hi + 1.0)) * math.exp(-u_hi))
     return KreinResult("Finite", float(body + tail), fitted)
 
 

@@ -7,15 +7,15 @@ import pytest
 
 import gammamoments.classes as classes
 import gammamoments.mellin as mellin
-from gammamoments import (ConstraintError, SearchError, class_member_tm1,
-                          class_member_tm2, class_member_tm3,
-                          certify_nonnegative,
+from gammamoments import (ConstraintError, SearchError, class_member,
+                          class_member_tm1, class_member_tm2,
+                          class_member_tm3, certify_nonnegative,
                           contour_log_density, find_gamma_max, omega1, omega2,
                           omega2_v, omega2_via_convolution, omega3,
-                          omega3_via_convolution, perturbation_tm1,
-                          perturbation_tm2, perturbation_tm3,
-                          principal_solution, tm3, w1, w2,
-                          weight_tm1, weight_tm2, weight_tm3)
+                          omega3_via_convolution, perturbation,
+                          perturbation_tm1, perturbation_tm2,
+                          perturbation_tm3, principal_solution, tm1, tm2, tm3,
+                          tm4, w1, w2, weight_tm1, weight_tm2, weight_tm3)
 
 
 class TestOmega1:
@@ -138,6 +138,20 @@ class TestOmega3:
 
 
 class TestClassMembers:
+    @pytest.mark.parametrize("seq,amplitude,member_tm", [
+        (tm1(2), 0.5, class_member_tm1),
+        (tm2(3), 1.0, class_member_tm2),
+        (tm3(3), 0.1, class_member_tm3),
+    ], ids=["tm1", "tm2", "tm3"])
+    def test_member_is_base_plus_amplitude_omega(self, seq, amplitude,
+                                                 member_tm):
+        xs = np.logspace(-2, 2, 30)
+        got = class_member(seq, 1, amplitude, xs)
+        base = principal_solution(seq).evaluate(xs)
+        omega = perturbation(seq, 1).evaluate(xs)
+        assert np.array_equal(got, base + amplitude * omega)
+        assert np.array_equal(member_tm(seq.r, 1, amplitude, xs), got)
+
     def test_tm1_identity_at_zero_eps(self):
         xs = np.logspace(-3, 3, 50)
         assert np.allclose(class_member_tm1(2, 1, 0.0, xs),
@@ -157,7 +171,7 @@ class TestClassMembers:
     def test_tm1_amplitude_band_enforced(self):
         # NaN once passed the |eps| >= 1 test and gave a NaN member
         for eps in (1.0, -1.5, math.nan):
-            with pytest.raises(ConstraintError):
+            with pytest.raises(ConstraintError, match=r"needs \|eps\| < 1"):
                 class_member_tm1(2, 1, eps, 1.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
@@ -179,11 +193,13 @@ class TestClassMembers:
 
     def test_tm2_bound_enforced(self):
         bound = find_gamma_max(3, 1)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError,
+                           match="exceeds the certified bound"):
             class_member_tm2(3, 1, 2.0 * bound, 1.0, gamma_bound=bound)
 
     def test_tm2_nan_bound_rejected(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError,
+                           match="exceeds the certified bound nan"):
             class_member_tm2(3, 1, 0.5, 1.0, gamma_bound=float("nan"))
 
     def test_tm2_finite_past_scaled_bessel_range(self):
@@ -332,6 +348,21 @@ class TestPerturbationObjects:
         p = perturbation_tm2(3, 1)
         x = 1.7
         assert p(x) == pytest.approx(omega2(3, 1, x), rel=1e-14)
+
+    @pytest.mark.parametrize("seq,make", [(tm1(2), perturbation_tm1),
+                                          (tm2(3), perturbation_tm2),
+                                          (tm3(3), perturbation_tm3)],
+                             ids=["tm1", "tm2", "tm3"])
+    def test_perturbation_picks_family(self, seq, make):
+        got, want = perturbation(seq, 1), make(seq.r, 1)
+        assert got.family == seq.kind
+        assert ((got.family, got.r, got.k, got.seq, got.growth)
+                == (want.family, want.r, want.k, want.seq, want.growth))
+
+    def test_perturbation_rejects_other_kinds(self):
+        with pytest.raises(ConstraintError,
+                           match="supports tm1/tm2/tm3 sequences, got tm4"):
+            perturbation(tm4(1), 1)
 
     def test_invalid_parameters_rejected_at_build(self):
         with pytest.raises(ConstraintError):

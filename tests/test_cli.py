@@ -10,6 +10,7 @@ import pytest
 import gammamoments.classes as classes
 import gammamoments.cli as cli
 import gammamoments.mellin as mellin
+import gammamoments.weights as weights
 from gammamoments import class_member_tm3, contour_log_densities, tm4
 from gammamoments.cli import main
 
@@ -257,6 +258,29 @@ class TestExitCodes:
                 point["base"] + 0.5 * point["omega"], rel=1e-12)
 
 
+    @pytest.mark.parametrize("seq,flag,amplitude,log_w", [
+        ("tm1:r=2", "--eps", 0.5, "_log_w1"),
+        ("tm2:r=3", "--gamma", 1.0, "_log_w2"),
+    ])
+    def test_class_member_from_printed_columns(self, capsys, monkeypatch,
+                                               seq, flag, amplitude, log_w):
+        # member = base + amplitude * omega from the two columns: the
+        # density is evaluated once for base and once inside omega
+        calls = []
+        for module in (weights, classes):
+            true_log_w = getattr(module, log_w)
+            monkeypatch.setattr(
+                module, log_w,
+                lambda *a, f=true_log_w: calls.append(a) or f(*a))
+        code, out, _ = run(capsys, "class", "--seq", seq, "--k", "1", flag,
+                           str(amplitude))
+        assert code == 0
+        assert len(calls) == 2
+        for point in json.loads(out)["points"]:
+            assert point["member"] == (point["base"]
+                                       + amplitude * point["omega"])
+
+
 class TestConvolve:
     def test_matches_frozen_w4(self, capsys):
         code, out, _ = run(capsys, "convolve", "--seq-a", "tm1:r=1",
@@ -290,21 +314,20 @@ class TestConvolve:
     @pytest.mark.parametrize("seq_a,seq_b", [
         ("tm3:r=1", "tm1:r=1"), ("tm4:r=1", "tm2:r=1"),
         ("gamma:2.5n+1", "tm1:r=1"), ("tm1:r=1", "tm2:r=3"),
+        ("tm3:r=1", "tm3:r=1"), ("tm4:r=1", "tm4:r=1"), ("tm1:r=1", "tm2:r=1"),
     ])
     def test_contour_factor_pairs(self, capsys, seq_a, seq_b):
-        # the convolution route refused these: a spline factor's window
-        # ends before the integrand does, or the quadrature never settles
+        # the convolution route refused the first four: a spline factor's
+        # window ends before the integrand does, or the quadrature never
+        # settles.  The default grid once ended where ln W ~ -300 for a
+        # tail coefficient of 1, past the double range of the real tail,
+        # and printed up to 25 zeros
         code, out, _ = run(capsys, "convolve", "--seq-a", seq_a,
                            "--seq-b", seq_b)
         assert code == 0
         vals = np.array([p["convolution"] for p in json.loads(out)["points"]])
         assert vals.size == 200
-        assert np.all(np.isfinite(vals))
-        # positive up to the end of the double range, where W underflows
-        positive = int(np.sum(vals > 0.0))
-        assert np.all(vals[:positive] > 0.0)
-        assert np.all(vals[positive:] == 0.0)
-        assert positive == 200 or vals[positive - 1] < 1e-300
+        assert np.all(np.isfinite(vals) & (vals > 0.0))
 
     def test_default_grid_matches_tm4(self, capsys):
         # W1(1) * W2(1) is W4(1): the product of (2n)! and (n!)^2

@@ -123,31 +123,26 @@ class TestKrein:
         assert res.integral_estimate == math.inf
         assert calls == [48]  # the tail fit only
 
-    # int_0^{1e4} -ln W(x^2)/(1+x^2) dx, frozen from mpmath.quad at 30
-    # digits with breakpoints 1e-6, 1e-3, 0.1, 1, 10, 100, 1000 (W2 through
-    # mpmath.besselk)
-    KREIN_BODY = {"W1(2)": 4.3773573789361107723,
-                  "W2(3)": 4.5343673151807016412}
-
-    @pytest.mark.parametrize("w,parent", [(weight_tm1(2), 4.397357390267509),
-                                          (weight_tm2(3), 4.540830624289193)])
-    def test_finite_estimate_unchanged(self, w, parent):
-        # parent: the estimate of the former scipy.integrate.quad body; the
-        # estimate may move only toward the mpmath body plus the same
-        # analytic tail C X^{beta-1}/(1-beta), C fitted at the top of the
-        # evaluable range
-        import gammamoments.criteria as crit
-
+    # int_0^inf -ln W(x^2)/(1+x^2) dx.  W1(q): -ln W1(q, x^2) = x^{2/q}
+    # + 2(1 - 1/q) ln x + ln q, and int_0^inf x^a/(1+x^2) dx =
+    # (pi/2)/cos(pi a/2), so the integral is (pi/2)(1/cos(pi/q) + ln q).
+    # W2: mpmath.quad at 20 digits with mpmath.besselk, breakpoints 1e-6,
+    # 1e-3, 0.1, 1, 10, 100, 1e3, 1e4, 1e6.  The tail past X = 1e4 once
+    # kept only g X^{beta-1}/(1-beta), which left W1(2) low by 1.67e-3.
+    @pytest.mark.parametrize("w,want,rel", [
+        (weight_tm1(2), math.pi / 2 * (1 / math.cos(math.pi / 4)
+                                       + math.log(4)), 1e-9),
+        (weight_tm1(20), math.pi / 2 * (1 / math.cos(math.pi / 40)
+                                        + math.log(40)), 1e-9),
+        (weight_w1(2.02), math.pi / 2 * (1 / math.cos(math.pi / 2.02)
+                                         + math.log(2.02)), 1e-9),
+        (weight_tm2(2), 4.729508187052865, 1e-7),
+        (weight_tm2(3), 4.542415010614233, 1e-7),
+    ], ids=["W1(2)", "W1(20)", "W1(2.02)", "W2(2)", "W2(3)"])
+    def test_finite_estimate_matches_exact_value(self, w, want, rel):
         res = krein(w)
         assert res.verdict == "Finite"
-        beta = 2.0 * w.growth[1]
-        u_top = crit._tail_limit(w)
-        c_coef = (float(-w.log_density(np.float64(2.0 * u_top)))
-                  * math.exp(-beta * u_top))
-        tail = c_coef * 1e4 ** (beta - 1.0) / (1.0 - beta)
-        want = self.KREIN_BODY[w.name] + tail
-        assert abs(res.integral_estimate - want) <= abs(parent - want)
-        assert res.integral_estimate == pytest.approx(want, rel=1e-14)
+        assert res.integral_estimate == pytest.approx(want, rel=rel)
 
 
 class TestConverseCarleman:
