@@ -9,6 +9,10 @@ family from seq's kind, and `class_member` adds amplitude * omega to seq's
 principal solution once the amplitude is admissible: |eps| < 1, within
 the second family's bound (a grid search over the oscillating ratio V/K0,
 refined by zooming in on the worst grid point), or finite for the third.
+A third-family member negative at some x is refused.  `perturbation` is
+the one constructor (`perturbation_tm1/2/3` call it): it checks the side
+condition on (r, k) and picks the log-density, and family, r and the tail
+law growth are read from seq, so omega shares W's exact (g, p).
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -59,15 +63,24 @@ class Perturbation:
     """A function on (0, inf) whose Stieltjes moments all vanish.
 
     log_density maps ln x to (sign omega, ln |omega|); evaluate(x) checks
-    0 < x < inf and returns omega(x).
+    0 < x < inf and returns omega(x).  family, r and growth are seq's.
     """
 
-    family: str  # "tm1" | "tm2" | "tm3"
-    r: int
     k: int
     seq: MomentSequence  # yardstick rho(n) for "vanishing"
-    growth: tuple  # (g, p): -ln |omega| <~ g x^p in the tail
     log_density: object = field(repr=False)  # array ln x -> (sign, ln |omega|)
+
+    @property
+    def family(self) -> str:  # "tm1" | "tm2" | "tm3"
+        return self.seq.kind
+
+    @property
+    def r(self) -> int:
+        return self.seq.r
+
+    @property
+    def growth(self) -> tuple:  # (g, p): -ln |omega| <~ g x^p in the tail
+        return (self.seq.tail_coefficient, self.seq.tail_power)
 
     def evaluate(self, x):
         return _at_x(self.log_density, x)
@@ -98,6 +111,16 @@ def _check_k(k):
         raise ConstraintError(f"k must be a nonzero integer, got {k!r}")
 
 
+def _check_side(kind, r, k):
+    """The family's side condition r > c|k|, under which omega decays."""
+    _check_k(k)
+    ordinal, c, _ = _FAMILIES[kind]
+    if not r > c * abs(k):
+        bound = "|k|" if c == 1 else f"{c}|k|"
+        raise ConstraintError(
+            f"{ordinal} family requires r > {bound} (r={r}, k={k})")
+
+
 # -- family 1 ---------------------------------------------------------------
 
 def _log_omega1(q, k, log_x):
@@ -122,21 +145,10 @@ def omega1(r, k, x):
 
 
 def perturbation_tm1(r, k) -> Perturbation:
-    _check_k(k)
-    if not r > abs(k):
-        raise ConstraintError(f"first family requires r > |k| (r={r}, k={k})")
-    return Perturbation(
-        family="tm1", r=r, k=k, seq=tm1(r), growth=(1.0, 1.0 / (2.0 * r)),
-        log_density=lambda log_x, r=r, k=k: _log_omega1(2 * r, k, log_x))
+    return perturbation(tm1(r), k)
 
 
 # -- family 2 ---------------------------------------------------------------
-
-def _check_tm2(r, k):
-    _check_k(k)
-    if not r > 2 * abs(k):
-        raise ConstraintError(f"second family requires r > 2|k| (r={r}, k={k})")
-
 
 def _beta(r, k):
     """Principal square root of 1 + i tan(pi k / r); Re > 0 for r > 2|k|."""
@@ -149,7 +161,7 @@ def _v_phase(r, k):
 
 def omega2_v(r, k, x):
     """The oscillating factor V: Re[e^{i pi(1/2 - k(r-1)/r)} K0(2 x^{1/2r} beta)]."""
-    _check_tm2(r, k)
+    _check_side("tm2", r, k)
 
     def log_v(log_x):
         u = np.exp(log_x / (2.0 * r))
@@ -170,7 +182,7 @@ def omega2(r, k, x):
 
 def omega2_via_convolution(r, k, x):
     """Same function by the convolution route (half-index densities)."""
-    _check_tm2(r, k)
+    _check_side("tm2", r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w1(r, v),
@@ -182,22 +194,12 @@ def omega2_via_convolution(r, k, x):
 
 
 def perturbation_tm2(r, k) -> Perturbation:
-    _check_tm2(r, k)
-    return Perturbation(
-        family="tm2", r=r, k=k, seq=tm2(r), growth=(2.0, 1.0 / (2.0 * r)),
-        log_density=lambda log_x, r=r, k=k: _log_omega2(r, k, log_x))
+    return perturbation(tm2(r), k)
 
 
 # -- family 3 ---------------------------------------------------------------
 
 _OMEGA3_RTOL = 1e-9  # relative change that settles an omega3 contour sum
-
-
-def _check_tm3(r, k):
-    # r > 2|k| makes the convolution partner omega1_general(r, k) decay
-    _check_k(k)
-    if not r > 2 * abs(k):
-        raise ConstraintError(f"third family requires r > 2|k| (r={r}, k={k})")
 
 
 def _log_omega3(r, k, log_x):
@@ -227,7 +229,7 @@ def omega3(r, k, x):
 
 def omega3_via_convolution(r, k, x):
     """Same function by the convolution route, W2 * omega1_general(r, k)."""
-    _check_tm3(r, k)
+    _check_side("tm3", r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w2(r, v),
@@ -239,31 +241,54 @@ def omega3_via_convolution(r, k, x):
 
 
 def perturbation_tm3(r, k) -> Perturbation:
-    _check_tm3(r, k)
-    seq = tm3(r)
-    return Perturbation(
-        family="tm3", r=r, k=k, seq=seq,
-        growth=(seq.tail_coefficient, seq.tail_power),
-        log_density=lambda log_x, r=r, k=k: _log_omega3(r, k, log_x))
+    return perturbation(tm3(r), k)
 
 
 # -- class members ----------------------------------------------------------
 
+# kind -> (name in messages, c in the side condition r > c|k|,
+#          (r, k, ln x) -> (sign, ln |omega|))
+_FAMILIES = {
+    "tm1": ("first", 1, lambda r, k, log_x: _log_omega1(2 * r, k, log_x)),
+    "tm2": ("second", 2, _log_omega2),
+    "tm3": ("third", 2, _log_omega3),
+}
+
+
 def perturbation(seq, k) -> Perturbation:
     """The perturbation omega with index k of seq's principal density."""
-    make = {"tm1": perturbation_tm1, "tm2": perturbation_tm2,
-            "tm3": perturbation_tm3}.get(seq.kind)
-    if make is None:
+    if seq.kind not in _FAMILIES:
         raise ConstraintError(
             f"class construction supports tm1/tm2/tm3 sequences, got {seq.kind}")
-    return make(seq.r, k)
+    _check_side(seq.kind, seq.r, k)
+    log_omega = _FAMILIES[seq.kind][2]
+    return Perturbation(k=k, seq=seq,
+                        log_density=lambda log_x: log_omega(seq.r, k, log_x))
 
 
 def class_member(seq, k, amplitude, x, gamma_bound=None):
     """W + amplitude * omega at x, for an admissible amplitude."""
-    pert = perturbation(seq, k)
+    return _member_columns(perturbation(seq, k), amplitude, x, gamma_bound)[2]
+
+
+def _member_columns(pert, amplitude, x, gamma_bound=None):
+    """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
+
+    The tm1 and tm2 amplitude rules keep the member nonnegative; tm3 has
+    none, so a tm3 member negative at some x is refused.
+    """
     _check_amplitude(pert, amplitude, gamma_bound)
-    return principal_solution(seq).evaluate(x) + amplitude * pert.evaluate(x)
+    base = principal_solution(pert.seq).evaluate(x)
+    omega = pert.evaluate(x)
+    member = base + amplitude * omega
+    negative = np.atleast_1d(member) < 0.0
+    if pert.family == "tm3" and np.any(negative):
+        i = int(np.argmax(negative))
+        raise ConstraintError(
+            f"W + {amplitude:.6g} * omega is negative at x = "
+            f"{np.atleast_1d(x)[i]:.6g} ({np.atleast_1d(member)[i]:.6g}); "
+            f"amplitude too large for {pert.seq.descriptor()}, k={pert.k}")
+    return base, omega, member
 
 
 def _check_amplitude(pert, amplitude, gamma_bound=None):
@@ -271,7 +296,7 @@ def _check_amplitude(pert, amplitude, gamma_bound=None):
 
     tm1 needs |eps| < 1 and tm2 |gamma| <= gamma_bound (find_gamma_max
     unless given); tm3 has no closed bound, so only a finite gamma is
-    required and callers certify nonnegativity (certify_nonnegative).
+    required here and _member_columns checks the member's values.
     """
     if pert.family == "tm1" and not abs(amplitude) < 1.0:  # NaN fails too
         raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
@@ -318,7 +343,7 @@ def _ratio_v_over_k0(r, k, u):
     """
     from scipy.special import k0e, kve
 
-    _check_tm2(r, k)
+    _check_side("tm2", r, k)
     beta = _beta(r, k)
     z = 2.0 * np.asarray(u, dtype=float)
     decay = np.exp(-z * (beta - 1.0))
@@ -340,7 +365,7 @@ def find_gamma_max(r, k):
     certified only if that envelope stays below _SAFETY times the
     scanned infimum, the margin the bound itself keeps.
     """
-    _check_tm2(r, k)
+    _check_side("tm2", r, k)
     beta = _beta(r, k)
     decay = beta.real - 1.0
     if not decay > 0.0:

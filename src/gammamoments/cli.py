@@ -4,7 +4,8 @@ uniqueness criteria, construct class members, convolve densities.
 Every subcommand takes its densities from a closed form or from the
 contour engine.  `class` prints, for every family, the member
 W + amplitude * omega from the base and omega columns it prints, after
-the one amplitude check of `classes.class_member`.  `convolve` evaluates
+the checks of `classes.class_member` (an admissible amplitude, and no
+negative member).  `convolve` evaluates
 the Mellin convolution W_a * W_b as the principal density of the product
 sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution
@@ -59,12 +60,20 @@ def _emit_json(payload, path):
     _write(text, path)
 
 
-def _emit_csv(header, rows, path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(buf.getvalue(), path)
+def _emit_table(args, payload, key, header, rows):
+    """One table, as CSV (header, then rows) or as JSON: payload with key
+    holding one object per row.  Floats are written by repr, ints plain."""
+    rows = [[int(v) if isinstance(v, (int, np.integer)) else float(v)
+             for v in row] for row in rows]
+    if args.emit == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in row] for row in rows)
+        _write(buf.getvalue(), args.output)
+    else:
+        _emit_json({**payload, key: [dict(zip(header, row)) for row in rows]},
+                   args.output)
 
 
 def _write(text, path):
@@ -86,10 +95,13 @@ def _parse_xs(text):
 def _parse_n_range(text):
     lo, sep, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi if sep else lo) + 1))
+        ns = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         raise ConstraintError(
             f"--n expects an integer or a range like 0..8, got {text!r}") from None
+    if not ns:
+        raise ConstraintError(f"--n range {text!r} is empty; write it low..high")
+    return ns
 
 
 def _default_grid(growth, certified=False):
@@ -113,21 +125,13 @@ def _cmd_eval(args):
     w = principal_solution(seq)
     xs = (_parse_xs(args.x) if args.x
           else _default_grid(w.growth, w.tail_certified))
-    vals = [float(v) for v in np.atleast_1d(w.evaluate(xs))]
-    if args.emit == "csv":
-        _emit_csv(["x", "density"],
-                  [[repr(float(x)), repr(float(v))] for x, v in zip(xs, vals)],
-                  args.output)
-    else:
-        _emit_json({
-            "command": "eval",
-            "seq": seq.descriptor(),
-            "alpha0": w.alpha0,
-            "growth": {"coefficient": w.growth[0], "power": w.growth[1]},
-            "tail_certified": w.tail_certified,
-            "points": [{"x": float(x), "density": float(v)}
-                       for x, v in zip(xs, vals)],
-        }, args.output)
+    _emit_table(args, {
+        "command": "eval",
+        "seq": seq.descriptor(),
+        "alpha0": w.alpha0,
+        "growth": {"coefficient": w.growth[0], "power": w.growth[1]},
+        "tail_certified": w.tail_certified,
+    }, "points", ["x", "density"], zip(xs, np.atleast_1d(w.evaluate(xs))))
     return _EXIT_OK
 
 
@@ -136,21 +140,11 @@ def _cmd_moments(args):
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
     results = [check_moment(w, seq, n) for n in _parse_n_range(args.n)]
-    if args.emit == "csv":
-        _emit_csv(
-            ["n", "log_integral", "log_target", "rel_error", "nodes_used"],
-            [[r.n, repr(r.log_integral), repr(r.log_target),
-              repr(r.rel_error), r.nodes_used] for r in results],
-            args.output)
-    else:
-        _emit_json({
-            "command": "moments",
-            "seq": seq.descriptor(),
-            "results": [{"n": r.n, "log_integral": r.log_integral,
-                         "log_target": r.log_target,
-                         "rel_error": r.rel_error,
-                         "nodes_used": r.nodes_used} for r in results],
-        }, args.output)
+    _emit_table(args, {"command": "moments", "seq": seq.descriptor()},
+                "results",
+                ["n", "log_integral", "log_target", "rel_error", "nodes_used"],
+                [(r.n, r.log_integral, r.log_target, r.rel_error, r.nodes_used)
+                 for r in results])
     return _EXIT_OK
 
 
@@ -202,24 +196,11 @@ def _cmd_class(args):
                        else ("--gamma", args.gamma))
     if amplitude is None:
         raise ConstraintError(f"{pert.family} class members require {flag}")
-    cls._check_amplitude(pert, amplitude)
-    base = w.evaluate(xs)
-    omega = pert.evaluate(xs)
-    member = base + amplitude * omega
-    if args.emit == "json":
-        _emit_json({
-            "command": "class", "seq": seq.descriptor(), "k": k,
-            "amplitude": amplitude,
-            "points": [{"x": float(x), "base": float(b), "member": float(m),
-                        "omega": float(o)}
-                       for x, b, m, o in zip(xs, base, member, omega)],
-        }, args.output)
-    else:
-        _emit_csv(["x", "base", "member", "omega"],
-                  [[repr(float(x)), repr(float(b)), repr(float(m)),
-                    repr(float(o))]
-                   for x, b, m, o in zip(xs, base, member, omega)],
-                  args.output)
+    base, omega, member = cls._member_columns(pert, amplitude, xs)
+    _emit_table(args, {"command": "class", "seq": seq.descriptor(), "k": k,
+                       "amplitude": amplitude},
+                "points", ["x", "base", "member", "omega"],
+                zip(xs, base, member, omega))
     return _EXIT_OK
 
 
@@ -244,17 +225,9 @@ def _cmd_convolve(args):
             "insufficient")
     with np.errstate(under="ignore"):
         vals = np.exp(log_w)
-    if args.emit == "csv":
-        _emit_csv(["x", "convolution"],
-                  [[repr(float(x)), repr(float(v))] for x, v in zip(xs, vals)],
-                  args.output)
-    else:
-        _emit_json({
-            "command": "convolve",
-            "seq_a": seq_a.descriptor(), "seq_b": seq_b.descriptor(),
-            "points": [{"x": float(x), "convolution": float(v)}
-                       for x, v in zip(xs, vals)],
-        }, args.output)
+    _emit_table(args, {"command": "convolve", "seq_a": seq_a.descriptor(),
+                       "seq_b": seq_b.descriptor()},
+                "points", ["x", "convolution"], zip(xs, vals))
     return _EXIT_OK
 
 

@@ -13,6 +13,7 @@ exponentiates: moments are ln rho(n), Mellin symbols are log-gamma sums.
 
 from __future__ import annotations
 
+import collections
 import math
 import re
 from dataclasses import dataclass, field
@@ -70,9 +71,11 @@ class MomentSequence:
 
     @property
     def tail_coefficient(self) -> float:
-        """g in  -ln W(x) ~ g x^p  (steepest-descent constant)."""
+        """g in  -ln W(x) ~ g x^p: prod over the distinct multipliers a, m
+        factors each, of (A/a)^{m a/A}; exactly 1, 2, 3 for tm1, tm2, tm3."""
         big_a = self.sum_a
-        return big_a * math.prod(a ** (-a / big_a) for a, _ in self.factors)
+        counts = collections.Counter(a for a, _ in self.factors)
+        return math.prod((big_a / a) ** (m * a / big_a) for a, m in counts.items())
 
     @property
     def tail_exponent(self) -> float:
@@ -81,8 +84,9 @@ class MomentSequence:
 
     @property
     def alpha0(self) -> float:
-        """Exponent of the principal density at the origin (log factors aside)."""
-        return -self.rightmost_pole
+        """Exponent of the principal density at the origin (log factors
+        aside): min (b - a)/a, one rounding for integer factors, never -0.0."""
+        return min((b - a) / a for a, b in self.factors)
 
     def descriptor(self) -> str:
         if self.label:

@@ -12,6 +12,11 @@ are below 1e-11, so the interpolant certifies its own accuracy (about
 1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine's
 one-knot case directly, for cross-checks.
 
+`principal_solution` is the one constructor (`weight_w1` and `weight_tm*`
+call it): it picks the log-density (w1, W2 or the interpolant) and whether
+a closed form certifies the tail, and alpha0 and growth are seq's exact
+endpoint laws.
+
 Every density is evaluated in ln x: `WeightFunction.log_density` takes
 ln x and returns ln W, and the closed forms are written in ln x, so a
 caller working in ln x (the moment window, the criteria) never forms x,
@@ -22,14 +27,15 @@ one entry in linear x.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError, TruncationError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
-from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
+from .moments import (MomentSequence, _check_r, gamma_product, tm1, tm2,
+                      tm3, tm4)
 from .special import log_bessel_k0
 
 __all__ = [
@@ -151,39 +157,6 @@ def w4_via_convolution(r, x):
     return mellin_convolve(a.evaluate, b.evaluate, float(x))
 
 
-# -- WeightFunction factories ----------------------------------------------
-
-def weight_w1(q) -> WeightFunction:
-    """Generic (qn)! solver; continuous q >= 1 covers half-integer indices."""
-    if q < 1:
-        raise DomainError(f"weight_w1 requires q >= 1, got {q}")
-    from .moments import gamma_product
-    seq = gamma_product([(q, 1.0)], label=f"gamma:{q:g}n+1")
-    return WeightFunction(
-        name=f"w1[q={q:g}]", seq=seq, alpha0=-(q - 1.0) / q,
-        growth=(1.0, 1.0 / q),
-        log_density=lambda log_x, q=q: _log_w1(q, log_x),
-        tail_certified=True)
-
-
-def weight_tm1(r) -> WeightFunction:
-    _check_r(r)
-    return WeightFunction(
-        name=f"W1({r})", seq=tm1(r), alpha0=-(2.0 * r - 1.0) / (2.0 * r),
-        growth=(1.0, 1.0 / (2.0 * r)),
-        log_density=lambda log_x, r=r: _log_w1(2 * r, log_x),
-        tail_certified=True)
-
-
-def weight_tm2(r) -> WeightFunction:
-    _check_r(r)
-    return WeightFunction(
-        name=f"W2({r})", seq=tm2(r), alpha0=-(r - 1.0) / r,
-        growth=(2.0, 1.0 / (2.0 * r)),
-        log_density=lambda log_x, r=r: _log_w2(r, log_x),
-        tail_certified=True)
-
-
 _X_MIN = 1e-20  # below, ln W continues along the edge slope
 _LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
 _PANEL_WIDTH = 8.0  # initial panel width in ln x
@@ -300,25 +273,7 @@ def _spline_log_evaluate(seq, log_x):
     return float(out[0]) if scalar else out
 
 
-def weight_tm3(r) -> WeightFunction:
-    _check_r(r)
-    seq = tm3(r)
-    return WeightFunction(
-        name=f"W3({r})", seq=seq, alpha0=-(r - 1.0) / r,
-        growth=(seq.tail_coefficient, seq.tail_power),
-        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
-        tail_certified=False)
-
-
-def weight_tm4(r) -> WeightFunction:
-    _check_r(r)
-    seq = tm4(r)
-    return WeightFunction(
-        name=f"W4({r})", seq=seq, alpha0=-(2.0 * r - 1.0) / (2.0 * r),
-        growth=(seq.tail_coefficient, seq.tail_power),
-        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
-        tail_certified=False)
-
+# -- WeightFunction factories ----------------------------------------------
 
 def principal_solution(seq: MomentSequence) -> WeightFunction:
     """Principal density for a sequence: closed form if known, else contour.
@@ -326,21 +281,44 @@ def principal_solution(seq: MomentSequence) -> WeightFunction:
     The closed form is read off the factor list, so a gamma descriptor
     gets the density of the named kind with the same factors: one factor
     (q, 1) with q >= 1 is w1(q, .), two equal factors (r, 1) with integer
-    r are W2(r).
+    r are W2(r); any other sequence gets its contour interpolant.
     """
     (a, b), count = seq.factors[0], len(seq.factors)
+    certified = True
     if b == 1 and count == 1 and a >= 1:
-        w = weight_tm1(int(a) // 2) if a % 2 == 0 else weight_w1(a)
-        return replace(w, seq=seq)
-    if (b == 1 and count == 2 and seq.factors[1] == (a, b)
-            and float(a).is_integer()):
-        return replace(weight_tm2(int(a)), seq=seq)
-    if seq.kind == "tm3":
-        return weight_tm3(seq.r)
-    if seq.kind == "tm4":
-        return weight_tm4(seq.r)
+        log_density = lambda log_x: _log_w1(a, log_x)
+    elif (b == 1 and count == 2 and seq.factors[1] == (a, b)
+          and float(a).is_integer()):
+        log_density = lambda log_x: _log_w2(int(a), log_x)
+    else:
+        log_density = lambda log_x: _spline_log_evaluate(seq, log_x)
+        certified = False
+    name = (f"W[{seq.descriptor()}]" if seq.kind == "gamma"
+            else f"W{seq.kind[2]}({seq.r})")
     return WeightFunction(
-        name=f"W[{seq.descriptor()}]", seq=seq, alpha0=seq.alpha0,
+        name=name, seq=seq, alpha0=seq.alpha0,
         growth=(seq.tail_coefficient, seq.tail_power),
-        log_density=lambda log_x, seq=seq: _spline_log_evaluate(seq, log_x),
-        tail_certified=False)
+        log_density=log_density, tail_certified=certified)
+
+
+def weight_w1(q) -> WeightFunction:
+    """Generic (qn)! solver; continuous q >= 1 covers half-integer indices."""
+    if q < 1:
+        raise DomainError(f"weight_w1 requires q >= 1, got {q}")
+    return principal_solution(gamma_product([(q, 1.0)], label=f"gamma:{q:g}n+1"))
+
+
+def weight_tm1(r) -> WeightFunction:
+    return principal_solution(tm1(r))
+
+
+def weight_tm2(r) -> WeightFunction:
+    return principal_solution(tm2(r))
+
+
+def weight_tm3(r) -> WeightFunction:
+    return principal_solution(tm3(r))
+
+
+def weight_tm4(r) -> WeightFunction:
+    return principal_solution(tm4(r))

@@ -14,8 +14,42 @@ from gammamoments import (ConstraintError, SearchError, class_member,
                           omega2_v, omega2_via_convolution, omega3,
                           omega3_via_convolution, perturbation,
                           perturbation_tm1, perturbation_tm2,
-                          perturbation_tm3, principal_solution, tm1, tm2, tm3,
-                          tm4, w1, w2, weight_tm1, weight_tm2, weight_tm3)
+                          perturbation_tm3, parse_descriptor,
+                          principal_solution, tm1, tm2, tm3, tm4, w1, w2,
+                          weight_tm1, weight_tm2, weight_tm3)
+
+
+_LAW_SEQUENCES = {
+    **{make.__name__: [make(r) for r in range(1, 51)]
+       for make in (tm1, tm2, tm3, tm4)},
+    "gamma": [parse_descriptor(d) for d in
+              ("gamma:2.02n+1", "gamma:2.5n+1", "gamma:n+0.5")],
+}
+
+
+class TestOneTailLaw:
+    """Densities and perturbations take their endpoint laws from seq."""
+
+    @pytest.mark.parametrize("kind", sorted(_LAW_SEQUENCES))
+    def test_laws_read_from_seq(self, kind):
+        for seq in _LAW_SEQUENCES[kind]:
+            law = (seq.tail_coefficient, seq.tail_power)
+            w = principal_solution(seq)
+            assert (w.alpha0, w.growth) == (seq.alpha0, law), seq.descriptor()
+            # the side conditions: r > |k| for tm1, r > 2|k| for tm2/tm3
+            min_r = {"tm1": 2, "tm2": 3, "tm3": 3}.get(kind)
+            if min_r is not None and seq.r >= min_r:
+                assert perturbation(seq, 1).growth == law, seq.descriptor()
+
+    def test_closed_form_laws_exact(self):
+        for r in range(1, 51):
+            p = 1 / (2 * r)
+            assert principal_solution(tm1(r)).growth == (1.0, p)
+            assert principal_solution(tm2(r)).growth == (2.0, p)
+            if r > 1:
+                assert perturbation_tm1(r, 1).growth == (1.0, p)
+            if r > 2:
+                assert perturbation_tm2(r, 1).growth == (2.0, p)
 
 
 class TestOmega1:
@@ -178,6 +212,12 @@ class TestClassMembers:
     def test_tm3_nonfinite_amplitude_rejected(self, gamma):
         with pytest.raises(ConstraintError, match="finite amplitude"):
             class_member_tm3(3, 1, gamma, 1.0)
+
+    def test_tm3_negative_member_refused(self):
+        # tm3 has no closed amplitude bound, so the member values are checked
+        with pytest.raises(ConstraintError, match=r"negative at x = 0\.5 "):
+            class_member_tm3(3, 1, 1e6, np.array([1e-3, 0.5, 1.0]))
+        assert np.all(class_member_tm3(3, 1, 0.1, np.logspace(-4, 4, 50)) > 0)
 
     def test_tm2_member_at_bound_nonnegative(self):
         r, k = 3, 1

@@ -138,6 +138,24 @@ class TestCsvOutput:
         assert len(rows) == 5
         assert float(rows[1][3]) <= 1e-9
 
+    @pytest.mark.parametrize("argv,key", [
+        (["eval", "--seq", "tm1:r=1", "--x", "0.5,2"], "points"),
+        (["moments", "--seq", "tm1:r=1", "--n", "0..2"], "results"),
+        (["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5",
+          "--x", "1,10"], "points"),
+        (["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=1",
+          "--x", "1"], "points"),
+    ], ids=["eval", "moments", "class", "convolve"])
+    def test_csv_rows_are_the_json_records(self, capsys, argv, key):
+        # one table writer: floats by repr and ints plain in both formats
+        _, as_json, _ = run(capsys, *argv)
+        code, as_csv, _ = run(capsys, *argv, "--emit", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(as_csv))
+        records = json.loads(as_json)[key]
+        assert sorted(header) == sorted(records[0])
+        assert rows == [[repr(rec[h]) for h in header] for rec in records]
+
     def test_eval_csv(self, capsys):
         code, out, _ = run(capsys, "eval", "--seq", "tm1:r=1",
                            "--x", "1,2", "--emit", "csv")
@@ -195,10 +213,16 @@ class TestExitCodes:
         # NaN amplitudes once printed "member": "nan" and exited 0
         ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "nan"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "nan"],
+        # each once exited 0: with "results": [], and with members of
+        # -25806 and -13785
+        ["moments", "--seq", "tm1:r=1", "--n", "5..2"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "1e6",
+         "--x", "0.5,1"],
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
-            "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan"])
+            "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan",
+            "reversed-n-range", "tm3-member-negative"])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
         # any other exception would escape main as a traceback
@@ -279,6 +303,23 @@ class TestExitCodes:
         for point in json.loads(out)["points"]:
             assert point["member"] == (point["base"]
                                        + amplitude * point["omega"])
+
+
+    def test_class_names_first_negative_x(self, capsys):
+        # the member is positive at 0.001 and negative at 0.5 and 1
+        code, out, err = run(capsys, "class", "--seq", "tm3:r=3", "--k", "1",
+                             "--gamma", "1e6", "--x", "0.001,0.5,1")
+        assert (code, out) == (1, "")
+        assert "negative at x = 0.5 " in err
+
+
+class TestEndpointLaws:
+    @pytest.mark.parametrize("seq", ["tm2:r=1", "tm3:r=1"])
+    def test_alpha0_prints_positive_zero(self, capsys, seq):
+        # -(r-1)/r once printed "alpha0": -0.0 at r = 1
+        code, out, _ = run(capsys, "eval", "--seq", seq, "--x", "1")
+        assert code == 0
+        assert '"alpha0": 0.0,' in out
 
 
 class TestConvolve:

@@ -81,6 +81,25 @@ class TestStructure:
         assert tm2(3).alpha0 == pytest.approx(-2 / 3)
         assert tm4(2).alpha0 == pytest.approx(-3 / 4)
 
+    def test_named_laws_exact(self):
+        # g = prod (A/a)^{m a/A} over the distinct multipliers a, and
+        # alpha0 = min (b - a)/a: exact for the named kinds
+        for r in range(1, 51):
+            for make, g in ((tm1, 1.0), (tm2, 2.0), (tm3, 3.0)):
+                assert make(r).tail_coefficient == g, (make.__name__, r)
+            assert tm4(r).tail_coefficient == 2.0 * math.sqrt(2.0), r
+            assert tm1(r).alpha0 == -(2 * r - 1) / (2 * r), r
+            for make in (tm2, tm3):
+                assert make(r).alpha0 == -(r - 1) / r, (make.__name__, r)
+
+    def test_alpha0_never_negative_zero(self):
+        for seq in (tm2(1), tm3(1), parse_descriptor("gamma:n+1")):
+            assert math.copysign(1.0, seq.alpha0) == 1.0
+
+    def test_tail_coefficient_groups_equal_multipliers(self):
+        # Gamma(n+1) Gamma(n+1/2) = sqrt(pi) (2n)! / 4^n: -ln W ~ 2 x^{1/2}
+        assert parse_descriptor("gamma:n+1,n+0.5").tail_coefficient == 2.0
+
     def test_invalid_r(self):
         for bad in (0, -1, 1.5):
             with pytest.raises(ConstraintError):
