@@ -25,8 +25,7 @@ from .mellin import (ContourSpec, adapted_contour, contour_density,
                      mellin_convolve_many, saddle_abscissa)
 from .moments import (MomentSequence, gamma_product, log_moment,
                       mellin_symbol, parse_descriptor, tm1, tm2, tm3, tm4)
-from .special import (bessel_k0, bessel_k0_complex, bessel_k1, ln_gamma,
-                      log_bessel_k0)
+from .special import bessel_k0_complex, ln_gamma, log_bessel_k0
 from .verify import MomentCheckResult, check_moment, check_vanishing
 from .weights import (WeightFunction, principal_solution, w1, w2, w3, w4,
                       w4_via_convolution, weight_tm1, weight_tm2, weight_tm3,
@@ -41,7 +40,7 @@ __all__ = [
     "TruncationError", "ConvergenceError", "SearchError", "UndecidedError",
     "InconclusiveError", "RefusesError", "ConsistencyError",
     # special functions
-    "ln_gamma", "bessel_k0", "bessel_k1", "log_bessel_k0", "bessel_k0_complex",
+    "ln_gamma", "log_bessel_k0", "bessel_k0_complex",
     # moment sequences
     "MomentSequence", "tm1", "tm2", "tm3", "tm4", "gamma_product",
     "log_moment", "mellin_symbol", "parse_descriptor",

@@ -294,19 +294,21 @@ def _member_columns(pert, amplitude, x, gamma_bound=None):
 def _check_amplitude(pert, amplitude, gamma_bound=None):
     """Reject an amplitude that could make W + amplitude * omega negative.
 
-    tm1 needs |eps| < 1 and tm2 |gamma| <= gamma_bound (find_gamma_max
-    unless given); tm3 has no closed bound, so only a finite gamma is
-    required here and _member_columns checks the member's values.
+    tm1 needs |eps| < 1 and tm2 |gamma| <= gamma_bound (unless given,
+    find_gamma_max(r, k) for gamma >= 0 and find_gamma_max(r, -k) below);
+    tm3 has no closed bound, so only a finite gamma is required here and
+    _member_columns checks the member's values.
     """
     if pert.family == "tm1" and not abs(amplitude) < 1.0:  # NaN fails too
         raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
     if pert.family == "tm2":
+        k = pert.k if amplitude >= 0.0 else -pert.k  # omega2(r, -k) = -omega2
         if gamma_bound is None:
-            gamma_bound = find_gamma_max(pert.r, pert.k)
+            gamma_bound = find_gamma_max(pert.r, k)
         if not abs(amplitude) <= gamma_bound:  # a NaN bound certifies nothing
             raise ConstraintError(
                 f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
-                f"{gamma_bound:.6g} for (r={pert.r}, k={pert.k})")
+                f"{gamma_bound:.6g} for (r={pert.r}, k={k})")
     if pert.family == "tm3" and not math.isfinite(amplitude):
         raise ConstraintError(
             f"third family needs a finite amplitude, got {amplitude}")
@@ -355,15 +357,20 @@ def _ratio_v_over_k0(r, k, u):
 def find_gamma_max(r, k):
     """Largest amplitude keeping 1 + gamma V/K0 nonnegative, times _SAFETY.
 
-    The ratio tends to cos(pi(1/2 - k(r-1)/r)) at the origin and decays to
-    zero at infinity (Re beta > 1), so its infimum lives on a finite window.
-    The scan runs in u = x^{1/2r} over x in [1e-8, u*^{2r}], where the
-    ratio has decayed by e^{-2u*(Re beta - 1)} = 1e-8, or where
-    |2u beta| reaches _KVE_MAX_ABS if that comes first.  Beyond such a
-    cut |V/K0| follows the envelope |phase| e^{-2u(Re beta - 1)} (the
-    large-argument form of both Bessel functions), and the bound is
+    The ratio decays to zero at infinity (Re beta > 1) and tends to
+    cos(pi(1/2 - k(r-1)/r)) at the origin, but only like 1/ln u, so its
+    infimum may be that limit itself.  The scan runs in u = x^{1/2r} over
+    x in [1e-8, u*^{2r}], where the ratio has decayed by
+    e^{-2u*(Re beta - 1)} = 1e-8, or where |2u beta| reaches _KVE_MAX_ABS
+    if that comes first, and is refined by zooming in on its worst point.
+    The infimum is the least of that refined scan, the origin limit and a
+    coarse scan of u from 1e-150 up to the scan's start.  Beyond the
+    upper cut |V/K0| follows the envelope |phase| e^{-2u(Re beta - 1)}
+    (the large-argument form of both Bessel functions), and the bound is
     certified only if that envelope stays below _SAFETY times the
-    scanned infimum, the margin the bound itself keeps.
+    scanned infimum, the margin the bound itself keeps.  The bound holds
+    for gamma >= 0; omega2(r, -k) = -omega2(r, k), so a negative gamma
+    meets find_gamma_max(r, -k).
     """
     _check_side("tm2", r, k)
     beta = _beta(r, k)
@@ -403,6 +410,9 @@ def find_gamma_max(r, k):
         raise SearchError(
             f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "
             "ratio may be unbounded")
+    origin = np.logspace(-150.0, math.log10(us[0]), 1000)
+    refined = max(refined, -float(_v_phase(r, k).real),  # the u -> 0 limit
+                  float(np.max(-_ratio_v_over_k0(r, k, origin))))
     if envelope > _SAFETY * refined:
         raise SearchError(
             f"V/K0 for (r={r}, k={k}) has not decayed below its scanned "

@@ -216,13 +216,7 @@ def _cmd_convolve(args):
             raise ConstraintError("convolve requires 0 < x < inf")
     else:
         xs = _default_grid((product.tail_coefficient, product.tail_power))
-    log_w, sign = contour_log_densities(product, np.log(xs))
-    if np.any(sign <= 0):
-        x = float(np.min(xs[sign <= 0]))
-        raise TruncationError(
-            f"convolution of {seq_a.descriptor()} and {seq_b.descriptor()} "
-            f"evaluated negative at x = {x:.6g}; contour resolution "
-            "insufficient")
+    log_w, _ = contour_log_densities(product, np.log(xs))
     with np.errstate(under="ignore"):
         vals = np.exp(log_w)
     _emit_table(args, {"command": "convolve", "seq_a": seq_a.descriptor(),

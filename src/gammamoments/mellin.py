@@ -176,7 +176,9 @@ def _saddles(seq, log_x):
             break
         hi[short] = pole + 2.0 * (hi[short] - pole)
         if np.any(hi > 1e12):
-            raise ConvergenceError("saddle search failed to bracket")
+            raise ConvergenceError(
+                "saddle search failed to bracket ln x = "
+                f"{float(np.max(log_x[short])):.6g}")
     at_pole = deriv(lo) > 0
     while True:
         # each bracket stops on its own, so a saddle does not depend on
@@ -299,9 +301,17 @@ def contour_log_densities(seq: MomentSequence, log_x):
     in log W with the same sign; the finest grid has max(_MAX_POINTS,
     4 n) intervals, n being the band's phase-resolved point count.  A
     band whose coarsest grid (n / 16 intervals) would exceed _MAX_POINTS
-    raises ConvergenceError before its symbol is evaluated.
+    raises ConvergenceError before its symbol is evaluated.  A density
+    that sums to a non-positive value at some knot raises TruncationError,
+    so the returned sign is always +1.
     """
-    return _log_values(*_contour_sums(seq, log_x, 0.0, _RTOL))
+    log_w, sign = _log_values(*_contour_sums(seq, log_x, 0.0, _RTOL))
+    if np.any(sign <= 0):
+        v = float(np.min(np.atleast_1d(log_x)[sign <= 0]))
+        raise TruncationError(
+            f"principal density of {seq.descriptor()} evaluated negative "
+            f"at ln x = {v:.3f}; contour resolution insufficient")
+    return log_w, sign
 
 
 def _contour_sums(seq, log_x, psi, rtol):
@@ -369,9 +379,9 @@ def _band_sums(seq, psi, centre, lx, rtol):
     spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))), psi, t0)
     n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
     if n > _MAX_POINTS:
-        x = float(np.exp(lx[np.argmax(np.abs(lx))]))
         raise ConvergenceError(
-            f"contour at x={x} needs a coarsest grid of {n} intervals, "
+            f"contour at ln x = {float(lx[np.argmax(np.abs(lx))]):.6g} needs "
+            f"a coarsest grid of {n} intervals, "
             f"more than max_points={_MAX_POINTS}")
     cap = max(_MAX_POINTS, 4 * spec.n_points)
     h = 2.0 * spec.t_max / n
@@ -393,9 +403,9 @@ def _band_sums(seq, psi, centre, lx, rtol):
     active = np.arange(lx.size)
     while active.size:
         if 2 * n > cap:
-            x = float(np.exp(lx[active[0]]))
             raise ConvergenceError(
-                f"contour sum did not converge below {rtol} at x={x}"
+                f"contour sum did not converge below {rtol} at ln x = "
+                f"{float(lx[active[0]]):.6g}"
                 + (f" (psi={psi})" if psi else ""))
         # the refined grid keeps every node and adds the midpoints
         n *= 2

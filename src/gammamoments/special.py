@@ -1,6 +1,6 @@
 """Log-gamma and modified Bessel functions used by every closed form.
 
-Real K0/K1 and complex log-gamma are delegated to scipy (full double
+Real ln K0 and complex log-gamma are delegated to scipy (full double
 accuracy over the whole range).  Each function that calls scipy.special
 imports it itself, so it loads at the first evaluation, not with the
 package: a process that never evaluates one (the first family's closed
@@ -13,22 +13,15 @@ functions (`classes._ratio_v_over_k0`), and bessel_k0_complex stays a
 public function that the tests and the benchmark hold against mpmath.
 """
 
-import warnings
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "ln_gamma",
-    "bessel_k0",
-    "bessel_k1",
     "log_bessel_k0",
     "bessel_k0_complex",
-    "UnderflowWarning",
 ]
-
-_K_UNDERFLOW_X = 705.0  # exp(-x) leaves the double range shortly after
 
 _K0_ASYMPTOTIC_CUTOFF = 30.0  # |z| from which the asymptotic series is used
 _K0_LOG_DROP = 46.0  # Re z (cosh t_max - 1): the integrand is e^-46 at t_max
@@ -37,10 +30,6 @@ _K0_MAX_INTERVALS = 1 << 20  # per point; finer grids raise ConvergenceError
 _K0_RTOL = 1e-13  # successive sums agreeing to this relative to |sum|...
 _K0_ROUNDOFF = 16.0 * np.finfo(float).eps  # ...or to this relative to sum|terms|
 _K0_BLOCK = 1 << 16  # points x nodes evaluated at once
-
-
-class UnderflowWarning(RuntimeWarning):
-    """K0/K1 underflowed to zero beyond the double exponent range."""
 
 
 def _as_1d_complex(z):
@@ -90,35 +79,6 @@ def _check_positive_real(x, name):
     if np.any(arr <= 0.0):
         raise DomainError(f"{name} requires x > 0, got {arr[arr <= 0.0][0]}")
     return arr
-
-
-def _warn_underflow(arr):
-    if np.any(arr > _K_UNDERFLOW_X):
-        warnings.warn(
-            "K underflowed to 0 beyond the double exponent range",
-            UnderflowWarning,
-            stacklevel=3,
-        )
-
-
-def bessel_k0(x):
-    """Modified Bessel K0 for real x > 0."""
-    import scipy.special as sps
-
-    arr = _check_positive_real(x, "bessel_k0")
-    _warn_underflow(arr)
-    out = sps.k0(arr)
-    return float(out[0]) if np.isscalar(x) else out
-
-
-def bessel_k1(x):
-    """Modified Bessel K1 for real x > 0."""
-    import scipy.special as sps
-
-    arr = _check_positive_real(x, "bessel_k1")
-    _warn_underflow(arr)
-    out = sps.k1(arr)
-    return float(out[0]) if np.isscalar(x) else out
 
 
 def log_bessel_k0(x):

@@ -146,8 +146,9 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     double range (past it, -inf or inf), so it is meaningful when w solves
     seq.
     nodes_used counts the evaluations of ln W and node_cap bounds them.  An
-    interpolated density raises TruncationError when the window passes its
-    interpolant's end, at the window's last node.
+    interpolated density answers past its interpolant's window by the
+    contour engine, so the window may run past ln W = -320 (large n) and
+    below x = 1e-20 (n = 0).
     """
     _check_n(n)
     g, p = w.growth

@@ -10,7 +10,10 @@ panel's Chebyshev points (knots sharing a saddle band share one set of
 symbol evaluations).  A panel is accepted once its trailing coefficients
 are below 1e-11, so the interpolant certifies its own accuracy (about
 1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine's
-one-knot case directly, for cross-checks.
+one-knot case directly, for cross-checks.  The engine defines these
+densities, and the interpolant only caches it: its window runs from
+x = 1e-20 to where ln W reaches -320, and every ln x outside it goes to
+the engine.
 
 `principal_solution` is the one constructor (`weight_w1` and `weight_tm*`
 call it): it picks the log-density (w1, W2 or the interpolant) and whether
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import ConvergenceError, DomainError, TruncationError
+from .errors import ConvergenceError, DomainError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
 from .moments import (MomentSequence, _check_r, gamma_product, tm1, tm2,
                       tm3, tm4)
@@ -157,7 +160,7 @@ def w4_via_convolution(r, x):
     return mellin_convolve(a.evaluate, b.evaluate, float(x))
 
 
-_X_MIN = 1e-20  # below, ln W continues along the edge slope
+_X_MIN = 1e-20  # the window's left end; the engine answers below it
 _LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
 _PANEL_WIDTH = 8.0  # initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
@@ -190,12 +193,6 @@ class _PanelInterpolant:
         t = (2.0 * u - left - right) / (right - left)
         return chebyshev.chebval(t, self.coef[i].T, tensor=False)
 
-    def edge_slope(self):
-        """d ln W / d ln x at the left end of the window."""
-        width = self.edges[1] - self.edges[0]
-        slope = chebyshev.chebval(-1.0, chebyshev.chebder(self.coef[0]))
-        return float(slope) * 2.0 / width
-
 
 def _panel_points(left, right):
     """(panels, _DEGREE + 1) array of each panel's Chebyshev points."""
@@ -215,7 +212,8 @@ def _chebyshev_coefficients(values):
 def _density_spline(seq: MomentSequence):
     """Piecewise Chebyshev interpolant of ln W vs ln x for a contour density.
 
-    The window runs from x = 1e-20 to where ln W reaches -_LOG_DEPTH.  All
+    The window runs from x = 1e-20 to where ln W reaches -_LOG_DEPTH;
+    `_spline_log_evaluate` sends ln x outside it to the engine.  All
     panels are evaluated by one engine call; a panel whose last three
     coefficients sum above _TAIL_TOL is halved, and the halves of every
     such panel are evaluated by one further call.
@@ -228,12 +226,7 @@ def _density_spline(seq: MomentSequence):
     accepted = []  # (left edge, coef, tail) of the accepted panels
     for _ in range(_MAX_SPLITS + 1):
         lx = _panel_points(left, right)
-        lw, sign = contour_log_densities(seq, lx.ravel())
-        if np.any(sign <= 0):
-            v = float(np.min(lx.ravel()[sign <= 0]))
-            raise TruncationError(
-                f"principal density of {seq.descriptor()} evaluated negative "
-                f"at ln x = {v:.3f}; contour resolution insufficient")
+        lw, _ = contour_log_densities(seq, lx.ravel())
         coef = _chebyshev_coefficients(lw.reshape(lx.shape))
         tail = np.sum(np.abs(coef[:, -3:]), axis=1)
         ok = tail <= _TAIL_TOL
@@ -255,22 +248,16 @@ def _density_spline(seq: MomentSequence):
 
 
 def _spline_log_evaluate(seq, log_x):
-    """ln W at ln x from the interpolant of seq's density."""
+    """ln W at ln x: the interpolant inside its window, the engine outside."""
     interp = _density_spline(seq)
     arr = _check_log_x(log_x)
-    scalar = arr.ndim == 0
     lx = np.atleast_1d(arr)
-    lo, hi = interp.edges[0], interp.edges[-1]
-    if np.any(lx > hi):
-        raise TruncationError(
-            f"{seq.descriptor()}: density tail beyond the certified window "
-            f"(ln x = {float(np.max(lx)):.2f} > {hi:.2f})")
-    out = interp(np.maximum(lx, lo))
-    below = lx < lo
-    if np.any(below):
-        # clamp to the edge slope; only exercised at x < 1e-20
-        out[below] += interp.edge_slope() * (lx[below] - lo)
-    return float(out[0]) if scalar else out
+    inside = (lx >= interp.edges[0]) & (lx <= interp.edges[-1])
+    out = np.empty(lx.shape)
+    out[inside] = interp(lx[inside])
+    if not np.all(inside):
+        out[~inside] = contour_log_densities(seq, lx[~inside])[0]
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 # -- WeightFunction factories ----------------------------------------------

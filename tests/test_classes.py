@@ -237,6 +237,18 @@ class TestClassMembers:
                            match="exceeds the certified bound"):
             class_member_tm2(3, 1, 2.0 * bound, 1.0, gamma_bound=bound)
 
+    def test_tm2_negative_gamma_meets_bound_of_minus_k(self):
+        # omega2(r, -k) = -omega2(r, k), so gamma < 0 is bounded by
+        # find_gamma_max(r, -k) = 1.143 for (3, 1), not by 2.348; at
+        # gamma = -2.3 the member was -1.7e5 at x = 1e-8
+        assert omega2(3, -1, 0.7) == pytest.approx(-omega2(3, 1, 0.7),
+                                                   rel=1e-12)
+        with pytest.raises(ConstraintError, match=r"bound 1\.14315 for "
+                                                  r"\(r=3, k=-1\)"):
+            class_member_tm2(3, 1, -2.3, 1e-8)
+        xs = np.logspace(-40, 6, 2000)
+        assert np.all(class_member_tm2(3, 1, -find_gamma_max(3, -1), xs) >= 0)
+
     def test_tm2_nan_bound_rejected(self):
         with pytest.raises(ConstraintError,
                            match="exceeds the certified bound nan"):
@@ -281,8 +293,12 @@ class TestGammaMax:
         assert find_gamma_max(5, 2) == find_gamma_max(5, 2)
 
     @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705265),
-                                          (5, 2, 2.294374844349574)])
+                                          (5, 2, 1.0409476019958845),
+                                          (10, 4, 1.0409476019958845),
+                                          (3, -1, 1.1431535329954585)])
     def test_scaled_scan_keeps_small_r_bounds(self, r, k, want):
+        # (5, 2), (10, 4) and (3, -1) take their infimum at the ratio's
+        # x -> 0 limit, which a scan from x = 1e-8 missed (2.294 for (5, 2))
         assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("r,want", [(9, 1.178), (15, 1.089), (40, 1.023)])
@@ -297,13 +313,14 @@ class TestGammaMax:
         assert np.all(vals >= 0.0)
 
     @pytest.mark.parametrize("r,k,want", [(3, 1, 2.348234710170527),
-                                          (5, 2, 2.294374844349573),
+                                          (5, 2, 1.0409476019958845),
                                           (7, 3, 4.502411477454808),
                                           (9, 1, 1.178284989758534),
                                           (15, 1, 1.0887845211249443),
                                           (40, 1, 1.0228080242294657)])
     def test_zoom_matches_brent_refinement(self, r, k, want):
-        # values of the bounded Brent refinement the zoom replaced
+        # values of the bounded Brent refinement the zoom replaced; (5, 2)
+        # is its origin limit 0.99 / -cos(pi(1/2 - 8/5))
         assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
@@ -319,9 +336,21 @@ class TestGammaMax:
         bound = find_gamma_max(r, k)
         worst = float(np.max(seen[0]))  # the scan grid comes first
         deepest = max(float(np.max(v)) for v in seen)
+        limit = -classes._v_phase(r, k).real  # -V/K0 at x -> 0
         assert len(seen) > 1
         assert bound <= 0.99 / worst
-        assert bound == 0.99 / deepest
+        assert bound == 0.99 / max(deepest, limit)
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (10, 4), (3, -1),
+                                     (7, 3), (9, 1)])
+    def test_interval_certified_down_to_tiny_u(self, r, k):
+        # 1 + gamma V/K0 >= 0 at both ends of [-gamma_max(r, -k),
+        # gamma_max(r, k)], also where the ratio creeps toward its x -> 0
+        # limit, like 1/ln u, far below the scan's start at x = 1e-8
+        us = np.logspace(-150.0, 1.0, 20001)
+        ratio = classes._ratio_v_over_k0(r, k, us)
+        for gamma in (find_gamma_max(r, k), -find_gamma_max(r, -k)):
+            assert np.min(1.0 + gamma * ratio) >= 0.0
 
     @pytest.mark.parametrize("r", [10**4, 3 * 10**4])
     def test_bound_finite_where_kve_overflows(self, r):

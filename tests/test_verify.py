@@ -9,7 +9,7 @@ import scipy.special
 
 import gammamoments.verify as verify
 from gammamoments import (ConstraintError, ConvergenceError, RefusesError,
-                          TruncationError, WeightFunction, check_moment,
+                          WeightFunction, check_moment,
                           check_vanishing, full_report, gamma_product,
                           parse_descriptor,
                           perturbation_tm1, perturbation_tm2,
@@ -93,11 +93,20 @@ class TestInterpolatedMoments:
         for n in range(9):
             assert check_moment(w, seq, n).rel_error <= 1e-5
 
-    def test_window_past_interpolant_raises(self):
-        # at n = 50 the envelope window of tm3:r=1 ends beyond ln W = -320,
-        # where the interpolant stops
-        with pytest.raises(TruncationError):
-            check_moment(principal_solution(tm3(1)), tm3(1), 50)
+    @pytest.mark.parametrize("desc", ["tm3:r=2", "tm4:r=2", "tm3:r=3"])
+    def test_n0_below_interpolant_window(self, desc):
+        # at n = 0 the window reaches below x = 1e-20, where ln W once
+        # followed the interpolant's edge slope and lost tm3's (ln x)^2
+        # factor (2.7e-7 on tm3:r=3); the engine answers there now
+        seq = parse_descriptor(desc)
+        assert check_moment(principal_solution(seq), seq, 0).rel_error <= 1e-13
+
+    @pytest.mark.parametrize("n", [45, 50])
+    def test_moments_past_interpolant_window(self, n):
+        # at these n the envelope window of tm3:r=1 ends beyond ln W = -320,
+        # where the interpolant stops and the engine takes over
+        res = check_moment(principal_solution(tm3(1)), tm3(1), n)
+        assert res.rel_error <= 1e-12
 
 
 class TestHarnessPlumbing:

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
-                          TruncationError, bessel_k0, contour_density,
+                          TruncationError, contour_density,
                           contour_log_densities, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4, w1, w2, w3,
                           w4, w4_via_convolution, weight_tm1, weight_tm2,
@@ -25,7 +26,7 @@ class TestClosedForms:
 
     def test_w2_formula(self):
         for r, x in [(1, 1.0), (2, 0.5), (3, 4.0)]:
-            want = (2.0 * bessel_k0(2.0 * x ** (1.0 / (2.0 * r)))
+            want = (2.0 * scipy.special.k0(2.0 * x ** (1.0 / (2.0 * r)))
                     / (r * x ** ((r - 1.0) / r)))
             assert w2(r, x) == pytest.approx(want, rel=1e-13)
 
@@ -138,9 +139,11 @@ class TestSplineDensities:
         xs = np.logspace(-18, 10, 400)
         assert np.all(np.isfinite(w.log_density(np.log(xs))))
 
-    def test_beyond_window_raises(self):
+    def test_far_tail_raises_convergence_error(self):
+        # past the window the engine answers, and at x = 1e40 its saddle
+        # search cannot bracket
         w = weight_tm3(1)
-        with pytest.raises(TruncationError):
+        with pytest.raises(ConvergenceError, match="ln x = 92.1034"):
             w.log_density(np.float64(math.log(1e40)))
 
 
@@ -177,19 +180,20 @@ class TestPanelInterpolant:
         assert 0.0 < interp.error <= 1e-10
 
     @_CONTOUR_SEQS
-    def test_clamp_follows_edge_slope(self, seq):
+    def test_outside_window_matches_engine(self, seq):
+        # below x = 1e-20 and past ln W = -320 the engine itself answers;
+        # points inside the window in the same call keep the interpolant's
+        # values exactly
         interp = weights._density_spline(seq)
-        lo = interp.edges[0]
+        lo, hi = interp.edges[0], interp.edges[-1]
         assert lo == pytest.approx(math.log(1e-20), abs=1e-12)
-        h = 1e-3
-        (w_lo, w_plus), _ = contour_log_densities(seq, np.array([lo, lo + h]))
-        (w_minus,), _ = contour_log_densities(seq, np.array([lo - h]))
-        assert interp.edge_slope() == pytest.approx(
-            (w_plus - w_minus) / (2.0 * h), abs=1e-6)
-        lx = lo - np.array([1e-6, 1.0, 30.0])
-        got = weights._spline_log_evaluate(seq, lx)
-        assert np.allclose(got, w_lo + interp.edge_slope() * (lx - lo),
-                           rtol=0.0, atol=1e-10)
+        outside = np.array([lo - 1.0, -100.0, -230.0, -690.0, hi + 1.0])
+        inside = np.linspace(lo, hi, 7)
+        want, _ = contour_log_densities(seq, outside)
+        got = weights._spline_log_evaluate(
+            seq, np.concatenate([outside, inside]))
+        assert np.max(np.abs(got[:outside.size] - want)) <= 1e-10
+        assert np.array_equal(got[outside.size:], interp(inside))
 
     @_CONTOUR_SEQS
     def test_build_makes_one_engine_call(self, seq, monkeypatch):
@@ -214,6 +218,41 @@ class TestPanelInterpolant:
         monkeypatch.setattr(weights, "_MAX_SPLITS", 1)
         with pytest.raises(ConvergenceError):
             weights._density_spline.__wrapped__(seq)
+
+
+class TestNegativeDensityRefused:
+    """The engine refuses a non-positive principal density for every caller."""
+
+    @pytest.fixture
+    def negated(self, monkeypatch):
+        import gammamoments.mellin as mellin
+        sums = mellin._contour_sums
+
+        def negative(*args, **kwargs):
+            scale, total = sums(*args, **kwargs)
+            return scale, -total
+        return lambda: monkeypatch.setattr(mellin, "_contour_sums", negative)
+
+    def test_build(self, negated):
+        negated()
+        with pytest.raises(TruncationError, match="evaluated negative"):
+            weights._density_spline.__wrapped__(tm3(1))
+
+    def test_lookup_outside_window(self, negated):
+        seq = tm3(1)
+        lo = weights._density_spline(seq).edges[0]
+        negated()
+        with pytest.raises(TruncationError, match="evaluated negative"):
+            weights._spline_log_evaluate(seq, np.array([lo + 1.0, lo - 1.0]))
+
+    def test_convolve(self, negated):
+        from gammamoments import cli
+        args = cli.build_parser().parse_args(
+            ["convolve", "--seq-a", "tm3:r=1", "--seq-b", "tm1:r=1",
+             "--x", "1"])
+        negated()
+        with pytest.raises(TruncationError, match="evaluated negative"):
+            args.func(args)
 
 
 class TestDualRoute:
