@@ -126,12 +126,27 @@ def _check_r(r):
 
 
 def log_moment(seq: MomentSequence, n) -> float:
-    """ln rho(n) = sum_j ln Gamma(a_j n + b_j); vectorized over n >= 0."""
-    import scipy.special as sps
+    """ln rho(n) = sum_j ln Gamma(a_j n + b_j); vectorized over n >= 0.
 
+    Every argument is real, so each term is `math.lgamma`, element by
+    element, and no SciPy module is loaded.  A term at a pole of Gamma or
+    past the double range is +inf, and NaN stays NaN; scalar in, float
+    out, and an array keeps its shape.
+    """
     n = np.asarray(n, dtype=np.float64)
-    out = sum(sps.gammaln(a * n + b) for a, b in seq.factors)
+    out = sum(_ln_gamma_real(a * n + b) for a, b in seq.factors)
     return float(out) if out.ndim == 0 else out
+
+
+def _ln_gamma_real(z):
+    """ln |Gamma(z)| elementwise over a float64 array; +inf where
+    math.lgamma raises (a pole, or a value past the double range)."""
+    def term(v):
+        try:
+            return math.lgamma(v)
+        except (OverflowError, ValueError):
+            return math.inf
+    return np.array([term(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def mellin_symbol(seq: MomentSequence, s):

@@ -1,10 +1,12 @@
 """Log-gamma and modified Bessel functions used by every closed form.
 
 Real ln K0 and complex log-gamma are delegated to scipy (full double
-accuracy over the whole range).  Each function that calls scipy.special
-imports it itself, so it loads at the first evaluation, not with the
-package: a process that never evaluates one (the first family's closed
-form, `--help`, a usage error) does not pay for it.  Complex K0 is the
+accuracy over the whole range); the real log-gamma of a moment target
+needs no scipy and comes from `math.lgamma` (`moments.log_moment`).
+Each function that calls scipy.special imports it itself, so it loads at
+the first evaluation, not with the package: a process that never
+evaluates one (a single factor's closed form with its moment checks and
+criteria, `--help`, a usage error) does not pay for it.  Complex K0 is the
 Sommerfeld integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a
 vectorised, self-checking trapezoid rule below |z| = 30, and the
 asymptotic series above.  No function of the package calls it: the

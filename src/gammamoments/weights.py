@@ -1,7 +1,8 @@
 """Principal weight functions for the four model families.
 
 The first two families have closed forms (stretched exponential, Bessel K0),
-which `principal_solution` reads off any factor list of their shape; the
+which `principal_solution` reads off any factor list of their shape (the
+stretched exponential serves every single factor Gamma(an + b)); the
 third and fourth are defined operationally as inverse Mellin transforms
 of their gamma-product symbols.  For those, and for any other gamma
 product, ln W is interpolated once per sequence by Chebyshev polynomials
@@ -100,15 +101,17 @@ def _check_log_x(log_x):
 
 # -- family 1: moments (qn)!, density e^{-x^{1/q}} / (q x^{(q-1)/q}) --------
 
-def _log_w1(q, log_x):
-    """ln w1(q, x) at ln x."""
+def _log_w1(q, log_x, b=1.0):
+    """ln of x^{(b-q)/q} e^{-x^{1/q}} / q at ln x, the density with moments
+    Gamma(qn + b) for any q, b > 0 (u = x^{1/q} turns it into Gamma's
+    integral); b = 1 is w1(q, x)."""
     log_x = _check_log_x(log_x)
-    if q < 1:
-        raise DomainError(f"w1 requires q >= 1, got {q}")
-    return -np.log(q) - ((q - 1.0) / q) * log_x - np.exp(log_x / q)
+    return -np.log(q) + ((b - q) / q) * log_x - np.exp(log_x / q)
 
 
 def log_w1(q, x):
+    if q < 1:
+        raise DomainError(f"w1 requires q >= 1, got {q}")
     return _log_w1(q, np.log(_check_x(x)))
 
 
@@ -267,13 +270,14 @@ def principal_solution(seq: MomentSequence) -> WeightFunction:
 
     The closed form is read off the factor list, so a gamma descriptor
     gets the density of the named kind with the same factors: one factor
-    (q, 1) with q >= 1 is w1(q, .), two equal factors (r, 1) with integer
-    r are W2(r); any other sequence gets its contour interpolant.
+    (a, b) is x^{(b-a)/a} e^{-x^{1/a}} / a, which is w1(q, .) at (q, 1),
+    and two equal factors (r, 1) with integer r are W2(r); any other
+    sequence gets its contour interpolant.
     """
     (a, b), count = seq.factors[0], len(seq.factors)
     certified = True
-    if b == 1 and count == 1 and a >= 1:
-        log_density = lambda log_x: _log_w1(a, log_x)
+    if count == 1:
+        log_density = lambda log_x: _log_w1(a, log_x, b)
     elif (b == 1 and count == 2 and seq.factors[1] == (a, b)
           and float(a).is_integer()):
         log_density = lambda log_x: _log_w2(int(a), log_x)

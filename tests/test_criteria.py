@@ -105,6 +105,23 @@ class TestKrein:
         assert krein(principal_solution(tm3(2))).verdict == "Undecided"
         assert krein(principal_solution(tm4(2))).verdict == "Undecided"
 
+    @pytest.mark.parametrize("text,verdict", [
+        ("gamma:2.5n+0.7", "Finite"), ("gamma:3n+2", "Finite"),
+        ("gamma:2.02n+0.5", "Finite"), ("gamma:0.5n+1", "Infinite")])
+    def test_single_factor_decided(self, text, verdict):
+        # one factor Gamma(an + b) has a closed form for every b, so its
+        # tail law is certified: beta = 2/a decides C2
+        w = principal_solution(parse_descriptor(text))
+        assert krein(w).verdict == verdict
+
+    def test_offset_leaves_estimate_unchanged(self):
+        # -ln W(x^2) = x^{2/a} - 2((b - a)/a) ln x + ln a, and
+        # int_0^inf ln x/(1 + x^2) dx = 0, so the integral is free of b
+        half, one = (krein(principal_solution(parse_descriptor(text)))
+                     for text in ("gamma:2.02n+0.5", "gamma:2.02n+1"))
+        assert half.integral_estimate == pytest.approx(
+            one.integral_estimate, rel=0, abs=1e-9)
+
     @pytest.mark.parametrize("factory", [weight_tm1, weight_tm2])
     def test_infinite_verdict_skips_quadrature(self, factory, monkeypatch):
         import gammamoments.criteria as crit

@@ -2,9 +2,13 @@
 
 scipy.special is imported inside each function that evaluates one of its
 functions, so it loads at the first evaluation; a process that never
-evaluates one (the first family's closed form, a usage error) never loads
-it.  It is the only SciPy subpackage the package imports, so no CLI call
-loads scipy.optimize, scipy.integrate or scipy.interpolate."""
+evaluates one never loads it.  The real ln Gamma of every moment target
+comes from math.lgamma, so the closed form of a single factor Gamma(an + b)
+with its moment checks and all three criteria, and a usage error, load no
+SciPy module.  K0 (the second family) and the complex log-gamma of the
+contour engine load scipy.special.  It is the only SciPy subpackage the
+package imports, so no CLI call loads scipy.optimize, scipy.integrate or
+scipy.interpolate."""
 
 import json
 import os
@@ -57,20 +61,27 @@ def test_import_and_closed_forms_load_no_scipy():
         ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5"],
         ["eval", "--seq", "gamma:4n+1"],  # read off as the first family
         ["moments", "--seq", "tm1:r=1", "--n", "a..b"],  # usage error
+        ["moments", "--seq", "tm1:r=2", "--n", "0..8"],
+        ["criteria", "--seq", "tm1:r=1"],
+        ["criteria", "--seq", "gamma:2.02n+1"],
+        ["criteria", "--seq", "gamma:2.5n+0.7"],  # one factor, b != 1
     ]
     steps = _steps(*argvs)
     assert steps[0] == [None, []], "import gammamoments, then cli"
     for argv, (code, loaded) in zip(argvs, steps[1:]):
         assert loaded == [], " ".join(argv)
-    assert [code for code, _ in steps[1:]] == [0, 0, 0, 1]
+    assert [code for code, _ in steps[1:]] == [0, 0, 0, 1, 0, 0, 0, 0]
 
 
 def test_first_evaluation_loads_scipy_special():
-    # positive control: K0 in the second family's closed form is the first
-    # special function this call evaluates, so the guard above can fail
-    (_, before), (code, after) = _steps(["eval", "--seq", "tm2:r=2"])
-    assert before == []
-    assert (code, after) == (0, ["scipy", "scipy.special"])
+    # positive controls: K0 in the second family's closed form is the
+    # first special function these calls evaluate, so the guard above can
+    # fail; each runs in a fresh process
+    for argv in (["eval", "--seq", "tm2:r=2"],
+                 ["moments", "--seq", "tm2:r=3", "--n", "0"]):
+        (_, before), (code, after) = _steps(argv)
+        assert before == [], " ".join(argv)
+        assert (code, after) == (0, ["scipy", "scipy.special"]), " ".join(argv)
 
 
 def _deferred(loaded):

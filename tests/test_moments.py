@@ -41,6 +41,52 @@ def test_log_moment_vectorized():
         assert got[n] == pytest.approx(log_moment(seq, int(n)), rel=1e-15)
 
 
+class TestLogMomentEdges:
+    """ln rho(n) at a pole, past the double range and at non-finite n."""
+
+    def test_pole_and_overflow_give_inf(self):
+        seq = tm1(1)  # rho(n) = Gamma(2n + 1)
+        assert log_moment(seq, 1e306) == math.inf  # ln Gamma overflows
+        assert log_moment(seq, -1.0) == math.inf  # Gamma(-1) is a pole
+        assert log_moment(seq, math.inf) == math.inf
+        assert math.isnan(log_moment(seq, math.nan))
+        assert type(log_moment(seq, -1.0)) is float
+
+    def test_mixed_array_keeps_shape(self):
+        ns = np.array([[0.0, 1e306, 2.0], [-1.0, math.nan, math.inf]])
+        got = log_moment(tm2(1), ns)
+        assert got.shape == ns.shape
+        assert got[0, 0] == 0.0
+        assert got[0, 2] == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        assert got[0, 1] == got[1, 0] == got[1, 2] == math.inf
+        assert math.isnan(got[1, 1])
+
+
+_ORACLE_SEQS = ([make(r) for make in (tm1, tm2, tm3) for r in range(1, 13)]
+                + [tm4(r) for r in range(1, 7)]
+                + [parse_descriptor(d) for d in (
+                    "gamma:2.02n+1", "gamma:2.02n+0.5",
+                    "gamma:2.5n+1,0.5n+0.7")])
+
+
+def test_log_moment_mpmath_oracle_seeded():
+    # each term a double's math.lgamma: within a few ulp of ln rho(n) at
+    # 50 digits, taken at the exact binary values of a_j and b_j
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    ns = list(range(9)) + [50, 200, 1000] + rng.integers(9, 1000, 6).tolist()
+    worst = 0.0
+    with mp.workdps(50):
+        for seq in _ORACLE_SEQS:
+            got = log_moment(seq, np.array(ns))
+            for n, value in zip(ns, got):
+                want = mp.fsum(mp.loggamma(mp.mpf(a) * n + mp.mpf(b))
+                               for a, b in seq.factors)
+                err = float(abs(value - want)) / max(1.0, abs(float(want)))
+                worst = max(worst, err)
+    assert worst <= 2e-15
+
+
 @pytest.mark.parametrize("factory,r", [(tm1, 1), (tm1, 3), (tm2, 2),
                                        (tm3, 2), (tm4, 2)])
 def test_mellin_symbol_interpolates_moments(factory, r):

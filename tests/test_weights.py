@@ -9,7 +9,7 @@ import scipy.special
 
 import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
-                          TruncationError, contour_density,
+                          TruncationError, check_moment, contour_density,
                           contour_log_densities, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4, w1, w2, w3,
                           w4, w4_via_convolution, weight_tm1, weight_tm2,
@@ -266,6 +266,46 @@ class TestDualRoute:
         direct = w4(2, 1.0)
         conv = w4_via_convolution(2, 1.0)
         assert conv == pytest.approx(direct, rel=1e-7)
+
+
+_SINGLE_FACTORS = pytest.mark.parametrize(
+    "text", ["gamma:2.5n+0.7", "gamma:3n+2", "gamma:2.02n+0.5",
+             "gamma:0.5n+1", "gamma:1.5n+3.25"])
+
+
+class TestSingleFactor:
+    """Gamma(an + b) for any a, b > 0 has the closed-form density
+    x^{b/a - 1} e^{-x^{1/a}} / a (substitute u = x^{1/a})."""
+
+    @_SINGLE_FACTORS
+    def test_formula(self, text):
+        seq = parse_descriptor(text)
+        (a, b), = seq.factors
+        w = principal_solution(seq)
+        assert w.tail_certified
+        assert w.alpha0 == (b - a) / a
+        for x in (1e-6, 0.3, 2.0, 50.0, 1e4):
+            want = x ** (b / a - 1.0) * math.exp(-x ** (1.0 / a)) / a
+            assert w.evaluate(np.float64(x)) == pytest.approx(want, rel=1e-13)
+
+    @_SINGLE_FACTORS
+    def test_moments_without_interpolant(self, text, monkeypatch):
+        def no_spline(seq):
+            raise AssertionError(f"interpolant built for {seq.descriptor()}")
+        monkeypatch.setattr(weights, "_density_spline", no_spline)
+        seq = parse_descriptor(text)
+        w = principal_solution(seq)
+        for n in range(9):
+            assert check_moment(w, seq, n).rel_error <= 1e-12, n
+
+    def test_unit_offset_is_w1_bit_for_bit(self):
+        # the exponent (b - q)/q at b = 1 rounds as -(q - 1)/q does
+        us = np.linspace(-30.0, 30.0, 61)
+        for text, q in (("gamma:2.02n+1", 2.02), ("tm1:r=2", 4),
+                        ("gamma:3n+1", 3.0)):
+            w = principal_solution(parse_descriptor(text))
+            want = -np.log(q) - ((q - 1.0) / q) * us - np.exp(us / q)
+            assert np.array_equal(w.log_density(us), want), text
 
 
 class TestGenericW1:
