@@ -11,17 +11,27 @@ sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution
 integral in `mellin` is kept only as an oracle for it.
 
-Exit codes: 0 success/decided, 1 usage or constraint violation, 2 criteria
-undecided, 3 numeric convergence failure.  All JSON artifacts carry a
-"schema_version" field; identical configs produce byte-identical output.
+Exit codes: 0 success/decided, 1 usage or constraint violation (or a
+stdout closed by its reader), 2 criteria undecided, 3 numeric convergence
+failure.  All JSON artifacts carry a "schema_version" field; identical
+configs produce byte-identical output.
+
+As the program entry (the console script and `python -m
+gammamoments.cli`, which call `main()` with no argv), the process freezes
+its heap into the permanent generation once the subcommand returns, so
+the interpreter's final cyclic collections skip every object numpy and
+SciPy made; the process ends anyway.  In-process callers pass argv and
+keep normal garbage collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -295,6 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    With argv None, main is the program entry: a stdout closed by its
+    reader exits 1 without a traceback, and whatever the exit code, the
+    heap is frozen (`gc.freeze`) before the interpreter's shutdown, whose
+    cyclic collections would otherwise walk every object numpy and SciPy
+    made, to free memory the OS takes back anyway.  atexit handlers and
+    the stdio flush still run.
+    """
+    if argv is not None:
+        return _run(argv)
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: point fd 1 at devnull so the
+        # flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_USAGE
+    finally:
+        gc.freeze()
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
                      InconclusiveError, RefusesError, UndecidedError)
 from .moments import MomentSequence, log_moment
-from .weights import WeightFunction
+from .weights import _LOG_DEPTH, WeightFunction
 
 __all__ = [
     "CarlemanResult",
@@ -223,7 +223,6 @@ def _tail_limit(w: WeightFunction) -> float:
     if w.tail_certified:
         depth = 1e8  # closed forms evaluate anywhere in log domain
     else:
-        from .weights import _LOG_DEPTH
         depth = _LOG_DEPTH - 2.0
     return math.log(depth / g) / (2.0 * p)
 

@@ -123,9 +123,10 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
         abs_scale = float(np.sum(np.abs(segments)))
         if not math.isfinite(abs_scale):  # finite, it bounds every panel
             return math.inf, nodes_used
-        # panel boundaries at sign changes of the integrand
+        # panel boundaries at sign changes of the integrand; flips + 1 is
+        # increasing and >= 1, so starts is sorted and unique as built
         flips = np.nonzero(np.diff(np.signbit(h)))[0]
-        starts = np.unique(np.concatenate(([0], flips + 1)))
+        starts = np.concatenate(([0], flips + 1))
         starts = starts[starts < segments.size]
         panels = np.add.reduceat(segments, starts)
         total = math.fsum(panels.tolist())

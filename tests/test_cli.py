@@ -1,8 +1,12 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -402,3 +406,74 @@ class TestClassTm3:
         xs = np.array([p["x"] for p in points])
         member = np.array([p["member"] for p in points])
         assert np.array_equal(member, class_member_tm3(3, 1, 0.1, xs))
+
+
+def _python(*args, **kwargs):
+    """Run `python args` on this checkout's package; capture stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env,
+                          stderr=subprocess.PIPE, timeout=300, **kwargs)
+
+
+def _entry(*argv, **kwargs):
+    """`python -m gammamoments.cli argv`, which calls main() with no argv."""
+    return _python("-m", "gammamoments.cli", *argv, **kwargs)
+
+
+class TestProgramEntry:
+    """The program entry freezes the heap before exit and turns a closed
+    stdout into exit 1; neither changes what a call prints or returns."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["eval", "--seq", "tm1:r=2"], 0),
+        (["moments", "--seq", "tm1:r=1", "--n", "5..2"], 1),
+        (["criteria", "--seq", "gamma:0.7n+1,0.6n+1,0.7n+1"], 2),
+        (["class", "--seq", "tm2:r=100000000", "--k", "1",
+          "--find-gamma-max"], 3),
+    ], ids=["ok", "usage", "undecided", "numeric"])
+    def test_same_exit_code_and_stdout_as_in_process(self, capsys, argv,
+                                                     want):
+        code, out, _ = run(capsys, *argv)
+        proc = _entry(*argv)
+        assert (code, proc.returncode) == (want, want)
+        assert proc.stdout == out.encode("utf-8")
+        assert b"Traceback" not in proc.stderr
+
+    def test_output_file_is_complete(self, tmp_path):
+        target = tmp_path / "f.json"
+        proc = _entry("moments", "--seq", "tm2:r=3", "--n", "0..8",
+                      "--output", str(target))
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        with open(target, encoding="utf-8") as fh:
+            results = json.load(fh)["results"]
+        assert [r["n"] for r in results] == list(range(9))
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seq", "tm3:r=1"],
+        ["moments", "--seq", "tm1:r=2", "--n", "0"],
+    ], ids=["large", "small"])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        # a BrokenPipeError traceback once ended such a call
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _entry(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+
+    def test_entry_freezes_in_process_call_does_not(self, capsys):
+        code, _, _ = run(capsys, "eval", "--seq", "tm1:r=2", "--x", "1")
+        assert (code, gc.get_freeze_count()) == (0, 0)
+        # positive control: main() with no argv freezes the heap
+        probe = ("import gc, sys; from gammamoments import cli; "
+                 "sys.argv[1:] = ['eval', '--seq', 'tm1:r=2', '--x', '1']; "
+                 "code = cli.main(); "
+                 "print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+        assert _python("-c", probe).stderr.split() == [b"0", b"True"]
