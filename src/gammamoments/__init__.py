@@ -7,11 +7,9 @@ via the Carleman, Krein, and converse-Carleman criteria.
 """
 
 from .classes import (Perturbation, certify_nonnegative, class_member,
-                      class_member_tm1, class_member_tm2, class_member_tm3,
-                      find_gamma_max, omega1, omega2, omega2_v,
-                      omega2_via_convolution, omega3, omega3_via_convolution,
-                      perturbation, perturbation_tm1, perturbation_tm2,
-                      perturbation_tm3)
+                      find_gamma_max, omega2, omega2_via_convolution, omega3,
+                      omega3_via_convolution, perturbation, perturbation_tm1,
+                      perturbation_tm2, perturbation_tm3)
 from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
                        krein)
@@ -28,8 +26,7 @@ from .moments import (MomentSequence, gamma_product, log_moment,
 from .special import bessel_k0_complex, ln_gamma, log_bessel_k0
 from .verify import MomentCheckResult, check_moment, check_vanishing
 from .weights import (WeightFunction, principal_solution, w1, w2, w3, w4,
-                      w4_via_convolution, weight_tm1, weight_tm2, weight_tm3,
-                      weight_tm4, weight_w1)
+                      w4_via_convolution)
 
 __version__ = "0.1.0"
 
@@ -50,16 +47,13 @@ __all__ = [
     "contour_log_density", "contour_log_densities", "mellin_convolve",
     "mellin_convolve_many",
     # weights
-    "WeightFunction", "w1", "w2", "w3", "w4", "w4_via_convolution",
-    "weight_w1", "weight_tm1", "weight_tm2", "weight_tm3", "weight_tm4",
-    "principal_solution",
+    "WeightFunction", "principal_solution", "w1", "w2", "w3", "w4",
+    "w4_via_convolution",
     # classes
-    "Perturbation", "omega1", "omega2", "omega2_v", "omega2_via_convolution",
-    "omega3", "omega3_via_convolution", "perturbation", "perturbation_tm1",
-    "perturbation_tm2", "perturbation_tm3", "class_member",
-    "class_member_tm1",
-    "class_member_tm2", "class_member_tm3", "find_gamma_max",
-    "certify_nonnegative",
+    "Perturbation", "perturbation", "class_member", "omega2",
+    "omega2_via_convolution", "omega3", "omega3_via_convolution",
+    "perturbation_tm1", "perturbation_tm2", "perturbation_tm3",
+    "find_gamma_max", "certify_nonnegative",
     # verification
     "MomentCheckResult", "check_moment", "check_vanishing",
     # criteria

@@ -5,12 +5,13 @@ omega1 is a sine-modulated copy of the first principal density, omega2 its
 W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
 by the contour engine (the convolution route is kept as an oracle).  Every
 class member is W + amplitude * omega: `perturbation(seq, k)` picks the
-family from seq's kind, and `class_member` adds amplitude * omega to seq's
-principal solution once the amplitude is admissible: |eps| < 1, within
-the second family's bound (a grid search over the oscillating ratio V/K0,
-refined by zooming in on the worst grid point), or finite for the third.
-A third-family member negative at some x is refused.  `perturbation` is
-the one constructor (`perturbation_tm1/2/3` call it): it checks the side
+family from seq's kind, and `class_member(seq, k, amplitude, x)` adds
+amplitude * omega to seq's principal solution once the amplitude is
+admissible: finite for every family, and then |eps| < 1 for the first
+and within the second family's bound (a grid search over the oscillating
+ratio V/K0, refined by zooming in on the worst grid point).  The third
+family has no closed bound, so a third-family member negative at some x
+is refused.  `perturbation` is the one constructor: it checks the side
 condition on (r, k) and picks the log-density, and family, r and the tail
 law growth are read from seq, so omega shares W's exact (g, p).
 
@@ -19,8 +20,8 @@ Perturbations are evaluated in ln x, as densities are:
 moment window never forms x.  omega1 is ln w1 plus ln |sine factor|,
 omega2 is ln W2 plus ln |V/K0| (the ratio the amplitude search scans, from
 SciPy's scaled Bessel functions), and omega3 keeps the scale and
-ln |Im total| of its contour sums.  `evaluate(x)` and the omega functions
-are the entries in linear x.
+ln |Im total| of its contour sums.  `evaluate(x)` is the entry in linear
+x; `omega2` and `omega3` evaluate it for the named families.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ import numpy as np
 from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .special import log_bessel_k0
 from .weights import (_log_w1, _log_w2, log_w1, log_w2, principal_solution,
                       w1, w2)
 
 __all__ = [
     "Perturbation",
-    "omega1",
     "omega2",
-    "omega2_v",
     "omega2_via_convolution",
     "omega3",
     "omega3_via_convolution",
@@ -50,9 +48,6 @@ __all__ = [
     "perturbation_tm3",
     "perturbation",
     "class_member",
-    "class_member_tm1",
-    "class_member_tm2",
-    "class_member_tm3",
     "find_gamma_max",
     "certify_nonnegative",
 ]
@@ -139,11 +134,6 @@ def omega1_general(q, k, x):
     return _at_x(lambda log_x: _log_omega1(q, k, log_x), x)
 
 
-def omega1(r, k, x):
-    """First-family perturbation; the side condition is r > |k|."""
-    return perturbation_tm1(r, k).evaluate(x)
-
-
 def perturbation_tm1(r, k) -> Perturbation:
     return perturbation(tm1(r), k)
 
@@ -157,16 +147,6 @@ def _beta(r, k):
 
 def _v_phase(r, k):
     return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
-
-
-def omega2_v(r, k, x):
-    """The oscillating factor V: Re[e^{i pi(1/2 - k(r-1)/r)} K0(2 x^{1/2r} beta)]."""
-    _check_side("tm2", r, k)
-
-    def log_v(log_x):
-        u = np.exp(log_x / (2.0 * r))
-        return _signed_log(log_bessel_k0(2.0 * u), _ratio_v_over_k0(r, k, u))
-    return _at_x(log_v, x)
 
 
 def _log_omega2(r, k, log_x):
@@ -294,12 +274,15 @@ def _member_columns(pert, amplitude, x, gamma_bound=None):
 def _check_amplitude(pert, amplitude, gamma_bound=None):
     """Reject an amplitude that could make W + amplitude * omega negative.
 
-    tm1 needs |eps| < 1 and tm2 |gamma| <= gamma_bound (unless given,
-    find_gamma_max(r, k) for gamma >= 0 and find_gamma_max(r, -k) below);
-    tm3 has no closed bound, so only a finite gamma is required here and
-    _member_columns checks the member's values.
+    Every family needs a finite amplitude; then tm1 needs |eps| < 1 and
+    tm2 |gamma| <= gamma_bound (unless given, find_gamma_max(r, k) for
+    gamma >= 0 and find_gamma_max(r, -k) below).  tm3 has no closed
+    bound, so _member_columns checks the member's values.
     """
-    if pert.family == "tm1" and not abs(amplitude) < 1.0:  # NaN fails too
+    if not math.isfinite(amplitude):
+        raise ConstraintError(
+            f"class members need a finite amplitude, got {amplitude}")
+    if pert.family == "tm1" and not abs(amplitude) < 1.0:
         raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
     if pert.family == "tm2":
         k = pert.k if amplitude >= 0.0 else -pert.k  # omega2(r, -k) = -omega2
@@ -309,21 +292,6 @@ def _check_amplitude(pert, amplitude, gamma_bound=None):
             raise ConstraintError(
                 f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
                 f"{gamma_bound:.6g} for (r={pert.r}, k={k})")
-    if pert.family == "tm3" and not math.isfinite(amplitude):
-        raise ConstraintError(
-            f"third family needs a finite amplitude, got {amplitude}")
-
-
-def class_member_tm1(r, k, eps, x):
-    return class_member(tm1(r), k, eps, x)
-
-
-def class_member_tm2(r, k, gamma, x, gamma_bound=None):
-    return class_member(tm2(r), k, gamma, x, gamma_bound)
-
-
-def class_member_tm3(r, k, gamma, x):
-    return class_member(tm3(r), k, gamma, x)
 
 
 # -- amplitude search -------------------------------------------------------

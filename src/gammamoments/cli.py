@@ -88,8 +88,12 @@ def _emit_table(args, payload, key, header, rows):
 
 def _write(text, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConstraintError(
+                f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -176,6 +176,8 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+(?:\.\d+)?|\d+/\d+)\s*)?n\s*([+-]\s*\d+(?:\.\
 def _parse_number(text):
     if "/" in text:
         num, den = text.split("/")
+        if float(den) == 0.0:
+            raise ConstraintError(f"zero denominator in {text!r}")
         return float(num) / float(den)
     return float(text)
 

@@ -16,10 +16,10 @@ densities, and the interpolant only caches it: its window runs from
 x = 1e-20 to where ln W reaches -320, and every ln x outside it goes to
 the engine.
 
-`principal_solution` is the one constructor (`weight_w1` and `weight_tm*`
-call it): it picks the log-density (w1, W2 or the interpolant) and whether
-a closed form certifies the tail, and alpha0 and growth are seq's exact
-endpoint laws.
+`principal_solution(seq)` is the one constructor, for every sequence: it
+picks the log-density (w1, W2 or the interpolant) and whether a closed
+form certifies the tail; alpha0 and growth are read from seq, whose
+endpoint laws are exact.
 
 Every density is evaluated in ln x: `WeightFunction.log_density` takes
 ln x and returns ln W, and the closed forms are written in ln x, so a
@@ -38,8 +38,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError
 from .mellin import contour_density, contour_log_densities, mellin_convolve
-from .moments import (MomentSequence, _check_r, gamma_product, tm1, tm2,
-                      tm3, tm4)
+from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
 
 __all__ = [
@@ -49,11 +48,6 @@ __all__ = [
     "w3",
     "w4",
     "w4_via_convolution",
-    "weight_w1",
-    "weight_tm1",
-    "weight_tm2",
-    "weight_tm3",
-    "weight_tm4",
     "principal_solution",
 ]
 
@@ -63,18 +57,25 @@ class WeightFunction:
     """A positive density on (0, inf) with known endpoint behaviour.
 
     growth = (g, p) means -ln W(x) ~ g x^p as x -> inf; alpha0 is the power
-    at the origin (log factors aside).  tail_certified marks densities whose
-    tail law comes from a closed form rather than from quadrature.
+    at the origin (log factors aside); both are seq's.  tail_certified
+    marks densities whose tail law comes from a closed form rather than
+    from quadrature.
     log_density maps ln x to ln W and raises DomainError at a non-finite
     ln x; evaluate(x) checks 0 < x < inf and returns W(x).
     """
 
     name: str
     seq: MomentSequence
-    alpha0: float
-    growth: tuple  # (g, p)
     log_density: object = field(repr=False)  # callable: array ln x -> ln W
     tail_certified: bool = False
+
+    @property
+    def alpha0(self) -> float:
+        return self.seq.alpha0
+
+    @property
+    def growth(self) -> tuple:  # (g, p)
+        return (self.seq.tail_coefficient, self.seq.tail_power)
 
     def evaluate(self, x):
         log_x = np.log(_check_x(x))
@@ -158,8 +159,8 @@ def w4(r, x):
 
 def w4_via_convolution(r, x):
     """Same density through the convolution of the first two families."""
-    a = weight_tm1(r)
-    b = weight_tm2(r)
+    a = principal_solution(tm1(r))
+    b = principal_solution(tm2(r))
     return mellin_convolve(a.evaluate, b.evaluate, float(x))
 
 
@@ -263,7 +264,7 @@ def _spline_log_evaluate(seq, log_x):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-# -- WeightFunction factories ----------------------------------------------
+# -- the constructor -------------------------------------------------------
 
 def principal_solution(seq: MomentSequence) -> WeightFunction:
     """Principal density for a sequence: closed form if known, else contour.
@@ -286,30 +287,6 @@ def principal_solution(seq: MomentSequence) -> WeightFunction:
         certified = False
     name = (f"W[{seq.descriptor()}]" if seq.kind == "gamma"
             else f"W{seq.kind[2]}({seq.r})")
-    return WeightFunction(
-        name=name, seq=seq, alpha0=seq.alpha0,
-        growth=(seq.tail_coefficient, seq.tail_power),
-        log_density=log_density, tail_certified=certified)
+    return WeightFunction(name=name, seq=seq, log_density=log_density,
+                          tail_certified=certified)
 
-
-def weight_w1(q) -> WeightFunction:
-    """Generic (qn)! solver; continuous q >= 1 covers half-integer indices."""
-    if q < 1:
-        raise DomainError(f"weight_w1 requires q >= 1, got {q}")
-    return principal_solution(gamma_product([(q, 1.0)], label=f"gamma:{q:g}n+1"))
-
-
-def weight_tm1(r) -> WeightFunction:
-    return principal_solution(tm1(r))
-
-
-def weight_tm2(r) -> WeightFunction:
-    return principal_solution(tm2(r))
-
-
-def weight_tm3(r) -> WeightFunction:
-    return principal_solution(tm3(r))
-
-
-def weight_tm4(r) -> WeightFunction:
-    return principal_solution(tm4(r))

@@ -12,12 +12,12 @@ import pytest
 import scipy.special
 
 from gammamoments import (WeightFunction, carleman, check_moment,
-                          check_vanishing, class_member_tm1, contour_density,
+                          check_vanishing, class_member, contour_density,
                           full_report, omega2, omega2_via_convolution,
                           parse_descriptor, perturbation_tm1,
                           perturbation_tm2, perturbation_tm3,
                           principal_solution, tm1, tm2, tm3, tm4, w4,
-                          w4_via_convolution, weight_tm1)
+                          w4_via_convolution)
 
 
 def _report(label, worst, tol, passed):
@@ -90,30 +90,26 @@ def test_04_closed_form_vs_convolution_perturbation():
 
 def test_05_nonuniqueness_demonstration():
     """Two distinct nonnegative densities sharing the (4n)! moments."""
-    r, k = 2, 1
+    seq, k = tm1(2), 1
     xs = np.logspace(-8, 5, 4000)
     members = {}
     for eps in (0.5, -0.5):
-        vals = class_member_tm1(r, k, eps, xs)
+        vals = class_member(seq, k, eps, xs)
         assert np.all(vals >= 0.0)
         members[eps] = vals
     gap = float(np.max(np.abs(members[0.5] - members[-0.5])))
     assert gap >= 1e-3
 
-    base = weight_tm1(r)
-    seq = tm1(r)
-
     def log_member(x, e):
         # the member touches zero where the sine factor vanishes at
         # amplitude 1; -inf is the correct logarithm there
         with np.errstate(divide="ignore"):
-            return np.log(class_member_tm1(r, k, e, x))
+            return np.log(class_member(seq, k, e, x))
 
     worst = 0.0
     for eps in (0.5, -0.5):
         member = WeightFunction(
-            name=f"tm1-member(eps={eps})", seq=seq, alpha0=base.alpha0,
-            growth=base.growth,
+            name=f"tm1-member(eps={eps})", seq=seq,
             log_density=lambda log_x, e=eps: log_member(np.exp(log_x), e),
             tail_certified=True)
         for n in range(9):
@@ -169,8 +165,8 @@ def test_07_oracle_equivalences():
     # u-substituted TM1 moments against the log-gamma closed form
     worst_c = 0.0
     for r in (1, 2, 3):
-        w = weight_tm1(r)
         seq = tm1(r)
+        w = principal_solution(seq)
         for n in range(9):
             res = check_moment(w, seq, n)
             want = math.lgamma(2 * r * n + 1.0)

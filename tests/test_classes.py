@@ -4,19 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import gammamoments.classes as classes
 import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, SearchError, class_member,
-                          class_member_tm1, class_member_tm2,
-                          class_member_tm3, certify_nonnegative,
-                          contour_log_density, find_gamma_max, omega1, omega2,
-                          omega2_v, omega2_via_convolution, omega3,
-                          omega3_via_convolution, perturbation,
+                          certify_nonnegative, contour_log_density,
+                          find_gamma_max, omega2, omega2_via_convolution,
+                          omega3, omega3_via_convolution, perturbation,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, parse_descriptor,
-                          principal_solution, tm1, tm2, tm3, tm4, w1, w2,
-                          weight_tm1, weight_tm2, weight_tm3)
+                          principal_solution, tm1, tm2, tm3, tm4, w1, w2)
 
 
 _LAW_SEQUENCES = {
@@ -55,24 +53,26 @@ class TestOneTailLaw:
 class TestOmega1:
     def test_bounded_by_principal(self):
         xs = np.logspace(-6, 4, 200)
-        assert np.all(np.abs(omega1(2, 1, xs)) <= w1(4, xs) * (1 + 1e-15))
+        omega = perturbation(tm1(2), 1).evaluate(xs)
+        assert np.all(np.abs(omega) <= w1(4, xs) * (1 + 1e-15))
 
     def test_zero_crossings_on_phase_grid(self):
         # sine phase 3pi/4 + x^{1/4} tan(pi/4) vanishes at
         # x = (m pi - 3 pi/4)^4
+        omega = perturbation(tm1(2), 1)
         for m in (1, 2, 3, 4):
             x0 = (m * math.pi - 0.75 * math.pi) ** 4
-            left = omega1(2, 1, x0 * (1 - 1e-4))
-            right = omega1(2, 1, x0 * (1 + 1e-4))
+            left = omega.evaluate(x0 * (1 - 1e-4))
+            right = omega.evaluate(x0 * (1 + 1e-4))
             assert left * right < 0.0
 
     def test_constraint_violations(self):
         with pytest.raises(ConstraintError):
-            omega1(2, 2, 1.0)
+            perturbation(tm1(2), 2).evaluate(1.0)
         with pytest.raises(ConstraintError):
-            omega1(3, 0, 1.0)
+            perturbation(tm1(3), 0).evaluate(1.0)
         with pytest.raises(ConstraintError):
-            omega1(1, 1, 1.0)
+            perturbation(tm1(1), 1).evaluate(1.0)
 
 
 class TestOmega2:
@@ -89,8 +89,13 @@ class TestOmega2:
                            rtol=1e-13)
 
     def test_v_factor_relation(self):
+        # omega2 = 2 V / (r x^{(r-1)/r}), V = Re[phase K0(2 x^{1/2r} beta)]
         r, k, x = 3, 1, 2.0
-        want = 2.0 / (r * x ** ((r - 1.0) / r)) * omega2_v(r, k, x)
+        beta = np.sqrt(1.0 + 1j * math.tan(math.pi * k / r))
+        phase = np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
+        z = 2.0 * x ** (1.0 / (2 * r)) * beta
+        v = (phase * scipy.special.kv(0, z)).real
+        want = 2.0 / (r * x ** ((r - 1.0) / r)) * v
         assert omega2(r, k, x) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (5, 2), (9, 1)])
@@ -142,7 +147,7 @@ class TestOmega3:
                                      (7, 3)])
     def test_contour_matches_convolution_oracle(self, r, k):
         xs = np.logspace(-8, 4, 37)
-        env = weight_tm3(r).evaluate(xs)
+        env = principal_solution(tm3(r)).evaluate(xs)
         diff = np.abs(omega3(r, k, xs) - omega3_via_convolution(r, k, xs))
         assert np.all(diff <= 1e-12 * env)
 
@@ -172,70 +177,82 @@ class TestOmega3:
 
 
 class TestClassMembers:
-    @pytest.mark.parametrize("seq,amplitude,member_tm", [
-        (tm1(2), 0.5, class_member_tm1),
-        (tm2(3), 1.0, class_member_tm2),
-        (tm3(3), 0.1, class_member_tm3),
+    @pytest.mark.parametrize("seq,amplitude", [
+        (tm1(2), 0.5), (tm2(3), 1.0), (tm3(3), 0.1),
     ], ids=["tm1", "tm2", "tm3"])
-    def test_member_is_base_plus_amplitude_omega(self, seq, amplitude,
-                                                 member_tm):
+    def test_member_is_base_plus_amplitude_omega(self, seq, amplitude):
         xs = np.logspace(-2, 2, 30)
         got = class_member(seq, 1, amplitude, xs)
         base = principal_solution(seq).evaluate(xs)
         omega = perturbation(seq, 1).evaluate(xs)
         assert np.array_equal(got, base + amplitude * omega)
-        assert np.array_equal(member_tm(seq.r, 1, amplitude, xs), got)
 
     def test_tm1_identity_at_zero_eps(self):
         xs = np.logspace(-3, 3, 50)
-        assert np.allclose(class_member_tm1(2, 1, 0.0, xs),
-                           weight_tm1(2).evaluate(xs), rtol=1e-14)
+        assert np.allclose(class_member(tm1(2), 1, 0.0, xs),
+                           principal_solution(tm1(2)).evaluate(xs),
+                           rtol=1e-14)
 
     def test_tm1_nonnegative_inside_band(self):
         xs = np.logspace(-8, 5, 5000)
         for eps in (-0.999, -0.5, 0.5, 0.999):
-            assert np.all(class_member_tm1(2, 1, eps, xs) >= 0.0)
+            assert np.all(class_member(tm1(2), 1, eps, xs) >= 0.0)
 
     def test_tm1_members_differ(self):
         xs = np.logspace(-2, 2, 200)
-        a = class_member_tm1(2, 1, 0.5, xs)
-        b = class_member_tm1(2, 1, -0.5, xs)
+        a = class_member(tm1(2), 1, 0.5, xs)
+        b = class_member(tm1(2), 1, -0.5, xs)
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_tm1_amplitude_band_enforced(self):
-        # NaN once passed the |eps| >= 1 test and gave a NaN member
-        for eps in (1.0, -1.5, math.nan):
+        for eps in (1.0, -1.5):
             with pytest.raises(ConstraintError, match=r"needs \|eps\| < 1"):
-                class_member_tm1(2, 1, eps, 1.0)
+                class_member(tm1(2), 1, eps, 1.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_tm3_nonfinite_amplitude_rejected(self, gamma):
         with pytest.raises(ConstraintError, match="finite amplitude"):
-            class_member_tm3(3, 1, gamma, 1.0)
+            class_member(tm3(3), 1, gamma, 1.0)
+
+    @pytest.mark.parametrize("seq", [tm1(2), tm2(3), tm3(3)],
+                             ids=["tm1", "tm2", "tm3"])
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_amplitude_refused_first(self, seq, amplitude,
+                                               monkeypatch):
+        # one check for every family, before any bound is searched: NaN
+        # once passed tm1's |eps| >= 1 test, and a tm2 NaN ran
+        # find_gamma_max with k flipped before its bound refused it
+        def no_search(r, k):
+            raise AssertionError(f"bound searched for (r={r}, k={k})")
+        monkeypatch.setattr(classes, "find_gamma_max", no_search)
+        with pytest.raises(ConstraintError,
+                           match=f"need a finite amplitude, got {amplitude}"):
+            class_member(seq, 1, amplitude, 1.0)
 
     def test_tm3_negative_member_refused(self):
         # tm3 has no closed amplitude bound, so the member values are checked
         with pytest.raises(ConstraintError, match=r"negative at x = 0\.5 "):
-            class_member_tm3(3, 1, 1e6, np.array([1e-3, 0.5, 1.0]))
-        assert np.all(class_member_tm3(3, 1, 0.1, np.logspace(-4, 4, 50)) > 0)
+            class_member(tm3(3), 1, 1e6, np.array([1e-3, 0.5, 1.0]))
+        assert np.all(class_member(tm3(3), 1, 0.1, np.logspace(-4, 4, 50)) > 0)
 
     def test_tm2_member_at_bound_nonnegative(self):
         r, k = 3, 1
         bound = find_gamma_max(r, k)
         xs = np.logspace(-8, 6, 10000)
-        vals = class_member_tm2(r, k, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), k, bound, xs, gamma_bound=bound)
         assert np.all(vals >= 0.0)
 
     def test_tm2_member_reduces_to_base(self):
         xs = np.logspace(-2, 2, 30)
-        got = class_member_tm2(3, 1, 0.0, xs, gamma_bound=1.0)
-        assert np.allclose(got, weight_tm2(3).evaluate(xs), rtol=1e-14)
+        got = class_member(tm2(3), 1, 0.0, xs, gamma_bound=1.0)
+        assert np.allclose(got, principal_solution(tm2(3)).evaluate(xs),
+                           rtol=1e-14)
 
     def test_tm2_bound_enforced(self):
         bound = find_gamma_max(3, 1)
         with pytest.raises(ConstraintError,
                            match="exceeds the certified bound"):
-            class_member_tm2(3, 1, 2.0 * bound, 1.0, gamma_bound=bound)
+            class_member(tm2(3), 1, 2.0 * bound, 1.0, gamma_bound=bound)
 
     def test_tm2_negative_gamma_meets_bound_of_minus_k(self):
         # omega2(r, -k) = -omega2(r, k), so gamma < 0 is bounded by
@@ -245,20 +262,20 @@ class TestClassMembers:
                                                    rel=1e-12)
         with pytest.raises(ConstraintError, match=r"bound 1\.14315 for "
                                                   r"\(r=3, k=-1\)"):
-            class_member_tm2(3, 1, -2.3, 1e-8)
+            class_member(tm2(3), 1, -2.3, 1e-8)
         xs = np.logspace(-40, 6, 2000)
-        assert np.all(class_member_tm2(3, 1, -find_gamma_max(3, -1), xs) >= 0)
+        assert np.all(class_member(tm2(3), 1, -find_gamma_max(3, -1), xs) >= 0)
 
     def test_tm2_nan_bound_rejected(self):
         with pytest.raises(ConstraintError,
                            match="exceeds the certified bound nan"):
-            class_member_tm2(3, 1, 0.5, 1.0, gamma_bound=float("nan"))
+            class_member(tm2(3), 1, 0.5, 1.0, gamma_bound=float("nan"))
 
     def test_tm2_finite_past_scaled_bessel_range(self):
         # kve(0, z) is nan past |z| ~ 1.08e9, which made the member nan at
         # x = 1e60 (r = 3); there V/K0 takes its large-argument form
         xs = np.array([1e60, 1e200])
-        assert np.array_equal(class_member_tm2(3, 1, 0.5, xs), [0.0, 0.0])
+        assert np.array_equal(class_member(tm2(3), 1, 0.5, xs), [0.0, 0.0])
         assert np.array_equal(omega2(3, 1, xs), [0.0, 0.0])
         # and the form joins the scaled Bessel functions at the cut where
         # the ratio is not yet negligible (Re beta - 1 ~ 5e-8 at r = 5000)
@@ -277,7 +294,7 @@ class TestGammaMax:
         bound = find_gamma_max(r, k)
         assert bound > 0.0
         xs = np.logspace(-8, 6, 10000)
-        vals = class_member_tm2(r, k, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), k, bound, xs, gamma_bound=bound)
         assert np.all(vals >= 0.0)
 
     def test_exceeding_bound_breaks_positivity(self):
@@ -285,7 +302,7 @@ class TestGammaMax:
         bound = find_gamma_max(r, k)
         # the safety factor is 0.99, so 1.1x the bound must go negative
         xs = np.logspace(-8, 6, 20000)
-        vals = class_member_tm2(r, k, 1.1 * bound, xs,
+        vals = class_member(tm2(r), k, 1.1 * bound, xs,
                                 gamma_bound=2.0 * bound)
         assert np.min(vals) < 0.0
 
@@ -309,7 +326,7 @@ class TestGammaMax:
         assert math.isfinite(bound)
         assert bound == pytest.approx(want, abs=1e-3)
         xs = np.logspace(-8, 6, 2000)
-        vals = class_member_tm2(r, 1, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), 1, bound, xs, gamma_bound=bound)
         assert np.all(vals >= 0.0)
 
     @pytest.mark.parametrize("r,k,want", [(3, 1, 2.348234710170527),
@@ -365,7 +382,7 @@ class TestGammaMax:
         us = np.exp(rng.uniform(0.0, math.log(5e8), 20000))
         assert np.all(1.0 + bound * classes._ratio_v_over_k0(r, 1, us) >= 0.0)
         xs = np.logspace(-8, 300, 2000)
-        vals = class_member_tm2(r, 1, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), 1, bound, xs, gamma_bound=bound)
         assert np.all(vals >= 0.0)
 
     def test_zoom_stops_on_a_bracket_below_xatol_ulps(self):
@@ -395,7 +412,7 @@ class TestGammaMax:
         r, k = 3, 1
         bound = find_gamma_max(r, k)
         ok, min_val = certify_nonnegative(
-            lambda xs: class_member_tm2(r, k, bound, xs, gamma_bound=bound),
+            lambda xs: class_member(tm2(r), k, bound, xs, gamma_bound=bound),
             1e-8, 1e6, 5000, seed=123)
         assert ok
         assert min_val >= 0.0

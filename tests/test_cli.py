@@ -15,7 +15,7 @@ import gammamoments.classes as classes
 import gammamoments.cli as cli
 import gammamoments.mellin as mellin
 import gammamoments.weights as weights
-from gammamoments import class_member_tm3, contour_log_densities, tm4
+from gammamoments import class_member, contour_log_densities, tm3, tm4
 from gammamoments.cli import main
 
 
@@ -179,6 +179,19 @@ class TestFileOutput:
         payload = json.loads(target.read_text())
         assert payload["command"] == "moments"
 
+    @pytest.mark.parametrize("argv", [
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max"],
+        ["moments", "--seq", "tm1:r=1", "--n", "0", "--emit", "csv"],
+    ], ids=["json", "csv"])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, argv):
+        # a missing directory once ended in a FileNotFoundError traceback
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_amplitude(self, capsys):
@@ -217,6 +230,15 @@ class TestExitCodes:
         # NaN amplitudes once printed "member": "nan" and exited 0
         ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "nan"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "nan"],
+        # every family refuses a non-finite amplitude by one check; a tm2
+        # NaN once searched the bound of k = -1 before it was refused
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "nan"],
+        ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "inf"],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "inf"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma=-inf"],
+        # a zero denominator in a descriptor once raised ZeroDivisionError
+        ["eval", "--seq", "gamma:1/0n+1"],
+        ["eval", "--seq", "gamma:2n+1/0"],
         # each once exited 0: with "results": [], and with members of
         # -25806 and -13785
         ["moments", "--seq", "tm1:r=1", "--n", "5..2"],
@@ -226,6 +248,8 @@ class TestExitCodes:
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
             "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan",
+            "tm2-gamma-nan", "tm1-eps-inf", "tm2-gamma-inf", "tm3-gamma-inf",
+            "zero-denominator-a", "zero-denominator-b",
             "reversed-n-range", "tm3-member-negative"])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
@@ -405,7 +429,7 @@ class TestClassTm3:
         points = json.loads(out)["points"]
         xs = np.array([p["x"] for p in points])
         member = np.array([p["member"] for p in points])
-        assert np.array_equal(member, class_member_tm3(3, 1, 0.1, xs))
+        assert np.array_equal(member, class_member(tm3(3), 1, 0.1, xs))
 
 
 def _python(*args, **kwargs):

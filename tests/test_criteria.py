@@ -12,7 +12,7 @@ from gammamoments import (ConsistencyError, ConstraintError, RefusesError,
                           UndecidedError, carleman, converse_carleman,
                           full_report, gamma_product, krein,
                           parse_descriptor, principal_solution, tm1, tm2,
-                          tm3, tm4, weight_tm1, weight_tm2, weight_w1)
+                          tm3, tm4)
 
 
 class TestCarleman:
@@ -55,12 +55,12 @@ class TestCarleman:
         import gammamoments.criteria as crit
 
         seq = tm1(2)
-        consistent = crit.full_report(seq, weight_tm1(2))
+        consistent = crit.full_report(seq, principal_solution(seq))
         assert not any("decay exponent" in n for n in consistent.notes)
         true_log_moment = crit.log_moment
         monkeypatch.setattr(crit, "log_moment",
                             lambda s, n: 1.5 * true_log_moment(s, n))
-        report = crit.full_report(seq, weight_tm1(2))
+        report = crit.full_report(seq, principal_solution(seq))
         assert report.c1.verdict == consistent.c1.verdict == "Convergent"
         assert report.overall == consistent.overall
         assert any("decay exponent" in n and "-A/2 = -2.0000" in n
@@ -85,20 +85,21 @@ class TestCarleman:
 
 
 class TestKrein:
-    @pytest.mark.parametrize("seq,factory,verdict", [
-        (tm1(1), weight_tm1, "Infinite"),
-        (tm2(1), weight_tm2, "Infinite"),
-        (tm1(2), weight_tm1, "Finite"),
-        (tm2(3), weight_tm2, "Finite"),
-    ])
-    def test_closed_form_verdicts(self, seq, factory, verdict):
-        assert krein(factory(seq.r)).verdict == verdict
+    @pytest.mark.parametrize("seq,verdict", [
+        (tm1(1), "Infinite"),
+        (tm2(1), "Infinite"),
+        (tm1(2), "Finite"),
+        (tm2(3), "Finite"),
+    ], ids=["seq0-weight_tm1-Infinite", "seq1-weight_tm2-Infinite",
+            "seq2-weight_tm1-Finite", "seq3-weight_tm2-Finite"])
+    def test_closed_form_verdicts(self, seq, verdict):
+        assert krein(principal_solution(seq)).verdict == verdict
 
     @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
     def test_fitted_tail_exponent(self, q):
         # -ln W1(q, x) ~ x^{1/q} so the logarithm-squared integrand decays
         # like x^{2/q}; the fitted exponent must recover it
-        res = krein(weight_w1(q))
+        res = krein(principal_solution(gamma_product([(q, 1.0)])))
         assert res.growth_exponent == pytest.approx(2.0 / q, abs=0.02)
 
     def test_spline_backed_weights_undecided(self):
@@ -122,14 +123,15 @@ class TestKrein:
         assert half.integral_estimate == pytest.approx(
             one.integral_estimate, rel=0, abs=1e-9)
 
-    @pytest.mark.parametrize("factory", [weight_tm1, weight_tm2])
-    def test_infinite_verdict_skips_quadrature(self, factory, monkeypatch):
+    @pytest.mark.parametrize("make", [tm1, tm2],
+                             ids=["weight_tm1", "weight_tm2"])
+    def test_infinite_verdict_skips_quadrature(self, make, monkeypatch):
         import gammamoments.criteria as crit
 
         def no_quad(*args, **kwargs):
             raise AssertionError("quadrature on a certified divergent tail")
         monkeypatch.setattr(crit, "_krein_body", no_quad)
-        w = factory(1)
+        w = principal_solution(make(1))
         calls = []
 
         def counted(log_x):
@@ -146,18 +148,18 @@ class TestKrein:
     # W2: mpmath.quad at 20 digits with mpmath.besselk, breakpoints 1e-6,
     # 1e-3, 0.1, 1, 10, 100, 1e3, 1e4, 1e6.  The tail past X = 1e4 once
     # kept only g X^{beta-1}/(1-beta), which left W1(2) low by 1.67e-3.
-    @pytest.mark.parametrize("w,want,rel", [
-        (weight_tm1(2), math.pi / 2 * (1 / math.cos(math.pi / 4)
-                                       + math.log(4)), 1e-9),
-        (weight_tm1(20), math.pi / 2 * (1 / math.cos(math.pi / 40)
-                                        + math.log(40)), 1e-9),
-        (weight_w1(2.02), math.pi / 2 * (1 / math.cos(math.pi / 2.02)
-                                         + math.log(2.02)), 1e-9),
-        (weight_tm2(2), 4.729508187052865, 1e-7),
-        (weight_tm2(3), 4.542415010614233, 1e-7),
+    @pytest.mark.parametrize("seq,want,rel", [
+        (tm1(2), math.pi / 2 * (1 / math.cos(math.pi / 4) + math.log(4)),
+         1e-9),
+        (tm1(20), math.pi / 2 * (1 / math.cos(math.pi / 40) + math.log(40)),
+         1e-9),
+        (gamma_product([(2.02, 1.0)]),
+         math.pi / 2 * (1 / math.cos(math.pi / 2.02) + math.log(2.02)), 1e-9),
+        (tm2(2), 4.729508187052865, 1e-7),
+        (tm2(3), 4.542415010614233, 1e-7),
     ], ids=["W1(2)", "W1(20)", "W1(2.02)", "W2(2)", "W2(3)"])
-    def test_finite_estimate_matches_exact_value(self, w, want, rel):
-        res = krein(w)
+    def test_finite_estimate_matches_exact_value(self, seq, want, rel):
+        res = krein(principal_solution(seq))
         assert res.verdict == "Finite"
         assert res.integral_estimate == pytest.approx(want, rel=rel)
 
@@ -165,11 +167,11 @@ class TestKrein:
 class TestConverseCarleman:
     def test_requires_convergent_first_criterion(self):
         with pytest.raises(ConstraintError):
-            converse_carleman(tm1(1), weight_tm1(1))
+            converse_carleman(tm1(1), principal_solution(tm1(1)))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_nonunique_for_fast_growth(self, r):
-        res = converse_carleman(tm1(r), weight_tm1(r))
+        res = converse_carleman(tm1(r), principal_solution(tm1(r)))
         assert res.verdict == "NonUnique"
         assert res.convexity_margin > 0.0
 
@@ -187,10 +189,10 @@ class TestFullReport:
 
     def test_refuses_mismatched_pair(self):
         with pytest.raises(RefusesError):
-            full_report(tm1(2), weight_tm1(1))
+            full_report(tm1(2), principal_solution(tm1(1)))
 
     def test_report_serializable(self):
-        report = full_report(tm1(2), weight_tm1(2))
+        report = full_report(tm1(2), principal_solution(tm1(2)))
         payload = report.to_dict()
         back = json.loads(json.dumps(payload))
         assert back["overall"] == "NonUnique"
@@ -221,7 +223,8 @@ class TestFullReport:
         def undecided(seq, n_max=200):
             raise UndecidedError("forced for the serialization test")
         monkeypatch.setattr(crit, "carleman", undecided)
-        payload = crit.full_report(tm1(2), weight_tm1(2)).to_dict()
+        seq = tm1(2)
+        payload = crit.full_report(seq, principal_solution(seq)).to_dict()
         assert payload["c1"]["verdict"] == "Undecided"
         assert payload["overall"] == "Undecided"
         assert payload["c3"]["verdict"] == "Inconclusive"
@@ -238,4 +241,4 @@ class TestFullReport:
         fake = crit.KreinResult("Finite", 1.0, 0.5)
         monkeypatch.setattr(crit, "krein", lambda w: fake)
         with pytest.raises(ConsistencyError):
-            crit.full_report(tm1(1), weight_tm1(1))
+            crit.full_report(tm1(1), principal_solution(tm1(1)))

@@ -189,3 +189,10 @@ class TestDescriptors:
         for text in ("tm5:r=2", "tm1:r=x", "gamma:frog", ""):
             with pytest.raises(ConstraintError):
                 parse_descriptor(text)
+
+    @pytest.mark.parametrize("text", ["gamma:1/0n+1", "gamma:2n+1/0",
+                                      "gamma:n+1,0/0n+1"])
+    def test_zero_denominator_rejected(self, text):
+        # once a raw ZeroDivisionError from the fraction parser
+        with pytest.raises(ConstraintError, match="zero denominator"):
+            parse_descriptor(text)

@@ -9,8 +9,8 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from gammamoments import (ln_gamma, log_bessel_k0, mellin_convolve, omega1,
-                          w1)
+from gammamoments import (ln_gamma, log_bessel_k0, mellin_convolve,
+                          perturbation, tm1, w1)
 
 COMMON = dict(max_examples=120, deadline=None)
 
@@ -97,4 +97,5 @@ class TestPerturbationEnvelope:
     def test_omega1_bounded_by_principal(self, rk, log10_x):
         r, k = rk
         x = 10.0 ** log10_x
-        assert abs(omega1(r, k, x)) <= w1(2 * r, x) * (1.0 + 1e-12)
+        omega = perturbation(tm1(r), k).evaluate(x)
+        assert abs(omega) <= w1(2 * r, x) * (1.0 + 1e-12)

@@ -14,7 +14,7 @@ from gammamoments import (ConstraintError, ConvergenceError, RefusesError,
                           parse_descriptor,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, principal_solution, tm1, tm2,
-                          tm3, weight_tm1, weight_tm2)
+                          tm3)
 
 
 class TestClosedFormMoments:
@@ -22,8 +22,8 @@ class TestClosedFormMoments:
     def test_tm1_u_substituted_identity(self, r):
         # after u = x^{1/2r} the integral is Gamma(2rn + 1) exactly, so the
         # harness must agree with log-gamma to near machine precision
-        w = weight_tm1(r)
         seq = tm1(r)
+        w = principal_solution(seq)
         for n in range(0, 9):
             res = check_moment(w, seq, n)
             assert res.rel_error <= 1e-10
@@ -32,13 +32,13 @@ class TestClosedFormMoments:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_tm2_moments(self, r):
-        w = weight_tm2(r)
         seq = tm2(r)
+        w = principal_solution(seq)
         for n in range(0, 9):
             assert check_moment(w, seq, n).rel_error <= 1e-6
 
     def test_normalization(self):
-        res = check_moment(weight_tm2(2), tm2(2), 0)
+        res = check_moment(principal_solution(tm2(2)), tm2(2), 0)
         assert res.log_target == 0.0
         assert res.rel_error <= 1e-10
 
@@ -63,8 +63,8 @@ class TestClosedFormMoments:
                                        / (2.0 * (nu - 1.0) * (nu - 2.0))))
             return math.log(2.0) + 0.5 * nu * log_x + log_k
         seq = gamma_product([(1, 1), (1, b)])
-        w = WeightFunction(f"K[nu={nu:g}]", seq, 0.0, (2.0, 0.5), log_w,
-                           tail_certified=True)
+        w = WeightFunction(f"K[nu={nu:g}]", seq, log_w, tail_certified=True)
+        assert (w.alpha0, w.growth) == (0.0, (2.0, 0.5))
         assert seq.tail_exponent == pytest.approx((b - 1.5) / 2.0)
         for n in range(9):
             assert check_moment(w, seq, n).rel_error <= 1e-10
@@ -114,8 +114,8 @@ class TestHarnessPlumbing:
         # same integrals straight in x-space via scipy, with the origin
         # singularity handled by quad's algebraic-endpoint machinery
         for r in (1, 2):
-            w = weight_tm1(r)
             seq = tm1(r)
+            w = principal_solution(seq)
             for n in (0, 2, 4):
                 res = check_moment(w, seq, n)
                 f = lambda x, n=n: x ** n * float(w.evaluate(np.float64(x)))
@@ -134,14 +134,16 @@ class TestHarnessPlumbing:
         # this moment settles on the second grid, 257 + 256 evaluations;
         # one evaluation less leaves the second grid unstarted
         first = verify._FIRST_GRID
-        assert check_moment(weight_tm1(1), tm1(1), 0,
+        seq = tm1(1)
+        w = principal_solution(seq)
+        assert check_moment(w, seq, 0,
                             node_cap=2 * first - 1).nodes_used == 2 * first - 1
         with pytest.raises(ConvergenceError, match="did not stabilize"):
-            check_moment(weight_tm1(1), tm1(1), 0, node_cap=2 * first - 2)
+            check_moment(w, seq, 0, node_cap=2 * first - 2)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ConstraintError):
-            check_moment(weight_tm1(1), tm1(1), -1)
+            check_moment(principal_solution(tm1(1)), tm1(1), -1)
         with pytest.raises(ConstraintError):
             check_vanishing(perturbation_tm1(2, 1), tm1(2), -3)
 
@@ -166,7 +168,7 @@ class TestHarnessPlumbing:
     def test_mismatched_density_fails_without_error(self):
         # I / rho(n) = 10! / 2000! underflows to 0 in units of rho(n): the
         # check must still return and fail, not raise from ln 0
-        res = check_moment(weight_tm1(1), tm1(200), 5)
+        res = check_moment(principal_solution(tm1(1)), tm1(200), 5)
         assert res.rel_error == 1.0 and not res.passed
 
     def test_overflowing_density_fails_without_error(self):
@@ -174,7 +176,7 @@ class TestHarnessPlumbing:
         # rho(n): the check fails with rel_error inf, and full_report
         # refuses the density rather than raising ConvergenceError
         import dataclasses
-        base = weight_tm2(2)
+        base = principal_solution(tm2(2))
         w = dataclasses.replace(
             base, log_density=lambda log_x: base.log_density(log_x) + 800.0)
         res = check_moment(w, tm2(2), 3)
@@ -183,7 +185,7 @@ class TestHarnessPlumbing:
             full_report(tm2(2), w)
 
     def test_result_fields(self):
-        res = check_moment(weight_tm1(2), tm1(2), 4)
+        res = check_moment(principal_solution(tm1(2)), tm1(2), 4)
         assert res.n == 4
         assert res.nodes_used <= 200_000
         assert res.passed

@@ -1,6 +1,7 @@
 """Principal weight functions: closed forms, interpolated contour densities,
 origin/tail behaviour, and the convolution cross-check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ import scipy.special
 
 import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
-                          TruncationError, check_moment, contour_density,
-                          contour_log_densities, parse_descriptor,
-                          principal_solution, tm1, tm2, tm3, tm4, w1, w2, w3,
-                          w4, w4_via_convolution, weight_tm1, weight_tm2,
-                          weight_tm3, weight_tm4, weight_w1)
+                          TruncationError, WeightFunction, check_moment,
+                          contour_density, contour_log_densities,
+                          gamma_product, parse_descriptor, principal_solution,
+                          tm1, tm2, tm3, tm4, w1, w2, w3, w4,
+                          w4_via_convolution)
 
 TWO_K0_2 = 2.0 * 0.1138938727495334  # 2 K0(2), frozen with mpmath
 
@@ -43,10 +44,11 @@ class TestClosedForms:
 
 
 class TestLogArgument:
-    @pytest.mark.parametrize("factory,r", [(weight_tm1, 2), (weight_tm2, 3),
-                                           (weight_tm3, 1)])
-    def test_nonfinite_log_x_raises(self, factory, r):
-        w = factory(r)
+    @pytest.mark.parametrize("seq", [tm1(2), tm2(3), tm3(1)],
+                             ids=["weight_tm1-2", "weight_tm2-3",
+                                  "weight_tm3-1"])
+    def test_nonfinite_log_x_raises(self, seq):
+        w = principal_solution(seq)
         for bad in (-math.inf, math.inf, math.nan):
             with pytest.raises(DomainError):
                 w.log_density(np.array([0.0, bad]))
@@ -54,45 +56,61 @@ class TestLogArgument:
     @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
     def test_evaluate_checks_x(self, x):
         with pytest.raises(DomainError):
-            weight_tm1(2).evaluate(np.array([1.0, x]))
+            principal_solution(tm1(2)).evaluate(np.array([1.0, x]))
 
     def test_closed_forms_beyond_double_range(self):
         # ln W at ln x = +-2000, where x itself is 0 or inf in doubles
         lx = np.array([-2000.0, 2000.0])
         want1 = -math.log(40.0) - (39.0 / 40.0) * lx - np.exp(lx / 40.0)
-        got1 = weight_tm1(20).log_density(lx)
+        got1 = principal_solution(tm1(20)).log_density(lx)
         assert np.allclose(got1, want1, rtol=1e-15, atol=0.0)
         # W2(40): K0(z) ~ -ln(z/2) - Euler gamma at z = 2 e^{-25}
-        got2 = weight_tm2(40).log_density(lx[:1])[0]
+        w2_40 = principal_solution(tm2(40))
+        got2 = w2_40.log_density(lx[:1])[0]
         k0 = 25.0 - 0.5772156649015329
         want2 = math.log(2.0 / 40.0) + (39.0 / 40.0) * 2000.0 + math.log(k0)
         assert got2 == pytest.approx(want2, rel=1e-14)
-        assert np.all(np.isfinite(weight_tm2(40).log_density(lx)))
+        assert np.all(np.isfinite(w2_40.log_density(lx)))
 
 
 class TestWeightObjects:
     def test_tm1_metadata(self):
-        w = weight_tm1(2)
+        w = principal_solution(tm1(2))
         assert w.alpha0 == pytest.approx(-3.0 / 4.0)
         assert w.growth == (1.0, 1.0 / 4.0)
         assert w.tail_certified
 
     def test_tm2_metadata(self):
-        w = weight_tm2(3)
+        w = principal_solution(tm2(3))
         assert w.alpha0 == pytest.approx(-2.0 / 3.0)
         assert w.growth == (2.0, 1.0 / 6.0)
 
     def test_contour_backed_not_tail_certified(self):
-        assert not weight_tm3(1).tail_certified
-        assert not weight_tm4(1).tail_certified
+        assert not principal_solution(tm3(1)).tail_certified
+        assert not principal_solution(tm4(1)).tail_certified
 
     def test_principal_solution_dispatch(self):
-        for seq, factory in [(tm1(2), weight_tm1), (tm2(2), weight_tm2),
-                             (tm3(1), weight_tm3), (tm4(1), weight_tm4)]:
-            assert principal_solution(seq).name == factory(seq.r).name
+        # one constructor: the named kinds get W<ordinal>(r), and a closed
+        # form certifies the tail of the first two only
+        for seq, name, certified in [(tm1(2), "W1(2)", True),
+                                     (tm2(2), "W2(2)", True),
+                                     (tm3(1), "W3(1)", False),
+                                     (tm4(1), "W4(1)", False)]:
+            w = principal_solution(seq)
+            assert (w.name, w.tail_certified) == (name, certified)
+        w = principal_solution(parse_descriptor("gamma:2.02n+1"))
+        assert w.name == "W[gamma:2.02n+1]"
+
+    def test_endpoint_laws_read_from_seq(self):
+        # alpha0 and growth are properties of seq, not fields that could
+        # disagree with it
+        names = {f.name for f in dataclasses.fields(WeightFunction)}
+        assert names == {"name", "seq", "log_density", "tail_certified"}
+        moved = dataclasses.replace(principal_solution(tm2(3)), seq=tm2(4))
+        assert (moved.alpha0, moved.growth) == (-0.75, (2.0, 1.0 / 8.0))
 
     def test_evaluate_matches_log_density(self):
-        w = weight_tm2(2)
+        w = principal_solution(tm2(2))
         xs = np.logspace(-3, 3, 11)
         assert np.allclose(w.evaluate(xs), np.exp(w.log_density(np.log(xs))),
                            rtol=1e-15)
@@ -101,20 +119,20 @@ class TestWeightObjects:
 class TestOriginExponent:
     def test_alpha0_slope_fit_tm1(self):
         # ln W ~ alpha0 ln x near the origin; tm1 is a pure power there
-        w = weight_tm1(2)
+        w = principal_solution(tm1(2))
         xs = np.logspace(-14, -12, 12)
         slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         assert slope == pytest.approx(w.alpha0, abs=0.01)
 
     def test_alpha0_slope_fit_tm2(self):
         # the K0 origin behaviour adds a ln ln(1/x) correction ~ 1/ln(1/x)
-        w = weight_tm2(3)
+        w = principal_solution(tm2(3))
         xs = np.logspace(-14, -12, 12)
         slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         assert slope == pytest.approx(w.alpha0, abs=0.05)
 
     def test_alpha0_slope_fit_spline(self):
-        w = weight_tm4(1)
+        w = principal_solution(tm4(1))
         xs = np.logspace(-14, -12, 12)
         slope, _ = np.polyfit(np.log(xs), w.log_density(np.log(xs)), 1)
         # K0-type log factor perturbs the pure power slightly
@@ -125,24 +143,24 @@ class TestSplineDensities:
     @pytest.mark.parametrize("r,x", [(1, 0.5), (1, 50.0), (2, 3.0)])
     def test_spline_matches_direct_contour_w3(self, r, x):
         direct = w3(r, x)
-        spline = weight_tm3(r).evaluate(np.float64(x))
+        spline = principal_solution(tm3(r)).evaluate(np.float64(x))
         assert spline == pytest.approx(direct, rel=1e-8)
 
     @pytest.mark.parametrize("r,x", [(1, 0.2), (2, 10.0)])
     def test_spline_matches_direct_contour_w4(self, r, x):
         direct = w4(r, x)
-        spline = weight_tm4(r).evaluate(np.float64(x))
+        spline = principal_solution(tm4(r)).evaluate(np.float64(x))
         assert spline == pytest.approx(direct, rel=1e-8)
 
     def test_positive_on_wide_grid(self):
-        w = weight_tm3(2)
+        w = principal_solution(tm3(2))
         xs = np.logspace(-18, 10, 400)
         assert np.all(np.isfinite(w.log_density(np.log(xs))))
 
     def test_far_tail_raises_convergence_error(self):
         # past the window the engine answers, and at x = 1e40 its saddle
         # search cannot bracket
-        w = weight_tm3(1)
+        w = principal_solution(tm3(1))
         with pytest.raises(ConvergenceError, match="ln x = 92.1034"):
             w.log_density(np.float64(math.log(1e40)))
 
@@ -310,7 +328,7 @@ class TestSingleFactor:
 
 class TestGenericW1:
     def test_half_integer_index(self):
-        w = weight_w1(3.0)
+        w = principal_solution(gamma_product([(3.0, 1.0)]))
         x = 2.0
         want = math.exp(-x ** (1.0 / 3.0)) / (3.0 * x ** (2.0 / 3.0))
         assert w.evaluate(np.float64(x)) == pytest.approx(want, rel=1e-14)
