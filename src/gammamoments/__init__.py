@@ -17,10 +17,9 @@ from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
                      DomainError, GammomentsError, InconclusiveError,
                      PoleError, RefusesError, SearchError, TruncationError,
                      UndecidedError)
-from .mellin import (ContourSpec, adapted_contour, contour_density,
-                     contour_log_densities, contour_log_density,
-                     inverse_mellin_log, mellin_convolve,
-                     mellin_convolve_many, saddle_abscissa)
+from .mellin import (ContourSpec, adapted_contour, contour_log_densities,
+                     contour_log_density, inverse_mellin_log,
+                     mellin_convolve_many)
 from .moments import (MomentSequence, gamma_product, log_moment,
                       mellin_symbol, parse_descriptor, tm1, tm2, tm3, tm4)
 from .special import bessel_k0_complex, ln_gamma, log_bessel_k0
@@ -42,10 +41,8 @@ __all__ = [
     "MomentSequence", "tm1", "tm2", "tm3", "tm4", "gamma_product",
     "log_moment", "mellin_symbol", "parse_descriptor",
     # mellin machinery
-    "ContourSpec", "adapted_contour", "saddle_abscissa",
-    "inverse_mellin_log", "contour_density",
-    "contour_log_density", "contour_log_densities", "mellin_convolve",
-    "mellin_convolve_many",
+    "ContourSpec", "adapted_contour", "inverse_mellin_log",
+    "contour_log_density", "contour_log_densities", "mellin_convolve_many",
     # weights
     "WeightFunction", "principal_solution", "w1", "w2", "w3", "w4",
     "w4_via_convolution",

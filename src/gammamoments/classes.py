@@ -34,8 +34,7 @@ import numpy as np
 from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .weights import (_log_w1, _log_w2, log_w1, log_w2, principal_solution,
-                      w1, w2)
+from .weights import _log_w1, _log_w2, principal_solution, w1, w2
 
 __all__ = [
     "Perturbation",
@@ -119,19 +118,15 @@ def _check_side(kind, r, k):
 # -- family 1 ---------------------------------------------------------------
 
 def _log_omega1(q, k, log_x):
-    """(sign, ln |omega1_general(q, k, x)|) at ln x: ln w1 + ln |sin|."""
+    """(sign, ln |omega1(q, k, x)|) at ln x: ln w1 + ln |sin|.
+
+    omega1(q, k) is the vanishing-moment partner of the (qn)! density and
+    needs q > 2|k|; the first family's omega is omega1(2r, k).
+    """
     phase0 = k * math.pi * (q - 1.0) / q
     slope = math.tan(k * math.pi / q)
     return _signed_log(_log_w1(q, log_x),
                        np.sin(phase0 + np.exp(log_x / q) * slope))
-
-
-def omega1_general(q, k, x):
-    """Vanishing-moment partner of the (qn)! density; needs q > 2|k|."""
-    _check_k(k)
-    if q <= 2 * abs(k):
-        raise ConstraintError(f"omega1 factor requires q > 2|k| (q={q}, k={k})")
-    return _at_x(lambda log_x: _log_omega1(q, k, log_x), x)
 
 
 def perturbation_tm1(r, k) -> Perturbation:
@@ -166,10 +161,10 @@ def omega2_via_convolution(r, k, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w1(r, v),
-        lambda v: omega1_general(r, k, v),
+        lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
         xs,
-        log_f=lambda v: log_w1(r, v),
-        log_g=lambda v: log_w1(r, v))
+        log_f=lambda v: _log_w1(r, np.log(v)),
+        log_g=lambda v: _log_w1(r, np.log(v)))
     return float(out[0]) if np.isscalar(x) else out
 
 
@@ -183,9 +178,9 @@ _OMEGA3_RTOL = 1e-9  # relative change that settles an omega3 contour sum
 
 
 def _log_omega3(r, k, log_x):
-    """(sign, ln |omega3|) at ln x: W2 * omega1_general(r, k), by one contour.
+    """(sign, ln |omega3|) at ln x: W2 * omega1(r, k), by one contour.
 
-    With theta = k pi / r, omega1_general(r, k, x) = sec^{r-1}(theta)
+    With theta = k pi / r, omega1(r, k, x) = sec^{r-1}(theta)
     Im w1(r, lambda x), log lambda = r ln sec(theta) - i k pi, the
     continuation of w1 in log x (it decays because r > 2|k|).  Mellin
     transforms turn f(lambda .) into lambda^-s M[f] and the convolution
@@ -203,20 +198,20 @@ def _log_omega3(r, k, log_x):
 
 
 def omega3(r, k, x):
-    """Third-family perturbation W2 * omega1_general(r, k), by one contour."""
+    """Third-family perturbation W2 * omega1(r, k), by one contour."""
     return perturbation_tm3(r, k).evaluate(x)
 
 
 def omega3_via_convolution(r, k, x):
-    """Same function by the convolution route, W2 * omega1_general(r, k)."""
+    """Same function by the convolution route, W2 * omega1(r, k)."""
     _check_side("tm3", r, k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = mellin_convolve_many(
         lambda v: w2(r, v),
-        lambda v: omega1_general(r, k, v),
+        lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
         xs,
-        log_f=lambda v: log_w2(r, v),
-        log_g=lambda v: log_w1(r, v))
+        log_f=lambda v: _log_w2(r, np.log(v)),
+        log_g=lambda v: _log_w1(r, np.log(v)))
     return float(out[0]) if np.isscalar(x) else out
 
 

@@ -32,6 +32,7 @@ import gc
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -162,8 +163,15 @@ def _cmd_moments(args):
     return _EXIT_OK
 
 
+def _json_only(args, what):
+    """A report with nested records has no single table to write as CSV."""
+    if args.emit == "csv":
+        raise ConstraintError(f"{what} writes JSON only; drop --emit csv")
+
+
 def _cmd_criteria(args):
     from .criteria import full_report
+    _json_only(args, "criteria")
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
     report = full_report(seq, w)
@@ -185,6 +193,7 @@ def _cmd_class(args):
     pert = cls.perturbation(seq, k)
 
     if args.find_gamma_max:
+        _json_only(args, "--find-gamma-max")
         if pert.family != "tm2":
             raise ConstraintError(
                 "--find-gamma-max applies to tm2 sequences "
@@ -335,9 +344,29 @@ def main(argv=None) -> int:
         gc.freeze()
 
 
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_amplitudes(argv):
+    """Write "--gamma -1e-3" as "--gamma=-1e-3", and so for --eps.
+
+    argparse takes a token that starts with "-" for an option unless it
+    looks like a plain negative number (-2.3), so a negative amplitude in
+    exponent or special form (-1e-3, -inf) would lose its flag's value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--eps", "--gamma") and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _run(argv):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_amplitudes(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConstraintError, DomainError, RefusesError) as exc:

@@ -45,6 +45,8 @@ __all__ = [
 _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
 _SUM_A_ROUNDOFF = 1e-12  # |A - 2| this small cannot be told from A = 2
 _KREIN_DEAD_ZONE = 0.02  # around the critical growth exponent 1
+_KREIN_FIT_WIDTH = 4.0  # width in ln x of the growth-exponent fit
+_KREIN_FIT_RANGE = math.log(1e4)  # ln of -ln W's growth across a certified fit
 _KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
 _KREIN_U_MAX = math.log(1e4)  # ln x where the body ends at most
 _KREIN_PANEL = 2.0  # Gauss-Legendre panel width in ln x
@@ -150,20 +152,28 @@ def krein(w: WeightFunction) -> KreinResult:
     """Estimate int_0^inf -ln W(x^2)/(1+x^2) dx and classify it.
 
     The growth exponent beta in -ln W(x^2) ~ C x^beta is fitted on a
-    tail sample spaced evenly in ln x.  When the tail law is certified by
-    a closed form the verdict uses the exact exponent 2*p; a
-    quadrature-backed tail cannot certify the asymptotics, so the verdict
-    stays Undecided there.  Unless the verdict is Infinite, the integral up
-    to X = e^{min(_KREIN_U_MAX, the evaluable range)} is summed by panelled
-    Gauss-Legendre rules in ln x (one vectorised density call per order,
-    see _krein_body).  A Finite verdict adds int_X^inf of the tail law
+    tail sample spaced evenly in ln x, _KREIN_FIT_WIDTH wide.  A certified
+    tail narrows it to _KREIN_FIT_RANGE / 2p when that is less, so -ln W
+    grows at most 1e4-fold across it and a steep tail law (large p) is
+    fitted where W < 1; a window that still meets W >= 1 raises
+    InconclusiveError, which full_report turns into an Undecided C2.
+    When the tail law is certified by a closed form the verdict uses the
+    exact exponent 2*p; a quadrature-backed tail cannot certify the
+    asymptotics, so the verdict stays Undecided there.  Unless the verdict
+    is Infinite, the integral up to X = e^{min(_KREIN_U_MAX, the evaluable
+    range)} is summed by panelled Gauss-Legendre rules in ln x (one
+    vectorised density call per order, see _krein_body).  A Finite
+    verdict adds int_X^inf of the tail law
     -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with W ~ x^b e^{-g x^p}
     (b = seq.tail_exponent) and c matched at X.
     """
     g, p = w.growth
     # keep ln x^2 inside the density's evaluable range
     u_top = _tail_limit(w)
-    us = np.linspace(u_top - 4.0, u_top, 48)
+    width = _KREIN_FIT_WIDTH
+    if w.tail_certified:
+        width = min(width, _KREIN_FIT_RANGE / (2.0 * p))
+    us = np.linspace(u_top - width, u_top, 48)
     neg_log = -w.log_density(2.0 * us)
     if np.any(neg_log <= 0.0):
         raise InconclusiveError("density exceeds 1 in the fitting window")
@@ -286,7 +296,11 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
                 f"{expected:.4f}; the log-moments may not follow the gamma "
                 "product they are labelled with")
 
-    c2 = krein(w)
+    try:
+        c2 = krein(w)
+    except InconclusiveError as exc:
+        notes.append(str(exc))
+        c2 = KreinResult("Undecided", math.nan, math.nan)
 
     if c1.verdict == "Convergent":
         try:

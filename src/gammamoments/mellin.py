@@ -30,11 +30,10 @@ saddle of each band (see `classes._log_omega3`).
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
 so the CLI's `convolve` evaluates that sequence's density with the
-engine.  `mellin_convolve` and `mellin_convolve_many` integrate
-f(x/t) g(t) dt/t directly.  Only the oracle routes call them
-(`weights.w4_via_convolution`, `classes.omega2_via_convolution`,
-`classes.omega3_via_convolution`), which the tests check the engine and
-the closed forms against.
+engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly.
+Only the oracle routes call it (`weights.w4_via_convolution`,
+`classes.omega2_via_convolution`, `classes.omega3_via_convolution`),
+which the tests check the engine and the closed forms against.
 """
 
 from __future__ import annotations
@@ -50,12 +49,9 @@ from .moments import MomentSequence, _grouped_factors, mellin_symbol
 __all__ = [
     "ContourSpec",
     "inverse_mellin_log",
-    "saddle_abscissa",
     "adapted_contour",
-    "contour_density",
     "contour_log_density",
     "contour_log_densities",
-    "mellin_convolve",
     "mellin_convolve_many",
 ]
 
@@ -145,20 +141,9 @@ def _phase_resolved_points(seq, s0, t_max, log_x):
     return 1 << int(np.ceil(np.log2(n)))
 
 
-def saddle_abscissa(seq: MomentSequence, x):
-    """Real saddle of exp(symbol(s) - s ln x): sum_j a_j psi(a_j(s-1)+b_j) = ln x.
-
-    Vectorized over x; a scalar x gives a float.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(arr > 0):
-        raise ConstraintError("saddle abscissa requires x > 0")
-    c = _saddles(seq, np.log(np.atleast_1d(arr)))
-    return float(c[0]) if arr.ndim == 0 else c.reshape(arr.shape)
-
-
 def _saddles(seq, log_x):
-    """Bisection for the saddle of every ln x at once (the left side is increasing)."""
+    """Real saddles of exp(symbol(s) - s ln x) for every ln x, by bisection
+    on sum_j a_j psi(a_j(s-1)+b_j) = ln x (the left side is increasing)."""
     import scipy.special as sps
 
     pole = seq.rightmost_pole
@@ -239,7 +224,9 @@ def _complex_saddles(seq, target, s):
 
 def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
-    c = max(saddle_abscissa(seq, x), seq.rightmost_pole + 1e-8)
+    if not x > 0:
+        raise ConstraintError("saddle abscissa requires x > 0")
+    c = max(float(_saddles(seq, np.log([x]))[0]), seq.rightmost_pole + 1e-8)
     return _saddle_contour(seq, c, np.log(x))
 
 
@@ -287,11 +274,6 @@ def contour_log_density(seq: MomentSequence, x: float):
         raise ConstraintError("contour density requires x > 0")
     log_w, sign = contour_log_densities(seq, np.log([x]))
     return float(log_w[0]), float(sign[0])
-
-
-def contour_density(seq: MomentSequence, x: float) -> float:
-    log_val, sign = contour_log_density(seq, x)
-    return sign * float(np.exp(log_val))
 
 
 def contour_log_densities(seq: MomentSequence, log_x):
@@ -496,13 +478,9 @@ def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):
     return u[alive[0]] - pad, u[alive[-1]] + pad, m
 
 
-def mellin_convolve(f, g, x) -> float:
-    """int_0^inf f(x/t) g(t) dt/t by trapezoid doubling after t = e^u."""
-    return float(mellin_convolve_many(f, g, np.asarray([x], dtype=float))[0])
-
-
 def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
-    """Vectorized Mellin convolution on an array of evaluation points.
+    """int_0^inf f(x/t) g(t) dt/t at every x in xs, by trapezoid doubling
+    after t = e^u.
 
     f and g must accept numpy arrays.  When log_f/log_g are given, the
     support scan runs in log domain (needed when the factors underflow).
@@ -511,7 +489,7 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
     """
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs <= 0):
-        raise ConstraintError("mellin_convolve requires x > 0")
+        raise ConstraintError("mellin convolution requires x > 0")
     out = np.empty_like(xs)
     order = np.argsort(xs)
     sorted_xs = xs[order]

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import Perturbation
 from .errors import ConstraintError, ConvergenceError
 from .moments import MomentSequence, log_moment
-from .weights import WeightFunction
 
 __all__ = ["MomentCheckResult", "check_moment", "check_vanishing"]
 
@@ -138,7 +136,22 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
         f"moment integral n={n} did not stabilize within {node_cap} nodes")
 
 
-def check_moment(w: WeightFunction, seq: MomentSequence, n,
+def _checked_integral(f, sign_log_f, seq, n, node_cap):
+    """(int x^n f dx / rho(n), ln rho(n), evaluations) for f = W or omega.
+
+    f supplies the tail law (f.growth) and the endpoint powers (f.seq);
+    sign_log_f maps ln x to (sign f, ln |f|).
+    """
+    _check_n(n)
+    g, p = f.growth
+    log_target = log_moment(seq, n)
+    v_lo, v_hi = _window(n, g, p, f.seq.alpha0, f.seq.tail_exponent)
+    total, nodes_used = _moment_integral(sign_log_f, n, p, v_lo, v_hi,
+                                         log_target, node_cap)
+    return total, log_target, nodes_used
+
+
+def check_moment(w: "WeightFunction", seq: MomentSequence, n,
                  node_cap: int = _NODE_CAP) -> MomentCheckResult:
     """Verify int_0^inf x^n W(x) dx = rho(n), measured relative to rho(n).
 
@@ -151,20 +164,15 @@ def check_moment(w: WeightFunction, seq: MomentSequence, n,
     contour engine, so the window may run past ln W = -320 (large n) and
     below x = 1e-20 (n = 0).
     """
-    _check_n(n)
-    g, p = w.growth
-    log_target = log_moment(seq, n)
-    v_lo, v_hi = _window(n, g, p, w.alpha0, w.seq.tail_exponent)
-    total, nodes_used = _moment_integral(
-        lambda log_x: (1.0, w.log_density(log_x)), n, p, v_lo, v_hi,
-        log_target, node_cap)
+    total, log_target, nodes_used = _checked_integral(
+        w, lambda log_x: (1.0, w.log_density(log_x)), seq, n, node_cap)
     log_integral = (math.log(total) + log_target if total > 0.0
                     else -math.inf)
     return MomentCheckResult(int(n), log_integral, log_target,
                              abs(total - 1.0), nodes_used)
 
 
-def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
+def check_vanishing(omega: "Perturbation", seq: MomentSequence, n,
                     node_cap: int = _NODE_CAP) -> MomentCheckResult:
     """Verify int_0^inf x^n omega(x) dx = 0, measured relative to rho(n).
 
@@ -172,12 +180,8 @@ def check_vanishing(omega: Perturbation, seq: MomentSequence, n,
     counts the evaluations of omega.log_density and node_cap bounds them.
     A non-finite integrand raises ConvergenceError.
     """
-    _check_n(n)
-    g, p = omega.growth
-    log_target = log_moment(seq, n)
-    v_lo, v_hi = _window(n, g, p, omega.seq.alpha0, omega.seq.tail_exponent)
-    total, nodes_used = _moment_integral(omega.log_density, n, p, v_lo, v_hi,
-                                         log_target, node_cap)
+    total, log_target, nodes_used = _checked_integral(
+        omega, omega.log_density, seq, n, node_cap)
     if math.isinf(total):
         raise ConvergenceError(
             f"vanishing-moment integrand n={n} is not finite")

@@ -37,7 +37,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError
-from .mellin import contour_density, contour_log_densities, mellin_convolve
+from .mellin import (contour_log_densities, contour_log_density,
+                     mellin_convolve_many)
 from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
 
@@ -110,16 +111,12 @@ def _log_w1(q, log_x, b=1.0):
     return -np.log(q) + ((b - q) / q) * log_x - np.exp(log_x / q)
 
 
-def log_w1(q, x):
-    if q < 1:
-        raise DomainError(f"w1 requires q >= 1, got {q}")
-    return _log_w1(q, np.log(_check_x(x)))
-
-
 def w1(q, x):
     """Principal density with moments (qn)!; q = 2r gives the first family."""
+    if q < 1:
+        raise DomainError(f"w1 requires q >= 1, got {q}")
     with np.errstate(under="ignore"):
-        return np.exp(log_w1(q, x))
+        return np.exp(_log_w1(q, np.log(_check_x(x))))
 
 
 # -- family 2: moments [(rn)!]^2, density 2 K0(2 x^{1/2r}) / (r x^{(r-1)/r}) -
@@ -132,13 +129,9 @@ def _log_w2(r, log_x):
             + log_bessel_k0(2.0 * np.exp(log_x / (2.0 * r))))
 
 
-def log_w2(r, x):
-    return _log_w2(r, np.log(_check_x(x)))
-
-
 def w2(r, x):
     with np.errstate(under="ignore"):
-        return np.exp(log_w2(r, x))
+        return np.exp(_log_w2(r, np.log(_check_x(x))))
 
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------
@@ -147,21 +140,22 @@ def w3(r, x):
     """Principal density with moments [(rn)!]^3; direct contour evaluation."""
     _check_r(r)
     _check_x(x)
-    return contour_density(tm3(r), float(x))
+    return float(np.exp(contour_log_density(tm3(r), float(x))[0]))
 
 
 def w4(r, x):
     """Principal density with moments (2rn)! [(rn)!]^2; direct contour."""
     _check_r(r)
     _check_x(x)
-    return contour_density(tm4(r), float(x))
+    return float(np.exp(contour_log_density(tm4(r), float(x))[0]))
 
 
 def w4_via_convolution(r, x):
     """Same density through the convolution of the first two families."""
     a = principal_solution(tm1(r))
     b = principal_solution(tm2(r))
-    return mellin_convolve(a.evaluate, b.evaluate, float(x))
+    return float(mellin_convolve_many(a.evaluate, b.evaluate,
+                                      np.array([float(x)]))[0])
 
 
 _X_MIN = 1e-20  # the window's left end; the engine answers below it

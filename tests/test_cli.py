@@ -244,13 +244,18 @@ class TestExitCodes:
         ["moments", "--seq", "tm1:r=1", "--n", "5..2"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "1e6",
          "--x", "0.5,1"],
+        # reports that have no table once printed JSON for --emit csv
+        ["criteria", "--seq", "tm1:r=1", "--emit", "csv"],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
+         "--emit", "csv"],
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
             "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan",
             "tm2-gamma-nan", "tm1-eps-inf", "tm2-gamma-inf", "tm3-gamma-inf",
             "zero-denominator-a", "zero-denominator-b",
-            "reversed-n-range", "tm3-member-negative"])
+            "reversed-n-range", "tm3-member-negative", "criteria-csv",
+            "find-gamma-max-csv"])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
         # any other exception would escape main as a traceback
@@ -263,6 +268,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("seq,flag,value", [
+        ("tm2:r=3", "--gamma", "-1e-3"), ("tm1:r=2", "--eps", "-5e-1")])
+    def test_negative_amplitude_after_flag(self, capsys, seq, flag, value):
+        # argparse reads "-1e-3" as an option unless it is joined to its flag
+        common = ["class", "--seq", seq, "--k", "1", "--x", "1"]
+        joined = run(capsys, *common, f"{flag}={value}")
+        spaced = run(capsys, *common, flag, value)
+        assert joined[0] == 0
+        assert spaced == joined
+
+    def test_minus_inf_amplitude_names_finiteness(self, capsys):
+        # a negative special value after the flag once lost it to argparse
+        code, out, err = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
+                             "--gamma", "-inf", "--x", "1")
+        assert (code, out) == (1, "")
+        assert "finite amplitude" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--seq", "tm1:r=1"],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max"]])
+    def test_emit_json_still_accepted(self, capsys, argv):
+        assert run(capsys, *argv, "--emit", "json")[0] == 0
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
@@ -364,8 +392,7 @@ class TestConvolve:
         # contour engine; the convolution integral is an oracle only
         def boom(*args, **kwargs):
             raise AssertionError("Mellin convolution called")
-        for name in ("mellin_convolve", "mellin_convolve_many",
-                     "_convolve_chunk"):
+        for name in ("mellin_convolve_many", "_convolve_chunk"):
             monkeypatch.setattr(mellin, name, boom)
             assert not hasattr(cli, name)
         argvs = [

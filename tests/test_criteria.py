@@ -108,10 +108,14 @@ class TestKrein:
 
     @pytest.mark.parametrize("text,verdict", [
         ("gamma:2.5n+0.7", "Finite"), ("gamma:3n+2", "Finite"),
-        ("gamma:2.02n+0.5", "Finite"), ("gamma:0.5n+1", "Infinite")])
+        ("gamma:2.02n+0.5", "Finite"), ("gamma:0.5n+1", "Infinite"),
+        ("gamma:0.1n+1", "Infinite"), ("gamma:0.4n+1", "Infinite"),
+        ("gamma:0.45n+1", "Infinite"), ("gamma:0.4n+2", "Infinite")])
     def test_single_factor_decided(self, text, verdict):
         # one factor Gamma(an + b) has a closed form for every b, so its
-        # tail law is certified: beta = 2/a decides C2
+        # tail law is certified: beta = 2/a decides C2.  For small a the
+        # fit window narrows with the steep tail law, which kept it where
+        # W < 1 (0.1n+1, 0.4n+2) and its exponent near 2/a (0.4n+1, 0.45n+1)
         w = principal_solution(parse_descriptor(text))
         assert krein(w).verdict == verdict
 
@@ -228,6 +232,17 @@ class TestFullReport:
         assert payload["c1"]["verdict"] == "Undecided"
         assert payload["overall"] == "Undecided"
         assert payload["c3"]["verdict"] == "Inconclusive"
+
+    def test_fit_window_above_one_leaves_c2_undecided(self):
+        # an interpolated tail with A = 0.6: the Krein fit window meets
+        # W >= 1, which makes C2 Undecided with a note, while C1 decides
+        seq = parse_descriptor("gamma:0.3n+1,0.3n+1")
+        report = full_report(seq, principal_solution(seq))
+        assert report.c1.verdict == "Divergent"
+        assert report.c2.verdict == "Undecided"
+        assert math.isnan(report.c2.growth_exponent)
+        assert any("fitting window" in note for note in report.notes)
+        assert report.overall == "Unique"
 
     def test_spline_reports_note_extrapolation(self):
         report = full_report(tm3(2), principal_solution(tm3(2)))

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from gammamoments import (ln_gamma, log_bessel_k0, mellin_convolve,
+from gammamoments import (ln_gamma, log_bessel_k0, mellin_convolve_many,
                           perturbation, tm1, w1)
 
 COMMON = dict(max_examples=120, deadline=None)
@@ -64,14 +64,17 @@ class TestConvolution:
            st.floats(min_value=2.0, max_value=6.0),
            st.floats(min_value=0.05, max_value=50.0))
     def test_positivity(self, q1, q2, x):
-        val = mellin_convolve(lambda t: w1(q1, t), lambda t: w1(q2, t), x)
+        (val,) = mellin_convolve_many(lambda t: w1(q1, t),
+                                      lambda t: w1(q2, t), [x])
         assert val > 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.1, max_value=20.0))
     def test_commutativity(self, x):
-        a = mellin_convolve(lambda t: w1(2.0, t), lambda t: w1(3.0, t), x)
-        b = mellin_convolve(lambda t: w1(3.0, t), lambda t: w1(2.0, t), x)
+        (a,) = mellin_convolve_many(lambda t: w1(2.0, t),
+                                    lambda t: w1(3.0, t), [x])
+        (b,) = mellin_convolve_many(lambda t: w1(3.0, t),
+                                    lambda t: w1(2.0, t), [x])
         assert a == pytest.approx(b, rel=1e-9)
 
 

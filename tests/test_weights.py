@@ -11,7 +11,7 @@ import scipy.special
 import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           TruncationError, WeightFunction, check_moment,
-                          contour_density, contour_log_densities,
+                          contour_log_densities,
                           gamma_product, parse_descriptor, principal_solution,
                           tm1, tm2, tm3, tm4, w1, w2, w3, w4,
                           w4_via_convolution)
