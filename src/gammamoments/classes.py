@@ -5,15 +5,16 @@ omega1 is a sine-modulated copy of the first principal density, omega2 its
 W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
 by the contour engine (the convolution route is kept as an oracle).  Every
 class member is W + amplitude * omega: `perturbation(seq, k)` picks the
-family from seq's kind, and `class_member(seq, k, amplitude, x)` adds
-amplitude * omega to seq's principal solution once the amplitude is
-admissible: finite for every family, and then |eps| < 1 for the first
-and within the second family's bound (a grid search over the oscillating
-ratio V/K0, refined by zooming in on the worst grid point).  The third
-family has no closed bound, so a third-family member negative at some x
-is refused.  `perturbation` is the one constructor: it checks the side
-condition on (r, k) and picks the log-density, and family, r and the tail
-law growth are read from seq, so omega shares W's exact (g, p).
+family by seq.family, so any single factor Gamma(an + b) gets omega1 at
+its (a, b), and `class_member(seq, k, amplitude, x)` adds amplitude *
+omega to seq's principal solution once the amplitude is admissible:
+finite for every family, then |eps| < 1 for the first and within
+find_gamma_max for the second (a grid search over the ratio V/K0, refined
+by zooming in on its worst point).  The third family has no closed
+bound, so a third-family member negative at some x is refused.
+`perturbation` is the one constructor: it checks the side condition on
+(r, k) and picks the log-density; family, r and the tail law growth are
+read from seq, so omega shares W's exact (g, p).
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import ConstraintError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .weights import _log_w1, _log_w2, principal_solution, w1, w2
+from .weights import _check_x, _log_w1, _log_w2, principal_solution, w1, w2
 
 __all__ = [
     "Perturbation",
@@ -66,11 +67,11 @@ class Perturbation:
 
     @property
     def family(self) -> str:  # "tm1" | "tm2" | "tm3"
-        return self.seq.kind
+        return self.seq.family[0]
 
     @property
-    def r(self) -> int:
-        return self.seq.r
+    def r(self):  # a/2 for the first family's factor (a, b), else an int
+        return self.seq.family[1]
 
     @property
     def growth(self) -> tuple:  # (g, p): -ln |omega| <~ g x^p in the tail
@@ -85,9 +86,7 @@ class Perturbation:
 
 def _at_x(log_density, x):
     """omega(x) from its log form; a scalar x gives a float."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ConstraintError("perturbation requires 0 < x < inf")
+    arr = _check_x(x)
     sign, log_abs = log_density(np.log(arr))
     with np.errstate(under="ignore"):
         out = sign * np.exp(log_abs)
@@ -105,10 +104,10 @@ def _check_k(k):
         raise ConstraintError(f"k must be a nonzero integer, got {k!r}")
 
 
-def _check_side(kind, r, k):
+def _check_side(family, r, k):
     """The family's side condition r > c|k|, under which omega decays."""
     _check_k(k)
-    ordinal, c, _ = _FAMILIES[kind]
+    ordinal, c = _FAMILIES[family]
     if not r > c * abs(k):
         bound = "|k|" if c == 1 else f"{c}|k|"
         raise ConstraintError(
@@ -117,15 +116,15 @@ def _check_side(kind, r, k):
 
 # -- family 1 ---------------------------------------------------------------
 
-def _log_omega1(q, k, log_x):
+def _log_omega1(q, k, log_x, b=1.0):
     """(sign, ln |omega1(q, k, x)|) at ln x: ln w1 + ln |sin|.
 
-    omega1(q, k) is the vanishing-moment partner of the (qn)! density and
-    needs q > 2|k|; the first family's omega is omega1(2r, k).
+    omega1(q, k) is the vanishing-moment partner of the density with
+    moments Gamma(qn + b) and needs q > 2|k|: the first family's omega.
     """
-    phase0 = k * math.pi * (q - 1.0) / q
+    phase0 = k * math.pi * (q - b) / q
     slope = math.tan(k * math.pi / q)
-    return _signed_log(_log_w1(q, log_x),
+    return _signed_log(_log_w1(q, log_x, b),
                        np.sin(phase0 + np.exp(log_x / q) * slope))
 
 
@@ -221,38 +220,37 @@ def perturbation_tm3(r, k) -> Perturbation:
 
 # -- class members ----------------------------------------------------------
 
-# kind -> (name in messages, c in the side condition r > c|k|,
-#          (r, k, ln x) -> (sign, ln |omega|))
-_FAMILIES = {
-    "tm1": ("first", 1, lambda r, k, log_x: _log_omega1(2 * r, k, log_x)),
-    "tm2": ("second", 2, _log_omega2),
-    "tm3": ("third", 2, _log_omega3),
-}
+# seq.family -> (name in messages, c in the side condition r > c|k|)
+_FAMILIES = {"tm1": ("first", 1), "tm2": ("second", 2), "tm3": ("third", 2)}
 
 
 def perturbation(seq, k) -> Perturbation:
     """The perturbation omega with index k of seq's principal density."""
-    if seq.kind not in _FAMILIES:
+    family, r = seq.family or (None, None)
+    if family is None:
         raise ConstraintError(
-            f"class construction supports tm1/tm2/tm3 sequences, got {seq.kind}")
-    _check_side(seq.kind, seq.r, k)
-    log_omega = _FAMILIES[seq.kind][2]
-    return Perturbation(k=k, seq=seq,
-                        log_density=lambda log_x: log_omega(seq.r, k, log_x))
+            "class construction needs one gamma factor, or two or three "
+            f"equal factors (r, 1) with integer r; got {seq.descriptor()}")
+    _check_side(family, r, k)
+    a, b = seq.factors[0]
+    log_omega = {"tm1": lambda log_x: _log_omega1(a, k, log_x, b),
+                 "tm2": lambda log_x: _log_omega2(r, k, log_x),
+                 "tm3": lambda log_x: _log_omega3(r, k, log_x)}[family]
+    return Perturbation(k=k, seq=seq, log_density=log_omega)
 
 
-def class_member(seq, k, amplitude, x, gamma_bound=None):
+def class_member(seq, k, amplitude, x):
     """W + amplitude * omega at x, for an admissible amplitude."""
-    return _member_columns(perturbation(seq, k), amplitude, x, gamma_bound)[2]
+    return _member_columns(perturbation(seq, k), amplitude, x)[2]
 
 
-def _member_columns(pert, amplitude, x, gamma_bound=None):
+def _member_columns(pert, amplitude, x):
     """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
 
     The tm1 and tm2 amplitude rules keep the member nonnegative; tm3 has
     none, so a tm3 member negative at some x is refused.
     """
-    _check_amplitude(pert, amplitude, gamma_bound)
+    _check_amplitude(pert, amplitude)
     base = principal_solution(pert.seq).evaluate(x)
     omega = pert.evaluate(x)
     member = base + amplitude * omega
@@ -266,13 +264,13 @@ def _member_columns(pert, amplitude, x, gamma_bound=None):
     return base, omega, member
 
 
-def _check_amplitude(pert, amplitude, gamma_bound=None):
+def _check_amplitude(pert, amplitude):
     """Reject an amplitude that could make W + amplitude * omega negative.
 
     Every family needs a finite amplitude; then tm1 needs |eps| < 1 and
-    tm2 |gamma| <= gamma_bound (unless given, find_gamma_max(r, k) for
-    gamma >= 0 and find_gamma_max(r, -k) below).  tm3 has no closed
-    bound, so _member_columns checks the member's values.
+    tm2 |gamma| <= find_gamma_max(r, k) for gamma >= 0 and
+    find_gamma_max(r, -k) below.  tm3 has no closed bound, so
+    _member_columns checks the member's values.
     """
     if not math.isfinite(amplitude):
         raise ConstraintError(
@@ -281,12 +279,11 @@ def _check_amplitude(pert, amplitude, gamma_bound=None):
         raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
     if pert.family == "tm2":
         k = pert.k if amplitude >= 0.0 else -pert.k  # omega2(r, -k) = -omega2
-        if gamma_bound is None:
-            gamma_bound = find_gamma_max(pert.r, k)
-        if not abs(amplitude) <= gamma_bound:  # a NaN bound certifies nothing
+        bound = find_gamma_max(pert.r, k)
+        if not abs(amplitude) <= bound:
             raise ConstraintError(
                 f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
-                f"{gamma_bound:.6g} for (r={pert.r}, k={k})")
+                f"{bound:.6g} for (r={pert.r}, k={k})")
 
 
 # -- amplitude search -------------------------------------------------------
@@ -390,8 +387,14 @@ def find_gamma_max(r, k):
 
 def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
     """Monte Carlo recheck: member >= 0 on a random log-uniform grid."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(math.log(x_lo), math.log(x_hi), size=n))
     vals = member_eval(np.sort(xs))
     bad = vals < 0.0
     return (not np.any(bad)), float(np.min(vals))
+
+
+def _check_seed(seed):
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConstraintError(f"seed must be an integer >= 0, got {seed!r}")

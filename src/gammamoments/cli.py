@@ -190,6 +190,8 @@ def _cmd_class(args):
     k = args.k
     if k is None:
         raise ConstraintError("class construction requires --k")
+    if args.mc_seed is not None:
+        cls._check_seed(args.mc_seed)
     pert = cls.perturbation(seq, k)
 
     if args.find_gamma_max:
@@ -198,13 +200,12 @@ def _cmd_class(args):
             raise ConstraintError(
                 "--find-gamma-max applies to tm2 sequences "
                 "(amplitude bound of the K0-ratio family)")
-        bound = cls.find_gamma_max(seq.r, k)
+        bound = cls.find_gamma_max(pert.r, k)
         payload = {"command": "class", "seq": seq.descriptor(), "k": k,
                    "gamma_max": bound, "safety_factor": cls._SAFETY}
         if args.mc_seed is not None:
             ok, min_val = cls.certify_nonnegative(
-                lambda xs: cls.class_member(seq, k, bound, xs,
-                                            gamma_bound=bound),
+                lambda xs: cls.class_member(seq, k, bound, xs),
                 1e-8, 1e6, 20000, args.mc_seed)
             payload["monte_carlo"] = {"seed": args.mc_seed,
                                       "nonnegative": bool(ok),

@@ -222,9 +222,9 @@ def _krein_body(w: WeightFunction, u_hi: float) -> float:
             return body
         prev = body
     raise ConvergenceError(
-        f"Krein integral of {w.name} changed by {abs(body - prev):.2e} "
-        f"between Gauss-Legendre orders {_KREIN_ORDERS[-2]} and "
-        f"{_KREIN_ORDERS[-1]}")
+        f"Krein integral of W[{w.seq.descriptor()}] changed by "
+        f"{abs(body - prev):.2e} between Gauss-Legendre orders "
+        f"{_KREIN_ORDERS[-2]} and {_KREIN_ORDERS[-1]}")
 
 
 def _tail_limit(w: WeightFunction) -> float:
@@ -324,7 +324,7 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
     else:
         overall = "Undecided"
 
-    if seq.kind in ("tm3", "tm4"):
+    if not w.tail_certified:  # no closed-form family
         notes.append(
             "perturbation family for this sequence extrapolates the "
             "construction used for the closed-form families")

@@ -1,6 +1,7 @@
 """Gamma-product moment sequences, kept in log domain.
 
-A sequence is rho(n) = prod_j Gamma(a_j n + b_j).  The four named kinds:
+A sequence is rho(n) = prod_j Gamma(a_j n + b_j), stored as its factor
+list; `family` reads the paper's families off it.  The named constructors:
 
     TM1: (2rn)!          factors [(2r, 1)]
     TM2: [(rn)!]^2       factors [(r, 1), (r, 1)]
@@ -38,8 +39,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentSequence:
-    kind: str  # "tm1" | "tm2" | "tm3" | "tm4" | "gamma"
-    r: int
     factors: tuple  # of (a, b) pairs, rho(n) = prod Gamma(a*n + b)
     label: str = field(default="", compare=False)
 
@@ -88,6 +87,20 @@ class MomentSequence:
         aside): min (b - a)/a, one rounding for integer factors, never -0.0."""
         return min((b - a) / a for a, b in self.factors)
 
+    @property
+    def family(self):
+        """("tm1" | "tm2" | "tm3", r), or None: one factor (a, b) has
+        r = a/2, two or three equal factors (a, 1) with integer a have
+        r = a, and no other list has a family.  An integral r is an int."""
+        (a, b), m = self.factors[0], len(self.factors)
+        if m == 1:
+            r = a / 2
+            return "tm1", int(r) if r.is_integer() else r
+        if (m < 4 and b == 1 and float(a).is_integer()
+                and self.factors.count((a, b)) == m):
+            return f"tm{m}", int(a)
+        return None
+
     def descriptor(self) -> str:
         if self.label:
             return self.label
@@ -97,26 +110,26 @@ class MomentSequence:
 
 def tm1(r: int) -> MomentSequence:
     _check_r(r)
-    return MomentSequence("tm1", r, ((2 * r, 1),), label=f"tm1:r={r}")
+    return MomentSequence(((2 * r, 1),), label=f"tm1:r={r}")
 
 
 def tm2(r: int) -> MomentSequence:
     _check_r(r)
-    return MomentSequence("tm2", r, ((r, 1), (r, 1)), label=f"tm2:r={r}")
+    return MomentSequence(((r, 1), (r, 1)), label=f"tm2:r={r}")
 
 
 def tm3(r: int) -> MomentSequence:
     _check_r(r)
-    return MomentSequence("tm3", r, ((r, 1),) * 3, label=f"tm3:r={r}")
+    return MomentSequence(((r, 1),) * 3, label=f"tm3:r={r}")
 
 
 def tm4(r: int) -> MomentSequence:
     _check_r(r)
-    return MomentSequence("tm4", r, ((2 * r, 1), (r, 1), (r, 1)), label=f"tm4:r={r}")
+    return MomentSequence(((2 * r, 1), (r, 1), (r, 1)), label=f"tm4:r={r}")
 
 
 def gamma_product(factors, label="") -> MomentSequence:
-    return MomentSequence("gamma", 0, tuple((float(a), float(b)) for a, b in factors),
+    return MomentSequence(tuple((float(a), float(b)) for a, b in factors),
                           label=label)
 
 

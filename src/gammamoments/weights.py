@@ -1,7 +1,7 @@
 """Principal weight functions for the four model families.
 
 The first two families have closed forms (stretched exponential, Bessel K0),
-which `principal_solution` reads off any factor list of their shape (the
+which `principal_solution` picks by `MomentSequence.family` (the
 stretched exponential serves every single factor Gamma(an + b)); the
 third and fourth are defined operationally as inverse Mellin transforms
 of their gamma-product symbols.  For those, and for any other gamma
@@ -17,9 +17,9 @@ x = 1e-20 to where ln W reaches -320, and every ln x outside it goes to
 the engine.
 
 `principal_solution(seq)` is the one constructor, for every sequence: it
-picks the log-density (w1, W2 or the interpolant) and whether a closed
-form certifies the tail; alpha0 and growth are read from seq, whose
-endpoint laws are exact.
+picks the log-density (w1, W2 or the interpolant) from seq.family, and a
+closed form certifies the tail exactly for the first two families;
+alpha0 and growth are read from seq, whose endpoint laws are exact.
 
 Every density is evaluated in ln x: `WeightFunction.log_density` takes
 ln x and returns ln W, and the closed forms are written in ln x, so a
@@ -65,7 +65,6 @@ class WeightFunction:
     ln x; evaluate(x) checks 0 < x < inf and returns W(x).
     """
 
-    name: str
     seq: MomentSequence
     log_density: object = field(repr=False)  # callable: array ln x -> ln W
     tail_certified: bool = False
@@ -261,26 +260,16 @@ def _spline_log_evaluate(seq, log_x):
 # -- the constructor -------------------------------------------------------
 
 def principal_solution(seq: MomentSequence) -> WeightFunction:
-    """Principal density for a sequence: closed form if known, else contour.
-
-    The closed form is read off the factor list, so a gamma descriptor
-    gets the density of the named kind with the same factors: one factor
-    (a, b) is x^{(b-a)/a} e^{-x^{1/a}} / a, which is w1(q, .) at (q, 1),
-    and two equal factors (r, 1) with integer r are W2(r); any other
-    sequence gets its contour interpolant.
-    """
-    (a, b), count = seq.factors[0], len(seq.factors)
-    certified = True
-    if count == 1:
+    """Principal density for a sequence, picked by seq.family: for the
+    first family's factor (a, b), x^{(b-a)/a} e^{-x^{1/a}} / a (w1(q, .)
+    at (q, 1)); W2(r) for the second; else the contour interpolant."""
+    family, r = seq.family or (None, None)
+    if family == "tm1":
+        (a, b), = seq.factors
         log_density = lambda log_x: _log_w1(a, log_x, b)
-    elif (b == 1 and count == 2 and seq.factors[1] == (a, b)
-          and float(a).is_integer()):
-        log_density = lambda log_x: _log_w2(int(a), log_x)
+    elif family == "tm2":
+        log_density = lambda log_x: _log_w2(r, log_x)
     else:
         log_density = lambda log_x: _spline_log_evaluate(seq, log_x)
-        certified = False
-    name = (f"W[{seq.descriptor()}]" if seq.kind == "gamma"
-            else f"W{seq.kind[2]}({seq.r})")
-    return WeightFunction(name=name, seq=seq, log_density=log_density,
-                          tail_certified=certified)
-
+    return WeightFunction(seq=seq, log_density=log_density,
+                          tail_certified=family in ("tm1", "tm2"))

@@ -109,7 +109,7 @@ def test_05_nonuniqueness_demonstration():
     worst = 0.0
     for eps in (0.5, -0.5):
         member = WeightFunction(
-            name=f"tm1-member(eps={eps})", seq=seq,
+            seq=seq,
             log_density=lambda log_x, e=eps: log_member(np.exp(log_x), e),
             tail_certified=True)
         for n in range(9):

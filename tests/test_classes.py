@@ -8,7 +8,8 @@ import scipy.special
 
 import gammamoments.classes as classes
 import gammamoments.mellin as mellin
-from gammamoments import (ConstraintError, SearchError, class_member,
+from gammamoments import (ConstraintError, DomainError, SearchError,
+                          check_vanishing, class_member,
                           certify_nonnegative, contour_log_density,
                           find_gamma_max, omega2, omega2_via_convolution,
                           omega3, omega3_via_convolution, perturbation,
@@ -34,9 +35,10 @@ class TestOneTailLaw:
             law = (seq.tail_coefficient, seq.tail_power)
             w = principal_solution(seq)
             assert (w.alpha0, w.growth) == (seq.alpha0, law), seq.descriptor()
-            # the side conditions: r > |k| for tm1, r > 2|k| for tm2/tm3
-            min_r = {"tm1": 2, "tm2": 3, "tm3": 3}.get(kind)
-            if min_r is not None and seq.r >= min_r:
+            # the side conditions: r > |k| for the first family, r > 2|k|
+            # for the second and third
+            family, r = seq.family or (None, None)
+            if family is not None and r > (1 if family == "tm1" else 2):
                 assert perturbation(seq, 1).growth == law, seq.descriptor()
 
     def test_closed_form_laws_exact(self):
@@ -73,6 +75,22 @@ class TestOmega1:
             perturbation(tm1(3), 0).evaluate(1.0)
         with pytest.raises(ConstraintError):
             perturbation(tm1(1), 1).evaluate(1.0)
+
+    @pytest.mark.parametrize("text,k", [("gamma:2.5n+0.7", 1),
+                                        ("gamma:3n+2.5", 1),
+                                        ("gamma:4n+1", 1),
+                                        ("gamma:5n+0.3", 2)])
+    def test_every_single_factor_has_vanishing_moments(self, text, k):
+        # the first family is any one factor (a, b): omega1 at phase
+        # k pi (a - b)/a on w1(a, b), not only (2r, 1)
+        seq = parse_descriptor(text)
+        pert = perturbation(seq, k)
+        for n in range(9):
+            assert check_vanishing(pert, seq, n).rel_error <= 1e-6, n
+
+    def test_single_factor_side_condition(self):
+        with pytest.raises(ConstraintError, match=r"r=1\.25, k=2"):
+            perturbation(parse_descriptor("gamma:2.5n+0.7"), 2)
 
 
 class TestOmega2:
@@ -140,7 +158,7 @@ class TestOmega3:
             omega3(1, 1, 1.0)
 
     def test_rejects_nonpositive_x(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(DomainError):
             omega3(3, 1, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (4, 1), (5, 2), (6, 1),
@@ -239,12 +257,12 @@ class TestClassMembers:
         r, k = 3, 1
         bound = find_gamma_max(r, k)
         xs = np.logspace(-8, 6, 10000)
-        vals = class_member(tm2(r), k, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), k, bound, xs)
         assert np.all(vals >= 0.0)
 
     def test_tm2_member_reduces_to_base(self):
         xs = np.logspace(-2, 2, 30)
-        got = class_member(tm2(3), 1, 0.0, xs, gamma_bound=1.0)
+        got = class_member(tm2(3), 1, 0.0, xs)
         assert np.allclose(got, principal_solution(tm2(3)).evaluate(xs),
                            rtol=1e-14)
 
@@ -252,7 +270,7 @@ class TestClassMembers:
         bound = find_gamma_max(3, 1)
         with pytest.raises(ConstraintError,
                            match="exceeds the certified bound"):
-            class_member(tm2(3), 1, 2.0 * bound, 1.0, gamma_bound=bound)
+            class_member(tm2(3), 1, 2.0 * bound, 1.0)
 
     def test_tm2_negative_gamma_meets_bound_of_minus_k(self):
         # omega2(r, -k) = -omega2(r, k), so gamma < 0 is bounded by
@@ -265,11 +283,6 @@ class TestClassMembers:
             class_member(tm2(3), 1, -2.3, 1e-8)
         xs = np.logspace(-40, 6, 2000)
         assert np.all(class_member(tm2(3), 1, -find_gamma_max(3, -1), xs) >= 0)
-
-    def test_tm2_nan_bound_rejected(self):
-        with pytest.raises(ConstraintError,
-                           match="exceeds the certified bound nan"):
-            class_member(tm2(3), 1, 0.5, 1.0, gamma_bound=float("nan"))
 
     def test_tm2_finite_past_scaled_bessel_range(self):
         # kve(0, z) is nan past |z| ~ 1.08e9, which made the member nan at
@@ -294,16 +307,17 @@ class TestGammaMax:
         bound = find_gamma_max(r, k)
         assert bound > 0.0
         xs = np.logspace(-8, 6, 10000)
-        vals = class_member(tm2(r), k, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), k, bound, xs)
         assert np.all(vals >= 0.0)
 
     def test_exceeding_bound_breaks_positivity(self):
         r, k = 3, 1
         bound = find_gamma_max(r, k)
-        # the safety factor is 0.99, so 1.1x the bound must go negative
+        # the safety factor is 0.99, so 1.1x the bound must go negative;
+        # class_member refuses that amplitude, so W + gamma omega is formed
         xs = np.logspace(-8, 6, 20000)
-        vals = class_member(tm2(r), k, 1.1 * bound, xs,
-                                gamma_bound=2.0 * bound)
+        vals = (principal_solution(tm2(r)).evaluate(xs)
+                + 1.1 * bound * omega2(r, k, xs))
         assert np.min(vals) < 0.0
 
     def test_deterministic(self):
@@ -326,7 +340,7 @@ class TestGammaMax:
         assert math.isfinite(bound)
         assert bound == pytest.approx(want, abs=1e-3)
         xs = np.logspace(-8, 6, 2000)
-        vals = class_member(tm2(r), 1, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), 1, bound, xs)
         assert np.all(vals >= 0.0)
 
     @pytest.mark.parametrize("r,k,want", [(3, 1, 2.348234710170527),
@@ -382,7 +396,7 @@ class TestGammaMax:
         us = np.exp(rng.uniform(0.0, math.log(5e8), 20000))
         assert np.all(1.0 + bound * classes._ratio_v_over_k0(r, 1, us) >= 0.0)
         xs = np.logspace(-8, 300, 2000)
-        vals = class_member(tm2(r), 1, bound, xs, gamma_bound=bound)
+        vals = class_member(tm2(r), 1, bound, xs)
         assert np.all(vals >= 0.0)
 
     def test_zoom_stops_on_a_bracket_below_xatol_ulps(self):
@@ -412,10 +426,16 @@ class TestGammaMax:
         r, k = 3, 1
         bound = find_gamma_max(r, k)
         ok, min_val = certify_nonnegative(
-            lambda xs: class_member(tm2(r), k, bound, xs, gamma_bound=bound),
+            lambda xs: class_member(tm2(r), k, bound, xs),
             1e-8, 1e6, 5000, seed=123)
         assert ok
         assert min_val >= 0.0
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, None])
+    def test_monte_carlo_rejects_bad_seed(self, seed):
+        # a negative seed once reached numpy's raw ValueError
+        with pytest.raises(ConstraintError, match="integer >= 0"):
+            certify_nonnegative(lambda xs: xs, 1.0, 2.0, 10, seed)
 
     def test_monte_carlo_deterministic(self):
         f = lambda xs: np.ones_like(xs)
@@ -428,7 +448,7 @@ class TestPerturbationObjects:
         p = perturbation_tm1(3, 2)
         assert p.family == "tm1"
         assert (p.r, p.k) == (3, 2)
-        assert p.seq.kind == "tm1"
+        assert p.seq.family == ("tm1", 3)
 
     def test_callable(self):
         p = perturbation_tm2(3, 1)
@@ -440,15 +460,24 @@ class TestPerturbationObjects:
                                           (tm3(3), perturbation_tm3)],
                              ids=["tm1", "tm2", "tm3"])
     def test_perturbation_picks_family(self, seq, make):
-        got, want = perturbation(seq, 1), make(seq.r, 1)
-        assert got.family == seq.kind
+        family, r = seq.family
+        got, want = perturbation(seq, 1), make(r, 1)
+        assert got.family == family
         assert ((got.family, got.r, got.k, got.seq, got.growth)
                 == (want.family, want.r, want.k, want.seq, want.growth))
 
     def test_perturbation_rejects_other_kinds(self):
         with pytest.raises(ConstraintError,
-                           match="supports tm1/tm2/tm3 sequences, got tm4"):
+                           match="equal factors .* got tm4:r=1"):
             perturbation(tm4(1), 1)
+
+    def test_nonpositive_x_is_a_domain_error(self):
+        # the same check, and error, as WeightFunction.evaluate
+        for x in (0.0, -1.0, np.inf):
+            with pytest.raises(DomainError):
+                perturbation(tm1(2), 1).evaluate(x)
+            with pytest.raises(DomainError):
+                principal_solution(tm1(2)).evaluate(x)
 
     def test_invalid_parameters_rejected_at_build(self):
         with pytest.raises(ConstraintError):

@@ -92,6 +92,25 @@ class TestJsonOutput:
         assert code == 0
         assert len(json.loads(out)["c1"]["terms"]) == 200
 
+    @pytest.mark.parametrize("named,gamma,amplitude", [
+        ("tm1:r=2", "gamma:4n+1", ["--eps", "0.5"]),
+        ("tm2:r=3", "gamma:3n+1,3n+1", ["--gamma", "1.0"]),
+        ("tm3:r=3", "gamma:3n+1,3n+1,3n+1", ["--gamma", "0.1"]),
+    ], ids=["tm1", "tm2", "tm3"])
+    def test_class_same_for_every_spelling(self, capsys, named, gamma,
+                                           amplitude):
+        # the family is read off the factor list; a gamma spelling of tm2
+        # once exited 1 with "supports tm1/tm2/tm3 sequences, got gamma"
+        payloads = []
+        for seq in (named, gamma):
+            code, out, err = run(capsys, "class", "--seq", seq, "--k", "1",
+                                 *amplitude)
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload.pop("seq") == seq
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_nonfinite_floats_encoded_as_strings(self, capsys):
         # tm1:r=1 yields an infinite tail integral; strict JSON parsers
         # must still accept the document
@@ -248,6 +267,9 @@ class TestExitCodes:
         ["criteria", "--seq", "tm1:r=1", "--emit", "csv"],
         ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
          "--emit", "csv"],
+        # a negative seed once ended in numpy's ValueError traceback
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
+         "--mc-seed", "-1"],
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
@@ -255,7 +277,7 @@ class TestExitCodes:
             "tm2-gamma-nan", "tm1-eps-inf", "tm2-gamma-inf", "tm3-gamma-inf",
             "zero-denominator-a", "zero-denominator-b",
             "reversed-n-range", "tm3-member-negative", "criteria-csv",
-            "find-gamma-max-csv"])
+            "find-gamma-max-csv", "mc-seed-negative"])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
         # any other exception would escape main as a traceback

@@ -1,5 +1,6 @@
 """Moment sequences: exact big-integer oracles, symbols, descriptors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,36 @@ class TestStructure:
         # infinite and the moment window's A + 1 = 0 divided by zero
         with pytest.raises(ConstraintError, match="offset"):
             gamma_product(factors)
+
+
+class TestFamilyRule:
+    """One rule reads the paper's families off the factor list."""
+
+    @pytest.mark.parametrize("text,family", [
+        ("gamma:2.5n+0.7", ("tm1", 1.25)),
+        ("gamma:4n+1", ("tm1", 2)),
+        ("gamma:3n+1,3n+1", ("tm2", 3)),
+        ("gamma:n+1,n+1,n+1", ("tm3", 1)),
+        ("gamma:2.5n+1,2.5n+1", None),
+        ("gamma:3n+2,3n+2", None),
+        ("gamma:3n+1,2n+1", None),
+        ("tm1:r=2", ("tm1", 2)),
+        ("tm2:r=3", ("tm2", 3)),
+        ("tm3:r=3", ("tm3", 3)),
+        ("tm4:r=1", None),
+    ])
+    def test_family_table(self, text, family):
+        got = parse_descriptor(text).family
+        assert got == family
+        if family is not None:
+            # an integral r is an int, so messages print r=2, not r=2.0
+            assert type(got[1]) is type(family[1])
+
+    def test_only_factors_and_label_stored(self):
+        names = [f.name for f in dataclasses.fields(tm3(2))]
+        assert names == ["factors", "label"]
+        # spellings of one factor list are one sequence
+        assert parse_descriptor("gamma:2n+1,2n+1") == tm2(2)
 
 
 class TestDescriptors:

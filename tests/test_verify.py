@@ -63,7 +63,7 @@ class TestClosedFormMoments:
                                        / (2.0 * (nu - 1.0) * (nu - 2.0))))
             return math.log(2.0) + 0.5 * nu * log_x + log_k
         seq = gamma_product([(1, 1), (1, b)])
-        w = WeightFunction(f"K[nu={nu:g}]", seq, log_w, tail_certified=True)
+        w = WeightFunction(seq, log_w, tail_certified=True)
         assert (w.alpha0, w.growth) == (0.0, (2.0, 0.5))
         assert seq.tail_exponent == pytest.approx((b - 1.5) / 2.0)
         for n in range(9):

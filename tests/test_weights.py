@@ -90,22 +90,27 @@ class TestWeightObjects:
         assert not principal_solution(tm4(1)).tail_certified
 
     def test_principal_solution_dispatch(self):
-        # one constructor: the named kinds get W<ordinal>(r), and a closed
-        # form certifies the tail of the first two only
-        for seq, name, certified in [(tm1(2), "W1(2)", True),
-                                     (tm2(2), "W2(2)", True),
-                                     (tm3(1), "W3(1)", False),
-                                     (tm4(1), "W4(1)", False)]:
-            w = principal_solution(seq)
-            assert (w.name, w.tail_certified) == (name, certified)
-        w = principal_solution(parse_descriptor("gamma:2.02n+1"))
-        assert w.name == "W[gamma:2.02n+1]"
+        # one constructor: seq.family picks the density, and a closed form
+        # certifies the tail of the first two families only
+        for text, certified in [("tm1:r=2", True), ("gamma:2.02n+1", True),
+                                ("tm2:r=2", True), ("gamma:3n+1,3n+1", True),
+                                ("tm3:r=1", False), ("tm4:r=1", False),
+                                ("gamma:2.5n+1,2.5n+1", False)]:
+            w = principal_solution(parse_descriptor(text))
+            assert w.tail_certified == certified, text
+        # every spelling of a family gets the same density
+        lx = np.linspace(-5.0, 5.0, 11)
+        for named, gamma in [("tm1:r=2", "gamma:4n+1"),
+                             ("tm2:r=3", "gamma:3n+1,3n+1")]:
+            got, want = (principal_solution(parse_descriptor(t)).log_density(lx)
+                         for t in (gamma, named))
+            assert np.array_equal(got, want), named
 
     def test_endpoint_laws_read_from_seq(self):
         # alpha0 and growth are properties of seq, not fields that could
         # disagree with it
         names = {f.name for f in dataclasses.fields(WeightFunction)}
-        assert names == {"name", "seq", "log_density", "tail_certified"}
+        assert names == {"seq", "log_density", "tail_certified"}
         moved = dataclasses.replace(principal_solution(tm2(3)), seq=tm2(4))
         assert (moved.alpha0, moved.growth) == (-0.75, (2.0, 1.0 / 8.0))
 
