@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError, SearchError
+from .errors import ConstraintError, ConvergenceError, SearchError
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
 from .weights import _check_x, _log_w1, _log_w2, principal_solution, w1, w2
@@ -289,7 +289,7 @@ def _check_amplitude(pert, amplitude):
 # -- amplitude search -------------------------------------------------------
 
 _KVE_MAX_ABS = 1e9  # scipy.special.kve(0, z) returns nan beyond |z| ~ 1.08e9
-_SCAN_POINTS = 4000  # log-spaced u grid of the amplitude scan
+_SCAN_POINTS = 4000  # amplitude scan grid; block of the Monte Carlo recheck
 _SAFETY = 0.99  # fraction of the certified amplitude bound returned
 
 
@@ -386,13 +386,39 @@ def find_gamma_max(r, k):
 
 
 def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
-    """Monte Carlo recheck: member >= 0 on a random log-uniform grid."""
+    """Monte Carlo recheck: (member >= 0 at every sample point, least value).
+
+    The sample is n log-uniform points on [x_lo, x_hi] from
+    default_rng(seed), sorted; member_eval sees it in consecutive blocks
+    of _SCAN_POINTS (4,000) points, so one block's arrays are alive at a
+    time, and the result is what one call on the whole sample gives.
+    `class --find-gamma-max --mc-seed` rechecks W + gamma_max omega at
+    20,000 points on [1e-8, 1e6] at the bound it has just certified,
+    without a second search.  A member value that is not finite raises
+    ConvergenceError at the first such x.
+    """
     _check_seed(seed)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConstraintError(f"n must be an integer >= 1, got {n!r}")
+    if not 0.0 < x_lo < x_hi < math.inf:
+        raise ConstraintError(
+            f"the sample needs 0 < x_lo < x_hi < inf, got [{x_lo!r}, {x_hi!r}]")
     rng = np.random.default_rng(seed)
-    xs = np.exp(rng.uniform(math.log(x_lo), math.log(x_hi), size=n))
-    vals = member_eval(np.sort(xs))
-    bad = vals < 0.0
-    return (not np.any(bad)), float(np.min(vals))
+    xs = rng.uniform(math.log(x_lo), math.log(x_hi), size=n)
+    np.exp(xs, out=xs)
+    xs.sort()
+    least = math.inf
+    for start in range(0, n, _SCAN_POINTS):
+        block = xs[start:start + _SCAN_POINTS]
+        vals = member_eval(block)
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise ConvergenceError(
+                f"member value {float(vals[i])} at x = {block[i]:.6g} is not "
+                "finite; cannot recheck its sign")
+        least = min(least, float(np.min(vals)))
+    return least >= 0.0, least
 
 
 def _check_seed(seed):

@@ -5,7 +5,9 @@ Every subcommand takes its densities from a closed form or from the
 contour engine.  `class` prints, for every family, the member
 W + amplitude * omega from the base and omega columns it prints, after
 the checks of `classes.class_member` (an admissible amplitude, and no
-negative member).  `convolve` evaluates
+negative member).  `class --find-gamma-max --mc-seed` rechecks W +
+gamma_max omega at the bound it has just certified, at 20,000 random
+points (`classes.certify_nonnegative`).  `convolve` evaluates
 the Mellin convolution W_a * W_b as the principal density of the product
 sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution
@@ -191,6 +193,9 @@ def _cmd_class(args):
     if k is None:
         raise ConstraintError("class construction requires --k")
     if args.mc_seed is not None:
+        if not args.find_gamma_max:
+            raise ConstraintError(
+                "--mc-seed applies only with --find-gamma-max")
         cls._check_seed(args.mc_seed)
     pert = cls.perturbation(seq, k)
 
@@ -204,8 +209,10 @@ def _cmd_class(args):
         payload = {"command": "class", "seq": seq.descriptor(), "k": k,
                    "gamma_max": bound, "safety_factor": cls._SAFETY}
         if args.mc_seed is not None:
+            # the member at the bound just certified, without a second search
+            w = principal_solution(seq)
             ok, min_val = cls.certify_nonnegative(
-                lambda xs: cls.class_member(seq, k, bound, xs),
+                lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs),
                 1e-8, 1e6, 20000, args.mc_seed)
             payload["monte_carlo"] = {"seed": args.mc_seed,
                                       "nonnegative": bool(ok),
@@ -304,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--find-gamma-max", action="store_true",
                    help="print the certified tm2 amplitude bound")
     p.add_argument("--mc-seed", type=int,
-                   help="Monte Carlo nonnegativity recheck seed")
+                   help="Monte Carlo nonnegativity recheck seed "
+                        "(with --find-gamma-max)")
     common(p)
     p.set_defaults(func=_cmd_class)
 

@@ -324,7 +324,9 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
     else:
         overall = "Undecided"
 
-    if not w.tail_certified:  # no closed-form family
+    if seq.family is None:
+        notes.append("class builds no perturbation for this factor list")
+    elif not w.tail_certified:  # the third family: no closed-form density
         notes.append(
             "perturbation family for this sequence extrapolates the "
             "construction used for the closed-form families")

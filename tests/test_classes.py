@@ -8,8 +8,8 @@ import scipy.special
 
 import gammamoments.classes as classes
 import gammamoments.mellin as mellin
-from gammamoments import (ConstraintError, DomainError, SearchError,
-                          check_vanishing, class_member,
+from gammamoments import (ConstraintError, ConvergenceError, DomainError,
+                          SearchError, check_vanishing, class_member,
                           certify_nonnegative, contour_log_density,
                           find_gamma_max, omega2, omega2_via_convolution,
                           omega3, omega3_via_convolution, perturbation,
@@ -441,6 +441,67 @@ class TestGammaMax:
         f = lambda xs: np.ones_like(xs)
         assert certify_nonnegative(f, 0.1, 10.0, 100, seed=7) == \
             certify_nonnegative(f, 0.1, 10.0, 100, seed=7)
+
+    @pytest.mark.parametrize("x_lo,x_hi,n", [
+        (1.0, 2.0, 0), (0.0, 2.0, 10), (2.0, 1.0, 10), (1.0, math.inf, 10)],
+        ids=["n-zero", "x-lo-zero", "x-lo-above-x-hi", "x-hi-inf"])
+    def test_monte_carlo_rejects_bad_sample(self, x_lo, x_hi, n):
+        # each once escaped as numpy's or math's ValueError/OverflowError
+        with pytest.raises(ConstraintError):
+            certify_nonnegative(lambda xs: xs, x_lo, x_hi, n, 1)
+
+    def test_monte_carlo_nonfinite_member_raises(self):
+        # once (True, nan): a NaN member passed as nonnegative
+        rng = np.random.default_rng(1)
+        xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 100))
+        first = float(np.min(xs[xs > 1]))
+        with pytest.raises(ConvergenceError, match=f"at x = {first:.6g} is"):
+            certify_nonnegative(lambda xs: np.where(xs > 1, np.nan, 1.0),
+                                0.1, 10, 100, 1)
+
+
+class TestMonteCarloBlocks:
+    """certify_nonnegative evaluates its sample in blocks of 4,000."""
+
+    @staticmethod
+    def _sample(n, seed):
+        rng = np.random.default_rng(seed)
+        return np.sort(np.exp(rng.uniform(math.log(1e-8), math.log(1e6), n)))
+
+    @pytest.mark.parametrize("n", [1, 3999, 4000, 4001, 20000])
+    def test_blocks_give_whole_sample_result(self, n):
+        xs = self._sample(n, 5)
+        # negative only at the largest point, in the last block
+        member = lambda v: np.where(v >= xs[-1], -v, 1.0 + v)
+        whole = member(xs)
+        assert certify_nonnegative(member, 1e-8, 1e6, n, 5) == \
+            (not np.any(whole < 0.0), float(np.min(whole)))
+
+    @pytest.mark.parametrize("n,sizes", [(4001, [4000, 1]),
+                                         (20000, [4000] * 5)])
+    def test_member_sees_sorted_blocks(self, n, sizes):
+        blocks = []
+        certify_nonnegative(lambda v: blocks.append(v.copy()) or v,
+                            1e-8, 1e6, n, 5)
+        assert [b.size for b in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), self._sample(n, 5))
+
+    def test_tm2_recheck_peak_memory(self):
+        # one 20,000-point evaluation of W + gamma omega peaked at 2.1 MB
+        import tracemalloc
+        seq = tm2(3)
+        w, pert, bound = (principal_solution(seq), perturbation(seq, 1),
+                          find_gamma_max(3, 1))
+        member = lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs)
+        member(np.array([1.0]))  # scipy.special loads outside the trace
+        tracemalloc.start()
+        try:
+            ok, _ = certify_nonnegative(member, 1e-8, 1e6, 20000, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak <= 1e6
 
 
 class TestPerturbationObjects:

@@ -15,7 +15,8 @@ import gammamoments.classes as classes
 import gammamoments.cli as cli
 import gammamoments.mellin as mellin
 import gammamoments.weights as weights
-from gammamoments import class_member, contour_log_densities, tm3, tm4
+from gammamoments import (class_member, contour_log_densities, tm2, tm3,
+                          tm4)
 from gammamoments.cli import main
 
 
@@ -133,6 +134,41 @@ class TestDeterminism:
         assert first == second
         payload = json.loads(first)
         assert payload["monte_carlo"]["nonnegative"] is True
+
+    def test_recheck_searches_once(self, capsys, monkeypatch):
+        # the recheck once went through class_member, whose amplitude
+        # check ran the search again for the bound just certified
+        calls = []
+        search = classes.find_gamma_max
+        monkeypatch.setattr(classes, "find_gamma_max",
+                            lambda r, k: calls.append((r, k)) or search(r, k))
+        code, out, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
+                           "--find-gamma-max", "--mc-seed", "42")
+        assert code == 0
+        assert calls == [(3, 1)]
+        # the record one class_member call on the whole sorted sample gives
+        bound = search(3, 1)
+        rng = np.random.default_rng(42)
+        xs = np.sort(np.exp(rng.uniform(np.log(1e-8), np.log(1e6), 20000)))
+        member = class_member(tm2(3), 1, bound, xs)
+        assert json.loads(out)["monte_carlo"] == {
+            "seed": 42, "nonnegative": bool(np.all(member >= 0.0)),
+            "min_value": float(np.min(member))}
+
+    def test_recheck_nonfinite_member_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(classes.Perturbation, "evaluate",
+                            lambda self, x: np.full(np.shape(x), np.nan))
+        code, out, err = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
+                             "--find-gamma-max", "--mc-seed", "42")
+        assert (code, out) == (3, "")
+        assert "not finite" in err
+
+    def test_mc_seed_needs_find_gamma_max(self, capsys):
+        # the seed was once ignored, and the call exited 0 with no recheck
+        code, out, err = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
+                             "--gamma", "1.0", "--mc-seed", "5", "--x", "1")
+        assert (code, out) == (1, "")
+        assert "--mc-seed applies only with --find-gamma-max" in err
 
     @pytest.mark.parametrize("r,want", [("9", 1.178), ("40", 1.023)])
     def test_find_gamma_max_large_r(self, capsys, r, want):

@@ -250,6 +250,17 @@ class TestFullReport:
         report = full_report(tm3(2), principal_solution(tm3(2)))
         assert any("extrapolat" in note for note in report.notes)
         assert report.c2.verdict == "Undecided"
+        assert not any("builds no perturbation" in n for n in report.notes)
+
+    @pytest.mark.parametrize("text", ["tm4:r=2", "gamma:0.3n+1,0.3n+1"])
+    def test_no_family_notes_no_perturbation(self, text):
+        # these once got the third family's note, that their perturbation
+        # family extrapolates the closed-form construction
+        seq = parse_descriptor(text)
+        report = full_report(seq, principal_solution(seq))
+        assert "class builds no perturbation for this factor list" in \
+            report.notes
+        assert not any("extrapolat" in note for note in report.notes)
 
     def test_consistency_guard(self, monkeypatch):
         # a divergent growth test together with a finite tail integral is
