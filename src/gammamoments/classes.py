@@ -12,9 +12,13 @@ finite for every family, then |eps| < 1 for the first and within
 find_gamma_max for the second (a grid search over the ratio V/K0, refined
 by zooming in on its worst point).  The third family has no closed
 bound, so a third-family member negative at some x is refused.
-`perturbation` is the one constructor: it checks the side condition on
-(r, k) and picks the log-density; family, r and the tail law growth are
-read from seq, so omega shares W's exact (g, p).
+`perturbation` is the one constructor: it checks the one rotation rule
+(omega with index k rotates its factor Gamma(an + b) by k pi/a, so k is
+a nonzero integer and a > 2|k|) and picks the log-density; family, r and
+the tail law growth are read from seq, so omega shares W's exact (g, p).
+Each argument is checked once, where it enters: r by the tmN
+constructors and the convolution oracles, (r, k) by `perturbation` and
+`find_gamma_max`, x by `evaluate`; the helpers they call do not re-check.
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -22,7 +26,8 @@ moment window never forms x.  omega1 is ln w1 plus ln |sine factor|,
 omega2 is ln W2 plus ln |V/K0| (the ratio the amplitude search scans, from
 SciPy's scaled Bessel functions), and omega3 keeps the scale and
 ln |Im total| of its contour sums.  `evaluate(x)` is the entry in linear
-x; `omega2` and `omega3` evaluate it for the named families.
+x, raises DomainError outside 0 < x < inf and keeps the shape of x;
+`omega2` and `omega3` evaluate it for the named families.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError, ConvergenceError, SearchError
+from .errors import (ConstraintError, ConvergenceError, SearchError,
+                     _check_int, _check_x)
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .weights import _check_x, _log_w1, _log_w2, principal_solution, w1, w2
+from .weights import _log_w1, _log_w2, principal_solution, w1, w2
 
 __all__ = [
     "Perturbation",
@@ -99,19 +105,17 @@ def _signed_log(log_rest, factor):
         return np.sign(factor), log_rest + np.log(np.abs(factor))
 
 
-def _check_k(k):
+def _check_rotation(a, k, r):
+    """omega with index k rotates its factor Gamma(an + b) by k pi / a,
+    and decays only while that angle stays inside (-pi/2, pi/2): k must
+    be a nonzero integer and a > 2|k|.  r is the family's index, for the
+    message: a = 2r for the first family, a = r for the others."""
     if not isinstance(k, (int, np.integer)) or k == 0:
         raise ConstraintError(f"k must be a nonzero integer, got {k!r}")
-
-
-def _check_side(family, r, k):
-    """The family's side condition r > c|k|, under which omega decays."""
-    _check_k(k)
-    ordinal, c = _FAMILIES[family]
-    if not r > c * abs(k):
-        bound = "|k|" if c == 1 else f"{c}|k|"
+    if not a > 2 * abs(k):
         raise ConstraintError(
-            f"{ordinal} family requires r > {bound} (r={r}, k={k})")
+            "omega rotates its factor Gamma(an + b) by k pi/a, so it needs "
+            f"a > 2|k| (a={a:g}, r={r}, k={k})")
 
 
 # -- family 1 ---------------------------------------------------------------
@@ -156,15 +160,15 @@ def omega2(r, k, x):
 
 def omega2_via_convolution(r, k, x):
     """Same function by the convolution route (half-index densities)."""
-    _check_side("tm2", r, k)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_int(r, "r", 1)
+    _check_rotation(r, k, r)
     out = mellin_convolve_many(
         lambda v: w1(r, v),
         lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
-        xs,
+        x,
         log_f=lambda v: _log_w1(r, np.log(v)),
         log_g=lambda v: _log_w1(r, np.log(v)))
-    return float(out[0]) if np.isscalar(x) else out
+    return float(out) if out.ndim == 0 else out
 
 
 def perturbation_tm2(r, k) -> Perturbation:
@@ -203,15 +207,15 @@ def omega3(r, k, x):
 
 def omega3_via_convolution(r, k, x):
     """Same function by the convolution route, W2 * omega1(r, k)."""
-    _check_side("tm3", r, k)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_int(r, "r", 1)
+    _check_rotation(r, k, r)
     out = mellin_convolve_many(
         lambda v: w2(r, v),
         lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
-        xs,
+        x,
         log_f=lambda v: _log_w2(r, np.log(v)),
         log_g=lambda v: _log_w1(r, np.log(v)))
-    return float(out[0]) if np.isscalar(x) else out
+    return float(out) if out.ndim == 0 else out
 
 
 def perturbation_tm3(r, k) -> Perturbation:
@@ -220,10 +224,6 @@ def perturbation_tm3(r, k) -> Perturbation:
 
 # -- class members ----------------------------------------------------------
 
-# seq.family -> (name in messages, c in the side condition r > c|k|)
-_FAMILIES = {"tm1": ("first", 1), "tm2": ("second", 2), "tm3": ("third", 2)}
-
-
 def perturbation(seq, k) -> Perturbation:
     """The perturbation omega with index k of seq's principal density."""
     family, r = seq.family or (None, None)
@@ -231,8 +231,8 @@ def perturbation(seq, k) -> Perturbation:
         raise ConstraintError(
             "class construction needs one gamma factor, or two or three "
             f"equal factors (r, 1) with integer r; got {seq.descriptor()}")
-    _check_side(family, r, k)
     a, b = seq.factors[0]
+    _check_rotation(a, k, r)
     log_omega = {"tm1": lambda log_x: _log_omega1(a, k, log_x, b),
                  "tm2": lambda log_x: _log_omega2(r, k, log_x),
                  "tm3": lambda log_x: _log_omega3(r, k, log_x)}[family]
@@ -254,12 +254,12 @@ def _member_columns(pert, amplitude, x):
     base = principal_solution(pert.seq).evaluate(x)
     omega = pert.evaluate(x)
     member = base + amplitude * omega
-    negative = np.atleast_1d(member) < 0.0
+    negative = np.ravel(member) < 0.0
     if pert.family == "tm3" and np.any(negative):
         i = int(np.argmax(negative))
         raise ConstraintError(
             f"W + {amplitude:.6g} * omega is negative at x = "
-            f"{np.atleast_1d(x)[i]:.6g} ({np.atleast_1d(member)[i]:.6g}); "
+            f"{np.ravel(x)[i]:.6g} ({np.ravel(member)[i]:.6g}); "
             f"amplitude too large for {pert.seq.descriptor()}, k={pert.k}")
     return base, omega, member
 
@@ -302,10 +302,10 @@ def _ratio_v_over_k0(r, k, u):
     _KVE_MAX_ABS, where kve returns nan, both functions take their
     large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
     Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
+    Its callers have checked (r, k).
     """
     from scipy.special import k0e, kve
 
-    _check_side("tm2", r, k)
     beta = _beta(r, k)
     z = 2.0 * np.asarray(u, dtype=float)
     decay = np.exp(-z * (beta - 1.0))
@@ -332,7 +332,7 @@ def find_gamma_max(r, k):
     for gamma >= 0; omega2(r, -k) = -omega2(r, k), so a negative gamma
     meets find_gamma_max(r, -k).
     """
-    _check_side("tm2", r, k)
+    _check_rotation(r, k, r)
     beta = _beta(r, k)
     decay = beta.real - 1.0
     if not decay > 0.0:
@@ -397,9 +397,8 @@ def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
     without a second search.  A member value that is not finite raises
     ConvergenceError at the first such x.
     """
-    _check_seed(seed)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ConstraintError(f"n must be an integer >= 1, got {n!r}")
+    _check_int(seed, "seed", 0)
+    _check_int(n, "n", 1)
     if not 0.0 < x_lo < x_hi < math.inf:
         raise ConstraintError(
             f"the sample needs 0 < x_lo < x_hi < inf, got [{x_lo!r}, {x_hi!r}]")
@@ -419,8 +418,3 @@ def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
                 "finite; cannot recheck its sign")
         least = min(least, float(np.min(vals)))
     return least >= 0.0, least
-
-
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConstraintError(f"seed must be an integer >= 0, got {seed!r}")

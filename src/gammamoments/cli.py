@@ -13,9 +13,9 @@ sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution
 integral in `mellin` is kept only as an oracle for it.
 
-Exit codes: 0 success/decided, 1 usage or constraint violation (or a
-stdout closed by its reader), 2 criteria undecided, 3 numeric convergence
-failure.  All JSON artifacts carry a "schema_version" field; identical
+Exit codes: 0 success/decided, 1 usage, constraint or domain violation
+(an x outside (0, inf), or a stdout closed by its reader), 2 criteria
+undecided, 3 numeric convergence failure.  All JSON artifacts carry a "schema_version" field; identical
 configs produce byte-identical output.
 
 As the program entry (the console script and `python -m
@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
-                     SearchError, TruncationError, UndecidedError)
+                     SearchError, TruncationError, UndecidedError, _check_x)
 from .mellin import contour_log_densities
 from .moments import gamma_product, parse_descriptor
 from .weights import principal_solution
@@ -192,11 +192,8 @@ def _cmd_class(args):
     k = args.k
     if k is None:
         raise ConstraintError("class construction requires --k")
-    if args.mc_seed is not None:
-        if not args.find_gamma_max:
-            raise ConstraintError(
-                "--mc-seed applies only with --find-gamma-max")
-        cls._check_seed(args.mc_seed)
+    if args.mc_seed is not None and not args.find_gamma_max:
+        raise ConstraintError("--mc-seed applies only with --find-gamma-max")
     pert = cls.perturbation(seq, k)
 
     if args.find_gamma_max:
@@ -241,12 +238,8 @@ def _cmd_convolve(args):
     # M[W_a * W_b](s) = rho_a(s-1) rho_b(s-1): the convolution is the
     # principal density of the product sequence
     product = gamma_product(seq_a.factors + seq_b.factors)
-    if args.x:
-        xs = _parse_xs(args.x)
-        if not np.all((xs > 0.0) & (xs < np.inf)):
-            raise ConstraintError("convolve requires 0 < x < inf")
-    else:
-        xs = _default_grid((product.tail_coefficient, product.tail_power))
+    xs = (_check_x(_parse_xs(args.x)) if args.x
+          else _default_grid((product.tail_coefficient, product.tail_power)))
     log_w, _ = contour_log_densities(product, np.log(xs))
     with np.errstate(under="ignore"):
         vals = np.exp(log_w)

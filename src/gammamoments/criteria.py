@@ -27,7 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
-                     InconclusiveError, RefusesError, UndecidedError)
+                     InconclusiveError, RefusesError, UndecidedError,
+                     _check_int)
 from .moments import MomentSequence, log_moment
 from .weights import _LOG_DEPTH, WeightFunction
 
@@ -104,8 +105,7 @@ def carleman(seq: MomentSequence,
     upper half of the range, and at a fitted slope near -1 the limit of
     n*a_n, are kept as numeric cross-checks.
     """
-    if n_max < 50:
-        raise ConstraintError(f"carleman requires n_max >= 50, got {n_max}")
+    _check_int(n_max, "n_max", 50)
     ns = np.arange(1, n_max + 1)
     log_a = -log_moment(seq, ns) / (2.0 * ns)
     a = np.exp(log_a)

@@ -34,6 +34,10 @@ engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly.
 Only the oracle routes call it (`weights.w4_via_convolution`,
 `classes.omega2_via_convolution`, `classes.omega3_via_convolution`),
 which the tests check the engine and the closed forms against.
+
+Every entry checks its x (or ln x) once, on entry: an x outside
+(0, inf) or a non-finite ln x raises DomainError.  The engine and the
+convolution flatten x and return arrays of its shape.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, ConvergenceError, TruncationError
+from .errors import (ConstraintError, ConvergenceError, TruncationError,
+                     _check_log_x, _check_x)
 from .moments import MomentSequence, _grouped_factors, mellin_symbol
 
 __all__ = [
@@ -115,8 +120,7 @@ def inverse_mellin_log(symbol, x, spec: ContourSpec):
     One trapezoid sum on the grid of `spec`; symbol maps a complex array s
     to log-values of the transform.
     """
-    if x <= 0:
-        raise ConstraintError("inverse Mellin transform requires x > 0")
+    _check_x(x)
     t = np.linspace(-spec.t_max, spec.t_max, spec.n_points)
     w = np.full(spec.n_points, t[1] - t[0])
     w[0] *= 0.5
@@ -224,8 +228,7 @@ def _complex_saddles(seq, target, s):
 
 def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
-    if not x > 0:
-        raise ConstraintError("saddle abscissa requires x > 0")
+    _check_x(x)
     c = max(float(_saddles(seq, np.log([x]))[0]), seq.rightmost_pole + 1e-8)
     return _saddle_contour(seq, c, np.log(x))
 
@@ -270,8 +273,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
 
 def contour_log_density(seq: MomentSequence, x: float):
     """(log W(x), sign) for the principal density, by self-converging contour."""
-    if not x > 0:
-        raise ConstraintError("contour density requires x > 0")
+    _check_x(x)
     log_w, sign = contour_log_densities(seq, np.log([x]))
     return float(log_w[0]), float(sign[0])
 
@@ -305,11 +307,11 @@ def _contour_sums(seq, log_x, psi, rtol):
     is the principal density (bisection saddle, real sums, accepted on
     |delta log W| < rtol with the same sign); otherwise the sums are
     complex, each band is centred on a complex saddle, and a knot is
-    accepted on |delta total| <= rtol |total|.
+    accepted on |delta total| <= rtol |total|.  Both arrays have the shape
+    of log_x, at least one-dimensional.
     """
-    lx = np.atleast_1d(np.asarray(log_x, dtype=np.float64))
-    if not np.all(np.isfinite(lx)):
-        raise ConstraintError("contour density requires 0 < x < inf")
+    lx = np.atleast_1d(_check_log_x(log_x))
+    shape, lx = lx.shape, lx.ravel()
     c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
     s_star = (_complex_saddles(seq, lx - 1j * psi, c_star) if psi
               else c_star + 0j)
@@ -322,7 +324,7 @@ def _contour_sums(seq, log_x, psi, rtol):
         idx = order[band]
         centre = s_star[order[(band.start + band.stop - 1) // 2]]
         scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol)
-    return scale, total
+    return scale.reshape(shape), total.reshape(shape)
 
 
 def _bands(lx, c_star, phi_star):
@@ -474,6 +476,8 @@ def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):
     if not np.any(np.isfinite(lh)):
         raise ConvergenceError("convolution integrand vanished everywhere")
     m = np.nanmax(lh)
+    if m == np.inf:
+        raise ConvergenceError("convolution integrand is unbounded")
     alive = np.nonzero(lh > m - _LOG_DROP)[0]
     return u[alive[0]] - pad, u[alive[-1]] + pad, m
 
@@ -487,9 +491,8 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
     Each value is accepted once two successive nested grids agree to
     _CONVOLVE_RTOL (plus a roundoff floor), within _CONVOLVE_DEPTH grids.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs <= 0):
-        raise ConstraintError("mellin convolution requires x > 0")
+    xs = _check_x(xs)
+    shape, xs = xs.shape, xs.ravel()
     out = np.empty_like(xs)
     order = np.argsort(xs)
     sorted_xs = xs[order]
@@ -504,7 +507,7 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
         idx = order[start:stop]
         out[idx] = _convolve_chunk(f, g, sorted_xs[start:stop], log_f, log_g)
         start = stop
-    return out
+    return out.reshape(shape)
 
 
 def _convolve_chunk(f, g, xs, log_f, log_g):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConstraintError, _check_int
 from .special import ln_gamma
 
 __all__ = [
@@ -109,33 +109,28 @@ class MomentSequence:
 
 
 def tm1(r: int) -> MomentSequence:
-    _check_r(r)
+    _check_int(r, "r", 1)
     return MomentSequence(((2 * r, 1),), label=f"tm1:r={r}")
 
 
 def tm2(r: int) -> MomentSequence:
-    _check_r(r)
+    _check_int(r, "r", 1)
     return MomentSequence(((r, 1), (r, 1)), label=f"tm2:r={r}")
 
 
 def tm3(r: int) -> MomentSequence:
-    _check_r(r)
+    _check_int(r, "r", 1)
     return MomentSequence(((r, 1),) * 3, label=f"tm3:r={r}")
 
 
 def tm4(r: int) -> MomentSequence:
-    _check_r(r)
+    _check_int(r, "r", 1)
     return MomentSequence(((2 * r, 1), (r, 1), (r, 1)), label=f"tm4:r={r}")
 
 
 def gamma_product(factors, label="") -> MomentSequence:
     return MomentSequence(tuple((float(a), float(b)) for a, b in factors),
                           label=label)
-
-
-def _check_r(r):
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ConstraintError(f"r must be a positive integer, got {r!r}")
 
 
 def log_moment(seq: MomentSequence, n) -> float:

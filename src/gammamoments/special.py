@@ -17,7 +17,7 @@ public function that the tests and the benchmark hold against mpmath.
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, _check_x
 
 __all__ = [
     "ln_gamma",
@@ -74,20 +74,11 @@ def ln_gamma(z):
     return out
 
 
-def _check_positive_real(x, name):
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name}: non-finite argument")
-    if np.any(arr <= 0.0):
-        raise DomainError(f"{name} requires x > 0, got {arr[arr <= 0.0][0]}")
-    return arr
-
-
 def log_bessel_k0(x):
     """ln K0(x) without underflow, via the scaled routine k0e."""
     import scipy.special as sps
 
-    arr = _check_positive_real(x, "log_bessel_k0")
+    arr = np.atleast_1d(_check_x(x))
     out = np.log(sps.k0e(arr)) - arr
     return float(out[0]) if np.isscalar(x) else out
 

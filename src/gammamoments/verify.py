@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, ConvergenceError
+from .errors import ConvergenceError, _check_int
 from .moments import MomentSequence, log_moment
 
 __all__ = ["MomentCheckResult", "check_moment", "check_vanishing"]
@@ -44,11 +44,6 @@ class MomentCheckResult:
     @property
     def passed(self) -> bool:
         return self.rel_error <= 1e-6
-
-
-def _check_n(n):
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ConstraintError(f"moment order must be a nonnegative integer, got {n!r}")
 
 
 def _window(n, g, p, alpha0, beta):
@@ -142,7 +137,7 @@ def _checked_integral(f, sign_log_f, seq, n, node_cap):
     f supplies the tail law (f.growth) and the endpoint powers (f.seq);
     sign_log_f maps ln x to (sign f, ln |f|).
     """
-    _check_n(n)
+    _check_int(n, "moment order n", 0)
     g, p = f.growth
     log_target = log_moment(seq, n)
     v_lo, v_hi = _window(n, g, p, f.seq.alpha0, f.seq.tail_exponent)

@@ -10,11 +10,11 @@ on panels in ln x, built from a single call of the contour engine at every
 panel's Chebyshev points (knots sharing a saddle band share one set of
 symbol evaluations).  A panel is accepted once its trailing coefficients
 are below 1e-11, so the interpolant certifies its own accuracy (about
-1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine's
-one-knot case directly, for cross-checks.  The engine defines these
-densities, and the interpolant only caches it: its window runs from
-x = 1e-20 to where ln W reaches -320, and every ln x outside it goes to
-the engine.
+1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine
+directly at a scalar or an array x, for cross-checks.  The engine
+defines these densities, and the interpolant only caches it: its window
+runs from x = 1e-20 to where ln W reaches -320, and every ln x outside
+it goes to the engine.
 
 `principal_solution(seq)` is the one constructor, for every sequence: it
 picks the log-density (w1, W2 or the interpolant) from seq.family, and a
@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import ConvergenceError, DomainError
-from .mellin import (contour_log_densities, contour_log_density,
-                     mellin_convolve_many)
-from .moments import MomentSequence, _check_r, tm1, tm2, tm3, tm4
+from .errors import (ConvergenceError, DomainError, _check_int,
+                     _check_log_x, _check_x)
+from .mellin import contour_log_densities, mellin_convolve_many
+from .moments import MomentSequence, tm1, tm2, tm3, tm4
 from .special import log_bessel_k0
 
 __all__ = [
@@ -86,20 +86,6 @@ class WeightFunction:
         return self.evaluate(x)
 
 
-def _check_x(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("density argument must satisfy 0 < x < inf")
-    return arr
-
-
-def _check_log_x(log_x):
-    arr = np.asarray(log_x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("density argument must satisfy -inf < ln x < inf")
-    return arr
-
-
 # -- family 1: moments (qn)!, density e^{-x^{1/q}} / (q x^{(q-1)/q}) --------
 
 def _log_w1(q, log_x, b=1.0):
@@ -121,32 +107,36 @@ def w1(q, x):
 # -- family 2: moments [(rn)!]^2, density 2 K0(2 x^{1/2r}) / (r x^{(r-1)/r}) -
 
 def _log_w2(r, log_x):
-    """ln W2(r, x) at ln x."""
+    """ln W2(r, x) at ln x; its callers check r."""
     log_x = _check_log_x(log_x)
-    _check_r(r)
     return (np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
             + log_bessel_k0(2.0 * np.exp(log_x / (2.0 * r))))
 
 
 def w2(r, x):
+    _check_int(r, "r", 1)
     with np.errstate(under="ignore"):
         return np.exp(_log_w2(r, np.log(_check_x(x))))
 
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------
 
+def _contour_density(seq, x):
+    """W(x) straight from the engine; a scalar x gives a float."""
+    arr = _check_x(x)
+    with np.errstate(under="ignore"):
+        out = np.exp(contour_log_densities(seq, np.log(arr))[0])
+    return float(out[0]) if arr.ndim == 0 else out
+
+
 def w3(r, x):
     """Principal density with moments [(rn)!]^3; direct contour evaluation."""
-    _check_r(r)
-    _check_x(x)
-    return float(np.exp(contour_log_density(tm3(r), float(x))[0]))
+    return _contour_density(tm3(r), x)
 
 
 def w4(r, x):
     """Principal density with moments (2rn)! [(rn)!]^2; direct contour."""
-    _check_r(r)
-    _check_x(x)
-    return float(np.exp(contour_log_density(tm4(r), float(x))[0]))
+    return _contour_density(tm4(r), x)
 
 
 def w4_via_convolution(r, x):

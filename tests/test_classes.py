@@ -563,5 +563,5 @@ class TestPerturbationObjects:
     @pytest.mark.parametrize("r,k", [(2, 1), (3, -2), (4, 2)])
     def test_third_family_needs_r_above_2k(self, r, k):
         with pytest.raises(ConstraintError,
-                           match=r"third family requires r > 2\|k\|"):
+                           match=r"needs a > 2\|k\| \(a="):
             perturbation_tm3(r, k)

@@ -256,6 +256,13 @@ class TestExitCodes:
         assert out == ""
         assert "eps" in err
 
+    def test_wrong_amplitude_flag_names_the_right_one(self, capsys):
+        code, out, err = run(capsys, "class", "--seq", "tm1:r=2", "--k", "1",
+                             "--gamma", "0.1")
+        assert code == 1
+        assert out == ""
+        assert "--eps" in err
+
     def test_usage_error_on_bad_descriptor(self, capsys):
         code, _, err = run(capsys, "eval", "--seq", "tm9:r=1")
         assert code == 1
@@ -306,6 +313,18 @@ class TestExitCodes:
         # a negative seed once ended in numpy's ValueError traceback
         ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
          "--mc-seed", "-1"],
+        ["class", "--seq", "tm2:r=3", "--gamma", "1.0"],
+        ["class", "--seq", "tm1:r=2", "--k", "1", "--find-gamma-max"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--find-gamma-max"],
+        ["eval", "--seq", "gamma:0n+1"],
+        # every entry that takes x raises DomainError outside (0, inf)
+        *([cmd, *seq, "--x", x]
+          for cmd, *seq in (["eval", "--seq", "tm3:r=1"],
+                            ["class", "--seq", "tm2:r=3", "--k", "1",
+                             "--gamma", "1.0"],
+                            ["convolve", "--seq-a", "tm1:r=1",
+                             "--seq-b", "tm2:r=1"])
+          for x in ("0", "inf", "nan")),
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
@@ -313,7 +332,10 @@ class TestExitCodes:
             "tm2-gamma-nan", "tm1-eps-inf", "tm2-gamma-inf", "tm3-gamma-inf",
             "zero-denominator-a", "zero-denominator-b",
             "reversed-n-range", "tm3-member-negative", "criteria-csv",
-            "find-gamma-max-csv", "mc-seed-negative"])
+            "find-gamma-max-csv", "mc-seed-negative", "class-no-k",
+            "find-gamma-max-tm1", "find-gamma-max-tm3", "eval-a0",
+            *(f"{cmd}-x-{x}" for cmd in ("eval", "class", "convolve")
+              for x in ("0", "inf", "nan"))])
     def test_usage_errors_exit_1(self, capsys, argv):
         # 2 is the code for "criteria undecided", never for bad arguments;
         # any other exception would escape main as a traceback

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConsistencyError, ConstraintError, RefusesError,
-                          UndecidedError, carleman, converse_carleman,
-                          full_report, gamma_product, krein,
-                          parse_descriptor, principal_solution, tm1, tm2,
-                          tm3, tm4)
+from gammamoments import (ConsistencyError, ConstraintError,
+                          InconclusiveError, RefusesError, UndecidedError,
+                          carleman, converse_carleman, full_report,
+                          gamma_product, krein, parse_descriptor,
+                          principal_solution, tm1, tm2, tm3, tm4)
 
 
 class TestCarleman:
@@ -261,6 +261,21 @@ class TestFullReport:
         assert "class builds no perturbation for this factor list" in \
             report.notes
         assert not any("extrapolat" in note for note in report.notes)
+
+    @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
+                                             (tm3(2), "Undecided")])
+    def test_inconclusive_converse_carleman(self, seq, overall, monkeypatch):
+        # C3 falls back to Inconclusive with a note; the overall verdict
+        # then rests on C2 (Finite for tm1, Undecided for tm3)
+        import gammamoments.criteria as crit
+
+        def inconclusive(seq, w, c1=None):
+            raise InconclusiveError("forced for the fallback test")
+        monkeypatch.setattr(crit, "converse_carleman", inconclusive)
+        report = crit.full_report(seq, principal_solution(seq))
+        assert "forced for the fallback test" in report.notes
+        assert report.c3.verdict == "Inconclusive"
+        assert report.overall == overall
 
     def test_consistency_guard(self, monkeypatch):
         # a divergent growth test together with a finite tail integral is

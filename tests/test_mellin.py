@@ -10,7 +10,7 @@ import scipy.special as sps
 import gammamoments.mellin as mellin
 import gammamoments.verify as verify
 from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
-                          TruncationError, adapted_contour,
+                          DomainError, TruncationError, adapted_contour,
                           check_vanishing, contour_log_densities,
                           contour_log_density, inverse_mellin_log,
                           mellin_convolve_many, mellin_symbol,
@@ -122,7 +122,7 @@ class TestContourDensities:
         assert abs(fine - coarse) / fine < 1e-9
 
     def test_rejects_nonpositive_x(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(DomainError):
             contour_log_density(tm3(1), 0.0)
 
 
@@ -391,6 +391,6 @@ class TestConvolution:
         assert np.all(vals >= 0.0)
 
     def test_rejects_nonpositive_x(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(DomainError):
             mellin_convolve_many(lambda v: np.exp(-v), lambda v: np.exp(-v),
                                  [-1.0])

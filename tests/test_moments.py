@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConstraintError, gamma_product, log_moment,
-                          mellin_symbol, parse_descriptor, tm1, tm2, tm3, tm4)
+from gammamoments import (ConstraintError, carleman, gamma_product,
+                          log_moment, mellin_symbol, parse_descriptor, tm1,
+                          tm2, tm3, tm4)
 
 
 def _exact_log_rho(kind, r, n):
@@ -215,6 +216,11 @@ class TestDescriptors:
         for n in range(6):
             assert log_moment(seq, n) == pytest.approx(
                 log_moment(tm4(1), n), rel=1e-14)
+
+    def test_fraction_multipliers(self):
+        seq = parse_descriptor("gamma:2/3n+1,4/3n+1")
+        assert seq.factors == ((2 / 3, 1.0), (4 / 3, 1.0))
+        assert carleman(seq).verdict == "Divergent"  # A = 2
 
     def test_bad_descriptors(self):
         for text in ("tm5:r=2", "tm1:r=x", "gamma:frog", ""):
