@@ -8,8 +8,8 @@ via the Carleman, Krein, and converse-Carleman criteria.
 
 from .classes import (Perturbation, certify_nonnegative, class_member,
                       find_gamma_max, omega2, omega2_via_convolution, omega3,
-                      omega3_via_convolution, perturbation, perturbation_tm1,
-                      perturbation_tm2, perturbation_tm3)
+                      perturbation, perturbation_tm1, perturbation_tm2,
+                      perturbation_tm3)
 from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
                        krein)
@@ -24,8 +24,7 @@ from .moments import (MomentSequence, gamma_product, log_moment,
                       mellin_symbol, parse_descriptor, tm1, tm2, tm3, tm4)
 from .special import bessel_k0_complex, ln_gamma, log_bessel_k0
 from .verify import MomentCheckResult, check_moment, check_vanishing
-from .weights import (WeightFunction, principal_solution, w1, w2, w3, w4,
-                      w4_via_convolution)
+from .weights import WeightFunction, principal_solution, w1, w2, w3, w4
 
 __version__ = "0.1.0"
 
@@ -45,10 +44,9 @@ __all__ = [
     "contour_log_density", "contour_log_densities", "mellin_convolve_many",
     # weights
     "WeightFunction", "principal_solution", "w1", "w2", "w3", "w4",
-    "w4_via_convolution",
     # classes
     "Perturbation", "perturbation", "class_member", "omega2",
-    "omega2_via_convolution", "omega3", "omega3_via_convolution",
+    "omega2_via_convolution", "omega3",
     "perturbation_tm1", "perturbation_tm2", "perturbation_tm3",
     "find_gamma_max", "certify_nonnegative",
     # verification

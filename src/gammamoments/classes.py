@@ -3,7 +3,8 @@
 omega1 is a sine-modulated copy of the first principal density, omega2 its
 "near factorization" through complex K0, omega3 the Mellin convolution
 W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
-by the contour engine (the convolution route is kept as an oracle).  Every
+by the contour engine (the tests check it against mpmath's Meijer G at
+that argument).  Every
 class member is W + amplitude * omega: `perturbation(seq, k)` picks the
 family by seq.family, so any single factor Gamma(an + b) gets omega1 at
 its (a, b), and `class_member(seq, k, amplitude, x)` adds amplitude *
@@ -17,8 +18,9 @@ bound, so a third-family member negative at some x is refused.
 a nonzero integer and a > 2|k|) and picks the log-density; family, r and
 the tail law growth are read from seq, so omega shares W's exact (g, p).
 Each argument is checked once, where it enters: r by the tmN
-constructors and the convolution oracles, (r, k) by `perturbation` and
-`find_gamma_max`, x by `evaluate`; the helpers they call do not re-check.
+constructors, `omega2_via_convolution` and `find_gamma_max`, (r, k) by
+`perturbation` and `find_gamma_max`, x by `evaluate`; the helpers they
+call do not re-check.
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -41,14 +43,13 @@ from .errors import (ConstraintError, ConvergenceError, SearchError,
                      _check_int, _check_x)
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .weights import _log_w1, _log_w2, principal_solution, w1, w2
+from .weights import _log_w1, _log_w2, principal_solution, w1
 
 __all__ = [
     "Perturbation",
     "omega2",
     "omega2_via_convolution",
     "omega3",
-    "omega3_via_convolution",
     "perturbation_tm1",
     "perturbation_tm2",
     "perturbation_tm3",
@@ -205,19 +206,6 @@ def omega3(r, k, x):
     return perturbation_tm3(r, k).evaluate(x)
 
 
-def omega3_via_convolution(r, k, x):
-    """Same function by the convolution route, W2 * omega1(r, k)."""
-    _check_int(r, "r", 1)
-    _check_rotation(r, k, r)
-    out = mellin_convolve_many(
-        lambda v: w2(r, v),
-        lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
-        x,
-        log_f=lambda v: _log_w2(r, np.log(v)),
-        log_g=lambda v: _log_w1(r, np.log(v)))
-    return float(out) if out.ndim == 0 else out
-
-
 def perturbation_tm3(r, k) -> Perturbation:
     return perturbation(tm3(r), k)
 
@@ -332,6 +320,7 @@ def find_gamma_max(r, k):
     for gamma >= 0; omega2(r, -k) = -omega2(r, k), so a negative gamma
     meets find_gamma_max(r, -k).
     """
+    _check_int(r, "r", 1)
     _check_rotation(r, k, r)
     beta = _beta(r, k)
     decay = beta.real - 1.0

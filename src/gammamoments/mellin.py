@@ -30,10 +30,10 @@ saddle of each band (see `classes._log_omega3`).
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
 so the CLI's `convolve` evaluates that sequence's density with the
-engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly.
-Only the oracle routes call it (`weights.w4_via_convolution`,
-`classes.omega2_via_convolution`, `classes.omega3_via_convolution`),
-which the tests check the engine and the closed forms against.
+engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly;
+its one caller is `classes.omega2_via_convolution`, the reference the
+benchmark checks omega2 against.  The tests check the engine against
+mpmath's Meijer G (tests/oracles.py), which shares none of its method.
 
 Every entry checks its x (or ln x) once, on entry: an x outside
 (0, inf) or a non-finite ln x raises DomainError.  The engine and the

@@ -38,8 +38,8 @@ from numpy.polynomial import chebyshev
 
 from .errors import (ConvergenceError, DomainError, _check_int,
                      _check_log_x, _check_x)
-from .mellin import contour_log_densities, mellin_convolve_many
-from .moments import MomentSequence, tm1, tm2, tm3, tm4
+from .mellin import contour_log_densities
+from .moments import MomentSequence, tm3, tm4
 from .special import log_bessel_k0
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "w2",
     "w3",
     "w4",
-    "w4_via_convolution",
     "principal_solution",
 ]
 
@@ -137,14 +136,6 @@ def w3(r, x):
 def w4(r, x):
     """Principal density with moments (2rn)! [(rn)!]^2; direct contour."""
     return _contour_density(tm4(r), x)
-
-
-def w4_via_convolution(r, x):
-    """Same density through the convolution of the first two families."""
-    a = principal_solution(tm1(r))
-    b = principal_solution(tm2(r))
-    return float(mellin_convolve_many(a.evaluate, b.evaluate,
-                                      np.array([float(x)]))[0])
 
 
 _X_MIN = 1e-20  # the window's left end; the engine answers below it

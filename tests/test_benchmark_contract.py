@@ -2,7 +2,9 @@
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +57,25 @@ def _package_names():
 @pytest.mark.parametrize("name", _package_names())
 def test_benchmark_package_name_resolves(name):
     assert hasattr(gammamoments, name), f"gammamoments.{name}"
+
+
+# a traced CLI run imports the package and its CLI, then installs the
+# tracer, which looks every target's module up in sys.modules
+_INSTALL = """
+import importlib.util, sys
+import gammamoments, gammamoments.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Tracer().install()
+"""
+
+
+def test_tracer_installs_after_the_cli_import():
+    src = os.path.dirname(os.path.dirname(gammamoments.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _INSTALL, str(TRACER)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -12,10 +12,11 @@ from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           SearchError, check_vanishing, class_member,
                           certify_nonnegative, contour_log_density,
                           find_gamma_max, omega2, omega2_via_convolution,
-                          omega3, omega3_via_convolution, perturbation,
-                          perturbation_tm1, perturbation_tm2,
-                          perturbation_tm3, parse_descriptor,
-                          principal_solution, tm1, tm2, tm3, tm4, w1, w2)
+                          omega3, perturbation, perturbation_tm1,
+                          perturbation_tm2, perturbation_tm3,
+                          parse_descriptor, principal_solution, tm1, tm2,
+                          tm3, tm4, w1, w2)
+from oracles import meijer_log_density
 
 
 _LAW_SEQUENCES = {
@@ -163,11 +164,18 @@ class TestOmega3:
 
     @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (4, 1), (5, 2), (6, 1),
                                      (7, 3)])
-    def test_contour_matches_convolution_oracle(self, r, k):
-        xs = np.logspace(-8, 4, 37)
-        env = principal_solution(tm3(r)).evaluate(xs)
-        diff = np.abs(omega3(r, k, xs) - omega3_via_convolution(r, k, xs))
-        assert np.all(diff <= 1e-12 * env)
+    def test_contour_matches_meijer_g_oracle(self, r, k):
+        # omega3 = sec^{r-1}(theta) Im W3(x sec^r(theta) e^{-i k pi}),
+        # theta = k pi / r, with W3 from mpmath's Meijer G on that branch;
+        # one seeded x per pair, as the oracle takes 40-150 ms a point
+        log_x = np.random.default_rng(10 * r + k).uniform(math.log(1e-8),
+                                                          math.log(1e4))
+        log_sec = -math.log(math.cos(math.pi * k / r))
+        log_w = meijer_log_density(tm3(r), log_x + r * log_sec, k * math.pi)
+        want = math.exp((r - 1) * log_sec + log_w.real) * math.sin(log_w.imag)
+        x = math.exp(log_x)
+        env = principal_solution(tm3(r)).evaluate(x)
+        assert abs(omega3(r, k, x) - want) <= 1e-13 * env
 
     def test_deep_tail_converges_within_envelope(self):
         lxs = np.linspace(44.0, 50.0, 13)
@@ -421,6 +429,13 @@ class TestGammaMax:
     def test_constraint_violation(self):
         with pytest.raises(ConstraintError):
             find_gamma_max(2, 1)
+
+    @pytest.mark.parametrize("r", [2.5, 3.0, 0])
+    def test_rejects_r_that_builds_no_second_family(self, r):
+        # find_gamma_max(2.5, 1) once returned 3.5179 while tm2(2.5)
+        # refused to build the sequence it bounds
+        with pytest.raises(ConstraintError, match="r must be an integer >= 1"):
+            find_gamma_max(r, 1)
 
     def test_monte_carlo_recheck(self):
         r, k = 3, 1

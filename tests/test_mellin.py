@@ -17,14 +17,7 @@ from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
                           parse_descriptor, perturbation_tm3, tm2, tm3, tm4,
                           w1, w2)
 from gammamoments.weights import _log_w2
-
-# frozen with mpmath (meijerg / besselk at 25 digits)
-W3_R1_AT_1 = 0.16404160674837607
-W3_R1_AT_01 = 1.6174597214048724
-W3_R1_AT_10 = 0.0025030566951819922
-W4_R1_AT_01 = 1.2972663675440976
-W4_R1_AT_1 = 0.12293692982559143
-W4_R1_AT_10 = 0.004407618900766703
+from oracles import meijer_log_density
 
 
 def _engine_density(seq, x):
@@ -94,17 +87,15 @@ class TestSaddle:
 
 
 class TestContourDensities:
-    @pytest.mark.parametrize("x,want", [
-        (0.1, W3_R1_AT_01), (1.0, W3_R1_AT_1), (10.0, W3_R1_AT_10)])
-    def test_tm3_r1_frozen(self, x, want):
-        got = _engine_density(tm3(1), x)
-        assert got == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
+    def test_tm3_r1_matches_meijer_g(self, x):
+        got, _ = contour_log_density(tm3(1), x)
+        assert abs(got - meijer_log_density(tm3(1), math.log(x))) <= 1e-13
 
-    @pytest.mark.parametrize("x,want", [
-        (0.1, W4_R1_AT_01), (1.0, W4_R1_AT_1), (10.0, W4_R1_AT_10)])
-    def test_tm4_r1_frozen(self, x, want):
-        got = _engine_density(tm4(1), x)
-        assert got == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
+    def test_tm4_r1_matches_meijer_g(self, x):
+        got, _ = contour_log_density(tm4(1), x)
+        assert abs(got - meijer_log_density(tm4(1), math.log(x))) <= 1e-13
 
     def test_positivity_across_range(self):
         seq = tm3(2)
@@ -173,7 +164,7 @@ class TestBandEngine:
 
         monkeypatch.setattr(mellin, "mellin_symbol", recording)
         log_w, _ = contour_log_density(seq, 1.0)
-        assert log_w == pytest.approx(math.log(W4_R1_AT_1), abs=1e-10)
+        assert abs(log_w - meijer_log_density(seq, 0.0)) <= 1e-13
         assert len(grids) >= 2
         first, n = grids[0], grids[0].size - 1
         assert n >= 64 and n & (n - 1) == 0  # 2^k + 1 nodes

@@ -1,5 +1,5 @@
 """Principal weight functions: closed forms, interpolated contour densities,
-origin/tail behaviour, and the convolution cross-check."""
+origin/tail behaviour, and the Meijer G cross-check."""
 
 import dataclasses
 import math
@@ -13,8 +13,8 @@ from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           TruncationError, WeightFunction, check_moment,
                           contour_log_densities,
                           gamma_product, parse_descriptor, principal_solution,
-                          tm1, tm2, tm3, tm4, w1, w2, w3, w4,
-                          w4_via_convolution)
+                          tm1, tm2, tm3, tm4, w1, w2, w3, w4)
+from oracles import meijer_log_density
 
 TWO_K0_2 = 2.0 * 0.1138938727495334  # 2 K0(2), frozen with mpmath
 
@@ -279,16 +279,30 @@ class TestNegativeDensityRefused:
 
 
 class TestDualRoute:
+    """Contour densities against mpmath's Meijer G, a route that shares
+    nothing with the engine (tests/oracles.py)."""
+
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
-    def test_w4_contour_vs_convolution(self, x):
-        direct = w4(1, x)
-        conv = w4_via_convolution(1, x)
-        assert conv == pytest.approx(direct, rel=1e-7)
+    def test_w4_contour_vs_meijer_g(self, x):
+        want = meijer_log_density(tm4(1), math.log(x))
+        assert abs(math.log(w4(1, x)) - want) <= 1e-13
 
     def test_w4_r2(self):
-        direct = w4(2, 1.0)
-        conv = w4_via_convolution(2, 1.0)
-        assert conv == pytest.approx(direct, rel=1e-7)
+        want = meijer_log_density(tm4(2), 0.0)
+        assert abs(math.log(w4(2, 1.0)) - want) <= 1e-13
+
+    @pytest.mark.parametrize("text,seed", [("tm3:r=1", 1), ("tm3:r=2", 2),
+                                           ("tm4:r=1", 3),
+                                           ("gamma:2n+1,n+1", 4)])
+    def test_engine_and_interpolant_vs_meijer_g(self, text, seed):
+        seq = parse_descriptor(text)
+        rng = np.random.default_rng(seed)
+        log_x = rng.uniform(math.log(1e-12), math.log(1e3), 6)
+        want = np.array([meijer_log_density(seq, v) for v in log_x])
+        engine, _ = contour_log_densities(seq, log_x)
+        interpolant = principal_solution(seq).log_density(log_x)
+        assert np.max(np.abs(engine - want)) <= 1e-13
+        assert np.max(np.abs(interpolant - want)) <= 1e-13
 
 
 _SINGLE_FACTORS = pytest.mark.parametrize(
