@@ -12,7 +12,9 @@ omega to seq's principal solution once the amplitude is admissible:
 finite for every family, then |eps| < 1 for the first and within
 find_gamma_max for the second (a grid search over the ratio V/K0, refined
 by zooming in on its worst point).  The third family has no closed
-bound, so a third-family member negative at some x is refused.
+bound: an amplitude that makes the member negative as x -> 0 (where
+omega3 / W3 tends to sin(k pi (r-1)/r)), or at some evaluated x, is
+refused.
 `perturbation` is the one constructor: it checks the one rotation rule
 (omega with index k rotates its factor Gamma(an + b) by k pi/a, so k is
 a nonzero integer and a > 2|k|) and picks the log-density; family, r and
@@ -257,8 +259,10 @@ def _check_amplitude(pert, amplitude):
 
     Every family needs a finite amplitude; then tm1 needs |eps| < 1 and
     tm2 |gamma| <= find_gamma_max(r, k) for gamma >= 0 and
-    find_gamma_max(r, -k) below.  tm3 has no closed bound, so
-    _member_columns checks the member's values.
+    find_gamma_max(r, -k) below.  tm3 has no closed bound: omega3 / W3
+    tends to sin(k pi (r-1)/r) as x -> 0 (the residue series' leading
+    pole, at s = 1 - 1/r), so an amplitude with 1 + gamma times that limit
+    below 0 is refused, and _member_columns checks the member's values.
     """
     if not math.isfinite(amplitude):
         raise ConstraintError(
@@ -272,6 +276,13 @@ def _check_amplitude(pert, amplitude):
             raise ConstraintError(
                 f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
                 f"{bound:.6g} for (r={pert.r}, k={k})")
+    if pert.family == "tm3":
+        limit = math.sin(math.pi * pert.k * (pert.r - 1) / pert.r)
+        if 1.0 + amplitude * limit < 0.0:
+            raise ConstraintError(
+                f"W + {amplitude:.6g} * omega is negative as x -> 0, where "
+                f"omega / W tends to {limit:.6g}; amplitude too large for "
+                f"{pert.seq.descriptor()}, k={pert.k}")
 
 
 # -- amplitude search -------------------------------------------------------

@@ -27,6 +27,19 @@ phi(s) times e^{i psi s}: it returns the complex sums
 (1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
 saddle of each band (see `classes._log_omega3`).
 
+Below x = 1e-20 (L < ln _X_MIN) the engine answers by the residue series
+instead of a band: left of the contour the integral is the sum of the
+residues of rho(s-1) e^{-s(L - i psi)} at the poles s = 1 - (b_j + l)/a_j,
+and a pole of order m gives z^{-p} times a polynomial of degree m - 1 in
+ln z, z = e^{L - i psi}.  Its coefficients come from the Laurent series
+of the singular gamma factors and the Taylor series of the regular ones
+(SciPy's polygamma and zeta), once per sequence.  Poles are added until
+the first omitted one is below 1e-17 of the sum.  A knot whose series
+fails that test, or needs two poles closer than 1e-6 that do not
+coincide, keeps the band sums.  The interpolant's Chebyshev points lie
+strictly inside its window, which starts at 1e-20, so its build never
+takes the series.
+
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
 so the CLI's `convolve` evaluates that sequence's density with the
@@ -42,6 +55,7 @@ convolution flatten x and return arrays of its shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,9 +77,16 @@ __all__ = [
 _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
 _BAND_LOSS = np.log(10.0)  # off-saddle cancellation a band member may pay
-_BLOCK = 1 << 17  # complex entries per matrix of a phase-sum chunk of knots
+_BLOCK = 1 << 12  # complex entries per matrix of a phase-sum chunk of knots
 _RTOL = 1e-10  # change in ln W between nested grids that settles a density
 _MAX_POINTS = 1 << 17  # cap on a band's coarsest grid, floor of its finest
+_X_MIN = 1e-20  # below it (L < ln _X_MIN) the residue series answers
+_LOG_X_MIN = math.log(_X_MIN)
+_POLE_SPAN = 2.0  # the series' poles lie within this of the rightmost
+_MAX_POLE_INDEX = 255  # last pole index l of a factor the series may use
+_POLE_GAP = 1e-6  # distinct poles closer than this end the series' pole list
+_SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
+_SERIES_MARGIN = 0.1  # least |sum| / sum of the terms' bounds
 _CONVOLVE_RTOL = 1e-9  # relative change that settles a convolution
 _CONVOLVE_DEPTH = 14  # nested grids a convolution may take
 
@@ -283,7 +304,8 @@ def contour_log_densities(seq: MomentSequence, log_x):
 
     Each knot is accepted once two successive nested grids agree to _RTOL
     in log W with the same sign; the finest grid has max(_MAX_POINTS,
-    4 n) intervals, n being the band's phase-resolved point count.  A
+    4 n) intervals, n being the band's phase-resolved point count; a knot
+    below x = 1e-20 takes the residue series instead.  A
     band whose coarsest grid (n / 16 intervals) would exceed _MAX_POINTS
     raises ConvergenceError before its symbol is evaluated.  A density
     that sums to a non-positive value at some knot raises TruncationError,
@@ -299,7 +321,8 @@ def contour_log_densities(seq: MomentSequence, log_x):
 
 
 def _contour_sums(seq, log_x, psi, rtol):
-    """Band-shared contour sums at every L in log_x.
+    """Contour sums at every L in log_x: the residue series below ln
+    _X_MIN where it holds, band-shared sums elsewhere.
 
     Returns (scale, total) with
     e^scale * total / 2 pi = (1/2 pi) int exp(phi(s) + i psi s - s L) dt
@@ -312,6 +335,21 @@ def _contour_sums(seq, log_x, psi, rtol):
     """
     lx = np.atleast_1d(_check_log_x(log_x))
     shape, lx = lx.shape, lx.ravel()
+    scale = np.empty_like(lx)
+    total = np.empty(lx.shape, dtype=np.complex128)
+    banded = np.ones(lx.shape, dtype=bool)
+    below = np.nonzero(lx < _LOG_X_MIN)[0]
+    if below.size:
+        series_scale, series_total, ok = _residue_sums(seq, lx[below], psi)
+        scale[below[ok]], total[below[ok]] = series_scale[ok], series_total[ok]
+        banded[below[ok]] = False
+    if np.any(banded):
+        scale[banded], total[banded] = _banded_sums(seq, lx[banded], psi, rtol)
+    return scale.reshape(shape), total.reshape(shape)
+
+
+def _banded_sums(seq, lx, psi, rtol):
+    """_contour_sums by saddle bands, for a flat array of knots lx."""
     c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
     s_star = (_complex_saddles(seq, lx - 1j * psi, c_star) if psi
               else c_star + 0j)
@@ -324,7 +362,7 @@ def _contour_sums(seq, log_x, psi, rtol):
         idx = order[band]
         centre = s_star[order[(band.start + band.stop - 1) // 2]]
         scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol)
-    return scale.reshape(shape), total.reshape(shape)
+    return scale, total
 
 
 def _bands(lx, c_star, phi_star):
@@ -463,6 +501,121 @@ def _unit_phases(lx, freqs):
 def _log_values(scale, total):
     value = total.real / (2.0 * np.pi)
     return scale + np.log(np.abs(value)), np.sign(value)
+
+
+# ---------------------------------------------------------------------------
+# The residue series, which answers for knots left of ln _X_MIN
+
+
+@functools.lru_cache(maxsize=16)
+def _residue_poles(seq):
+    """The poles of rho(s-1) that the residue series may use, rightmost first.
+
+    Returns (p, log_k, sign_k, coef): pole p[i] of order m contributes
+    sign_k[i] e^{log_k[i]} z^{-p[i]} sum_j coef[i, j] w^j / j! to the sum,
+    with w = -ln z, z = e^{L - i psi}; coef[i, j] is the coefficient of
+    eps^{m-1-j} in eps^m rho(p[i] - 1 + eps), and each row is zero past j = m - 1.
+    Each factor Gamma(a(s-1) + b) has poles at s = 1 - (b + l)/a; the
+    list covers those within _POLE_SPAN of the rightmost (at most
+    _MAX_POLE_INDEX + 1 per factor), poles at the same double merge, and
+    it ends at the first of two poles closer than _POLE_GAP: the series
+    uses the poles before the last one and tests the last as omitted.
+    """
+    import scipy.special as sps
+
+    groups = list(_grouped_factors(seq))
+    floor = seq.rightmost_pole - _POLE_SPAN
+    counts = [min(int(a * (1.0 - floor) - b) + 1, _MAX_POLE_INDEX + 1)
+              for (a, b), _ in groups]
+    for ((a, b), _), count in zip(groups, counts):
+        if count == _MAX_POLE_INDEX + 1:  # the list is complete above it
+            floor = max(floor, 1.0 - (b + _MAX_POLE_INDEX) / a)
+    singular = {}  # pole -> {group: l}
+    for g, ((a, b), _) in enumerate(groups):
+        for l in range(counts[g]):
+            p = 1.0 - (b + l) / a
+            if p >= floor:
+                singular.setdefault(p, {})[g] = l
+    poles = sorted(singular, reverse=True)
+    gaps = np.diff(poles) > -_POLE_GAP
+    if np.any(gaps):
+        poles = poles[:int(np.argmax(gaps)) + 1]
+    log_k, sign_k, rows = [], [], []
+    for p in poles:
+        order = sum(groups[g][1] for g in singular[p])
+        d = np.zeros(order)  # d[k]: coefficient of eps^k in ln(eps^m rho)
+        lk, sk = 0.0, 1.0
+        for g, ((a, b), mult) in enumerate(groups):
+            powers = a ** np.arange(order)
+            if g in singular[p]:
+                # eps Gamma(-l + a eps) = (-1)^l / (l! a) exp(sum_k c_k (a eps)^k)
+                # with c_1 = psi(l + 1), c_k = ((-1)^k zeta(k) + H_l^(k)) / k
+                l = singular[p][g]
+                lk -= mult * (math.lgamma(l + 1) + math.log(a))
+                sk *= (-1.0) ** (l * mult)
+                ks = np.arange(2, order)
+                c = np.concatenate((
+                    [0.0, sps.psi(l + 1.0)],
+                    (((-1.0) ** ks + 1.0) * sps.zeta(ks) - sps.zeta(ks, l + 1.0)) / ks,
+                ))[:order]
+            else:
+                u = a * (p - 1.0) + b
+                lk += mult * float(sps.gammaln(u))
+                sk *= float(sps.gammasgn(u)) ** mult
+                ks = np.arange(1, order)
+                c = np.concatenate((
+                    [0.0], sps.polygamma(ks - 1, u) / sps.factorial(ks)))
+            d += mult * c * powers
+        e = np.zeros(order)  # e[n]: coefficient of eps^n in exp(d)
+        e[0] = 1.0
+        for n in range(1, order):
+            e[n] = sum(k * d[k] * e[n - k] for k in range(1, n + 1)) / n
+        log_k.append(lk)
+        sign_k.append(sk)
+        rows.append(e[::-1])
+    width = max(row.size for row in rows)
+    coef = np.array([np.pad(row, (0, width - row.size)) for row in rows])
+    return np.array(poles), np.array(log_k), np.array(sign_k), coef
+
+
+def _residue_sums(seq, lx, psi):
+    """(scale, total, ok) of the contour sums at L = lx by their residue series.
+
+    Left of the contour the Mellin-Barnes integral is the sum of the
+    residues of rho(s-1) e^{-s(L - i psi)} at the poles of _residue_poles,
+    each z^{-p} times a polynomial in ln z.  Poles are added until the
+    bound sum_j |coef_j w^j / j!| on the first omitted one's term is
+    below _SERIES_TOL of the sum.  ok is False for a knot whose test never
+    stops, whose sum is not finite, or whose sum keeps less than
+    _SERIES_MARGIN of its terms' bound; such knots keep the band sums.
+    scale and total are in _contour_sums's form; every operation is
+    elementwise, so a knot's value does not depend on the other knots.
+    """
+    p, log_k, sign_k, coef = _residue_poles(seq)
+    w = 1j * psi - lx
+    powers = [w ** j / math.factorial(j) for j in range(coef.shape[1])]
+    total = np.zeros(lx.shape, dtype=np.complex128)
+    bound = np.zeros(lx.shape)
+    ok = np.zeros(lx.shape, dtype=bool)
+    active = np.arange(lx.size)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for i in range(p.size):
+            # |term| relative to the leading pole's K z^{-p}, and its bound
+            rel = np.exp(log_k[i] - log_k[0] - (p[i] - p[0]) * lx[active])
+            size = rel * sum(abs(c) * np.abs(v[active])
+                             for c, v in zip(coef[i], powers) if c)
+            if i:
+                done = size <= _SERIES_TOL * np.abs(total[active])
+                ok[active[done]] = True
+                active, rel, size = active[~done], rel[~done], size[~done]
+                if not active.size:
+                    break
+            phase = sign_k[i] * (np.exp(1j * psi * p[i]) if psi else 1.0)
+            total[active] += phase * rel * sum(c * v[active] for c, v
+                                               in zip(coef[i], powers) if c)
+            bound[active] += size
+        ok &= np.isfinite(total) & (np.abs(total) >= _SERIES_MARGIN * bound)
+    return log_k[0] - p[0] * lx, 2.0 * np.pi * total, ok
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ summation serve both.  The integrand is evaluated in units of rho(n) from
 return, so neither x, x^{n+1} nor rho(n) is formed on its own.  Each
 trapezoid grid, nested from _FIRST_GRID = 257 nodes until two successive
 grids agree, is summed panel-by-panel between sign changes with
-compensated arithmetic.  The default node cap allows grids up to 131,073
-nodes.
+compensated arithmetic.  No grid settles alone, so a check's first
+evaluation covers the first two grids (513 nodes) in one call; each
+refinement evaluates only its new midpoints.  The default node cap
+allows grids up to 131,073 nodes.  An interpolated density's window may
+reach below x = 1e-20 (n = 0), where the contour engine answers by the
+residue series at its symbol's poles, as it does for omega3's.
 """
 
 from __future__ import annotations
@@ -72,20 +76,24 @@ def _window(n, g, p, alpha0, beta):
 def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
     """Yield (v, func(v), evaluations) on nested grids of 2^k + 1 nodes.
 
-    A refinement evaluates func only at the new midpoints, and a grid
-    that would take the count of evaluations past node_cap is not started.
+    No grid settles alone, so the first call evaluates func on the first
+    two grids at once (2 n_nodes - 1 nodes) and yields both; a refinement
+    evaluates func only at the new midpoints.  A call that would take the
+    count of evaluations past node_cap is not made.
     """
+    n_nodes = 2 * (n_nodes - 1) + 1
     used, fresh = 0, n_nodes
-    vals = None
     while used + fresh <= node_cap:
         v = np.linspace(v_lo, v_hi, n_nodes)
-        if vals is None:
+        if not used:
             vals = func(v)
+            used = n_nodes
+            yield v[0::2], vals[0::2], used
         else:
             coarse, vals = vals, np.empty(n_nodes)
             vals[0::2] = coarse
             vals[1::2] = func(v[1::2])
-        used += fresh
+            used += fresh
         yield v, vals, used
         n_nodes = 2 * (n_nodes - 1) + 1
         fresh = n_nodes // 2

@@ -261,6 +261,29 @@ class TestClassMembers:
             class_member(tm3(3), 1, 1e6, np.array([1e-3, 0.5, 1.0]))
         assert np.all(class_member(tm3(3), 1, 0.1, np.logspace(-4, 4, 50)) > 0)
 
+    def test_tm3_origin_limit_bounds_the_amplitude(self):
+        # omega3 / W3 -> sin(k pi (r-1)/r) as x -> 0; for (5, 2) that is
+        # sin(8 pi / 5) = -0.951, so a positive gamma is bounded by 1/0.951
+        limit = math.sin(8.0 * math.pi / 5.0)
+        pert = perturbation_tm3(5, 2)
+        classes._check_amplitude(pert, 0.999 / -limit)
+        classes._check_amplitude(pert, -100.0)
+        with pytest.raises(ConstraintError, match="negative as x -> 0"):
+            classes._check_amplitude(pert, 1.001 / -limit)
+        # (3, 1): the limit is +0.866, so it bounds a negative gamma
+        classes._check_amplitude(perturbation_tm3(3, 1), -1.15)
+        with pytest.raises(ConstraintError, match="negative as x -> 0"):
+            classes._check_amplitude(perturbation_tm3(3, 1), -1.16)
+
+    def test_tm3_series_ratio_reaches_the_origin_limit(self):
+        # the residue series answers at ln x = -5e4, where the ratio is
+        # within about 1/|ln x| of sin(2 pi / 3)
+        log_x = np.array([-5e4])
+        sign, log_omega = perturbation_tm3(3, 1).log_density(log_x)
+        log_w = principal_solution(tm3(3)).log_density(log_x)
+        ratio = float(sign[0] * np.exp(log_omega[0] - log_w[0]))
+        assert abs(ratio - math.sin(2.0 * math.pi / 3.0)) <= 5e-4
+
     def test_tm2_member_at_bound_nonnegative(self):
         r, k = 3, 1
         bound = find_gamma_max(r, k)

@@ -306,6 +306,11 @@ class TestExitCodes:
         ["moments", "--seq", "tm1:r=1", "--n", "5..2"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "1e6",
          "--x", "0.5,1"],
+        # W + gamma omega < 0 as x -> 0, where omega3 / W3 tends to
+        # sin(2 pi / 3) = 0.866: both once exited 0
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.5"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.16",
+         "--x", "1e-300,1e-8,1"],
         # reports that have no table once printed JSON for --emit csv
         ["criteria", "--seq", "tm1:r=1", "--emit", "csv"],
         ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
@@ -331,7 +336,9 @@ class TestExitCodes:
             "convolve-grid-overflow", "tm1-eps-nan", "tm3-gamma-nan",
             "tm2-gamma-nan", "tm1-eps-inf", "tm2-gamma-inf", "tm3-gamma-inf",
             "zero-denominator-a", "zero-denominator-b",
-            "reversed-n-range", "tm3-member-negative", "criteria-csv",
+            "reversed-n-range", "tm3-member-negative",
+            "tm3-origin-limit-default-grid", "tm3-origin-limit-deep-x",
+            "criteria-csv",
             "find-gamma-max-csv", "mc-seed-negative", "class-no-k",
             "find-gamma-max-tm1", "find-gamma-max-tm3", "eval-a0",
             *(f"{cmd}-x-{x}" for cmd in ("eval", "class", "convolve")

@@ -218,6 +218,105 @@ class TestBandEngine:
             assert c == mellin._saddles(seq, np.log([x]))[0]
 
 
+def _band_knots(monkeypatch, run):
+    """Every ln x that reaches _band_sums while run() runs."""
+    seen = []
+    band_sums = mellin._band_sums
+
+    def spy(seq, psi, centre, lx, rtol):
+        seen.append(lx.copy())
+        return band_sums(seq, psi, centre, lx, rtol)
+
+    monkeypatch.setattr(mellin, "_band_sums", spy)
+    run()
+    monkeypatch.undo()
+    return np.concatenate(seen) if seen else np.empty(0)
+
+
+_SERIES_LOG_X = [-46.1, -100.0, -300.0, -700.0]
+
+
+class TestResidueSeries:
+    """Below x = 1e-20 the engine sums the residues left of its contour."""
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm3(2), tm4(1),
+                                     parse_descriptor("gamma:2n+1,n+1")],
+                             ids=["tm3:r=1", "tm3:r=2", "tm4:r=1",
+                                  "gamma:2n+1,n+1"])
+    def test_density_matches_meijer_g(self, monkeypatch, seq):
+        lx = np.array(_SERIES_LOG_X)
+        banded = _band_knots(monkeypatch,
+                             lambda: contour_log_densities(seq, lx))
+        assert banded.size == 0
+        log_w, sign = contour_log_densities(seq, lx)
+        assert np.all(sign > 0)
+        for v, got in zip(lx, log_w):
+            assert abs(got - meijer_log_density(seq, v)) <= 1e-13
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3)])
+    def test_omega3_matches_meijer_g(self, monkeypatch, r, k):
+        # omega3 = sec^{r-1}(theta) Im W3(x sec^r(theta) e^{-i k pi}), held
+        # to 1e-13 of |W3| there
+        log_sec = -math.log(math.cos(math.pi * k / r))
+        lx = np.array(_SERIES_LOG_X) - r * log_sec
+        pert = perturbation_tm3(r, k)
+        banded = _band_knots(monkeypatch, lambda: pert.log_density(lx))
+        assert banded.size == 0
+        sign, log_abs = pert.log_density(lx)
+        for v, s, got in zip(lx, sign, log_abs):
+            log_w = meijer_log_density(tm3(r), v + r * log_sec, k * math.pi)
+            modulus = (r - 1) * log_sec + log_w.real
+            want = math.sin(log_w.imag)
+            assert abs(s * math.exp(got - modulus) - want) <= 1e-13
+
+    def test_non_integer_multipliers_match_band_sums(self):
+        # no Meijer G form: the band sums are the reference just below 1e-20
+        seq = parse_descriptor("gamma:2.02n+1,0.5n+0.7")
+        lx = mellin._LOG_X_MIN - np.array([1e-9, 0.5, 2.0, 10.0])
+        scale, total, ok = mellin._residue_sums(seq, lx, 0.0)
+        assert np.all(ok)
+        got, _ = mellin._log_values(scale, total)
+        want, _ = mellin._log_values(*mellin._banded_sums(seq, lx, 0.0,
+                                                          mellin._RTOL))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_near_poles_keep_band_sums(self, monkeypatch):
+        # its first two poles are 1e-8 apart: the series would cancel
+        # between them, so every knot takes the band sums unchanged
+        seq = parse_descriptor("gamma:2n+1,2.0000001n+1")
+        lx = np.array([-50.0, -60.0, -80.0])
+        banded = _band_knots(
+            monkeypatch, lambda: mellin._contour_sums(seq, lx, 0.0,
+                                                      mellin._RTOL))
+        assert np.array_equal(np.sort(banded), np.sort(lx))
+        got = mellin._contour_sums(seq, lx, 0.0, mellin._RTOL)
+        want = mellin._banded_sums(seq, lx, 0.0, mellin._RTOL)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_knot_value_does_not_depend_on_the_call(self):
+        seq = tm4(1)
+        low = np.array([-300.0, -60.0, -47.0])
+        alone, _ = contour_log_densities(seq, low)
+        mixed, _ = contour_log_densities(seq, np.concatenate((low, [0.0, 3.0])))
+        assert np.array_equal(alone, mixed[:3])
+        assert np.array_equal(alone, [contour_log_densities(seq, [v])[0][0]
+                                      for v in low])
+
+    def test_origin_knots_skip_the_bands(self, monkeypatch):
+        # the moment checks' window below the interpolant, an eval below
+        # 1e-20, and omega3's n = 0 check reach no band below 1e-20
+        from gammamoments import check_moment, principal_solution
+
+        w = principal_solution(tm4(1))
+        pert = perturbation_tm3(3, 1)
+        runs = [lambda: [check_moment(w, tm4(1), n) for n in range(9)],
+                lambda: contour_log_density(tm4(1), 1e-300),
+                lambda: check_vanishing(pert, pert.seq, 0)]
+        for run in runs:
+            banded = _band_knots(monkeypatch, run)
+            assert not np.any(banded < mellin._LOG_X_MIN)
+
+
 def _direct_phase_sum(t, v, lx, block=1 << 17):
     """sum_j v_j e^{-i t_j lx_k}: one exponential per node and knot."""
     out = np.zeros(lx.size, dtype=np.complex128)
@@ -327,17 +426,22 @@ class TestBands:
         # a 4,097-node first grid keeps the partitions large
         monkeypatch.setattr(verify, "_FIRST_GRID", 4097)
         pert = perturbation_tm3(3, 1)
+        series = []
+        residue_sums = mellin._residue_sums
+
+        def spy(seq, lx, psi):
+            series.append(lx.size)
+            return residue_sums(seq, lx, psi)
+        monkeypatch.setattr(mellin, "_residue_sums", spy)
         calls = _band_inputs(monkeypatch,
                              lambda: check_vanishing(pert, pert.seq, 0))
+        # the first call covers the nested 8,193-knot grid; its knots left
+        # of ln 1e-20 take the residue series, the rest the bands
         sizes = [c[0].size for c in calls]
-        assert sizes[:2] == [4097, 4096]
+        assert [s + b for s, b in zip(series, sizes)][:1] == [8193]
         for call in calls:
             self._check(*call)
-        # the nested 8,193-knot grid: saddles are per knot, so merging the
-        # two calls gives the arguments of one call on the whole grid
-        merged = [np.concatenate(parts) for parts in zip(calls[0], calls[1])]
-        order = np.argsort(merged[0], kind="stable")
-        bands = self._check(*(part[order] for part in merged))
+        bands = self._check(*calls[0])
         assert len(bands) > 1
 
     @pytest.mark.parametrize("seq", [tm3(1), tm4(1),

@@ -159,10 +159,10 @@ class TestHarnessPlumbing:
         res = check_moment(dataclasses.replace(base, log_density=counted),
                            seq, 4)
         assert res.nodes_used == sum(sizes)
-        # the 257-node grid, then per refinement only its new midpoints;
-        # nothing else evaluates ln W
-        assert len(sizes) >= 2
-        assert sizes == [257] + [256 << k for k in range(len(sizes) - 1)]
+        # the 257- and 513-node grids in one call, then per refinement only
+        # its new midpoints; nothing else evaluates ln W
+        assert len(sizes) >= 1
+        assert sizes == [513] + [512 << k for k in range(len(sizes) - 1)]
         assert res.log_integral == check_moment(base, seq, 4).log_integral
 
     def test_mismatched_density_fails_without_error(self):
@@ -191,6 +191,42 @@ class TestHarnessPlumbing:
         assert res.passed
 
 
+def _split_in_two(log_density):
+    """log_density evaluated on the two halves of each call, piece by piece."""
+    def split(log_x):
+        log_x = np.asarray(log_x)
+        half = log_x.size // 2
+        parts = [log_density(log_x[:half]), log_density(log_x[half:])]
+        if isinstance(parts[0], tuple):  # a perturbation: (sign, ln |omega|)
+            return tuple(np.concatenate(pair) for pair in zip(*parts))
+        return np.concatenate(parts)
+    return split
+
+
+class TestSplitCalls:
+    """A closed form is pointwise, so how a check groups its evaluations
+    (two grids in the first call, midpoints after) cannot change a value."""
+
+    @pytest.mark.parametrize("seq", [tm1(2), tm2(3)], ids=["tm1:r=2", "tm2:r=3"])
+    def test_check_moment(self, seq):
+        import dataclasses
+        w = principal_solution(seq)
+        split = dataclasses.replace(w, log_density=_split_in_two(w.log_density))
+        for n in range(9):
+            assert check_moment(split, seq, n) == check_moment(w, seq, n)
+
+    @pytest.mark.parametrize("make", [perturbation_tm1, perturbation_tm2],
+                             ids=["omega1", "omega2"])
+    def test_check_vanishing(self, make):
+        import dataclasses
+        pert = make(3, 1)
+        split = dataclasses.replace(pert,
+                                    log_density=_split_in_two(pert.log_density))
+        for n in range(9):
+            assert (check_vanishing(split, pert.seq, n)
+                    == check_vanishing(pert, pert.seq, n))
+
+
 class TestVanishing:
     def test_omega1_vanishes(self):
         pert = perturbation_tm1(2, 1)
@@ -216,10 +252,11 @@ class TestVanishing:
 
     def test_refinement_evaluates_only_midpoints(self):
         sizes, res = self._grid_sizes(perturbation_tm1(2, 1), 0)
-        # the first grid, then per refinement only its new midpoints
+        # the first two grids in one call, then per refinement only its new
+        # midpoints
         first = verify._FIRST_GRID
-        assert sizes == [first] + [(first - 1) << k
-                                   for k in range(len(sizes) - 1)]
+        assert sizes == [2 * first - 1] + [(2 * first - 2) << k
+                                           for k in range(len(sizes) - 1)]
         assert res.nodes_used == sum(sizes)
 
     def test_refines_past_first_refinement(self):
