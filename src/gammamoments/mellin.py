@@ -82,7 +82,7 @@ _RTOL = 1e-10  # change in ln W between nested grids that settles a density
 _MAX_POINTS = 1 << 17  # cap on a band's coarsest grid, floor of its finest
 _X_MIN = 1e-20  # below it (L < ln _X_MIN) the residue series answers
 _LOG_X_MIN = math.log(_X_MIN)
-_POLE_SPAN = 2.0  # the series' poles lie within this of the rightmost
+_POLE_SPAN = 2.0  # the series' poles lie within this (over min(1, a)) of the rightmost
 _MAX_POLE_INDEX = 255  # last pole index l of a factor the series may use
 _POLE_GAP = 1e-6  # distinct poles closer than this end the series' pole list
 _SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
@@ -516,7 +516,7 @@ def _residue_poles(seq):
     with w = -ln z, z = e^{L - i psi}; coef[i, j] is the coefficient of
     eps^{m-1-j} in eps^m rho(p[i] - 1 + eps), and each row is zero past j = m - 1.
     Each factor Gamma(a(s-1) + b) has poles at s = 1 - (b + l)/a; the
-    list covers those within _POLE_SPAN of the rightmost (at most
+    list covers those within _POLE_SPAN / min(1, min a) of the rightmost (at most
     _MAX_POLE_INDEX + 1 per factor), poles at the same double merge, and
     it ends at the first of two poles closer than _POLE_GAP: the series
     uses the poles before the last one and tests the last as omitted.
@@ -524,7 +524,8 @@ def _residue_poles(seq):
     import scipy.special as sps
 
     groups = list(_grouped_factors(seq))
-    floor = seq.rightmost_pole - _POLE_SPAN
+    # a factor's poles are 1/a apart, so a small a widens the span
+    floor = seq.rightmost_pole - _POLE_SPAN / min(1.0, min(a for a, _ in seq.factors))
     counts = [min(int(a * (1.0 - floor) - b) + 1, _MAX_POLE_INDEX + 1)
               for (a, b), _ in groups]
     for ((a, b), _), count in zip(groups, counts):

@@ -269,9 +269,12 @@ class TestResidueSeries:
             want = math.sin(log_w.imag)
             assert abs(s * math.exp(got - modulus) - want) <= 1e-13
 
-    def test_non_integer_multipliers_match_band_sums(self):
-        # no Meijer G form: the band sums are the reference just below 1e-20
-        seq = parse_descriptor("gamma:2.02n+1,0.5n+0.7")
+    @pytest.mark.parametrize("descriptor", ["gamma:2.02n+1,0.5n+0.7",
+                                            "gamma:0.25n+1,0.25n+1"])
+    def test_non_integer_multipliers_match_band_sums(self, descriptor):
+        # no Meijer G form: the band sums are the reference just below
+        # 1e-20.  Poles 4 apart (a = 1/4) widen the series' span.
+        seq = parse_descriptor(descriptor)
         lx = mellin._LOG_X_MIN - np.array([1e-9, 0.5, 2.0, 10.0])
         scale, total, ok = mellin._residue_sums(seq, lx, 0.0)
         assert np.all(ok)
