@@ -594,12 +594,12 @@ def _residue_sums(seq, lx, psi):
     """
     p, log_k, sign_k, coef = _residue_poles(seq)
     w = 1j * psi - lx
-    powers = [w ** j / math.factorial(j) for j in range(coef.shape[1])]
     total = np.zeros(lx.shape, dtype=np.complex128)
     bound = np.zeros(lx.shape)
     ok = np.zeros(lx.shape, dtype=bool)
     active = np.arange(lx.size)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        powers = [w ** j / math.factorial(j) for j in range(coef.shape[1])]
         for i in range(p.size):
             # |term| relative to the leading pole's K z^{-p}, and its bound
             rel = np.exp(log_k[i] - log_k[0] - (p[i] - p[0]) * lx[active])

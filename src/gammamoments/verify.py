@@ -85,15 +85,14 @@ def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
     used, fresh = 0, n_nodes
     while used + fresh <= node_cap:
         v = np.linspace(v_lo, v_hi, n_nodes)
-        if not used:
-            vals = func(v)
-            used = n_nodes
-            yield v[0::2], vals[0::2], used
-        else:
+        if used:
             coarse, vals = vals, np.empty(n_nodes)
             vals[0::2] = coarse
             vals[1::2] = func(v[1::2])
-            used += fresh
+        else:
+            vals = func(v)
+            yield v[0::2], vals[0::2], n_nodes
+        used += fresh
         yield v, vals, used
         n_nodes = 2 * (n_nodes - 1) + 1
         fresh = n_nodes // 2
