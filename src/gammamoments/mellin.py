@@ -27,18 +27,16 @@ phi(s) times e^{i psi s}: it returns the complex sums
 (1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
 saddle of each band (see `classes._log_omega3`).
 
-Below x = 1e-20 (L < ln _X_MIN) the engine answers by the residue series
-instead of a band: left of the contour the integral is the sum of the
-residues of rho(s-1) e^{-s(L - i psi)} at the poles s = 1 - (b_j + l)/a_j,
-and a pole of order m gives z^{-p} times a polynomial of degree m - 1 in
-ln z, z = e^{L - i psi}.  Its coefficients come from the Laurent series
-of the singular gamma factors and the Taylor series of the regular ones
-(SciPy's polygamma and zeta), once per sequence.  Poles are added until
-the first omitted one is below 1e-17 of the sum.  A knot whose series
-fails that test, or needs two poles closer than 1e-6 that do not
-coincide, keeps the band sums.  The interpolant's Chebyshev points lie
-strictly inside its window, which starts at 1e-20, so its build never
-takes the series.
+One rule routes every knot: the residue series answers each knot it
+certifies, and the bands sum the rest.  Left of the contour the integral
+is the sum of the residues of rho(s-1) e^{-s(L - i psi)} at the poles
+s = 1 - (b_j + l)/a_j; a pole of order m gives z^{-p} times a polynomial
+of degree m - 1 in ln z, z = e^{L - i psi}, with coefficients from the
+Laurent and Taylor series of the gamma factors (SciPy's polygamma and
+zeta), once per sequence.  The series is certified once its first
+omitted pole is below 1e-17 of the sum and the sum keeps 0.1 of its
+terms' bound; toward x = 1 its terms cancel (from ln x = -2 or so for
+tm3:r=1 and tm4:r=1), and two poles closer than 1e-6 end it.
 
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
@@ -57,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +77,9 @@ _LOG_DROP = 48.0  # integrand magnitude covered below its peak
 _CANCEL_FLOOR = 1e-12  # |sum| / sum|terms| below this means no digits left
 _BAND_LOSS = np.log(10.0)  # off-saddle cancellation a band member may pay
 _BLOCK = 1 << 12  # complex entries per matrix of a phase-sum chunk of knots
-_RTOL = 1e-10  # change in ln W between nested grids that settles a density
+_RTOL = 1e-10  # relative change between nested grids that settles a density
 _MAX_POINTS = 1 << 17  # cap on a band's coarsest grid, floor of its finest
-_X_MIN = 1e-20  # below it (L < ln _X_MIN) the residue series answers
-_LOG_X_MIN = math.log(_X_MIN)
-_POLE_SPAN = 2.0  # the series' poles lie within this (over min(1, a)) of the rightmost
+_POLE_SPAN = 8.0  # the series' poles lie within this (over min(1, a)) of the rightmost
 _MAX_POLE_INDEX = 255  # last pole index l of a factor the series may use
 _POLE_GAP = 1e-6  # distinct poles closer than this end the series' pole list
 _SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
@@ -105,11 +102,13 @@ class ContourSpec:
 
 
 def _check_sums(total, mag, tail, n_points, real=True):
-    """Raise unless every renormalized contour sum in `total` can be trusted.
+    """Raise unless every renormalized contour sum in `total` can be
+    trusted, and return its summed part.
 
     mag = sum |terms| and tail = the part of it from |t| > 0.9 t_max, each
     a scalar shared by all sums or one value per sum.  With `real`, the
-    sums must also be real up to roundoff (a symmetric integrand).
+    sums must also be real up to roundoff (a symmetric integrand), and the
+    summed part is their real part; otherwise it is the complex sum.
     """
     total = np.atleast_1d(total)
     mag = np.broadcast_to(mag, total.shape)
@@ -125,7 +124,7 @@ def _check_sums(total, mag, tail, n_points, real=True):
             "contour sum cancels below the noise floor; shift the abscissa "
             "toward the saddle point")
     if not real:
-        return
+        return total
     roundoff = 10.0 * np.finfo(float).eps * mag * np.sqrt(n_points)
     im = np.abs(total.imag)
     skewed = (im > 1e-9 * np.abs(total)) & (im > roundoff)
@@ -133,6 +132,7 @@ def _check_sums(total, mag, tail, n_points, real=True):
         i = int(np.argmax(skewed))
         raise ConvergenceError(
             f"contour sum asymmetry: Im/|sum| = {im[i] / abs(total[i]):.2e}")
+    return total.real
 
 
 def inverse_mellin_log(symbol, x, spec: ContourSpec):
@@ -162,8 +162,13 @@ def _phase_resolved_points(seq, s0, t_max, log_x):
     """Points resolving the phase on s0 + i[-t_max, t_max] (s0 real or complex)."""
     phase_rate = sum(a * (np.log1p(abs(a) * (abs(s0) + t_max)) + 2.0)
                      for a, _ in seq.factors) + abs(log_x)
-    n = int(max(512, 6.0 * t_max * phase_rate))
-    return 1 << int(np.ceil(np.log2(n)))
+    with np.errstate(over="ignore"):  # a far knot's count may leave the doubles
+        return _power_of_two(max(512.0, 6.0 * t_max * phase_rate))
+
+
+def _power_of_two(n):
+    """The least power of two >= int(n), for a float n (inf as the largest)."""
+    return 1 << (int(min(n, sys.float_info.max)) - 1).bit_length()
 
 
 def _saddles(seq, log_x):
@@ -232,7 +237,9 @@ def _complex_saddles(seq, target, s):
     for _ in range(100):
         z = s[active]
         h = 1e-5 * (z.real - pole)
-        step = (deriv(z) - target[active]) * (2.0 * h) / (deriv(z + h) - deriv(z - h))
+        with np.errstate(divide="ignore", invalid="ignore"):  # tested below
+            step = ((deriv(z) - target[active]) * (2.0 * h)
+                    / (deriv(z + h) - deriv(z - h)))
         if not np.all(np.isfinite(step)):
             break
         while True:
@@ -264,7 +271,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     """Contour at abscissa c, resolving the phase of x = e^{log_x}.
 
     The t-window is centred on t0; its half-width t_max passes the drop
-    test on both sides (one side suffices for a real, symmetric symbol).
+    test on both sides.
     """
     import scipy.special as sps
 
@@ -276,7 +283,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
 
     centre = complex(c, t0)
     peak = _line_symbol(seq, psi, centre)
-    sides = np.array([1.0, -1.0] if psi else [1.0])
+    sides = np.array([1.0, -1.0])
 
     def drop(t):
         return float(np.max((_line_symbol(seq, psi, c + 1j * (t0 + sides * t))
@@ -286,9 +293,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
         t_max *= 1.5
     n = _phase_resolved_points(seq, centre, t_max, log_x)
     # near a pole the peak is narrow (width ~ 1/sqrt(phi'')); resolve it
-    n_peak = int(12.0 * t_max * np.sqrt(curvature))
-    if n_peak > n:
-        n = 1 << int(np.ceil(np.log2(n_peak)))
+    n = max(n, _power_of_two(12.0 * t_max * np.sqrt(curvature)))
     return ContourSpec(c, t_max, n)
 
 
@@ -302,12 +307,12 @@ def contour_log_density(seq: MomentSequence, x: float):
 def contour_log_densities(seq: MomentSequence, log_x):
     """(log W, sign) arrays of the principal density at every x = e^{log_x}.
 
-    Each knot is accepted once two successive nested grids agree to _RTOL
-    in log W with the same sign; the finest grid has max(_MAX_POINTS,
-    4 n) intervals, n being the band's phase-resolved point count; a knot
-    below x = 1e-20 takes the residue series instead.  A
-    band whose coarsest grid (n / 16 intervals) would exceed _MAX_POINTS
-    raises ConvergenceError before its symbol is evaluated.  A density
+    A knot that the residue series certifies takes the series.  Every
+    other knot is accepted once two successive nested grids agree to
+    _RTOL of W; the finest grid has max(_MAX_POINTS, 4 n) intervals, n
+    being the band's phase-resolved point count.  A band whose coarsest
+    grid (n / 16 intervals) would exceed _MAX_POINTS raises
+    ConvergenceError before its symbol is evaluated.  A density
     that sums to a non-positive value at some knot raises TruncationError,
     so the returned sign is always +1.
     """
@@ -321,30 +326,23 @@ def contour_log_densities(seq: MomentSequence, log_x):
 
 
 def _contour_sums(seq, log_x, psi, rtol):
-    """Contour sums at every L in log_x: the residue series below ln
-    _X_MIN where it holds, band-shared sums elsewhere.
+    """Contour sums at every L in log_x: the residue series at every knot
+    it certifies, band-shared sums at the rest.
 
     Returns (scale, total) with
     e^scale * total / 2 pi = (1/2 pi) int exp(phi(s) + i psi s - s L) dt
     along a vertical line s = c + it, phi = mellin_symbol(seq).  psi = 0
-    is the principal density (bisection saddle, real sums, accepted on
-    |delta log W| < rtol with the same sign); otherwise the sums are
-    complex, each band is centred on a complex saddle, and a knot is
-    accepted on |delta total| <= rtol |total|.  Both arrays have the shape
-    of log_x, at least one-dimensional.
+    is the principal density (bisection saddle, real sums); otherwise the
+    sums are complex and each band is centred on a complex saddle.  A band
+    knot is accepted once its summed part moves by at most rtol of itself
+    between nested grids.  Both arrays have the shape of log_x, at least
+    one-dimensional.
     """
     lx = np.atleast_1d(_check_log_x(log_x))
     shape, lx = lx.shape, lx.ravel()
-    scale = np.empty_like(lx)
-    total = np.empty(lx.shape, dtype=np.complex128)
-    banded = np.ones(lx.shape, dtype=bool)
-    below = np.nonzero(lx < _LOG_X_MIN)[0]
-    if below.size:
-        series_scale, series_total, ok = _residue_sums(seq, lx[below], psi)
-        scale[below[ok]], total[below[ok]] = series_scale[ok], series_total[ok]
-        banded[below[ok]] = False
-    if np.any(banded):
-        scale[banded], total[banded] = _banded_sums(seq, lx[banded], psi, rtol)
+    scale, total, ok = _residue_sums(seq, lx, psi)
+    if not np.all(ok):
+        scale[~ok], total[~ok] = _banded_sums(seq, lx[~ok], psi, rtol)
     return scale.reshape(shape), total.reshape(shape)
 
 
@@ -403,7 +401,7 @@ def _band_sums(seq, psi, centre, lx, rtol):
     if n > _MAX_POINTS:
         raise ConvergenceError(
             f"contour at ln x = {float(lx[np.argmax(np.abs(lx))]):.6g} needs "
-            f"a coarsest grid of {n} intervals, "
+            f"a coarsest grid of {n:.6g} intervals, "
             f"more than max_points={_MAX_POINTS}")
     cap = max(_MAX_POINTS, 4 * spec.n_points)
     h = 2.0 * spec.t_max / n
@@ -420,15 +418,13 @@ def _band_sums(seq, psi, centre, lx, rtol):
     real = not psi
     scale = m - c * lx
     total = h * _phase_sum(-spec.t_max, h, v, lx)
-    _check_sums(total, mag, tail, n + 1, real)
-    out = total.copy()
+    out = _check_sums(total, mag, tail, n + 1, real)
     active = np.arange(lx.size)
     while active.size:
         if 2 * n > cap:
             raise ConvergenceError(
                 f"contour sum did not converge below {rtol} at ln x = "
-                f"{float(lx[active[0]]):.6g}"
-                + (f" (psi={psi})" if psi else ""))
+                f"{float(lx[active[0]]):.6g}")
         # the refined grid keeps every node and adds the midpoints
         n *= 2
         h *= 0.5
@@ -439,22 +435,17 @@ def _band_sums(seq, psi, centre, lx, rtol):
         mag = 0.5 * mag + h * float(np.sum(np.abs(v)))
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
         total = 0.5 * total + h * _phase_sum(start, 2.0 * h, v, lx[active])
-        _check_sums(total, mag, tail, n + 1, real)
-        done = _settled(scale[active], out[active], total, rtol, real)
-        out[active] = total
+        part = _check_sums(total, mag, tail, n + 1, real)
+        done = _settled(out[active], part, rtol)
+        out[active] = part
         active, total = active[~done], total[~done]
-    if t0:
-        out *= np.exp(-1j * t0 * lx)
-    return scale, out
+    return scale, out * np.exp(-1j * t0 * lx)
 
 
-def _settled(scale, old, new, rtol, real):
-    """Knots whose sum moved by less than rtol between two nested grids."""
-    if not real:
-        return np.abs(new - old) <= rtol * np.abs(new)
-    log_old, sign_old = _log_values(scale, old)
-    log_new, sign_new = _log_values(scale, new)
-    return (sign_new == sign_old) & (np.abs(log_new - log_old) < rtol)
+def _settled(old, new, rtol):
+    """Knots whose summed part moved by at most rtol of itself between two
+    nested grids."""
+    return np.abs(new - old) <= rtol * np.abs(new)
 
 
 def _phase_sum(t0, d, v, lx):
@@ -504,7 +495,7 @@ def _log_values(scale, total):
 
 
 # ---------------------------------------------------------------------------
-# The residue series, which answers for knots left of ln _X_MIN
+# The residue series, which answers for every knot it certifies
 
 
 @functools.lru_cache(maxsize=16)
@@ -588,7 +579,7 @@ def _residue_sums(seq, lx, psi):
     bound sum_j |coef_j w^j / j!| on the first omitted one's term is
     below _SERIES_TOL of the sum.  ok is False for a knot whose test never
     stops, whose sum is not finite, or whose sum keeps less than
-    _SERIES_MARGIN of its terms' bound; such knots keep the band sums.
+    _SERIES_MARGIN of its terms' bound; such knots take the band sums.
     scale and total are in _contour_sums's form; every operation is
     elementwise, so a knot's value does not depend on the other knots.
     """
@@ -616,7 +607,7 @@ def _residue_sums(seq, lx, psi):
                                                in zip(coef[i], powers) if c)
             bound[active] += size
         ok &= np.isfinite(total) & (np.abs(total) >= _SERIES_MARGIN * bound)
-    return log_k[0] - p[0] * lx, 2.0 * np.pi * total, ok
+        return log_k[0] - p[0] * lx, 2.0 * np.pi * total, ok
 
 
 # ---------------------------------------------------------------------------

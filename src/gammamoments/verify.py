@@ -14,8 +14,10 @@ compensated arithmetic.  No grid settles alone, so a check's first
 evaluation covers the first two grids (513 nodes) in one call; each
 refinement evaluates only its new midpoints.  The default node cap
 allows grids up to 131,073 nodes.  An interpolated density's window may
-reach below x = 1e-20 (n = 0), where the contour engine answers by the
-residue series at its symbol's poles, as it does for omega3's.
+reach below x = 1e-20 (n = 0), past its interpolant; there, as
+everywhere, the contour engine answers each knot that its residue series
+certifies by the series, for densities and for omega3 alike, and the
+rest by band quadrature.
 """
 
 from __future__ import annotations

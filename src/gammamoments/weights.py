@@ -13,9 +13,11 @@ are below 1e-11, so the interpolant certifies its own accuracy (about
 1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine
 directly at a scalar or an array x, for cross-checks.  The engine
 defines these densities, and the interpolant only caches it: its window
-runs from x = 1e-20 to where ln W reaches -320, and every ln x outside
-it goes to the engine, which answers below 1e-20 by the residue series
-at the symbol's poles (`mellin._residue_sums`) rather than by quadrature.
+runs from x = 1e-20 (_X_MIN) to where ln W reaches -320, and every ln x
+outside it goes to the engine.  The engine routes every knot, in the
+window or not, by one rule: the residue series at the symbol's poles
+(`mellin._residue_sums`) answers each knot it certifies (for tm3:r=1
+and tm4:r=1 every knot up to x = 0.1), and band quadrature the rest.
 
 `principal_solution(seq)` is the one constructor, for every sequence: it
 picks the log-density (w1, W2 or the interpolant) from seq.family, and a
@@ -39,7 +41,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import (ConvergenceError, DomainError, _check_int,
                      _check_log_x, _check_x)
-from .mellin import _X_MIN, contour_log_densities
+from .mellin import contour_log_densities
 from .moments import MomentSequence, tm3, tm4
 from .special import log_bessel_k0
 
@@ -139,6 +141,7 @@ def w4(r, x):
     return _contour_density(tm4(r), x)
 
 
+_X_MIN = 1e-20  # left edge of the interpolant's window
 _LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
 _PANEL_WIDTH = 8.0  # initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points

@@ -1,6 +1,7 @@
 """Stieltjes class machinery: perturbations, members, amplitude bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ class TestOmega3:
         x = math.exp(log_x)
         env = principal_solution(tm3(r)).evaluate(x)
         assert abs(omega3(r, k, x) - want) <= 1e-13 * env
+
+    def test_far_left_knot_raises_without_a_warning(self):
+        # the complex saddle search once divided by zero here, with a
+        # RuntimeWarning, before it refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                perturbation_tm3(3, 1).log_density(np.array([-1e200]))
 
     def test_deep_tail_converges_within_envelope(self):
         lxs = np.linspace(44.0, 50.0, 13)

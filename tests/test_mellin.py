@@ -157,8 +157,10 @@ class TestBandEngine:
         grids = []
 
         def recording(seq_, s):
+            # the window's drop test evaluates its two edges; a grid has
+            # at least 64 nodes
             s = np.asarray(s)
-            if s.size > 1 and np.any(s.imag != 0.0):
+            if s.size > 2 and np.any(s.imag != 0.0):
                 grids.append(s.imag.copy())
             return mellin_symbol(seq_, s)
 
@@ -193,6 +195,13 @@ class TestBandEngine:
         for v, got in zip(lx, log_w):
             assert got == pytest.approx(
                 contour_log_density(seq, math.exp(v))[0], abs=1e-11)
+
+    @pytest.mark.parametrize("log_x", [-1e200, -1e308])
+    def test_far_left_knot_raises_convergence_error(self, log_x):
+        # the series' (ln x)^2 overflows, and the band's point count is a
+        # Python int past np.log2's range: this once ended in a TypeError
+        with pytest.raises(ConvergenceError, match="max_points"):
+            contour_log_densities(tm3(1), [log_x])
 
     @pytest.mark.parametrize("log_x", [45.0, 50.0])
     def test_deep_tail_grid_over_max_points_raises(self, log_x):
@@ -234,6 +243,7 @@ def _band_knots(monkeypatch, run):
 
 
 _SERIES_LOG_X = [-46.1, -100.0, -300.0, -700.0]
+_LOG_1E20 = math.log(1e-20)  # the interpolant's left edge
 
 
 class TestResidueSeries:
@@ -269,13 +279,63 @@ class TestResidueSeries:
             want = math.sin(log_w.imag)
             assert abs(s * math.exp(got - modulus) - want) <= 1e-13
 
+    @staticmethod
+    def _certified(monkeypatch, run):
+        """Every ln x that the residue series certified while run() ran."""
+        seen = []
+        residue_sums = mellin._residue_sums
+
+        def spy(seq, lx, psi):
+            scale, total, ok = residue_sums(seq, lx, psi)
+            seen.append(lx[ok])
+            return scale, total, ok
+        monkeypatch.setattr(mellin, "_residue_sums", spy)
+        run()
+        monkeypatch.undo()
+        return np.concatenate(seen)
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm3(2), tm4(1),
+                                     parse_descriptor("gamma:2n+1,n+1")],
+                             ids=["tm3:r=1", "tm3:r=2", "tm4:r=1",
+                                  "gamma:2n+1,n+1"])
+    def test_route_matches_meijer_g_up_to_x_1(self, monkeypatch, seq):
+        # the series answers every knot it certifies, far above 1e-20;
+        # the knots it leaves near x = 1 take the bands
+        lx = np.sort(np.random.default_rng(28).uniform(-46.0, 0.0, 16))
+        lx = np.append(lx, [-5.0, -1.0])
+        log_w, sign = contour_log_densities(seq, lx)
+        assert np.all(sign > 0)
+        for v, got in zip(lx, log_w):
+            assert abs(got - meijer_log_density(seq, v)) <= 1e-13
+        certified = self._certified(
+            monkeypatch, lambda: contour_log_densities(seq, lx))
+        assert np.max(certified) > -5.5
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 2)])
+    def test_omega3_route_matches_meijer_g_up_to_x_1(self, monkeypatch, r, k):
+        # knots at L = ln x + r ln sec(theta) in [-46, 0], held to 1e-13
+        # of |W3| at the rotated argument
+        log_sec = -math.log(math.cos(math.pi * k / r))
+        big_l = np.sort(np.random.default_rng(r).uniform(-46.0, 0.0, 8))
+        lx = big_l - r * log_sec
+        pert = perturbation_tm3(r, k)
+        sign, log_abs = pert.log_density(lx)
+        for v, s, got in zip(big_l, sign, log_abs):
+            log_w = meijer_log_density(tm3(r), v, k * math.pi)
+            modulus = (r - 1) * log_sec + log_w.real
+            assert abs(s * math.exp(got - modulus)
+                       - math.sin(log_w.imag)) <= 1e-13
+        certified = self._certified(monkeypatch,
+                                    lambda: pert.log_density(lx))
+        assert np.max(certified) > _LOG_1E20
+
     @pytest.mark.parametrize("descriptor", ["gamma:2.02n+1,0.5n+0.7",
                                             "gamma:0.25n+1,0.25n+1"])
     def test_non_integer_multipliers_match_band_sums(self, descriptor):
         # no Meijer G form: the band sums are the reference just below
         # 1e-20.  Poles 4 apart (a = 1/4) widen the series' span.
         seq = parse_descriptor(descriptor)
-        lx = mellin._LOG_X_MIN - np.array([1e-9, 0.5, 2.0, 10.0])
+        lx = _LOG_1E20 - np.array([1e-9, 0.5, 2.0, 10.0])
         scale, total, ok = mellin._residue_sums(seq, lx, 0.0)
         assert np.all(ok)
         got, _ = mellin._log_values(scale, total)
@@ -317,7 +377,7 @@ class TestResidueSeries:
                 lambda: check_vanishing(pert, pert.seq, 0)]
         for run in runs:
             banded = _band_knots(monkeypatch, run)
-            assert not np.any(banded < mellin._LOG_X_MIN)
+            assert not np.any(banded < _LOG_1E20)
 
 
 def _direct_phase_sum(t, v, lx, block=1 << 17):
@@ -429,19 +489,24 @@ class TestBands:
         # a 4,097-node first grid keeps the partitions large
         monkeypatch.setattr(verify, "_FIRST_GRID", 4097)
         pert = perturbation_tm3(3, 1)
-        series = []
+        series, left = [], []
         residue_sums = mellin._residue_sums
 
         def spy(seq, lx, psi):
+            scale, total, ok = residue_sums(seq, lx, psi)
             series.append(lx.size)
-            return residue_sums(seq, lx, psi)
+            left.append(np.sort(lx[~ok]))
+            return scale, total, ok
         monkeypatch.setattr(mellin, "_residue_sums", spy)
         calls = _band_inputs(monkeypatch,
                              lambda: check_vanishing(pert, pert.seq, 0))
-        # the first call covers the nested 8,193-knot grid; its knots left
-        # of ln 1e-20 take the residue series, the rest the bands
-        sizes = [c[0].size for c in calls]
-        assert [s + b for s, b in zip(series, sizes)][:1] == [8193]
+        # the series sees the whole nested 8,193-knot first grid, and the
+        # bands see exactly the knots it leaves uncertified, call by call
+        assert series[:1] == [8193]
+        band_knots = [c[0] for c in calls]
+        assert len(band_knots) == sum(l.size > 0 for l in left)
+        assert all(np.array_equal(got, want) for got, want
+                   in zip(band_knots, [l for l in left if l.size]))
         for call in calls:
             self._check(*call)
         bands = self._check(*calls[0])
