@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConstraintError, ConvergenceError, SearchError,
-                     _check_int, _check_x)
+                     _at_x, _check_int)
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
 from .weights import _log_w1, _log_w2, principal_solution, w1
@@ -88,18 +88,6 @@ class Perturbation:
 
     def evaluate(self, x):
         return _at_x(self.log_density, x)
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-
-def _at_x(log_density, x):
-    """omega(x) from its log form; a scalar x gives a float."""
-    arr = _check_x(x)
-    sign, log_abs = log_density(np.log(arr))
-    with np.errstate(under="ignore"):
-        out = sign * np.exp(log_abs)
-    return float(out) if arr.ndim == 0 else out
 
 
 def _signed_log(log_rest, factor):
@@ -180,9 +168,6 @@ def perturbation_tm2(r, k) -> Perturbation:
 
 # -- family 3 ---------------------------------------------------------------
 
-_OMEGA3_RTOL = 1e-9  # relative change that settles an omega3 contour sum
-
-
 def _log_omega3(r, k, log_x):
     """(sign, ln |omega3|) at ln x: W2 * omega1(r, k), by one contour.
 
@@ -196,8 +181,7 @@ def _log_omega3(r, k, log_x):
     """
     lx = np.asarray(log_x, dtype=float)
     log_sec = -math.log(math.cos(math.pi * k / r))
-    scale, total = _contour_sums(tm3(r), lx + r * log_sec, math.pi * k,
-                                 _OMEGA3_RTOL)
+    scale, total = _contour_sums(tm3(r), lx + r * log_sec, math.pi * k)
     sign, log_abs = _signed_log(scale + (r - 1) * log_sec
                                 - math.log(2.0 * math.pi), total.imag)
     return sign.reshape(lx.shape), log_abs.reshape(lx.shape)

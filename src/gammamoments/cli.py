@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
-                     SearchError, TruncationError, UndecidedError, _check_x)
+                     SearchError, TruncationError, UndecidedError, _at_x)
 from .mellin import contour_log_densities
 from .moments import gamma_product, parse_descriptor
 from .weights import principal_solution
@@ -238,11 +238,9 @@ def _cmd_convolve(args):
     # M[W_a * W_b](s) = rho_a(s-1) rho_b(s-1): the convolution is the
     # principal density of the product sequence
     product = gamma_product(seq_a.factors + seq_b.factors)
-    xs = (_check_x(_parse_xs(args.x)) if args.x
+    xs = (_parse_xs(args.x) if args.x
           else _default_grid((product.tail_coefficient, product.tail_power)))
-    log_w, _ = contour_log_densities(product, np.log(xs))
-    with np.errstate(under="ignore"):
-        vals = np.exp(log_w)
+    vals = _at_x(lambda log_x: contour_log_densities(product, log_x)[::-1], xs)
     _emit_table(args, {"command": "convolve", "seq_a": seq_a.descriptor(),
                        "seq_b": seq_b.descriptor()},
                 "points", ["x", "convolution"], zip(xs, vals))

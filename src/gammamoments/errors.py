@@ -62,6 +62,16 @@ def _check_x(x):
     return arr
 
 
+def _at_x(log_form, x):
+    """f(x) from its log form, which maps ln x to (sign f, ln |f|): x is
+    checked, and a scalar x gives a float, an array x its shape."""
+    arr = _check_x(x)
+    sign, log_abs = log_form(np.log(arr))
+    with np.errstate(under="ignore"):
+        out = np.reshape(sign * np.exp(log_abs), arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
 def _check_log_x(log_x):
     """ln x as a float64 array of its shape; DomainError unless finite."""
     arr = np.asarray(log_x, dtype=np.float64)

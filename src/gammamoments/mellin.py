@@ -316,7 +316,7 @@ def contour_log_densities(seq: MomentSequence, log_x):
     that sums to a non-positive value at some knot raises TruncationError,
     so the returned sign is always +1.
     """
-    log_w, sign = _log_values(*_contour_sums(seq, log_x, 0.0, _RTOL))
+    log_w, sign = _log_values(*_contour_sums(seq, log_x, 0.0))
     if np.any(sign <= 0):
         v = float(np.min(np.atleast_1d(log_x)[sign <= 0]))
         raise TruncationError(
@@ -325,7 +325,7 @@ def contour_log_densities(seq: MomentSequence, log_x):
     return log_w, sign
 
 
-def _contour_sums(seq, log_x, psi, rtol):
+def _contour_sums(seq, log_x, psi):
     """Contour sums at every L in log_x: the residue series at every knot
     it certifies, band-shared sums at the rest.
 
@@ -334,7 +334,7 @@ def _contour_sums(seq, log_x, psi, rtol):
     along a vertical line s = c + it, phi = mellin_symbol(seq).  psi = 0
     is the principal density (bisection saddle, real sums); otherwise the
     sums are complex and each band is centred on a complex saddle.  A band
-    knot is accepted once its summed part moves by at most rtol of itself
+    knot is accepted once its summed part moves by at most _RTOL of itself
     between nested grids.  Both arrays have the shape of log_x, at least
     one-dimensional.
     """
@@ -342,11 +342,11 @@ def _contour_sums(seq, log_x, psi, rtol):
     shape, lx = lx.shape, lx.ravel()
     scale, total, ok = _residue_sums(seq, lx, psi)
     if not np.all(ok):
-        scale[~ok], total[~ok] = _banded_sums(seq, lx[~ok], psi, rtol)
+        scale[~ok], total[~ok] = _banded_sums(seq, lx[~ok], psi)
     return scale.reshape(shape), total.reshape(shape)
 
 
-def _banded_sums(seq, lx, psi, rtol):
+def _banded_sums(seq, lx, psi):
     """_contour_sums by saddle bands, for a flat array of knots lx."""
     c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
     s_star = (_complex_saddles(seq, lx - 1j * psi, c_star) if psi
@@ -359,7 +359,7 @@ def _banded_sums(seq, lx, psi, rtol):
     for band in _bands(lx[order], s_star.real[order], f_star[order]):
         idx = order[band]
         centre = s_star[order[(band.start + band.stop - 1) // 2]]
-        scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx], rtol)
+        scale[idx], total[idx] = _band_sums(seq, psi, centre, lx[idx])
     return scale, total
 
 
@@ -389,7 +389,7 @@ def _bands(lx, c_star, phi_star):
         start = stop
 
 
-def _band_sums(seq, psi, centre, lx, rtol):
+def _band_sums(seq, psi, centre, lx):
     """Self-converging nested trapezoid sums for the knots lx around centre.
 
     The nodes are centre + i tau, tau on [-t_max, t_max]; the phase
@@ -423,7 +423,7 @@ def _band_sums(seq, psi, centre, lx, rtol):
     while active.size:
         if 2 * n > cap:
             raise ConvergenceError(
-                f"contour sum did not converge below {rtol} at ln x = "
+                f"contour sum did not converge below {_RTOL} at ln x = "
                 f"{float(lx[active[0]]):.6g}")
         # the refined grid keeps every node and adds the midpoints
         n *= 2
@@ -436,16 +436,11 @@ def _band_sums(seq, psi, centre, lx, rtol):
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
         total = 0.5 * total + h * _phase_sum(start, 2.0 * h, v, lx[active])
         part = _check_sums(total, mag, tail, n + 1, real)
-        done = _settled(out[active], part, rtol)
+        # a knot is done once its summed part moved by at most _RTOL of itself
+        done = np.abs(part - out[active]) <= _RTOL * np.abs(part)
         out[active] = part
         active, total = active[~done], total[~done]
     return scale, out * np.exp(-1j * t0 * lx)
-
-
-def _settled(old, new, rtol):
-    """Knots whose summed part moved by at most rtol of itself between two
-    nested grids."""
-    return np.abs(new - old) <= rtol * np.abs(new)
 
 
 def _phase_sum(t0, d, v, lx):

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import (ConvergenceError, DomainError, _check_int,
-                     _check_log_x, _check_x)
+from .errors import (ConvergenceError, DomainError, _at_x, _check_int,
+                     _check_log_x)
 from .mellin import contour_log_densities
 from .moments import MomentSequence, tm3, tm4
 from .special import log_bessel_k0
@@ -80,12 +80,7 @@ class WeightFunction:
         return (self.seq.tail_coefficient, self.seq.tail_power)
 
     def evaluate(self, x):
-        log_x = np.log(_check_x(x))
-        with np.errstate(under="ignore"):
-            return np.exp(self.log_density(log_x))
-
-    def __call__(self, x):
-        return self.evaluate(x)
+        return _at_x(lambda log_x: (1.0, self.log_density(log_x)), x)
 
 
 # -- family 1: moments (qn)!, density e^{-x^{1/q}} / (q x^{(q-1)/q}) --------
@@ -102,8 +97,7 @@ def w1(q, x):
     """Principal density with moments (qn)!; q = 2r gives the first family."""
     if q < 1:
         raise DomainError(f"w1 requires q >= 1, got {q}")
-    with np.errstate(under="ignore"):
-        return np.exp(_log_w1(q, np.log(_check_x(x))))
+    return _at_x(lambda log_x: (1.0, _log_w1(q, log_x)), x)
 
 
 # -- family 2: moments [(rn)!]^2, density 2 K0(2 x^{1/2r}) / (r x^{(r-1)/r}) -
@@ -117,18 +111,14 @@ def _log_w2(r, log_x):
 
 def w2(r, x):
     _check_int(r, "r", 1)
-    with np.errstate(under="ignore"):
-        return np.exp(_log_w2(r, np.log(_check_x(x))))
+    return _at_x(lambda log_x: (1.0, _log_w2(r, log_x)), x)
 
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------
 
 def _contour_density(seq, x):
     """W(x) straight from the engine; a scalar x gives a float."""
-    arr = _check_x(x)
-    with np.errstate(under="ignore"):
-        out = np.exp(contour_log_densities(seq, np.log(arr))[0])
-    return float(out[0]) if arr.ndim == 0 else out
+    return _at_x(lambda log_x: contour_log_densities(seq, log_x)[::-1], x)
 
 
 def w3(r, x):

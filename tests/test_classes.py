@@ -558,11 +558,6 @@ class TestPerturbationObjects:
         assert (p.r, p.k) == (3, 2)
         assert p.seq.family == ("tm1", 3)
 
-    def test_callable(self):
-        p = perturbation_tm2(3, 1)
-        x = 1.7
-        assert p(x) == pytest.approx(omega2(3, 1, x), rel=1e-14)
-
     @pytest.mark.parametrize("seq,make", [(tm1(2), perturbation_tm1),
                                           (tm2(3), perturbation_tm2),
                                           (tm3(3), perturbation_tm3)],

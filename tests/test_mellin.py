@@ -232,9 +232,9 @@ def _band_knots(monkeypatch, run):
     seen = []
     band_sums = mellin._band_sums
 
-    def spy(seq, psi, centre, lx, rtol):
+    def spy(seq, psi, centre, lx):
         seen.append(lx.copy())
-        return band_sums(seq, psi, centre, lx, rtol)
+        return band_sums(seq, psi, centre, lx)
 
     monkeypatch.setattr(mellin, "_band_sums", spy)
     run()
@@ -339,8 +339,7 @@ class TestResidueSeries:
         scale, total, ok = mellin._residue_sums(seq, lx, 0.0)
         assert np.all(ok)
         got, _ = mellin._log_values(scale, total)
-        want, _ = mellin._log_values(*mellin._banded_sums(seq, lx, 0.0,
-                                                          mellin._RTOL))
+        want, _ = mellin._log_values(*mellin._banded_sums(seq, lx, 0.0))
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_near_poles_keep_band_sums(self, monkeypatch):
@@ -348,12 +347,11 @@ class TestResidueSeries:
         # between them, so every knot takes the band sums unchanged
         seq = parse_descriptor("gamma:2n+1,2.0000001n+1")
         lx = np.array([-50.0, -60.0, -80.0])
-        banded = _band_knots(
-            monkeypatch, lambda: mellin._contour_sums(seq, lx, 0.0,
-                                                      mellin._RTOL))
+        banded = _band_knots(monkeypatch,
+                             lambda: mellin._contour_sums(seq, lx, 0.0))
         assert np.array_equal(np.sort(banded), np.sort(lx))
-        got = mellin._contour_sums(seq, lx, 0.0, mellin._RTOL)
-        want = mellin._banded_sums(seq, lx, 0.0, mellin._RTOL)
+        got = mellin._contour_sums(seq, lx, 0.0)
+        want = mellin._banded_sums(seq, lx, 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_knot_value_does_not_depend_on_the_call(self):
