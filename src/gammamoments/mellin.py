@@ -84,6 +84,8 @@ _MAX_POLE_INDEX = 255  # last pole index l of a factor the series may use
 _POLE_GAP = 1e-6  # distinct poles closer than this end the series' pole list
 _SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
 _SERIES_MARGIN = 0.1  # least |sum| / sum of the terms' bounds
+_POWER_EXP = 1000  # binary exponent of |w|^(m-1) above which the series scales
+_LN2 = math.log(2.0)
 _CONVOLVE_RTOL = 1e-9  # relative change that settles a convolution
 _CONVOLVE_DEPTH = 14  # nested grids a convolution may take
 
@@ -579,18 +581,28 @@ def _residue_sums(seq, lx, psi):
     elementwise, so a knot's value does not depend on the other knots.
     """
     p, log_k, sign_k, coef = _residue_poles(seq)
+    top = [int(np.flatnonzero(row)[-1]) for row in coef]  # each pole's m - 1
     w = 1j * psi - lx
     total = np.zeros(lx.shape, dtype=np.complex128)
     bound = np.zeros(lx.shape)
     ok = np.zeros(lx.shape, dtype=bool)
     active = np.arange(lx.size)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        powers = [w ** j / math.factorial(j) for j in range(coef.shape[1])]
+        # where a power of w could overflow, w = u 2^e with |u| < 1, and
+        # pole i's powers are taken relative to 2^{e top[i]}, which its
+        # rel and the scale carry; elsewhere e = 0 leaves every value as is
+        e = np.frexp(np.abs(w))[1]
+        e[e * (coef.shape[1] - 1) <= _POWER_EXP] = 0
+        u = w * np.ldexp(1.0, -e)
+        powers = [u ** j / math.factorial(j) for j in range(coef.shape[1])]
         for i in range(p.size):
+            scaled = [v * np.ldexp(1.0, (j - top[i]) * e)
+                      for j, v in enumerate(powers)]
             # |term| relative to the leading pole's K z^{-p}, and its bound
-            rel = np.exp(log_k[i] - log_k[0] - (p[i] - p[0]) * lx[active])
+            rel = np.exp(log_k[i] - log_k[0] - (p[i] - p[0]) * lx[active]
+                         + (top[i] - top[0]) * _LN2 * e[active])
             size = rel * sum(abs(c) * np.abs(v[active])
-                             for c, v in zip(coef[i], powers) if c)
+                             for c, v in zip(coef[i], scaled) if c)
             if i:
                 done = size <= _SERIES_TOL * np.abs(total[active])
                 ok[active[done]] = True
@@ -599,10 +611,11 @@ def _residue_sums(seq, lx, psi):
                     break
             phase = sign_k[i] * (np.exp(1j * psi * p[i]) if psi else 1.0)
             total[active] += phase * rel * sum(c * v[active] for c, v
-                                               in zip(coef[i], powers) if c)
+                                               in zip(coef[i], scaled) if c)
             bound[active] += size
         ok &= np.isfinite(total) & (np.abs(total) >= _SERIES_MARGIN * bound)
-        return log_k[0] - p[0] * lx, 2.0 * np.pi * total, ok
+        return (log_k[0] - p[0] * lx + top[0] * _LN2 * e,
+                2.0 * np.pi * total, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import gammamoments.classes as classes
 import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           SearchError, check_vanishing, class_member,
-                          certify_nonnegative, contour_log_density,
+                          certify_nonnegative, contour_log_densities,
+                          contour_log_density,
                           find_gamma_max, omega2, omega2_via_convolution,
                           omega3, perturbation, perturbation_tm1,
                           perturbation_tm2, perturbation_tm3,
@@ -178,13 +179,17 @@ class TestOmega3:
         env = principal_solution(tm3(r)).evaluate(x)
         assert abs(omega3(r, k, x) - want) <= 1e-13 * env
 
-    def test_far_left_knot_raises_without_a_warning(self):
+    def test_far_left_knot_is_finite_without_a_warning(self):
         # the complex saddle search once divided by zero here, with a
-        # RuntimeWarning, before it refused
+        # RuntimeWarning, and refused; the series' leading pole answers,
+        # where omega3 / W3 tends to sin(2 pi / 3) > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError):
-                perturbation_tm3(3, 1).log_density(np.array([-1e200]))
+            sign, log_abs = perturbation_tm3(3, 1).log_density(
+                np.array([-1e200]))
+            log_w, _ = contour_log_densities(tm3(3), [-1e200])
+        assert sign[0] > 0.0 and np.isfinite(log_abs[0])
+        assert abs(log_abs[0] - log_w[0]) <= 1e-15 * log_w[0]
 
     def test_deep_tail_converges_within_envelope(self):
         lxs = np.linspace(44.0, 50.0, 13)

@@ -198,10 +198,26 @@ class TestBandEngine:
 
     @pytest.mark.parametrize("log_x", [-1e200, -1e308])
     def test_far_left_knot_raises_convergence_error(self, log_x):
-        # the series' (ln x)^2 overflows, and the band's point count is a
-        # Python int past np.log2's range: this once ended in a TypeError
+        # two poles 1e-8 apart leave the series no certified knot, and the
+        # band's point count is a Python int past np.log2's range: this
+        # once ended in a TypeError
+        seq = parse_descriptor("gamma:2n+1,2.0000001n+1")
         with pytest.raises(ConvergenceError, match="max_points"):
-            contour_log_densities(tm3(1), [log_x])
+            contour_log_densities(seq, [log_x])
+
+    @pytest.mark.parametrize("descriptor", ["tm3:r=2", "tm3:r=1", "tm4:r=1",
+                                            "gamma:2.02n+1,0.5n+0.7"])
+    def test_knot_value_depends_on_the_call_by_a_few_ulps(self, descriptor):
+        # a band's partition starts at its first sorted knot, so a band knot
+        # evaluated with others and alone differs in its last ulps (at most
+        # 19 eps |ln W| here); this holds that gap, it does not close it
+        seq = parse_descriptor(descriptor)
+        hi = 25.0 if descriptor.startswith("gamma") else 35.0
+        lx = np.arange(-1.5, hi + 0.25, 0.5)
+        together, _ = contour_log_densities(seq, lx)
+        alone = [contour_log_densities(seq, [v])[0][0] for v in lx]
+        gap = np.abs(together - alone) / np.maximum(1.0, np.abs(together))
+        assert np.max(gap) <= 64.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("log_x", [45.0, 50.0])
     def test_deep_tail_grid_over_max_points_raises(self, log_x):
@@ -353,6 +369,21 @@ class TestResidueSeries:
         got = mellin._contour_sums(seq, lx, 0.0)
         want = mellin._banded_sums(seq, lx, 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("log_x", [-1e155, -1e200, -1e308])
+    def test_far_left_triple_pole(self, log_x):
+        # (ln x)^2 leaves the doubles here; scaled by its top power, the
+        # triple pole at s = 0 gives ln W = ln((ln x)^2 / 2)
+        log_w, _ = contour_log_densities(tm3(1), [log_x])
+        want = 2.0 * math.log(-log_x) - math.log(2.0)
+        assert abs(log_w[0] - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("log_x", [-1e200, -1e308])
+    def test_far_left_simple_pole(self, log_x):
+        # the triple poles' powers once turned 0 * inf into nan; the simple
+        # pole at s = 1/2 gives ln W = -(ln x) / 2
+        log_w, _ = contour_log_densities(tm4(1), [log_x])
+        assert abs(log_w[0] + log_x / 2.0) <= 1e-15 * abs(log_x / 2.0)
 
     def test_knot_value_does_not_depend_on_the_call(self):
         seq = tm4(1)
