@@ -67,20 +67,38 @@ class TestDomain:
             _LOG_X_ENTRIES[name](np.array([0.0, log_x]))
 
 
+# the entries of _X_ENTRIES that return f(x): a scalar x gives a float
+_VALUE_ENTRIES = ["WeightFunction.evaluate", "Perturbation.evaluate", "w1",
+                  "w2", "w3", "w4", "omega2", "omega3", "class_member",
+                  "log_bessel_k0"]
+
 _X = np.array([[0.5, 1.0, 2.0], [3.0, 0.7, 1.5]])
 
 _SHAPED = {
     "contour_log_densities": lambda x: contour_log_densities(tm3(1),
                                                              np.log(x))[0],
+    "WeightFunction.evaluate[tm2]": lambda x:
+        principal_solution(tm2(1)).evaluate(x),
+    "WeightFunction.evaluate[tm3]": lambda x:
+        principal_solution(tm3(1)).evaluate(x),
     "Perturbation.evaluate": lambda x: perturbation(tm3(3), 1).evaluate(x),
     "class_member": lambda x: class_member(tm3(3), 1, 0.1, x),
     "mellin_convolve_many": lambda x: mellin_convolve_many(_decay, _decay, x),
+    "w1": lambda x: w1(2, x),
+    "w2": lambda x: w2(1, x),
     "w3": lambda x: w3(1, x),
     "w4": lambda x: w4(1, x),
+    "omega2": lambda x: omega2(3, 1, x),
+    "omega3": lambda x: omega3(3, 1, x),
 }
 
 
 class TestShape:
+    @pytest.mark.parametrize("name", _VALUE_ENTRIES)
+    def test_scalar_gives_float(self, name):
+        # WeightFunction.evaluate, w1 and w2 once gave np.float64
+        assert type(_X_ENTRIES[name](1.5)) is float
+
     @pytest.mark.parametrize("name", sorted(_SHAPED))
     def test_2d_equals_1d_reshaped(self, name):
         # a 2-D x once reached argsort in the engine (IndexError), or the
