@@ -3,8 +3,8 @@
 omega1 is a sine-modulated copy of the first principal density, omega2 its
 "near factorization" through complex K0, omega3 the Mellin convolution
 W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
-by the contour engine (the tests check it against mpmath's Meijer G at
-that argument).  Every
+by the contour engine at the tolerance it holds densities to (the tests
+check it against mpmath's Meijer G at that argument).  Every
 class member is W + amplitude * omega: `perturbation(seq, k)` picks the
 family by seq.family, so any single factor Gamma(an + b) gets omega1 at
 its (a, b), and `class_member(seq, k, amplitude, x)` adds amplitude *
@@ -30,8 +30,9 @@ moment window never forms x.  omega1 is ln w1 plus ln |sine factor|,
 omega2 is ln W2 plus ln |V/K0| (the ratio the amplitude search scans, from
 SciPy's scaled Bessel functions), and omega3 keeps the scale and
 ln |Im total| of its contour sums.  `evaluate(x)` is the entry in linear
-x, raises DomainError outside 0 < x < inf and keeps the shape of x;
-`omega2` and `omega3` evaluate it for the named families.
+x, through `errors._at_x` as for densities: DomainError outside
+0 < x < inf, a float for a scalar x and x's shape otherwise; `omega2`
+and `omega3` evaluate it for the named families.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all modules, and the argument checks
-every entry of the package runs where an argument enters it: x in
-(0, inf), a finite ln x, and an integer at or above its least value."""
+"""Exception hierarchy shared by all modules, the argument checks every
+entry of the package runs where an argument enters it (x in (0, inf), a
+finite ln x, an integer at or above its least value), and `_at_x`, the
+one path from a log-form to values at x that every linear-x entry takes
+(`weights` cannot import `classes`, so it lives here)."""
 
 import numpy as np
 

@@ -17,7 +17,9 @@ band's nodes are uniform, t_j = t0 + j d, so its phase sum factors into
 baby and giant steps: e^{-i t_j ln x} costs about 2 sqrt(n) exponentials
 per knot, and the rest is one matrix product.  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
-new midpoints.  `contour_log_density` is the one-knot case.  This engine
+new midpoints, and every band knot, density or perturbation, is accepted
+once two of them agree to one tolerance, _RTOL (1e-10 of its summed
+part).  `contour_log_density` is the one-knot case.  This engine
 is the package's only contour route: `inverse_mellin_log` on an
 `adapted_contour` is a fixed, unbanded trapezoid sum kept as the
 reference the tests compare the engine against.
@@ -36,7 +38,10 @@ Laurent and Taylor series of the gamma factors (SciPy's polygamma and
 zeta), once per sequence.  The series is certified once its first
 omitted pole is below 1e-17 of the sum and the sum keeps 0.1 of its
 terms' bound; toward x = 1 its terms cancel (from ln x = -2 or so for
-tm3:r=1 and tm4:r=1), and two poles closer than 1e-6 end it.
+tm3:r=1 and tm4:r=1), and two poles closer than 1e-6 end it.  It
+answers every finite ln x left of that: where a power of ln z would
+leave the doubles (below ln x = -3.3e150 for tm3 and tm4), each
+pole's polynomial is taken relative to its own top power.
 
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
@@ -84,8 +89,7 @@ _MAX_POLE_INDEX = 255  # last pole index l of a factor the series may use
 _POLE_GAP = 1e-6  # distinct poles closer than this end the series' pole list
 _SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
 _SERIES_MARGIN = 0.1  # least |sum| / sum of the terms' bounds
-_POWER_EXP = 1000  # binary exponent of |w|^(m-1) above which the series scales
-_LN2 = math.log(2.0)
+_POWER_EXP = 1000  # binary exponent of the series' top |w|^j past which it scales
 _CONVOLVE_RTOL = 1e-9  # relative change that settles a convolution
 _CONVOLVE_DEPTH = 14  # nested grids a convolution may take
 
@@ -589,20 +593,20 @@ def _residue_sums(seq, lx, psi):
     active = np.arange(lx.size)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         # where a power of w could overflow, w = u 2^e with |u| < 1, and
-        # pole i's powers are taken relative to 2^{e top[i]}, which its
-        # rel and the scale carry; elsewhere e = 0 leaves every value as is
+        # pole i's powers are taken relative to 2^{e top[i]}, a factor its
+        # rel and the scale carry in nats; elsewhere e = 0 changes no value
         e = np.frexp(np.abs(w))[1]
         e[e * (coef.shape[1] - 1) <= _POWER_EXP] = 0
+        nats = e * math.log(2.0)
         u = w * np.ldexp(1.0, -e)
-        powers = [u ** j / math.factorial(j) for j in range(coef.shape[1])]
+        powers = {t: [u ** j / math.factorial(j) * np.ldexp(1.0, (j - t) * e)
+                      for j in range(t + 1)] for t in set(top)}
         for i in range(p.size):
-            scaled = [v * np.ldexp(1.0, (j - top[i]) * e)
-                      for j, v in enumerate(powers)]
             # |term| relative to the leading pole's K z^{-p}, and its bound
             rel = np.exp(log_k[i] - log_k[0] - (p[i] - p[0]) * lx[active]
-                         + (top[i] - top[0]) * _LN2 * e[active])
+                         + (top[i] - top[0]) * nats[active])
             size = rel * sum(abs(c) * np.abs(v[active])
-                             for c, v in zip(coef[i], scaled) if c)
+                             for c, v in zip(coef[i], powers[top[i]]) if c)
             if i:
                 done = size <= _SERIES_TOL * np.abs(total[active])
                 ok[active[done]] = True
@@ -610,12 +614,12 @@ def _residue_sums(seq, lx, psi):
                 if not active.size:
                     break
             phase = sign_k[i] * (np.exp(1j * psi * p[i]) if psi else 1.0)
-            total[active] += phase * rel * sum(c * v[active] for c, v
-                                               in zip(coef[i], scaled) if c)
+            total[active] += phase * rel * sum(
+                c * v[active] for c, v in zip(coef[i], powers[top[i]]) if c)
             bound[active] += size
         ok &= np.isfinite(total) & (np.abs(total) >= _SERIES_MARGIN * bound)
-        return (log_k[0] - p[0] * lx + top[0] * _LN2 * e,
-                2.0 * np.pi * total, ok)
+        return (log_k[0] - p[0] * lx + top[0] * nats, 2.0 * np.pi * total,
+                ok)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ Every density is evaluated in ln x: `WeightFunction.log_density` takes
 ln x and returns ln W, and the closed forms are written in ln x, so a
 caller working in ln x (the moment window, the criteria) never forms x,
 which leaves the double range long before ln W does.  `evaluate(x)` is the
-one entry in linear x.
+one entry in linear x: it, w1, w2, w3 and w4 hand ln x to their log-form
+through `errors._at_x`, which checks x and gives a float for a scalar x
+and x's shape otherwise.
 """
 
 from __future__ import annotations
