@@ -12,12 +12,11 @@ import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           SearchError, check_vanishing, class_member,
                           certify_nonnegative, contour_log_densities,
-                          contour_log_density,
-                          find_gamma_max, omega2, omega2_via_convolution,
-                          omega3, perturbation, perturbation_tm1,
-                          perturbation_tm2, perturbation_tm3,
-                          parse_descriptor, principal_solution, tm1, tm2,
-                          tm3, tm4, w1, w2)
+                          contour_log_density, find_gamma_max, omega2,
+                          omega2_via_convolution, omega3, perturbation,
+                          perturbation_tm1, perturbation_tm2,
+                          perturbation_tm3, parse_descriptor,
+                          principal_solution, tm1, tm2, tm3, tm4, w1, w2)
 from oracles import meijer_log_density
 
 
@@ -188,7 +187,7 @@ class TestOmega3:
             sign, log_abs = perturbation_tm3(3, 1).log_density(
                 np.array([-1e200]))
             log_w, _ = contour_log_densities(tm3(3), [-1e200])
-        assert sign[0] > 0.0 and np.isfinite(log_abs[0])
+        assert sign[0] > 0.0
         assert abs(log_abs[0] - log_w[0]) <= 1e-15 * log_w[0]
 
     def test_deep_tail_converges_within_envelope(self):
