@@ -154,13 +154,12 @@ def omega2_via_convolution(r, k, x):
     """Same function by the convolution route (half-index densities)."""
     _check_int(r, "r", 1)
     _check_rotation(r, k, r)
-    out = mellin_convolve_many(
+    return mellin_convolve_many(
         lambda v: w1(r, v),
         lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
         x,
         log_f=lambda v: _log_w1(r, np.log(v)),
         log_g=lambda v: _log_w1(r, np.log(v)))
-    return float(out) if out.ndim == 0 else out
 
 
 def perturbation_tm2(r, k) -> Perturbation:

@@ -15,7 +15,10 @@ into bands that share the saddle abscissa of the band's middle knot (each
 member loses at most about one digit to off-saddle cancellation).  A
 band's nodes are uniform, t_j = t0 + j d, so its phase sum factors into
 baby and giant steps: e^{-i t_j ln x} costs about 2 sqrt(n) exponentials
-per knot, and the rest is one matrix product.  The trapezoid grids are
+per knot, and the rest is an einsum contraction, which runs NumPy's own
+loops rather than BLAS: no density or perturbation call starts OpenBLAS,
+whose first product costs a process about 0.5 MB of peak RSS (only the
+convolution oracle keeps BLAS products).  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
 new midpoints, and every band knot, density or perturbation, is accepted
 once two of them agree to one tolerance, _RTOL (1e-10 of its summed
@@ -53,7 +56,8 @@ mpmath's Meijer G (tests/oracles.py), which shares none of its method.
 
 Every entry checks its x (or ln x) once, on entry: an x outside
 (0, inf) or a non-finite ln x raises DomainError.  The engine and the
-convolution flatten x and return arrays of its shape.
+convolution flatten x and return arrays of its shape; the convolution,
+an entry in linear x, gives a float for a scalar x.
 """
 
 from __future__ import annotations
@@ -320,7 +324,10 @@ def contour_log_densities(seq: MomentSequence, log_x):
     grid (n / 16 intervals) would exceed _MAX_POINTS raises
     ConvergenceError before its symbol is evaluated.  A density
     that sums to a non-positive value at some knot raises TruncationError,
-    so the returned sign is always +1.
+    so the returned sign is always +1.  Where ln W rounds past -1.8e308
+    (far left of the origin, when the leading pole p0 < 0 makes
+    ln W ~ -p0 ln x), it is -inf: W = 0.0, as W underflows to 0.0 in
+    linear x.
     """
     log_w, sign = _log_values(*_contour_sums(seq, log_x, 0.0))
     if np.any(sign <= 0):
@@ -454,7 +461,10 @@ def _phase_sum(t0, d, v, lx):
 
     With b = ceil(sqrt(n)) and j = p b + q, the phase factors into a giant
     step e^{-i (t0 + p b d) lx} and a baby step e^{-i q d lx}: a knot costs
-    about 2 sqrt(n) exponentials, and the sum over q is one matrix product.
+    about 2 sqrt(n) exponentials, and the sum over q is an einsum
+    contraction.  einsum at its default optimize=False runs NumPy's own
+    loops, where a matrix product (or optimize=True, through tensordot)
+    would call BLAS and make the process pay OpenBLAS's start-up memory.
     The giant-step nodes t0 + d (p b) are computed as the caller's nodes
     t0 + d j are.  Knots are taken in chunks whose matrices hold at most
     _BLOCK entries each.
@@ -472,8 +482,9 @@ def _phase_sum(t0, d, v, lx):
     for k in range(0, lx.size, step):
         chunk = lx[k:k + step]
         # one expression, so at most two matrices are alive at once
-        out[k:k + step] = np.einsum("kp,kp->k", _unit_phases(chunk, baby) @ grid,
-                                    _unit_phases(chunk, giant))
+        out[k:k + step] = np.einsum(
+            "kp,kp->k", np.einsum("kq,qp->kp", _unit_phases(chunk, baby), grid),
+            _unit_phases(chunk, giant))
     return out
 
 
@@ -553,11 +564,13 @@ def _residue_poles(seq):
                 ))[:order]
             else:
                 u = a * (p - 1.0) + b
-                lk += mult * float(sps.gammaln(u))
-                sk *= float(sps.gammasgn(u)) ** mult
+                lk += mult * math.lgamma(u)
+                # Gamma(u) < 0 on (-2j - 1, -2j) and > 0 elsewhere off its poles
+                sk *= (1.0 if u > 0.0 else (-1.0) ** math.ceil(-u)) ** mult
                 ks = np.arange(1, order)
                 c = np.concatenate((
-                    [0.0], sps.polygamma(ks - 1, u) / sps.factorial(ks)))
+                    [0.0], sps.polygamma(ks - 1, u)
+                    / [math.factorial(k) for k in ks]))
             d += mult * c * powers
         e = np.zeros(order)  # e[n]: coefficient of eps^n in exp(d)
         e[0] = 1.0
@@ -643,8 +656,9 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
     """int_0^inf f(x/t) g(t) dt/t at every x in xs, by trapezoid doubling
     after t = e^u.
 
-    f and g must accept numpy arrays.  When log_f/log_g are given, the
-    support scan runs in log domain (needed when the factors underflow).
+    f and g must accept numpy arrays.  A scalar x gives a float, an array
+    x its shape.  When log_f/log_g are given, the support scan runs in log
+    domain (needed when the factors underflow).
     Each value is accepted once two successive nested grids agree to
     _CONVOLVE_RTOL (plus a roundoff floor), within _CONVOLVE_DEPTH grids.
     """
@@ -664,7 +678,7 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
         idx = order[start:stop]
         out[idx] = _convolve_chunk(f, g, sorted_xs[start:stop], log_f, log_g)
         start = stop
-    return out.reshape(shape)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _convolve_chunk(f, g, xs, log_f, log_g):

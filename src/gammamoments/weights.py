@@ -174,11 +174,12 @@ def _panel_points(left, right):
 
 
 def _chebyshev_coefficients(values):
-    """Rows of values at chebpts1(_DEGREE + 1) -> rows of coefficients."""
+    """Rows of values at chebpts1(_DEGREE + 1) -> rows of coefficients,
+    by einsum rather than a BLAS product (see mellin._phase_sum)."""
     n = _DEGREE + 1
     to_coef = chebyshev.chebvander(chebyshev.chebpts1(n), _DEGREE) * (2.0 / n)
     to_coef[:, 0] *= 0.5
-    return values @ to_coef
+    return np.einsum("ij,jk->ik", values, to_coef)
 
 
 @functools.lru_cache(maxsize=16)

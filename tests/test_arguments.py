@@ -70,7 +70,7 @@ class TestDomain:
 # the entries of _X_ENTRIES that return f(x): a scalar x gives a float
 _VALUE_ENTRIES = ["WeightFunction.evaluate", "Perturbation.evaluate", "w1",
                   "w2", "w3", "w4", "omega2", "omega3", "class_member",
-                  "log_bessel_k0"]
+                  "mellin_convolve_many", "log_bessel_k0"]
 
 _X = np.array([[0.5, 1.0, 2.0], [3.0, 0.7, 1.5]])
 

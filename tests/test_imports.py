@@ -9,8 +9,12 @@ SciPy module, nor numpy.ma, which SciPy loads but the package never
 needs.  K0 (the second family) and the complex log-gamma of the
 contour engine load scipy.special.  It is the only SciPy subpackage the
 package imports, so no CLI call loads scipy.optimize, scipy.integrate or
-scipy.interpolate."""
+scipy.interpolate.
 
+The contour engine and the Chebyshev interpolant make no BLAS call, so a
+contour process never pays OpenBLAS's first-call buffers."""
+
+import ast
 import json
 import os
 import subprocess
@@ -129,3 +133,65 @@ def test_guard_sees_a_deferred_import():
     assert code == 0
     assert "scipy.interpolate" not in before + during
     assert "scipy.interpolate" in after
+
+
+# The first BLAS product in a process costs it about 0.5 MB of peak RSS
+# (OpenBLAS's buffers), and the benchmark's 10% `peak_rss_mb` bound would
+# not catch that coming back, so the engine (mellin.py) and the
+# interpolant (weights.py) contract with einsum at optimize=False: with
+# optimize, einsum goes through tensordot, and so BLAS, again.  Only
+# _convolve_chunk, the convolution oracle, keeps its matrix products.
+_BLAS_FREE = ("mellin.py", "weights.py")
+_BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot", "polyfit"}
+
+
+def _blas_uses(source):
+    """(line, what) of every BLAS-backed product in source outside
+    _convolve_chunk."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_convolve_chunk":
+            return
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            path = ast.unparse(node.func).split(".")
+            if path[-1] in _BLAS_CALLS or "linalg" in path:
+                found.append((node.lineno, ".".join(path)))
+            elif path[-1] == "einsum" and any(k.arg == "optimize"
+                                              for k in node.keywords):
+                found.append((node.lineno, "einsum(optimize=...)"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_engine_and_interpolant_make_no_blas_call():
+    package = os.path.dirname(gammamoments.__file__)
+    for name in _BLAS_FREE:
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            assert _blas_uses(f.read()) == [], name
+
+
+def test_guard_sees_a_blas_call():
+    # positive control: each kind the guard looks for, and the one exemption
+    source = """
+def _phase_sum(a, b):
+    a @ b
+    a @= b
+    np.dot(a, b)
+    np.linalg.solve(a, b)
+    np.polyfit(a, b, 1)
+    np.einsum("ij,jk->ik", a, b, optimize=True)
+    np.einsum("ij,jk->ik", a, b)
+
+def _convolve_chunk(h, w):
+    return h @ w
+"""
+    assert [what for _, what in _blas_uses(source)] == [
+        "@", "@", "np.dot", "np.linalg.solve", "np.polyfit",
+        "einsum(optimize=...)"]

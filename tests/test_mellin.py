@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -384,6 +385,38 @@ class TestResidueSeries:
         # pole at s = 1/2 gives ln W = -(ln x) / 2
         log_w, _ = contour_log_densities(tm4(1), [log_x])
         assert abs(log_w[0] + log_x / 2.0) <= 1e-15 * abs(log_x / 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_left_past_the_double_range_is_minus_inf(self):
+        # the leading pole s = -3 gives ln W ~ 3 ln x, past -1.8e308 at
+        # ln x = -1e308: ln W is -inf (W = 0.0) with no warning; the
+        # series once returned nan with a RuntimeWarning there
+        seq = parse_descriptor("gamma:0.25n+1,0.25n+1")
+        log_w, sign = contour_log_densities(seq, [-1e308, -1e300])
+        assert log_w[0] == -math.inf and sign[0] == 1.0
+        assert abs(log_w[1] + 3e300) <= 1e-15 * 3e300
+
+    @pytest.mark.parametrize("descriptor", ["tm3:r=1", "tm4:r=1", "tm3:r=3",
+                                            "gamma:2.02n+1,0.5n+0.7"])
+    def test_pole_table_matches_mpmath(self, descriptor):
+        # each pole's leading residue factor K: (-1)^l / (l! a) for a factor
+        # with a pole there, Gamma(u) at u = a (p - 1) + b for the others
+        # (tm4 and the non-integer pair reach negative non-integer u)
+        seq = parse_descriptor(descriptor)
+        poles, log_k, sign_k, _ = mellin._residue_poles(seq)
+        with mpmath.workdps(30):
+            for p, got_log, got_sign in zip(poles, log_k, sign_k):
+                want = mpmath.mpf(1)
+                for a, b in seq.factors:
+                    u = a * (p - 1.0) + b
+                    l = -round(u)
+                    if l >= 0 and abs(u + l) <= 1e-9:
+                        want *= (-1) ** l / (mpmath.factorial(l) * a)
+                    else:
+                        want *= mpmath.gamma(u)
+                want_log = float(mpmath.log(abs(want)))
+                assert abs(got_log - want_log) <= 1e-14 * max(1.0, abs(want_log))
+                assert got_sign == float(mpmath.sign(want))
 
     def test_knot_value_does_not_depend_on_the_call(self):
         seq = tm4(1)
