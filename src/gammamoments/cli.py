@@ -42,10 +42,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
-                     SearchError, TruncationError, UndecidedError, _at_x)
-from .mellin import contour_log_densities
+                     SearchError, TruncationError, UndecidedError)
 from .moments import gamma_product, parse_descriptor
-from .weights import principal_solution
+from .weights import _contour_density, principal_solution
 
 SCHEMA_VERSION = 1
 
@@ -240,7 +239,7 @@ def _cmd_convolve(args):
     product = gamma_product(seq_a.factors + seq_b.factors)
     xs = (_parse_xs(args.x) if args.x
           else _default_grid((product.tail_coefficient, product.tail_power)))
-    vals = _at_x(lambda log_x: contour_log_densities(product, log_x)[::-1], xs)
+    vals = _contour_density(product, xs)
     _emit_table(args, {"command": "convolve", "seq_a": seq_a.descriptor(),
                        "seq_b": seq_b.descriptor()},
                 "points", ["x", "convolution"], zip(xs, vals))

@@ -8,7 +8,8 @@ Three classical tests are decided numerically and combined into one report:
                     with a convergent Carleman sum  =>  non-unique
 
 C1 is decided exactly from A = sum_j a_j (the sum diverges iff A <= 2);
-the fitted decay exponent is kept as a cross-check.  Integral convergence
+the decay exponent fitted to its terms n = 1.._CARLEMAN_N_MAX, one fixed
+range that no caller sets, is kept as a cross-check.  Integral convergence
 is classified by exponent fitting with an explicit dead zone; borderline
 cases surface as Undecided rather than being silently resolved.  For
 densities whose tail law is certified by a closed form, the Krein
@@ -27,8 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
-                     InconclusiveError, RefusesError, UndecidedError,
-                     _check_int)
+                     InconclusiveError, RefusesError, UndecidedError)
 from .moments import MomentSequence, log_moment
 from .weights import _LOG_DEPTH, WeightFunction
 
@@ -95,30 +95,28 @@ class CriterionReport:
 
 # -- C1: Carleman -----------------------------------------------------------
 
-def carleman(seq: MomentSequence,
-             n_max: int = _CARLEMAN_N_MAX) -> CarlemanResult:
+def carleman(seq: MomentSequence) -> CarlemanResult:
     """Classify S = sum a_n, a_n = rho(n)^{-1/2n}, as divergent/convergent.
 
     ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
     n^{-A/2} times a positive constant: S diverges exactly when A <= 2.
     The verdict comes from A.  The decay exponent of a_n fitted on the
-    upper half of the range, and at a fitted slope near -1 the limit of
-    n*a_n, are kept as numeric cross-checks.
+    upper half of n = 1.._CARLEMAN_N_MAX, and at a fitted slope near -1
+    the limit of n*a_n, are kept as numeric cross-checks.
     """
-    _check_int(n_max, "n_max", 50)
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, _CARLEMAN_N_MAX + 1)
     log_a = -log_moment(seq, ns) / (2.0 * ns)
     a = np.exp(log_a)
     terms = tuple((int(n), float(v)) for n, v in zip(ns, a))
 
-    upper = ns >= n_max // 2
+    upper = ns >= _CARLEMAN_N_MAX // 2
     slope, _ = np.polyfit(np.log(ns[upper]), log_a[upper], 1)
     slope = float(slope)
 
     limit = math.nan
     if abs(slope + 1.0) <= _SLOPE_DEAD_ZONE:
         # critical slope: n * a_n tends to a positive constant or grows
-        tail = ns >= (3 * n_max) // 4
+        tail = ns >= (3 * _CARLEMAN_N_MAX) // 4
         lim_seq = ns[tail] * a[tail]
         if float(np.ptp(lim_seq) / np.max(lim_seq)) < 0.02:
             limit = float(lim_seq[-1])
@@ -302,14 +300,12 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
         notes.append(str(exc))
         c2 = KreinResult("Undecided", math.nan, math.nan)
 
+    c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
     if c1.verdict == "Convergent":
         try:
             c3 = converse_carleman(seq, w, c1=c1)
         except InconclusiveError as exc:
             notes.append(str(exc))
-            c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
-    else:
-        c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
 
     if c1.verdict == "Undecided":
         overall = "Undecided"

@@ -5,7 +5,8 @@ Everything on the contour is done in log domain: the symbol returns
 log-values, the quadrature renormalizes by the peak magnitude, so gamma
 products with huge arguments never overflow.  For tail evaluation the
 abscissa is shifted to the real saddle point of the integrand, which keeps
-the oscillatory sum cancellation-free at any x.
+the oscillatory sum cancellation-free at any x; `_saddles` alone keeps
+every contour 1e-8 clear of the symbol's rightmost pole.
 
 Densities are evaluated by one engine, `contour_log_densities`, on an
 array of ln x values.  The symbol does not depend on x, and on a fixed
@@ -115,19 +116,15 @@ def _check_sums(total, mag, tail, n_points, real=True):
     """Raise unless every renormalized contour sum in `total` can be
     trusted, and return its summed part.
 
-    mag = sum |terms| and tail = the part of it from |t| > 0.9 t_max, each
-    a scalar shared by all sums or one value per sum.  With `real`, the
-    sums must also be real up to roundoff (a symmetric integrand), and the
+    mag = sum |terms| and tail = the part of it from |t| > 0.9 t_max are
+    one band's floats, shared by all its sums.  With `real`, the sums
+    must also be real up to roundoff (a symmetric integrand), and the
     summed part is their real part; otherwise it is the complex sum.
     """
     total = np.atleast_1d(total)
-    mag = np.broadcast_to(mag, total.shape)
-    tail = np.broadcast_to(tail, total.shape)
-    truncated = (mag > 0) & (tail > 1e-10 * mag)
-    if np.any(truncated):
-        i = int(np.argmax(truncated))
+    if mag > 0 and tail > 1e-10 * mag:
         raise TruncationError(
-            f"contour tail contributes {tail[i] / mag[i]:.2e} of the integral; "
+            f"contour tail contributes {tail / mag:.2e} of the integral; "
             "increase t_max")
     if np.any(np.abs(total) < _CANCEL_FLOOR * mag):
         raise TruncationError(
@@ -183,7 +180,9 @@ def _power_of_two(n):
 
 def _saddles(seq, log_x):
     """Real saddles of exp(symbol(s) - s ln x) for every ln x, by bisection
-    on sum_j a_j psi(a_j(s-1)+b_j) = ln x (the left side is increasing)."""
+    on sum_j a_j psi(a_j(s-1)+b_j) = ln x (the left side is increasing),
+    each clamped to 1e-8 right of the rightmost pole: every contour's one
+    clearance from it, which knots far left of the origin take."""
     import scipy.special as sps
 
     pole = seq.rightmost_pole
@@ -204,13 +203,12 @@ def _saddles(seq, log_x):
             raise ConvergenceError(
                 "saddle search failed to bracket ln x = "
                 f"{float(np.max(log_x[short])):.6g}")
-    at_pole = deriv(lo) > 0
     while True:
         # each bracket stops on its own, so a saddle does not depend on
         # which other knots share the call
         wide = hi - lo > 1e-10 + 1e-12 * np.abs(hi)
         if not np.any(wide):
-            return np.where(at_pole, lo, 0.5 * (lo + hi))
+            return np.maximum(0.5 * (lo + hi), pole + 1e-8)
         mid = 0.5 * (lo + hi)
         below = deriv(mid) < 0
         lo = np.where(wide & below, mid, lo)
@@ -267,7 +265,7 @@ def _complex_saddles(seq, target, s):
 def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
     _check_x(x)
-    c = max(float(_saddles(seq, np.log([x]))[0]), seq.rightmost_pole + 1e-8)
+    c = float(_saddles(seq, np.log([x]))[0])
     return _saddle_contour(seq, c, np.log(x))
 
 
@@ -361,7 +359,7 @@ def _contour_sums(seq, log_x, psi):
 
 def _banded_sums(seq, lx, psi):
     """_contour_sums by saddle bands, for a flat array of knots lx."""
-    c_star = np.maximum(_saddles(seq, lx), seq.rightmost_pole + 1e-8)
+    c_star = _saddles(seq, lx)
     s_star = (_complex_saddles(seq, lx - 1j * psi, c_star) if psi
               else c_star + 0j)
     # real log-integrand at each knot's saddle, without its -Re(s) L part

@@ -158,23 +158,16 @@ def _ln_gamma_real(z):
 
 
 def mellin_symbol(seq: MomentSequence, s):
-    """Log of the continued symbol rho(s-1); complex, vectorized over s."""
-    s_arr = np.asarray(s, dtype=np.complex128)
-    scalar = s_arr.ndim == 0
-    flat = np.atleast_1d(s_arr).ravel()
-    out = np.zeros_like(flat)
-    for (a, b), mult in _grouped_factors(seq):
-        out += mult * ln_gamma(a * (flat - 1.0) + b)  # raises PoleError on poles
-    if scalar:
-        return complex(out[0])
-    return out.reshape(s_arr.shape)
+    """Log of the continued symbol rho(s-1); complex, on s's shape (a
+    scalar s gives a complex).  A pole of a factor raises PoleError."""
+    s = np.asarray(s, dtype=np.complex128)
+    return sum(mult * ln_gamma(a * (s - 1.0) + b)
+               for (a, b), mult in _grouped_factors(seq))
 
 
 def _grouped_factors(seq):
-    counts = {}
-    for fac in seq.factors:
-        counts[fac] = counts.get(fac, 0) + 1
-    return counts.items()
+    """((a, b), multiplicity) for each distinct factor, in first-seen order."""
+    return collections.Counter(seq.factors).items()
 
 
 _TM_RE = re.compile(r"^(tm[1-4]):r=(\d+)$")

@@ -1,8 +1,10 @@
 """Log-gamma and modified Bessel functions used by every closed form.
 
 Real ln K0 and complex log-gamma are delegated to scipy (full double
-accuracy over the whole range); the real log-gamma of a moment target
-needs no scipy and comes from `math.lgamma` (`moments.log_moment`).
+accuracy over the whole range; `ln_gamma` is `loggamma`'s principal
+branch on the whole plane, with no continuation of its own); the real
+log-gamma of a moment target needs no scipy and comes from
+`math.lgamma` (`moments.log_moment`).
 Each function that calls scipy.special imports it itself, so it loads at
 the first evaluation, not with the package: a process that never
 evaluates one (a single factor's closed form with its moment checks and
@@ -34,53 +36,43 @@ _K0_ROUNDOFF = 16.0 * np.finfo(float).eps  # ...or to this relative to sum|terms
 _K0_BLOCK = 1 << 16  # points x nodes evaluated at once
 
 
-def _as_1d_complex(z):
-    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+def _as_complex(z):
+    arr = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise DomainError("non-finite argument")
     return arr
 
 
 def ln_gamma(z):
-    """Principal-branch analytic log-gamma.
+    """Principal-branch analytic log-gamma: SciPy's `loggamma`.
 
-    Scalar in, scalar out; arrays are mapped elementwise.  Nonpositive real
-    integers raise PoleError.  Re z <= 0 is served by the reflection formula
-    (branch continuity across Im z = 0 is not promised there).  The
-    contour machinery never reaches that branch: every contour lies right
-    of the symbol's rightmost pole, where each argument a_j(s-1) + b_j
-    has a positive real part.
+    A 0-d z gives a scalar (a float for a real z, a complex otherwise),
+    as a 0-d x does in `errors._at_x`, and an array z an array of its
+    shape.  Nonpositive real integers raise
+    PoleError.  Left of the imaginary axis this is SciPy's principal
+    branch, which the contour machinery never reaches: every contour
+    lies right of the symbol's rightmost pole, where each argument
+    a_j(s-1) + b_j has a positive real part.
     """
     import scipy.special as sps
 
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    arr = _as_1d_complex(z)
-    on_axis = arr.imag == 0.0
-    bad = on_axis & (arr.real <= 0.0) & (arr.real == np.floor(arr.real))
+    arr = _as_complex(z)
+    bad = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real % 1.0 == 0.0)
     if np.any(bad):
         raise PoleError(f"log-gamma pole at z = {arr[bad][0]}")
-    out = np.empty_like(arr)
-    right = arr.real > 0.0
-    if np.any(right):
-        out[right] = sps.loggamma(arr[right])
-    if np.any(~right):
-        w = arr[~right]
-        refl = np.log(np.pi) - np.log(np.sin(np.pi * w)) - sps.loggamma(1.0 - w)
-        out[~right] = refl
-    if scalar:
-        val = complex(out[0])
-        return val.real if (np.isscalar(z) and not isinstance(z, complex)
-                            and np.imag(z) == 0) else val
-    return out
+    out = sps.loggamma(arr)
+    if arr.ndim:
+        return out
+    return complex(out) if np.iscomplexobj(z) else float(out.real)
 
 
 def log_bessel_k0(x):
     """ln K0(x) without underflow, via the scaled routine k0e."""
     import scipy.special as sps
 
-    arr = np.atleast_1d(_check_x(x))
+    arr = _check_x(x)
     out = np.log(sps.k0e(arr)) - arr
-    return float(out[0]) if np.isscalar(x) else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_k0_complex(z):
@@ -90,8 +82,9 @@ def bessel_k0_complex(z):
     in the array.  Raises ConvergenceError where the quadrature would need
     more than 2^20 nodes (Re z tiny against Im z).
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    arr = _as_1d_complex(z)
+    arr = _as_complex(z)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     if np.any(arr.real <= 0.0):
         raise DomainError("bessel_k0_complex requires Re z > 0")
     out = np.empty_like(arr)

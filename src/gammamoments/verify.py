@@ -12,12 +12,13 @@ trapezoid grid, nested from _FIRST_GRID = 257 nodes until two successive
 grids agree, is summed panel-by-panel between sign changes with
 compensated arithmetic.  No grid settles alone, so a check's first
 evaluation covers the first two grids (513 nodes) in one call; each
-refinement evaluates only its new midpoints.  The default node cap
-allows grids up to 131,073 nodes.  An interpolated density's window may
-reach below x = 1e-20 (n = 0), past its interpolant; there, as
-everywhere, the contour engine answers each knot that its residue series
-certifies by the series, for densities and for omega3 alike, and the
-rest by band quadrature.
+refinement evaluates only its new midpoints.  One node cap, _NODE_CAP,
+bounds both checks' evaluations (grids up to 131,073 nodes), and no
+caller sets it.  An interpolated density's window may reach below
+x = 1e-20 (n = 0), past its interpolant; there, as everywhere, the
+contour engine answers each knot that its residue series certifies by
+the series, for densities and for omega3 alike, and the rest by band
+quadrature.
 """
 
 from __future__ import annotations
@@ -75,17 +76,17 @@ def _window(n, g, p, alpha0, beta):
     return v_lo, math.log(u_hi)
 
 
-def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
+def _nested_grids(func, v_lo, v_hi, n_nodes):
     """Yield (v, func(v), evaluations) on nested grids of 2^k + 1 nodes.
 
     No grid settles alone, so the first call evaluates func on the first
     two grids at once (2 n_nodes - 1 nodes) and yields both; a refinement
     evaluates func only at the new midpoints.  A call that would take the
-    count of evaluations past node_cap is not made.
+    count of evaluations past _NODE_CAP is not made.
     """
     n_nodes = 2 * (n_nodes - 1) + 1
     used, fresh = 0, n_nodes
-    while used + fresh <= node_cap:
+    while used + fresh <= _NODE_CAP:
         v = np.linspace(v_lo, v_hi, n_nodes)
         if used:
             coarse, vals = vals, np.empty(n_nodes)
@@ -100,7 +101,7 @@ def _nested_grids(func, v_lo, v_hi, n_nodes, node_cap):
         fresh = n_nodes // 2
 
 
-def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
+def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target):
     """(int_0^inf x^n f(x) dx / rho(n), evaluations) on nested grids.
 
     sign_log_f(ln x) returns (sign f, ln |f|).  In v = ln x^p the integrand
@@ -118,8 +119,7 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
                                  + log_f - log_target)
 
     prev = None
-    for v, h, nodes_used in _nested_grids(integrand, v_lo, v_hi, _FIRST_GRID,
-                                          node_cap):
+    for v, h, nodes_used in _nested_grids(integrand, v_lo, v_hi, _FIRST_GRID):
         dv = v[1] - v[0]
         segments = 0.5 * (h[:-1] + h[1:]) * dv
         abs_scale = float(np.sum(np.abs(segments)))
@@ -137,10 +137,10 @@ def _moment_integral(sign_log_f, n, p, v_lo, v_hi, log_target, node_cap):
             return total, nodes_used
         prev = total
     raise ConvergenceError(
-        f"moment integral n={n} did not stabilize within {node_cap} nodes")
+        f"moment integral n={n} did not stabilize within {_NODE_CAP} nodes")
 
 
-def _checked_integral(f, sign_log_f, seq, n, node_cap):
+def _checked_integral(f, sign_log_f, seq, n):
     """(int x^n f dx / rho(n), ln rho(n), evaluations) for f = W or omega.
 
     f supplies the tail law (f.growth) and the endpoint powers (f.seq);
@@ -151,41 +151,41 @@ def _checked_integral(f, sign_log_f, seq, n, node_cap):
     log_target = log_moment(seq, n)
     v_lo, v_hi = _window(n, g, p, f.seq.alpha0, f.seq.tail_exponent)
     total, nodes_used = _moment_integral(sign_log_f, n, p, v_lo, v_hi,
-                                         log_target, node_cap)
+                                         log_target)
     return total, log_target, nodes_used
 
 
-def check_moment(w: "WeightFunction", seq: MomentSequence, n,
-                 node_cap: int = _NODE_CAP) -> MomentCheckResult:
+def check_moment(w: "WeightFunction", seq: MomentSequence,
+                 n) -> MomentCheckResult:
     """Verify int_0^inf x^n W(x) dx = rho(n), measured relative to rho(n).
 
     rel_error is |I/rho(n) - 1|, and inf when the integrand overflows in
     units of rho(n).  log_integral is ln I only while I/rho(n) stays in
     double range (past it, -inf or inf), so it is meaningful when w solves
     seq.
-    nodes_used counts the evaluations of ln W and node_cap bounds them.  An
+    nodes_used counts the evaluations of ln W and _NODE_CAP bounds them.  An
     interpolated density answers past its interpolant's window by the
     contour engine, so the window may run past ln W = -320 (large n) and
     below x = 1e-20 (n = 0).
     """
     total, log_target, nodes_used = _checked_integral(
-        w, lambda log_x: (1.0, w.log_density(log_x)), seq, n, node_cap)
+        w, lambda log_x: (1.0, w.log_density(log_x)), seq, n)
     log_integral = (math.log(total) + log_target if total > 0.0
                     else -math.inf)
     return MomentCheckResult(int(n), log_integral, log_target,
                              abs(total - 1.0), nodes_used)
 
 
-def check_vanishing(omega: "Perturbation", seq: MomentSequence, n,
-                    node_cap: int = _NODE_CAP) -> MomentCheckResult:
+def check_vanishing(omega: "Perturbation", seq: MomentSequence,
+                    n) -> MomentCheckResult:
     """Verify int_0^inf x^n omega(x) dx = 0, measured relative to rho(n).
 
     rel_error is |I|/rho(n), and log_integral is ln |I|.  nodes_used
-    counts the evaluations of omega.log_density and node_cap bounds them.
+    counts the evaluations of omega.log_density and _NODE_CAP bounds them.
     A non-finite integrand raises ConvergenceError.
     """
     total, log_target, nodes_used = _checked_integral(
-        omega, omega.log_density, seq, n, node_cap)
+        omega, omega.log_density, seq, n)
     if math.isinf(total):
         raise ConvergenceError(
             f"vanishing-moment integrand n={n} is not finite")

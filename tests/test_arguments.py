@@ -96,8 +96,10 @@ _SHAPED = {
 class TestShape:
     @pytest.mark.parametrize("name", _VALUE_ENTRIES)
     def test_scalar_gives_float(self, name):
-        # WeightFunction.evaluate, w1 and w2 once gave np.float64
-        assert type(_X_ENTRIES[name](1.5)) is float
+        # WeightFunction.evaluate, w1 and w2 once gave np.float64, and
+        # log_bessel_k0 a shape-(1,) array for a 0-d x
+        for x in (1.5, np.array(1.5)):
+            assert type(_X_ENTRIES[name](x)) is float
 
     @pytest.mark.parametrize("name", sorted(_SHAPED))
     def test_2d_equals_1d_reshaped(self, name):

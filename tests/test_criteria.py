@@ -27,19 +27,18 @@ class TestCarleman:
     def test_convergent_for_fast_growth(self, seq):
         assert carleman(seq).verdict == "Convergent"
 
-    def test_limit_ratio_near_e_over_two(self):
+    def test_limit_ratio_near_e_over_two(self, monkeypatch):
         # for (2n)! the scaled roots n * a_n approach e/2
-        res = carleman(tm1(1), n_max=400)
+        import gammamoments.criteria as crit
+
+        monkeypatch.setattr(crit, "_CARLEMAN_N_MAX", 400)
+        res = carleman(tm1(1))
         assert res.n_a_n_limit == pytest.approx(2.718281828 / 2.0, rel=0.02)
 
     def test_terms_monotone_decreasing_when_convergent(self):
         res = carleman(tm1(2))
         values = [a for _, a in res.terms]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_rejects_short_runs(self):
-        with pytest.raises(ConstraintError):
-            carleman(tm1(2), n_max=30)
 
     def test_verdict_from_sum_a_near_critical(self):
         # A = 2.02: a_n ~ n^{-1.01}, but the fitted slope (-0.9986) sits on
@@ -69,11 +68,12 @@ class TestCarleman:
     @pytest.mark.parametrize("seq", [tm1(1), tm2(1), tm2(3), tm3(2), tm4(2),
                                      parse_descriptor("gamma:2.02n+1"),
                                      parse_descriptor("gamma:0.5n+30")])
-    def test_consistent_fit_adds_no_note(self, seq):
+    def test_consistent_fit_adds_no_note(self, monkeypatch, seq):
         import gammamoments.criteria as crit
 
         for n_max in (50, 200, 400):
-            c1 = carleman(seq, n_max=n_max)
+            monkeypatch.setattr(crit, "_CARLEMAN_N_MAX", n_max)
+            c1 = carleman(seq)
             assert (abs(c1.fitted_decay_exponent + seq.sum_a / 2.0)
                     <= crit._decay_tolerance(seq, n_max // 2))
 

@@ -77,6 +77,18 @@ class TestSaddle:
                         for a, b in seq.factors)
             assert deriv == pytest.approx(math.log(x), abs=1e-6)
 
+    @pytest.mark.parametrize("descriptor", ["tm3:r=1", "tm4:r=2",
+                                            "gamma:2.02n+1,0.5n+0.7",
+                                            "gamma:0.25n+1,0.25n+1"])
+    def test_saddles_keep_the_pole_clearance(self, descriptor):
+        # _saddles alone keeps every contour 1e-8 right of the rightmost
+        # pole; far left of the origin the saddles sit on that clearance
+        seq = parse_descriptor(descriptor)
+        got = mellin._saddles(seq, -np.logspace(-3.0, 12.0, 200))
+        clear = seq.rightmost_pole + 1e-8
+        assert np.all(got >= clear)
+        assert got[-1] == clear
+
     def test_adapted_contour_beats_static_in_tail(self):
         seq = tm2(1)
         x = 1e10
@@ -349,8 +361,10 @@ class TestResidueSeries:
     @pytest.mark.parametrize("descriptor", ["gamma:2.02n+1,0.5n+0.7",
                                             "gamma:0.25n+1,0.25n+1"])
     def test_non_integer_multipliers_match_band_sums(self, descriptor):
-        # no Meijer G form: the band sums are the reference just below
-        # 1e-20.  Poles 4 apart (a = 1/4) widen the series' span.
+        # the band sums are the reference just below 1e-20: the Meijer G
+        # oracle needs q = 50 for a = 2.02, a G function of 126 parameters
+        # that did not finish one point in minutes, and 0.6 s a point for
+        # a = 1/4 (q = 4).  Poles 4 apart (a = 1/4) widen the series' span.
         seq = parse_descriptor(descriptor)
         lx = _LOG_1E20 - np.array([1e-9, 0.5, 2.0, 10.0])
         scale, total, ok = mellin._residue_sums(seq, lx, 0.0)
@@ -358,6 +372,32 @@ class TestResidueSeries:
         got, _ = mellin._log_values(scale, total)
         want, _ = mellin._log_values(*mellin._banded_sums(seq, lx, 0.0))
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("descriptor", ["gamma:0.5n+1,1.5n+1",
+                                            "gamma:2.5n+0.7,2.5n+1.3",
+                                            "gamma:0.7n+1,0.6n+1,0.7n+1",
+                                            "gamma:0.5n+0.7,1.5n+1"])
+    def test_rational_multipliers_match_meijer_g(self, descriptor):
+        # the oracle substitutes x = y^{1/q} (q = 2, 2, 10, 2) to reach
+        # integer multipliers; the series answers the two left knots and
+        # the bands the rest
+        seq = parse_descriptor(descriptor)
+        lx = np.array([-20.0, -5.0, -1.0, 0.0, 1.0, 3.0])
+        log_w, sign = contour_log_densities(seq, lx)
+        assert np.all(sign > 0)
+        for v, got in zip(lx, log_w):
+            assert abs(got - meijer_log_density(seq, v)) <= 1e-13
+
+    def test_rational_oracle_matches_closed_form(self):
+        # Gamma(n/2 + 1) is the moment sequence of 2 x e^{-x^2}; the
+        # oracle reaches it through Gamma(n + 1) and y = x^2
+        seq = parse_descriptor("gamma:0.5n+1")
+        for v in (-3.0, 0.0, 1.0):
+            want = math.log(2.0) + v - math.exp(2.0 * v)
+            assert abs(meijer_log_density(seq, v) - want) <= 1e-14
+        with pytest.raises(ValueError, match="ratio of integers"):
+            meijer_log_density(parse_descriptor("gamma:3.14159265358979n+1"),
+                               0.0)
 
     def test_near_poles_keep_band_sums(self, monkeypatch):
         # its first two poles are 1e-8 apart: the series would cancel

@@ -4,6 +4,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -32,11 +33,13 @@ class TestLnGamma:
         assert abs(ln_gamma(z + 1) - (ln_gamma(z) + np.log(z))) < 1e-13
 
     def test_reflection_left_halfplane(self):
-        z = -1.5 + 0.5j
-        direct = ln_gamma(z)
-        refl = (np.log(np.pi) - np.log(np.sin(np.pi * z))
-                - ln_gamma(1.0 - z))
-        assert abs(direct - refl) < 1e-12
+        # left of the axis ln_gamma is SciPy's principal branch, which is
+        # mpmath's; the reflection formula it once used there differed
+        # by 2 pi i at -1.5 + 0.5j
+        for z in (-1.5 + 0.5j, -20.25 + 0.001j, 2.0j, -0.5 - 3.0j,
+                  -100.5 + 40.0j):
+            want = complex(mpmath.loggamma(mpmath.mpc(z)))
+            assert abs(ln_gamma(z) - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_pole_raises(self):
         for z in (0.0, -1.0, -7.0):
@@ -47,6 +50,13 @@ class TestLnGamma:
         z = np.array([1.0, 2.0, 3.0, 4.0])
         out = ln_gamma(z)
         assert np.allclose(out.real, sps.gammaln(z), rtol=1e-13)
+
+    def test_0d_array_is_a_scalar(self):
+        # a 0-d z once gave a complex where the same real z gave a float
+        got = ln_gamma(np.array(2.5))
+        assert type(got) is float and got == ln_gamma(2.5)
+        got = ln_gamma(np.array(2.5 + 1.0j))
+        assert type(got) is complex and got == ln_gamma(2.5 + 1.0j)
 
 
 def _k0(x):

@@ -130,16 +130,17 @@ class TestHarnessPlumbing:
                 assert math.log(head + tail) == pytest.approx(
                     res.log_integral, abs=1e-6)
 
-    def test_node_cap_enforced(self):
+    def test_node_cap_enforced(self, monkeypatch):
         # this moment settles on the second grid, 257 + 256 evaluations;
         # one evaluation less leaves the second grid unstarted
         first = verify._FIRST_GRID
         seq = tm1(1)
         w = principal_solution(seq)
-        assert check_moment(w, seq, 0,
-                            node_cap=2 * first - 1).nodes_used == 2 * first - 1
+        monkeypatch.setattr(verify, "_NODE_CAP", 2 * first - 1)
+        assert check_moment(w, seq, 0).nodes_used == 2 * first - 1
+        monkeypatch.setattr(verify, "_NODE_CAP", 2 * first - 2)
         with pytest.raises(ConvergenceError, match="did not stabilize"):
-            check_moment(w, seq, 0, node_cap=2 * first - 2)
+            check_moment(w, seq, 0)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ConstraintError):
