@@ -13,10 +13,9 @@ from .classes import (Perturbation, certify_nonnegative, class_member,
 from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
                        krein)
-from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
-                     DomainError, GammomentsError, InconclusiveError,
-                     PoleError, RefusesError, SearchError, TruncationError,
-                     UndecidedError)
+from .errors import (ConstraintError, ConvergenceError, DomainError,
+                     GammomentsError, InconclusiveError, PoleError,
+                     RefusesError, SearchError, TruncationError)
 from .mellin import (ContourSpec, adapted_contour, contour_log_densities,
                      contour_log_density, inverse_mellin_log,
                      mellin_convolve_many)
@@ -32,8 +31,8 @@ __all__ = [
     "__version__",
     # errors
     "GammomentsError", "DomainError", "PoleError", "ConstraintError",
-    "TruncationError", "ConvergenceError", "SearchError", "UndecidedError",
-    "InconclusiveError", "RefusesError", "ConsistencyError",
+    "TruncationError", "ConvergenceError", "SearchError",
+    "InconclusiveError", "RefusesError",
     # special functions
     "ln_gamma", "log_bessel_k0", "bessel_k0_complex",
     # moment sequences

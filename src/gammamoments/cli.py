@@ -13,10 +13,10 @@ sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution
 integral in `mellin` is kept only as an oracle for it.
 
-Exit codes: 0 success/decided, 1 usage, constraint or domain violation
-(an x outside (0, inf), or a stdout closed by its reader), 2 criteria
-undecided, 3 numeric convergence failure.  All JSON artifacts carry a "schema_version" field; identical
-configs produce byte-identical output.
+Exit codes: 0 success (every `criteria` verdict is decided), 1 usage,
+constraint or domain violation (an x outside (0, inf), or a stdout closed
+by its reader), 3 numeric convergence failure.  All JSON artifacts carry a
+"schema_version" field; identical configs produce byte-identical output.
 
 As the program entry (the console script and `python -m
 gammamoments.cli`, which call `main()` with no argv), the process freezes
@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, InconclusiveError, RefusesError,
-                     SearchError, TruncationError, UndecidedError)
+                     SearchError, TruncationError)
 from .moments import gamma_product, parse_descriptor
 from .weights import _contour_density, principal_solution
 
@@ -50,7 +50,6 @@ SCHEMA_VERSION = 1
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
-_EXIT_UNDECIDED = 2
 _EXIT_NUMERIC = 3
 
 
@@ -182,7 +181,7 @@ def _cmd_criteria(args):
         payload["c1"] = dict(payload["c1"])
         payload["c1"]["terms"] = payload["c1"]["terms"][:10]
     _emit_json(payload, args.output)
-    return _EXIT_OK if report.overall != "Undecided" else _EXIT_UNDECIDED
+    return _EXIT_OK
 
 
 def _cmd_class(args):
@@ -249,7 +248,8 @@ def _cmd_convolve(args):
 # -- parser -----------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error; 2 means "criteria undecided" here."""
+    """argparse exits 2 on a usage error; here it exits 1, as every other
+    usage error does."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -371,9 +371,6 @@ def _run(argv):
     except (ConstraintError, DomainError, RefusesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return _EXIT_UNDECIDED
     except (ConvergenceError, TruncationError, SearchError,
             InconclusiveError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

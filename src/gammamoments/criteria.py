@@ -1,22 +1,23 @@
-"""Numeric uniqueness criteria for Stieltjes moment problems.
+"""Uniqueness criteria for Stieltjes moment problems.
 
-Three classical tests are decided numerically and combined into one report:
+Three classical tests are combined into one report:
 
   C1 (Carleman):    sum rho(n)^{-1/2n} = inf  =>  unique
   C2 (Krein):       int -ln W(x^2)/(1+x^2) dx < inf  =>  non-unique
   C3 (converse):    psi(y) = -ln W(e^y) convex beyond some y', together
                     with a convergent Carleman sum  =>  non-unique
 
-C1 is decided exactly from A = sum_j a_j (the sum diverges iff A <= 2);
-the decay exponent fitted to its terms n = 1.._CARLEMAN_N_MAX, one fixed
-range that no caller sets, is kept as a cross-check.  Integral convergence
-is classified by exponent fitting with an explicit dead zone; borderline
-cases surface as Undecided rather than being silently resolved.  For
-densities whose tail law is certified by a closed form, the Krein
-exponent is taken from that law; for quadrature-backed densities the
-verdict stays Undecided on principle.  Densities are evaluated in ln x
-(`WeightFunction.log_density`), so no criterion forms x, x^2 or e^y, and
-the closed forms decide every r even where x leaves the double range.
+For rho(n) = prod_j Gamma(a_j n + b_j) one exact rule decides C1 and C2:
+-ln W(x) ~ A (x/h)^{1/A} with A = sum_j a_j (Braaksma 1964), so the
+Carleman sum diverges and the Krein integral is infinite exactly when
+A <= 2.  The predicate is the sign of `MomentSequence.critical_gap`, taken
+from the exact A.  The numerics only cross-check it: the decay exponent
+fitted to the Carleman terms n = 1.._CARLEMAN_N_MAX (one fixed range that
+no caller sets), the Krein growth exponent fitted to the tail, and a
+disagreement with A becomes a note in the report.  C3's convexity scan
+stays numeric and falls back to Inconclusive.  Densities are evaluated in
+ln x (`WeightFunction.log_density`), so no criterion forms x, x^2 or e^y,
+and the closed forms decide every r even where x leaves the double range.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (ConsistencyError, ConstraintError, ConvergenceError,
-                     InconclusiveError, RefusesError, UndecidedError)
+from .errors import (ConstraintError, ConvergenceError, InconclusiveError,
+                     RefusesError)
 from .moments import MomentSequence, log_moment
 from .weights import _LOG_DEPTH, WeightFunction
 
@@ -44,8 +45,7 @@ __all__ = [
 ]
 
 _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
-_SUM_A_ROUNDOFF = 1e-12  # |A - 2| this small cannot be told from A = 2
-_KREIN_DEAD_ZONE = 0.02  # around the critical growth exponent 1
+_KREIN_FIT_TOL = 0.05  # |fitted growth exponent - 2/A| noted above this
 _KREIN_FIT_WIDTH = 4.0  # width in ln x of the growth-exponent fit
 _KREIN_FIT_RANGE = math.log(1e4)  # ln of -ln W's growth across a certified fit
 _KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
@@ -61,7 +61,7 @@ _VERIFY_TOL = 1e-4  # relative error above which full_report refuses w
 
 @dataclass(frozen=True)
 class CarlemanResult:
-    verdict: str  # "Divergent" | "Convergent" | "Undecided"
+    verdict: str  # "Divergent" | "Convergent"
     terms: tuple  # of (n, a_n)
     fitted_decay_exponent: float
     n_a_n_limit: float = math.nan  # lim n*a_n when the slope sits at -1
@@ -69,7 +69,7 @@ class CarlemanResult:
 
 @dataclass(frozen=True)
 class KreinResult:
-    verdict: str  # "Finite" | "Infinite" | "Undecided"
+    verdict: str  # "Finite" | "Infinite"
     integral_estimate: float
     growth_exponent: float
 
@@ -86,7 +86,7 @@ class CriterionReport:
     c1: CarlemanResult
     c2: KreinResult
     c3: ConverseCarlemanResult
-    overall: str  # "Unique" | "NonUnique" | "Undecided"
+    overall: str  # "Unique" | "NonUnique"
     notes: tuple = field(default=())
 
     def to_dict(self):
@@ -100,7 +100,7 @@ def carleman(seq: MomentSequence) -> CarlemanResult:
 
     ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
     n^{-A/2} times a positive constant: S diverges exactly when A <= 2.
-    The verdict comes from A.  The decay exponent of a_n fitted on the
+    The verdict comes from the exact A.  The decay exponent of a_n fitted on the
     upper half of n = 1.._CARLEMAN_N_MAX, and at a fitted slope near -1
     the limit of n*a_n, are kept as numeric cross-checks.
     """
@@ -123,13 +123,7 @@ def carleman(seq: MomentSequence) -> CarlemanResult:
         elif np.all(np.diff(lim_seq) > 0.0):
             limit = math.inf
 
-    big_a = seq.sum_a
-    if big_a != 2.0 and abs(big_a - 2.0) <= _SUM_A_ROUNDOFF:
-        # factors parsed from decimals may sum to 2 only up to rounding
-        raise UndecidedError(
-            f"A = sum a_j = {big_a!r} equals the critical value 2 to within "
-            "rounding; the Carleman sum may diverge or converge")
-    verdict = "Divergent" if big_a <= 2.0 else "Convergent"
+    verdict = "Convergent" if seq.critical_gap > 0.0 else "Divergent"
     return CarlemanResult(verdict, terms, slope, n_a_n_limit=limit)
 
 
@@ -149,21 +143,19 @@ def _decay_tolerance(seq: MomentSequence, n_lo: int) -> float:
 def krein(w: WeightFunction) -> KreinResult:
     """Estimate int_0^inf -ln W(x^2)/(1+x^2) dx and classify it.
 
-    The growth exponent beta in -ln W(x^2) ~ C x^beta is fitted on a
-    tail sample spaced evenly in ln x, _KREIN_FIT_WIDTH wide.  A certified
-    tail narrows it to _KREIN_FIT_RANGE / 2p when that is less, so -ln W
-    grows at most 1e4-fold across it and a steep tail law (large p) is
-    fitted where W < 1; a window that still meets W >= 1 raises
-    InconclusiveError, which full_report turns into an Undecided C2.
-    When the tail law is certified by a closed form the verdict uses the
-    exact exponent 2*p; a quadrature-backed tail cannot certify the
-    asymptotics, so the verdict stays Undecided there.  Unless the verdict
-    is Infinite, the integral up to X = e^{min(_KREIN_U_MAX, the evaluable
-    range)} is summed by panelled Gauss-Legendre rules in ln x (one
-    vectorised density call per order, see _krein_body).  A Finite
-    verdict adds int_X^inf of the tail law
-    -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with W ~ x^b e^{-g x^p}
-    (b = seq.tail_exponent) and c matched at X.
+    -ln W(x^2) grows like g x^beta with beta = 2/A, so the integral is
+    infinite exactly when A <= 2; the verdict comes from the exact A, and
+    an Infinite one is returned before any quadrature.  The growth
+    exponent is fitted on a tail sample spaced evenly in ln x,
+    _KREIN_FIT_WIDTH wide, as a cross-check.  A certified tail narrows it
+    to _KREIN_FIT_RANGE / 2p when that is less, so -ln W grows at most
+    1e4-fold across it and a steep tail law (large p) is fitted where
+    W < 1; a window that still meets W >= 1 gives a NaN exponent.  A Finite
+    estimate is the integral up to X = e^{min(_KREIN_U_MAX, the evaluable
+    range)}, summed by panelled Gauss-Legendre rules in ln x (one
+    vectorised density call per order, see _krein_body), plus int_X^inf of
+    the tail law -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with
+    W ~ x^b e^{-g x^p} (b = seq.tail_exponent) and c matched at X.
     """
     g, p = w.growth
     # keep ln x^2 inside the density's evaluable range
@@ -173,26 +165,20 @@ def krein(w: WeightFunction) -> KreinResult:
         width = min(width, _KREIN_FIT_RANGE / (2.0 * p))
     us = np.linspace(u_top - width, u_top, 48)
     neg_log = -w.log_density(2.0 * us)
-    if np.any(neg_log <= 0.0):
-        raise InconclusiveError("density exceeds 1 in the fitting window")
-    fitted, _ = np.polyfit(us, np.log(neg_log), 1)
-    fitted = float(fitted)
+    fitted = math.nan
+    if np.all(neg_log > 0.0):
+        fitted = float(np.polyfit(us, np.log(neg_log), 1)[0])
 
-    beta_true = 2.0 * p
-    # a numeric tail that disagrees with the certified law decides nothing
-    decided = (w.tail_certified
-               and not abs(fitted - beta_true) > 2.0 * _KREIN_DEAD_ZONE + 0.01)
-    if decided and beta_true >= 1.0:
+    gap = w.seq.critical_gap  # 1 - beta, exact in A
+    if gap <= 0.0:
         return KreinResult("Infinite", math.inf, fitted)
-
     u_hi = min(_KREIN_U_MAX, u_top)
     body = _krein_body(w, u_hi)
-    if not decided:
-        return KreinResult("Undecided", float(body), fitted)
+    beta = 2.0 * p
     b = w.seq.tail_exponent
     neg_log_top = float(-w.log_density(2.0 * u_hi))  # -ln W(X^2)
-    c = neg_log_top - g * math.exp(beta_true * u_hi) + 2.0 * b * u_hi
-    tail = (g * math.exp((beta_true - 1.0) * u_hi) / (1.0 - beta_true)
+    c = neg_log_top - g * math.exp(beta * u_hi) + 2.0 * b * u_hi
+    tail = (g * math.exp(-gap * u_hi) / gap
             + (c - 2.0 * b * (u_hi + 1.0)) * math.exp(-u_hi))
     return KreinResult("Finite", float(body + tail), fitted)
 
@@ -279,26 +265,24 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
                 "non-solution are meaningless")
 
     notes = []
-    try:
-        c1 = carleman(seq)
-    except UndecidedError as exc:
-        notes.append(str(exc))
-        c1 = CarlemanResult("Undecided", (), math.nan)
-    else:
-        expected = -0.5 * seq.sum_a
-        if abs(c1.fitted_decay_exponent - expected) > _decay_tolerance(
-                seq, _CARLEMAN_N_MAX // 2):
-            notes.append(
-                "fitted Carleman decay exponent "
-                f"{c1.fitted_decay_exponent:.4f} disagrees with -A/2 = "
-                f"{expected:.4f}; the log-moments may not follow the gamma "
-                "product they are labelled with")
+    c1 = carleman(seq)
+    expected = -0.5 * seq.sum_a
+    if abs(c1.fitted_decay_exponent - expected) > _decay_tolerance(
+            seq, _CARLEMAN_N_MAX // 2):
+        notes.append(
+            "fitted Carleman decay exponent "
+            f"{c1.fitted_decay_exponent:.4f} disagrees with -A/2 = "
+            f"{expected:.4f}; the log-moments may not follow the gamma "
+            "product they are labelled with")
 
-    try:
-        c2 = krein(w)
-    except InconclusiveError as exc:
-        notes.append(str(exc))
-        c2 = KreinResult("Undecided", math.nan, math.nan)
+    c2 = krein(w)
+    beta = 2.0 * seq.tail_power
+    if math.isnan(c2.growth_exponent):
+        notes.append("density exceeds 1 in the fitting window")
+    elif abs(c2.growth_exponent - beta) > _KREIN_FIT_TOL:
+        notes.append(
+            f"fitted Krein growth exponent {c2.growth_exponent:.4f} "
+            f"disagrees with 2/A = {beta:.4f}")
 
     c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
     if c1.verdict == "Convergent":
@@ -307,19 +291,7 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
         except InconclusiveError as exc:
             notes.append(str(exc))
 
-    if c1.verdict == "Undecided":
-        overall = "Undecided"
-    elif c1.verdict == "Divergent":
-        if c2.verdict == "Finite" or c3.verdict == "NonUnique":
-            raise ConsistencyError(
-                "C1 asserts uniqueness while C2/C3 assert non-uniqueness; "
-                "the engine's verdicts are mutually inconsistent")
-        overall = "Unique"
-    elif c2.verdict == "Finite" or c3.verdict == "NonUnique":
-        overall = "NonUnique"
-    else:
-        overall = "Undecided"
-
+    overall = "NonUnique" if c1.verdict == "Convergent" else "Unique"
     if seq.family is None:
         notes.append("class builds no perturbation for this factor list")
     elif not w.tail_certified:  # the third family: no closed-form density

@@ -38,20 +38,12 @@ class SearchError(GammomentsError):
     """A parameter search failed (e.g. the positivity ratio looks unbounded)."""
 
 
-class UndecidedError(GammomentsError):
-    """A convergence classification sits in the dead zone with no stable limit."""
-
-
 class InconclusiveError(GammomentsError):
     """No window certifying the required convexity could be found."""
 
 
 class RefusesError(GammomentsError):
     """Criteria were requested for a density that does not solve the sequence."""
-
-
-class ConsistencyError(GammomentsError):
-    """Two criteria produced verdicts that cannot hold simultaneously."""
 
 
 def _check_x(x):

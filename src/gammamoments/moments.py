@@ -10,6 +10,8 @@ list; `family` reads the paper's families off it.  The named constructors:
 
 Values like (4n)! leave the double range at n = 43, so nothing here ever
 exponentiates: moments are ln rho(n), Mellin symbols are log-gamma sums.
+A = sum_j a_j, which decides determinacy, is kept exact: a descriptor's
+multipliers as typed ('0.7', '2/3'), else the multipliers' binary values.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ __all__ = [
 class MomentSequence:
     factors: tuple  # of (a, b) pairs, rho(n) = prod Gamma(a*n + b)
     label: str = field(default="", compare=False)
+    # A as typed, an integer ratio (num, den) set by parse_descriptor
+    typed_sum_a: tuple = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -57,6 +62,16 @@ class MomentSequence:
     def sum_a(self) -> float:
         """Total gamma 'weight'; controls contour decay and tail power."""
         return sum(a for a, _ in self.factors)
+
+    @property
+    def critical_gap(self) -> float:
+        """1 - 2/A from the exact A, rounded once: positive exactly when
+        A > 2, where the Carleman sum converges and the Krein integral is
+        finite."""
+        num, den = self.typed_sum_a or _ratio_sum(
+            (int(a) if isinstance(a, (int, np.integer)) else float(a))
+            .as_integer_ratio() for a, _ in self.factors)
+        return (num - 2 * den) / num
 
     @property
     def rightmost_pole(self) -> float:
@@ -133,6 +148,14 @@ def gamma_product(factors, label="") -> MomentSequence:
                           label=label)
 
 
+def _ratio_sum(ratios):
+    """Sum of integer ratios (num, den), den > 0, as one unreduced ratio."""
+    num, den = 0, 1
+    for p, q in ratios:
+        num, den = num * q + p * den, den * q
+    return num, den
+
+
 def log_moment(seq: MomentSequence, n) -> float:
     """ln rho(n) = sum_j ln Gamma(a_j n + b_j); vectorized over n >= 0.
 
@@ -175,12 +198,14 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+(?:\.\d+)?|\d+/\d+)\s*)?n\s*([+-]\s*\d+(?:\.\
 
 
 def _parse_number(text):
+    """A number as typed ('d', 'd.ddd' or 'p/q') as an integer ratio."""
     if "/" in text:
-        num, den = text.split("/")
-        if float(den) == 0.0:
+        num, den = map(int, text.split("/"))
+        if den == 0:
             raise ConstraintError(f"zero denominator in {text!r}")
-        return float(num) / float(den)
-    return float(text)
+        return num, den
+    whole, _, frac = text.partition(".")
+    return int(whole + frac), 10 ** len(frac)
 
 
 def _format_factor(a, b):
@@ -196,13 +221,16 @@ def parse_descriptor(text: str) -> MomentSequence:
         kind, r = m.group(1), int(m.group(2))
         return {"tm1": tm1, "tm2": tm2, "tm3": tm3, "tm4": tm4}[kind](r)
     if text.startswith("gamma:"):
-        factors = []
+        factors, typed = [], []
         for term in text[len("gamma:"):].split(","):
             tm = _TERM_RE.match(term)
             if not tm:
                 raise ConstraintError(f"cannot parse gamma factor {term!r}")
-            a = _parse_number(tm.group(1)) if tm.group(1) else 1.0
-            b = _parse_number(tm.group(2).replace(" ", "")) if tm.group(2) else 0.0
-            factors.append((a, b))
-        return gamma_product(factors, label=text)
+            a = _parse_number(tm.group(1) or "1")
+            b = _parse_number(tm.group(2).replace(" ", "")) if tm.group(2) else (0, 1)
+            factors.append((a[0] / a[1], b[0] / b[1]))
+            typed.append(a)
+        seq = gamma_product(factors, label=text)
+        object.__setattr__(seq, "typed_sum_a", _ratio_sum(typed))
+        return seq
     raise ConstraintError(f"unknown sequence descriptor {text!r}")

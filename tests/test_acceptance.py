@@ -134,8 +134,8 @@ def test_06_criteria_table(monkeypatch):
         "tm2:r=1": {"c1": "Divergent"},
         "tm1:r=2": {"c2": "Finite", "c3": "NonUnique"},
         "tm2:r=2": {"c2": "Finite", "c3": "NonUnique"},
-        "tm3:r=2": {"c2": "Undecided", "c3": "NonUnique"},
-        "tm4:r=2": {"c2": "Undecided", "c3": "NonUnique"},
+        "tm3:r=2": {"c2": "Finite", "c3": "NonUnique"},
+        "tm4:r=2": {"c2": "Finite", "c3": "NonUnique"},
     }
     wrong = []
     for seq, overall in rows:

@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,40 @@ class TestJsonOutput:
         assert payload["c1"]["verdict"] == "Convergent"
         assert (payload["overall"], code) in (("NonUnique", 0),
                                               ("Undecided", 2))
+
+    def test_criteria_typed_sum_a_two_unique(self, capsys):
+        # the decimals sum to exactly 2, the floats to 1.9999999999999998:
+        # once exit 2, Undecided
+        code, out, err = run(capsys, "criteria", "--seq",
+                             "gamma:0.7n+1,0.6n+1,0.7n+1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["overall"] == "Unique"
+        assert payload["c1"]["verdict"] == "Divergent"
+        assert payload["c2"]["verdict"] == "Infinite"
+
+    @pytest.mark.parametrize("seq,c2", [
+        ("tm3:r=1", "Finite"), ("tm4:r=1", "Finite"),
+        ("gamma:2.02n+1,0.5n+0.7", "Finite"), ("gamma:2/3n+1,4/3n+1", "Infinite"),
+        ("gamma:0.3n+1,0.3n+1", "Infinite")])
+    def test_criteria_c2_from_sum_a(self, capsys, seq, c2):
+        # C2 was Undecided for each: no closed form, or A = 2 in floats
+        code, out, _ = run(capsys, "criteria", "--seq", seq)
+        payload = json.loads(out)
+        assert (code, payload["c2"]["verdict"]) == (0, c2)
+        assert payload["overall"] == ("NonUnique" if c2 == "Finite"
+                                      else "Unique")
+
+    def test_criteria_float_critical_multiplier(self):
+        # the multiplier reads 2.0 as a float but exceeds 2 as typed; a
+        # tail law divided by 1 - 2p = 0 once ended in a traceback
+        proc = _entry("criteria", "--seq", "gamma:2.0000000000000001n+1")
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["c1"]["verdict"] == "Convergent"
+        assert payload["c2"]["verdict"] == "Finite"
+        assert math.isfinite(payload["c2"]["integral_estimate"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seq", ["tm1:r=20", "tm1:r=40", "tm1:r=200",
@@ -386,17 +421,6 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
-    def test_undecided_exit(self, capsys, monkeypatch):
-        import gammamoments.criteria as crit
-        from gammamoments import UndecidedError
-
-        def fake(seq, w, **kw):
-            raise UndecidedError("forced for the exit-code test")
-        monkeypatch.setattr(crit, "full_report", fake)
-        code, _, err = run(capsys, "criteria", "--seq", "tm1:r=2")
-        assert code == 2
-        assert "undecided" in err
-
     def test_numeric_failure_exit(self, capsys, monkeypatch):
         import gammamoments.verify as verify
         from gammamoments import ConvergenceError
@@ -569,10 +593,9 @@ class TestProgramEntry:
     @pytest.mark.parametrize("argv,want", [
         (["eval", "--seq", "tm1:r=2"], 0),
         (["moments", "--seq", "tm1:r=1", "--n", "5..2"], 1),
-        (["criteria", "--seq", "gamma:0.7n+1,0.6n+1,0.7n+1"], 2),
         (["class", "--seq", "tm2:r=100000000", "--k", "1",
           "--find-gamma-max"], 3),
-    ], ids=["ok", "usage", "undecided", "numeric"])
+    ], ids=["ok", "usage", "numeric"])
     def test_same_exit_code_and_stdout_as_in_process(self, capsys, argv,
                                                      want):
         code, out, _ = run(capsys, *argv)

@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConsistencyError, ConstraintError,
-                          InconclusiveError, RefusesError, UndecidedError,
+from gammamoments import (ConstraintError, InconclusiveError, RefusesError,
                           carleman, converse_carleman, full_report,
                           gamma_product, krein, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4)
@@ -77,11 +76,21 @@ class TestCarleman:
             assert (abs(c1.fitted_decay_exponent + seq.sum_a / 2.0)
                     <= crit._decay_tolerance(seq, n_max // 2))
 
-    def test_sum_a_at_two_within_rounding_undecided(self):
+    def test_sum_a_below_two_in_binary_divergent(self):
+        # floats carry their own binary values: 0.7 + 0.6 + 0.7 sums to
+        # just below 2 exactly, so the sum diverges
         seq = gamma_product([(0.7, 1.0), (0.6, 1.0), (0.7, 1.0)])
         assert seq.sum_a != 2.0 and seq.sum_a == pytest.approx(2.0)
-        with pytest.raises(UndecidedError):
-            carleman(seq)
+        assert carleman(seq).verdict == "Divergent"
+
+    @pytest.mark.parametrize("text,verdict", [
+        ("gamma:0.7n+1,0.6n+1,0.7n+1", "Divergent"),
+        ("gamma:2/3n+1,4/3n+1", "Divergent"),
+        ("gamma:2.0000000000000001n+1", "Convergent")])
+    def test_verdict_from_typed_multipliers(self, text, verdict):
+        # the decimals as typed sum to exactly 2 (or just above it), where
+        # the float sums read 1.9999999999999998 (or 2.0)
+        assert carleman(parse_descriptor(text)).verdict == verdict
 
 
 class TestKrein:
@@ -103,8 +112,37 @@ class TestKrein:
         assert res.growth_exponent == pytest.approx(2.0 / q, abs=0.02)
 
     def test_spline_backed_weights_undecided(self):
-        assert krein(principal_solution(tm3(2))).verdict == "Undecided"
-        assert krein(principal_solution(tm4(2))).verdict == "Undecided"
+        # A decides C2 for interpolated densities as for closed forms
+        assert krein(principal_solution(tm3(2))).verdict == "Finite"
+        assert krein(principal_solution(tm4(2))).verdict == "Finite"
+
+    @pytest.mark.parametrize("text", ["tm3:r=1", "tm4:r=1",
+                                      "gamma:2.02n+1,0.5n+0.7"])
+    def test_interpolated_tail_finite(self, text):
+        # A = 3, 4 and 2.52 > 2: the body plus the tail law from X
+        import gammamoments.criteria as crit
+
+        seq = parse_descriptor(text)
+        res = krein(principal_solution(seq))
+        assert res.verdict == "Finite"
+        assert math.isfinite(res.integral_estimate)
+        assert res.integral_estimate > 0.0
+        assert res.growth_exponent == pytest.approx(
+            2.0 / seq.sum_a, abs=crit._KREIN_FIT_TOL)
+
+    @pytest.mark.parametrize("text", ["gamma:2/3n+1,4/3n+1",
+                                      "gamma:1.1n+1,0.9n+1"])
+    def test_sum_a_two_infinite(self, text):
+        res = krein(principal_solution(parse_descriptor(text)))
+        assert (res.verdict, res.integral_estimate) == ("Infinite", math.inf)
+
+    def test_float_critical_exponent_finite(self):
+        # the float multiplier reads 2.0 while the typed A exceeds 2: the
+        # tail law's 1 - 2/A comes from the exact A, not from 1 - 2p = 0
+        res = krein(principal_solution(
+            parse_descriptor("gamma:2.0000000000000001n+1")))
+        assert res.verdict == "Finite"
+        assert math.isfinite(res.integral_estimate)
 
     @pytest.mark.parametrize("text,verdict", [
         ("gamma:2.5n+0.7", "Finite"), ("gamma:3n+2", "Finite"),
@@ -223,33 +261,33 @@ class TestFullReport:
         if named[:3] in ("tm1", "tm2"):
             assert reports[0].c2.verdict == "Finite"
 
-    def test_undecided_carleman_serialized(self, monkeypatch):
-        import gammamoments.criteria as crit
-
-        def undecided(seq, n_max=200):
-            raise UndecidedError("forced for the serialization test")
-        monkeypatch.setattr(crit, "carleman", undecided)
-        seq = tm1(2)
-        payload = crit.full_report(seq, principal_solution(seq)).to_dict()
-        assert payload["c1"]["verdict"] == "Undecided"
-        assert payload["overall"] == "Undecided"
-        assert payload["c3"]["verdict"] == "Inconclusive"
-
     def test_fit_window_above_one_leaves_c2_undecided(self):
         # an interpolated tail with A = 0.6: the Krein fit window meets
-        # W >= 1, which makes C2 Undecided with a note, while C1 decides
+        # W >= 1, which leaves a NaN exponent and a note; A decides C2
         seq = parse_descriptor("gamma:0.3n+1,0.3n+1")
         report = full_report(seq, principal_solution(seq))
         assert report.c1.verdict == "Divergent"
-        assert report.c2.verdict == "Undecided"
+        assert report.c2.verdict == "Infinite"
         assert math.isnan(report.c2.growth_exponent)
         assert any("fitting window" in note for note in report.notes)
         assert report.overall == "Unique"
 
+    def test_krein_fit_off_two_over_a_adds_note(self):
+        # A = 2 exactly: the fitted growth exponent (1.064) lags 2/A = 1
+        # through the log factor; the verdicts follow A, the fit is noted
+        seq = parse_descriptor("gamma:0.7n+1,0.6n+1,0.7n+1")
+        report = full_report(seq, principal_solution(seq))
+        assert (report.c1.verdict, report.c2.verdict, report.overall) == (
+            "Divergent", "Infinite", "Unique")
+        assert any("Krein growth exponent" in n and "2/A = 1.0000" in n
+                   for n in report.notes)
+        tm3_report = full_report(tm3(1), principal_solution(tm3(1)))
+        assert not any("Krein" in n for n in tm3_report.notes)
+
     def test_spline_reports_note_extrapolation(self):
         report = full_report(tm3(2), principal_solution(tm3(2)))
         assert any("extrapolat" in note for note in report.notes)
-        assert report.c2.verdict == "Undecided"
+        assert report.c2.verdict == "Finite"
         assert not any("builds no perturbation" in n for n in report.notes)
 
     @pytest.mark.parametrize("text", ["tm4:r=2", "gamma:0.3n+1,0.3n+1"])
@@ -263,10 +301,10 @@ class TestFullReport:
         assert not any("extrapolat" in note for note in report.notes)
 
     @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
-                                             (tm3(2), "Undecided")])
+                                             (tm3(2), "NonUnique")])
     def test_inconclusive_converse_carleman(self, seq, overall, monkeypatch):
         # C3 falls back to Inconclusive with a note; the overall verdict
-        # then rests on C2 (Finite for tm1, Undecided for tm3)
+        # still follows A (> 2 for both)
         import gammamoments.criteria as crit
 
         def inconclusive(seq, w, c1=None):
@@ -276,12 +314,3 @@ class TestFullReport:
         assert "forced for the fallback test" in report.notes
         assert report.c3.verdict == "Inconclusive"
         assert report.overall == overall
-
-    def test_consistency_guard(self, monkeypatch):
-        # a divergent growth test together with a finite tail integral is
-        # contradictory; force the clash by faking the tail-integral result
-        import gammamoments.criteria as crit
-        fake = crit.KreinResult("Finite", 1.0, 0.5)
-        monkeypatch.setattr(crit, "krein", lambda w: fake)
-        with pytest.raises(ConsistencyError):
-            crit.full_report(tm1(1), principal_solution(tm1(1)))

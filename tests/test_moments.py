@@ -190,8 +190,11 @@ class TestFamilyRule:
             assert type(got[1]) is type(family[1])
 
     def test_only_factors_and_label_stored(self):
-        names = [f.name for f in dataclasses.fields(tm3(2))]
-        assert names == ["factors", "label"]
+        fields = dataclasses.fields(tm3(2))
+        assert [f.name for f in fields if f.init] == ["factors", "label"]
+        # the typed A is set by the parser alone and never compared
+        assert [(f.name, f.compare) for f in fields if not f.init] == [
+            ("typed_sum_a", False)]
         # spellings of one factor list are one sequence
         assert parse_descriptor("gamma:2n+1,2n+1") == tm2(2)
 
@@ -221,6 +224,21 @@ class TestDescriptors:
         seq = parse_descriptor("gamma:2/3n+1,4/3n+1")
         assert seq.factors == ((2 / 3, 1.0), (4 / 3, 1.0))
         assert carleman(seq).verdict == "Divergent"  # A = 2
+
+    @pytest.mark.parametrize("text,gap", [
+        ("gamma:0.7n+1,0.6n+1,0.7n+1", 0.0), ("gamma:2/3n+1,4/3n+1", 0.0),
+        ("gamma:7/6n+1,5/6n+1", 0.0), ("gamma:1.1n+1,0.9n+1", 0.0),
+        ("tm2:r=2", 0.5), ("gamma:2.5n+0.7", 0.2),
+        ("gamma:2.0000000000000001n+1", 1 / 20000000000000001)])
+    def test_critical_gap_from_typed_multipliers(self, text, gap):
+        # 1 - 2/A, rounded once from the multipliers as typed
+        assert parse_descriptor(text).critical_gap == gap
+
+    def test_critical_gap_from_binary_values(self):
+        # a sequence built from floats or ints has their own values' A
+        assert gamma_product([(0.7, 1), (0.6, 1), (0.7, 1)]).critical_gap < 0
+        assert tm1(np.int64(1)).critical_gap == 0.0
+        assert tm3(np.int64(1)).critical_gap == 1 / 3
 
     def test_bad_descriptors(self):
         for text in ("tm5:r=2", "tm1:r=x", "gamma:frog", ""):
