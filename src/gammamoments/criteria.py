@@ -26,7 +26,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConstraintError, ConvergenceError, InconclusiveError,
                      RefusesError)
@@ -110,8 +109,7 @@ def carleman(seq: MomentSequence) -> CarlemanResult:
     terms = tuple((int(n), float(v)) for n, v in zip(ns, a))
 
     upper = ns >= _CARLEMAN_N_MAX // 2
-    slope, _ = np.polyfit(np.log(ns[upper]), log_a[upper], 1)
-    slope = float(slope)
+    slope = _slope(np.log(ns[upper]), log_a[upper])
 
     limit = math.nan
     if abs(slope + 1.0) <= _SLOPE_DEAD_ZONE:
@@ -167,7 +165,7 @@ def krein(w: WeightFunction) -> KreinResult:
     neg_log = -w.log_density(2.0 * us)
     fitted = math.nan
     if np.all(neg_log > 0.0):
-        fitted = float(np.polyfit(us, np.log(neg_log), 1)[0])
+        fitted = _slope(us, np.log(neg_log))
 
     gap = w.seq.critical_gap  # 1 - beta, exact in A
     if gap <= 0.0:
@@ -198,10 +196,10 @@ def _krein_body(w: WeightFunction, u_hi: float) -> float:
     half = 0.5 * np.diff(edges)[:, None]
     prev = math.nan
     for order in _KREIN_ORDERS:
-        t, weights = leggauss(order)
+        t, weights = _gauss_legendre(order)
         u = (mid + half * t).ravel()
         f = -w.log_density(2.0 * u) / (2.0 * np.cosh(u))
-        body = float(np.dot((half * weights).ravel(), f))
+        body = float(np.sum((half * weights).ravel() * f))
         if abs(body - prev) <= _KREIN_RTOL * abs(body):
             return body
         prev = body
@@ -209,6 +207,42 @@ def _krein_body(w: WeightFunction, u_hi: float) -> float:
         f"Krein integral of W[{w.seq.descriptor()}] changed by "
         f"{abs(body - prev):.2e} between Gauss-Legendre orders "
         f"{_KREIN_ORDERS[-2]} and {_KREIN_ORDERS[-1]}")
+
+
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], off LAPACK.
+
+    Newton's method on the Legendre recurrence refines the nodes from
+    x_k = -cos(pi (k - 1/4) / (order + 1/2)) until a step falls below
+    1e-14, after which the node is exact to rounding.  The weights are
+    1 / (P_{order-1}(x) P'_order(x)), symmetrised and scaled to sum 2 as
+    numpy.polynomial.legendre.leggauss scales them.
+    """
+    x = -np.cos(np.pi * (np.arange(1, order + 1) - 0.25) / (order + 0.5))
+    for _ in range(100):
+        _, p, dp = _legendre(x, order)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    p_prev, _, dp = _legendre(x, order)
+    weights = 1.0 / (p_prev * dp)
+    weights = 0.5 * (weights + weights[::-1])
+    return 0.5 * (x - x[::-1]), weights * (2.0 / np.sum(weights))
+
+
+def _legendre(x, order: int):
+    """P_{order-1}(x), P_order(x) and P'_order(x), by the recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, order + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p_prev, p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _slope(x, y) -> float:
+    """Least-squares slope of y on x in closed form, summed elementwise."""
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
 
 
 def _tail_limit(w: WeightFunction) -> float:

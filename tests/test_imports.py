@@ -79,6 +79,18 @@ def test_import_and_closed_forms_load_no_scipy():
     assert [code for code, _ in steps[1:]] == [0, 0, 0, 1, 0, 0, 0, 0]
 
 
+def test_exact_sum_a_loads_no_fractions():
+    # A is summed as integer ratios; fractions (or decimal) would add
+    # about 0.4 MB to every criteria call.  The last step is the control.
+    watched = ("fractions", "decimal")
+    argvs = [["criteria", "--seq", "gamma:2.02n+1"],
+             ["criteria", "--seq", "gamma:0.7n+1,0.6n+1,0.7n+1"]]
+    steps = _steps(*argvs, "fractions", watched=watched)
+    # importing fractions imports decimal too
+    assert [step[1] for step in steps] == [[], [], [], list(watched)]
+    assert [step[0] for step in steps[1:3]] == [0, 0]
+
+
 def test_first_evaluation_loads_scipy_special():
     # positive controls: K0 in the second family's closed form is the
     # first special function these calls evaluate, so the guard above can
@@ -141,8 +153,12 @@ def test_guard_sees_a_deferred_import():
 # interpolant (weights.py) contract with einsum at optimize=False: with
 # optimize, einsum goes through tensordot, and so BLAS, again.  Only
 # _convolve_chunk, the convolution oracle, keeps its matrix products.
-_BLAS_FREE = ("mellin.py", "weights.py")
-_BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot", "polyfit"}
+# The criteria (criteria.py) fit slopes in closed form and take their
+# Gauss-Legendre rules from a Newton iteration: polyfit runs LAPACK's
+# lstsq and leggauss its eigvalsh.
+_BLAS_FREE = ("mellin.py", "weights.py", "criteria.py")
+_BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot", "polyfit",
+               "leggauss"}
 
 
 def _blas_uses(source):
@@ -186,6 +202,7 @@ def _phase_sum(a, b):
     np.dot(a, b)
     np.linalg.solve(a, b)
     np.polyfit(a, b, 1)
+    leggauss(64)
     np.einsum("ij,jk->ik", a, b, optimize=True)
     np.einsum("ij,jk->ik", a, b)
 
@@ -193,5 +210,5 @@ def _convolve_chunk(h, w):
     return h @ w
 """
     assert [what for _, what in _blas_uses(source)] == [
-        "@", "@", "np.dot", "np.linalg.solve", "np.polyfit",
+        "@", "@", "np.dot", "np.linalg.solve", "np.polyfit", "leggauss",
         "einsum(optimize=...)"]
