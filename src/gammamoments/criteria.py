@@ -99,9 +99,9 @@ def carleman(seq: MomentSequence) -> CarlemanResult:
 
     ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
     n^{-A/2} times a positive constant: S diverges exactly when A <= 2.
-    The verdict comes from the exact A.  The decay exponent of a_n fitted on the
-    upper half of n = 1.._CARLEMAN_N_MAX, and at a fitted slope near -1
-    the limit of n*a_n, are kept as numeric cross-checks.
+    The verdict comes from the exact A.  The decay exponent of a_n fitted
+    on the upper half of n = 1.._CARLEMAN_N_MAX, and at a fitted slope
+    near -1 the limit of n*a_n, are kept as numeric cross-checks.
     """
     ns = np.arange(1, _CARLEMAN_N_MAX + 1)
     log_a = -log_moment(seq, ns) / (2.0 * ns)

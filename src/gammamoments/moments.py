@@ -198,14 +198,20 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+(?:\.\d+)?|\d+/\d+)\s*)?n\s*([+-]\s*\d+(?:\.\
 
 
 def _parse_number(text):
-    """A number as typed ('d', 'd.ddd' or 'p/q') as an integer ratio."""
+    """A number as typed ('d', 'd.ddd' or 'p/q'): its integer ratio
+    (num, den) and its value num/den, rounded once."""
     if "/" in text:
-        num, den = map(int, text.split("/"))
-        if den == 0:
-            raise ConstraintError(f"zero denominator in {text!r}")
-        return num, den
-    whole, _, frac = text.partition(".")
-    return int(whole + frac), 10 ** len(frac)
+        num, den = text.split("/")
+    else:
+        whole, _, frac = text.partition(".")
+        num, den = whole + frac, 10 ** len(frac)
+    try:
+        num, den = int(num), int(den)
+        return (num, den), num / den
+    except ZeroDivisionError:
+        raise ConstraintError(f"zero denominator in {text!r}") from None
+    except (OverflowError, ValueError):  # past the double range, or int's
+        raise ConstraintError(f"{text!r} leaves the double range") from None
 
 
 def _format_factor(a, b):
@@ -226,9 +232,9 @@ def parse_descriptor(text: str) -> MomentSequence:
             tm = _TERM_RE.match(term)
             if not tm:
                 raise ConstraintError(f"cannot parse gamma factor {term!r}")
-            a = _parse_number(tm.group(1) or "1")
-            b = _parse_number(tm.group(2).replace(" ", "")) if tm.group(2) else (0, 1)
-            factors.append((a[0] / a[1], b[0] / b[1]))
+            a, a_value = _parse_number(tm.group(1) or "1")
+            b = _parse_number(tm.group(2).replace(" ", ""))[1] if tm.group(2) else 0.0
+            factors.append((a_value, b))
             typed.append(a)
         seq = gamma_product(factors, label=text)
         object.__setattr__(seq, "typed_sum_a", _ratio_sum(typed))

@@ -245,6 +245,14 @@ class TestDescriptors:
             with pytest.raises(ConstraintError):
                 parse_descriptor(text)
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_number_past_double_range_rejected(self, digits):
+        # exact ratios: a quotient past the double range, or a numeral past
+        # int's 4300-digit limit, once ended in a traceback
+        for text in (f"gamma:{'1' * digits}n+1", f"gamma:n+{'1' * digits}"):
+            with pytest.raises(ConstraintError, match="double range"):
+                parse_descriptor(text)
+
     @pytest.mark.parametrize("text", ["gamma:1/0n+1", "gamma:2n+1/0",
                                       "gamma:n+1,0/0n+1"])
     def test_zero_denominator_rejected(self, text):
