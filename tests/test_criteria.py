@@ -206,6 +206,35 @@ class TestKrein:
         assert res.integral_estimate == pytest.approx(want, rel=rel)
 
 
+class TestNumpyFreeRules:
+    """The criteria's own Gauss-Legendre rule and least-squares slope,
+    held to NumPy's LAPACK-backed leggauss and polyfit as references."""
+
+    @pytest.mark.parametrize("order", [16, 32, 64])
+    def test_gauss_legendre_matches_leggauss(self, order):
+        import gammamoments.criteria as crit
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = crit._gauss_legendre(order)
+        want_x, want_w = leggauss(order)
+        assert np.max(np.abs(x - want_x)) <= 2.0 * np.finfo(float).eps
+        assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
+        # exact for every even power up to degree 2 order - 2, to the
+        # weights' accuracy (leggauss itself is 1.1e-13 off at order 64)
+        k = np.arange(order)
+        moments = np.array([np.sum(w * x ** (2 * j)) for j in k])
+        assert np.max(np.abs(moments * (2 * k + 1) / 2.0 - 1.0)) <= 1e-12
+
+    def test_slope_matches_polyfit(self):
+        import gammamoments.criteria as crit
+
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(-3.0, 40.0, 48))
+        y = 0.66 * x + np.log1p(x * x) + rng.normal(0.0, 0.1, 48)
+        assert crit._slope(x, y) == pytest.approx(
+            float(np.polyfit(x, y, 1)[0]), rel=1e-12)
+
+
 class TestConverseCarleman:
     def test_requires_convergent_first_criterion(self):
         with pytest.raises(ConstraintError):
