@@ -14,8 +14,8 @@ from .criteria import (CarlemanResult, ConverseCarlemanResult, CriterionReport,
                        KreinResult, carleman, converse_carleman, full_report,
                        krein)
 from .errors import (ConstraintError, ConvergenceError, DomainError,
-                     GammomentsError, InconclusiveError, PoleError,
-                     RefusesError, SearchError, TruncationError)
+                     GammomentsError, PoleError, RefusesError, SearchError,
+                     TruncationError)
 from .mellin import (ContourSpec, adapted_contour, contour_log_densities,
                      contour_log_density, inverse_mellin_log,
                      mellin_convolve_many)
@@ -31,8 +31,7 @@ __all__ = [
     "__version__",
     # errors
     "GammomentsError", "DomainError", "PoleError", "ConstraintError",
-    "TruncationError", "ConvergenceError", "SearchError",
-    "InconclusiveError", "RefusesError",
+    "TruncationError", "ConvergenceError", "SearchError", "RefusesError",
     # special functions
     "ln_gamma", "log_bessel_k0", "bessel_k0_complex",
     # moment sequences

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (ConstraintError, ConvergenceError, DomainError,
-                     GammomentsError, InconclusiveError, RefusesError,
-                     SearchError, TruncationError)
+                     GammomentsError, RefusesError, SearchError,
+                     TruncationError)
 from .moments import gamma_product, parse_descriptor
 from .weights import _contour_density, principal_solution
 
@@ -371,8 +371,7 @@ def _run(argv):
     except (ConstraintError, DomainError, RefusesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (ConvergenceError, TruncationError, SearchError,
-            InconclusiveError) as exc:
+    except (ConvergenceError, TruncationError, SearchError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except GammomentsError as exc:

@@ -7,17 +7,19 @@ Three classical tests are combined into one report:
   C3 (converse):    psi(y) = -ln W(e^y) convex beyond some y', together
                     with a convergent Carleman sum  =>  non-unique
 
-For rho(n) = prod_j Gamma(a_j n + b_j) one exact rule decides C1 and C2:
+For rho(n) = prod_j Gamma(a_j n + b_j) one exact rule decides all three:
 -ln W(x) ~ A (x/h)^{1/A} with A = sum_j a_j (Braaksma 1964), so the
 Carleman sum diverges and the Krein integral is infinite exactly when
-A <= 2.  The predicate is the sign of `MomentSequence.critical_gap`, taken
-from the exact A.  The numerics only cross-check it: the decay exponent
-fitted to the Carleman terms n = 1.._CARLEMAN_N_MAX (one fixed range that
-no caller sets), the Krein growth exponent fitted to the tail, and a
-disagreement with A becomes a note in the report.  C3's convexity scan
-stays numeric and falls back to Inconclusive.  Densities are evaluated in
-ln x (`WeightFunction.log_density`), so no criterion forms x, x^2 or e^y,
-and the closed forms decide every r even where x leaves the double range.
+A <= 2, and -ln W(e^y) is eventually convex for every A, so C3 fires
+exactly when the Carleman sum converges.  The predicate is the sign of
+`MomentSequence.critical_gap`, taken from the exact A.  The numerics only
+cross-check it: the decay exponent fitted to the Carleman terms
+n = 1.._CARLEMAN_N_MAX (one fixed range that no caller sets), the Krein
+growth exponent fitted to the tail and the convexity window of C3, and a
+disagreement with A becomes a note in the report.  Densities are
+evaluated in ln x (`WeightFunction.log_density`), so no criterion forms
+x, x^2 or e^y, and the closed forms decide every r even where x leaves
+the double range.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (ConstraintError, ConvergenceError, InconclusiveError,
-                     RefusesError)
+from .errors import ConvergenceError, RefusesError
 from .moments import MomentSequence, log_moment
 from .weights import _LOG_DEPTH, WeightFunction
 
@@ -257,32 +258,31 @@ def _tail_limit(w: WeightFunction) -> float:
 
 # -- C3: converse Carleman --------------------------------------------------
 
-def converse_carleman(seq: MomentSequence, w: WeightFunction,
-                      c1: CarlemanResult | None = None) -> ConverseCarlemanResult:
-    """Certify convexity of psi(y) = -ln W(e^y) beyond a searched y'.
+def converse_carleman(seq: MomentSequence,
+                      w: WeightFunction) -> ConverseCarlemanResult:
+    """C3: psi(y) = -ln W(e^y) convex beyond some y', with a convergent
+    Carleman sum, gives NonUnique.
 
-    Fires (NonUnique) only when the Carleman sum is convergent; the
-    criterion requires both conditions jointly.
+    psi ~ A (e^y/h)^{1/A} is eventually convex for every A, so C3 fires
+    exactly when the Carleman sum converges: the verdict comes from the
+    exact A, and an A <= 2 returns Inconclusive before any scan.  The
+    smallest y' beyond which every second difference of psi on a
+    _CONVEXITY_POINTS grid is positive, and the least of those second
+    differences, are kept as a cross-check; both are NaN when no such y'
+    lies in the lower three quarters of the grid.
     """
-    if c1 is None:
-        c1 = carleman(seq)
-    if c1.verdict != "Convergent":
-        raise ConstraintError(
-            "converse Carleman criterion needs a convergent Carleman sum "
-            f"(got {c1.verdict})")
+    if seq.critical_gap <= 0.0:
+        return ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
     y = np.linspace(-10.0, 2.0 * _tail_limit(w), _CONVEXITY_POINTS)
     psi = -w.log_density(y)
     h = y[1] - y[0]
     d2 = np.diff(psi, 2) / (h * h)
-    # smallest y' beyond which every second difference is positive
     bad = np.nonzero(d2 <= 0.0)[0]
     j = 0 if bad.size == 0 else int(bad[-1]) + 1
     if j > int(0.75 * d2.size):
-        raise InconclusiveError(
-            "no convexity window found: second differences keep changing "
-            "sign through the upper quarter of the grid")
-    margin = float(np.min(d2[j:]))
-    return ConverseCarlemanResult("NonUnique", margin, float(y[j + 1]))
+        return ConverseCarlemanResult("NonUnique", math.nan, math.nan)
+    return ConverseCarlemanResult("NonUnique", float(np.min(d2[j:])),
+                                  float(y[j + 1]))
 
 
 # -- combined report --------------------------------------------------------
@@ -318,12 +318,12 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
             f"fitted Krein growth exponent {c2.growth_exponent:.4f} "
             f"disagrees with 2/A = {beta:.4f}")
 
-    c3 = ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
-    if c1.verdict == "Convergent":
-        try:
-            c3 = converse_carleman(seq, w, c1=c1)
-        except InconclusiveError as exc:
-            notes.append(str(exc))
+    c3 = converse_carleman(seq, w)
+    if c3.verdict == "NonUnique" and math.isnan(c3.y_prime):
+        notes.append(
+            "convexity cross-check found no window: second differences of "
+            "-ln W(e^y) keep changing sign through the upper quarter of the "
+            "grid")
 
     overall = "NonUnique" if c1.verdict == "Convergent" else "Unique"
     if seq.family is None:

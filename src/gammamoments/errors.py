@@ -38,10 +38,6 @@ class SearchError(GammomentsError):
     """A parameter search failed (e.g. the positivity ratio looks unbounded)."""
 
 
-class InconclusiveError(GammomentsError):
-    """No window certifying the required convexity could be found."""
-
-
 class RefusesError(GammomentsError):
     """Criteria were requested for a density that does not solve the sequence."""
 

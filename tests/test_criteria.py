@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from gammamoments import (ConstraintError, InconclusiveError, RefusesError,
-                          carleman, converse_carleman, full_report,
+from gammamoments import (RefusesError, carleman, converse_carleman,
+                          full_report,
                           gamma_product, krein, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4)
 
@@ -236,9 +236,17 @@ class TestNumpyFreeRules:
 
 
 class TestConverseCarleman:
-    def test_requires_convergent_first_criterion(self):
-        with pytest.raises(ConstraintError):
-            converse_carleman(tm1(1), principal_solution(tm1(1)))
+    def test_requires_convergent_first_criterion(self, monkeypatch):
+        # A = 2: the Carleman sum diverges, so C3 cannot fire; the verdict
+        # comes from A before any convexity scan
+        import gammamoments.criteria as crit
+
+        def no_scan(w):
+            raise AssertionError("convexity scan with a divergent sum")
+        monkeypatch.setattr(crit, "_tail_limit", no_scan)
+        res = converse_carleman(tm1(1), principal_solution(tm1(1)))
+        assert res.verdict == "Inconclusive"
+        assert math.isnan(res.convexity_margin) and math.isnan(res.y_prime)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_nonunique_for_fast_growth(self, r):
@@ -331,15 +339,24 @@ class TestFullReport:
 
     @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
                                              (tm3(2), "NonUnique")])
-    def test_inconclusive_converse_carleman(self, seq, overall, monkeypatch):
-        # C3 falls back to Inconclusive with a note; the overall verdict
-        # still follows A (> 2 for both)
+    def test_inconclusive_converse_carleman(self, seq, overall):
+        # a narrow bump added to -ln W(e^y) in the scan's upper quarter,
+        # far in the tail, makes the tail concave there: the scan finds no
+        # convexity window, yet C3 and the overall verdict follow A (> 2)
         import gammamoments.criteria as crit
 
-        def inconclusive(seq, w, c1=None):
-            raise InconclusiveError("forced for the fallback test")
-        monkeypatch.setattr(crit, "converse_carleman", inconclusive)
-        report = crit.full_report(seq, principal_solution(seq))
-        assert "forced for the fallback test" in report.notes
-        assert report.c3.verdict == "Inconclusive"
+        w = principal_solution(seq)
+        y_top = 2.0 * crit._tail_limit(w)
+        # the scan runs from y = -10 to y_top; the bump sits at 0.9 of it
+        y_bump, width = y_top - 0.1 * (y_top + 10.0), 0.25
+
+        def concave_tail(log_x):
+            bump = np.exp(-0.5 * ((np.asarray(log_x) - y_bump) / width) ** 2)
+            return w.log_density(log_x) - 1e12 * bump
+        report = crit.full_report(
+            seq, dataclasses.replace(w, log_density=concave_tail))
+        assert report.c3.verdict == "NonUnique"
+        assert math.isnan(report.c3.y_prime)
+        assert math.isnan(report.c3.convexity_margin)
+        assert any("convexity cross-check" in n for n in report.notes)
         assert report.overall == overall
