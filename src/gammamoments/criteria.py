@@ -145,11 +145,15 @@ def krein(w: WeightFunction) -> KreinResult:
     -ln W(x^2) grows like g x^beta with beta = 2/A, so the integral is
     infinite exactly when A <= 2; the verdict comes from the exact A, and
     an Infinite one is returned before any quadrature.  The growth
-    exponent is fitted on a tail sample spaced evenly in ln x,
-    _KREIN_FIT_WIDTH wide, as a cross-check.  A certified tail narrows it
-    to _KREIN_FIT_RANGE / 2p when that is less, so -ln W grows at most
+    exponent is fitted on a tail sample of 48 points spaced evenly in
+    ln x, _KREIN_FIT_WIDTH wide, as a cross-check: the slope against ln x
+    of ln(d/d ln x [-ln W(x^2)] + 2b), the derivative taken by central
+    differences at the interior points, which the tail law below makes
+    beta ln x plus a constant.  A certified tail narrows the window to
+    _KREIN_FIT_RANGE / 2p when that is less, so -ln W grows at most
     1e4-fold across it and a steep tail law (large p) is fitted where
-    W < 1; a window that still meets W >= 1 gives a NaN exponent.  A Finite
+    W < 1; a window that still meets W >= 1, or a derivative that is not
+    positive, gives a NaN exponent.  A Finite
     estimate is the integral up to X = e^{min(_KREIN_U_MAX, the evaluable
     range)}, summed by panelled Gauss-Legendre rules in ln x (one
     vectorised density call per order, see _krein_body), plus int_X^inf of
@@ -164,9 +168,13 @@ def krein(w: WeightFunction) -> KreinResult:
         width = min(width, _KREIN_FIT_RANGE / (2.0 * p))
     us = np.linspace(u_top - width, u_top, 48)
     neg_log = -w.log_density(2.0 * us)
+    b = w.seq.tail_exponent
+    # d/du -ln W(e^{2u}) ~ beta g e^{beta u} - 2b: the law's constant drops
+    # out, and adding 2b leaves an exponential of slope beta in its log
+    rate = (neg_log[2:] - neg_log[:-2]) / (us[2:] - us[:-2])
     fitted = math.nan
-    if np.all(neg_log > 0.0):
-        fitted = _slope(us, np.log(neg_log))
+    if np.all(neg_log > 0.0) and np.all(rate > max(0.0, -2.0 * b)):
+        fitted = _slope(us[1:-1], np.log(rate + 2.0 * b))
 
     gap = w.seq.critical_gap  # 1 - beta, exact in A
     if gap <= 0.0:
@@ -174,7 +182,6 @@ def krein(w: WeightFunction) -> KreinResult:
     u_hi = min(_KREIN_U_MAX, u_top)
     body = _krein_body(w, u_hi)
     beta = 2.0 * p
-    b = w.seq.tail_exponent
     neg_log_top = float(-w.log_density(2.0 * u_hi))  # -ln W(X^2)
     c = neg_log_top - g * math.exp(beta * u_hi) + 2.0 * b * u_hi
     tail = (g * math.exp(-gap * u_hi) / gap

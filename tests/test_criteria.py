@@ -130,6 +130,17 @@ class TestKrein:
         assert res.growth_exponent == pytest.approx(
             2.0 / seq.sum_a, abs=crit._KREIN_FIT_TOL)
 
+    @pytest.mark.parametrize("text", [
+        "gamma:0.7n+1,0.6n+1,0.7n+1", "gamma:0.001n+1", "tm3:r=2", "tm4:r=2",
+        "gamma:2.02n+1,0.5n+0.7", "gamma:2n+1,n+1", "tm3:r=1", "tm4:r=1"])
+    def test_growth_exponent_within_5e_3_of_two_over_a(self, text):
+        # the slope of ln(d/du[-ln W(e^{2u})] + 2b) cancels the tail law's
+        # constant and its -2bu term, which a straight fit of ln(-ln W)
+        # carried as a bias of 0.02-0.2 on these sequences
+        seq = parse_descriptor(text)
+        res = krein(principal_solution(seq))
+        assert abs(res.growth_exponent - 2.0 / seq.sum_a) <= 5e-3
+
     @pytest.mark.parametrize("text", ["gamma:2/3n+1,4/3n+1",
                                       "gamma:1.1n+1,0.9n+1"])
     def test_sum_a_two_infinite(self, text):
@@ -310,16 +321,32 @@ class TestFullReport:
         assert report.overall == "Unique"
 
     def test_krein_fit_off_two_over_a_adds_note(self):
-        # A = 2 exactly: the fitted growth exponent (1.064) lags 2/A = 1
-        # through the log factor; the verdicts follow A, the fit is noted
-        seq = parse_descriptor("gamma:0.7n+1,0.6n+1,0.7n+1")
-        report = full_report(seq, principal_solution(seq))
-        assert (report.c1.verdict, report.c2.verdict, report.overall) == (
-            "Divergent", "Infinite", "Unique")
-        assert any("Krein growth exponent" in n and "2/A = 1.0000" in n
+        # W1(4) with e^{2(ln x - 60)} added to -ln W past ln x = 60: the
+        # fit window (ln x in [65.7, 73.7]) sees a steeper law than 2/A
+        # = 1/2, and the fit is noted; the moments and verdicts are W1's
+        seq = tm1(2)
+        w = principal_solution(seq)
+
+        def steep_tail(log_x):
+            extra = np.expm1(2.0 * np.maximum(np.asarray(log_x) - 60.0, 0.0))
+            return w.log_density(log_x) - extra
+        report = full_report(seq, dataclasses.replace(
+            w, log_density=steep_tail))
+        assert (report.c2.verdict, report.overall) == ("Finite", "NonUnique")
+        assert report.c2.growth_exponent > 0.55
+        assert any("Krein growth exponent" in n and "2/A = 0.5000" in n
                    for n in report.notes)
-        tm3_report = full_report(tm3(1), principal_solution(tm3(1)))
-        assert not any("Krein" in n for n in tm3_report.notes)
+
+    @pytest.mark.parametrize("text", ["gamma:0.7n+1,0.6n+1,0.7n+1",
+                                      "gamma:0.001n+1"])
+    def test_krein_fit_on_the_tail_law_adds_no_note(self, text):
+        # a straight fit of ln(-ln W) once read 1.0637 (A = 2) and 2000.197
+        # (A = 0.001) here and noted a disagreement with 2/A; the verdicts
+        # follow A either way
+        seq = parse_descriptor(text)
+        report = full_report(seq, principal_solution(seq))
+        assert (report.c2.verdict, report.overall) == ("Infinite", "Unique")
+        assert not any("Krein" in n for n in report.notes)
 
     def test_spline_reports_note_extrapolation(self):
         report = full_report(tm3(2), principal_solution(tm3(2)))
