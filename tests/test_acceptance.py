@@ -142,8 +142,11 @@ def test_06_criteria_table(monkeypatch):
         report = full_report(seq, principal_solution(seq))
         want = parts.get(seq.descriptor(), {})
         got = {key: getattr(report, key).verdict for key in want}
-        if report.overall != overall or got != want:
-            wrong.append((seq.descriptor(), report.overall, got))
+        # C3 follows the exact A, as C1 and C2 do
+        c3 = "NonUnique" if seq.critical_gap > 0.0 else "Inconclusive"
+        if report.overall != overall or got != want or report.c3.verdict != c3:
+            wrong.append((seq.descriptor(), report.overall, got,
+                          report.c3.verdict))
     ok = not wrong
 
     # scaled Carleman terms n * a_n for (2n)! approach e/2

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from gammamoments import (ln_gamma, log_bessel_k0, mellin_convolve_many,
-                          perturbation, tm1, w1)
+from gammamoments import (full_report, gamma_product, ln_gamma,
+                          log_bessel_k0, mellin_convolve_many, perturbation,
+                          principal_solution, tm1, tm2, w1)
 
 COMMON = dict(max_examples=120, deadline=None)
 
@@ -102,3 +103,28 @@ class TestPerturbationEnvelope:
         x = 10.0 ** log10_x
         omega = perturbation(tm1(r), k).evaluate(x)
         assert abs(omega) <= w1(2 * r, x) * (1.0 + 1e-12)
+
+
+closed_forms = st.one_of(
+    st.builds(lambda a, b: gamma_product([(a, b)]),
+              st.floats(min_value=0.1, max_value=10.0),
+              st.floats(min_value=0.5, max_value=3.0)),
+    st.builds(tm2, st.integers(min_value=1, max_value=8)))
+
+
+class TestVerdictsFollowA:
+    @seed(7)
+    @settings(**COMMON)
+    @given(closed_forms)
+    def test_verdicts_follow_critical_gap(self, seq):
+        # every verdict is the sign of 1 - 2/A, and on a closed form no
+        # numeric cross-check (Krein fit, convexity window) disagrees
+        report = full_report(seq, principal_solution(seq))
+        indeterminate = seq.critical_gap > 0.0
+        verdicts = (report.c1.verdict, report.c2.verdict, report.c3.verdict,
+                    report.overall)
+        assert verdicts == (
+            ("Convergent", "Finite", "NonUnique", "NonUnique") if indeterminate
+            else ("Divergent", "Infinite", "Inconclusive", "Unique"))
+        assert not any(word in note for note in report.notes
+                       for word in ("Krein", "convexity", "fitting window"))
