@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from gammamoments import (RefusesError, carleman, converse_carleman,
-                          full_report,
-                          gamma_product, krein, parse_descriptor,
+                          full_report, gamma_product, krein, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4)
 
 
