@@ -14,9 +14,10 @@ A <= 2, and -ln W(e^y) is eventually convex for every A, so C3 fires
 exactly when the Carleman sum converges.  The predicate is the sign of
 `MomentSequence.critical_gap`, taken from the exact A.  The numerics only
 cross-check it: the decay exponent fitted to the Carleman terms
-n = 1.._CARLEMAN_N_MAX (one fixed range that no caller sets), the Krein
-growth exponent fitted to the tail and the convexity window of C3, and a
-disagreement with A becomes a note in the report.  Densities are
+n = 1.._CARLEMAN_N_MAX (one fixed range that no caller sets), and the
+Krein growth exponent and the convexity of -ln W(e^y) for C3, both read
+off one tail sample (`_tail_sample`); a disagreement with A becomes a
+note in the report.  Densities are
 evaluated in ln x (`WeightFunction.log_density`), so no criterion forms
 x, x^2 or e^y, and the closed forms decide every r even where x leaves
 the double range.
@@ -46,14 +47,13 @@ __all__ = [
 
 _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
 _KREIN_FIT_TOL = 0.05  # |fitted growth exponent - 2/A| noted above this
-_KREIN_FIT_WIDTH = 4.0  # width in ln x of the growth-exponent fit
+_KREIN_FIT_WIDTH = 4.0  # width in ln x of the tail sample
 _KREIN_FIT_RANGE = math.log(1e4)  # ln of -ln W's growth across a certified fit
 _KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
 _KREIN_U_MAX = math.log(1e4)  # ln x where the body ends at most
 _KREIN_PANEL = 2.0  # Gauss-Legendre panel width in ln x
 _KREIN_ORDERS = (16, 32, 64)  # points per panel, tried in turn
 _KREIN_RTOL = 1e-13  # agreement of two successive orders
-_CONVEXITY_POINTS = 2001  # ln x grid of the converse-Carleman scan
 _CARLEMAN_N_MAX = 200  # terms of the Carleman sum
 _N_VERIFY = 6  # full_report checks moments n = 0.._N_VERIFY first
 _VERIFY_TOL = 1e-4  # relative error above which full_report refuses w
@@ -145,41 +145,31 @@ def krein(w: WeightFunction) -> KreinResult:
     -ln W(x^2) grows like g x^beta with beta = 2/A, so the integral is
     infinite exactly when A <= 2; the verdict comes from the exact A, and
     an Infinite one is returned before any quadrature.  The growth
-    exponent is fitted on a tail sample of 48 points spaced evenly in
-    ln x, _KREIN_FIT_WIDTH wide, as a cross-check: the slope against ln x
-    of ln(d/d ln x [-ln W(x^2)] + 2b), the derivative taken by central
-    differences at the interior points, which the tail law below makes
-    beta ln x plus a constant.  A certified tail narrows the window to
-    _KREIN_FIT_RANGE / 2p when that is less, so -ln W grows at most
-    1e4-fold across it and a steep tail law (large p) is fitted where
-    W < 1; a window that still meets W >= 1, or a derivative that is not
-    positive, gives a NaN exponent.  A Finite
-    estimate is the integral up to X = e^{min(_KREIN_U_MAX, the evaluable
-    range)}, summed by panelled Gauss-Legendre rules in ln x (one
+    exponent is fitted on `_tail_sample(w)` as a cross-check: the slope
+    against ln x of ln(d/d ln x [-ln W(x^2)] + 2b), the derivative taken
+    by central differences at the interior points, which the tail law
+    below makes beta ln x plus a constant.  Where that derivative plus 2b
+    is not positive its logarithm does not exist, and the exponent is
+    NaN.  A Finite estimate is the integral up to X = e^{min(_KREIN_U_MAX,
+    the sample's upper end)}, summed by panelled Gauss-Legendre rules in ln x (one
     vectorised density call per order, see _krein_body), plus int_X^inf of
     the tail law -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with
     W ~ x^b e^{-g x^p} (b = seq.tail_exponent) and c matched at X.
     """
-    g, p = w.growth
-    # keep ln x^2 inside the density's evaluable range
-    u_top = _tail_limit(w)
-    width = _KREIN_FIT_WIDTH
-    if w.tail_certified:
-        width = min(width, _KREIN_FIT_RANGE / (2.0 * p))
-    us = np.linspace(u_top - width, u_top, 48)
-    neg_log = -w.log_density(2.0 * us)
+    us, neg_log = _tail_sample(w)
     b = w.seq.tail_exponent
     # d/du -ln W(e^{2u}) ~ beta g e^{beta u} - 2b: the law's constant drops
     # out, and adding 2b leaves an exponential of slope beta in its log
-    rate = (neg_log[2:] - neg_log[:-2]) / (us[2:] - us[:-2])
+    rate = (neg_log[2:] - neg_log[:-2]) / (us[2:] - us[:-2]) + 2.0 * b
     fitted = math.nan
-    if np.all(neg_log > 0.0) and np.all(rate > max(0.0, -2.0 * b)):
-        fitted = _slope(us[1:-1], np.log(rate + 2.0 * b))
+    if np.all(rate > 0.0):
+        fitted = _slope(us[1:-1], np.log(rate))
 
     gap = w.seq.critical_gap  # 1 - beta, exact in A
     if gap <= 0.0:
         return KreinResult("Infinite", math.inf, fitted)
-    u_hi = min(_KREIN_U_MAX, u_top)
+    g, p = w.growth
+    u_hi = min(_KREIN_U_MAX, float(us[-1]))
     body = _krein_body(w, u_hi)
     beta = 2.0 * p
     neg_log_top = float(-w.log_density(2.0 * u_hi))  # -ln W(X^2)
@@ -253,14 +243,24 @@ def _slope(x, y) -> float:
     return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
 
 
-def _tail_limit(w: WeightFunction) -> float:
-    """Largest ln x at which -ln W at 2 ln x is safely evaluable."""
+def _tail_sample(w: WeightFunction):
+    """48 points u spaced evenly in ln x and -ln W(e^{2u}) at them: the
+    tail sample of the Krein fit and of the C3 cross-check.
+
+    It ends where -ln W at 2 ln x is last safely evaluable and spans
+    _KREIN_FIT_WIDTH, or for a certified tail _KREIN_FIT_RANGE / 2p when
+    that is less, so -ln W grows at most 1e4-fold across it.
+    """
     g, p = w.growth
+    width = _KREIN_FIT_WIDTH
     if w.tail_certified:
         depth = 1e8  # closed forms evaluate anywhere in log domain
+        width = min(width, _KREIN_FIT_RANGE / (2.0 * p))
     else:
         depth = _LOG_DEPTH - 2.0
-    return math.log(depth / g) / (2.0 * p)
+    u_top = math.log(depth / g) / (2.0 * p)
+    us = np.linspace(u_top - width, u_top, 48)
+    return us, -w.log_density(2.0 * us)
 
 
 # -- C3: converse Carleman --------------------------------------------------
@@ -272,24 +272,22 @@ def converse_carleman(seq: MomentSequence,
 
     psi ~ A (e^y/h)^{1/A} is eventually convex for every A, so C3 fires
     exactly when the Carleman sum converges: the verdict comes from the
-    exact A, and an A <= 2 returns Inconclusive before any scan.  The
-    smallest y' beyond which every second difference of psi on a
-    _CONVEXITY_POINTS grid is positive, and the least of those second
-    differences, are kept as a cross-check; both are NaN when no such y'
-    lies in the lower three quarters of the grid.
+    exact A, and an A <= 2 returns Inconclusive before the density is
+    evaluated.  As a cross-check, psi's second differences are taken on
+    the Krein fit's tail sample (`_tail_sample`, y = 2 ln x): when all
+    are positive, the margin is the least of them and y' the sample's
+    first interior y; otherwise both are NaN.
     """
     if seq.critical_gap <= 0.0:
         return ConverseCarlemanResult("Inconclusive", math.nan, math.nan)
-    y = np.linspace(-10.0, 2.0 * _tail_limit(w), _CONVEXITY_POINTS)
-    psi = -w.log_density(y)
+    us, psi = _tail_sample(w)
+    y = 2.0 * us
     h = y[1] - y[0]
     d2 = np.diff(psi, 2) / (h * h)
-    bad = np.nonzero(d2 <= 0.0)[0]
-    j = 0 if bad.size == 0 else int(bad[-1]) + 1
-    if j > int(0.75 * d2.size):
-        return ConverseCarlemanResult("NonUnique", math.nan, math.nan)
-    return ConverseCarlemanResult("NonUnique", float(np.min(d2[j:])),
-                                  float(y[j + 1]))
+    if np.all(d2 > 0.0):
+        return ConverseCarlemanResult("NonUnique", float(np.min(d2)),
+                                      float(y[1]))
+    return ConverseCarlemanResult("NonUnique", math.nan, math.nan)
 
 
 # -- combined report --------------------------------------------------------
@@ -319,7 +317,8 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
     c2 = krein(w)
     beta = 2.0 * seq.tail_power
     if math.isnan(c2.growth_exponent):
-        notes.append("density exceeds 1 in the fitting window")
+        notes.append("d/d ln x [-ln W(x^2)] + 2b is not positive in the "
+                     "fitting window; no growth exponent was fitted")
     elif abs(c2.growth_exponent - beta) > _KREIN_FIT_TOL:
         notes.append(
             f"fitted Krein growth exponent {c2.growth_exponent:.4f} "
@@ -327,10 +326,8 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
 
     c3 = converse_carleman(seq, w)
     if c3.verdict == "NonUnique" and math.isnan(c3.y_prime):
-        notes.append(
-            "convexity cross-check found no window: second differences of "
-            "-ln W(e^y) keep changing sign through the upper quarter of the "
-            "grid")
+        notes.append("convexity cross-check failed: a second difference "
+                     "of -ln W(e^y) on the tail sample is not positive")
 
     overall = "NonUnique" if c1.verdict == "Convergent" else "Unique"
     if seq.family is None:

@@ -92,6 +92,11 @@ class TestCarleman:
         assert carleman(parse_descriptor(text)).verdict == verdict
 
 
+# interpolated products whose tail sample meets W >= 1
+_LARGE_B = ["gamma:1.2n+5,1.2n+5", "gamma:1n+6,1n+6,1n+6",
+            "gamma:0.5n+3,0.5n+3,0.5n+3,0.5n+3,0.5n+3"]
+
+
 class TestKrein:
     @pytest.mark.parametrize("seq,verdict", [
         (tm1(1), "Infinite"),
@@ -131,11 +136,13 @@ class TestKrein:
 
     @pytest.mark.parametrize("text", [
         "gamma:0.7n+1,0.6n+1,0.7n+1", "gamma:0.001n+1", "tm3:r=2", "tm4:r=2",
-        "gamma:2.02n+1,0.5n+0.7", "gamma:2n+1,n+1", "tm3:r=1", "tm4:r=1"])
+        "gamma:2.02n+1,0.5n+0.7", "gamma:2n+1,n+1", "tm3:r=1", "tm4:r=1",
+        *_LARGE_B])
     def test_growth_exponent_within_5e_3_of_two_over_a(self, text):
         # the slope of ln(d/du[-ln W(e^{2u})] + 2b) cancels the tail law's
         # constant and its -2bu term, which a straight fit of ln(-ln W)
-        # carried as a bias of 0.02-0.2 on these sequences
+        # carried as a bias of 0.02-0.2 on these sequences; the large-b
+        # products have W >= 1 in the window, where a guard once left NaN
         seq = parse_descriptor(text)
         res = krein(principal_solution(seq))
         assert abs(res.growth_exponent - 2.0 / seq.sum_a) <= 5e-3
@@ -248,12 +255,12 @@ class TestNumpyFreeRules:
 class TestConverseCarleman:
     def test_requires_convergent_first_criterion(self, monkeypatch):
         # A = 2: the Carleman sum diverges, so C3 cannot fire; the verdict
-        # comes from A before any convexity scan
+        # comes from A before the tail is sampled
         import gammamoments.criteria as crit
 
         def no_scan(w):
-            raise AssertionError("convexity scan with a divergent sum")
-        monkeypatch.setattr(crit, "_tail_limit", no_scan)
+            raise AssertionError("convexity check with a divergent sum")
+        monkeypatch.setattr(crit, "_tail_sample", no_scan)
         res = converse_carleman(tm1(1), principal_solution(tm1(1)))
         assert res.verdict == "Inconclusive"
         assert math.isnan(res.convexity_margin) and math.isnan(res.y_prime)
@@ -263,6 +270,26 @@ class TestConverseCarleman:
         res = converse_carleman(tm1(r), principal_solution(tm1(r)))
         assert res.verdict == "NonUnique"
         assert res.convexity_margin > 0.0
+
+    @pytest.mark.parametrize("seq", [tm2(2), tm3(2)],
+                             ids=["tm2(2)", "tm3(2)"])
+    def test_cross_check_reads_the_tail_sample(self, seq):
+        # a 2,001-point scan from y = -10 once reported y' = -9.96 here,
+        # its grid's first interior point, below the sampled tail
+        import gammamoments.criteria as crit
+
+        w = principal_solution(seq)
+        calls = []
+
+        def counted(log_x):
+            calls.append(np.size(log_x))
+            return w.log_density(log_x)
+        res = converse_carleman(seq, dataclasses.replace(
+            w, log_density=counted))
+        assert sum(calls) <= 48
+        y = 2.0 * crit._tail_sample(w)[0]
+        assert res.convexity_margin > 0.0
+        assert y[0] < res.y_prime < y[-1]
 
 
 class TestFullReport:
@@ -309,8 +336,9 @@ class TestFullReport:
             assert reports[0].c2.verdict == "Finite"
 
     def test_fit_window_above_one_leaves_c2_undecided(self):
-        # an interpolated tail with A = 0.6: the Krein fit window meets
-        # W >= 1, which leaves a NaN exponent and a note; A decides C2
+        # an interpolated tail with A = 0.6: d/du[-ln W(e^{2u})] + 2b is
+        # not positive in the fit window, which leaves a NaN exponent and
+        # a note; A decides C2
         seq = parse_descriptor("gamma:0.3n+1,0.3n+1")
         report = full_report(seq, principal_solution(seq))
         assert report.c1.verdict == "Divergent"
@@ -347,6 +375,15 @@ class TestFullReport:
         assert (report.c2.verdict, report.overall) == ("Infinite", "Unique")
         assert not any("Krein" in n for n in report.notes)
 
+    @pytest.mark.parametrize("text", _LARGE_B)
+    def test_large_b_fit_adds_no_window_note(self, text):
+        # W >= 1 in the fit window once gave a NaN exponent and the note
+        # "density exceeds 1 in the fitting window"
+        seq = parse_descriptor(text)
+        report = full_report(seq, principal_solution(seq))
+        assert math.isfinite(report.c2.growth_exponent)
+        assert not any("fitting window" in n for n in report.notes)
+
     def test_spline_reports_note_extrapolation(self):
         report = full_report(tm3(2), principal_solution(tm3(2)))
         assert any("extrapolat" in note for note in report.notes)
@@ -366,15 +403,14 @@ class TestFullReport:
     @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
                                              (tm3(2), "NonUnique")])
     def test_inconclusive_converse_carleman(self, seq, overall):
-        # a narrow bump added to -ln W(e^y) in the scan's upper quarter,
-        # far in the tail, makes the tail concave there: the scan finds no
-        # convexity window, yet C3 and the overall verdict follow A (> 2)
+        # a narrow bump added to -ln W(e^y) in the middle of the tail
+        # sample makes psi concave there: the cross-check fails, yet
+        # C3 and the overall verdict follow A (> 2)
         import gammamoments.criteria as crit
 
         w = principal_solution(seq)
-        y_top = 2.0 * crit._tail_limit(w)
-        # the scan runs from y = -10 to y_top; the bump sits at 0.9 of it
-        y_bump, width = y_top - 0.1 * (y_top + 10.0), 0.25
+        y = 2.0 * crit._tail_sample(w)[0]
+        y_bump, width = 0.5 * (y[0] + y[-1]), 0.25
 
         def concave_tail(log_x):
             bump = np.exp(-0.5 * ((np.asarray(log_x) - y_bump) / width) ** 2)
