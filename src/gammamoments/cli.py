@@ -88,7 +88,7 @@ def _emit_table(args, payload, key, header, rows):
 
 
 def _write(text, path):
-    if path:
+    if path is not None:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -138,7 +138,7 @@ def _default_grid(growth, certified=False):
 def _cmd_eval(args):
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
-    xs = (_parse_xs(args.x) if args.x
+    xs = (_parse_xs(args.x) if args.x is not None
           else _default_grid(w.growth, w.tail_certified))
     _emit_table(args, {
         "command": "eval",
@@ -196,6 +196,11 @@ def _cmd_class(args):
 
     if args.find_gamma_max:
         _json_only(args, "--find-gamma-max")
+        for flag, value in (("--eps", args.eps), ("--gamma", args.gamma),
+                            ("--x", args.x)):
+            if value is not None:
+                raise ConstraintError(
+                    f"{flag} does not apply with --find-gamma-max")
         if pert.family != "tm2":
             raise ConstraintError(
                 "--find-gamma-max applies to tm2 sequences "
@@ -216,12 +221,16 @@ def _cmd_class(args):
         return _EXIT_OK
 
     w = principal_solution(seq)
-    xs = (_parse_xs(args.x) if args.x
+    xs = (_parse_xs(args.x) if args.x is not None
           else _default_grid(w.growth, w.tail_certified))
-    flag, amplitude = (("--eps", args.eps) if pert.family == "tm1"
-                       else ("--gamma", args.gamma))
+    flag, amplitude, other, stray = (
+        ("--eps", args.eps, "--gamma", args.gamma) if pert.family == "tm1"
+        else ("--gamma", args.gamma, "--eps", args.eps))
     if amplitude is None:
         raise ConstraintError(f"{pert.family} class members require {flag}")
+    if stray is not None:
+        raise ConstraintError(
+            f"{pert.family} class members take {flag}, not {other}")
     base, omega, member = cls._member_columns(pert, amplitude, xs)
     _emit_table(args, {"command": "class", "seq": seq.descriptor(), "k": k,
                        "amplitude": amplitude},
@@ -236,7 +245,7 @@ def _cmd_convolve(args):
     # M[W_a * W_b](s) = rho_a(s-1) rho_b(s-1): the convolution is the
     # principal density of the product sequence
     product = gamma_product(seq_a.factors + seq_b.factors)
-    xs = (_parse_xs(args.x) if args.x
+    xs = (_parse_xs(args.x) if args.x is not None
           else _default_grid((product.tail_coefficient, product.tail_power)))
     vals = _contour_density(product, xs)
     _emit_table(args, {"command": "convolve", "seq_a": seq_a.descriptor(),

@@ -365,6 +365,25 @@ class TestExitCodes:
                             ["convolve", "--seq-a", "tm1:r=1",
                              "--seq-b", "tm2:r=1"])
           for x in ("0", "inf", "nan")),
+        # options that were dropped without a word: an empty --x fell back
+        # to the default grid and an empty --output to stdout, and class
+        # ignored the other family's amplitude and every member option
+        # with --find-gamma-max
+        ["eval", "--seq", "tm1:r=2", "--x", ""],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "1.0",
+         "--x", ""],
+        ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=1", "--x", ""],
+        ["criteria", "--seq", "tm1:r=1", "--output", ""],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "1.0",
+         "--eps", "0.5"],
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "1.0",
+         "--eps", "0.5"],
+        ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5",
+         "--gamma", "1.0"],
+        *(["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
+           flag, value]
+          for flag, value in (("--eps", "0.5"), ("--gamma", "1.0"),
+                              ("--x", "1"))),
     ], ids=["missing-seq", "unknown-option", "contour-c", "bad-x",
             "bad-n-range", "bad-n-split", "moments-b0", "criteria-b0",
             "eval-b0", "eval-grid-overflow", "class-grid-overflow",
@@ -377,10 +396,14 @@ class TestExitCodes:
             "find-gamma-max-csv", "mc-seed-negative", "class-no-k",
             "find-gamma-max-tm1", "find-gamma-max-tm3", "eval-a0",
             *(f"{cmd}-x-{x}" for cmd in ("eval", "class", "convolve")
-              for x in ("0", "inf", "nan"))])
+              for x in ("0", "inf", "nan")),
+            *(f"{cmd}-x-empty" for cmd in ("eval", "class", "convolve")),
+            "output-empty",
+            "tm2-eps", "tm3-eps", "tm1-gamma",
+            *(f"find-gamma-max-{flag}" for flag in ("eps", "gamma", "x"))])
     def test_usage_errors_exit_1(self, capsys, argv):
-        # 2 is the code for "criteria undecided", never for bad arguments;
-        # any other exception would escape main as a traceback
+        # argparse's own code for bad arguments is 2, which _Parser turns
+        # into 1; any other exception would escape main as a traceback
         try:
             code = main(argv)
         except SystemExit as exc:
