@@ -151,7 +151,7 @@ def krein(w: WeightFunction) -> KreinResult:
     below makes beta ln x plus a constant.  Where that derivative plus 2b
     is not positive its logarithm does not exist, and the exponent is
     NaN.  A Finite estimate is the integral up to X = e^{min(_KREIN_U_MAX,
-    the sample's upper end)}, summed by panelled Gauss-Legendre rules in ln x (one
+    the sample's top)}, summed by panelled Gauss-Legendre rules in ln x (one
     vectorised density call per order, see _krein_body), plus int_X^inf of
     the tail law -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with
     W ~ x^b e^{-g x^p} (b = seq.tail_exponent) and c matched at X.
