@@ -17,7 +17,8 @@ cross-check it: the decay exponent fitted to the Carleman terms
 n = 1.._CARLEMAN_N_MAX (one fixed range that no caller sets), and the
 Krein growth exponent and the convexity of -ln W(e^y) for C3, both read
 off one tail sample (`_tail_sample`); a disagreement with A becomes a
-note in the report.  Densities are
+note in the report.  A finite Krein estimate is the tail law's integral
+in closed form plus a trapezoid sum of the rest (`krein`).  Densities are
 evaluated in ln x (`WeightFunction.log_density`), so no criterion forms
 x, x^2 or e^y, and the closed forms decide every r even where x leaves
 the double range.
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RefusesError
 from .moments import MomentSequence, log_moment
+from .verify import _nested_grids, check_moment
 from .weights import _LOG_DEPTH, WeightFunction
 
 __all__ = [
@@ -49,11 +51,9 @@ _SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
 _KREIN_FIT_TOL = 0.05  # |fitted growth exponent - 2/A| noted above this
 _KREIN_FIT_WIDTH = 4.0  # width in ln x of the tail sample
 _KREIN_FIT_RANGE = math.log(1e4)  # ln of -ln W's growth across a certified fit
-_KREIN_U_MIN = -40.0  # ln x below which the Krein integrand is < 1e-15
-_KREIN_U_MAX = math.log(1e4)  # ln x where the body ends at most
-_KREIN_PANEL = 2.0  # Gauss-Legendre panel width in ln x
-_KREIN_ORDERS = (16, 32, 64)  # points per panel, tried in turn
-_KREIN_RTOL = 1e-13  # agreement of two successive orders
+_KREIN_U = 40.0  # |ln x| beyond which the Krein remainder is < 1e-15
+_KREIN_GRID = 65  # nodes of the first trapezoid grid of the remainder
+_KREIN_GRID_RTOL = 1e-10  # agreement of two successive grids
 _CARLEMAN_N_MAX = 200  # terms of the Carleman sum
 _N_VERIFY = 6  # full_report checks moments n = 0.._N_VERIFY first
 _VERIFY_TOL = 1e-4  # relative error above which full_report refuses w
@@ -150,11 +150,22 @@ def krein(w: WeightFunction) -> KreinResult:
     by central differences at the interior points, which the tail law
     below makes beta ln x plus a constant.  Where that derivative plus 2b
     is not positive its logarithm does not exist, and the exponent is
-    NaN.  A Finite estimate is the integral up to X = e^{min(_KREIN_U_MAX,
-    the sample's top)}, summed by panelled Gauss-Legendre rules in ln x (one
-    vectorised density call per order, see _krein_body), plus int_X^inf of
-    the tail law -ln W(x^2) ~ g x^beta - 2b ln x + c over x^2, with
-    W ~ x^b e^{-g x^p} (b = seq.tail_exponent) and c matched at X.
+    NaN.
+
+    A Finite estimate splits -ln W(x^2) into the tail law L(x) = g x^beta
+    - 2b ln x - ln C of W ~ C x^b e^{-g x^p} (b = seq.tail_exponent,
+    ln C = seq.tail_log_constant) and a remainder R.  L integrates in
+    closed form: int_0^inf x^beta/(1+x^2) dx = pi/(2 cos(pi/A)), a Beta
+    integral (DLMF 5.12), with cos(pi/A) = sin(pi gap/2) for the exact
+    gap = 1 - 2/A, and int_0^inf ln x/(1+x^2) dx = 0.  In u = ln x,
+    f = R/(2 cosh u) is analytic in the strip |Im u| < pi/2, below |u| e^u
+    times a constant as u -> -inf, and falls like e^{-(1+beta) u} as
+    u -> inf.  So the trapezoid rule sums it on verify's nested grids from
+    u = -_KREIN_U to U, the sample's top or _KREIN_U if lower, and
+    continues past U on f(U) e^{-(1+beta)(u-U)}: h f(U)/(1 - e^{-(1+beta) h})
+    in place of the end node's half weight, without which the cut at U
+    would leave an error of order h^2.  Two successive grids agreeing
+    within _KREIN_GRID_RTOL of the estimate end the refinement.
     """
     us, neg_log = _tail_sample(w)
     b = w.seq.tail_exponent
@@ -169,72 +180,25 @@ def krein(w: WeightFunction) -> KreinResult:
     if gap <= 0.0:
         return KreinResult("Infinite", math.inf, fitted)
     g, p = w.growth
-    u_hi = min(_KREIN_U_MAX, float(us[-1]))
-    body = _krein_body(w, u_hi)
     beta = 2.0 * p
-    neg_log_top = float(-w.log_density(2.0 * u_hi))  # -ln W(X^2)
-    c = neg_log_top - g * math.exp(beta * u_hi) + 2.0 * b * u_hi
-    tail = (g * math.exp(-gap * u_hi) / gap
-            + (c - 2.0 * b * (u_hi + 1.0)) * math.exp(-u_hi))
-    return KreinResult("Finite", float(body + tail), fitted)
+    log_c = w.seq.tail_log_constant
+    main = 0.5 * math.pi * (g / math.sin(0.5 * math.pi * gap) - log_c)
 
+    def remainder(u):  # R(e^u) / (2 cosh u)
+        law = g * np.exp(beta * u) - 2.0 * b * u - log_c
+        return (-w.log_density(2.0 * u) - law) / (2.0 * np.cosh(u))
 
-def _krein_body(w: WeightFunction, u_hi: float) -> float:
-    """int_0^{e^u_hi} -ln W(x^2)/(1+x^2) dx by panelled Gauss-Legendre.
-
-    In u = ln x the integrand is -ln W at ln x = 2u over 2 cosh u: analytic
-    in a strip |Im u| < pi/2 and, as -ln W grows at most linearly in u at
-    the origin, below e^{u} |u| times a constant for u -> -inf, so the
-    range starts at u = _KREIN_U_MIN.  The order doubles until two
-    successive orders agree to _KREIN_RTOL.
-    """
-    n_panels = int(math.ceil((u_hi - _KREIN_U_MIN) / _KREIN_PANEL))
-    edges = np.linspace(_KREIN_U_MIN, u_hi, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    prev = math.nan
-    for order in _KREIN_ORDERS:
-        t, weights = _gauss_legendre(order)
-        u = (mid + half * t).ravel()
-        f = -w.log_density(2.0 * u) / (2.0 * np.cosh(u))
-        body = float(np.sum((half * weights).ravel() * f))
-        if abs(body - prev) <= _KREIN_RTOL * abs(body):
-            return body
-        prev = body
+    u_top, prev = min(float(us[-1]), _KREIN_U), math.nan
+    for u, f, _ in _nested_grids(remainder, -_KREIN_U, u_top, _KREIN_GRID):
+        h, f = float(u[1] - u[0]), f.tolist()
+        total = main + h * (0.5 * f[0] + math.fsum(f[1:-1])
+                            - f[-1] / math.expm1(-(1.0 + beta) * h))
+        if abs(total - prev) <= _KREIN_GRID_RTOL * abs(total):
+            return KreinResult("Finite", total, fitted)
+        prev = total
     raise ConvergenceError(
-        f"Krein integral of W[{w.seq.descriptor()}] changed by "
-        f"{abs(body - prev):.2e} between Gauss-Legendre orders "
-        f"{_KREIN_ORDERS[-2]} and {_KREIN_ORDERS[-1]}")
-
-
-def _gauss_legendre(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], off LAPACK.
-
-    Newton's method on the Legendre recurrence refines the nodes from
-    x_k = -cos(pi (k - 1/4) / (order + 1/2)) until a step falls below
-    1e-14, after which the node is exact to rounding.  The weights are
-    1 / (P_{order-1}(x) P'_order(x)), symmetrised and scaled to sum 2 as
-    numpy.polynomial.legendre.leggauss scales them.
-    """
-    x = -np.cos(np.pi * (np.arange(1, order + 1) - 0.25) / (order + 0.5))
-    for _ in range(100):
-        _, p, dp = _legendre(x, order)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    p_prev, _, dp = _legendre(x, order)
-    weights = 1.0 / (p_prev * dp)
-    weights = 0.5 * (weights + weights[::-1])
-    return 0.5 * (x - x[::-1]), weights * (2.0 / np.sum(weights))
-
-
-def _legendre(x, order: int):
-    """P_{order-1}(x), P_order(x) and P'_order(x), by the recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, order + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p_prev, p, order * (x * p - p_prev) / (x * x - 1.0)
+        f"Krein remainder of W[{w.seq.descriptor()}] changed by "
+        f"{abs(total - prev):.2e} between the last two trapezoid grids")
 
 
 def _slope(x, y) -> float:
@@ -294,7 +258,6 @@ def converse_carleman(seq: MomentSequence,
 
 def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
     """Run all three criteria after verifying that w actually solves seq."""
-    from .verify import check_moment
     for n in range(_N_VERIFY + 1):
         res = check_moment(w, seq, n)
         if res.rel_error > _VERIFY_TOL:

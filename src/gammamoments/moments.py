@@ -93,8 +93,19 @@ class MomentSequence:
 
     @property
     def tail_exponent(self) -> float:
-        """beta in  W(x) ~ C x^beta e^{-g x^p}  as x -> inf (Fox H asymptotics)."""
+        """b in  W(x) ~ C x^b e^{-g x^p}  as x -> inf (Fox H asymptotics)."""
         return (sum(b - 0.5 for _, b in self.factors) + 0.5) / self.sum_a - 1.0
+
+    @property
+    def tail_log_constant(self) -> float:
+        """ln C in  W(x) ~ C x^b e^{-g x^p}: with m factors and
+        h = prod_j a_j^{a_j}, ln C = (m-1)/2 ln 2pi - (ln A)/2
+        + sum_j (b_j - 1/2) ln a_j - (b+1) ln h; -ln a for one factor."""
+        log_h = sum(a * math.log(a) for a, _ in self.factors)
+        return (0.5 * (len(self.factors) - 1) * math.log(2.0 * math.pi)
+                - 0.5 * math.log(self.sum_a)
+                + sum((b - 0.5) * math.log(a) for a, b in self.factors)
+                - (self.tail_exponent + 1.0) * log_h)
 
     @property
     def alpha0(self) -> float:

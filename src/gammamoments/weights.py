@@ -194,7 +194,7 @@ def _density_spline(seq: MomentSequence):
     """
     g, p = seq.tail_coefficient, seq.tail_power
     lo = np.log(_X_MIN)
-    hi = np.log((_LOG_DEPTH / g) ** (1.0 / p))
+    hi = np.log(_LOG_DEPTH / g) / p
     cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
     left, right = cuts[:-1], cuts[1:]
     accepted = []  # (left edge, coef, tail) of the accepted panels

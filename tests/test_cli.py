@@ -114,13 +114,26 @@ class TestJsonOutput:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seq", ["tm1:r=20", "tm1:r=40", "tm1:r=200",
-                                     "tm2:r=40"])
+                                     "tm2:r=40", "tm4:r=38", "tm4:r=60"])
     def test_criteria_large_r(self, capsys, seq):
         # Krein once squared x past the double range and the moment window
-        # was cut at the smallest double: exit 1 with a DomainError
+        # was cut at the smallest double: exit 1 with a DomainError; the
+        # interpolant's window edge (320/g)^A once overflowed at A >= 152
         code, out, err = run(capsys, "criteria", "--seq", seq)
         assert code == 0, err
         assert json.loads(out)["overall"] == "NonUnique"
+
+    @pytest.mark.parametrize("argv,want", [
+        (["eval", "--seq", "tm4:r=38"], 0),
+        (["moments", "--seq", "tm4:r=38"], 0),
+        (["eval", "--seq", "tm4:r=60"], 1),
+    ], ids=["eval-tm4:r=38", "moments-tm4:r=38", "eval-tm4:r=60"])
+    def test_interpolant_window_at_large_a(self, capsys, argv, want):
+        # the window edge (320/g)^A raised a raw OverflowError at A >= 152;
+        # at tm4:r=60 the default grid itself leaves the double range
+        code, _, err = run(capsys, *argv)
+        assert code == want, err
+        assert ("default grid would end at" in err) == bool(want)
 
     def test_criteria_full_terms(self, capsys):
         code, out, _ = run(capsys, "criteria", "--seq", "tm1:r=2",

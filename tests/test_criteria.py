@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,15 @@ _LARGE_B = ["gamma:1.2n+5,1.2n+5", "gamma:1n+6,1n+6,1n+6",
             "gamma:0.5n+3,0.5n+3,0.5n+3,0.5n+3,0.5n+3"]
 
 
+def _krein_w1(a):
+    """(pi/2)(1/cos(pi/a) + ln a), the Krein integral of W1(a, b), at 30
+    digits for the binary a."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a)
+        return float(mpmath.pi / 2 * (1 / mpmath.cos(mpmath.pi / a)
+                                      + mpmath.log(a)))
+
+
 class TestKrein:
     @pytest.mark.parametrize("seq,verdict", [
         (tm1(1), "Infinite"),
@@ -123,7 +133,7 @@ class TestKrein:
     @pytest.mark.parametrize("text", ["tm3:r=1", "tm4:r=1",
                                       "gamma:2.02n+1,0.5n+0.7"])
     def test_interpolated_tail_finite(self, text):
-        # A = 3, 4 and 2.52 > 2: the body plus the tail law from X
+        # A = 3, 4 and 2.52 > 2: a finite main term plus the remainder
         import gammamoments.criteria as crit
 
         seq = parse_descriptor(text)
@@ -180,7 +190,7 @@ class TestKrein:
         half, one = (krein(principal_solution(parse_descriptor(text)))
                      for text in ("gamma:2.02n+0.5", "gamma:2.02n+1"))
         assert half.integral_estimate == pytest.approx(
-            one.integral_estimate, rel=0, abs=1e-9)
+            one.integral_estimate, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("make", [tm1, tm2],
                              ids=["weight_tm1", "weight_tm2"])
@@ -189,7 +199,7 @@ class TestKrein:
 
         def no_quad(*args, **kwargs):
             raise AssertionError("quadrature on a certified divergent tail")
-        monkeypatch.setattr(crit, "_krein_body", no_quad)
+        monkeypatch.setattr(crit, "_nested_grids", no_quad)
         w = principal_solution(make(1))
         calls = []
 
@@ -201,46 +211,39 @@ class TestKrein:
         assert res.integral_estimate == math.inf
         assert calls == [48]  # the tail fit only
 
-    # int_0^inf -ln W(x^2)/(1+x^2) dx.  W1(q): -ln W1(q, x^2) = x^{2/q}
-    # + 2(1 - 1/q) ln x + ln q, and int_0^inf x^a/(1+x^2) dx =
-    # (pi/2)/cos(pi a/2), so the integral is (pi/2)(1/cos(pi/q) + ln q).
-    # W2: mpmath.quad at 20 digits with mpmath.besselk, breakpoints 1e-6,
-    # 1e-3, 0.1, 1, 10, 100, 1e3, 1e4, 1e6.  The tail past X = 1e4 once
-    # kept only g X^{beta-1}/(1-beta), which left W1(2) low by 1.67e-3.
-    @pytest.mark.parametrize("seq,want,rel", [
-        (tm1(2), math.pi / 2 * (1 / math.cos(math.pi / 4) + math.log(4)),
-         1e-9),
-        (tm1(20), math.pi / 2 * (1 / math.cos(math.pi / 40) + math.log(40)),
-         1e-9),
-        (gamma_product([(2.02, 1.0)]),
-         math.pi / 2 * (1 / math.cos(math.pi / 2.02) + math.log(2.02)), 1e-9),
-        (tm2(2), 4.729508187052865, 1e-7),
-        (tm2(3), 4.542415010614233, 1e-7),
-    ], ids=["W1(2)", "W1(20)", "W1(2.02)", "W2(2)", "W2(3)"])
-    def test_finite_estimate_matches_exact_value(self, seq, want, rel):
+    # int_0^inf -ln W(x^2)/(1+x^2) dx.  W1(a, b): -ln W1(x^2) = x^{2/a}
+    # + 2(1 - b/a) ln x + ln a, and int_0^inf x^c/(1+x^2) dx =
+    # (pi/2)/cos(pi c/2), so the integral is (pi/2)(1/cos(pi/a) + ln a),
+    # taken at 30 digits for the binary a (in doubles, cos(pi/2.02) alone
+    # is 8e-15 off).  W2: mpmath.quad at 30 digits with mpmath.besselk,
+    # breakpoints 1e-6, 1e-3, 0.1, 1, 10, 100, 1e3, 1e4, 1e6.
+    @pytest.mark.parametrize("seq,want", [
+        (tm1(2), _krein_w1(4)),
+        (tm1(20), _krein_w1(40)),
+        (gamma_product([(2.02, 1.0)]), _krein_w1(2.02)),
+        (gamma_product([(3.0, 0.5)]), _krein_w1(3)),
+        (tm2(2), 4.7295081870556520),
+        (tm2(3), 4.5424150106142334),
+    ], ids=["W1(2)", "W1(20)", "W1(2.02)", "W1(3, 0.5)", "W2(2)", "W2(3)"])
+    def test_finite_estimate_matches_exact_value(self, seq, want):
         res = krein(principal_solution(seq))
         assert res.verdict == "Finite"
-        assert res.integral_estimate == pytest.approx(want, rel=rel)
+        assert res.integral_estimate == pytest.approx(want, rel=1e-14, abs=0)
+
+    # main term plus the remainder summed by the trapezoid rule at
+    # h = 1/8 on u = ln x in [-40, 19.5], where its integrand is below 2e-14
+    # (h = 1/4 gives the same double); -ln W from meijer_log_density up to
+    # ln x = 14 (tm3:r=1) and 20 (tm4:r=1), from the direct engine beyond
+    @pytest.mark.parametrize("text,want", [
+        ("tm3:r=1", 7.607979335831571), ("tm4:r=1", 5.1436318407741055)])
+    def test_interpolated_estimate_matches_reference(self, text, want):
+        res = krein(principal_solution(parse_descriptor(text)))
+        assert res.integral_estimate == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestNumpyFreeRules:
-    """The criteria's own Gauss-Legendre rule and least-squares slope,
-    held to NumPy's LAPACK-backed leggauss and polyfit as references."""
-
-    @pytest.mark.parametrize("order", [16, 32, 64])
-    def test_gauss_legendre_matches_leggauss(self, order):
-        import gammamoments.criteria as crit
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = crit._gauss_legendre(order)
-        want_x, want_w = leggauss(order)
-        assert np.max(np.abs(x - want_x)) <= 2.0 * np.finfo(float).eps
-        assert np.max(np.abs(w / want_w - 1.0)) <= 1e-12
-        # exact for every even power up to degree 2 order - 2, to the
-        # weights' accuracy (leggauss itself is 1.1e-13 off at order 64)
-        k = np.arange(order)
-        moments = np.array([np.sum(w * x ** (2 * j)) for j in k])
-        assert np.max(np.abs(moments * (2 * k + 1) / 2.0 - 1.0)) <= 1e-12
+    """The criteria's own least-squares slope, held to NumPy's
+    LAPACK-backed polyfit as a reference."""
 
     def test_slope_matches_polyfit(self):
         import gammamoments.criteria as crit

@@ -153,9 +153,8 @@ def test_guard_sees_a_deferred_import():
 # interpolant (weights.py) contract with einsum at optimize=False: with
 # optimize, einsum goes through tensordot, and so BLAS, again.  Only
 # _convolve_chunk, the convolution oracle, keeps its matrix products.
-# The criteria (criteria.py) fit slopes in closed form and take their
-# Gauss-Legendre rules from a Newton iteration: polyfit runs LAPACK's
-# lstsq and leggauss its eigvalsh.
+# The criteria (criteria.py) fit slopes in closed form, as polyfit runs
+# LAPACK's lstsq; leggauss, which runs its eigvalsh, stays barred too.
 _BLAS_FREE = ("mellin.py", "weights.py", "criteria.py")
 _BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot", "polyfit",
                "leggauss"}

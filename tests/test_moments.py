@@ -124,6 +124,20 @@ class TestStructure:
         assert tm4(1).tail_power == pytest.approx(1 / 4)
         assert tm4(1).tail_coefficient == pytest.approx(2.0 * math.sqrt(2.0))
 
+    def test_tail_log_constant(self):
+        # ln C of W ~ C x^b e^{-g x^p}: W1 = x^{b/a-1} e^{-x^{1/a}}/a has
+        # -ln a; K0(z) ~ sqrt(pi/2z) e^{-z} makes W2(r) ~ (sqrt(pi)/r) x^b
+        # e^{-2x^{1/2r}}; Gamma(n+1/2) Gamma(n+1) = sqrt(pi) (2n)!/4^n has
+        # the density 4 sqrt(pi) W1(2, 4x) ~ sqrt(pi) x^{-1/2} e^{-2 sqrt(x)}
+        for a, b in ((2.5, 0.7), (4, 1), (0.5, 3)):
+            assert gamma_product([(a, b)]).tail_log_constant == pytest.approx(
+                -math.log(a), rel=1e-15, abs=1e-15)
+        for r in (1, 2, 3):
+            assert tm2(r).tail_log_constant == pytest.approx(
+                0.5 * math.log(math.pi) - math.log(r), rel=1e-14)
+        assert gamma_product([(1, 0.5), (1, 1)]).tail_log_constant == (
+            pytest.approx(0.5 * math.log(math.pi), rel=1e-15))
+
     def test_origin_exponents(self):
         assert tm1(2).alpha0 == pytest.approx(-3 / 4)
         assert tm2(3).alpha0 == pytest.approx(-2 / 3)
