@@ -222,12 +222,25 @@ def _member_columns(pert, amplitude, x):
     """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
 
     The tm1 and tm2 amplitude rules keep the member nonnegative; tm3 has
-    none, so a tm3 member negative at some x is refused.
+    none, so a tm3 member negative at some x is refused.  Where W is past
+    the double range (inf) the member is W (1 + amplitude omega / W): inf
+    with the sign of 1 + amplitude omega / W, the ratio read off the log
+    forms, in place of the nan of inf - inf.
     """
     _check_amplitude(pert, amplitude)
-    base = principal_solution(pert.seq).evaluate(x)
+    w = principal_solution(pert.seq)
+    base = w.evaluate(x)
     omega = pert.evaluate(x)
-    member = base + amplitude * omega
+    with np.errstate(invalid="ignore"):
+        member = base + amplitude * omega
+    over = np.isinf(base)
+    if np.any(over):
+        log_x = np.log(np.asarray(x, dtype=np.float64))
+        sign, log_omega = pert.log_density(log_x)
+        ratio = sign * np.exp(log_omega - w.log_density(log_x))
+        member = np.where(over, np.copysign(np.inf, 1.0 + amplitude * ratio),
+                          member)
+        member = member if np.ndim(member) else float(member)
     negative = np.ravel(member) < 0.0
     if pert.family == "tm3" and np.any(negative):
         i = int(np.argmax(negative))

@@ -54,10 +54,12 @@ def _check_x(x):
 
 def _at_x(log_form, x):
     """f(x) from its log form, which maps ln x to (sign f, ln |f|): x is
-    checked, and a scalar x gives a float, an array x its shape."""
+    checked, and a scalar x gives a float, an array x its shape.  A value
+    past the double range is +-inf and one below it +-0.0, without a
+    warning."""
     arr = _check_x(x)
     sign, log_abs = log_form(np.log(arr))
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         out = np.reshape(sign * np.exp(log_abs), arr.shape)
     return float(out) if arr.ndim == 0 else out
 

@@ -90,9 +90,11 @@ class WeightFunction:
 def _log_w1(q, log_x, b=1.0):
     """ln of x^{(b-q)/q} e^{-x^{1/q}} / q at ln x, the density with moments
     Gamma(qn + b) for any q, b > 0 (u = x^{1/q} turns it into Gamma's
-    integral); b = 1 is w1(q, x)."""
+    integral); b = 1 is w1(q, x).  Past the double range of x^{1/q}
+    (q < 1) ln W is -inf, without a warning."""
     log_x = _check_log_x(log_x)
-    return -np.log(q) + ((b - q) / q) * log_x - np.exp(log_x / q)
+    with np.errstate(over="ignore"):
+        return -np.log(q) + ((b - q) / q) * log_x - np.exp(log_x / q)
 
 
 def w1(q, x):

@@ -21,6 +21,8 @@ def _decay(v):
 _X_ENTRIES = {
     "WeightFunction.evaluate": lambda x:
         principal_solution(tm2(1)).evaluate(x),
+    "WeightFunction.evaluate[tm3]": lambda x:
+        principal_solution(tm3(1)).evaluate(x),
     "Perturbation.evaluate": lambda x: perturbation(tm3(3), 1).evaluate(x),
     "w1": lambda x: w1(2, x),
     "w2": lambda x: w2(1, x),
@@ -68,7 +70,8 @@ class TestDomain:
 
 
 # the entries of _X_ENTRIES that return f(x): a scalar x gives a float
-_VALUE_ENTRIES = ["WeightFunction.evaluate", "Perturbation.evaluate", "w1",
+_VALUE_ENTRIES = ["WeightFunction.evaluate", "WeightFunction.evaluate[tm3]",
+                  "Perturbation.evaluate", "w1",
                   "w2", "w3", "w4", "omega2", "omega3", "class_member",
                   "mellin_convolve_many", "log_bessel_k0"]
 

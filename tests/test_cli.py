@@ -92,9 +92,12 @@ class TestJsonOutput:
     @pytest.mark.parametrize("seq,c2", [
         ("tm3:r=1", "Finite"), ("tm4:r=1", "Finite"),
         ("gamma:2.02n+1,0.5n+0.7", "Finite"), ("gamma:2/3n+1,4/3n+1", "Infinite"),
-        ("gamma:0.3n+1,0.3n+1", "Infinite")])
+        ("gamma:0.3n+1,0.3n+1", "Infinite"), ("gamma:0.001n+1", "Infinite"),
+        ("gamma:0.1n+1", "Infinite")])
     def test_criteria_c2_from_sum_a(self, capsys, seq, c2):
-        # C2 was Undecided for each: no closed form, or A = 2 in floats
+        # C2 was Undecided for each: no closed form, or A = 2 in floats; a
+        # steep single-factor tail (0.1n+1) once put the Krein fit where
+        # W >= 1
         code, out, _ = run(capsys, "criteria", "--seq", seq)
         payload = json.loads(out)
         assert (code, payload["c2"]["verdict"]) == (0, c2)
@@ -160,6 +163,29 @@ class TestJsonOutput:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("seq,x,want", [
+        ("tm1:r=40", "5e-324", "inf"), ("tm3:r=40", "5e-324", "inf"),
+        ("gamma:2/3n+2/3", "1.7e308", 0.0)])
+    def test_eval_past_double_range(self, capsys, seq, x, want):
+        # W near 1e317 (tm1:r=40) is past the double range and prints inf;
+        # x^{3/2} overflows to a W of 0.0; both once warned of an overflow
+        code, out, err = run(capsys, "eval", "--seq", seq, "--x", x)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["points"][0]["density"] == want
+
+    @pytest.mark.parametrize("seq,flag", [("tm1:r=40", "--eps"),
+                                          ("tm2:r=40", "--gamma")])
+    def test_class_member_past_double_range(self, capsys, seq, flag):
+        # W and omega are inf at 5e-324, and inf + amplitude * inf once
+        # printed "member": "nan"; 1 + amplitude omega/W is positive, so the
+        # member is inf, and the finite point is base + amplitude * omega
+        code, out, err = run(capsys, "class", "--seq", seq, "--k", "1",
+                             f"{flag}=-0.5", "--x", "5e-324,1")
+        assert (code, err) == (0, "")
+        far, one = json.loads(out)["points"]
+        assert (far["base"], far["member"]) == ("inf", "inf")
+        assert one["member"] == one["base"] - 0.5 * one["omega"]
+
     def test_nonfinite_floats_encoded_as_strings(self, capsys):
         # tm1:r=1 yields an infinite tail integral; strict JSON parsers
         # must still accept the document
@@ -175,13 +201,14 @@ class TestDeterminism:
         assert first == second
 
     def test_find_gamma_max_with_seed(self, capsys):
-        _, first, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
-                          "--find-gamma-max", "--mc-seed", "42")
-        _, second, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
-                          "--find-gamma-max", "--mc-seed", "42")
-        assert first == second
-        payload = json.loads(first)
-        assert payload["monte_carlo"]["nonnegative"] is True
+        for seed in ("42", "7"):
+            _, first, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
+                              "--find-gamma-max", "--mc-seed", seed)
+            _, second, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k",
+                               "1", "--find-gamma-max", "--mc-seed", seed)
+            assert first == second
+            mc = json.loads(first)["monte_carlo"]
+            assert mc["nonnegative"] is True and mc["min_value"] >= 0.0
 
     def test_recheck_searches_once(self, capsys, monkeypatch):
         # the recheck once went through class_member, whose amplitude
@@ -359,6 +386,10 @@ class TestExitCodes:
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.5"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.16",
          "--x", "1e-300,1e-8,1"],
+        # the tm2 bounds hold at the ratio's x -> 0 limit (1.041 for (5, 2))
+        # and for gamma < 0 (1.143 for (3, -1))
+        ["class", "--seq", "tm2:r=5", "--k", "2", "--gamma", "2.29"],
+        ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "-2.3"],
         # reports that have no table once printed JSON for --emit csv
         ["criteria", "--seq", "tm1:r=1", "--emit", "csv"],
         ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
@@ -405,6 +436,7 @@ class TestExitCodes:
             "zero-denominator-a", "zero-denominator-b",
             "reversed-n-range", "tm3-member-negative",
             "tm3-origin-limit-default-grid", "tm3-origin-limit-deep-x",
+            "tm2-origin-limit-bound", "tm2-negative-bound",
             "criteria-csv",
             "find-gamma-max-csv", "mc-seed-negative", "class-no-k",
             "find-gamma-max-tm1", "find-gamma-max-tm3", "eval-a0",

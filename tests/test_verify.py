@@ -93,7 +93,8 @@ class TestInterpolatedMoments:
         for n in range(9):
             assert check_moment(w, seq, n).rel_error <= 1e-5
 
-    @pytest.mark.parametrize("desc", ["tm3:r=2", "tm4:r=2", "tm3:r=3"])
+    @pytest.mark.parametrize("desc", ["tm3:r=2", "tm4:r=2", "tm3:r=3",
+                                      "tm3:r=1", "tm4:r=1"])
     def test_n0_below_interpolant_window(self, desc):
         # at n = 0 the window reaches below x = 1e-20, where ln W once
         # followed the interpolant's edge slope and lost tm3's (ln x)^2

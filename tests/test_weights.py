@@ -210,7 +210,8 @@ class TestPanelInterpolant:
         interp = weights._density_spline(seq)
         lo, hi = interp.edges[0], interp.edges[-1]
         assert lo == pytest.approx(math.log(1e-20), abs=1e-12)
-        outside = np.array([lo - 1.0, -100.0, -230.0, -690.0, hi + 1.0])
+        outside = np.array([lo - 1.0, -100.0, -230.0, -690.0, hi + 1.0,
+                            *np.log([1e-30, 1e-100, 1e-300])])
         inside = np.linspace(lo, hi, 7)
         want, _ = contour_log_densities(seq, outside)
         got = weights._spline_log_evaluate(
