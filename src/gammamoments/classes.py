@@ -231,16 +231,15 @@ def _member_columns(pert, amplitude, x):
     w = principal_solution(pert.seq)
     base = w.evaluate(x)
     omega = pert.evaluate(x)
-    with np.errstate(invalid="ignore"):
-        member = base + amplitude * omega
-    over = np.isinf(base)
+    member = np.array(base, dtype=np.float64)  # a copy, also for a scalar x
+    over = np.isinf(member)
+    member[~over] += amplitude * np.asarray(omega)[~over]
     if np.any(over):
-        log_x = np.log(np.asarray(x, dtype=np.float64))
+        log_x = np.log(np.asarray(x, dtype=np.float64)[over])
         sign, log_omega = pert.log_density(log_x)
         ratio = sign * np.exp(log_omega - w.log_density(log_x))
-        member = np.where(over, np.copysign(np.inf, 1.0 + amplitude * ratio),
-                          member)
-        member = member if np.ndim(member) else float(member)
+        member[over] = np.copysign(np.inf, 1.0 + amplitude * ratio)
+    member = member if member.ndim else float(member)
     negative = np.ravel(member) < 0.0
     if pert.family == "tm3" and np.any(negative):
         i = int(np.argmax(negative))

@@ -204,7 +204,8 @@ def _slope(x, y) -> float:
 def _tail_sample(w: WeightFunction):
     """48 points u spaced evenly in ln x and -ln W(e^{2u}) at them: the
     tail sample of the Krein fit and of the C3 cross-check, kept for the
-    last density so that one report evaluates it once.
+    last density so that one report evaluates it once.  The cache is keyed
+    by w alone: it ignores a later change to this module's constants.
 
     It ends where -ln W at 2 ln x is last safely evaluable and spans
     _KREIN_FIT_WIDTH, or for a certified tail _KREIN_FIT_RANGE / 2p when

@@ -581,6 +581,7 @@ class TestConvolve:
             ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "0.1",
              "--x", "0.5,2"],
             ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=1"],
+            ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=3"],
         ]
         for argv in argvs:
             code, _, err = run(capsys, *argv)
@@ -603,6 +604,22 @@ class TestConvolve:
         vals = np.array([p["convolution"] for p in json.loads(out)["points"]])
         assert vals.size == 200
         assert np.all(np.isfinite(vals) & (vals > 0.0))
+
+    def test_pair_stays_within_its_node_budget(self, capsys, monkeypatch):
+        # this pair once spent seconds in the convolution integral; on the
+        # engine its default grid evaluates the symbol at 10,467 nodes,
+        # and 2^15 is the budget
+        nodes = []
+        line_symbol = mellin._line_symbol
+
+        def counted(seq, psi, s):
+            nodes.append(np.size(s))
+            return line_symbol(seq, psi, s)
+        monkeypatch.setattr(mellin, "_line_symbol", counted)
+        code, _, _ = run(capsys, "convolve", "--seq-a", "tm1:r=1",
+                         "--seq-b", "tm2:r=3")
+        assert code == 0
+        assert 0 < sum(nodes) <= 2 ** 15
 
     def test_default_grid_matches_tm4(self, capsys):
         # W1(1) * W2(1) is W4(1): the product of (2n)! and (n!)^2
@@ -645,8 +662,9 @@ def _python(*args, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("timeout", 300)
     return subprocess.run([sys.executable, *args], env=env,
-                          stderr=subprocess.PIPE, timeout=300, **kwargs)
+                          stderr=subprocess.PIPE, **kwargs)
 
 
 def _entry(*argv, **kwargs):
@@ -706,3 +724,35 @@ class TestProgramEntry:
                  "code = cli.main(); "
                  "print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
         assert _python("-c", probe).stderr.split() == [b"0", b"True"]
+
+
+_DEEP_TAIL = """
+import math, gammamoments as gm
+try:
+    gm.contour_log_density(gm.tm2(1), math.exp(50))
+except gm.ConvergenceError:
+    pass
+else:
+    raise SystemExit("no ConvergenceError at ln x = 50")
+"""
+
+
+class TestWallTime:
+    """Calls that once ran for many seconds finish within their bound in a
+    fresh interpreter, with no cache warmed by another test; running past
+    it raises subprocess.TimeoutExpired."""
+
+    @pytest.mark.parametrize("seconds,argv", [
+        (10, ["eval", "--seq", "tm4:r=1", "--x", "1e-300,1e-100,1e-30"]),
+        (10, ["eval", "--seq", "tm3:r=1", "--x", "1e-30,1e-12,1e-3,0.1"]),
+        (10, ["moments", "--seq", "tm4:r=1", "--n", "0"]),
+        (20, ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=3"]),
+    ], ids=["eval-tm4", "eval-tm3", "moments-tm4", "convolve"])
+    def test_call_within_bound(self, seconds, argv):
+        proc = _entry(*argv, timeout=seconds)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_deep_tail_refuses_within_bound(self):
+        # a grid over max_points is refused before it is allocated
+        proc = _python("-c", _DEEP_TAIL, timeout=20)
+        assert proc.returncode == 0, proc.stderr

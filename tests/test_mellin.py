@@ -10,13 +10,14 @@ import scipy.special as sps
 
 import gammamoments.mellin as mellin
 import gammamoments.verify as verify
+import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
                           DomainError, TruncationError, adapted_contour,
                           check_vanishing, contour_log_densities,
                           contour_log_density, inverse_mellin_log,
                           mellin_convolve_many, mellin_symbol,
-                          parse_descriptor, perturbation_tm3, tm2, tm3, tm4,
-                          w1, w2)
+                          parse_descriptor, perturbation_tm3,
+                          principal_solution, tm2, tm3, tm4, w1, w2)
 from gammamoments.weights import _log_w2
 from oracles import meijer_log_density
 
@@ -470,7 +471,7 @@ class TestResidueSeries:
     def test_origin_knots_skip_the_bands(self, monkeypatch):
         # the moment checks' window below the interpolant, an eval below
         # 1e-20, and omega3's n = 0 check reach no band below 1e-20
-        from gammamoments import check_moment, principal_solution
+        from gammamoments import check_moment
 
         w = principal_solution(tm4(1))
         pert = perturbation_tm3(3, 1)
@@ -480,6 +481,18 @@ class TestResidueSeries:
         for run in runs:
             banded = _band_knots(monkeypatch, run)
             assert not np.any(banded < _LOG_1E20)
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm4(1)], ids=["tm3:r=1", "tm4:r=1"])
+    def test_series_answers_up_to_x_0_1(self, monkeypatch, seq):
+        # `eval --x 1e-300,...,0.1` once spent seconds in bands left of the
+        # origin: with the interpolant built afresh, the residue series
+        # answers every knot at or below x = 0.1 of the build and the call
+        monkeypatch.setattr(weights, "_density_spline",
+                            weights._density_spline.__wrapped__)
+        w = principal_solution(seq)
+        xs = [1e-300, 1e-100, 1e-30, 1e-12, 1e-3, 0.1]
+        banded = _band_knots(monkeypatch, lambda: w.evaluate(xs))
+        assert banded.size and np.min(banded) > math.log(0.1)
 
 
 def _direct_phase_sum(t, v, lx, block=1 << 17):
