@@ -9,20 +9,16 @@ class member is W + amplitude * omega: `perturbation(seq, k)` picks the
 family by seq.family, so any single factor Gamma(an + b) gets omega1 at
 its (a, b), and `class_member(seq, k, amplitude, x)` adds amplitude *
 omega to seq's principal solution once the amplitude is admissible:
-finite for every family, then |eps| < 1 for the first and within
-find_gamma_max for the second (a grid search over the ratio V/K0, refined
-by zooming in on its worst point).  The third family has no closed
-bound: an amplitude that makes the member negative as x -> 0 (where
-omega3 / W3 tends to sin(k pi (r-1)/r)), or at some evaluated x, is
-refused.
+finite, then |eps| < 1 for the first family, and within
+find_gamma_max(perturbation) for the others, a search of omega / W on a
+grid refined by zooming in on its worst point (searched, not certified).
 `perturbation` is the one constructor: it checks the one rotation rule
 (omega with index k rotates its factor Gamma(an + b) by k pi/a, so k is
 a nonzero integer and a > 2|k|) and picks the log-density; family, r and
 the tail law growth are read from seq, so omega shares W's exact (g, p).
 Each argument is checked once, where it enters: r by the tmN
-constructors, `omega2_via_convolution` and `find_gamma_max`, (r, k) by
-`perturbation` and `find_gamma_max`, x by `evaluate`; the helpers they
-call do not re-check.
+constructors and `omega2_via_convolution`, (r, k) by `perturbation`, x
+by `evaluate`; the helpers they call do not re-check.
 
 Perturbations are evaluated in ln x, as densities are:
 `Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
@@ -48,19 +44,10 @@ from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
 from .weights import _log_w1, _log_w2, principal_solution, w1
 
-__all__ = [
-    "Perturbation",
-    "omega2",
-    "omega2_via_convolution",
-    "omega3",
-    "perturbation_tm1",
-    "perturbation_tm2",
-    "perturbation_tm3",
-    "perturbation",
-    "class_member",
-    "find_gamma_max",
-    "certify_nonnegative",
-]
+__all__ = ["Perturbation", "omega2", "omega2_via_convolution", "omega3",
+           "perturbation_tm1", "perturbation_tm2", "perturbation_tm3",
+           "perturbation", "class_member", "find_gamma_max",
+           "certify_nonnegative"]
 
 
 @dataclass(frozen=True)
@@ -221,11 +208,10 @@ def class_member(seq, k, amplitude, x):
 def _member_columns(pert, amplitude, x):
     """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
 
-    The tm1 and tm2 amplitude rules keep the member nonnegative; tm3 has
-    none, so a tm3 member negative at some x is refused.  Where W is past
-    the double range (inf) the member is W (1 + amplitude omega / W): inf
-    with the sign of 1 + amplitude omega / W, the ratio read off the log
-    forms, in place of the nan of inf - inf.
+    The amplitude bound is searched, not certified, so a member negative
+    at some x is refused.  Where W is past the double range (inf) the
+    member is W (1 + amplitude omega / W): inf with the sign of 1 +
+    amplitude omega / W, in place of the nan of inf - inf.
     """
     _check_amplitude(pert, amplitude)
     w = principal_solution(pert.seq)
@@ -235,13 +221,11 @@ def _member_columns(pert, amplitude, x):
     over = np.isinf(member)
     member[~over] += amplitude * np.asarray(omega)[~over]
     if np.any(over):
-        log_x = np.log(np.asarray(x, dtype=np.float64)[over])
-        sign, log_omega = pert.log_density(log_x)
-        ratio = sign * np.exp(log_omega - w.log_density(log_x))
+        ratio = _ratio(pert, w, np.log(np.asarray(x, dtype=np.float64)[over]))
         member[over] = np.copysign(np.inf, 1.0 + amplitude * ratio)
     member = member if member.ndim else float(member)
     negative = np.ravel(member) < 0.0
-    if pert.family == "tm3" and np.any(negative):
+    if np.any(negative):
         i = int(np.argmax(negative))
         raise ConstraintError(
             f"W + {amplitude:.6g} * omega is negative at x = "
@@ -250,42 +234,41 @@ def _member_columns(pert, amplitude, x):
     return base, omega, member
 
 
+def _ratio(pert, w, log_x):
+    """omega / W at ln x, read off the two log forms."""
+    sign, log_omega = pert.log_density(log_x)
+    return sign * np.exp(log_omega - w.log_density(log_x))
+
+
 def _check_amplitude(pert, amplitude):
     """Reject an amplitude that could make W + amplitude * omega negative.
 
-    Every family needs a finite amplitude; then tm1 needs |eps| < 1 and
-    tm2 |gamma| <= find_gamma_max(r, k) for gamma >= 0 and
-    find_gamma_max(r, -k) below.  tm3 has no closed bound: omega3 / W3
-    tends to sin(k pi (r-1)/r) as x -> 0 (the residue series' leading
-    pole, at s = 1 - 1/r), so an amplitude with 1 + gamma times that limit
-    below 0 is refused, and _member_columns checks the member's values.
+    Every family needs a finite amplitude.  tm1 then needs |eps| < 1, and
+    every other family gamma <= find_gamma_max(pert) for gamma >= 0; since
+    omega(-k) = -omega(k), a negative gamma meets the bound of -k.
     """
     if not math.isfinite(amplitude):
         raise ConstraintError(
             f"class members need a finite amplitude, got {amplitude}")
-    if pert.family == "tm1" and not abs(amplitude) < 1.0:
-        raise ConstraintError(f"first family needs |eps| < 1, got {amplitude}")
-    if pert.family == "tm2":
-        k = pert.k if amplitude >= 0.0 else -pert.k  # omega2(r, -k) = -omega2
-        bound = find_gamma_max(pert.r, k)
-        if not abs(amplitude) <= bound:
+    if pert.family == "tm1":
+        if not abs(amplitude) < 1.0:
             raise ConstraintError(
-                f"|gamma| = {abs(amplitude):.6g} exceeds the certified bound "
-                f"{bound:.6g} for (r={pert.r}, k={k})")
-    if pert.family == "tm3":
-        limit = math.sin(math.pi * pert.k * (pert.r - 1) / pert.r)
-        if 1.0 + amplitude * limit < 0.0:
-            raise ConstraintError(
-                f"W + {amplitude:.6g} * omega is negative as x -> 0, where "
-                f"omega / W tends to {limit:.6g}; amplitude too large for "
-                f"{pert.seq.descriptor()}, k={pert.k}")
+                f"first family needs |eps| < 1, got {amplitude}")
+        return
+    if amplitude < 0.0:
+        pert = perturbation(pert.seq, -pert.k)
+    bound = find_gamma_max(pert)
+    if not abs(amplitude) <= bound:
+        raise ConstraintError(
+            f"|gamma| = {abs(amplitude):.6g} exceeds the amplitude bound "
+            f"{bound:.6g} for (r={pert.r}, k={pert.k})")
 
 
 # -- amplitude search -------------------------------------------------------
 
 _KVE_MAX_ABS = 1e9  # scipy.special.kve(0, z) returns nan beyond |z| ~ 1.08e9
 _SCAN_POINTS = 4000  # amplitude scan grid; block of the Monte Carlo recheck
-_SAFETY = 0.99  # fraction of the certified amplitude bound returned
+_SAFETY = 0.99  # fraction of the searched amplitude bound returned
 
 
 def _ratio_v_over_k0(r, k, u):
@@ -309,75 +292,91 @@ def _ratio_v_over_k0(r, k, u):
     return np.where(far, np.real(_v_phase(r, k) * beta ** -0.5 * decay), ratio)
 
 
-def find_gamma_max(r, k):
-    """Largest amplitude keeping 1 + gamma V/K0 nonnegative, times _SAFETY.
-
-    The ratio decays to zero at infinity (Re beta > 1) and tends to
-    cos(pi(1/2 - k(r-1)/r)) at the origin, but only like 1/ln u, so its
-    infimum may be that limit itself.  The scan runs in u = x^{1/2r} over
-    x in [1e-8, u*^{2r}], where the ratio has decayed by
-    e^{-2u*(Re beta - 1)} = 1e-8, or where |2u beta| reaches _KVE_MAX_ABS
-    if that comes first, and is refined by zooming in on its worst point.
-    The infimum is the least of that refined scan, the origin limit and a
-    coarse scan of u from 1e-150 up to the scan's start.  Beyond the
-    upper cut |V/K0| follows the envelope |phase| e^{-2u(Re beta - 1)}
-    (the large-argument form of both Bessel functions), and the bound is
-    certified only if that envelope stays below _SAFETY times the
-    scanned infimum, the margin the bound itself keeps.  The bound holds
-    for gamma >= 0; omega2(r, -k) = -omega2(r, k), so a negative gamma
-    meets find_gamma_max(r, -k).
+def _search_inputs(pert):
+    """(ratio, c, limit, u_cap, peak) of pert's omega / W in u = x^{1/A}:
+    |ratio| ~ e^{-c u} at infinity, its x -> 0 limit, finite up to u_cap
+    and below peak e^{-c u} past it.  tm2's is V/K0 (c = 2(Re beta - 1)),
+    whose scaled Bessel functions stop at _KVE_MAX_ABS.  tm3's is read off
+    the log forms of omega3 = sec^{r-1} Im W3(lambda x), so c = 3(Re
+    lambda^{1/3r} - 1), lambda^{1/3r} = sec^{1/3}(theta) e^{-i theta/3},
+    theta = k pi/r, and the limit is the residue series' leading pole.
+    tm1 has the exact rule |eps| < 1 and no search.
     """
-    _check_int(r, "r", 1)
-    _check_rotation(r, k, r)
-    beta = _beta(r, k)
-    decay = beta.real - 1.0
+    r, k = pert.r, pert.k
+    if pert.family == "tm2":
+        beta = _beta(r, k)
+        return (lambda u: _ratio_v_over_k0(r, k, u), 2.0 * (beta.real - 1.0),
+                float(_v_phase(r, k).real), 0.5 * _KVE_MAX_ABS / abs(beta),
+                abs(_v_phase(r, k)))
+    if pert.family == "tm3":
+        w, theta = principal_solution(pert.seq), math.pi * k / r
+        root = math.cos(theta / 3.0) / math.cos(theta) ** (1.0 / 3.0)
+        return (lambda u: _ratio(pert, w, 3 * r * np.log(u)),
+                3.0 * (root - 1.0), math.sin(theta * (r - 1)), math.inf, 0.0)
+    raise ConstraintError(
+        f"{pert.seq.descriptor()} members take the exact amplitude rule "
+        "|eps| < 1; there is no bound to search")
+
+
+def find_gamma_max(pert):
+    """Largest gamma keeping 1 + gamma omega / W >= 0, times _SAFETY.
+
+    The ratio decays at infinity and tends to its limit at the origin only
+    like 1/ln x, so its infimum may be that limit.  The scan runs in u =
+    x^{1/A} (A = seq.sum_a) from x = 1e-8 to where e^{-c u} = 1e-8, or to
+    u_cap, zooms in on its worst point, and takes the least of that, the
+    limit and a coarse scan of u down to 1e-150.  Past u_cap the envelope
+    must stay below _SAFETY times that infimum (see _search_inputs).  The
+    bound is searched, not certified, and holds for gamma >= 0; omega(-k)
+    = -omega(k), so a negative gamma meets the bound of -k.
+    """
+    ratio, decay, limit, u_cap, peak = _search_inputs(pert)
+    a, name = pert.seq.sum_a, f"(r={pert.r}, k={pert.k})"
     if not decay > 0.0:
         raise SearchError(
-            f"Re beta - 1 rounds to {decay!r} for (r={r}, k={k}): V/K0 does "
-            "not decay in double precision; cannot certify an amplitude bound")
-    u_star = math.log(1e8) / (2.0 * decay)
-    u_cap = 0.5 * _KVE_MAX_ABS / abs(beta)
+            f"the decay rate of omega/W rounds to {decay!r} for {name}: it "
+            "does not decay in double precision; cannot bound the amplitude")
+    u_star = math.log(1e8) / decay
     envelope = 0.0
     if u_star > u_cap:
         u_star = u_cap
-        envelope = abs(_v_phase(r, k)) * math.exp(-2.0 * u_cap * decay)
-    us = np.logspace(-8.0 / (2 * r), math.log10(u_star), _SCAN_POINTS)
-    neg = -_ratio_v_over_k0(r, k, us)
+        envelope = peak * math.exp(-u_cap * decay)
+    us = np.logspace(-8.0 / a, math.log10(u_star), _SCAN_POINTS)
+    neg = -ratio(us)
     i = int(np.argmax(neg))
     worst = float(neg[i])
     if worst <= 0.0:
         raise SearchError(
-            f"V/K0 never negative on the scan grid for (r={r}, k={k}); "
-            "cannot certify an amplitude bound")
+            f"omega/W never negative on the scan grid for {name}; "
+            "cannot bound the amplitude")
     # zoom in log u: 33 points across the bracket, keep the neighbours of
-    # the largest -V/K0, until the bracket is xatol wide; a bracket a few
-    # ulps wide stops shrinking, so xatol never goes below 64 ulps
-    a = math.log(us[max(i - 1, 0)])
-    b = math.log(us[min(i + 1, us.size - 1)])
-    xatol = max(1e-10 / (2 * r), 64.0 * np.spacing(max(abs(a), abs(b))))
+    # the largest -omega/W, until the bracket is xatol wide; a bracket a
+    # few ulps wide stops shrinking, so xatol never goes below 64 ulps
+    lo = math.log(us[max(i - 1, 0)])
+    hi = math.log(us[min(i + 1, us.size - 1)])
+    xatol = max(1e-10 / a, 64.0 * np.spacing(max(abs(lo), abs(hi))))
     refined = worst
-    while b - a > xatol:
-        vs = np.linspace(a, b, 33)
-        vals = -_ratio_v_over_k0(r, k, np.exp(vs))
+    while hi - lo > xatol:
+        vs = np.linspace(lo, hi, 33)
+        vals = -ratio(np.exp(vs))
         j = int(np.argmax(vals))
         refined = max(refined, float(vals[j]))
-        a, b = vs[max(j - 1, 0)], vs[min(j + 1, vs.size - 1)]
+        lo, hi = vs[max(j - 1, 0)], vs[min(j + 1, vs.size - 1)]
     if refined > 10.0 * worst:
         raise SearchError(
-            f"V/K0 infimum kept growing under refinement for (r={r}, k={k}); "
+            f"omega/W infimum kept growing under refinement for {name}; "
             "ratio may be unbounded")
     origin = np.logspace(-150.0, math.log10(us[0]), 1000)
-    refined = max(refined, -float(_v_phase(r, k).real),  # the u -> 0 limit
-                  float(np.max(-_ratio_v_over_k0(r, k, origin))))
+    refined = max(refined, -limit, float(np.max(-ratio(origin))))
     if envelope > _SAFETY * refined:
         raise SearchError(
-            f"V/K0 for (r={r}, k={k}) has not decayed below its scanned "
-            f"infimum {refined:.6g} (envelope {envelope:.6g}) where the "
-            "scaled Bessel function stops being finite")
+            f"omega/W for {name} has not decayed below its scanned "
+            f"infimum {refined:.6g} (envelope {envelope:.6g}) where it "
+            "stops being finite")
     bound = _SAFETY / refined
-    if not math.isfinite(bound):
-        raise SearchError(
-            f"amplitude bound for (r={r}, k={k}) is not finite: {bound!r}")
+    if not 0.0 < bound < math.inf:
+        raise SearchError(f"amplitude bound for {name} is {bound!r}: omega/W "
+                          "is not finite on the scan")
     return bound
 
 
@@ -389,7 +388,7 @@ def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
     of _SCAN_POINTS (4,000) points, so one block's arrays are alive at a
     time, and the result is what one call on the whole sample gives.
     `class --find-gamma-max --mc-seed` rechecks W + gamma_max omega at
-    20,000 points on [1e-8, 1e6] at the bound it has just certified,
+    20,000 points on [1e-8, 1e6] at the bound it has just searched,
     without a second search.  A member value that is not finite raises
     ConvergenceError at the first such x.
     """

@@ -5,8 +5,9 @@ Every subcommand takes its densities from a closed form or from the
 contour engine.  `class` prints, for every family, the member
 W + amplitude * omega from the base and omega columns it prints, after
 the checks of `classes.class_member` (an admissible amplitude, and no
-negative member).  `class --find-gamma-max --mc-seed` rechecks W +
-gamma_max omega at the bound it has just certified, at 20,000 random
+negative member).  `class --find-gamma-max` prints the searched bound
+`classes.find_gamma_max` (tm2 and tm3; `--k -k` gives the lower end),
+and with `--mc-seed` rechecks W + gamma_max omega there at 20,000 random
 points (`classes.certify_nonnegative`).  `convolve` evaluates
 the Mellin convolution W_a * W_b as the principal density of the product
 sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
@@ -201,15 +202,11 @@ def _cmd_class(args):
             if value is not None:
                 raise ConstraintError(
                     f"{flag} does not apply with --find-gamma-max")
-        if pert.family != "tm2":
-            raise ConstraintError(
-                "--find-gamma-max applies to tm2 sequences "
-                "(amplitude bound of the K0-ratio family)")
-        bound = cls.find_gamma_max(pert.r, k)
+        bound = cls.find_gamma_max(pert)
         payload = {"command": "class", "seq": seq.descriptor(), "k": k,
                    "gamma_max": bound, "safety_factor": cls._SAFETY}
         if args.mc_seed is not None:
-            # the member at the bound just certified, without a second search
+            # the member at the bound just searched, without a second search
             w = principal_solution(seq)
             ok, min_val = cls.certify_nonnegative(
                 lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs),
@@ -308,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, help="tm2/tm3 amplitude")
     p.add_argument("--x", help="comma-separated evaluation points")
     p.add_argument("--find-gamma-max", action="store_true",
-                   help="print the certified tm2 amplitude bound")
+                   help="print the searched tm2/tm3 amplitude bound "
+                        "(--k -k gives the lower end)")
     p.add_argument("--mc-seed", type=int,
                    help="Monte Carlo nonnegativity recheck seed "
                         "(with --find-gamma-max)")

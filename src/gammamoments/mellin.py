@@ -590,7 +590,7 @@ def _residue_sums(seq, lx, psi):
     each z^{-p} times a polynomial in ln z.  Poles are added until the
     bound sum_j |coef_j w^j / j!| on the first omitted one's term is
     below _SERIES_TOL of the sum.  ok is False for a knot whose test never
-    stops, whose sum is not finite, or whose sum keeps less than
+    stops, whose |sum| or bound is not finite, or whose sum keeps less than
     _SERIES_MARGIN of its terms' bound; such knots take the band sums.
     scale and total are in _contour_sums's form; every operation is
     elementwise, so a knot's value does not depend on the other knots.
@@ -628,7 +628,9 @@ def _residue_sums(seq, lx, psi):
             total[active] += phase * rel * sum(
                 c * v[active] for c, v in zip(coef[i], powers[top[i]]) if c)
             bound[active] += size
-        ok &= np.isfinite(total) & (np.abs(total) >= _SERIES_MARGIN * bound)
+        modulus = np.abs(total)  # inf also where Re and Im are finite
+        ok &= (np.isfinite(2.0 * np.pi * modulus) & np.isfinite(bound)
+               & (modulus >= _SERIES_MARGIN * bound))
         return (log_k[0] - p[0] * lx + top[0] * nats, 2.0 * np.pi * total,
                 ok)
 

@@ -36,6 +36,7 @@ __all__ = ["MomentCheckResult", "check_moment", "check_vanishing"]
 _NODE_CAP = 200_000  # evaluations per moment; exceeding it is an error
 _FIRST_GRID = 257  # nodes of the first nested grid in both checks
 _WINDOW_DROP = 60.0  # integrand log-range kept around the peak
+_PASS_TOL = 1e-10  # passed: rel_error <= 100x the worst measured, 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class MomentCheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.rel_error <= 1e-6
+        return self.rel_error <= _PASS_TOL
 
 
 def _window(n, g, p, alpha0, beta):

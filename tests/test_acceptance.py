@@ -27,7 +27,7 @@ def _report(label, worst, tol, passed):
 
 
 def test_01_closed_form_moment_reproduction():
-    """TM1/TM2, r in {1,2,3}, n = 0..8: relative error <= 1e-6."""
+    """TM1/TM2, r in {1,2,3}, n = 0..8: relative error <= 1e-10."""
     worst = 0.0
     for seq_of in (tm1, tm2):
         for r in (1, 2, 3):
@@ -35,14 +35,14 @@ def test_01_closed_form_moment_reproduction():
             w = principal_solution(seq)
             for n in range(9):
                 worst = max(worst, check_moment(w, seq, n).rel_error)
-    ok = worst <= 1e-6
+    ok = worst <= 1e-10
     _report("closed-form moment reproduction (TM1/TM2, r<=3, n<=8)",
-            worst, 1e-6, ok)
+            worst, 1e-10, ok)
     assert ok
 
 
 def test_02_quadrature_family_moment_reproduction():
-    """TM3/TM4, r in {1,2}, n = 0..5: relative error <= 1e-5."""
+    """TM3/TM4, r in {1,2}, n = 0..5: relative error <= 1e-10."""
     worst = 0.0
     for seq_of in (tm3, tm4):
         for r in (1, 2):
@@ -50,20 +50,20 @@ def test_02_quadrature_family_moment_reproduction():
             w = principal_solution(seq)
             for n in range(6):
                 worst = max(worst, check_moment(w, seq, n).rel_error)
-    ok = worst <= 1e-5
+    ok = worst <= 1e-10
     _report("contour-density moment reproduction (TM3/TM4, r<=2, n<=5)",
-            worst, 1e-5, ok)
+            worst, 1e-10, ok)
     assert ok
 
 
 def test_03_vanishing_moments():
     """All perturbation families integrate against x^n to ~zero, n = 0..8."""
     cases = [
-        (perturbation_tm1(2, 1), 1e-6),
-        (perturbation_tm1(3, 2), 1e-6),
-        (perturbation_tm2(3, 1), 1e-6),
-        (perturbation_tm2(5, 2), 1e-6),
-        (perturbation_tm3(3, 1), 1e-5),
+        (perturbation_tm1(2, 1), 1e-10),
+        (perturbation_tm1(3, 2), 1e-10),
+        (perturbation_tm2(3, 1), 1e-10),
+        (perturbation_tm2(5, 2), 1e-10),
+        (perturbation_tm3(3, 1), 1e-10),
     ]
     ok = True
     worst = 0.0
@@ -72,7 +72,8 @@ def test_03_vanishing_moments():
                         for n in range(9))
         worst = max(worst, fam_worst)
         ok = ok and fam_worst <= tol
-    _report("vanishing moments (omega1/omega2/omega3, n<=8)", worst, 1e-5, ok)
+    _report("vanishing moments (omega1/omega2/omega3, n<=8)", worst, 1e-10,
+            ok)
     assert ok
 
 
@@ -115,9 +116,9 @@ def test_05_nonuniqueness_demonstration():
             tail_certified=True)
         for n in range(9):
             worst = max(worst, check_moment(member, seq, n).rel_error)
-    ok = worst <= 1e-6
+    ok = worst <= 1e-10
     _report("non-uniqueness demo: eps=+/-0.5 members reproduce (4n)!",
-            worst, 1e-6, ok)
+            worst, 1e-10, ok)
     assert ok
 
 

@@ -261,31 +261,35 @@ class TestClassMembers:
         # one check for every family, before any bound is searched: NaN
         # once passed tm1's |eps| >= 1 test, and a tm2 NaN ran
         # find_gamma_max with k flipped before its bound refused it
-        def no_search(r, k):
-            raise AssertionError(f"bound searched for (r={r}, k={k})")
+        def no_search(pert):
+            raise AssertionError(f"bound searched for (r={pert.r}, "
+                                 f"k={pert.k})")
         monkeypatch.setattr(classes, "find_gamma_max", no_search)
         with pytest.raises(ConstraintError,
                            match=f"need a finite amplitude, got {amplitude}"):
             class_member(seq, 1, amplitude, 1.0)
 
-    def test_tm3_negative_member_refused(self):
-        # tm3 has no closed amplitude bound, so the member values are checked
+    def test_tm3_negative_member_refused(self, monkeypatch):
+        # the bound is searched, not certified, so the member values are
+        # checked too; a bound of inf lets 1e6 reach that check
+        monkeypatch.setattr(classes, "find_gamma_max", lambda pert: math.inf)
         with pytest.raises(ConstraintError, match=r"negative at x = 0\.5 "):
             class_member(tm3(3), 1, 1e6, np.array([1e-3, 0.5, 1.0]))
         assert np.all(class_member(tm3(3), 1, 0.1, np.logspace(-4, 4, 50)) > 0)
 
     def test_tm3_origin_limit_bounds_the_amplitude(self):
         # omega3 / W3 -> sin(k pi (r-1)/r) as x -> 0; for (5, 2) that is
-        # sin(8 pi / 5) = -0.951, so a positive gamma is bounded by 1/0.951
+        # sin(8 pi / 5) = -0.951, so a positive gamma is bounded by
+        # 0.99/0.951, the search's margin included
         limit = math.sin(8.0 * math.pi / 5.0)
         pert = perturbation_tm3(5, 2)
-        classes._check_amplitude(pert, 0.999 / -limit)
-        classes._check_amplitude(pert, -100.0)
-        with pytest.raises(ConstraintError, match="negative as x -> 0"):
+        classes._check_amplitude(pert, 0.98 / -limit)
+        classes._check_amplitude(pert, -4.9)
+        with pytest.raises(ConstraintError, match="exceeds the amplitude"):
             classes._check_amplitude(pert, 1.001 / -limit)
         # (3, 1): the limit is +0.866, so it bounds a negative gamma
-        classes._check_amplitude(perturbation_tm3(3, 1), -1.15)
-        with pytest.raises(ConstraintError, match="negative as x -> 0"):
+        classes._check_amplitude(perturbation_tm3(3, 1), -1.14)
+        with pytest.raises(ConstraintError, match="exceeds the amplitude"):
             classes._check_amplitude(perturbation_tm3(3, 1), -1.16)
 
     def test_tm3_series_ratio_reaches_the_origin_limit(self):
@@ -299,7 +303,7 @@ class TestClassMembers:
 
     def test_tm2_member_at_bound_nonnegative(self):
         r, k = 3, 1
-        bound = find_gamma_max(r, k)
+        bound = find_gamma_max(perturbation_tm2(r, k))
         xs = np.logspace(-8, 6, 10000)
         vals = class_member(tm2(r), k, bound, xs)
         assert np.all(vals >= 0.0)
@@ -311,14 +315,14 @@ class TestClassMembers:
                            rtol=1e-14)
 
     def test_tm2_bound_enforced(self):
-        bound = find_gamma_max(3, 1)
+        bound = find_gamma_max(perturbation_tm2(3, 1))
         with pytest.raises(ConstraintError,
-                           match="exceeds the certified bound"):
+                           match="exceeds the amplitude bound"):
             class_member(tm2(3), 1, 2.0 * bound, 1.0)
 
     def test_tm2_negative_gamma_meets_bound_of_minus_k(self):
         # omega2(r, -k) = -omega2(r, k), so gamma < 0 is bounded by
-        # find_gamma_max(r, -k) = 1.143 for (3, 1), not by 2.348; at
+        # the bound of -k, 1.143 for (3, 1), not by 2.348; at
         # gamma = -2.3 the member was -1.7e5 at x = 1e-8
         assert omega2(3, -1, 0.7) == pytest.approx(-omega2(3, 1, 0.7),
                                                    rel=1e-12)
@@ -326,7 +330,8 @@ class TestClassMembers:
                                                   r"\(r=3, k=-1\)"):
             class_member(tm2(3), 1, -2.3, 1e-8)
         xs = np.logspace(-40, 6, 2000)
-        assert np.all(class_member(tm2(3), 1, -find_gamma_max(3, -1), xs) >= 0)
+        gamma = -find_gamma_max(perturbation_tm2(3, -1))
+        assert np.all(class_member(tm2(3), 1, gamma, xs) >= 0)
 
     def test_tm2_finite_past_scaled_bessel_range(self):
         # kve(0, z) is nan past |z| ~ 1.08e9, which made the member nan at
@@ -348,7 +353,7 @@ class TestClassMembers:
 class TestGammaMax:
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3)])
     def test_bound_certifies_positivity(self, r, k):
-        bound = find_gamma_max(r, k)
+        bound = find_gamma_max(perturbation_tm2(r, k))
         assert bound > 0.0
         xs = np.logspace(-8, 6, 10000)
         vals = class_member(tm2(r), k, bound, xs)
@@ -356,7 +361,7 @@ class TestGammaMax:
 
     def test_exceeding_bound_breaks_positivity(self):
         r, k = 3, 1
-        bound = find_gamma_max(r, k)
+        bound = find_gamma_max(perturbation_tm2(r, k))
         # the safety factor is 0.99, so 1.1x the bound must go negative;
         # class_member refuses that amplitude, so W + gamma omega is formed
         xs = np.logspace(-8, 6, 20000)
@@ -365,7 +370,8 @@ class TestGammaMax:
         assert np.min(vals) < 0.0
 
     def test_deterministic(self):
-        assert find_gamma_max(5, 2) == find_gamma_max(5, 2)
+        pert = perturbation_tm2(5, 2)
+        assert find_gamma_max(pert) == find_gamma_max(pert)
 
     @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705265),
                                           (5, 2, 1.0409476019958845),
@@ -374,13 +380,14 @@ class TestGammaMax:
     def test_scaled_scan_keeps_small_r_bounds(self, r, k, want):
         # (5, 2), (10, 4) and (3, -1) take their infimum at the ratio's
         # x -> 0 limit, which a scan from x = 1e-8 missed (2.294 for (5, 2))
-        assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-9)
+        assert find_gamma_max(perturbation_tm2(r, k)) == pytest.approx(
+            want, rel=1e-9)
 
     @pytest.mark.parametrize("r,want", [(9, 1.178), (15, 1.089), (40, 1.023)])
     def test_large_r_bound_finite(self, r, want):
         # K0(2u) underflows (r = 9, 15) and u*^{2r} overflows (r = 40)
         # on the x-scale; the scaled u-scan sees neither
-        bound = find_gamma_max(r, 1)
+        bound = find_gamma_max(perturbation_tm2(r, 1))
         assert math.isfinite(bound)
         assert bound == pytest.approx(want, abs=1e-3)
         xs = np.logspace(-8, 6, 2000)
@@ -396,7 +403,8 @@ class TestGammaMax:
     def test_zoom_matches_brent_refinement(self, r, k, want):
         # values of the bounded Brent refinement the zoom replaced; (5, 2)
         # is its origin limit 0.99 / -cos(pi(1/2 - 8/5))
-        assert find_gamma_max(r, k) == pytest.approx(want, rel=1e-13)
+        assert find_gamma_max(perturbation_tm2(r, k)) == pytest.approx(
+            want, rel=1e-13)
 
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
     def test_refinement_never_shallower_than_scan(self, r, k, monkeypatch):
@@ -408,7 +416,7 @@ class TestGammaMax:
             seen.append(-vals)
             return vals
         monkeypatch.setattr(classes, "_ratio_v_over_k0", spy)
-        bound = find_gamma_max(r, k)
+        bound = find_gamma_max(perturbation_tm2(r, k))
         worst = float(np.max(seen[0]))  # the scan grid comes first
         deepest = max(float(np.max(v)) for v in seen)
         limit = -classes._v_phase(r, k).real  # -V/K0 at x -> 0
@@ -424,14 +432,15 @@ class TestGammaMax:
         # limit, like 1/ln u, far below the scan's start at x = 1e-8
         us = np.logspace(-150.0, 1.0, 20001)
         ratio = classes._ratio_v_over_k0(r, k, us)
-        for gamma in (find_gamma_max(r, k), -find_gamma_max(r, -k)):
+        for gamma in (find_gamma_max(perturbation_tm2(r, k)),
+                      -find_gamma_max(perturbation_tm2(r, -k))):
             assert np.min(1.0 + gamma * ratio) >= 0.0
 
     @pytest.mark.parametrize("r", [10**4, 3 * 10**4])
     def test_bound_finite_where_kve_overflows(self, r):
         # the ratio decays by 1e-8 only past |2u beta| = 1.08e9, where
         # scipy's kve(0, z) is nan; the scan stops short of that
-        bound = find_gamma_max(r, 1)
+        bound = find_gamma_max(perturbation_tm2(r, 1))
         assert math.isfinite(bound)
         assert bound == pytest.approx(0.9904, abs=1e-3)
         # W2 > 0, so the member is nonnegative iff 1 + gamma V/K0 is; x =
@@ -448,34 +457,49 @@ class TestGammaMax:
         # the zoom must still stop, and since the ratio has not decayed
         # where scaled K0 stops being finite, the search must raise
         with pytest.raises(SearchError, match="not decayed"):
-            find_gamma_max(10**6, 1)
+            find_gamma_max(perturbation_tm2(10**6, 1))
 
     def test_decay_rounding_to_zero_raises(self):
         # at r = 1e8, Re beta - 1 ~ (pi/r)^2/8 rounds to 0; the scan's end
         # u* = ln(1e8) / (2 (Re beta - 1)) once divided by zero
         with pytest.raises(SearchError, match="does not decay"):
-            find_gamma_max(10**8, 1)
+            find_gamma_max(perturbation_tm2(10**8, 1))
 
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",
                             lambda r, k, u: np.full(np.shape(u), np.nan))
         with pytest.raises(SearchError):
-            find_gamma_max(3, 1)
+            find_gamma_max(perturbation_tm2(3, 1))
 
     def test_constraint_violation(self):
         with pytest.raises(ConstraintError):
-            find_gamma_max(2, 1)
+            find_gamma_max(perturbation_tm2(2, 1))
 
     @pytest.mark.parametrize("r", [2.5, 3.0, 0])
     def test_rejects_r_that_builds_no_second_family(self, r):
         # find_gamma_max(2.5, 1) once returned 3.5179 while tm2(2.5)
         # refused to build the sequence it bounds
         with pytest.raises(ConstraintError, match="r must be an integer >= 1"):
-            find_gamma_max(r, 1)
+            find_gamma_max(perturbation_tm2(r, 1))
+
+    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705257),
+                                          (3, -1, 1.1431535329954585),
+                                          (5, 2, 1.0409476019958845),
+                                          (5, -2, 3.517867380264567),
+                                          (9, 1, 1.1782849897585341),
+                                          (40, 1, 1.0228080242294648)])
+    def test_tm2_bounds_bit_for_bit(self, r, k, want):
+        # the search that serves tm2 and tm3 keeps every bit of tm2's bounds
+        assert find_gamma_max(perturbation_tm2(r, k)) == want
+
+    def test_first_family_has_no_search(self):
+        with pytest.raises(ConstraintError, match=r"exact amplitude rule "
+                                                  r"\|eps\| < 1"):
+            find_gamma_max(perturbation_tm1(2, 1))
 
     def test_monte_carlo_recheck(self):
         r, k = 3, 1
-        bound = find_gamma_max(r, k)
+        bound = find_gamma_max(perturbation_tm2(r, k))
         ok, min_val = certify_nonnegative(
             lambda xs: class_member(tm2(r), k, bound, xs),
             1e-8, 1e6, 5000, seed=123)
@@ -511,6 +535,39 @@ class TestGammaMax:
                                 0.1, 10, 100, 1)
 
 
+class TestThirdFamilyInterval:
+    """tm3's amplitude interval comes from the search tm2 runs, on the
+    ratio omega3 / W3 read off the two log forms."""
+
+    @pytest.mark.parametrize("k,end", [(1, 3.0126), (-1, 1.1547)])
+    def test_ends_meet_the_ratio_extremes(self, k, end):
+        # omega3 / W3 for (3, 1) reaches -0.3319 at ln x ~ 3.37, so gamma >
+        # 3.0126 makes a member negative there, yet 3.013 once passed on
+        # the default grid; at the origin it tends to sin(2 pi/3) = 0.866,
+        # which bounds a negative gamma by 1/0.866
+        bound = find_gamma_max(perturbation_tm3(3, k))
+        assert bound / classes._SAFETY == pytest.approx(end, abs=1e-3)
+        with pytest.raises(ConstraintError, match="exceeds the amplitude"):
+            class_member(tm3(3), 1, math.copysign(1.0001 * bound, k), 1.0)
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (5, 2), (5, -2),
+                                     (7, 3), (7, -3)])
+    def test_member_at_bound_nonnegative(self, r, k):
+        pert = perturbation_tm3(r, k)
+        bound = find_gamma_max(pert)
+        w = principal_solution(pert.seq)
+        ok, least = certify_nonnegative(
+            lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs),
+            1e-300, 1e3, 20000, 1)
+        assert ok, least
+
+    def test_bound_finite_at_large_r(self):
+        # the residue series once certified omega3 sums past the double
+        # range, so the ratio was inf at scan points and the bound 0.0
+        bound = find_gamma_max(perturbation_tm3(30, 1))
+        assert bound == pytest.approx(1.0497, abs=1e-3)
+
+
 class TestMonteCarloBlocks:
     """certify_nonnegative evaluates its sample in blocks of 4,000."""
 
@@ -542,7 +599,7 @@ class TestMonteCarloBlocks:
         import tracemalloc
         seq = tm2(3)
         w, pert, bound = (principal_solution(seq), perturbation(seq, 1),
-                          find_gamma_max(3, 1))
+                          find_gamma_max(perturbation_tm2(3, 1)))
         member = lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs)
         member(np.array([1.0]))  # scipy.special loads outside the trace
         tracemalloc.start()

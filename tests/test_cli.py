@@ -215,14 +215,15 @@ class TestDeterminism:
         # check ran the search again for the bound just certified
         calls = []
         search = classes.find_gamma_max
-        monkeypatch.setattr(classes, "find_gamma_max",
-                            lambda r, k: calls.append((r, k)) or search(r, k))
+        monkeypatch.setattr(
+            classes, "find_gamma_max",
+            lambda pert: calls.append((pert.r, pert.k)) or search(pert))
         code, out, _ = run(capsys, "class", "--seq", "tm2:r=3", "--k", "1",
                            "--find-gamma-max", "--mc-seed", "42")
         assert code == 0
         assert calls == [(3, 1)]
         # the record one class_member call on the whole sorted sample gives
-        bound = search(3, 1)
+        bound = search(classes.perturbation_tm2(3, 1))
         rng = np.random.default_rng(42)
         xs = np.sort(np.exp(rng.uniform(np.log(1e-8), np.log(1e6), 20000)))
         member = class_member(tm2(3), 1, bound, xs)
@@ -237,6 +238,23 @@ class TestDeterminism:
                              "--find-gamma-max", "--mc-seed", "42")
         assert (code, out) == (3, "")
         assert "not finite" in err
+
+    @pytest.mark.parametrize("k,end", [("1", 3.0126), ("-1", 1.1547)])
+    def test_find_gamma_max_tm3(self, capsys, k, end):
+        # tm3 takes tm2's search; it once exited 1, "applies to tm2"
+        code, out, err = run(capsys, "class", "--seq", "tm3:r=3", "--k", k,
+                             "--find-gamma-max", "--mc-seed", "7")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["gamma_max"] / payload["safety_factor"] == \
+            pytest.approx(end, abs=1e-3)
+        assert payload["monte_carlo"]["nonnegative"] is True
+
+    def test_find_gamma_max_tm1_names_its_rule(self, capsys):
+        code, out, err = run(capsys, "class", "--seq", "tm1:r=2", "--k", "1",
+                             "--find-gamma-max")
+        assert (code, out) == (1, "")
+        assert "|eps| < 1" in err
 
     def test_mc_seed_needs_find_gamma_max(self, capsys):
         # the seed was once ignored, and the call exited 0 with no recheck
@@ -386,6 +404,9 @@ class TestExitCodes:
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.5"],
         ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "-1.16",
          "--x", "1e-300,1e-8,1"],
+        # omega3 / W3 = -0.3319 at ln x ~ 3.37, between the default grid's
+        # points, so the member is negative there: it once exited 0
+        ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "3.013"],
         # the tm2 bounds hold at the ratio's x -> 0 limit (1.041 for (5, 2))
         # and for gamma < 0 (1.143 for (3, -1))
         ["class", "--seq", "tm2:r=5", "--k", "2", "--gamma", "2.29"],
@@ -399,7 +420,6 @@ class TestExitCodes:
          "--mc-seed", "-1"],
         ["class", "--seq", "tm2:r=3", "--gamma", "1.0"],
         ["class", "--seq", "tm1:r=2", "--k", "1", "--find-gamma-max"],
-        ["class", "--seq", "tm3:r=3", "--k", "1", "--find-gamma-max"],
         ["eval", "--seq", "gamma:0n+1"],
         # every entry that takes x raises DomainError outside (0, inf)
         *([cmd, *seq, "--x", x]
@@ -436,10 +456,11 @@ class TestExitCodes:
             "zero-denominator-a", "zero-denominator-b",
             "reversed-n-range", "tm3-member-negative",
             "tm3-origin-limit-default-grid", "tm3-origin-limit-deep-x",
+            "tm3-body-default-grid",
             "tm2-origin-limit-bound", "tm2-negative-bound",
             "criteria-csv",
             "find-gamma-max-csv", "mc-seed-negative", "class-no-k",
-            "find-gamma-max-tm1", "find-gamma-max-tm3", "eval-a0",
+            "find-gamma-max-tm1", "eval-a0",
             *(f"{cmd}-x-{x}" for cmd in ("eval", "class", "convolve")
               for x in ("0", "inf", "nan")),
             *(f"{cmd}-x-empty" for cmd in ("eval", "class", "convolve")),
@@ -540,8 +561,10 @@ class TestExitCodes:
                                        + amplitude * point["omega"])
 
 
-    def test_class_names_first_negative_x(self, capsys):
-        # the member is positive at 0.001 and negative at 0.5 and 1
+    def test_class_names_first_negative_x(self, capsys, monkeypatch):
+        # the member is positive at 0.001 and negative at 0.5 and 1; a
+        # bound of inf lets the amplitude reach the pointwise check
+        monkeypatch.setattr(classes, "find_gamma_max", lambda pert: math.inf)
         code, out, err = run(capsys, "class", "--seq", "tm3:r=3", "--k", "1",
                              "--gamma", "1e6", "--x", "0.001,0.5,1")
         assert (code, out) == (1, "")
@@ -638,6 +661,10 @@ class TestConvolve:
 
 class TestClassTm3:
     def test_omega3_evaluated_once(self, capsys, monkeypatch):
+        # once for the printed columns; the amplitude search, which scans
+        # omega3 / W3 on its own grid, is held at its bound
+        bound = classes.find_gamma_max(classes.perturbation_tm3(3, 1))
+        monkeypatch.setattr(classes, "find_gamma_max", lambda pert: bound)
         calls = []
         contour_sums = classes._contour_sums
 

@@ -359,6 +359,16 @@ class TestResidueSeries:
                                     lambda: pert.log_density(lx))
         assert np.max(certified) > _LOG_1E20
 
+    def test_sum_past_double_range_not_certified(self):
+        # omega3(30, 1)'s knots near ln x = 507: the terms pass 1e304 and
+        # |sum| overflows although its parts do not, so "size <= 1e-17 *
+        # inf" once ended the series and certified a sum of inf
+        lx = np.array([505.9, 515.2, 525.0])
+        scale, total, ok = mellin._residue_sums(tm3(30), lx, math.pi)
+        assert not np.any(ok)
+        scale, total = mellin._contour_sums(tm3(30), lx, math.pi)
+        assert np.all(np.isfinite(scale)) and np.all(np.isfinite(total))
+
     @pytest.mark.parametrize("descriptor", ["gamma:2.02n+1,0.5n+0.7",
                                             "gamma:0.25n+1,0.25n+1"])
     def test_non_integer_multipliers_match_band_sums(self, descriptor):
