@@ -1,38 +1,30 @@
 """Vanishing-moment perturbations and the non-unique solution families.
 
-omega1 is a sine-modulated copy of the first principal density, omega2 its
-"near factorization" through complex K0, omega3 the Mellin convolution
-W2 * omega1, evaluated as the imaginary part of W3 at a rotated argument
-by the contour engine at the tolerance it holds densities to (the tests
-check it against mpmath's Meijer G at that argument).  Every
-class member is W + amplitude * omega: `perturbation(seq, k)` picks the
-family by seq.family, so any single factor Gamma(an + b) gets omega1 at
-its (a, b), and `class_member(seq, k, amplitude, x)` adds amplitude *
-omega to seq's principal solution once the amplitude is admissible:
-finite, then |eps| < 1 for the first family, and within
-find_gamma_max(perturbation) for the others, a search of omega / W on a
-grid refined by zooming in on its worst point (searched, not certified).
-`perturbation` is the one constructor: it checks the one rotation rule
-(omega with index k rotates its factor Gamma(an + b) by k pi/a, so k is
-a nonzero integer and a > 2|k|) and picks the log-density; family, r and
-the tail law growth are read from seq, so omega shares W's exact (g, p).
-Each argument is checked once, where it enters: r by the tmN
-constructors and `omega2_via_convolution`, (r, k) by `perturbation`, x
-by `evaluate`; the helpers they call do not re-check.
+One rule serves every product rho(n) = prod_j Gamma(a_j n + b_j).  Its
+star factor (a*, b*) is the first with the largest multiplier, and omega
+= W_rest * omega1 is the Mellin convolution of the other factors' density
+with the star factor's first-family perturbation omega1 (w1 times a
+sine).  With theta = k pi / a* and ln mu = a* ln sec(theta) it is
+sec^{a*-b*}(theta) Im W(mu e^{-i k pi} x), one rotated contour sum
+(`_log_rotated`), which decays only while a* > 2|k|; tm1's omega1 and
+tm2's K0 ratio are its closed forms.  W + gamma omega = W_rest * (w1 +
+gamma omega1) and |omega1| <= w1, so every |gamma| <= 1 gives a density.
 
-Perturbations are evaluated in ln x, as densities are:
-`Perturbation.log_density` maps ln x to (sign omega, ln |omega|), so the
-moment window never forms x.  omega1 is ln w1 plus ln |sine factor|,
-omega2 is ln W2 plus ln |V/K0| (the ratio the amplitude search scans, from
-SciPy's scaled Bessel functions), and omega3 keeps the scale and
-ln |Im total| of its contour sums.  `evaluate(x)` is the entry in linear
-x, through `errors._at_x` as for densities: DomainError outside
-0 < x < inf, a float for a scalar x and x's shape otherwise; `omega2`
-and `omega3` evaluate it for the named families.
+`perturbation(seq, k)` is the one constructor; it checks k and a* > 2|k|
+once, and family, r (None past tm3) and the tail law are seq's.
+`class_member(seq, k, amplitude, x)` adds amplitude * omega to seq's
+principal density once the amplitude is finite, then |eps| < 1 for one
+factor, else within find_gamma_max(perturbation): a search of omega / W
+zoomed in on its worst point (not certified; >= 0.99 by the floor
+above), run once per (seq, k) in a process.  Perturbations are evaluated
+in ln x, as densities are, by `Perturbation.log_density` (ln x -> sign
+omega, ln |omega|); `evaluate(x)` is the entry in linear x, through
+`errors._at_x`, and `omega2` and `omega3` evaluate it for tm2 and tm3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,12 +55,12 @@ class Perturbation:
     log_density: object = field(repr=False)  # array ln x -> (sign, ln |omega|)
 
     @property
-    def family(self) -> str:  # "tm1" | "tm2" | "tm3"
-        return self.seq.family[0]
+    def family(self):  # "tm1" | "tm2" | "tm3" | None
+        return (self.seq.family or (None, None))[0]
 
     @property
-    def r(self):  # a/2 for the first family's factor (a, b), else an int
-        return self.seq.family[1]
+    def r(self):  # a/2 for the first family's factor (a, b), an int, None
+        return (self.seq.family or (None, None))[1]
 
     @property
     def growth(self) -> tuple:  # (g, p): -ln |omega| <~ g x^p in the tail
@@ -84,17 +76,25 @@ def _signed_log(log_rest, factor):
         return np.sign(factor), log_rest + np.log(np.abs(factor))
 
 
-def _check_rotation(a, k, r):
-    """omega with index k rotates its factor Gamma(an + b) by k pi / a,
-    and decays only while that angle stays inside (-pi/2, pi/2): k must
-    be a nonzero integer and a > 2|k|.  r is the family's index, for the
-    message: a = 2r for the first family, a = r for the others."""
+def _star_factor(seq):
+    """(a*, b*): the first factor of seq with the largest multiplier."""
+    return max(seq.factors, key=lambda factor: factor[0])
+
+
+def _name(seq):  # for messages: r=<r> in the paper's families
+    return f"r={seq.family[1]}" if seq.family else seq.descriptor()
+
+
+def _check_rotation(seq, k):
+    """omega with index k rotates seq's star factor Gamma(an + b) by k pi/a
+    and decays only while |k pi/a| < pi/2: k is a nonzero integer, a > 2|k|."""
     if not isinstance(k, (int, np.integer)) or k == 0:
         raise ConstraintError(f"k must be a nonzero integer, got {k!r}")
+    a = _star_factor(seq)[0]
     if not a > 2 * abs(k):
         raise ConstraintError(
             "omega rotates its factor Gamma(an + b) by k pi/a, so it needs "
-            f"a > 2|k| (a={a:g}, r={r}, k={k})")
+            f"a > 2|k| (a={a:g}, {_name(seq)}, k={k})")
 
 
 # -- family 1 ---------------------------------------------------------------
@@ -139,8 +139,7 @@ def omega2(r, k, x):
 
 def omega2_via_convolution(r, k, x):
     """Same function by the convolution route (half-index densities)."""
-    _check_int(r, "r", 1)
-    _check_rotation(r, k, r)
+    _check_rotation(tm2(r), k)
     return mellin_convolve_many(
         lambda v: w1(r, v),
         lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
@@ -153,23 +152,22 @@ def perturbation_tm2(r, k) -> Perturbation:
     return perturbation(tm2(r), k)
 
 
-# -- family 3 ---------------------------------------------------------------
+# -- every other product: one rotated contour sum --------------------------
 
-def _log_omega3(r, k, log_x):
-    """(sign, ln |omega3|) at ln x: W2 * omega1(r, k), by one contour.
+def _log_rotated(seq, k, log_x):
+    """(sign, ln |omega|) at ln x: W_rest * omega1(a*, k; b*), one contour.
 
-    With theta = k pi / r, omega1(r, k, x) = sec^{r-1}(theta)
-    Im w1(r, lambda x), log lambda = r ln sec(theta) - i k pi, the
-    continuation of w1 in log x (it decays because r > 2|k|).  Mellin
-    transforms turn f(lambda .) into lambda^-s M[f] and the convolution
-    into M[W2] M[w1(r, .)] = Gamma(r(s-1)+1)^3 = M[W3], so
-    omega3(r, k, x) = sec^{r-1}(theta) Im W3(r, lambda x): the tm3 contour
-    sum with e^{i k pi s} in the symbol, at L = ln x + r ln sec(theta).
+    With theta = k pi / a*, omega1(x) = sec^{a*-b*}(theta) Im w1(lambda x),
+    ln lambda = a* ln sec(theta) - i k pi.  Mellin transforms turn
+    f(lambda .) into lambda^-s M[f] and the convolution into M[W_rest]
+    M[w1] = M[W], so omega(x) = sec^{a*-b*}(theta) Im W(lambda x): seq's
+    contour sum with e^{i k pi s} in the symbol, at L = ln x + ln |lambda|.
     """
+    a, b = _star_factor(seq)
     lx = np.asarray(log_x, dtype=float)
-    log_sec = -math.log(math.cos(math.pi * k / r))
-    scale, total = _contour_sums(tm3(r), lx + r * log_sec, math.pi * k)
-    sign, log_abs = _signed_log(scale + (r - 1) * log_sec
+    log_sec = -math.log(math.cos(math.pi * k / a))
+    scale, total = _contour_sums(seq, lx + a * log_sec, math.pi * k)
+    sign, log_abs = _signed_log(scale + (a - b) * log_sec
                                 - math.log(2.0 * math.pi), total.imag)
     return sign.reshape(lx.shape), log_abs.reshape(lx.shape)
 
@@ -186,17 +184,12 @@ def perturbation_tm3(r, k) -> Perturbation:
 # -- class members ----------------------------------------------------------
 
 def perturbation(seq, k) -> Perturbation:
-    """The perturbation omega with index k of seq's principal density."""
-    family, r = seq.family or (None, None)
-    if family is None:
-        raise ConstraintError(
-            "class construction needs one gamma factor, or two or three "
-            f"equal factors (r, 1) with integer r; got {seq.descriptor()}")
-    a, b = seq.factors[0]
-    _check_rotation(a, k, r)
+    """omega with index k of seq's principal density: W_rest * omega1."""
+    _check_rotation(seq, k)
+    (family, r), (a, b) = seq.family or (None, None), seq.factors[0]
     log_omega = {"tm1": lambda log_x: _log_omega1(a, k, log_x, b),
-                 "tm2": lambda log_x: _log_omega2(r, k, log_x),
-                 "tm3": lambda log_x: _log_omega3(r, k, log_x)}[family]
+                 "tm2": lambda log_x: _log_omega2(r, k, log_x)}.get(
+        family, lambda log_x: _log_rotated(seq, k, log_x))
     return Perturbation(k=k, seq=seq, log_density=log_omega)
 
 
@@ -208,10 +201,9 @@ def class_member(seq, k, amplitude, x):
 def _member_columns(pert, amplitude, x):
     """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
 
-    The amplitude bound is searched, not certified, so a member negative
-    at some x is refused.  Where W is past the double range (inf) the
-    member is W (1 + amplitude omega / W): inf with the sign of 1 +
-    amplitude omega / W, in place of the nan of inf - inf.
+    The amplitude bound is searched, so a member negative at some x is
+    refused.  Where W is inf (past the double range) the member is inf
+    with the sign of 1 + amplitude omega / W, not the nan of inf - inf.
     """
     _check_amplitude(pert, amplitude)
     w = principal_solution(pert.seq)
@@ -241,12 +233,10 @@ def _ratio(pert, w, log_x):
 
 
 def _check_amplitude(pert, amplitude):
-    """Reject an amplitude that could make W + amplitude * omega negative.
-
-    Every family needs a finite amplitude.  tm1 then needs |eps| < 1, and
-    every other family gamma <= find_gamma_max(pert) for gamma >= 0; since
-    omega(-k) = -omega(k), a negative gamma meets the bound of -k.
-    """
+    """Reject an amplitude that could make W + amplitude * omega negative:
+    it must be finite, then |eps| < 1 for tm1, else gamma <=
+    find_gamma_max(pert) for gamma >= 0; since omega(-k) = -omega(k), a
+    negative gamma meets the bound of -k."""
     if not math.isfinite(amplitude):
         raise ConstraintError(
             f"class members need a finite amplitude, got {amplitude}")
@@ -255,13 +245,17 @@ def _check_amplitude(pert, amplitude):
             raise ConstraintError(
                 f"first family needs |eps| < 1, got {amplitude}")
         return
-    if amplitude < 0.0:
-        pert = perturbation(pert.seq, -pert.k)
-    bound = find_gamma_max(pert)
+    k = -pert.k if amplitude < 0.0 else pert.k
+    bound = _amplitude_bound(pert.seq, k)
     if not abs(amplitude) <= bound:
         raise ConstraintError(
             f"|gamma| = {abs(amplitude):.6g} exceeds the amplitude bound "
-            f"{bound:.6g} for (r={pert.r}, k={pert.k})")
+            f"{bound:.6g} for ({_name(pert.seq)}, k={k})")
+
+
+@functools.lru_cache(maxsize=16)
+def _amplitude_bound(seq, k):  # searched once per (seq, k)
+    return find_gamma_max(perturbation(seq, k))
 
 
 # -- amplitude search -------------------------------------------------------
@@ -272,15 +266,11 @@ _SAFETY = 0.99  # fraction of the searched amplitude bound returned
 
 
 def _ratio_v_over_k0(r, k, u):
-    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
-
-    K0(z) = kve(0, z) e^{-z}, so the ratio is
-    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
-    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
-    _KVE_MAX_ABS, where kve returns nan, both functions take their
-    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
-    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
-    Its callers have checked (r, k).
+    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions:
+    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u) stays finite
+    where V underflows and 1/K0 overflows.  Past |2u beta| = _KVE_MAX_ABS,
+    where kve is nan, the large-argument forms sqrt(pi/2w) e^{-w} give
+    Re[phase beta^{-1/2} e^{-2u(beta - 1)}], within 1e-9 of its modulus.
     """
     from scipy.special import k0e, kve
 
@@ -293,45 +283,48 @@ def _ratio_v_over_k0(r, k, u):
 
 
 def _search_inputs(pert):
-    """(ratio, c, limit, u_cap, peak) of pert's omega / W in u = x^{1/A}:
-    |ratio| ~ e^{-c u} at infinity, its x -> 0 limit, finite up to u_cap
-    and below peak e^{-c u} past it.  tm2's is V/K0 (c = 2(Re beta - 1)),
-    whose scaled Bessel functions stop at _KVE_MAX_ABS.  tm3's is read off
-    the log forms of omega3 = sec^{r-1} Im W3(lambda x), so c = 3(Re
-    lambda^{1/3r} - 1), lambda^{1/3r} = sec^{1/3}(theta) e^{-i theta/3},
-    theta = k pi/r, and the limit is the residue series' leading pole.
-    tm1 has the exact rule |eps| < 1 and no search.
+    """(ratio, c, limit, u_cap, peak) of omega / W in u = x^{1/A}: |ratio|
+    ~ e^{-c u} at infinity, its x -> 0 limit, finite up to u_cap and below
+    peak e^{-c u} past it.  tm2's is V/K0 (c = 2(Re beta - 1)), finite up
+    to _KVE_MAX_ABS.  Every other product's is read off the log forms: W ~
+    e^{-g u}, so c = g (mu^{1/A} cos(k pi/A) - 1), and as x -> 0 omega and
+    W follow W's rightmost pole p0: the limit is mu^{p*-p0} sin(k pi p0),
+    p* = 1 - b*/a*.  tm1 has the exact rule |eps| < 1 and no search.
     """
-    r, k = pert.r, pert.k
+    seq, r, k = pert.seq, pert.r, pert.k
+    if pert.family == "tm1":
+        raise ConstraintError(
+            f"{seq.descriptor()} members take the exact amplitude rule "
+            "|eps| < 1; there is no bound to search")
     if pert.family == "tm2":
         beta = _beta(r, k)
         return (lambda u: _ratio_v_over_k0(r, k, u), 2.0 * (beta.real - 1.0),
                 float(_v_phase(r, k).real), 0.5 * _KVE_MAX_ABS / abs(beta),
                 abs(_v_phase(r, k)))
-    if pert.family == "tm3":
-        w, theta = principal_solution(pert.seq), math.pi * k / r
-        root = math.cos(theta / 3.0) / math.cos(theta) ** (1.0 / 3.0)
-        return (lambda u: _ratio(pert, w, 3 * r * np.log(u)),
-                3.0 * (root - 1.0), math.sin(theta * (r - 1)), math.inf, 0.0)
-    raise ConstraintError(
-        f"{pert.seq.descriptor()} members take the exact amplitude rule "
-        "|eps| < 1; there is no bound to search")
+    (a, b), big_a = _star_factor(seq), seq.sum_a
+    w, theta = principal_solution(seq), math.pi * k / a
+    # mu^{1/A} cos(k pi/A) and k pi p0 = theta (a - b) + k pi (p0 - p*),
+    # in the forms exact where the star factor holds p0, as for tm3
+    root = math.cos(theta / (big_a / a)) / math.cos(theta) ** (a / big_a)
+    p_star, p0 = 1.0 - b / a, seq.rightmost_pole
+    limit = (math.exp(-a * math.log(math.cos(theta)) * (p_star - p0))
+             * math.sin(theta * (a - b) + math.pi * k * (p0 - p_star)))
+    return (lambda u: _ratio(pert, w, big_a * np.log(u)),
+            seq.tail_coefficient * (root - 1.0), limit, math.inf, 0.0)
 
 
 def find_gamma_max(pert):
     """Largest gamma keeping 1 + gamma omega / W >= 0, times _SAFETY.
 
-    The ratio decays at infinity and tends to its limit at the origin only
-    like 1/ln x, so its infimum may be that limit.  The scan runs in u =
-    x^{1/A} (A = seq.sum_a) from x = 1e-8 to where e^{-c u} = 1e-8, or to
-    u_cap, zooms in on its worst point, and takes the least of that, the
-    limit and a coarse scan of u down to 1e-150.  Past u_cap the envelope
-    must stay below _SAFETY times that infimum (see _search_inputs).  The
-    bound is searched, not certified, and holds for gamma >= 0; omega(-k)
-    = -omega(k), so a negative gamma meets the bound of -k.
+    The ratio tends to its origin limit only like 1/ln x, so its infimum
+    may be that limit.  The scan runs in u = x^{1/A} from x = 1e-8 to where
+    e^{-c u} = 1e-8, or to u_cap, zooms in on its worst point, and takes
+    the least of that, the limit and a coarse scan of u down to 1e-150;
+    past u_cap the envelope must stay below _SAFETY times it.  Searched,
+    not certified; it bounds gamma >= 0, and -k's bounds gamma < 0.
     """
     ratio, decay, limit, u_cap, peak = _search_inputs(pert)
-    a, name = pert.seq.sum_a, f"(r={pert.r}, k={pert.k})"
+    a, name = pert.seq.sum_a, f"({_name(pert.seq)}, k={pert.k})"
     if not decay > 0.0:
         raise SearchError(
             f"the decay rate of omega/W rounds to {decay!r} for {name}: it "
@@ -385,12 +378,10 @@ def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
 
     The sample is n log-uniform points on [x_lo, x_hi] from
     default_rng(seed), sorted; member_eval sees it in consecutive blocks
-    of _SCAN_POINTS (4,000) points, so one block's arrays are alive at a
-    time, and the result is what one call on the whole sample gives.
-    `class --find-gamma-max --mc-seed` rechecks W + gamma_max omega at
-    20,000 points on [1e-8, 1e6] at the bound it has just searched,
-    without a second search.  A member value that is not finite raises
-    ConvergenceError at the first such x.
+    of _SCAN_POINTS points, one block's arrays alive at a time, with the
+    result of one call on the whole sample.  `class --find-gamma-max
+    --mc-seed` runs it on 20,000 points of [1e-8, 1e6].  A member value
+    that is not finite raises ConvergenceError at the first such x.
     """
     _check_int(seed, "seed", 0)
     _check_int(n, "n", 1)

@@ -2,17 +2,17 @@
 uniqueness criteria, construct class members, convolve densities.
 
 Every subcommand takes its densities from a closed form or from the
-contour engine.  `class` prints, for every family, the member
-W + amplitude * omega from the base and omega columns it prints, after
-the checks of `classes.class_member` (an admissible amplitude, and no
-negative member).  `class --find-gamma-max` prints the searched bound
-`classes.find_gamma_max` (tm2 and tm3; `--k -k` gives the lower end),
-and with `--mc-seed` rechecks W + gamma_max omega there at 20,000 random
-points (`classes.certify_nonnegative`).  `convolve` evaluates
-the Mellin convolution W_a * W_b as the principal density of the product
-sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
-on a default grid read off that sequence's tail law; the convolution
-integral in `mellin` is kept only as an oracle for it.
+contour engine.  `class` prints, for every product whose largest
+multiplier exceeds 2|k|, the member W + amplitude * omega from the base
+and omega columns it prints, after the checks of `classes.class_member`.
+`class --find-gamma-max` prints the bound `classes.find_gamma_max` (two
+or more factors; `--k -k` gives the lower end), and with `--mc-seed`
+rechecks W + gamma_max omega there at 20,000 random points
+(`classes.certify_nonnegative`).  `convolve` evaluates the Mellin
+convolution W_a * W_b as the principal density of the product sequence
+rho_a(n) rho_b(n), whose factor list is the two lists joined, on a
+default grid read off that sequence's tail law; the convolution integral
+in `mellin` is kept only as an oracle for it.
 
 Exit codes: 0 success (every `criteria` verdict is decided), 1 usage,
 constraint or domain violation (an x outside (0, inf), or a stdout closed
@@ -223,11 +223,11 @@ def _cmd_class(args):
     flag, amplitude, other, stray = (
         ("--eps", args.eps, "--gamma", args.gamma) if pert.family == "tm1"
         else ("--gamma", args.gamma, "--eps", args.eps))
+    name = pert.family or seq.descriptor()
     if amplitude is None:
-        raise ConstraintError(f"{pert.family} class members require {flag}")
+        raise ConstraintError(f"{name} class members require {flag}")
     if stray is not None:
-        raise ConstraintError(
-            f"{pert.family} class members take {flag}, not {other}")
+        raise ConstraintError(f"{name} class members take {flag}, not {other}")
     base, omega, member = cls._member_columns(pert, amplitude, xs)
     _emit_table(args, {"command": "class", "seq": seq.descriptor(), "k": k,
                        "amplitude": amplitude},
@@ -302,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--eps", type=float, help="tm1 amplitude, |eps| < 1")
-    p.add_argument("--gamma", type=float, help="tm2/tm3 amplitude")
+    p.add_argument("--gamma", type=float, help="amplitude, 2+ factors")
     p.add_argument("--x", help="comma-separated evaluation points")
     p.add_argument("--find-gamma-max", action="store_true",
-                   help="print the searched tm2/tm3 amplitude bound "
+                   help="print the searched amplitude bound, 2+ factors "
                         "(--k -k gives the lower end)")
     p.add_argument("--mc-seed", type=int,
                    help="Monte Carlo nonnegativity recheck seed "
@@ -354,15 +354,17 @@ _NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _join_amplitudes(argv):
-    """Write "--gamma -1e-3" as "--gamma=-1e-3", and so for --eps.
+    """Write "--gamma -1e-3" as "--gamma=-1e-3", and so for --eps and --x.
 
     argparse takes a token that starts with "-" for an option unless it
     looks like a plain negative number (-2.3), so a negative amplitude in
-    exponent or special form (-1e-3, -inf) would lose its flag's value.
+    exponent or special form (-1e-3, -inf), or an x list starting "-1,",
+    would lose its flag's value.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in ("--eps", "--gamma") and _NEGATIVE.match(arg):
+        if out and out[-1] in ("--eps", "--gamma", "--x") and \
+                _NEGATIVE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

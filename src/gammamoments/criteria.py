@@ -281,9 +281,7 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
                      "of -ln W(e^y) on the tail sample is not positive")
 
     overall = "NonUnique" if c1.verdict == "Convergent" else "Unique"
-    if seq.family is None:
-        notes.append("class builds no perturbation for this factor list")
-    elif not w.tail_certified:  # the third family: no closed-form density
+    if not w.tail_certified:  # an interpolated density
         notes.append(
             "perturbation family for this sequence extrapolates the "
             "construction used for the closed-form families")

@@ -31,7 +31,7 @@ reference the tests compare the engine against.
 The same engine serves perturbations whose transform is a density symbol
 phi(s) times e^{i psi s}: it returns the complex sums
 (1/2 pi) int exp(phi(s) + i psi s - s L) dt, centred on the complex
-saddle of each band (see `classes._log_omega3`).
+saddle of each band (see `classes._log_rotated`).
 
 One rule routes every knot: the residue series answers each knot it
 certifies, and the bands sum the rest.  Left of the contour the integral
@@ -187,6 +187,8 @@ def _saddles(seq, log_x):
 
     pole = seq.rightmost_pole
     groups = _grouped_factors(seq)
+    if not pole + 1e-9 > pole:  # else the bracket below never widens
+        raise ConvergenceError(f"no double lies 1e-9 right of pole {pole:g}")
 
     def deriv(c):
         return sum(mult * (a * sps.digamma(a * (c - 1.0) + b))
@@ -561,8 +563,9 @@ def _residue_poles(seq):
                     (((-1.0) ** ks + 1.0) * sps.zeta(ks) - sps.zeta(ks, l + 1.0)) / ks,
                 ))[:order]
             else:
-                u = a * (p - 1.0) + b
-                lk += mult * math.lgamma(u)
+                # u is on a pole of Gamma only at a test pole that rounding
+                u = a * (p - 1.0) + b  # split from one: |Gamma(u)| = inf
+                lk += mult * (math.lgamma(u) if u > 0.0 or u % 1.0 else math.inf)
                 # Gamma(u) < 0 on (-2j - 1, -2j) and > 0 elsewhere off its poles
                 sk *= (1.0 if u > 0.0 else (-1.0) ** math.ceil(-u)) ** mult
                 ks = np.arange(1, order)

@@ -54,9 +54,10 @@ class MomentSequence:
             if a <= 0:
                 raise ConstraintError(f"gamma factor multiplier must be > 0, got {a}")
             # b > 0 keeps every pole left of s = 1: rho(0) = prod Gamma(b_j)
-            # is finite and the density's exponent at the origin exceeds -1
-            if not b > 0:
-                raise ConstraintError(f"gamma factor offset must be > 0, got {b}")
+            # is finite and W's exponent (b - a)/a at 0 exceeds -1, rounded
+            if not (b > 0 and (b - a) / a > -1.0):
+                raise ConstraintError("gamma factor offset must be > 0 and "
+                                      f"(b - a)/a > -1, got ({a:g}, {b:g})")
 
     @property
     def sum_a(self) -> float:

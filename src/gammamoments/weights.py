@@ -141,6 +141,7 @@ _PANEL_WIDTH = 8.0  # initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
 _TAIL_TOL = 1e-11  # accepted size of a panel's trailing coefficients
 _MAX_SPLITS = 6  # halvings of an initial panel before the build gives up
+_MAX_PANELS = 1024  # initial panels; tm3 stops converging near 880 (r=560)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +198,9 @@ def _density_spline(seq: MomentSequence):
     g, p = seq.tail_coefficient, seq.tail_power
     lo = np.log(_X_MIN)
     hi = np.log(_LOG_DEPTH / g) / p
+    if not hi - lo <= _MAX_PANELS * _PANEL_WIDTH:
+        raise ConvergenceError(f"{seq.descriptor()}: the interpolant window "
+                               f"needs more than {_MAX_PANELS} panels")
     cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
     left, right = cuts[:-1], cuts[1:]
     accepted = []  # (left edge, coef, tail) of the accepted panels

@@ -12,12 +12,15 @@ import pytest
 import scipy.special
 
 import gammamoments.criteria as criteria
-from gammamoments import (WeightFunction, carleman, check_moment,
+from gammamoments import (ConstraintError, WeightFunction, carleman,
+                          certify_nonnegative, check_moment,
                           check_vanishing, class_member, contour_log_density,
-                          full_report, omega2, omega2_via_convolution,
-                          parse_descriptor, perturbation_tm1,
+                          find_gamma_max, full_report, omega2,
+                          omega2_via_convolution, parse_descriptor,
+                          perturbation, perturbation_tm1,
                           perturbation_tm2, perturbation_tm3,
                           principal_solution, tm1, tm2, tm3, tm4, w4)
+from gammamoments.verify import _PASS_TOL
 from oracles import meijer_log_density
 
 
@@ -157,6 +160,39 @@ def test_06_criteria_table(monkeypatch):
     ok = ok and ratio_err <= 0.02
     _report("criteria table verdicts + n*a_n -> e/2", ratio_err, 2e-2, ok)
     assert ok, wrong
+
+
+def _nonunique_rows():
+    """test_06's NonUnique rows at k = 1; a star factor a* <= 2 (= 2|k|)
+    has no perturbation yet: its ratio omega / W would not decay (ROADMAP
+    items 3b and 11)."""
+    seqs = [seq_of(r) for seq_of in (tm1, tm2, tm3, tm4) for r in range(1, 7)
+            if not (seq_of in (tm1, tm2) and r == 1)]
+    seqs += [parse_descriptor(f"gamma:{r}n+1,{r}n+1,{r}n+1,{r}n+1")
+             for r in (1, 2, 3)]
+    waits = pytest.mark.xfail(strict=True, raises=ConstraintError,
+                              reason="a* <= 2|k|: ROADMAP items 3b and 11")
+    return [pytest.param(seq, id=seq.descriptor(),
+                         marks=[waits] if max(seq.factors)[0] <= 2 else [])
+            for seq in seqs]
+
+
+@pytest.mark.parametrize("seq", _nonunique_rows())
+def test_09_class_member_per_nonunique_row(seq):
+    """The abstract's second claim, explicit second solutions: a member
+    with vanishing moments for n = 0..8, nonnegative at its amplitude
+    bound (eps = 0.99 for one factor) on 20,000 points of [1e-8, 1e3]."""
+    pert = perturbation(seq, 1)
+    worst = max(check_vanishing(pert, seq, n).rel_error for n in range(9))
+    w = principal_solution(seq)
+    amplitude = 0.99 if len(seq.factors) == 1 else find_gamma_max(pert)
+    ok, least = certify_nonnegative(
+        lambda xs: w.evaluate(xs) + amplitude * pert.evaluate(xs),
+        1e-8, 1e3, 20000, 1)
+    passed = worst <= _PASS_TOL and ok and amplitude >= 0.99
+    _report(f"class member of {seq.descriptor()} at {amplitude:.6g}",
+            worst, _PASS_TOL, passed)
+    assert passed, (worst, least, amplitude)
 
 
 def test_07_oracle_equivalences():

@@ -1,6 +1,7 @@
 """Stieltjes class machinery: perturbations, members, amplitude bounds."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ import gammamoments.mellin as mellin
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           SearchError, check_vanishing, class_member,
                           certify_nonnegative, contour_log_densities,
-                          contour_log_density, find_gamma_max, omega2,
+                          contour_log_density, find_gamma_max,
+                          mellin_convolve_many, omega2,
                           omega2_via_convolution, omega3, perturbation,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, parse_descriptor,
@@ -37,10 +39,8 @@ class TestOneTailLaw:
             law = (seq.tail_coefficient, seq.tail_power)
             w = principal_solution(seq)
             assert (w.alpha0, w.growth) == (seq.alpha0, law), seq.descriptor()
-            # the side conditions: r > |k| for the first family, r > 2|k|
-            # for the second and third
-            family, r = seq.family or (None, None)
-            if family is not None and r > (1 if family == "tm1" else 2):
+            # the one side condition: a* > 2|k| for the star factor
+            if max(a for a, _ in seq.factors) > 2:
                 assert perturbation(seq, 1).growth == law, seq.descriptor()
 
     def test_closed_form_laws_exact(self):
@@ -253,6 +253,7 @@ class TestClassMembers:
         with pytest.raises(ConstraintError, match="finite amplitude"):
             class_member(tm3(3), 1, gamma, 1.0)
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     @pytest.mark.parametrize("seq", [tm1(2), tm2(3), tm3(3)],
                              ids=["tm1", "tm2", "tm3"])
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
@@ -269,6 +270,7 @@ class TestClassMembers:
                            match=f"need a finite amplitude, got {amplitude}"):
             class_member(seq, 1, amplitude, 1.0)
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_tm3_negative_member_refused(self, monkeypatch):
         # the bound is searched, not certified, so the member values are
         # checked too; a bound of inf lets 1e6 reach that check
@@ -406,6 +408,7 @@ class TestGammaMax:
         assert find_gamma_max(perturbation_tm2(r, k)) == pytest.approx(
             want, rel=1e-13)
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
     def test_refinement_never_shallower_than_scan(self, r, k, monkeypatch):
         seen = []
@@ -465,6 +468,7 @@ class TestGammaMax:
         with pytest.raises(SearchError, match="does not decay"):
             find_gamma_max(perturbation_tm2(10**8, 1))
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",
                             lambda r, k, u: np.full(np.shape(u), np.nan))
@@ -630,10 +634,30 @@ class TestPerturbationObjects:
         assert ((got.family, got.r, got.k, got.seq, got.growth)
                 == (want.family, want.r, want.k, want.seq, want.growth))
 
-    def test_perturbation_rejects_other_kinds(self):
-        with pytest.raises(ConstraintError,
-                           match="equal factors .* got tm4:r=1"):
-            perturbation(tm4(1), 1)
+    @pytest.mark.parametrize("text,a", [("tm4:r=1", 2), ("tm2:r=2", 2),
+                                        ("gamma:2n+1,2n+1,2n+1,2n+1", 2),
+                                        ("gamma:n+1,0.5n+2", 1)])
+    def test_perturbation_needs_star_factor_above_2k(self, text, a):
+        # tm4:r=1 once got "needs one gamma factor, or two or three equal
+        # factors"; now every product is refused only by a* > 2|k|, with
+        # a* and the descriptor, or r for the paper's families, named
+        seq = parse_descriptor(text)
+        name = f"r={seq.family[1]}" if seq.family else text
+        want = rf"needs a > 2\|k\| \(a={a}, {re.escape(name)}, k=1\)"
+        with pytest.raises(ConstraintError, match=want):
+            perturbation(seq, 1)
+
+    @pytest.mark.parametrize("text,star", [
+        ("tm4:r=2", (4, 1)), ("gamma:n+1,3n+2,3n+0.5", (3.0, 2.0)),
+        ("gamma:2.5n+0.7,2.5n+1.3", (2.5, 0.7))])
+    def test_product_without_family(self, text, star):
+        # the star factor is the first with the largest multiplier, and a
+        # product past the paper's families has no family and no r
+        seq = parse_descriptor(text)
+        assert classes._star_factor(seq) == star
+        pert = perturbation(seq, 1)
+        assert (pert.family, pert.r, pert.k, pert.seq) == (None, None, 1, seq)
+        assert pert.growth == (seq.tail_coefficient, seq.tail_power)
 
     def test_nonpositive_x_is_a_domain_error(self):
         # the same check, and error, as WeightFunction.evaluate
@@ -668,3 +692,121 @@ class TestPerturbationObjects:
         with pytest.raises(ConstraintError,
                            match=r"needs a > 2\|k\| \(a="):
             perturbation_tm3(r, k)
+
+
+def _rotated_oracle(seq, k, log_x):
+    """sec^{a*-b*}(theta) Im W(mu e^{-i k pi} x) from mpmath's Meijer G,
+    theta = k pi / a*, ln mu = a* ln sec(theta)."""
+    a, b = classes._star_factor(seq)
+    log_sec = -math.log(math.cos(math.pi * k / a))
+    log_w = meijer_log_density(seq, log_x + a * log_sec, k * math.pi)
+    return math.exp((a - b) * log_sec + log_w.real) * math.sin(log_w.imag)
+
+
+# the products the rotated route serves past the paper's families, with k
+_ROTATED = [("tm4:r=2", 1), ("tm4:r=2", -1), ("tm4:r=3", 2), ("tm4:r=6", 5),
+            ("gamma:3n+1,3n+1,3n+1,3n+1", 1), ("gamma:2.5n+0.7,2.5n+1.3", 1),
+            ("gamma:3n+1,n+1", 1)]
+
+
+class TestRotatedRoute:
+    """omega = W_rest * omega1 of the star factor, by one rotated contour
+    sum, for every product the closed forms leave."""
+
+    @pytest.mark.parametrize("text,k", [("tm4:r=2", 1), ("tm4:r=2", -1),
+                                        ("gamma:3n+1,3n+1,3n+1,3n+1", 1)])
+    def test_matches_meijer_g_oracle(self, text, k):
+        # two seeded x per case, as the oracle takes 0.1-0.3 s a point
+        seq = parse_descriptor(text)
+        pert, w = perturbation(seq, k), principal_solution(seq)
+        rng = np.random.default_rng(sum(map(ord, text)) + k)
+        for log_x in rng.uniform(math.log(1e-6), math.log(1e3), 2):
+            x = math.exp(log_x)
+            assert abs(pert.evaluate(x) - _rotated_oracle(seq, k, log_x)) \
+                <= 1e-13 * w.evaluate(x)
+
+    def test_matches_convolution_oracle(self):
+        # tm4:r=2 = Gamma(4n+1) Gamma(2n+1)^2: W_rest = W2(2), omega1(4, 1)
+        xs = np.exp(np.random.default_rng(42).uniform(math.log(0.5),
+                                                       math.log(50.0), 6))
+        conv = mellin_convolve_many(
+            lambda v: w2(2, v), perturbation_tm1(2, 1).evaluate, xs,
+            log_f=lambda v: classes._log_w2(2, np.log(v)),
+            log_g=lambda v: classes._log_w1(4, np.log(v)))
+        got = perturbation(tm4(2), 1).evaluate(xs)
+        env = principal_solution(tm4(2)).evaluate(xs)
+        assert np.all(np.abs(got - conv) <= 1e-13 * env)
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (9, 1)])
+    def test_second_family_closed_form(self, r, k):
+        # tm2's K0 ratio is the rule's closed form: the contour sum agrees
+        lx = np.linspace(-12.0, 12.0, 25)
+        sign, log_abs = classes._log_rotated(tm2(r), k, lx)
+        got = sign * np.exp(log_abs)
+        want = perturbation_tm2(r, k).evaluate(np.exp(lx))
+        env = principal_solution(tm2(r)).evaluate(np.exp(lx))
+        assert np.all(np.abs(got - want) <= 1e-14 * env)
+
+    @pytest.mark.parametrize("text,k", _ROTATED)
+    def test_vanishing_moments(self, text, k):
+        seq = parse_descriptor(text)
+        pert = perturbation(seq, k)
+        for n in range(9):
+            res = check_vanishing(pert, seq, n)
+            assert res.passed, (n, res.rel_error)
+
+    @pytest.mark.parametrize("text,k,want", [
+        ("tm4:r=2", 1, 1.60408), ("tm4:r=2", -1, 1.40007),
+        ("gamma:3n+1,3n+1,3n+1,3n+1", 1, 3.33753),
+        ("gamma:3n+1,3n+1,3n+1,3n+1", -1, 1.14315),
+        ("gamma:2.5n+0.7,2.5n+1.3", 1, 2.53801)])
+    def test_bound_above_exact_floor_and_certified(self, text, k, want):
+        # W + gamma omega = W_rest * (w1 + gamma omega1) >= 0 for |gamma|
+        # <= 1, so the searched bound is at least 0.99; the member at it
+        # stays nonnegative on a 20,000-point sample
+        seq = parse_descriptor(text)
+        pert, w = perturbation(seq, k), principal_solution(seq)
+        bound = find_gamma_max(pert)
+        assert bound >= 0.99 and bound == pytest.approx(want, abs=1e-5)
+        ok, least = certify_nonnegative(
+            lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs),
+            1e-8, 1e3, 20000, 1)
+        assert ok, least
+
+    @pytest.mark.parametrize("log_x", [-100.0, -400.0, -2400.0])
+    def test_origin_limit_off_the_star_pole(self, log_x):
+        # gamma:3n+2,n+0.2: the star factor's pole p* = 1/3 lies left of
+        # the rightmost p0 = 0.8, so omega / W -> mu^{p*-p0} sin(k pi p0);
+        # the next pole is 0.47 away, so the ratio is there to rounding
+        seq = parse_descriptor("gamma:3n+2,n+0.2")
+        pert = perturbation(seq, 1)
+        log_mu = -3.0 * math.log(math.cos(math.pi / 3.0))
+        want = math.exp(log_mu * (1.0 / 3.0 - 0.8)) * math.sin(0.8 * math.pi)
+        assert classes._search_inputs(pert)[2] == pytest.approx(want,
+                                                                rel=1e-14)
+        ratio = classes._ratio(pert, principal_solution(seq),
+                               np.array([log_x]))
+        assert float(ratio[0]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.9824981371022385),
+                                          (3, -1, 1.143153532995459),
+                                          (5, 2, 1.0409476019958845),
+                                          (7, 3, 6.877028249257311),
+                                          (7, -3, 1.0154596946398282)])
+    def test_tm3_bounds_bit_for_bit(self, r, k, want):
+        # tm3 is the rule at a star factor (r, 1) holding the rightmost
+        # pole; its bounds keep every bit of the tm3-only search
+        assert find_gamma_max(perturbation_tm3(r, k)) == want
+
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
+    def test_second_member_runs_no_search(self, monkeypatch):
+        # the bound is searched once per (seq, k): a tm3:r=200 search once
+        # took 17 s on every class_member call
+        calls = []
+        search = classes.find_gamma_max
+        monkeypatch.setattr(classes, "find_gamma_max",
+                            lambda pert: calls.append(pert.k) or search(pert))
+        for _ in range(2):
+            class_member(tm4(2), 1, 0.5, 1.0)
+            class_member(tm4(2), 1, -0.5, 1.0)
+        assert calls == [1, -1]

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import gc
 import io
@@ -8,17 +9,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import gammamoments.classes as classes
 import gammamoments.cli as cli
 import gammamoments.mellin as mellin
 import gammamoments.weights as weights
-from gammamoments import (class_member, contour_log_densities, tm2, tm3,
-                          tm4)
+from gammamoments import (class_member, contour_log_densities,
+                          parse_descriptor, tm2, tm3, tm4)
 from gammamoments.cli import main
+from oracles import meijer_log_density
 
 
 def run(capsys, *argv):
@@ -210,6 +214,7 @@ class TestDeterminism:
             mc = json.loads(first)["monte_carlo"]
             assert mc["nonnegative"] is True and mc["min_value"] >= 0.0
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_recheck_searches_once(self, capsys, monkeypatch):
         # the recheck once went through class_member, whose amplitude
         # check ran the search again for the bound just certified
@@ -561,6 +566,7 @@ class TestExitCodes:
                                        + amplitude * point["omega"])
 
 
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_class_names_first_negative_x(self, capsys, monkeypatch):
         # the member is positive at 0.001 and negative at 0.5 and 1; a
         # bound of inf lets the amplitude reach the pointwise check
@@ -660,6 +666,7 @@ class TestConvolve:
 
 
 class TestClassTm3:
+    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_omega3_evaluated_once(self, capsys, monkeypatch):
         # once for the printed columns; the amplitude search, which scans
         # omega3 / W3 on its own grid, is held at its bound
@@ -783,3 +790,187 @@ class TestWallTime:
         # a grid over max_points is refused before it is allocated
         proc = _python("-c", _DEEP_TAIL, timeout=20)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestGeneralProducts:
+    """`class` builds a member for every product whose star factor (the
+    first with the largest multiplier a*) has a* > 2|k|."""
+
+    @pytest.mark.parametrize("seq", ["tm4:r=2", "gamma:2.5n+0.7,2.5n+1.3"])
+    def test_member_past_the_families(self, capsys, seq):
+        # both once exited 1: "needs one gamma factor, or two or three
+        # equal factors"
+        code, out, err = run(capsys, "class", "--seq", seq, "--k", "1",
+                             "--gamma", "1.0")
+        assert (code, err) == (0, "")
+        points = json.loads(out, parse_constant=pytest.fail)["points"]
+        assert len(points) == 200
+        for p in points:
+            assert p["member"] == p["base"] + p["omega"] and p["member"] >= 0
+
+    def test_find_gamma_max_for_a_power(self, capsys):
+        code, out, err = run(capsys, "class", "--seq",
+                             "gamma:3n+1,3n+1,3n+1,3n+1", "--k", "1",
+                             "--find-gamma-max", "--mc-seed", "7")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["gamma_max"] == pytest.approx(3.33753, abs=1e-5)
+        assert payload["monte_carlo"]["nonnegative"] is True
+
+    def test_star_factor_at_most_2k_refused(self, capsys):
+        code, out, err = run(capsys, "class", "--seq", "tm4:r=1", "--k", "1",
+                             "--gamma", "0.1")
+        assert (code, out) == (1, "")
+        assert err == ("error: omega rotates its factor Gamma(an + b) by k "
+                       "pi/a, so it needs a > 2|k| (a=2, tm4:r=1, k=1)\n")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--x", "1"], "tm4:r=2 class members require --gamma"),
+        (["--gamma", "0.5", "--eps", "0.1"],
+         "tm4:r=2 class members take --gamma, not --eps")])
+    def test_amplitude_messages_name_the_descriptor(self, capsys, argv,
+                                                    want):
+        # the family is None here; the messages once printed "None class
+        # members require --gamma"
+        code, out, err = run(capsys, "class", "--seq", "tm4:r=2", "--k", "1",
+                             *argv)
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+
+
+class TestFuzzRegressions:
+    """Defects the seeded CLI fuzz (TestFuzz) found, one test each."""
+
+    def test_x_list_starting_negative_is_a_domain_error(self, capsys):
+        # argparse took "-1,30" for an option: SystemExit and a two-line
+        # usage message instead of the domain error
+        code, out, err = run(capsys, "eval", "--seq", "tm1:r=2", "--x",
+                             "-1,30")
+        assert (code, out) == (1, "")
+        assert err == "error: x must satisfy 0 < x < inf, got -1.0\n"
+
+    @pytest.mark.parametrize("cmd", [["moments", "--n", "0"], ["criteria"]])
+    def test_offset_lost_beside_its_multiplier_refused(self, capsys, cmd):
+        # (b - a)/a rounds to -1 at a = 5e21, b = 2.5: the moment window
+        # once divided by zero (ZeroDivisionError traceback)
+        code, out, err = run(capsys, cmd[0], "--seq",
+                             "gamma:5000000000000000000000n+2.5", *cmd[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: gamma factor offset must be > 0 and "
+                              "(b - a)/a > -1")
+
+    @pytest.mark.parametrize("argv", [
+        ["criteria", "--seq",
+         "gamma:0.5n+3,5000000000000000000000n+5000000000000000000000"],
+        ["eval", "--seq", "tm3:r=1500", "--x", "1"]], ids=["A=5e21", "A=4500"])
+    def test_interpolant_window_too_wide_refused(self, capsys, argv):
+        # A = 5e21: np.linspace once raised "Maximum allowed size exceeded";
+        # tm3:r=1500 once built for 111 s in 767 MB before its panels failed
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.endswith("the interpolant window needs more than 1024 "
+                            "panels\n")
+
+
+    def test_saddle_bracket_beyond_double_resolution_refused(self, capsys):
+        # the rightmost pole 1 - b/a = -3.8e21 absorbs the bracket's first
+        # width, so the saddle search once doubled 0 forever
+        seq = "gamma:1.3n+5000000000000000000000"
+        code, out, err = run(capsys, "convolve", "--seq-a", seq,
+                             "--seq-b", seq)
+        assert (code, out) == (3, "")
+        assert "no double lies 1e-9 right of pole -3.84615e+21" in err
+
+    def test_test_pole_on_a_pole_of_another_factor(self, capsys):
+        # the poles 1 - (2/3 + 1) and 1 - 5/3 differ by rounding only, so
+        # Gamma(3n+1) was taken at its pole -4: math.lgamma's ValueError
+        code, out, err = run(capsys, "eval", "--seq",
+                             "gamma:1n+2/3,1n+1,3n+1", "--x", "1e-13,1")
+        assert (code, err) == (0, "")
+        seq = parse_descriptor("gamma:1n+2/3,1n+1,3n+1")
+        for point in json.loads(out)["points"]:
+            want = meijer_log_density(seq, math.log(point["x"]))
+            assert abs(math.log(point["density"]) - want) <= 1e-13
+
+
+# the value ranges of ROADMAP item 15: valid and invalid numbers alike
+_R = ["0", "-1", "2.5", "1", "2", "3", "40", "1e9", "x", ""]
+_VALID = ["1", "2", "3", "4", "2/3", "0.5", "2.5", "1/3", "0.7", "1.3"]
+_NUMBERS = _VALID + ["0", "-1", "nan", "inf", "1e300", "1e-300", "7/0",
+                     "5000000000000000000000"]
+_XS = ["0", "-1", "nan", "inf", "5e-324", "1.7e308", "1e18", "1e-4", "0.5",
+       "1", "2", "30", "", "x"]
+_AMPLITUDES = ["0", "0.5", "-0.5", "0.99", "1", "-1", "1e6", "nan", "inf",
+               "-inf", "2.5", "-1e-3", "1e-300"]
+_NS = ["0", "0..8", "3", "-1", "2..1", "0..3", "x", "1..2", "40"]
+
+
+@st.composite
+def _descriptor(draw, kinds=("tm", "any")):
+    """tmN:r=<r>, or a gamma list of 1-4 factors whose numbers come from
+    _NUMBERS, or for `class` all from _VALID, so that most of its lists
+    reach the rotated route."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tm":
+        return f"tm{draw(st.integers(1, 4))}:r={draw(st.sampled_from(_R))}"
+    pool = _VALID if kind == "valid" else _NUMBERS
+    terms = [f"{draw(st.sampled_from(pool))}n+{draw(st.sampled_from(pool))}"
+             for _ in range(draw(st.integers(1, 4)))]
+    return "gamma:" + ",".join(terms)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["eval", "moments", "criteria", "class",
+                                "convolve"]))
+    if cmd == "convolve":
+        argv = [cmd, "--seq-a", draw(_descriptor()),
+                "--seq-b", draw(_descriptor())]
+    else:
+        kinds = (("valid", "tm", "any", "valid") if cmd == "class"
+                 else ("tm", "any"))
+        argv = [cmd, "--seq", draw(_descriptor(kinds))]
+    if cmd == "moments":
+        argv += ["--n", draw(st.sampled_from(_NS))]
+    if cmd == "class":
+        # hypothesis favours the first entry of a list: k = 1 is admissible
+        argv += ["--k", draw(st.sampled_from(["1", "-1", "2", "0", "-2"]))]
+        # a recheck costs 20,000 evaluations of omega, so it is drawn less
+        mode = draw(st.sampled_from(["amplitude"] * 3 + ["find"] * 2
+                                    + ["recheck"]))
+        if mode != "amplitude":
+            argv += ["--find-gamma-max"]
+            if mode == "recheck":
+                argv += ["--mc-seed", str(draw(st.integers(0, 9)))]
+            return argv
+        argv += [draw(st.sampled_from(["--gamma", "--eps", "--gamma"])),
+                 draw(st.sampled_from(_AMPLITUDES))]
+    if cmd in ("eval", "class", "convolve") and draw(st.booleans()):
+        xs = draw(st.lists(st.sampled_from(_XS), min_size=1, max_size=4))
+        argv += ["--x", ",".join(xs)]
+    return argv
+
+
+class TestFuzz:
+    """ROADMAP item 15: random calls of the five subcommands through
+    cli.main exit 0, 1 or 3, raise nothing, warn nothing, print strict
+    JSON on success and one error line otherwise."""
+
+    @seed(3)
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv())
+    def test_every_call_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        assert code in (0, 1, 3), (argv, code)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (argv, lines)
+            assert lines[0].startswith(("error: ", "numeric failure: ")), \
+                (argv, lines)

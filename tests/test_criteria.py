@@ -435,14 +435,14 @@ class TestFullReport:
         assert not any("builds no perturbation" in n for n in report.notes)
 
     @pytest.mark.parametrize("text", ["tm4:r=2", "gamma:0.3n+1,0.3n+1"])
-    def test_no_family_notes_no_perturbation(self, text):
-        # these once got the third family's note, that their perturbation
-        # family extrapolates the closed-form construction
+    def test_interpolated_density_notes_extrapolation(self, text):
+        # these once got the note "class builds no perturbation for this
+        # factor list"; every product now has one, and every interpolated
+        # density gets the third family's note
         seq = parse_descriptor(text)
         report = full_report(seq, principal_solution(seq))
-        assert "class builds no perturbation for this factor list" in \
-            report.notes
-        assert not any("extrapolat" in note for note in report.notes)
+        assert not any("builds no perturbation" in n for n in report.notes)
+        assert any("extrapolat" in note for note in report.notes)
 
     @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
                                              (tm3(2), "NonUnique")])
