@@ -16,7 +16,7 @@ once, and family, r (None past tm3) and the tail law are seq's.
 principal density once the amplitude is finite, then |eps| < 1 for one
 factor, else within find_gamma_max(perturbation): a search of omega / W
 zoomed in on its worst point (not certified; >= 0.99 by the floor
-above), run once per (seq, k) in a process.  Perturbations are evaluated
+above), run only for |gamma| > 0.99.  Perturbations are evaluated
 in ln x, as densities are, by `Perturbation.log_density` (ln x -> sign
 omega, ln |omega|); `evaluate(x)` is the entry in linear x, through
 `errors._at_x`, and `omega2` and `omega3` evaluate it for tm2 and tm3.
@@ -24,7 +24,6 @@ omega, ln |omega|); `evaluate(x)` is the entry in linear x, through
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,9 +200,10 @@ def class_member(seq, k, amplitude, x):
 def _member_columns(pert, amplitude, x):
     """(W, omega, W + amplitude * omega) at x, for an admissible amplitude.
 
-    The amplitude bound is searched, so a member negative at some x is
-    refused.  Where W is inf (past the double range) the member is inf
-    with the sign of 1 + amplitude omega / W, not the nan of inf - inf.
+    The amplitude bound is searched, not certified, so a member negative
+    at some x is refused.  Where W is past the double range (inf) the
+    member is W (1 + amplitude omega / W): inf with the sign of 1 +
+    amplitude omega / W, in place of the nan of inf - inf.
     """
     _check_amplitude(pert, amplitude)
     w = principal_solution(pert.seq)
@@ -233,10 +233,14 @@ def _ratio(pert, w, log_x):
 
 
 def _check_amplitude(pert, amplitude):
-    """Reject an amplitude that could make W + amplitude * omega negative:
-    it must be finite, then |eps| < 1 for tm1, else gamma <=
-    find_gamma_max(pert) for gamma >= 0; since omega(-k) = -omega(k), a
-    negative gamma meets the bound of -k."""
+    """Reject an amplitude that could make W + amplitude * omega negative.
+
+    Every product needs a finite amplitude.  tm1 then needs |eps| < 1, and
+    every other product gamma <= find_gamma_max(pert) for gamma >= 0; since
+    omega(-k) = -omega(k), a negative gamma meets the bound of -k.  Every
+    such bound is at least _SAFETY (|omega| <= W), so |gamma| <= _SAFETY
+    needs no search.
+    """
     if not math.isfinite(amplitude):
         raise ConstraintError(
             f"class members need a finite amplitude, got {amplitude}")
@@ -245,17 +249,14 @@ def _check_amplitude(pert, amplitude):
             raise ConstraintError(
                 f"first family needs |eps| < 1, got {amplitude}")
         return
+    if abs(amplitude) <= _SAFETY:
+        return
     k = -pert.k if amplitude < 0.0 else pert.k
-    bound = _amplitude_bound(pert.seq, k)
+    bound = find_gamma_max(perturbation(pert.seq, k))
     if not abs(amplitude) <= bound:
         raise ConstraintError(
             f"|gamma| = {abs(amplitude):.6g} exceeds the amplitude bound "
             f"{bound:.6g} for ({_name(pert.seq)}, k={k})")
-
-
-@functools.lru_cache(maxsize=16)
-def _amplitude_bound(seq, k):  # searched once per (seq, k)
-    return find_gamma_max(perturbation(seq, k))
 
 
 # -- amplitude search -------------------------------------------------------
@@ -266,11 +267,15 @@ _SAFETY = 0.99  # fraction of the searched amplitude bound returned
 
 
 def _ratio_v_over_k0(r, k, u):
-    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions:
-    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u) stays finite
-    where V underflows and 1/K0 overflows.  Past |2u beta| = _KVE_MAX_ABS,
-    where kve is nan, the large-argument forms sqrt(pi/2w) e^{-w} give
-    Re[phase beta^{-1/2} e^{-2u(beta - 1)}], within 1e-9 of its modulus.
+    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
+
+    K0(z) = kve(0, z) e^{-z}, so the ratio is
+    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
+    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
+    _KVE_MAX_ABS, where kve returns nan, both functions take their
+    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
+    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
+    Its callers have checked (r, k).
     """
     from scipy.special import k0e, kve
 
@@ -316,12 +321,15 @@ def _search_inputs(pert):
 def find_gamma_max(pert):
     """Largest gamma keeping 1 + gamma omega / W >= 0, times _SAFETY.
 
-    The ratio tends to its origin limit only like 1/ln x, so its infimum
-    may be that limit.  The scan runs in u = x^{1/A} from x = 1e-8 to where
-    e^{-c u} = 1e-8, or to u_cap, zooms in on its worst point, and takes
-    the least of that, the limit and a coarse scan of u down to 1e-150;
-    past u_cap the envelope must stay below _SAFETY times it.  Searched,
-    not certified; it bounds gamma >= 0, and -k's bounds gamma < 0.
+    The ratio decays at infinity and tends to its limit at the origin only
+    like 1/ln x, so its infimum may be that limit.  The scan runs in u =
+    x^{1/A} (A = seq.sum_a) from x = 1e-8 to where e^{-c u} = 1e-8, or to
+    u_cap, zooms in on its worst point, and takes the least of that, the
+    limit and a coarse scan of u down to 1e-150.  Past u_cap the envelope
+    must stay below _SAFETY times that infimum (see _search_inputs).  The
+    bound is searched, not certified, and holds for gamma >= 0; omega(-k)
+    = -omega(k), so a negative gamma meets the bound of -k.  |omega| <= W
+    makes every bound at least _SAFETY.
     """
     ratio, decay, limit, u_cap, peak = _search_inputs(pert)
     a, name = pert.seq.sum_a, f"({_name(pert.seq)}, k={pert.k})"
@@ -378,10 +386,12 @@ def certify_nonnegative(member_eval, x_lo, x_hi, n, seed):
 
     The sample is n log-uniform points on [x_lo, x_hi] from
     default_rng(seed), sorted; member_eval sees it in consecutive blocks
-    of _SCAN_POINTS points, one block's arrays alive at a time, with the
-    result of one call on the whole sample.  `class --find-gamma-max
-    --mc-seed` runs it on 20,000 points of [1e-8, 1e6].  A member value
-    that is not finite raises ConvergenceError at the first such x.
+    of _SCAN_POINTS (4,000) points, so one block's arrays are alive at a
+    time, and the result is what one call on the whole sample gives.
+    `class --find-gamma-max --mc-seed` rechecks W + gamma_max omega at
+    20,000 points on [1e-8, 1e6] at the bound it has just searched,
+    without a second search.  A member value that is not finite raises
+    ConvergenceError at the first such x.
     """
     _check_int(seed, "seed", 0)
     _check_int(n, "n", 1)

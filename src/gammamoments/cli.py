@@ -4,15 +4,16 @@ uniqueness criteria, construct class members, convolve densities.
 Every subcommand takes its densities from a closed form or from the
 contour engine.  `class` prints, for every product whose largest
 multiplier exceeds 2|k|, the member W + amplitude * omega from the base
-and omega columns it prints, after the checks of `classes.class_member`.
-`class --find-gamma-max` prints the bound `classes.find_gamma_max` (two
-or more factors; `--k -k` gives the lower end), and with `--mc-seed`
-rechecks W + gamma_max omega there at 20,000 random points
-(`classes.certify_nonnegative`).  `convolve` evaluates the Mellin
-convolution W_a * W_b as the principal density of the product sequence
-rho_a(n) rho_b(n), whose factor list is the two lists joined, on a
-default grid read off that sequence's tail law; the convolution integral
-in `mellin` is kept only as an oracle for it.
+and omega columns it prints, after the checks of `classes.class_member`
+(an admissible amplitude, and no negative member).  `class
+--find-gamma-max` prints the searched bound `classes.find_gamma_max`
+(two or more factors; `--k -k` gives the lower end), and with
+`--mc-seed` rechecks W + gamma_max omega there at 20,000 random points
+(`classes.certify_nonnegative`).  `convolve` evaluates
+the Mellin convolution W_a * W_b as the principal density of the product
+sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
+on a default grid read off that sequence's tail law; the convolution
+integral in `mellin` is kept only as an oracle for it.
 
 Exit codes: 0 success (every `criteria` verdict is decided), 1 usage,
 constraint or domain violation (an x outside (0, inf), or a stdout closed

@@ -281,7 +281,9 @@ def full_report(seq: MomentSequence, w: WeightFunction) -> CriterionReport:
                      "of -ln W(e^y) on the tail sample is not positive")
 
     overall = "NonUnique" if c1.verdict == "Convergent" else "Unique"
-    if not w.tail_certified:  # an interpolated density
+    # an interpolated density of which class builds a member (a* > 2|k|)
+    if (not w.tail_certified and overall == "NonUnique"
+            and max(a for a, _ in seq.factors) > 2):
         notes.append(
             "perturbation family for this sequence extrapolates the "
             "construction used for the closed-form families")

@@ -141,7 +141,7 @@ _PANEL_WIDTH = 8.0  # initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
 _TAIL_TOL = 1e-11  # accepted size of a panel's trailing coefficients
 _MAX_SPLITS = 6  # halvings of an initial panel before the build gives up
-_MAX_PANELS = 1024  # initial panels; tm3 stops converging near 880 (r=560)
+_MAX_PANELS = 1024  # initial panels; tm3, tm4, unequal lists fail near 1,000
 
 
 @dataclass(frozen=True, eq=False)

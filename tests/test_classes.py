@@ -253,7 +253,6 @@ class TestClassMembers:
         with pytest.raises(ConstraintError, match="finite amplitude"):
             class_member(tm3(3), 1, gamma, 1.0)
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     @pytest.mark.parametrize("seq", [tm1(2), tm2(3), tm3(3)],
                              ids=["tm1", "tm2", "tm3"])
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
@@ -270,7 +269,6 @@ class TestClassMembers:
                            match=f"need a finite amplitude, got {amplitude}"):
             class_member(seq, 1, amplitude, 1.0)
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_tm3_negative_member_refused(self, monkeypatch):
         # the bound is searched, not certified, so the member values are
         # checked too; a bound of inf lets 1e6 reach that check
@@ -408,7 +406,6 @@ class TestGammaMax:
         assert find_gamma_max(perturbation_tm2(r, k)) == pytest.approx(
             want, rel=1e-13)
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
     def test_refinement_never_shallower_than_scan(self, r, k, monkeypatch):
         seen = []
@@ -468,7 +465,6 @@ class TestGammaMax:
         with pytest.raises(SearchError, match="does not decay"):
             find_gamma_max(perturbation_tm2(10**8, 1))
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",
                             lambda r, k, u: np.full(np.shape(u), np.nan))
@@ -798,15 +794,16 @@ class TestRotatedRoute:
         # pole; its bounds keep every bit of the tm3-only search
         assert find_gamma_max(perturbation_tm3(r, k)) == want
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
-    def test_second_member_runs_no_search(self, monkeypatch):
-        # the bound is searched once per (seq, k): a tm3:r=200 search once
-        # took 17 s on every class_member call
+    def test_amplitude_within_the_floor_runs_no_search(self, monkeypatch):
+        # every bound is >= 0.99, so only a larger |gamma| is searched: a
+        # tm3:r=200 search once took 17 s on every class_member call
         calls = []
         search = classes.find_gamma_max
         monkeypatch.setattr(classes, "find_gamma_max",
                             lambda pert: calls.append(pert.k) or search(pert))
-        for _ in range(2):
-            class_member(tm4(2), 1, 0.5, 1.0)
-            class_member(tm4(2), 1, -0.5, 1.0)
+        for gamma in (0.5, -0.5, 0.99, -0.99):
+            class_member(tm4(2), 1, gamma, 1.0)
+        assert calls == []
+        class_member(tm4(2), 1, 1.0, 1.0)
+        class_member(tm4(2), 1, -1.0, 1.0)
         assert calls == [1, -1]

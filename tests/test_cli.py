@@ -214,7 +214,6 @@ class TestDeterminism:
             mc = json.loads(first)["monte_carlo"]
             assert mc["nonnegative"] is True and mc["min_value"] >= 0.0
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_recheck_searches_once(self, capsys, monkeypatch):
         # the recheck once went through class_member, whose amplitude
         # check ran the search again for the bound just certified
@@ -566,7 +565,6 @@ class TestExitCodes:
                                        + amplitude * point["omega"])
 
 
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_class_names_first_negative_x(self, capsys, monkeypatch):
         # the member is positive at 0.001 and negative at 0.5 and 1; a
         # bound of inf lets the amplitude reach the pointwise check
@@ -666,12 +664,9 @@ class TestConvolve:
 
 
 class TestClassTm3:
-    @pytest.mark.usefixtures("fresh_amplitude_bounds")
     def test_omega3_evaluated_once(self, capsys, monkeypatch):
-        # once for the printed columns; the amplitude search, which scans
-        # omega3 / W3 on its own grid, is held at its bound
-        bound = classes.find_gamma_max(classes.perturbation_tm3(3, 1))
-        monkeypatch.setattr(classes, "find_gamma_max", lambda pert: bound)
+        # once for the printed columns; gamma = 0.1 is within every
+        # amplitude bound (>= 0.99), so no search scans omega3 / W3
         calls = []
         contour_sums = classes._contour_sums
 

@@ -429,20 +429,25 @@ class TestFullReport:
         assert not any("fitting window" in n for n in report.notes)
 
     def test_spline_reports_note_extrapolation(self):
-        report = full_report(tm3(2), principal_solution(tm3(2)))
+        report = full_report(tm3(3), principal_solution(tm3(3)))
         assert any("extrapolat" in note for note in report.notes)
         assert report.c2.verdict == "Finite"
         assert not any("builds no perturbation" in n for n in report.notes)
 
-    @pytest.mark.parametrize("text", ["tm4:r=2", "gamma:0.3n+1,0.3n+1"])
-    def test_interpolated_density_notes_extrapolation(self, text):
-        # these once got the note "class builds no perturbation for this
-        # factor list"; every product now has one, and every interpolated
-        # density gets the third family's note
+    @pytest.mark.parametrize("text,noted", [
+        pytest.param(text, noted, id=text) for text, noted in [
+            ("tm4:r=2", True), ("tm3:r=3", True),
+            ("gamma:0.3n+1,0.3n+1", False), ("tm3:r=2", False),
+            ("tm4:r=1", False)]])
+    def test_extrapolation_note_only_where_class_builds(self, text, noted):
+        # the note speaks of this density's perturbation family, so it
+        # needs one: a NonUnique verdict and a star factor a* > 2 (k = 1).
+        # tm4:r=2 and gamma:0.3n+1,0.3n+1 once got "class builds no
+        # perturbation for this factor list"; tm3:r=2 once got this note
         seq = parse_descriptor(text)
         report = full_report(seq, principal_solution(seq))
         assert not any("builds no perturbation" in n for n in report.notes)
-        assert any("extrapolat" in note for note in report.notes)
+        assert any("extrapolat" in note for note in report.notes) == noted
 
     @pytest.mark.parametrize("seq,overall", [(tm1(2), "NonUnique"),
                                              (tm3(2), "NonUnique")])
