@@ -14,12 +14,13 @@ gamma omega1) and |omega1| <= w1, so every |gamma| <= 1 gives a density.
 once, and family, r (None past tm3) and the tail law are seq's.
 `class_member(seq, k, amplitude, x)` adds amplitude * omega to seq's
 principal density once the amplitude is finite, then |eps| < 1 for one
-factor, else within find_gamma_max(perturbation): a search of omega / W
-zoomed in on its worst point (not certified; >= 0.99 by the floor
-above), run only for |gamma| > 0.99.  Perturbations are evaluated
-in ln x, as densities are, by `Perturbation.log_density` (ln x -> sign
-omega, ln |omega|); `evaluate(x)` is the entry in linear x, through
-`errors._at_x`, and `omega2` and `omega3` evaluate it for tm2 and tm3.
+factor, else within find_gamma_max(perturbation): one search, for every
+product, of omega / W read off the two log forms, zoomed in on its worst
+point (not certified; >= 0.99 by the floor above), run only for |gamma|
+> 0.99.  Perturbations are evaluated in ln x, as densities are, by
+`Perturbation.log_density` (ln x -> sign omega, ln |omega|); `evaluate(x)`
+is the entry in linear x, through `errors._at_x`, and `omega2` and
+`omega3` evaluate it for tm2 and tm3.
 """
 
 from __future__ import annotations
@@ -123,6 +124,30 @@ def _beta(r, k):
 
 def _v_phase(r, k):
     return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
+
+
+_KVE_MAX_ABS = 1e9  # scipy's kve(0, z) is nan past |z| ~ 1.08e9
+
+
+def _ratio_v_over_k0(r, k, u):
+    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
+
+    K0(z) = kve(0, z) e^{-z}, so the ratio is
+    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
+    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
+    _KVE_MAX_ABS, where kve returns nan, both functions take their
+    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
+    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
+    Its callers have checked (r, k).
+    """
+    from scipy.special import k0e, kve
+
+    beta = _beta(r, k)
+    z = 2.0 * np.asarray(u, dtype=float)
+    decay = np.exp(-z * (beta - 1.0))
+    ratio = np.real(_v_phase(r, k) * (kve(0, z * beta) * decay)) / k0e(z)
+    far = np.abs(z * beta) > _KVE_MAX_ABS
+    return np.where(far, np.real(_v_phase(r, k) * beta ** -0.5 * decay), ratio)
 
 
 def _log_omega2(r, k, log_x):
@@ -261,61 +286,32 @@ def _check_amplitude(pert, amplitude):
 
 # -- amplitude search -------------------------------------------------------
 
-_KVE_MAX_ABS = 1e9  # scipy.special.kve(0, z) returns nan beyond |z| ~ 1.08e9
 _SCAN_POINTS = 4000  # amplitude scan grid; block of the Monte Carlo recheck
 _SAFETY = 0.99  # fraction of the searched amplitude bound returned
 
 
-def _ratio_v_over_k0(r, k, u):
-    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
-
-    K0(z) = kve(0, z) e^{-z}, so the ratio is
-    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
-    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
-    _KVE_MAX_ABS, where kve returns nan, both functions take their
-    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
-    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
-    Its callers have checked (r, k).
-    """
-    from scipy.special import k0e, kve
-
-    beta = _beta(r, k)
-    z = 2.0 * np.asarray(u, dtype=float)
-    decay = np.exp(-z * (beta - 1.0))
-    ratio = np.real(_v_phase(r, k) * (kve(0, z * beta) * decay)) / k0e(z)
-    far = np.abs(z * beta) > _KVE_MAX_ABS
-    return np.where(far, np.real(_v_phase(r, k) * beta ** -0.5 * decay), ratio)
-
-
 def _search_inputs(pert):
-    """(ratio, c, limit, u_cap, peak) of omega / W in u = x^{1/A}: |ratio|
-    ~ e^{-c u} at infinity, its x -> 0 limit, finite up to u_cap and below
-    peak e^{-c u} past it.  tm2's is V/K0 (c = 2(Re beta - 1)), finite up
-    to _KVE_MAX_ABS.  Every other product's is read off the log forms: W ~
-    e^{-g u}, so c = g (mu^{1/A} cos(k pi/A) - 1), and as x -> 0 omega and
-    W follow W's rightmost pole p0: the limit is mu^{p*-p0} sin(k pi p0),
-    p* = 1 - b*/a*.  tm1 has the exact rule |eps| < 1 and no search.
+    """(ratio, c, limit) of omega / W in u = x^{1/A}, read off the two log
+    forms: |ratio| ~ e^{-c u} at infinity and limit is its x -> 0 limit.
+    W ~ e^{-g u}, so c = g (mu^{1/A} cos(k pi/A) - 1), and as x -> 0 omega
+    and W follow W's rightmost pole p0: the limit is mu^{p*-p0} sin(k pi
+    p0), p* = 1 - b*/a*.  tm1 has the exact rule |eps| < 1 and no search.
     """
-    seq, r, k = pert.seq, pert.r, pert.k
+    seq, k = pert.seq, pert.k
     if pert.family == "tm1":
         raise ConstraintError(
             f"{seq.descriptor()} members take the exact amplitude rule "
             "|eps| < 1; there is no bound to search")
-    if pert.family == "tm2":
-        beta = _beta(r, k)
-        return (lambda u: _ratio_v_over_k0(r, k, u), 2.0 * (beta.real - 1.0),
-                float(_v_phase(r, k).real), 0.5 * _KVE_MAX_ABS / abs(beta),
-                abs(_v_phase(r, k)))
     (a, b), big_a = _star_factor(seq), seq.sum_a
     w, theta = principal_solution(seq), math.pi * k / a
     # mu^{1/A} cos(k pi/A) and k pi p0 = theta (a - b) + k pi (p0 - p*),
-    # in the forms exact where the star factor holds p0, as for tm3
+    # in the forms exact where the star factor holds p0, as for tm2 and tm3
     root = math.cos(theta / (big_a / a)) / math.cos(theta) ** (a / big_a)
     p_star, p0 = 1.0 - b / a, seq.rightmost_pole
     limit = (math.exp(-a * math.log(math.cos(theta)) * (p_star - p0))
              * math.sin(theta * (a - b) + math.pi * k * (p0 - p_star)))
     return (lambda u: _ratio(pert, w, big_a * np.log(u)),
-            seq.tail_coefficient * (root - 1.0), limit, math.inf, 0.0)
+            seq.tail_coefficient * (root - 1.0), limit)
 
 
 def find_gamma_max(pert):
@@ -323,26 +319,22 @@ def find_gamma_max(pert):
 
     The ratio decays at infinity and tends to its limit at the origin only
     like 1/ln x, so its infimum may be that limit.  The scan runs in u =
-    x^{1/A} (A = seq.sum_a) from x = 1e-8 to where e^{-c u} = 1e-8, or to
-    u_cap, zooms in on its worst point, and takes the least of that, the
-    limit and a coarse scan of u down to 1e-150.  Past u_cap the envelope
-    must stay below _SAFETY times that infimum (see _search_inputs).  The
-    bound is searched, not certified, and holds for gamma >= 0; omega(-k)
-    = -omega(k), so a negative gamma meets the bound of -k.  |omega| <= W
-    makes every bound at least _SAFETY.
+    x^{1/A} (A = seq.sum_a) from x = 1e-8 to where e^{-c u} = 1e-8 (see
+    _search_inputs), zooms in on its worst point, and takes the least of
+    that, the limit and a coarse scan of u down to 1e-150.  The bound is
+    searched, not certified, and holds for gamma >= 0; omega(-k) =
+    -omega(k), so a negative gamma meets the bound of -k.  |omega| <= W
+    makes every bound at least _SAFETY, and the scan needs a ratio finite
+    up to its end (tm2's V/K0 goes asymptotic past _KVE_MAX_ABS).
     """
-    ratio, decay, limit, u_cap, peak = _search_inputs(pert)
+    ratio, decay, limit = _search_inputs(pert)
     a, name = pert.seq.sum_a, f"({_name(pert.seq)}, k={pert.k})"
     if not decay > 0.0:
         raise SearchError(
             f"the decay rate of omega/W rounds to {decay!r} for {name}: it "
             "does not decay in double precision; cannot bound the amplitude")
-    u_star = math.log(1e8) / decay
-    envelope = 0.0
-    if u_star > u_cap:
-        u_star = u_cap
-        envelope = peak * math.exp(-u_cap * decay)
-    us = np.logspace(-8.0 / a, math.log10(u_star), _SCAN_POINTS)
+    us = np.logspace(-8.0 / a, math.log10(math.log(1e8) / decay),
+                     _SCAN_POINTS)
     neg = -ratio(us)
     i = int(np.argmax(neg))
     worst = float(neg[i])
@@ -369,11 +361,6 @@ def find_gamma_max(pert):
             "ratio may be unbounded")
     origin = np.logspace(-150.0, math.log10(us[0]), 1000)
     refined = max(refined, -limit, float(np.max(-ratio(origin))))
-    if envelope > _SAFETY * refined:
-        raise SearchError(
-            f"omega/W for {name} has not decayed below its scanned "
-            f"infimum {refined:.6g} (envelope {envelope:.6g}) where it "
-            "stops being finite")
     bound = _SAFETY / refined
     if not 0.0 < bound < math.inf:
         raise SearchError(f"amplitude bound for {name} is {bound!r}: omega/W "

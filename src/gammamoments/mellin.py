@@ -608,10 +608,12 @@ def _residue_sums(seq, lx, psi):
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         # where a power of w could overflow, w = u 2^e with |u| < 1, and
         # pole i's powers are taken relative to 2^{e top[i]}, a factor its
-        # rel and the scale carry in nats; elsewhere e = 0 changes no value
+        # rel and the scale carry in nats; elsewhere e = 0 changes no value,
+        # and a call with no such knot takes e as the scalar 0
         e = np.frexp(np.abs(w))[1]
         e[e * (coef.shape[1] - 1) <= _POWER_EXP] = 0
-        nats = e * math.log(2.0)
+        e = e if e.any() else 0
+        nats = np.broadcast_to(e * math.log(2.0), lx.shape)
         u = w * np.ldexp(1.0, -e)
         powers = {t: [u ** j / math.factorial(j) * np.ldexp(1.0, (j - t) * e)
                       for j in range(t + 1)] for t in set(top)}

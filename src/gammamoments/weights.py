@@ -39,7 +39,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .errors import (ConvergenceError, DomainError, _at_x, _check_int,
                      _check_log_x)
@@ -163,6 +162,8 @@ class _PanelInterpolant:
         return _panel_points(self.edges[:-1], self.edges[1:]).ravel()
 
     def __call__(self, u):
+        from numpy.polynomial import chebyshev
+
         i = np.clip(np.searchsorted(self.edges, u, side="right") - 1,
                     0, self.coef.shape[0] - 1)
         left, right = self.edges[i], self.edges[i + 1]
@@ -172,6 +173,8 @@ class _PanelInterpolant:
 
 def _panel_points(left, right):
     """(panels, _DEGREE + 1) array of each panel's Chebyshev points."""
+    from numpy.polynomial import chebyshev
+
     t = chebyshev.chebpts1(_DEGREE + 1)
     return 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * t
 
@@ -179,6 +182,8 @@ def _panel_points(left, right):
 def _chebyshev_coefficients(values):
     """Rows of values at chebpts1(_DEGREE + 1) -> rows of coefficients,
     by einsum rather than a BLAS product (see mellin._phase_sum)."""
+    from numpy.polynomial import chebyshev
+
     n = _DEGREE + 1
     to_coef = chebyshev.chebvander(chebyshev.chebpts1(n), _DEGREE) * (2.0 / n)
     to_coef[:, 0] *= 0.5

@@ -409,17 +409,18 @@ class TestGammaMax:
     @pytest.mark.parametrize("r,k", [(3, 1), (5, 2), (7, 3), (9, 1), (40, 1)])
     def test_refinement_never_shallower_than_scan(self, r, k, monkeypatch):
         seen = []
-        ratio = classes._ratio_v_over_k0
+        ratio = classes._ratio
 
-        def spy(r, k, u):
-            vals = ratio(r, k, u)
+        def spy(pert, w, log_x):
+            vals = ratio(pert, w, log_x)
             seen.append(-vals)
             return vals
-        monkeypatch.setattr(classes, "_ratio_v_over_k0", spy)
-        bound = find_gamma_max(perturbation_tm2(r, k))
+        monkeypatch.setattr(classes, "_ratio", spy)
+        pert = perturbation_tm2(r, k)
+        bound = find_gamma_max(pert)
         worst = float(np.max(seen[0]))  # the scan grid comes first
         deepest = max(float(np.max(v)) for v in seen)
-        limit = -classes._v_phase(r, k).real  # -V/K0 at x -> 0
+        limit = -classes._search_inputs(pert)[2]  # -omega/W at x -> 0
         assert len(seen) > 1
         assert bound <= 0.99 / worst
         assert bound == 0.99 / max(deepest, limit)
@@ -436,34 +437,65 @@ class TestGammaMax:
                       -find_gamma_max(perturbation_tm2(r, -k))):
             assert np.min(1.0 + gamma * ratio) >= 0.0
 
+    @staticmethod
+    def _nonnegative_up_to_scan_end(r, bound):
+        """1 + bound V/K0 >= 0 on 20,000 seeded log-uniform u in [1e-3,
+        u*], u* = ln(1e8) / c the scan's end; W2 > 0, so the member is
+        nonnegative iff that is, and x = u^{2r} overflows for u > 1.04."""
+        decay = classes._search_inputs(perturbation_tm2(r, 1))[1]
+        u_star = math.log(1e8) / decay
+        rng = np.random.default_rng(7)
+        us = np.exp(rng.uniform(math.log(1e-3), math.log(u_star), 20000))
+        ratio = classes._ratio_v_over_k0(r, 1, us)
+        return bool(np.all(1.0 + bound * ratio >= 0.0))
+
     @pytest.mark.parametrize("r", [10**4, 3 * 10**4])
     def test_bound_finite_where_kve_overflows(self, r):
         # the ratio decays by 1e-8 only past |2u beta| = 1.08e9, where
-        # scipy's kve(0, z) is nan; the scan stops short of that
+        # scipy's kve(0, z) is nan and V/K0 takes its large-argument form
         bound = find_gamma_max(perturbation_tm2(r, 1))
         assert math.isfinite(bound)
         assert bound == pytest.approx(0.9904, abs=1e-3)
-        # W2 > 0, so the member is nonnegative iff 1 + gamma V/K0 is; x =
-        # u^{2r} overflows for u > 1.04, so sample in u up to the scan's cut
-        rng = np.random.default_rng(7)
-        us = np.exp(rng.uniform(0.0, math.log(5e8), 20000))
-        assert np.all(1.0 + bound * classes._ratio_v_over_k0(r, 1, us) >= 0.0)
+        assert self._nonnegative_up_to_scan_end(r, bound)
         xs = np.logspace(-8, 300, 2000)
         vals = class_member(tm2(r), 1, bound, xs)
         assert np.all(vals >= 0.0)
 
     def test_zoom_stops_on_a_bracket_below_xatol_ulps(self):
-        # for r this large 1e-10/(2r) is below the float spacing of ln u;
-        # the zoom must still stop, and since the ratio has not decayed
-        # where scaled K0 stops being finite, the search must raise
-        with pytest.raises(SearchError, match="not decayed"):
-            find_gamma_max(perturbation_tm2(10**6, 1))
+        # for r this large 1e-10/(2r) is below the float spacing of ln u
+        # wherever |ln u| >= 1; the zoom must still stop, and the bound is
+        # finite (the search once refused where kve stops being finite)
+        r = 10**6
+        assert 1e-10 / (2 * r) < np.spacing(1.0)
+        bound = find_gamma_max(perturbation_tm2(r, 1))
+        assert 0.99 <= bound < math.inf
+        assert self._nonnegative_up_to_scan_end(r, bound)
+
+    def test_bound_where_the_old_decay_rounded_to_zero(self):
+        # at r = 1e8, 2(Re beta - 1) rounded to 0 and the search refused;
+        # the product decay is 4.4e-16, and the bound meets the exact
+        # floor |gamma| <= 1
+        bound = find_gamma_max(perturbation_tm2(10**8, 1))
+        assert 0.99 <= bound < math.inf
+        assert self._nonnegative_up_to_scan_end(10**8, bound)
 
     def test_decay_rounding_to_zero_raises(self):
-        # at r = 1e8, Re beta - 1 ~ (pi/r)^2/8 rounds to 0; the scan's end
-        # u* = ln(1e8) / (2 (Re beta - 1)) once divided by zero
+        # at r = 1e9 the decay g (mu^{1/A} cos(k pi/A) - 1) rounds to 0;
+        # the scan's end u* = ln(1e8) / c once divided by zero
         with pytest.raises(SearchError, match="does not decay"):
-            find_gamma_max(perturbation_tm2(10**8, 1))
+            find_gamma_max(perturbation_tm2(10**9, 1))
+
+    def test_search_inputs_match_the_k0_closed_form(self):
+        # tm2's old search inputs are an oracle for the one search's: the
+        # decay 2(Re beta - 1) and the x -> 0 limit Re v_phase of V/K0
+        eps = np.finfo(float).eps
+        pairs = [(r, k) for r in range(3, 41) for k in range(1 - r, r)
+                 if k != 0 and r > 2 * abs(k)]
+        for r, k in pairs:
+            _, decay, limit = classes._search_inputs(perturbation_tm2(r, k))
+            beta, phase = classes._beta(r, k), classes._v_phase(r, k)
+            assert abs(decay - 2.0 * (beta.real - 1.0)) <= 4.0 * eps, (r, k)
+            assert abs(limit - phase.real) <= 1e-14, (r, k)
 
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_ratio_v_over_k0",
@@ -482,14 +514,15 @@ class TestGammaMax:
         with pytest.raises(ConstraintError, match="r must be an integer >= 1"):
             find_gamma_max(perturbation_tm2(r, 1))
 
-    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705257),
-                                          (3, -1, 1.1431535329954585),
+    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705265),
+                                          (3, -1, 1.143153532995459),
                                           (5, 2, 1.0409476019958845),
-                                          (5, -2, 3.517867380264567),
-                                          (9, 1, 1.1782849897585341),
-                                          (40, 1, 1.0228080242294648)])
+                                          (5, -2, 3.5178673802645655),
+                                          (9, 1, 1.178284989758537),
+                                          (40, 1, 1.0228080242294793)])
     def test_tm2_bounds_bit_for_bit(self, r, k, want):
-        # the search that serves tm2 and tm3 keeps every bit of tm2's bounds
+        # the bits of the one search, omega2 / W2 read off the log forms;
+        # the V/K0 search it replaced was within 1.4e-14 of each
         assert find_gamma_max(perturbation_tm2(r, k)) == want
 
     def test_first_family_has_no_search(self):

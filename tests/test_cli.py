@@ -276,8 +276,9 @@ class TestDeterminism:
         assert json.loads(out)["gamma_max"] == pytest.approx(want, abs=1e-3)
 
     def test_find_gamma_max_beyond_double_precision(self, capsys):
-        # Re beta - 1 rounds to 0 at r = 1e8: once a ZeroDivisionError
-        code, out, err = run(capsys, "class", "--seq", "tm2:r=100000000",
+        # the decay rate of omega/W rounds to 0 at r = 1e9: once a
+        # ZeroDivisionError
+        code, out, err = run(capsys, "class", "--seq", "tm2:r=1000000000",
                              "--k", "1", "--find-gamma-max")
         assert (code, out) == (3, "")
         assert "does not decay" in err
@@ -549,13 +550,23 @@ class TestExitCodes:
     def test_class_member_from_printed_columns(self, capsys, monkeypatch,
                                                seq, flag, amplitude, log_w):
         # member = base + amplitude * omega from the two columns: the
-        # density is evaluated once for base and once inside omega
+        # density is evaluated once for base and once inside omega; the
+        # amplitude search (|gamma| > 0.99) reads omega / W off the same
+        # log forms, and its calls are not the columns'
         calls = []
         for module in (weights, classes):
             true_log_w = getattr(module, log_w)
             monkeypatch.setattr(
                 module, log_w,
                 lambda *a, f=true_log_w: calls.append(a) or f(*a))
+        search = classes.find_gamma_max
+
+        def searched(pert):
+            start = len(calls)
+            bound = search(pert)
+            del calls[start:]
+            return bound
+        monkeypatch.setattr(classes, "find_gamma_max", searched)
         code, out, _ = run(capsys, "class", "--seq", seq, "--k", "1", flag,
                            str(amplitude))
         assert code == 0
@@ -708,7 +719,7 @@ class TestProgramEntry:
     @pytest.mark.parametrize("argv,want", [
         (["eval", "--seq", "tm1:r=2"], 0),
         (["moments", "--seq", "tm1:r=1", "--n", "5..2"], 1),
-        (["class", "--seq", "tm2:r=100000000", "--k", "1",
+        (["class", "--seq", "tm2:r=1000000000", "--k", "1",
           "--find-gamma-max"], 3),
     ], ids=["ok", "usage", "numeric"])
     def test_same_exit_code_and_stdout_as_in_process(self, capsys, argv,

@@ -6,10 +6,10 @@ evaluates one never loads it.  The real ln Gamma of every moment target
 comes from math.lgamma, so the closed form of a single factor Gamma(an + b)
 with its moment checks and all three criteria, and a usage error, load no
 SciPy module, nor numpy.ma, which SciPy loads but the package never
-needs.  K0 (the second family) and the complex log-gamma of the
-contour engine load scipy.special.  It is the only SciPy subpackage the
-package imports, so no CLI call loads scipy.optimize, scipy.integrate or
-scipy.interpolate.
+needs, nor numpy.polynomial, which only an interpolant build needs.  K0
+(the second family) and the complex log-gamma of the contour engine load
+scipy.special.  It is the only SciPy subpackage the package imports, so
+no CLI call loads scipy.optimize, scipy.integrate or scipy.interpolate.
 
 The contour engine and the Chebyshev interpolant make no BLAS call, so a
 contour process never pays OpenBLAS's first-call buffers."""
@@ -71,8 +71,10 @@ def test_import_and_closed_forms_load_no_scipy():
         ["criteria", "--seq", "gamma:2.02n+1"],
         ["criteria", "--seq", "gamma:2.5n+0.7"],  # one factor, b != 1
     ]
-    # np.unique in the moment integral once loaded numpy.ma (15-40 ms)
-    steps = _steps(*argvs, watched=("numpy.ma",) + _WATCHED)
+    # np.unique in the moment integral once loaded numpy.ma (15-40 ms),
+    # and weights' top-level import numpy.polynomial (about 6 ms)
+    steps = _steps(*argvs, watched=("numpy.ma", "numpy.polynomial")
+                   + _WATCHED)
     assert steps[0] == [None, []], "import gammamoments, then cli"
     for argv, (code, loaded) in zip(argvs, steps[1:]):
         assert loaded == [], " ".join(argv)

@@ -473,7 +473,9 @@ class TestResidueSeries:
         seq = tm4(1)
         low = np.array([-300.0, -60.0, -47.0])
         alone, _ = contour_log_densities(seq, low)
-        mixed, _ = contour_log_densities(seq, np.concatenate((low, [0.0, 3.0])))
+        # -1e200 is the one knot whose powers of w are scaled
+        mixed, _ = contour_log_densities(
+            seq, np.concatenate((low, [0.0, 3.0, -1e200])))
         assert np.array_equal(alone, mixed[:3])
         assert np.array_equal(alone, [contour_log_densities(seq, [v])[0][0]
                                       for v in low])
