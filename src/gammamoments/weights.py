@@ -9,12 +9,15 @@ product, ln W is interpolated once per sequence by Chebyshev polynomials
 on panels in ln x, built from a single call of the contour engine at every
 panel's Chebyshev points (knots sharing a saddle band share one set of
 symbol evaluations).  A panel is accepted once its trailing coefficients
-are below 1e-11, so the interpolant certifies its own accuracy (about
-1e-12 in ln W) at quadrature-friendly speed; w3/w4 evaluate the engine
-directly at a scalar or an array x, for cross-checks.  The engine
+are below 1e-11, or below ln W's own rounding, 64 eps max|ln W|, on a
+panel whose |ln W| passes about 704 (where W leaves the double range),
+so the interpolant certifies its own accuracy (about 1e-12 in ln W where
+W is representable) at quadrature-friendly speed; w3/w4 evaluate the
+engine directly at a scalar or an array x, for cross-checks.  The engine
 defines these densities, and the interpolant only caches it: its window
-runs from x = 1e-20 (_X_MIN) to where ln W reaches -320, and every ln x
-outside it goes to the engine.  The engine routes every knot, in the
+runs from x = 1e-20 (_X_MIN) to where ln W reaches -320, in at most
+1,024 initial panels at least 8 wide, and every ln x outside it goes to
+the engine.  The engine routes every knot, in the
 window or not, by one rule: the residue series at the symbol's poles
 (`mellin._residue_sums`) answers each knot it certifies (for tm3:r=1
 and tm4:r=1 every knot up to x = 0.1), and band quadrature the rest.
@@ -136,11 +139,11 @@ def w4(r, x):
 
 _X_MIN = 1e-20  # left edge of the interpolant's window
 _LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
-_PANEL_WIDTH = 8.0  # initial panel width in ln x
+_PANEL_WIDTH = 8.0  # least initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
 _TAIL_TOL = 1e-11  # accepted size of a panel's trailing coefficients
 _MAX_SPLITS = 6  # halvings of an initial panel before the build gives up
-_MAX_PANELS = 1024  # initial panels; tm3, tm4, unequal lists fail near 1,000
+_MAX_PANELS = 1024  # initial panels; a wider window widens them instead
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +152,9 @@ class _PanelInterpolant:
 
     coef[i] holds the Chebyshev coefficients of panel [edges[i],
     edges[i + 1]]; error is the largest trailing-coefficient sum of an
-    accepted panel, the interpolant's estimate of its own error.
+    accepted panel, the interpolant's estimate of its own absolute error
+    in ln W: at most 1e-11 unless a panel reaches |ln W| > about 704,
+    where it is ln W's rounding, 64 eps max|ln W| on that panel.
     """
 
     edges: np.ndarray
@@ -195,37 +200,40 @@ def _density_spline(seq: MomentSequence):
     """Piecewise Chebyshev interpolant of ln W vs ln x for a contour density.
 
     The window runs from x = 1e-20 to where ln W reaches -_LOG_DEPTH;
-    `_spline_log_evaluate` sends ln x outside it to the engine.  All
-    panels are evaluated by one engine call; a panel whose last three
-    coefficients sum above _TAIL_TOL is halved, and the halves of every
-    such panel are evaluated by one further call.
+    `_spline_log_evaluate` sends ln x outside it to the engine.  It starts
+    as at most _MAX_PANELS panels, each _PANEL_WIDTH wide or wider, and
+    all are evaluated by one engine call.  A panel whose last three
+    coefficients sum above max(_TAIL_TOL, 64 eps max|ln W|) on it is
+    halved, and the halves of every such panel are evaluated by one
+    further call; the second term, ln W's own rounding (Trefethen, ATAP
+    ch. 8), passes _TAIL_TOL only where |ln W| > about 704.
     """
     g, p = seq.tail_coefficient, seq.tail_power
     lo = np.log(_X_MIN)
     hi = np.log(_LOG_DEPTH / g) / p
-    if not hi - lo <= _MAX_PANELS * _PANEL_WIDTH:
-        raise ConvergenceError(f"{seq.descriptor()}: the interpolant window "
-                               f"needs more than {_MAX_PANELS} panels")
-    cuts = np.linspace(lo, hi, int(np.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
+    count = min(_MAX_PANELS, np.ceil((hi - lo) / _PANEL_WIDTH))
+    cuts = np.linspace(lo, hi, int(count) + 1)
     left, right = cuts[:-1], cuts[1:]
     accepted = []  # (left edge, coef, tail) of the accepted panels
-    for _ in range(_MAX_SPLITS + 1):
+    for splits in range(_MAX_SPLITS + 1):
         lx = _panel_points(left, right)
         lw, _ = contour_log_densities(seq, lx.ravel())
-        coef = _chebyshev_coefficients(lw.reshape(lx.shape))
+        lw = lw.reshape(lx.shape)
+        coef = _chebyshev_coefficients(lw)
         tail = np.sum(np.abs(coef[:, -3:]), axis=1)
-        ok = tail <= _TAIL_TOL
+        floor = 64 * np.finfo(float).eps * np.max(np.abs(lw), axis=1)
+        ok = tail <= np.maximum(_TAIL_TOL, floor)
         accepted.append((left[ok], coef[ok], tail[ok]))
         if np.all(ok):
             break
+        if splits == _MAX_SPLITS:
+            raise ConvergenceError(
+                f"{seq.descriptor()}: Chebyshev panels "
+                f"{np.min((right - left)[~ok]):g} wide in ln x still leave "
+                f"trailing coefficients above {_TAIL_TOL:g}")
         mid = 0.5 * (left[~ok] + right[~ok])
         left = np.concatenate([left[~ok], mid])
         right = np.concatenate([mid, right[~ok]])
-    else:
-        raise ConvergenceError(
-            f"{seq.descriptor()}: Chebyshev panels at most "
-            f"{_PANEL_WIDTH / 2 ** _MAX_SPLITS:g} wide in ln x still leave "
-            f"trailing coefficients above {_TAIL_TOL:g}")
     left, coef, tail = (np.concatenate(part) for part in zip(*accepted))
     order = np.argsort(left)
     return _PanelInterpolant(np.append(left[order], hi), coef[order],

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ import gammamoments.weights as weights
 from gammamoments import (class_member, contour_log_densities,
                           parse_descriptor, tm2, tm3, tm4)
 from gammamoments.cli import main
+from gammamoments.verify import _PASS_TOL
 from oracles import meijer_log_density
 
 
@@ -870,12 +872,22 @@ class TestFuzzRegressions:
         ["eval", "--seq", "tm3:r=1500", "--x", "1"]], ids=["A=5e21", "A=4500"])
     def test_interpolant_window_too_wide_refused(self, capsys, argv):
         # A = 5e21: np.linspace once raised "Maximum allowed size exceeded";
-        # tm3:r=1500 once built for 111 s in 767 MB before its panels failed
+        # tm3:r=1500 once built for 111 s in 767 MB before its panels failed,
+        # and then a 1,024-panel cap refused both windows at once.  Now a
+        # wide window takes 1,024 wider panels: tm3:r=1500 builds, and only
+        # the engine refuses the A = 5e21 product, at its tail
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (3, "")
-        assert err.endswith("the interpolant window needs more than 1024 "
-                            "panels\n")
-
+        if argv[0] == "eval":
+            assert (code, err) == (0, "")
+            density = json.loads(out)["points"][0]["density"]
+            want, _ = contour_log_densities(tm3(1500), 0.0)
+            assert abs(math.log(density) - want[0]) <= 1e-10
+        else:
+            assert (code, out) == (3, "")
+            assert err.startswith("numeric failure: ") and err.count("\n") == 1
+            assert "needs a coarsest grid of" in err
+            assert time.perf_counter() - start < 2.0
 
     def test_saddle_bracket_beyond_double_resolution_refused(self, capsys):
         # the rightmost pole 1 - b/a = -3.8e21 absorbs the bracket's first
@@ -896,6 +908,34 @@ class TestFuzzRegressions:
         for point in json.loads(out)["points"]:
             want = meijer_log_density(seq, math.log(point["x"]))
             assert abs(math.log(point["density"]) - want) <= 1e-13
+
+
+class TestInterpolantReach:
+    """Windows the interpolant once refused (exit 3) now build: tm3:r=580
+    had 30 panels whose trailing sums, 1.0-1.2e-11 where |ln W| is near
+    8,000, were ln W's own rounding; tm4:r=1000's window was wider than
+    1,024 panels of 8; and the small multipliers of the third product put
+    |ln W| near 9,470 at x = 1e-20.  Each runs in one process, so its
+    calls share one interpolant."""
+
+    @pytest.mark.parametrize("seq", ["tm3:r=580", "tm4:r=1000",
+                                     "gamma:0.092n+19.02,0.031n+10.74"])
+    def test_eval_moments_criteria(self, capsys, seq):
+        for cmd in (["eval", "--x", "1"], ["criteria"],
+                    ["moments", "--n", "0..8"]):
+            code, out, err = run(capsys, cmd[0], "--seq", seq, *cmd[1:])
+            assert (code, err) == (0, ""), cmd
+        results = json.loads(out)["results"]
+        assert [r["n"] for r in results] == list(range(9))
+        assert max(r["rel_error"] for r in results) <= _PASS_TOL
+
+    def test_class_member(self, capsys):
+        code, out, err = run(capsys, "class", "--seq", "tm3:r=580", "--k",
+                             "1", "--gamma", "0.5", "--x", "1,10")
+        assert (code, err) == (0, "")
+        points = json.loads(out)["points"]
+        assert [p["x"] for p in points] == [1.0, 10.0]
+        assert all(p["member"] > 0 for p in points)
 
 
 # the value ranges of ROADMAP item 15: valid and invalid numbers alike

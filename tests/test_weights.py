@@ -10,10 +10,11 @@ import scipy.special
 
 import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ConvergenceError, DomainError,
-                          TruncationError, WeightFunction, check_moment,
-                          contour_log_densities,
+                          GammomentsError, TruncationError, WeightFunction,
+                          check_moment, contour_log_densities,
                           gamma_product, parse_descriptor, principal_solution,
                           tm1, tm2, tm3, tm4, w1, w2, w3, w4)
+from gammamoments.verify import _PASS_TOL
 from oracles import meijer_log_density
 
 TWO_K0_2 = 2.0 * 0.1138938727495334  # 2 K0(2), frozen with mpmath
@@ -239,9 +240,54 @@ class TestPanelInterpolant:
                                               interp.edges[-1], 200)
         want, _ = contour_log_densities(seq, lx)
         assert np.max(np.abs(interp(lx) - want)) <= 1e-10
+        # the message names the narrowest panel that failed: the window
+        # (60.06 wide) halved once, not _PANEL_WIDTH / 2
         monkeypatch.setattr(weights, "_MAX_SPLITS", 1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"panels 30\.0304 wide"):
             weights._density_spline.__wrapped__(seq)
+
+    @pytest.mark.parametrize("text,panels", [
+        ("tm3:r=1", 8), ("tm3:r=2", 10), ("tm3:r=3", 12), ("tm3:r=7", 19),
+        ("tm3:r=40", 76), ("tm4:r=1", 9), ("tm4:r=38", 96), ("tm4:r=60", 148),
+        ("gamma:2n+1,n+1", 8), ("gamma:0.3n+1,0.3n+1", 8)])
+    def test_representable_windows_keep_the_absolute_stop(self, text, panels):
+        # the stop test relaxes to ln W's rounding, 64 eps max|ln W|, only
+        # on panels where |ln W| > about 704; these windows stay below it,
+        # so they keep their 1e-11 estimate and their panels
+        interp = weights._density_spline(parse_descriptor(text))
+        assert interp.edges.size - 1 == panels
+        assert interp.error <= 1e-11
+
+
+def _random_products(count, seed):
+    """2-4 factors Gamma(a n + b), a log-uniform on [0.01, 5000] and b
+    uniform on [0.1, 50]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = rng.integers(2, 5)
+        a = np.exp(rng.uniform(math.log(0.01), math.log(5000.0), m))
+        yield gamma_product(zip(a, rng.uniform(0.1, 50.0, m)))
+
+
+class TestInterpolantFuzz:
+    """Seeded random products: each interpolant builds and reproduces its
+    moments and the engine, or its build raises a GammomentsError."""
+
+    @pytest.mark.parametrize("seq", _random_products(12, seed=41),
+                             ids=lambda seq: seq.descriptor())
+    def test_builds_or_refuses(self, seq):
+        try:
+            interp = weights._density_spline(seq)
+        except GammomentsError:
+            return
+        w = principal_solution(seq)
+        for n in (0, 3):
+            assert check_moment(w, seq, n).rel_error <= _PASS_TOL
+        lx = np.random.default_rng(5).uniform(interp.edges[0],
+                                              interp.edges[-1], 5)
+        want, _ = contour_log_densities(seq, lx)
+        assert np.all(np.abs(interp(lx) - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestNegativeDensityRefused:
