@@ -34,7 +34,8 @@ from .errors import (ConstraintError, ConvergenceError, SearchError,
                      _at_x, _check_int)
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .weights import _log_w1, _log_w2, principal_solution, w1
+from .special import bessel_k0e
+from .weights import _log_w1, _log_w2_front, principal_solution, w1
 
 __all__ = ["Perturbation", "omega2", "omega2_via_convolution", "omega3",
            "perturbation_tm1", "perturbation_tm2", "perturbation_tm3",
@@ -126,34 +127,25 @@ def _v_phase(r, k):
     return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
 
 
-_KVE_MAX_ABS = 1e9  # scipy's kve(0, z) is nan past |z| ~ 1.08e9
+def _scaled_v(r, k, u):
+    """e^{2u} V(2u) at u = x^{1/2r}, V(z) = Re[phase K0(z beta)].
 
-
-def _ratio_v_over_k0(r, k, u):
-    """V/K0(2u) at u = x^{1/2r}, from exponentially scaled Bessel functions.
-
-    K0(z) = kve(0, z) e^{-z}, so the ratio is
-    Re[phase kve(0, 2u beta) e^{-2u(beta - 1)}] / k0e(2u), which stays
-    finite where V underflows and 1/K0 overflows.  Past |2u beta| =
-    _KVE_MAX_ABS, where kve returns nan, both functions take their
-    large-argument form sqrt(pi/2w) e^{-w}, and the ratio is
-    Re[phase beta^{-1/2} e^{-2u(beta - 1)}] to within 1e-9 of its modulus.
-    Its callers have checked (r, k).
+    K0(w) = k0e(w) e^{-w}, so this is Re[phase k0e(2u beta)
+    e^{-2u(beta - 1)}], which stays finite where V underflows.  Its
+    callers have checked (r, k).
     """
-    from scipy.special import k0e, kve
-
     beta = _beta(r, k)
     z = 2.0 * np.asarray(u, dtype=float)
-    decay = np.exp(-z * (beta - 1.0))
-    ratio = np.real(_v_phase(r, k) * (kve(0, z * beta) * decay)) / k0e(z)
-    far = np.abs(z * beta) > _KVE_MAX_ABS
-    return np.where(far, np.real(_v_phase(r, k) * beta ** -0.5 * decay), ratio)
+    return np.real(_v_phase(r, k)
+                   * (bessel_k0e(z * beta) * np.exp(-z * (beta - 1.0))))
 
 
 def _log_omega2(r, k, log_x):
-    """(sign, ln |omega2|) at ln x: ln W2 + ln |V/K0|."""
-    return _signed_log(_log_w2(r, log_x),
-                       _ratio_v_over_k0(r, k, np.exp(log_x / (2.0 * r))))
+    """(sign, ln |omega2|) at ln x: ln W2 with V in place of K0(2u), so
+    only the complex K0 is evaluated."""
+    front = _log_w2_front(r, log_x)
+    u = np.exp(np.asarray(log_x, dtype=float) / (2.0 * r))
+    return _signed_log(front - 2.0 * u, _scaled_v(r, k, u))
 
 
 def omega2(r, k, x):
@@ -325,7 +317,7 @@ def find_gamma_max(pert):
     searched, not certified, and holds for gamma >= 0; omega(-k) =
     -omega(k), so a negative gamma meets the bound of -k.  |omega| <= W
     makes every bound at least _SAFETY, and the scan needs a ratio finite
-    up to its end (tm2's V/K0 goes asymptotic past _KVE_MAX_ABS).
+    up to its end.
     """
     ratio, decay, limit = _search_inputs(pert)
     a, name = pert.seq.sum_a, f"({_name(pert.seq)}, k={pert.k})"

@@ -38,8 +38,8 @@ certifies, and the bands sum the rest.  Left of the contour the integral
 is the sum of the residues of rho(s-1) e^{-s(L - i psi)} at the poles
 s = 1 - (b_j + l)/a_j; a pole of order m gives z^{-p} times a polynomial
 of degree m - 1 in ln z, z = e^{L - i psi}, with coefficients from the
-Laurent and Taylor series of the gamma factors (SciPy's polygamma and
-zeta), once per sequence.  The series is certified once its first
+Laurent and Taylor series of the gamma factors (`special`'s polygamma
+and Hurwitz zeta), once per sequence.  The series is certified once its first
 omitted pole is below 1e-17 of the sum and the sum keeps 0.1 of its
 terms' bound; toward x = 1 its terms cancel (from ln x = -2 or so for
 tm3:r=1 and tm4:r=1), and two poles closer than 1e-6 end it.  It
@@ -70,9 +70,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstraintError, ConvergenceError, TruncationError,
-                     _check_log_x, _check_x)
-from .moments import MomentSequence, _grouped_factors, mellin_symbol
+from .errors import (ConstraintError, ConvergenceError, DomainError,
+                     TruncationError, _check_log_x, _check_x)
+from .moments import (MomentSequence, _grouped_factors, _ln_gamma_real,
+                      mellin_symbol)
+from .special import digamma, hurwitz_zeta, polygamma
 
 __all__ = [
     "ContourSpec",
@@ -179,77 +181,94 @@ def _power_of_two(n):
 
 
 def _saddles(seq, log_x):
-    """Real saddles of exp(symbol(s) - s ln x) for every ln x, by bisection
-    on sum_j a_j psi(a_j(s-1)+b_j) = ln x (the left side is increasing),
-    each clamped to 1e-8 right of the rightmost pole: every contour's one
-    clearance from it, which knots far left of the origin take."""
-    import scipy.special as sps
+    """Real saddles of exp(symbol(s) - s ln x) for every ln x: roots of
+    sum_j a_j psi(a_j(s-1)+b_j) = ln x, each clamped to 1e-8 right of the
+    rightmost pole p: every contour's one clearance from it, which knots
+    far left of the origin take.
 
+    The left side is increasing and concave in y = ln(s - p): about
+    R - m/(s - p) near the pole (m factors hold it) and A ln(s - 1) +
+    sum_j a_j ln a_j far from it.  Newton's method in y starts from the
+    nearer of those two roots and is kept inside a bracket that each
+    step narrows; a root past s - p = 1e12 is refused."""
     pole = seq.rightmost_pole
-    groups = _grouped_factors(seq)
-    if not pole + 1e-9 > pole:  # else the bracket below never widens
+    groups = list(_grouped_factors(seq))
+    if not pole + 1e-9 > pole:
         raise ConvergenceError(f"no double lies 1e-9 right of pole {pole:g}")
+    scale = np.array([a for (a, _), _ in groups])[:, None]
+    shift = np.array([a * (pole - 1.0) + b for (a, b), _ in groups])[:, None]
+    weight = np.array([mult * a for (a, _), mult in groups])[:, None]
+    holds = shift[:, 0] <= 1e-12 * scale[:, 0]  # factors with a pole at p
+    m = float(sum(mult for (_, mult), h in zip(groups, holds) if h))
 
-    def deriv(c):
-        return sum(mult * (a * sps.digamma(a * (c - 1.0) + b))
-                   for (a, b), mult in groups) - log_x
+    def level(y, lx):
+        """The left side minus ln x at s = p + e^y; one digamma call
+        takes every factor at once."""
+        arg = scale * np.exp(y) + np.where(holds[:, None], 0.0, shift)
+        return (weight * digamma(arg)).sum(axis=0) - lx
 
-    lo = np.full(log_x.shape, pole + 1e-9)
-    hi = np.full(log_x.shape, pole + 1.0)
-    while True:
-        short = deriv(hi) < 0
-        if not np.any(short):
-            break
-        hi[short] = pole + 2.0 * (hi[short] - pole)
-        if np.any(hi > 1e12):
-            raise ConvergenceError(
-                "saddle search failed to bracket ln x = "
-                f"{float(np.max(log_x[short])):.6g}")
-    while True:
-        # each bracket stops on its own, so a saddle does not depend on
-        # which other knots share the call
-        wide = hi - lo > 1e-10 + 1e-12 * np.abs(hi)
-        if not np.any(wide):
-            return np.maximum(0.5 * (lo + hi), pole + 1e-8)
-        mid = 0.5 * (lo + hi)
-        below = deriv(mid) < 0
-        lo = np.where(wide & below, mid, lo)
-        hi = np.where(wide & ~below, mid, hi)
+    def slope(y):
+        """Its derivative in y."""
+        arg = scale * np.exp(y) + np.where(holds[:, None], 0.0, shift)
+        return (weight * scale * polygamma(1, arg)).sum(axis=0) * np.exp(y)
 
-
-def _digamma(z):
-    """Complex digamma via psi(z) = psi(z + 8) - sum_{j<8} 1/(z + j).
-
-    SciPy's complex digamma takes ~8 us a point for |z| < 3 (0.3 us from
-    |z| = 8 on), and saddles near the pole have such arguments.
-    """
-    import scipy.special as sps
-
-    return sps.digamma(z + 8.0) - sum(1.0 / (z + j) for j in range(8))
+    # psi(eps) = -1/eps - gamma + O(eps), and psi(1) = -gamma
+    rest = float((weight[~holds, 0] * digamma(shift[~holds, 0])).sum()
+                 + digamma(1.0) * weight[holds, 0].sum())
+    far = np.exp((log_x - float((weight * np.log(scale)).sum()))
+                 / seq.sum_a) + 1.0 - pole
+    with np.errstate(divide="ignore"):
+        near = np.where(rest > log_x, m / (rest - log_x), np.inf)
+    lo = np.full(log_x.shape, math.log(1e-9))
+    hi = np.full(log_x.shape, math.log(1e12))
+    y = np.clip(np.log(np.minimum(near, far)), lo, hi)
+    ends = level(np.concatenate((lo, hi)), np.concatenate((log_x, log_x)))
+    short = ends[y.size:] < 0
+    if np.any(short):
+        raise ConvergenceError("saddle search failed to bracket ln x = "
+                               f"{float(np.max(log_x[short])):.6g}")
+    y[ends[:y.size] >= 0] = math.log(1e-9)  # left of 1e-9: clamped below
+    # each saddle stops on its own, so it does not depend on which other
+    # knots share the call
+    active = np.flatnonzero(ends[:y.size] < 0)
+    for _ in range(100):
+        if not active.size:
+            return np.maximum(pole + np.exp(y), pole + 1e-8)
+        ya, la, ha = y[active], lo[active], hi[active]
+        f = level(ya, log_x[active])
+        below = f < 0
+        la, ha = np.where(below, ya, la), np.where(below, ha, ya)
+        step = f / slope(ya)
+        newton = (ya - step >= la) & (ya - step <= ha)
+        new = np.where(newton, ya - step, 0.5 * (la + ha))
+        y[active], lo[active], hi[active] = new, la, ha
+        # the Newton step bounds the error of a converged iterate
+        done = (newton & (np.abs(step) <= 1e-12)) | (ha - la <= 1e-11)
+        active = active[~done]
+    raise ConvergenceError("saddle search did not converge")
 
 
 def _complex_saddles(seq, target, s):
     """Newton from s for sum_j a_j psi(a_j(s-1)+b_j) = target, per element.
 
-    SciPy has no complex trigamma, so the derivative is a central
-    difference of the digamma.  Steps are halved to stay right of the
-    rightmost pole.
+    The derivative is a central difference of the digamma; one digamma
+    call takes every factor at s and s +- h.  Steps are halved to stay
+    right of the rightmost pole.
     """
     pole = seq.rightmost_pole
-    groups = _grouped_factors(seq)
-
-    def deriv(z):
-        return sum(mult * (a * _digamma(a * (z - 1.0) + b))
-                   for (a, b), mult in groups)
+    groups = list(_grouped_factors(seq))
+    a, b, mult = (np.array(v, dtype=float)[:, None, None] for v in
+                  zip(*((a, b, mult) for (a, b), mult in groups)))
 
     s = np.array(s, dtype=np.complex128)
     active = np.arange(s.size)
     for _ in range(100):
         z = s[active]
         h = 1e-5 * (z.real - pole)
+        at, up, down = (mult * (a * digamma(
+            a * (np.stack((z, z + h, z - h)) - 1.0) + b))).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):  # tested below
-            step = ((deriv(z) - target[active]) * (2.0 * h)
-                    / (deriv(z + h) - deriv(z - h)))
+            step = (at - target[active]) * (2.0 * h) / (up - down)
         if not np.all(np.isfinite(step)):
             break
         while True:
@@ -283,10 +302,11 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     The t-window is centred on t0; its half-width t_max passes the drop
     test on both sides.
     """
-    import scipy.special as sps
-
-    curvature = sum(mult * (a * a * sps.polygamma(1, a * (c - 1.0) + b))
-                    for (a, b), mult in _grouped_factors(seq))
+    factors = list(_grouped_factors(seq))
+    a = np.array([a for (a, _), _ in factors])
+    b = np.array([b for (_, b), _ in factors])
+    mult = np.array([mult for _, mult in factors])
+    curvature = float((mult * a * a * polygamma(1, a * (c - 1.0) + b)).sum())
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))
     t_linear = _LOG_DROP / (0.5 * np.pi * seq.sum_a)
     t_max = t_gauss + t_linear
@@ -524,8 +544,6 @@ def _residue_poles(seq):
     it ends at the first of two poles closer than _POLE_GAP: the series
     uses the poles before the last one and tests the last as omitted.
     """
-    import scipy.special as sps
-
     groups = list(_grouped_factors(seq))
     # a factor's poles are 1/a apart, so a small a widens the span
     floor = seq.rightmost_pole - _POLE_SPAN / min(1.0, min(a for a, _ in seq.factors))
@@ -544,34 +562,49 @@ def _residue_poles(seq):
     gaps = np.diff(poles) > -_POLE_GAP
     if np.any(gaps):
         poles = poles[:int(np.argmax(gaps)) + 1]
+    orders = [sum(groups[g][1] for g in singular[p]) for p in poles]
+    top = max(orders)
+    # special values for every pole at once: Riemann zeta(k), k >= 2, and
+    # psi^(j)(u) at each factor that is regular there, in loop order
+    zeta = np.concatenate(([0.0, 0.0], hurwitz_zeta(np.arange(2, max(top, 2)),
+                                                      1.0)))
+    regular = [(j, a * (p - 1.0) + b)
+               for p, order in zip(poles, orders)
+               for g, ((a, b), _) in enumerate(groups) if g not in singular[p]
+               for j in range(order - 1)]
+    psis = iter(polygamma(*np.array(regular).T) if regular else ())
+    euler = -digamma(1.0)
     log_k, sign_k, rows = [], [], []
-    for p in poles:
-        order = sum(groups[g][1] for g in singular[p])
+    for p, order in zip(poles, orders):
         d = np.zeros(order)  # d[k]: coefficient of eps^k in ln(eps^m rho)
         lk, sk = 0.0, 1.0
+        ks = np.arange(1, order)
         for g, ((a, b), mult) in enumerate(groups):
             powers = a ** np.arange(order)
+            c = np.zeros(order)
             if g in singular[p]:
                 # eps Gamma(-l + a eps) = (-1)^l / (l! a) exp(sum_k c_k (a eps)^k)
-                # with c_1 = psi(l + 1), c_k = ((-1)^k zeta(k) + H_l^(k)) / k
+                # with c_1 = psi(l + 1) = H_l - gamma and, for k >= 2,
+                # c_k = ((-1)^k zeta(k) + H_l^(k)) / k, H_l^(k) = sum_{j<=l} j^-k
                 l = singular[p][g]
                 lk -= mult * (math.lgamma(l + 1) + math.log(a))
                 sk *= (-1.0) ** (l * mult)
-                ks = np.arange(2, order)
-                c = np.concatenate((
-                    [0.0, sps.psi(l + 1.0)],
-                    (((-1.0) ** ks + 1.0) * sps.zeta(ks) - sps.zeta(ks, l + 1.0)) / ks,
-                ))[:order]
+                harmonic = (np.arange(1.0, l + 1.0) ** -ks[:, None]).sum(axis=1)
+                c[1:] = ((-1.0) ** ks * zeta[ks] + harmonic) / ks
+                c[1:2] -= euler
             else:
                 # u is on a pole of Gamma only at a test pole that rounding
                 u = a * (p - 1.0) + b  # split from one: |Gamma(u)| = inf
-                lk += mult * (math.lgamma(u) if u > 0.0 or u % 1.0 else math.inf)
+                log_gamma = float(_ln_gamma_real(np.array(u)))
+                if u > 0.0 and log_gamma == math.inf:
+                    raise DomainError(
+                        f"ln Gamma({u:.6g}) of the factor Gamma({a:g}n + "
+                        f"{b:g}) is past the double range")
+                lk += mult * log_gamma
                 # Gamma(u) < 0 on (-2j - 1, -2j) and > 0 elsewhere off its poles
                 sk *= (1.0 if u > 0.0 else (-1.0) ** math.ceil(-u)) ** mult
-                ks = np.arange(1, order)
-                c = np.concatenate((
-                    [0.0], sps.polygamma(ks - 1, u)
-                    / [math.factorial(k) for k in ks]))
+                c[1:] = ([next(psis) for _ in ks]
+                         / np.array([math.factorial(k) for k in ks]))
             d += mult * c * powers
         e = np.zeros(order)  # e[n]: coefficient of eps^n in exp(d)
         e[0] = 1.0

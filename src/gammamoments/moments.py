@@ -196,8 +196,11 @@ def mellin_symbol(seq: MomentSequence, s):
     """Log of the continued symbol rho(s-1); complex, on s's shape (a
     scalar s gives a complex).  A pole of a factor raises PoleError."""
     s = np.asarray(s, dtype=np.complex128)
-    return sum(mult * ln_gamma(a * (s - 1.0) + b)
-               for (a, b), mult in _grouped_factors(seq))
+    groups = list(_grouped_factors(seq))
+    a, b, mult = (np.array(v, dtype=float).reshape((-1,) + (1,) * s.ndim)
+                  for v in zip(*((a, b, mult) for (a, b), mult in groups)))
+    # one ln_gamma call takes every factor; rows add in factor order
+    return (mult * ln_gamma(a * (s - 1.0) + b)).sum(axis=0)[()]
 
 
 def _grouped_factors(seq):

@@ -110,9 +110,14 @@ def w1(q, x):
 
 def _log_w2(r, log_x):
     """ln W2(r, x) at ln x; its callers check r."""
-    log_x = _check_log_x(log_x)
-    return (np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
+    return (_log_w2_front(r, log_x)
             + log_bessel_k0(2.0 * np.exp(log_x / (2.0 * r))))
+
+
+def _log_w2_front(r, log_x):
+    """ln(2 / (r x^{(r-1)/r})), W2's factor before K0, at a checked ln x."""
+    log_x = _check_log_x(log_x)
+    return np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
 
 
 def w2(r, x):

@@ -19,8 +19,14 @@ from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4, w1, w2)
+from gammamoments.special import bessel_k0e
+from gammamoments.weights import _log_w2
 from oracles import meijer_log_density
 
+
+def _v_over_k0(r, k, u):
+    """V/K0(2u) at u = x^{1/2r}: omega2 / W2, from the package's scaled K0."""
+    return classes._scaled_v(r, k, u) / bessel_k0e(2.0 * np.asarray(u))
 
 _LAW_SEQUENCES = {
     **{make.__name__: [make(r) for r in range(1, 51)]
@@ -334,17 +340,18 @@ class TestClassMembers:
         assert np.all(class_member(tm2(3), 1, gamma, xs) >= 0)
 
     def test_tm2_finite_past_scaled_bessel_range(self):
-        # kve(0, z) is nan past |z| ~ 1.08e9, which made the member nan at
-        # x = 1e60 (r = 3); there V/K0 takes its large-argument form
+        # SciPy's kve(0, z) is nan past |z| ~ 1.08e9, which once made the
+        # member nan at x = 1e60 (r = 3); special.bessel_k0e's asymptotic
+        # series has no such limit
         xs = np.array([1e60, 1e200])
         assert np.array_equal(class_member(tm2(3), 1, 0.5, xs), [0.0, 0.0])
         assert np.array_equal(omega2(3, 1, xs), [0.0, 0.0])
-        # and the form joins the scaled Bessel functions at the cut where
-        # the ratio is not yet negligible (Re beta - 1 ~ 5e-8 at r = 5000)
+        # and the ratio is continuous across |2u beta| = 1e9, where a
+        # large-argument form once took over while the ratio is not yet
+        # negligible (Re beta - 1 ~ 5e-8 at r = 5000)
         beta = classes._beta(5000, 1)
-        u = (0.5 * classes._KVE_MAX_ABS / abs(beta)
-             * np.array([1.0 - 1e-15, 1.0 + 1e-15]))
-        below, above = classes._ratio_v_over_k0(5000, 1, u)
+        u = 0.5 * 1e9 / abs(beta) * np.array([1.0 - 1e-15, 1.0 + 1e-15])
+        below, above = _v_over_k0(5000, 1, u)
         envelope = math.exp(-2.0 * u[0] * (beta.real - 1.0)) / abs(beta) ** 0.5
         assert envelope > 1e-30
         assert abs(below - above) <= 1e-8 * envelope
@@ -432,7 +439,7 @@ class TestGammaMax:
         # gamma_max(r, k)], also where the ratio creeps toward its x -> 0
         # limit, like 1/ln u, far below the scan's start at x = 1e-8
         us = np.logspace(-150.0, 1.0, 20001)
-        ratio = classes._ratio_v_over_k0(r, k, us)
+        ratio = _v_over_k0(r, k, us)
         for gamma in (find_gamma_max(perturbation_tm2(r, k)),
                       -find_gamma_max(perturbation_tm2(r, -k))):
             assert np.min(1.0 + gamma * ratio) >= 0.0
@@ -446,13 +453,12 @@ class TestGammaMax:
         u_star = math.log(1e8) / decay
         rng = np.random.default_rng(7)
         us = np.exp(rng.uniform(math.log(1e-3), math.log(u_star), 20000))
-        ratio = classes._ratio_v_over_k0(r, 1, us)
+        ratio = _v_over_k0(r, 1, us)
         return bool(np.all(1.0 + bound * ratio >= 0.0))
 
     @pytest.mark.parametrize("r", [10**4, 3 * 10**4])
     def test_bound_finite_where_kve_overflows(self, r):
-        # the ratio decays by 1e-8 only past |2u beta| = 1.08e9, where
-        # scipy's kve(0, z) is nan and V/K0 takes its large-argument form
+        # the ratio decays by 1e-8 only past |2u beta| = 1.08e9
         bound = find_gamma_max(perturbation_tm2(r, 1))
         assert math.isfinite(bound)
         assert bound == pytest.approx(0.9904, abs=1e-3)
@@ -498,7 +504,7 @@ class TestGammaMax:
             assert abs(limit - phase.real) <= 1e-14, (r, k)
 
     def test_nonfinite_bound_raises(self, monkeypatch):
-        monkeypatch.setattr(classes, "_ratio_v_over_k0",
+        monkeypatch.setattr(classes, "_scaled_v",
                             lambda r, k, u: np.full(np.shape(u), np.nan))
         with pytest.raises(SearchError):
             find_gamma_max(perturbation_tm2(3, 1))
@@ -514,16 +520,29 @@ class TestGammaMax:
         with pytest.raises(ConstraintError, match="r must be an integer >= 1"):
             find_gamma_max(perturbation_tm2(r, 1))
 
-    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.3482347101705265),
-                                          (3, -1, 1.143153532995459),
-                                          (5, 2, 1.0409476019958845),
-                                          (5, -2, 3.5178673802645655),
-                                          (9, 1, 1.178284989758537),
-                                          (40, 1, 1.0228080242294793)])
-    def test_tm2_bounds_bit_for_bit(self, r, k, want):
+    # (r, k, bound, the bound from SciPy's K0), named by the latter
+    _TM2_BOUNDS = [(3, 1, 2.3482347101705248, 2.3482347101705265),
+                   (3, -1, 1.143153532995459, 1.143153532995459),
+                   (5, 2, 1.0409476019958845, 1.0409476019958845),
+                   (5, -2, 3.517867380264564, 3.5178673802645655),
+                   (9, 1, 1.1782849897585286, 1.178284989758537),
+                   (40, 1, 1.022808024229421, 1.0228080242294793)]
+
+    @pytest.mark.parametrize("r,k,want,scipy_k0", _TM2_BOUNDS,
+                             ids=[f"{r}-{k}-{old!r}"
+                                  for r, k, _, old in _TM2_BOUNDS])
+    def test_tm2_bounds_bit_for_bit(self, r, k, want, scipy_k0):
         # the bits of the one search, omega2 / W2 read off the log forms;
-        # the V/K0 search it replaced was within 1.4e-14 of each
-        assert find_gamma_max(perturbation_tm2(r, k)) == want
+        # the V/K0 search it replaced was within 1.4e-14 of each, and the
+        # bits from SciPy's K0 are within 1e-13
+        bound = find_gamma_max(perturbation_tm2(r, k))
+        assert bound == want
+        assert bound == pytest.approx(scipy_k0, rel=1e-13)
+        if want != scipy_k0:
+            ok, _ = certify_nonnegative(
+                lambda xs: class_member(tm2(r), k, bound, xs),
+                1e-8, 1e6, 5000, seed=1)
+            assert ok
 
     def test_first_family_has_no_search(self):
         with pytest.raises(ConstraintError, match=r"exact amplitude rule "
@@ -634,7 +653,7 @@ class TestMonteCarloBlocks:
         w, pert, bound = (principal_solution(seq), perturbation(seq, 1),
                           find_gamma_max(perturbation_tm2(3, 1)))
         member = lambda xs: w.evaluate(xs) + bound * pert.evaluate(xs)
-        member(np.array([1.0]))  # scipy.special loads outside the trace
+        member(np.array([1.0]))  # first-use tables build outside the trace
         tracemalloc.start()
         try:
             ok, _ = certify_nonnegative(member, 1e-8, 1e6, 20000, 42)
@@ -709,7 +728,7 @@ class TestPerturbationObjects:
         # the second family no complex-K0 ratio, is computed
         def evaluated(*args, **kwargs):
             raise AssertionError("perturbation evaluated at build")
-        for name in ("_log_w1", "_log_w2", "_ratio_v_over_k0",
+        for name in ("_log_w1", "_log_w2_front", "_scaled_v",
                      "_contour_sums"):
             monkeypatch.setattr(classes, name, evaluated)
         perturbation_tm1(2, 1)
@@ -760,7 +779,7 @@ class TestRotatedRoute:
                                                        math.log(50.0), 6))
         conv = mellin_convolve_many(
             lambda v: w2(2, v), perturbation_tm1(2, 1).evaluate, xs,
-            log_f=lambda v: classes._log_w2(2, np.log(v)),
+            log_f=lambda v: _log_w2(2, np.log(v)),
             log_g=lambda v: classes._log_w1(4, np.log(v)))
         got = perturbation(tm4(2), 1).evaluate(xs)
         env = principal_solution(tm4(2)).evaluate(xs)
@@ -817,15 +836,28 @@ class TestRotatedRoute:
                                np.array([log_x]))
         assert float(ratio[0]) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("r,k,want", [(3, 1, 2.9824981371022385),
-                                          (3, -1, 1.143153532995459),
-                                          (5, 2, 1.0409476019958845),
-                                          (7, 3, 6.877028249257311),
-                                          (7, -3, 1.0154596946398282)])
-    def test_tm3_bounds_bit_for_bit(self, r, k, want):
+    # (r, k, bound, the bound from SciPy's log-gamma), named by the latter
+    _TM3_BOUNDS = [(3, 1, 2.9824981371022306, 2.9824981371022385),
+                   (3, -1, 1.143153532995459, 1.143153532995459),
+                   (5, 2, 1.0409476019958845, 1.0409476019958845),
+                   (7, 3, 6.877028249257313, 6.877028249257311),
+                   (7, -3, 1.0154596946398282, 1.0154596946398282)]
+
+    @pytest.mark.parametrize("r,k,want,scipy_ln_gamma", _TM3_BOUNDS,
+                             ids=[f"{r}-{k}-{old!r}"
+                                  for r, k, _, old in _TM3_BOUNDS])
+    def test_tm3_bounds_bit_for_bit(self, r, k, want, scipy_ln_gamma):
         # tm3 is the rule at a star factor (r, 1) holding the rightmost
-        # pole; its bounds keep every bit of the tm3-only search
-        assert find_gamma_max(perturbation_tm3(r, k)) == want
+        # pole; its bounds keep every bit of the tm3-only search, and the
+        # bits from SciPy's log-gamma are within 1e-13
+        bound = find_gamma_max(perturbation_tm3(r, k))
+        assert bound == want
+        assert bound == pytest.approx(scipy_ln_gamma, rel=1e-13)
+        if want != scipy_ln_gamma:
+            ok, _ = certify_nonnegative(
+                lambda xs: class_member(tm3(r), k, bound, xs),
+                1e-8, 1e6, 5000, seed=1)
+            assert ok
 
     def test_amplitude_within_the_floor_runs_no_search(self, monkeypatch):
         # every bound is >= 0.99, so only a larger |gamma| is searched: a

@@ -547,7 +547,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seq,flag,amplitude,log_w", [
         ("tm1:r=2", "--eps", 0.5, "_log_w1"),
-        ("tm2:r=3", "--gamma", 1.0, "_log_w2"),
+        ("tm2:r=3", "--gamma", 1.0, "_log_w2_front"),
     ])
     def test_class_member_from_printed_columns(self, capsys, monkeypatch,
                                                seq, flag, amplitude, log_w):
@@ -717,6 +717,18 @@ def _entry(*argv, **kwargs):
 class TestProgramEntry:
     """The program entry freezes the heap before exit and turns a closed
     stdout into exit 1; neither changes what a call prints or returns."""
+
+    def test_factor_past_the_double_range_exits_1(self):
+        # a factor offset of 1e306 spelled in digits: ln Gamma(1e306) is
+        # past the doubles, and math.lgamma's OverflowError once escaped
+        # as a traceback; it is a usage error (exit 1) with a message
+        proc = _entry("eval", "--seq", "gamma:1n+1" + "0" * 306 + ",1.5n+1",
+                      "--x", "1")
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert proc.stdout == b""
+        assert "Traceback" not in err
+        assert err.startswith("error: ln Gamma(1e+306) of the factor")
 
     @pytest.mark.parametrize("argv,want", [
         (["eval", "--seq", "tm1:r=2"], 0),

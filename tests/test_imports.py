@@ -1,15 +1,13 @@
-"""Import cost: `import gammamoments` loads no SciPy module.
+"""Import cost: no process of the package loads SciPy.
 
-scipy.special is imported inside each function that evaluates one of its
-functions, so it loads at the first evaluation; a process that never
-evaluates one never loads it.  The real ln Gamma of every moment target
-comes from math.lgamma, so the closed form of a single factor Gamma(an + b)
-with its moment checks and all three criteria, and a usage error, load no
-SciPy module, nor numpy.ma, which SciPy loads but the package never
-needs, nor numpy.polynomial, which only an interpolant build needs.  K0
-(the second family) and the complex log-gamma of the contour engine load
-scipy.special.  It is the only SciPy subpackage the package imports, so
-no CLI call loads scipy.optimize, scipy.integrate or scipy.interpolate.
+Every special function the package evaluates (ln Gamma, psi, the Hurwitz
+zeta, K0) comes from gammamoments.special on NumPy, and the real ln Gamma
+of every moment target from math.lgamma, so neither `import gammamoments`
+nor any CLI call loads a SciPy module; SciPy and mpmath are test oracles
+only.  The closed form of a single factor Gamma(an + b) with its moment
+checks and all three criteria, and a usage error, load neither numpy.ma,
+which SciPy once loaded but the package never needs, nor
+numpy.polynomial, which only an interpolant build needs.
 
 The contour engine and the Chebyshev interpolant make no BLAS call, so a
 contour process never pays OpenBLAS's first-call buffers."""
@@ -79,6 +77,55 @@ def test_import_and_closed_forms_load_no_scipy():
     for argv, (code, loaded) in zip(argvs, steps[1:]):
         assert loaded == [], " ".join(argv)
     assert [code for code, _ in steps[1:]] == [0, 0, 0, 1, 0, 0, 0, 0]
+    # every CLI call of the benchmark's workloads, K0 and contour ones
+    # too, and a rotated class member and a contour density's criteria
+    steps = _steps(*_BENCHMARK_CALLS,
+                   ["class", "--seq", "tm3:r=3", "--k", "1", "--gamma", "0.5"],
+                   ["criteria", "--seq", "tm3:r=1"])
+    for argv, (code, loaded) in zip(_BENCHMARK_CALLS, steps[1:]):
+        assert (code, loaded) == (0, []), " ".join(argv)
+    assert steps[-2:] == [[0, []], [0, []]]
+
+
+# the CLI calls of perfbench/workloads.py (cli_closed_form, contour_cli)
+_BENCHMARK_CALLS = [
+    ["eval", "--seq", "tm1:r=2"],
+    ["eval", "--seq", "tm2:r=2"],
+    ["moments", "--seq", "tm1:r=2", "--n", "0..8"],
+    ["moments", "--seq", "tm2:r=3", "--n", "0..8"],
+    ["criteria", "--seq", "tm1:r=1"],
+    ["criteria", "--seq", "tm2:r=2"],
+    ["class", "--seq", "tm1:r=2", "--k", "1", "--eps", "0.5"],
+    ["class", "--seq", "tm2:r=3", "--k", "1", "--gamma", "1.0"],
+    ["class", "--seq", "tm2:r=3", "--k", "1", "--find-gamma-max",
+     "--mc-seed", "1"],
+    ["convolve", "--seq-a", "tm1:r=1", "--seq-b", "tm2:r=1"],
+    ["class", "--seq", "tm2:r=9", "--k", "1", "--find-gamma-max"],
+    ["class", "--seq", "tm2:r=40", "--k", "1", "--find-gamma-max"],
+    ["eval", "--seq", "tm3:r=1"],
+    ["moments", "--seq", "tm4:r=1", "--n", "0..8"],
+    ["criteria", "--seq", "gamma:2.02n+1"],
+]
+
+
+def test_vanishing_workload_loads_no_scipy():
+    # the benchmark's library workload: check_vanishing for omega1, omega2
+    # (the complex K0) and omega3 (the rotated contour) in one process
+    script = """
+import json, sys
+import gammamoments as gm
+for family, r, k, ns in (("tm1", 2, 1, range(9)), ("tm2", 3, 1, range(9)),
+                         ("tm3", 3, 1, (0, 8))):
+    pert = getattr(gm, "perturbation_" + family)(r, k)
+    for n in ns:
+        gm.check_vanishing(pert, pert.seq, n)
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
+    src = os.path.dirname(os.path.dirname(gammamoments.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_exact_sum_a_loads_no_fractions():
@@ -91,17 +138,6 @@ def test_exact_sum_a_loads_no_fractions():
     # importing fractions imports decimal too
     assert [step[1] for step in steps] == [[], [], [], list(watched)]
     assert [step[0] for step in steps[1:3]] == [0, 0]
-
-
-def test_first_evaluation_loads_scipy_special():
-    # positive controls: K0 in the second family's closed form is the
-    # first special function these calls evaluate, so the guard above can
-    # fail; each runs in a fresh process
-    for argv in (["eval", "--seq", "tm2:r=2"],
-                 ["moments", "--seq", "tm2:r=3", "--n", "0"]):
-        (_, before), (code, after) = _steps(argv)
-        assert before == [], " ".join(argv)
-        assert (code, after) == (0, ["scipy", "scipy.special"]), " ".join(argv)
 
 
 def _deferred(loaded):

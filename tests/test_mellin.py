@@ -14,8 +14,9 @@ import gammamoments.weights as weights
 from gammamoments import (ConstraintError, ContourSpec, ConvergenceError,
                           DomainError, TruncationError, adapted_contour,
                           check_vanishing, contour_log_densities,
-                          contour_log_density, inverse_mellin_log,
-                          mellin_convolve_many, mellin_symbol,
+                          contour_log_density, gamma_product,
+                          inverse_mellin_log, mellin_convolve_many,
+                          mellin_symbol,
                           parse_descriptor, perturbation_tm3,
                           principal_solution, tm2, tm3, tm4, w1, w2)
 from gammamoments.weights import _log_w2
@@ -278,6 +279,15 @@ _LOG_1E20 = math.log(1e-20)  # the interpolant's left edge
 
 class TestResidueSeries:
     """Below x = 1e-20 the engine sums the residues left of its contour."""
+
+    def test_factor_past_the_double_range_raises_domain_error(self):
+        # ln Gamma(1e306) is past the doubles: the residue series' constant
+        # for the factor regular at the other's poles once raised math's
+        # raw OverflowError
+        seq = gamma_product([(1.0, 1e306), (1.5, 1.0)])
+        with pytest.raises(DomainError, match=r"ln Gamma\(1e\+306\) of the "
+                                              r"factor .* past the double"):
+            principal_solution(seq).log_density(0.0)
 
     @pytest.mark.parametrize("seq", [tm3(1), tm3(2), tm4(1),
                                      parse_descriptor("gamma:2n+1,n+1")],

@@ -12,6 +12,8 @@ import scipy.special as sps
 
 from gammamoments import (ConvergenceError, DomainError, PoleError,
                           bessel_k0_complex, ln_gamma, log_bessel_k0)
+from gammamoments.special import (bessel_k0e, digamma, hurwitz_zeta,
+                                  polygamma)
 
 # frozen with mpmath at 30 digits
 LN_GAMMA_HALF = 0.5723649429247001
@@ -184,3 +186,113 @@ class TestComplexK0:
     def test_vanishing_real_part_raises(self):
         with pytest.raises(ConvergenceError):
             bessel_k0_complex(5e-324 + 1.0j)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _mixed(got, want):
+    """|got - want| / max(1, |want|): absolute near a zero, else relative."""
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+
+
+def _relative(got, want):
+    return np.abs(got - want) / np.abs(want)
+
+
+def _no_worse_than_scipy(ours, scipys):
+    """Our largest error is at most SciPy's on the same points (where
+    SciPy is finite) or 4 eps, whichever is larger."""
+    scipys = np.where(np.isfinite(scipys), scipys, 0.0)
+    bound = max(float(np.max(scipys)), 4.0 * _EPS)
+    assert float(np.max(ours)) <= bound, (np.max(ours) / _EPS, bound / _EPS)
+
+
+class TestOracleSweep:
+    """Each NumPy kernel against mpmath (40 digits), with SciPy's error on
+    the same seeded points as the bar, on the domains the package uses."""
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(40):
+            yield
+
+    @staticmethod
+    def _want(f, points):
+        kind = complex if np.iscomplexobj(points) else float
+        return np.array([kind(f(kind(v))) for v in points])
+
+    def test_ln_gamma_contour_strip_and_left_half_plane(self):
+        # contour arguments a(s - 1) + b lie right of every pole with any
+        # imaginary part; the reflection serves Re z < 0.1
+        rng = np.random.default_rng(20261020)
+        for z in (rng.uniform(0.01, 30.0, 800) + 1j * rng.uniform(-60, 60, 800),
+                  rng.uniform(-40.0, 0.1, 400) + 1j * rng.uniform(-10, 10, 400)):
+            want = self._want(mpmath.loggamma, z)
+            _no_worse_than_scipy(_mixed(ln_gamma(z), want),
+                                 _mixed(sps.loggamma(z), want))
+
+    def test_digamma_real_and_complex(self):
+        # positive reals from the saddle search (down to 1e-9 off a pole),
+        # l + 1 of the residue series, and the complex saddles' right
+        # half-plane
+        rng = np.random.default_rng(20261021)
+        x = np.concatenate((np.exp(rng.uniform(-20.0, 6.0, 600)),
+                            np.arange(1.0, 257.0)))
+        z = rng.uniform(0.0, 30.0, 600) + 1j * rng.uniform(-30, 30, 600)
+        for points in (x, z):
+            want = self._want(mpmath.digamma, points)
+            _no_worse_than_scipy(_mixed(digamma(points), want),
+                                 _mixed(sps.digamma(points), want))
+
+    def test_digamma_at_negative_non_integers(self):
+        # the residue series' factors off their poles; by a pole psi
+        # moves by |u psi'(u)| eps when u moves by its own rounding, so
+        # the error is measured beyond that
+        u = -np.random.default_rng(20261024).uniform(0.0, 30.0, 300)
+        want = self._want(mpmath.digamma, u)
+        slope = self._want(lambda v: mpmath.polygamma(1, v), u)
+        scale = np.maximum(1.0, np.abs(want)) + np.abs(u * slope)
+        _no_worse_than_scipy(np.abs(digamma(u) - want) / scale,
+                             np.abs(sps.digamma(u) - want) / scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_polygamma_at_negative_non_integers(self, m):
+        # an alternating sum: its rounding is measured against the sum of
+        # its terms' moduli, m! sum_k |u + k|^-(m+1)
+        rng = np.random.default_rng(20261022 + m)
+        u = -rng.uniform(0.0, 30.0, 150)
+        n = np.ceil(-u)
+        scale = math.factorial(m) * np.array(
+            [np.sum(np.abs(v + np.arange(k)) ** -(m + 1.0)) for v, k in zip(u, n)]
+        ) + math.factorial(m) * sps.zeta(m + 1.0, u + n)
+        want = self._want(lambda v: mpmath.polygamma(m, v), u)
+        _no_worse_than_scipy(np.abs(polygamma(m, u) - want) / scale,
+                             np.abs(sps.polygamma(m, u) - want) / scale)
+
+    def test_trigamma_at_positive_arguments(self):
+        # the saddle search's slope and the contour's curvature
+        x = np.exp(np.random.default_rng(20261025).uniform(-20.0, 6.0, 300))
+        want = self._want(lambda v: mpmath.polygamma(1, v), x)
+        _no_worse_than_scipy(_relative(polygamma(1, x), want),
+                             _relative(sps.polygamma(1, x), want))
+
+    def test_zeta_at_integers(self):
+        # zeta(k) and zeta(k, l + 1) of the residue series' Laurent terms
+        ks = np.arange(2, 41)
+        for q in (1.0, 2.0, 8.0, 256.0):
+            want = np.array([float(mpmath.zeta(int(k), int(q))) for k in ks])
+            scipys = sps.zeta(ks) if q == 1.0 else sps.zeta(ks, q)
+            _no_worse_than_scipy(_relative(hurwitz_zeta(ks, q), want),
+                                 _relative(scipys, want))
+
+    def test_scaled_k0_from_1e_minus_300_to_1e12(self):
+        # SciPy's kve is nan past |z| = 1.08e9; the bar there is 4 eps
+        rng = np.random.default_rng(20261026)
+        mod = np.exp(rng.uniform(math.log(1e-300), math.log(1e12), 200))
+        z = mod * np.exp(1j * rng.uniform(-math.pi / 4, math.pi / 4, mod.size))
+        k0e = lambda v: mpmath.besselk(0, v) * mpmath.exp(v)
+        for points, scipys in ((z, sps.kve(0, z)), (mod, sps.k0e(mod))):
+            want = self._want(k0e, points)
+            _no_worse_than_scipy(_relative(bessel_k0e(points), want),
+                                 _relative(scipys, want))
