@@ -13,9 +13,8 @@ real log-gamma of a moment target is `math.lgamma`
   Re z > 7 or |Im z| > 7, and Hare's reflection left of Re z = 0.1.  In
   between, where ln Gamma is as small as 0 and Hare's difference of
   Stirling's value at Re z > 7 and the log of the shift's product loses
-  up to 17 eps, whole steps take z to a Taylor series at 2 or 2 + 2i
-  (|Im z| <= 3), and farther out the shift's logs are summed as
-  ln(w / (z + k)) beside (z - 1/2) ln w, w = z + n.
+  up to 17 eps, whole steps take z to a Taylor series at 2 + 2ki,
+  k = 0..3.
 * `digamma` takes a real argument to [x0 - 1/2, x0 + 1/2] around the
   positive zero x0 of psi (reflection, then the recurrence) and sums the
   Taylor series there, or the asymptotic series from x = 10; a complex one
@@ -57,12 +56,16 @@ _HALF_LOG_2PI = 0.9189385332046728
 _EULER = 0.5772156649015329
 
 _LG_SMALL = 7.0  # Stirling where Re z > 7 or |Im z| > 7
-_LG_TAYLOR_BAND = 3.0  # |Im z| up to which 0.1 <= Re z <= 7 takes a series
-# Taylor centres c with (ln Gamma(c), psi(c)) and the number of terms: at
-# |z - c| <= 1.12 the terms fall as (1.12 / |c|)^k, 0.56^k and 0.40^k
+# Taylor centres c = 2 + 2ki with (ln Gamma(c), psi(c)) and the number of
+# terms: at |z - c| <= 1.12 they fall as (1.12 / |c|)^k, from 0.56^k to
+# 0.18^k
 _LG_CENTRES = {2.0: ((0.0, 0.42278433509846713), 64),
                2.0 + 2.0j: ((-1.0713598302138791 + 1.236795034103879j,
-                             0.9145915153739775 + 0.9208072826422302j), 44)}
+                             0.9145915153739775 + 0.9208072826422302j), 44),
+               2.0 + 4.0j: ((-3.2544929213807796 + 3.6355157202405675j,
+                             1.450359817333411 + 1.2105022091860445j), 30),
+               2.0 + 6.0j: ((-5.804500736628567 + 6.927700774894994j,
+                             1.8211078287814697 + 1.3253008312994012j), 24)}
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series in 1/z
 _LG_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
                 -691 / 360360, 1 / 156, -3617 / 122400)
@@ -196,11 +199,9 @@ def _ln_gamma(z):
         return _lg_stirling(z)
     out = np.empty_like(z)
     left = ~stirling & (z.real < 0.1)
-    band = ~stirling & ~left & (np.abs(z.imag) <= _LG_TAYLOR_BAND)
-    rest = ~(stirling | left | band)
+    strip = ~stirling & ~left
     out[stirling] = _lg_stirling(z[stirling])
-    out[band] = _lg_band(z[band])
-    out[rest] = _lg_recurrence(z[rest])
+    out[strip] = _lg_taylor(z[strip])
     if np.any(left):
         # Hare's reflection: ln Gamma(z) = ln pi - ln sin(pi z)
         # - ln Gamma(1 - z) + 2 pi i floor(Re z / 2 + 1/4) sign(Im z);
@@ -232,9 +233,9 @@ def _lg_stirling(z):
 
 @functools.cache
 def _lg_taylor_table():
-    """Taylor coefficients of ln Gamma at 2 and at 2 + 2i, one row each:
+    """Taylor coefficients of ln Gamma at each centre, one row each:
     ln Gamma(c), psi(c), then (-1)^k zeta(k, c) / k for k = 2, 3, ...;
-    the shorter row is padded with zeros."""
+    shorter rows are padded with zeros."""
     width = max(terms for _, terms in _LG_CENTRES.values()) + 1
     table = np.zeros((len(_LG_CENTRES), width), dtype=np.complex128)
     for row, (centre, ((value, slope), terms)) in zip(table,
@@ -246,11 +247,12 @@ def _lg_taylor_table():
     return table
 
 
-def _lg_band(z):
-    """ln Gamma for 0.1 <= Re z <= 7, |Im z| <= 3, by the Taylor series at
-    2 (|Im z| <= 1) or at 2 + 2i (a lower-half z by conjugation), without
-    Hare's cancellation (ln Gamma there is as small as 0 while Stirling's
-    value at Re z > 7 and the log of the product are near 7).
+def _lg_taylor(z):
+    """ln Gamma for 0.1 <= Re z <= 7, |Im z| <= 7 by the Taylor series at
+    the nearest centre 2 + 2ki (a lower-half z by conjugation), without
+    the cancellation of Hare's recurrence: there ln Gamma is as small as
+    0 while Stirling's value at Re z > 7 and the log of the shift's
+    product are near 7, which cost up to 17 eps.
 
     z moves by m whole steps to z' with Re z' in [1.5, 2.5), within 1.12
     of its centre; ln Gamma(z) = ln Gamma(z') + sum_{j<m} ln(z' + j), or
@@ -262,32 +264,12 @@ def _lg_band(z):
     m = np.floor(z.real - 1.5)
     zs = z - m
     base = np.where(m > 0, zs, z)
-    out = np.sign(m) * _shift_sum(lambda j: np.log(base[:, None] + j),
-                                  np.abs(m))
-    high = z.imag > 1.0
-    centres = np.array(list(_LG_CENTRES))
-    out = out + _poly_rows(_lg_taylor_table()[high.astype(int)],
-                           zs - centres[high.astype(int)])
+    row = np.minimum(np.rint(0.5 * z.imag), len(_LG_CENTRES) - 1).astype(int)
+    out = (np.sign(m) * _shift_sum(lambda j: np.log(base[:, None] + j),
+                                   np.abs(m))
+           + _poly_rows(_lg_taylor_table()[row],
+                        zs - np.array(list(_LG_CENTRES))[row]))
     return np.where(lower, np.conj(out), out)
-
-
-def _lg_recurrence(z):
-    """ln Gamma(z) = ln Gamma(z + n) - sum_{k<n} ln(z + k) for
-    0.1 <= Re z <= 7, |Im z| <= 7, with Re(z + n) > 7.
-
-    Stirling's (z + n - 1/2) ln(z + n) - (z + n) is regrouped as
-    (z - 1/2) ln w - z - n + sum_k ln(w / (z + k)), w = z + n, so the
-    rounding of ln w is not multiplied by |w| (about 7 near the real axis,
-    where ln Gamma(z) is near 0).  Each ln(w / (z + k)) is a principal
-    log of a quotient in the right half-plane, so the sum needs no count
-    of branch crossings.
-    """
-    n = np.floor(_LG_SMALL - z.real) + 1.0
-    w = z + n
-    rw = 1.0 / w
-    return ((z - 0.5) * np.log(w) - z - n + _HALF_LOG_2PI
-            + rw * _poly(_LG_STIRLING, rw * rw)
-            + _shift_sum(lambda k: np.log(w[:, None] / (z[:, None] + k)), n))
 
 
 # -- digamma, Hurwitz zeta, polygamma -------------------------------------
@@ -409,11 +391,15 @@ def hurwitz_zeta(s, q):
     shape, s, q = s.shape, s.ravel(), q.ravel()
     out = np.full(s.shape, np.inf)
     far = q >= _ZETA_FAR_Q
-    near = ~far & ~((q <= 0.0) & (q == np.floor(q)))
+    near = ~far & ((q > 0.0) | (q != np.floor(q)))
     with np.errstate(over="ignore", under="ignore"):
-        out[far] = ((1.0 / (s[far] - 1.0) + 0.5 / q[far])
-                    * q[far] ** (1.0 - s[far]))
-        out[near] = _zeta_sum(s[near], q[near])
+        if far.any():
+            out[far] = ((1.0 / (s[far] - 1.0) + 0.5 / q[far])
+                        * q[far] ** (1.0 - s[far]))
+        if near.all():
+            out = _zeta_sum(s, q)
+        elif near.any():
+            out[near] = _zeta_sum(s[near], q[near])
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -422,19 +408,26 @@ def _zeta_sum(s, q):
     w = q + n: w^(1-s)/(s-1) + w^-s/2 + sum_j B_2j/(2j)! (s)_(2j-1)
     w^(-s-2j+1), elementwise over integer s and q (complex q with
     Re q > 0 too)."""
-    # the tail's coefficients (s)_(2j-1) / A_j, j = 1..12, once per order
-    orders = sorted(set(s.tolist()))
-    rising = np.cumprod(np.array(orders)[:, None]
-                        + np.arange(2 * len(_ZETA_EM) - 1), axis=1)
-    table = (rising[:, ::2] / np.array(_ZETA_EM))[np.searchsorted(orders, s)]
+    orders = tuple(sorted(set(s.tolist())))
+    rows = _zeta_tail(orders)
     n = np.maximum(np.floor(9.0 - np.real(q)) + 1.0, 9.0)
     w = q + n
     rw2 = 1.0 / (w * w)
-    series = np.zeros_like(w)
-    for j in range(len(_ZETA_EM) - 1, -1, -1):
-        series = series * rw2 + table[:, j]
+    if len(orders) == 1:
+        series = _poly(rows[0], rw2)
+    else:
+        series = _poly_rows(rows[np.searchsorted(orders, s)], rw2)
     tail = w ** -s * (w / (s - 1.0) + 0.5 + series / w)
     return _shift_sum(lambda k: (q[:, None] + k) ** -s[:, None], n) + tail
+
+
+@functools.cache
+def _zeta_tail(orders):
+    """(s)_(2j-1) / A_j, j = 1..12, the Euler-Maclaurin tail's
+    coefficients in powers of w^-2, one row per order s."""
+    rising = np.cumprod(np.array(orders)[:, None]
+                        + np.arange(2 * len(_ZETA_EM) - 1), axis=1)
+    return rising[:, ::2] / np.array(_ZETA_EM)
 
 
 def polygamma(m, x):

@@ -541,7 +541,7 @@ class TestGammaMax:
         if want != scipy_k0:
             ok, _ = certify_nonnegative(
                 lambda xs: class_member(tm2(r), k, bound, xs),
-                1e-8, 1e6, 5000, seed=1)
+                1e-8, 1e6, 2000, seed=1)
             assert ok
 
     def test_first_family_has_no_search(self):
@@ -856,7 +856,7 @@ class TestRotatedRoute:
         if want != scipy_ln_gamma:
             ok, _ = certify_nonnegative(
                 lambda xs: class_member(tm3(r), k, bound, xs),
-                1e-8, 1e6, 5000, seed=1)
+                1e-8, 1e6, 2000, seed=1)
             assert ok
 
     def test_amplitude_within_the_floor_runs_no_search(self, monkeypatch):

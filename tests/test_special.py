@@ -209,12 +209,12 @@ def _no_worse_than_scipy(ours, scipys):
 
 
 class TestOracleSweep:
-    """Each NumPy kernel against mpmath (40 digits), with SciPy's error on
+    """Each NumPy kernel against mpmath (30 digits), with SciPy's error on
     the same seeded points as the bar, on the domains the package uses."""
 
     @pytest.fixture(autouse=True)
     def _digits(self):
-        with mpmath.workdps(40):
+        with mpmath.workdps(30):
             yield
 
     @staticmethod
@@ -226,8 +226,8 @@ class TestOracleSweep:
         # contour arguments a(s - 1) + b lie right of every pole with any
         # imaginary part; the reflection serves Re z < 0.1
         rng = np.random.default_rng(20261020)
-        for z in (rng.uniform(0.01, 30.0, 800) + 1j * rng.uniform(-60, 60, 800),
-                  rng.uniform(-40.0, 0.1, 400) + 1j * rng.uniform(-10, 10, 400)):
+        for z in (rng.uniform(0.01, 30.0, 600) + 1j * rng.uniform(-60, 60, 600),
+                  rng.uniform(-40.0, 0.1, 300) + 1j * rng.uniform(-10, 10, 300)):
             want = self._want(mpmath.loggamma, z)
             _no_worse_than_scipy(_mixed(ln_gamma(z), want),
                                  _mixed(sps.loggamma(z), want))
@@ -237,9 +237,9 @@ class TestOracleSweep:
         # l + 1 of the residue series, and the complex saddles' right
         # half-plane
         rng = np.random.default_rng(20261021)
-        x = np.concatenate((np.exp(rng.uniform(-20.0, 6.0, 600)),
+        x = np.concatenate((np.exp(rng.uniform(-20.0, 6.0, 400)),
                             np.arange(1.0, 257.0)))
-        z = rng.uniform(0.0, 30.0, 600) + 1j * rng.uniform(-30, 30, 600)
+        z = rng.uniform(0.0, 30.0, 400) + 1j * rng.uniform(-30, 30, 400)
         for points in (x, z):
             want = self._want(mpmath.digamma, points)
             _no_worse_than_scipy(_mixed(digamma(points), want),
@@ -249,7 +249,7 @@ class TestOracleSweep:
         # the residue series' factors off their poles; by a pole psi
         # moves by |u psi'(u)| eps when u moves by its own rounding, so
         # the error is measured beyond that
-        u = -np.random.default_rng(20261024).uniform(0.0, 30.0, 300)
+        u = -np.random.default_rng(20261024).uniform(0.0, 30.0, 200)
         want = self._want(mpmath.digamma, u)
         slope = self._want(lambda v: mpmath.polygamma(1, v), u)
         scale = np.maximum(1.0, np.abs(want)) + np.abs(u * slope)
@@ -261,7 +261,7 @@ class TestOracleSweep:
         # an alternating sum: its rounding is measured against the sum of
         # its terms' moduli, m! sum_k |u + k|^-(m+1)
         rng = np.random.default_rng(20261022 + m)
-        u = -rng.uniform(0.0, 30.0, 150)
+        u = -rng.uniform(0.0, 30.0, 100)
         n = np.ceil(-u)
         scale = math.factorial(m) * np.array(
             [np.sum(np.abs(v + np.arange(k)) ** -(m + 1.0)) for v, k in zip(u, n)]
@@ -272,7 +272,7 @@ class TestOracleSweep:
 
     def test_trigamma_at_positive_arguments(self):
         # the saddle search's slope and the contour's curvature
-        x = np.exp(np.random.default_rng(20261025).uniform(-20.0, 6.0, 300))
+        x = np.exp(np.random.default_rng(20261025).uniform(-20.0, 6.0, 200))
         want = self._want(lambda v: mpmath.polygamma(1, v), x)
         _no_worse_than_scipy(_relative(polygamma(1, x), want),
                              _relative(sps.polygamma(1, x), want))
@@ -289,7 +289,7 @@ class TestOracleSweep:
     def test_scaled_k0_from_1e_minus_300_to_1e12(self):
         # SciPy's kve is nan past |z| = 1.08e9; the bar there is 4 eps
         rng = np.random.default_rng(20261026)
-        mod = np.exp(rng.uniform(math.log(1e-300), math.log(1e12), 200))
+        mod = np.exp(rng.uniform(math.log(1e-300), math.log(1e12), 120))
         z = mod * np.exp(1j * rng.uniform(-math.pi / 4, math.pi / 4, mod.size))
         k0e = lambda v: mpmath.besselk(0, v) * mpmath.exp(v)
         for points, scipys in ((z, sps.kve(0, z)), (mod, sps.k0e(mod))):
