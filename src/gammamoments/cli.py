@@ -23,8 +23,8 @@ by its reader), 3 numeric convergence failure.  All JSON artifacts carry a
 As the program entry (the console script and `python -m
 gammamoments.cli`, which call `main()` with no argv), the process freezes
 its heap into the permanent generation once the subcommand returns, so
-the interpreter's final cyclic collections skip every object numpy and
-SciPy made; the process ends anyway.  In-process callers pass argv and
+the interpreter's final cyclic collections skip every object numpy
+made; the process ends anyway.  In-process callers pass argv and
 keep normal garbage collection.
 """
 
@@ -330,8 +330,8 @@ def main(argv=None) -> int:
     With argv None, main is the program entry: a stdout closed by its
     reader exits 1 without a traceback, and whatever the exit code, the
     heap is frozen (`gc.freeze`) before the interpreter's shutdown, whose
-    cyclic collections would otherwise walk every object numpy and SciPy
-    made, to free memory the OS takes back anyway.  atexit handlers and
+    cyclic collections would otherwise walk every object numpy made, to
+    free memory the OS takes back anyway.  atexit handlers and
     the stdio flush still run.
     """
     if argv is not None:

@@ -72,8 +72,8 @@ import numpy as np
 
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      TruncationError, _check_log_x, _check_x)
-from .moments import (MomentSequence, _grouped_factors, _ln_gamma_real,
-                      mellin_symbol)
+from .moments import (MomentSequence, _factor_columns, _grouped_factors,
+                      _ln_gamma_real, mellin_symbol)
 from .special import digamma, hurwitz_zeta, polygamma
 
 __all__ = [
@@ -192,25 +192,24 @@ def _saddles(seq, log_x):
     nearer of those two roots and is kept inside a bracket that each
     step narrows; a root past s - p = 1e12 is refused."""
     pole = seq.rightmost_pole
-    groups = list(_grouped_factors(seq))
     if not pole + 1e-9 > pole:
         raise ConvergenceError(f"no double lies 1e-9 right of pole {pole:g}")
-    scale = np.array([a for (a, _), _ in groups])[:, None]
-    shift = np.array([a * (pole - 1.0) + b for (a, b), _ in groups])[:, None]
-    weight = np.array([mult * a for (a, _), mult in groups])[:, None]
-    holds = shift[:, 0] <= 1e-12 * scale[:, 0]  # factors with a pole at p
-    m = float(sum(mult for (_, mult), h in zip(groups, holds) if h))
+    a, b, mult = _factor_columns(seq)
+    holds = a * (pole - 1.0) + b <= 1e-12 * a  # factors with a pole at p
+    m = float(mult[holds].sum())
+    scale = a[:, None]
+    shift = np.where(holds, 0.0, a * (pole - 1.0) + b)[:, None]
+    weight = (mult * a)[:, None]
 
     def level(y, lx):
         """The left side minus ln x at s = p + e^y; one digamma call
         takes every factor at once."""
-        arg = scale * np.exp(y) + np.where(holds[:, None], 0.0, shift)
-        return (weight * digamma(arg)).sum(axis=0) - lx
+        return (weight * digamma(scale * np.exp(y) + shift)).sum(axis=0) - lx
 
     def slope(y):
         """Its derivative in y."""
-        arg = scale * np.exp(y) + np.where(holds[:, None], 0.0, shift)
-        return (weight * scale * polygamma(1, arg)).sum(axis=0) * np.exp(y)
+        return ((weight * scale * polygamma(1, scale * np.exp(y) + shift))
+                .sum(axis=0) * np.exp(y))
 
     # psi(eps) = -1/eps - gamma + O(eps), and psi(1) = -gamma
     rest = float((weight[~holds, 0] * digamma(shift[~holds, 0])).sum()
@@ -256,9 +255,7 @@ def _complex_saddles(seq, target, s):
     right of the rightmost pole.
     """
     pole = seq.rightmost_pole
-    groups = list(_grouped_factors(seq))
-    a, b, mult = (np.array(v, dtype=float)[:, None, None] for v in
-                  zip(*((a, b, mult) for (a, b), mult in groups)))
+    a, b, mult = (v[:, None, None] for v in _factor_columns(seq))
 
     s = np.array(s, dtype=np.complex128)
     active = np.arange(s.size)
@@ -302,10 +299,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
     The t-window is centred on t0; its half-width t_max passes the drop
     test on both sides.
     """
-    factors = list(_grouped_factors(seq))
-    a = np.array([a for (a, _), _ in factors])
-    b = np.array([b for (_, b), _ in factors])
-    mult = np.array([mult for _, mult in factors])
+    a, b, mult = _factor_columns(seq)
     curvature = float((mult * a * a * polygamma(1, a * (c - 1.0) + b)).sum())
     t_gauss = np.sqrt(2.0 * _LOG_DROP / max(curvature, 1e-300))
     t_linear = _LOG_DROP / (0.5 * np.pi * seq.sum_a)

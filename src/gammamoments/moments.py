@@ -172,9 +172,8 @@ def log_moment(seq: MomentSequence, n) -> float:
     """ln rho(n) = sum_j ln Gamma(a_j n + b_j); vectorized over n >= 0.
 
     Every argument is real, so each term is `math.lgamma`, element by
-    element, and no SciPy module is loaded.  A term at a pole of Gamma or
-    past the double range is +inf, and NaN stays NaN; scalar in, float
-    out, and an array keeps its shape.
+    element.  A term at a pole of Gamma or past the double range is +inf,
+    and NaN stays NaN; scalar in, float out, and an array keeps its shape.
     """
     n = np.asarray(n, dtype=np.float64)
     out = sum(_ln_gamma_real(a * n + b) for a, b in seq.factors)
@@ -196,9 +195,8 @@ def mellin_symbol(seq: MomentSequence, s):
     """Log of the continued symbol rho(s-1); complex, on s's shape (a
     scalar s gives a complex).  A pole of a factor raises PoleError."""
     s = np.asarray(s, dtype=np.complex128)
-    groups = list(_grouped_factors(seq))
-    a, b, mult = (np.array(v, dtype=float).reshape((-1,) + (1,) * s.ndim)
-                  for v in zip(*((a, b, mult) for (a, b), mult in groups)))
+    a, b, mult = (v.reshape(v.shape + (1,) * s.ndim)
+                  for v in _factor_columns(seq))
     # one ln_gamma call takes every factor; rows add in factor order
     return (mult * ln_gamma(a * (s - 1.0) + b)).sum(axis=0)[()]
 
@@ -206,6 +204,13 @@ def mellin_symbol(seq: MomentSequence, s):
 def _grouped_factors(seq):
     """((a, b), multiplicity) for each distinct factor, in first-seen order."""
     return collections.Counter(seq.factors).items()
+
+
+def _factor_columns(seq):
+    """(a, b, multiplicity) of the distinct factors as three float arrays,
+    in _grouped_factors' order."""
+    return tuple(np.array(column, dtype=float) for column in
+                 zip(*((a, b, mult) for (a, b), mult in _grouped_factors(seq))))
 
 
 _TM_RE = re.compile(r"^(tm[1-4]):r=(\d+)$")
