@@ -14,7 +14,13 @@ vertical line c + it the x-dependence is the factor x^-c e^{-it ln x}, so
 one set of symbol values serves many knots: neighbouring knots are grouped
 into bands that share the saddle abscissa of the band's middle knot (each
 member loses at most about one digit to off-saddle cancellation).  A
-band's nodes are uniform, t_j = t0 + j d, so its phase sum factors into
+band's grid depends on its contour alone (the sequence, the centre, the
+window and the curvature there), never on its knots: at the saddle the
+symbol's phase rate equals ln x and cancels the knot's (stationary
+phase), so the grid resolves the net phase across the window, with a
+margin of 2 per unit of A against aliasing, and the peak's width (see
+`_phase_resolved_points`).  A band's nodes are uniform, t_j = t0 + j d,
+so its phase sum factors into
 baby and giant steps: e^{-i t_j ln x} costs about 2 sqrt(n) exponentials
 per knot, and the rest is an einsum contraction, which runs NumPy's own
 loops rather than BLAS: no density or perturbation call starts OpenBLAS,
@@ -167,12 +173,25 @@ def inverse_mellin_log(symbol, x, spec: ContourSpec):
     return m + np.log(abs(value)), float(np.sign(value))
 
 
-def _phase_resolved_points(seq, s0, t_max, log_x):
-    """Points resolving the phase on s0 + i[-t_max, t_max] (s0 real or complex)."""
-    phase_rate = sum(a * (np.log1p(abs(a) * (abs(s0) + t_max)) + 2.0)
-                     for a, _ in seq.factors) + abs(log_x)
-    with np.errstate(over="ignore"):  # a far knot's count may leave the doubles
-        return _power_of_two(max(512.0, 6.0 * t_max * phase_rate))
+def _phase_resolved_points(seq, s0, t_max):
+    """Points resolving the net phase on s0 + i[-t_max, t_max] (s0 real or
+    complex), a count that reads no knot.
+
+    s0 is a saddle: Re phi'(s0) = ln x, so the symbol's phase rate and the
+    knot's e^{-i t ln x} cancel there (stationary phase), and the
+    integrand's phase rate at s0 + i tau is Re[phi'(s0 + i tau) - phi'(s0)],
+    about A ln|1 + i tau / s0| <= A ln(1 + tau / |s0|) since psi(z) ~ ln z.
+    The count keeps a margin of 2 per unit of A on that rate (12 A t_max
+    nodes), for psi's departure from ln near the poles and against
+    aliasing: a trapezoid sum of step h folds the integrand's content at
+    frequency 2 pi / h onto the answer, and the nested stop test starts
+    on a sixteenth of this grid.  The margin also gives the far tail
+    enough nodes to average the rounding of Im phi (eps |phi| a node)
+    below _RTOL: without it tm2:r=1 fails to converge at ln x = 32.8 and
+    33.5.
+    """
+    phase_rate = seq.sum_a * (np.log1p(t_max / max(abs(s0), 1.0)) + 2.0)
+    return _power_of_two(max(512.0, 6.0 * t_max * phase_rate))
 
 
 def _power_of_two(n):
@@ -284,7 +303,7 @@ def adapted_contour(seq: MomentSequence, x: float) -> ContourSpec:
     """Saddle-shifted contour: cancellation-free even deep in the tail."""
     _check_x(x)
     c = float(_saddles(seq, np.log([x]))[0])
-    return _saddle_contour(seq, c, np.log(x))
+    return _saddle_contour(seq, c)
 
 
 def _line_symbol(seq, psi, s):
@@ -293,11 +312,17 @@ def _line_symbol(seq, psi, s):
     return phi + 1j * psi * s if psi else phi
 
 
-def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
-    """Contour at abscissa c, resolving the phase of x = e^{log_x}.
+def _saddle_contour(seq, c, psi=0.0, t0=0.0):
+    """Contour at the saddle c + i t0 of phi(s) + i psi s - s ln x; its
+    grid depends on the contour alone, not on ln x.
 
     The t-window is centred on t0; its half-width t_max passes the drop
-    test on both sides.
+    test on both sides.  The node count is the larger of two: the net
+    phase across the window (_phase_resolved_points; the knot's phase
+    cancels the symbol's at the saddle) and the peak's width, about
+    1/sqrt(phi''), which near a pole is narrow.  A band knot off the
+    centre adds the phase rate ln x_k - ln x_c, which the band-loss bound
+    keeps near sqrt(2 _BAND_LOSS phi''), well inside the peak's count.
     """
     a, b, mult = _factor_columns(seq)
     curvature = float((mult * a * a * polygamma(1, a * (c - 1.0) + b)).sum())
@@ -315,7 +340,7 @@ def _saddle_contour(seq, c, log_x, psi=0.0, t0=0.0):
 
     while drop(t_max) > -(_LOG_DROP - 4.0):
         t_max *= 1.5
-    n = _phase_resolved_points(seq, centre, t_max, log_x)
+    n = _phase_resolved_points(seq, centre, t_max)
     # near a pole the peak is narrow (width ~ 1/sqrt(phi'')); resolve it
     n = max(n, _power_of_two(12.0 * t_max * np.sqrt(curvature)))
     return ContourSpec(c, t_max, n)
@@ -423,7 +448,7 @@ def _band_sums(seq, psi, centre, lx):
     e^{-i Im(centre) lx} common to a knot's terms is applied at the end.
     """
     c, t0 = centre.real, centre.imag
-    spec = _saddle_contour(seq, c, float(np.max(np.abs(lx))), psi, t0)
+    spec = _saddle_contour(seq, c, psi, t0)
     n = max(64, spec.n_points // 16)  # intervals of the coarsest grid
     if n > _MAX_POINTS:
         raise ConvergenceError(

@@ -836,24 +836,28 @@ class TestRotatedRoute:
                                np.array([log_x]))
         assert float(ratio[0]) == pytest.approx(want, rel=1e-12)
 
-    # (r, k, bound, the bound from SciPy's log-gamma), named by the latter
-    _TM3_BOUNDS = [(3, 1, 2.9824981371022306, 2.9824981371022385),
-                   (3, -1, 1.143153532995459, 1.143153532995459),
-                   (5, 2, 1.0409476019958845, 1.0409476019958845),
-                   (7, 3, 6.877028249257313, 6.877028249257311),
-                   (7, -3, 1.0154596946398282, 1.0154596946398282)]
+    # (r, k, bound, the bounds it had before, oldest first: from SciPy's
+    # log-gamma, then from a grid that counted the knots' |ln x|), named
+    # by the oldest
+    _TM3_BOUNDS = [(3, 1, 2.9824981371022306, (2.9824981371022385,)),
+                   (3, -1, 1.143153532995459, (1.143153532995459,)),
+                   (5, 2, 1.0409476019958845, (1.0409476019958845,)),
+                   (7, 3, 6.87702824925731,
+                    (6.877028249257311, 6.877028249257313)),
+                   (7, -3, 1.0154596946398282, (1.0154596946398282,))]
 
-    @pytest.mark.parametrize("r,k,want,scipy_ln_gamma", _TM3_BOUNDS,
-                             ids=[f"{r}-{k}-{old!r}"
+    @pytest.mark.parametrize("r,k,want,earlier", _TM3_BOUNDS,
+                             ids=[f"{r}-{k}-{old[0]!r}"
                                   for r, k, _, old in _TM3_BOUNDS])
-    def test_tm3_bounds_bit_for_bit(self, r, k, want, scipy_ln_gamma):
+    def test_tm3_bounds_bit_for_bit(self, r, k, want, earlier):
         # tm3 is the rule at a star factor (r, 1) holding the rightmost
         # pole; its bounds keep every bit of the tm3-only search, and the
-        # bits from SciPy's log-gamma are within 1e-13
+        # bits it had before are within 1e-13
         bound = find_gamma_max(perturbation_tm3(r, k))
         assert bound == want
-        assert bound == pytest.approx(scipy_ln_gamma, rel=1e-13)
-        if want != scipy_ln_gamma:
+        for old in earlier:
+            assert bound == pytest.approx(old, rel=1e-13)
+        if any(old != want for old in earlier):
             ok, _ = certify_nonnegative(
                 lambda xs: class_member(tm3(r), k, bound, xs),
                 1e-8, 1e6, 2000, seed=1)

@@ -21,7 +21,7 @@ import gammamoments.cli as cli
 import gammamoments.mellin as mellin
 import gammamoments.weights as weights
 from gammamoments import (class_member, contour_log_densities,
-                          parse_descriptor, tm2, tm3, tm4)
+                          parse_descriptor, principal_solution, tm2, tm3, tm4)
 from gammamoments.cli import main
 from gammamoments.verify import _PASS_TOL
 from oracles import meijer_log_density
@@ -948,6 +948,29 @@ class TestInterpolantReach:
         points = json.loads(out)["points"]
         assert [p["x"] for p in points] == [1.0, 10.0]
         assert all(p["member"] > 0 for p in points)
+
+
+class TestEngineReach:
+    """Points past the interpolant's window where the engine once refused
+    (exit 3): its tail grid counted the knot's |ln x| on top of the
+    symbol's phase, which the saddle cancels.  W underflows to 0.0 at
+    both, so ln W is held to the tail law ln C + b ln x - g x^p, whose
+    next term is about 1/sigma, sigma = (x/h)^(1/A), h = prod a^a."""
+
+    @pytest.mark.parametrize("seq,x", [
+        ("tm3:r=1", "1e18"), ("gamma:0.092n+19.02,0.031n+10.74", "10")])
+    def test_eval_within_the_tail_law(self, capsys, seq, x):
+        code, out, err = run(capsys, "eval", "--seq", seq, "--x", x)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["points"][0]["density"] == 0.0
+        s, log_x = parse_descriptor(seq), math.log(float(x))
+        got = float(principal_solution(s).log_density(np.array([log_x]))[0])
+        law = (s.tail_log_constant + s.tail_exponent * log_x
+               - s.tail_coefficient * math.exp(s.tail_power * log_x))
+        log_h = sum(a * math.log(a) for a, _ in s.factors)
+        sigma = math.exp((log_x - log_h) / s.sum_a)
+        rounding = 64.0 * np.finfo(float).eps * abs(law)
+        assert abs(got - law) <= 1.0 / sigma + rounding
 
 
 # the value ranges of ROADMAP item 15: valid and invalid numbers alike

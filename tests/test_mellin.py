@@ -137,6 +137,21 @@ def _spline_knots(seq):
     return _density_spline(seq).nodes
 
 
+def _symbol_points(monkeypatch, run):
+    """How many points mellin_symbol evaluates while run() runs."""
+    count = [0]
+    symbol = mellin.mellin_symbol
+
+    def counting(seq, s):
+        count[0] += np.size(s)
+        return symbol(seq, s)
+
+    monkeypatch.setattr(mellin, "mellin_symbol", counting)
+    run()
+    monkeypatch.undo()
+    return count[0]
+
+
 class TestBandEngine:
     @pytest.mark.parametrize("seq", [tm3(1), tm4(1),
                                      parse_descriptor("gamma:2.02n+1")],
@@ -214,8 +229,9 @@ class TestBandEngine:
     @pytest.mark.parametrize("log_x", [-1e200, -1e308])
     def test_far_left_knot_raises_convergence_error(self, log_x):
         # two poles 1e-8 apart leave the series no certified knot, and the
-        # band's point count is a Python int past np.log2's range: this
-        # once ended in a TypeError
+        # band at the pole's clamped saddle needs a grid past max_points;
+        # its point count, which once read ln x, was a Python int past
+        # np.log2's range: this once ended in a TypeError
         seq = parse_descriptor("gamma:2n+1,2.0000001n+1")
         with pytest.raises(ConvergenceError, match="max_points"):
             contour_log_densities(seq, [log_x])
@@ -225,7 +241,7 @@ class TestBandEngine:
     def test_knot_value_depends_on_the_call_by_a_few_ulps(self, descriptor):
         # a band's partition starts at its first sorted knot, so a band knot
         # evaluated with others and alone differs in its last ulps (at most
-        # 19 eps |ln W| here); this holds that gap, it does not close it
+        # 11 eps |ln W| here); this holds that gap, it does not close it
         seq = parse_descriptor(descriptor)
         hi = 25.0 if descriptor.startswith("gamma") else 35.0
         lx = np.arange(-1.5, hi + 0.25, 0.5)
@@ -236,10 +252,38 @@ class TestBandEngine:
 
     @pytest.mark.parametrize("log_x", [45.0, 50.0])
     def test_deep_tail_grid_over_max_points_raises(self, log_x):
-        # the coarsest grid would hold 3.4e7 (ln x = 45) and 1.3e8 (ln x =
+        # the coarsest grid would hold 1.0e6 (ln x = 45) and 4.2e6 (ln x =
         # 50) intervals; the engine must refuse before allocating it
         with pytest.raises(ConvergenceError, match="max_points"):
             contour_log_density(tm2(1), math.exp(log_x))
+
+    @pytest.mark.parametrize("r,log_x", [(1, 30.0), (2, 69.0)])
+    def test_tail_past_the_knot_count_reach_matches_closed_form(self, r,
+                                                                log_x):
+        # a grid that counted the knot's |ln x| on top of the symbol's
+        # phase, which the saddle cancels, refused both (coarsest grids of
+        # 524,288 and 2,097,152 intervals)
+        log_w, sign = contour_log_densities(tm2(r), [log_x])
+        assert sign[0] > 0
+        assert log_w[0] == pytest.approx(float(_log_w2(r, np.array(log_x))),
+                                         rel=1e-13)
+
+    def test_tail_bands_take_a_fifth_of_the_symbol_points(self, monkeypatch):
+        # a band's grid reads its contour alone; counting each band's
+        # largest |ln x| as well took 12,526,995 symbol points here
+        lx = np.linspace(-3.0, 34.0, 800)
+        used = _symbol_points(
+            monkeypatch, lambda: contour_log_densities(tm3(1), lx))
+        assert used <= 12_526_995 // 5
+
+    def test_interpolant_build_takes_half_the_symbol_points(self,
+                                                            monkeypatch):
+        # with the knots' |ln x| counted, the build took 13,936 symbol
+        # points, 12,316 of them in its seven tail bands (ln x > 7.9)
+        used = _symbol_points(
+            monkeypatch,
+            lambda: weights._density_spline.__wrapped__(tm3(1)))
+        assert used <= 13_936 // 2
 
     @pytest.mark.parametrize("log_x", [10.0, 20.0])
     def test_tail_within_max_points_matches_closed_form(self, log_x):
