@@ -230,8 +230,7 @@ class TestBandEngine:
     def test_far_left_knot_raises_convergence_error(self, log_x):
         # two poles 1e-8 apart leave the series no certified knot, and the
         # band at the pole's clamped saddle needs a grid past max_points;
-        # its point count, which once read ln x, was a Python int past
-        # np.log2's range: this once ended in a TypeError
+        # a point count past np.log2's range once ended in a TypeError
         seq = parse_descriptor("gamma:2n+1,2.0000001n+1")
         with pytest.raises(ConvergenceError, match="max_points"):
             contour_log_densities(seq, [log_x])
