@@ -42,10 +42,13 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import classes as cls
+from .criteria import full_report
 from .errors import (ConstraintError, ConvergenceError, DomainError,
                      GammomentsError, RefusesError, SearchError,
                      TruncationError)
 from .moments import gamma_product, parse_descriptor
+from .verify import check_moment
 from .weights import _contour_density, principal_solution
 
 SCHEMA_VERSION = 1
@@ -153,7 +156,6 @@ def _cmd_eval(args):
 
 
 def _cmd_moments(args):
-    from .verify import check_moment
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
     results = [check_moment(w, seq, n) for n in _parse_n_range(args.n)]
@@ -172,7 +174,6 @@ def _json_only(args, what):
 
 
 def _cmd_criteria(args):
-    from .criteria import full_report
     _json_only(args, "criteria")
     seq = parse_descriptor(args.seq)
     w = principal_solution(seq)
@@ -187,7 +188,6 @@ def _cmd_criteria(args):
 
 
 def _cmd_class(args):
-    from . import classes as cls
     seq = parse_descriptor(args.seq)
     k = args.k
     if k is None:

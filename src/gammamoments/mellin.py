@@ -246,8 +246,9 @@ def _saddles(seq, log_x):
         raise ConvergenceError("saddle search failed to bracket ln x = "
                                f"{float(np.max(log_x[short])):.6g}")
     y[ends[:y.size] >= 0] = math.log(1e-9)  # left of 1e-9: clamped below
-    # each saddle stops on its own, so it does not depend on which other
-    # knots share the call
+    # each saddle stops on its own, and digamma and polygamma evaluate
+    # each point on its own, so a saddle has the same bits whichever
+    # other knots share the call
     active = np.flatnonzero(ends[:y.size] < 0)
     for _ in range(100):
         if not active.size:

@@ -21,7 +21,8 @@ real log-gamma of a moment target is `math.lgamma`
   steps up to |z| >= 10 for the asymptotic series, with the same
   reflection and zero series.
 * `hurwitz_zeta` (integer s >= 2, real q) is Euler-Maclaurin summation
-  as in Cephes, and `polygamma` reads psi^(m) off it.
+  as in Cephes for every q, its tail scaled by q^(1-s) so that it does
+  not underflow, and `polygamma` reads psi^(m) off it.
 * `bessel_k0e` is e^z K0(z) for real and complex z, Re z > 0: the
   ascending series below |z| = 0.1 (DLMF 10.31.2), the Sommerfeld
   integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a vectorised,
@@ -30,7 +31,13 @@ real log-gamma of a moment target is `math.lgamma`
   `log_bessel_k0` are its unscaled and real-log forms.
 
 Every function is elementwise: a value does not depend on the other
-points of its array.
+points of its array, which the saddle search and the contour engine
+rely on.  So each series is evaluated one way whatever the array: one
+Horner's rule (`_poly`), with one coefficient row for all points or one
+per point; one shift sum (`_shift_sum`), from each point's own last term
+down; one zeta path.  Complex products are taken out of place: NumPy's
+SIMD loops round an in-place complex multiply of a one-element array
+differently from the same elements in a longer one.
 """
 
 import functools
@@ -85,7 +92,6 @@ _ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
             -1892437580.3183792, 74724249600.0, -2950130727918.164,
             116467828143500.67, -4597978722407473.0, 1.8152105401943546e+17,
             -7.166165256175667e+18)
-_ZETA_FAR_Q = 1e8  # q from which zeta(s, q) takes its two-term expansion
 
 _K0_SERIES_CUTOFF = 0.1  # |z| below which the ascending series is used
 _K0_SERIES_TERMS = 8  # (|z|^2 / 4)^8 / (8!)^2 < 1e-30 below the cutoff
@@ -108,32 +114,24 @@ def _as_complex(z):
 
 
 def _poly(coeffs, w):
-    """sum_k coeffs[k] w^k, elementwise, by Horner's rule in place."""
-    out = np.full(np.shape(w), coeffs[-1], dtype=np.result_type(w, 1.0))
-    for c in coeffs[-2::-1]:
-        out *= w
-        out += c
+    """sum_k coeffs[..., k] w^k, elementwise, by Horner's rule: coeffs is
+    one row for every point or one row per point.  The products are out of
+    place, so a point's value does not depend on the array's size."""
+    coeffs = np.asarray(coeffs)
+    out = coeffs[..., -1]
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        out = out * w + coeffs[..., k]
     return out
 
 
-def _poly_rows(coeffs, w):
-    """sum_k coeffs[i, k] w[i]^k for each i, from one table of powers: a
-    long series costs a few array operations, not one per term."""
-    powers = np.empty(coeffs.shape, dtype=np.result_type(w, coeffs))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = w[:, None]
-    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
-    return np.einsum("ik,ik->i", powers, coeffs)
-
-
 def _shift_sum(f, n):
-    """sum_{k < n} f(k) per element, for a float array n of counts >= 0;
-    f maps a row of k = 0, 1, ... to a (points, k) array."""
-    top = int(n.max(initial=0.0))
-    if not top:
-        return 0.0
-    k = np.arange(top, dtype=float)
-    return np.where(k < n[:, None], f(k), 0.0).sum(axis=1)
+    """sum_{k < n} f(k) per element, for a float array n of counts >= 0,
+    added one k at a time from the largest k down; f maps a k to an array
+    over the points."""
+    out = 0.0
+    for k in range(int(n.max(initial=0.0)) - 1, -1, -1):
+        out = out + np.where(k < n, f(k), 0.0)
+    return out
 
 
 def _sinpi(x):
@@ -221,14 +219,8 @@ def _lg_stirling(z):
     the product is half the size, and so is its rounding.
     """
     rz = 1.0 / z
-    series = _poly(_LG_STIRLING, rz * rz)
-    series *= rz
-    out = np.log(z)
-    out -= 1.0
-    out *= z - 0.5
-    out += _HALF_LOG_2PI - 0.5
-    out += series
-    return out
+    return ((z - 0.5) * (np.log(z) - 1.0) + (_HALF_LOG_2PI - 0.5)
+            + rz * _poly(_LG_STIRLING, rz * rz))
 
 
 @functools.cache
@@ -265,10 +257,9 @@ def _lg_taylor(z):
     zs = z - m
     base = np.where(m > 0, zs, z)
     row = np.minimum(np.rint(0.5 * z.imag), len(_LG_CENTRES) - 1).astype(int)
-    out = (np.sign(m) * _shift_sum(lambda j: np.log(base[:, None] + j),
-                                   np.abs(m))
-           + _poly_rows(_lg_taylor_table()[row],
-                        zs - np.array(list(_LG_CENTRES))[row]))
+    out = (np.sign(m) * _shift_sum(lambda j: np.log(base + j), np.abs(m))
+           + _poly(_lg_taylor_table()[row],
+                   zs - np.array(list(_LG_CENTRES))[row]))
     return np.where(lower, np.conj(out), out)
 
 
@@ -315,7 +306,7 @@ def _digamma_real(x):
     # psi(x) = psi(x - m) + sum_{j=1..m} 1/(x - j): x - m lands in
     # [x0 - 1/2, x0 + 1/2), and every term is positive
     m = np.where(big, 0.0, np.floor(x - lo))
-    res = res + _shift_sum(lambda k: 1.0 / (x[:, None] - 1.0 - k), m)
+    res = res + _shift_sum(lambda k: 1.0 / (x - 1.0 - k), m)
     body = np.empty_like(x)
     body[big] = _psi_asymptotic(x[big])
     body[~big] = _psi_root_series(x[~big] - m[~big])
@@ -344,7 +335,7 @@ def _digamma_complex(z):
     body = np.empty_like(z)
     body[root] = _psi_root_series(z[root])
     body[~root] = _psi_asymptotic(z[~root] + n[~root])
-    body = body - _shift_sum(lambda k: 1.0 / (z[:, None] + k), n)
+    body = body - _shift_sum(lambda k: 1.0 / (z + k), n)
     out = res + body
     return np.where(pole, np.nan, out) if pole.any() else out
 
@@ -366,11 +357,7 @@ def _psi_root_coefficients():
 
 def _psi_root_series(z):
     """psi(z) for |z - x0| <= 1/2 by its Taylor series at the zero x0."""
-    table = np.array(_psi_root_coefficients())
-    if z.size > 32:  # Horner's rule: one array operation per term
-        return _poly(table, z - _PSI_ROOT)
-    return _poly_rows(np.broadcast_to(table, (z.size, table.size)),
-                      z - _PSI_ROOT)
+    return _poly(_psi_root_coefficients(), z - _PSI_ROOT)
 
 
 def hurwitz_zeta(s, q):
@@ -379,8 +366,7 @@ def hurwitz_zeta(s, q):
     Arrays broadcast; a 0-d result is a float.  q may be negative; zeta
     is inf at q = 0, -1, -2, ....  The terms k < n are summed directly,
     n >= 9 and q + n > 9 as in Cephes' zeta, and the rest by
-    Euler-Maclaurin with 12 Bernoulli terms; from q = 1e8 the two-term
-    expansion (1/(s-1) + 1/2q) q^(1-s).
+    Euler-Maclaurin with 12 Bernoulli terms.
     """
     s, q = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
                                np.asarray(q, dtype=np.float64))
@@ -390,44 +376,25 @@ def hurwitz_zeta(s, q):
         raise DomainError("non-finite argument")
     shape, s, q = s.shape, s.ravel(), q.ravel()
     out = np.full(s.shape, np.inf)
-    far = q >= _ZETA_FAR_Q
-    near = ~far & ((q > 0.0) | (q != np.floor(q)))
+    near = (q > 0.0) | (q != np.floor(q))
     with np.errstate(over="ignore", under="ignore"):
-        if far.any():
-            out[far] = ((1.0 / (s[far] - 1.0) + 0.5 / q[far])
-                        * q[far] ** (1.0 - s[far]))
-        if near.all():
-            out = _zeta_sum(s, q)
-        elif near.any():
-            out[near] = _zeta_sum(s[near], q[near])
+        out[near] = _zeta_sum(s[near], q[near])
     return out.reshape(shape) if shape else float(out[0])
 
 
 def _zeta_sum(s, q):
     """Direct terms up to q + n > 9, then the Euler-Maclaurin tail at
-    w = q + n: w^(1-s)/(s-1) + w^-s/2 + sum_j B_2j/(2j)! (s)_(2j-1)
-    w^(-s-2j+1), elementwise over integer s and q (complex q with
-    Re q > 0 too)."""
-    orders = tuple(sorted(set(s.tolist())))
-    rows = _zeta_tail(orders)
+    w = q + n: w^(1-s) (1/(s-1) + (1/2 + sum_j B_2j/(2j)! (s)_(2j-1)
+    w^(2-2j)) / w), elementwise over integer s and q (complex q with
+    Re q > 0 too).  Its factor w^(1-s) is zeta's own size, so the tail
+    does not underflow where zeta is a double."""
+    # (s)_(2j-1) / A_j, j = 1..12: the tail's coefficients in w^-2
+    rising = np.cumprod(s[:, None] + np.arange(2 * len(_ZETA_EM) - 1), axis=1)
     n = np.maximum(np.floor(9.0 - np.real(q)) + 1.0, 9.0)
     w = q + n
-    rw2 = 1.0 / (w * w)
-    if len(orders) == 1:
-        series = _poly(rows[0], rw2)
-    else:
-        series = _poly_rows(rows[np.searchsorted(orders, s)], rw2)
-    tail = w ** -s * (w / (s - 1.0) + 0.5 + series / w)
-    return _shift_sum(lambda k: (q[:, None] + k) ** -s[:, None], n) + tail
-
-
-@functools.cache
-def _zeta_tail(orders):
-    """(s)_(2j-1) / A_j, j = 1..12, the Euler-Maclaurin tail's
-    coefficients in powers of w^-2, one row per order s."""
-    rising = np.cumprod(np.array(orders)[:, None]
-                        + np.arange(2 * len(_ZETA_EM) - 1), axis=1)
-    return rising[:, ::2] / np.array(_ZETA_EM)
+    series = _poly(rising[:, ::2] / np.array(_ZETA_EM), 1.0 / (w * w))
+    tail = w ** (1.0 - s) * (1.0 / (s - 1.0) + (0.5 + series / w) / w)
+    return _shift_sum(lambda k: (q + k) ** -s, n) + tail
 
 
 def polygamma(m, x):

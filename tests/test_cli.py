@@ -518,12 +518,11 @@ class TestExitCodes:
         assert capsys.readouterr().out
 
     def test_numeric_failure_exit(self, capsys, monkeypatch):
-        import gammamoments.verify as verify
         from gammamoments import ConvergenceError
 
         def fake(w, seq, n, **kw):
             raise ConvergenceError("forced for the exit-code test")
-        monkeypatch.setattr(verify, "check_moment", fake)
+        monkeypatch.setattr(cli, "check_moment", fake)
         code, _, err = run(capsys, "moments", "--seq", "tm1:r=1", "--n", "0")
         assert code == 3
         assert "numeric failure" in err

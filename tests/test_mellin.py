@@ -240,7 +240,9 @@ class TestBandEngine:
     def test_knot_value_depends_on_the_call_by_a_few_ulps(self, descriptor):
         # a band's partition starts at its first sorted knot, so a band knot
         # evaluated with others and alone differs in its last ulps (at most
-        # 11 eps |ln W| here); this holds that gap, it does not close it
+        # 12 eps |ln W| here); the saddles and the special functions give a
+        # knot the same bits alone, so the partition is the one cause left.
+        # This holds that gap, it does not close it
         seq = parse_descriptor(descriptor)
         hi = 25.0 if descriptor.startswith("gamma") else 35.0
         lx = np.arange(-1.5, hi + 0.25, 0.5)
@@ -299,6 +301,22 @@ class TestBandEngine:
         assert got.shape == xs.shape
         for x, c in zip(xs, got):
             assert c == mellin._saddles(seq, np.log([x]))[0]
+
+    @pytest.mark.parametrize("descriptor", ["tm3:r=1", "tm4:r=1",
+                                            "gamma:2.02n+1,0.5n+0.7"])
+    def test_saddles_of_a_knot_alone_keep_their_bits(self, descriptor):
+        # the special functions evaluate each point on its own, so a knot's
+        # real and complex saddles do not depend on the knots beside it
+        seq = parse_descriptor(descriptor)
+        lx = np.linspace(-3.0, 34.0, 800)
+        real = mellin._saddles(seq, lx)
+        target = lx - 1j * math.pi
+        rotated = mellin._complex_saddles(seq, target, real)
+        for i in range(lx.size):
+            one = slice(i, i + 1)
+            assert mellin._saddles(seq, lx[one])[0] == real[i], lx[i]
+            assert (mellin._complex_saddles(seq, target[one], real[one])[0]
+                    == rotated[i]), lx[i]
 
 
 def _band_knots(monkeypatch, run):
