@@ -15,12 +15,16 @@ so the interpolant certifies its own accuracy (about 1e-12 in ln W where
 W is representable) at quadrature-friendly speed; w3/w4 evaluate the
 engine directly at a scalar or an array x, for cross-checks.  The engine
 defines these densities, and the interpolant only caches it: its window
-runs from x = 1e-20 (_X_MIN) to where ln W reaches -320, in at most
-1,024 initial panels at least 8 wide, and every ln x outside it goes to
-the engine.  The engine routes every knot, in the
-window or not, by one rule: the residue series at the symbol's poles
-(`mellin._residue_sums`) answers each knot it certifies (for tm3:r=1
-and tm4:r=1 every knot up to x = 0.1), and band quadrature the rest.
+runs from x = 1e-20 (_X_MIN) to where the tail law's leading term g x^p
+reaches 320 (ln W itself is not -320 there, but -323 on tm3:r=1, -168
+on gamma:3n+20,n+15 and -8,441 on tm3:r=580), and every ln x outside it
+goes to the engine.  The window starts as panels max(8, A) wide, A =
+sum a_j, since ln W varies on a scale of A in ln x; the window is 46.05 +
+A ln(320/g) wide with g >= 1, so it holds at most 12 of them.  The
+engine routes every knot, in the window or not, by one rule: the
+residue series at the symbol's poles (`mellin._residue_sums`) answers
+each knot it certifies (for tm3:r=1 and tm4:r=1 every knot up to x =
+0.1), and band quadrature the rest.
 
 `principal_solution(seq)` is the one constructor, for every sequence: it
 picks the log-density (w1, W2 or the interpolant) from seq.family, and a
@@ -143,12 +147,11 @@ def w4(r, x):
 
 
 _X_MIN = 1e-20  # left edge of the interpolant's window
-_LOG_DEPTH = 320.0  # ln W covered down to exp(-320) in the tail
+_LOG_DEPTH = 320.0  # the tail law's g x^p at the window's top
 _PANEL_WIDTH = 8.0  # least initial panel width in ln x
 _DEGREE = 32  # each panel interpolates at _DEGREE + 1 Chebyshev points
 _TAIL_TOL = 1e-11  # accepted size of a panel's trailing coefficients
 _MAX_SPLITS = 6  # halvings of an initial panel before the build gives up
-_MAX_PANELS = 1024  # initial panels; a wider window widens them instead
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +207,15 @@ def _chebyshev_coefficients(values):
 def _density_spline(seq: MomentSequence):
     """Piecewise Chebyshev interpolant of ln W vs ln x for a contour density.
 
-    The window runs from x = 1e-20 to where ln W reaches -_LOG_DEPTH;
-    `_spline_log_evaluate` sends ln x outside it to the engine.  It starts
-    as at most _MAX_PANELS panels, each _PANEL_WIDTH wide or wider, and
-    all are evaluated by one engine call.  A panel whose last three
+    The window runs from x = 1e-20 to where the tail law's leading term
+    g x^p reaches _LOG_DEPTH; `_spline_log_evaluate` sends ln x outside it
+    to the engine.  It starts as panels max(_PANEL_WIDTH, A) wide, the
+    scale of ln W in ln x, since -ln W ~ A sigma with sigma = (x/h)^(1/A)
+    (a Chebyshev panel resolves e^(ln x / A) at a rate set by its width
+    over A: Trefethen, ATAP ch. 8).  The window, 46.05 + A ln(320/g)
+    wide with g >= 1, holds at most 12 of them (11.6 for A <= 8, fewer
+    than 46.05/A + 5.77 above), and all are evaluated by one engine
+    call.  A panel whose last three
     coefficients sum above max(_TAIL_TOL, 64 eps max|ln W|) on it is
     halved, and the halves of every such panel are evaluated by one
     further call; the second term, ln W's own rounding (Trefethen, ATAP
@@ -216,7 +224,7 @@ def _density_spline(seq: MomentSequence):
     g, p = seq.tail_coefficient, seq.tail_power
     lo = np.log(_X_MIN)
     hi = np.log(_LOG_DEPTH / g) / p
-    count = min(_MAX_PANELS, np.ceil((hi - lo) / _PANEL_WIDTH))
+    count = np.ceil((hi - lo) / max(_PANEL_WIDTH, seq.sum_a))
     cuts = np.linspace(lo, hi, int(count) + 1)
     left, right = cuts[:-1], cuts[1:]
     accepted = []  # (left edge, coef, tail) of the accepted panels

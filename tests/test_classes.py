@@ -838,13 +838,15 @@ class TestRotatedRoute:
 
     # (r, k, bound, the bounds it had before, oldest first: from SciPy's
     # log-gamma, then from a grid that counted the knots' |ln x|, then
-    # from special functions whose series depended on the array's size),
-    # named by the oldest
-    _TM3_BOUNDS = [(3, 1, 2.9824981371022306, (2.9824981371022385,)),
+    # from special functions whose series depended on the array's size,
+    # then from interpolant panels 8 wide at every A), named by the oldest
+    _TM3_BOUNDS = [(3, 1, 2.9824981371022465,
+                    (2.9824981371022385, 2.9824981371022306)),
                    (3, -1, 1.143153532995459, (1.143153532995459,)),
                    (5, 2, 1.0409476019958845, (1.0409476019958845,)),
-                   (7, 3, 6.877028249257315,
-                    (6.877028249257311, 6.877028249257313, 6.87702824925731)),
+                   (7, 3, 6.877028249257251,
+                    (6.877028249257311, 6.877028249257313, 6.87702824925731,
+                     6.877028249257315)),
                    (7, -3, 1.0154596946398282, (1.0154596946398282,))]
 
     @pytest.mark.parametrize("r,k,want,earlier", _TM3_BOUNDS,

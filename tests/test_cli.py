@@ -884,9 +884,10 @@ class TestFuzzRegressions:
     def test_interpolant_window_too_wide_refused(self, capsys, argv):
         # A = 5e21: np.linspace once raised "Maximum allowed size exceeded";
         # tm3:r=1500 once built for 111 s in 767 MB before its panels failed,
-        # and then a 1,024-panel cap refused both windows at once.  Now a
-        # wide window takes 1,024 wider panels: tm3:r=1500 builds, and only
-        # the engine refuses the A = 5e21 product, at its tail
+        # and then a 1,024-panel cap refused both windows at once.  Now
+        # panels are max(8, A) wide, so no window takes more than 12:
+        # tm3:r=1500 builds in 5, and only the engine refuses the A = 5e21
+        # product, at its tail
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         if argv[0] == "eval":
@@ -923,11 +924,12 @@ class TestFuzzRegressions:
 
 class TestInterpolantReach:
     """Windows the interpolant once refused (exit 3) now build: tm3:r=580
-    had 30 panels whose trailing sums, 1.0-1.2e-11 where |ln W| is near
-    8,000, were ln W's own rounding; tm4:r=1000's window was wider than
-    1,024 panels of 8; and the small multipliers of the third product put
-    |ln W| near 9,470 at x = 1e-20.  Each runs in one process, so its
-    calls share one interpolant."""
+    had 30 panels 8 wide whose trailing sums, 1.0-1.2e-11 where |ln W| is
+    near 8,000, were ln W's own rounding; tm4:r=1000's window was wider
+    than 1,024 panels of 8 (panels max(8, A) wide build both in 5); and
+    the small multipliers of the third product put |ln W| near 9,470 at
+    x = 1e-20.  Each runs in one process, so its calls share one
+    interpolant."""
 
     @pytest.mark.parametrize("seq", ["tm3:r=580", "tm4:r=1000",
                                      "gamma:0.092n+19.02,0.031n+10.74"])

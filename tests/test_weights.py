@@ -247,13 +247,13 @@ class TestPanelInterpolant:
             weights._density_spline.__wrapped__(seq)
 
     @pytest.mark.parametrize("text,panels", [
-        ("tm3:r=1", 8), ("tm3:r=2", 10), ("tm3:r=3", 12), ("tm3:r=7", 19),
-        ("tm3:r=40", 76), ("tm4:r=1", 9), ("tm4:r=38", 96), ("tm4:r=60", 148),
+        ("tm3:r=1", 8), ("tm3:r=2", 10), ("tm3:r=3", 10), ("tm3:r=7", 7),
+        ("tm3:r=40", 6), ("tm4:r=1", 9), ("tm4:r=38", 6), ("tm4:r=60", 5),
         ("gamma:2n+1,n+1", 8), ("gamma:0.3n+1,0.3n+1", 8)])
     def test_representable_windows_keep_the_absolute_stop(self, text, panels):
         # the stop test relaxes to ln W's rounding, 64 eps max|ln W|, only
         # on panels where |ln W| > about 704; these windows stay below it,
-        # so they keep their 1e-11 estimate and their panels
+        # so they keep their 1e-11 estimate, on panels max(8, A) wide
         interp = weights._density_spline(parse_descriptor(text))
         assert interp.edges.size - 1 == panels
         assert interp.error <= 1e-11
@@ -288,6 +288,26 @@ class TestInterpolantFuzz:
         want, _ = contour_log_densities(seq, lx)
         assert np.all(np.abs(interp(lx) - want)
                       <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestInitialPanels:
+    """Initial panels are max(8, A) wide, A = sum a_j: the window, 46.05 +
+    A ln(320/g) in ln x with g >= 1, holds at most 12 of them, so the
+    build's first engine call takes at most 12 panels' Chebyshev points.
+    Panels 8 wide once took 33,726 knots at tm3:r=580."""
+
+    @pytest.mark.parametrize(
+        "seq", [*map(parse_descriptor, ["tm3:r=580", "tm4:r=1000",
+                                        "tm3:r=1500", "gamma:900n+1,600n+1"]),
+                *_random_products(12, seed=41)],
+        ids=lambda seq: seq.descriptor())
+    def test_first_call_takes_at_most_twelve_panels(self, seq, monkeypatch):
+        calls = _counting_engine(monkeypatch)
+        try:
+            weights._density_spline.__wrapped__(seq)
+        except GammomentsError:
+            pass
+        assert 0 < calls[0] <= 12 * (weights._DEGREE + 1)
 
 
 class TestNegativeDensityRefused:
@@ -340,7 +360,9 @@ class TestDualRoute:
 
     @pytest.mark.parametrize("text,seed", [("tm3:r=1", 1), ("tm3:r=2", 2),
                                            ("tm4:r=1", 3),
-                                           ("gamma:2n+1,n+1", 4)])
+                                           ("gamma:2n+1,n+1", 4),
+                                           ("tm3:r=3", 5), ("tm4:r=3", 6),
+                                           ("tm3:r=7", 7)])
     def test_engine_and_interpolant_vs_meijer_g(self, text, seed):
         seq = parse_descriptor(text)
         rng = np.random.default_rng(seed)
