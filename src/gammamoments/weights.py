@@ -215,11 +215,11 @@ def _density_spline(seq: MomentSequence):
     over A: Trefethen, ATAP ch. 8).  The window, 46.05 + A ln(320/g)
     wide with g >= 1, holds at most 12 of them (11.6 for A <= 8, fewer
     than 46.05/A + 5.77 above), and all are evaluated by one engine
-    call.  A panel whose last three
-    coefficients sum above max(_TAIL_TOL, 64 eps max|ln W|) on it is
-    halved, and the halves of every such panel are evaluated by one
-    further call; the second term, ln W's own rounding (Trefethen, ATAP
-    ch. 8), passes _TAIL_TOL only where |ln W| > about 704.
+    call.  A panel whose last three coefficients sum above
+    max(_TAIL_TOL, 64 eps max|ln W|) on it is halved, and the halves of
+    every such panel are evaluated by one further call; the second term,
+    ln W's own rounding (Trefethen, ATAP ch. 8), passes _TAIL_TOL only
+    where |ln W| > about 704.
     """
     g, p = seq.tail_coefficient, seq.tail_power
     lo = np.log(_X_MIN)
