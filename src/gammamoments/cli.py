@@ -8,8 +8,10 @@ and omega columns it prints, after the checks of `classes.class_member`
 (an admissible amplitude, and no negative member).  `class
 --find-gamma-max` prints the searched bound `classes.find_gamma_max`
 (two or more factors; `--k -k` gives the lower end), and with
-`--mc-seed` rechecks W + gamma_max omega there at 20,000 random points
-(`classes.certify_nonnegative`).  `convolve` evaluates
+`--mc-seed` rechecks W + gamma_max omega there at 20,000 log-uniform
+points on [1e-8, 1e6], sort(exp(lo + (hi - lo) u)) for the draws u of
+random.Random(seed).random() (`classes.certify_nonnegative`), so no
+process imports NumPy's random stack.  `convolve` evaluates
 the Mellin convolution W_a * W_b as the principal density of the product
 sequence rho_a(n) rho_b(n), whose factor list is the two lists joined,
 on a default grid read off that sequence's tail law; the convolution

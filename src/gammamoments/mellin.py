@@ -29,7 +29,10 @@ convolution oracle keeps BLAS products).  The trapezoid grids are
 nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
 new midpoints, and every band knot, density or perturbation, is accepted
 once two of them agree to one tolerance, _RTOL (1e-10 of its summed
-part).  `contour_log_density` is the one-knot case.  This engine
+part), or, in the far tail, to the rounding its nodes carry: each
+node's phase Im phi is rounded to about eps |phi|, so the stop test
+takes max(_RTOL, 64 eps max|phi|) over the band's coarsest grid.
+`contour_log_density` is the one-knot case.  This engine
 is the package's only contour route: `inverse_mellin_log` on an
 `adapted_contour` is a fixed, unbanded trapezoid sum kept as the
 reference the tests compare the engine against.
@@ -188,7 +191,8 @@ def _phase_resolved_points(seq, s0, t_max):
     on a sixteenth of this grid.  The margin also gives the far tail
     enough nodes to average the rounding of Im phi (eps |phi| a node)
     below _RTOL: without it tm2:r=1 fails to converge at ln x = 32.8 and
-    33.5.
+    33.5.  Further out, where that rounding exceeds _RTOL, the stop test
+    rises to it (`_band_sums`).
     """
     phase_rate = seq.sum_a * (np.log1p(t_max / max(abs(s0), 1.0)) + 2.0)
     return _power_of_two(max(512.0, 6.0 * t_max * phase_rate))
@@ -359,7 +363,8 @@ def contour_log_densities(seq: MomentSequence, log_x):
 
     A knot that the residue series certifies takes the series.  Every
     other knot is accepted once two successive nested grids agree to
-    _RTOL of W; the finest grid has max(_MAX_POINTS, 4 n) intervals, n
+    _RTOL of W, or to the rounding of its band's symbol where that is
+    larger; the finest grid has max(_MAX_POINTS, 4 n) intervals, n
     being the band's phase-resolved point count.  A band whose coarsest
     grid (n / 16 intervals) would exceed _MAX_POINTS raises
     ConvergenceError before its symbol is evaluated.  A density
@@ -387,9 +392,9 @@ def _contour_sums(seq, log_x, psi):
     along a vertical line s = c + it, phi = mellin_symbol(seq).  psi = 0
     is the principal density (bisection saddle, real sums); otherwise the
     sums are complex and each band is centred on a complex saddle.  A band
-    knot is accepted once its summed part moves by at most _RTOL of itself
-    between nested grids.  Both arrays have the shape of log_x, at least
-    one-dimensional.
+    knot is accepted once its summed part moves by at most max(_RTOL,
+    64 eps max|phi|) of itself between nested grids.  Both arrays have
+    the shape of log_x, at least one-dimensional.
     """
     lx = np.atleast_1d(_check_log_x(log_x))
     shape, lx = lx.shape, lx.ravel()
@@ -460,6 +465,10 @@ def _band_sums(seq, psi, centre, lx):
     h = 2.0 * spec.t_max / n
     tau = -spec.t_max + h * np.arange(n + 1)
     phi = _line_symbol(seq, psi, centre + 1j * tau)
+    # each node's phase Im phi is rounded to about eps |phi|, so in the
+    # far tail two grids cannot agree closer than that; the stop test
+    # takes the larger of _RTOL and that rounding
+    rtol = max(_RTOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(phi))))
     m = float(np.max(phi.real))
     v = np.exp(phi - m)
     v[0] *= 0.5
@@ -476,7 +485,7 @@ def _band_sums(seq, psi, centre, lx):
     while active.size:
         if 2 * n > cap:
             raise ConvergenceError(
-                f"contour sum did not converge below {_RTOL} at ln x = "
+                f"contour sum did not converge below {rtol:.3g} at ln x = "
                 f"{float(lx[active[0]]):.6g}")
         # the refined grid keeps every node and adds the midpoints
         n *= 2
@@ -489,8 +498,8 @@ def _band_sums(seq, psi, centre, lx):
         tail = 0.5 * tail + h * float(np.sum(np.abs(v[edge])))
         total = 0.5 * total + h * _phase_sum(start, 2.0 * h, v, lx[active])
         part = _check_sums(total, mag, tail, n + 1, real)
-        # a knot is done once its summed part moved by at most _RTOL of itself
-        done = np.abs(part - out[active]) <= _RTOL * np.abs(part)
+        # a knot is done once its summed part moved by at most rtol of itself
+        done = np.abs(part - out[active]) <= rtol * np.abs(part)
         out[active] = part
         active, total = active[~done], total[~done]
     return scale, out * np.exp(-1j * t0 * lx)

@@ -1,6 +1,7 @@
 """Stieltjes class machinery: perturbations, members, amplitude bounds."""
 
 import math
+import random
 import re
 import warnings
 
@@ -579,8 +580,10 @@ class TestGammaMax:
 
     def test_monte_carlo_nonfinite_member_raises(self):
         # once (True, nan): a NaN member passed as nonnegative
-        rng = np.random.default_rng(1)
-        xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 100))
+        rng = random.Random(1)
+        lo, hi = math.log(0.1), math.log(10.0)
+        u = np.array([rng.random() for _ in range(100)])
+        xs = np.exp(lo + (hi - lo) * u)
         first = float(np.min(xs[xs > 1]))
         with pytest.raises(ConvergenceError, match=f"at x = {first:.6g} is"):
             certify_nonnegative(lambda xs: np.where(xs > 1, np.nan, 1.0),
@@ -625,8 +628,10 @@ class TestMonteCarloBlocks:
 
     @staticmethod
     def _sample(n, seed):
-        rng = np.random.default_rng(seed)
-        return np.sort(np.exp(rng.uniform(math.log(1e-8), math.log(1e6), n)))
+        rng = random.Random(seed)
+        lo, hi = math.log(1e-8), math.log(1e6)
+        u = np.array([rng.random() for _ in range(n)])
+        return np.sort(np.exp(lo + (hi - lo) * u))
 
     @pytest.mark.parametrize("n", [1, 3999, 4000, 4001, 20000])
     def test_blocks_give_whole_sample_result(self, n):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -230,8 +231,10 @@ class TestDeterminism:
         assert calls == [(3, 1)]
         # the record one class_member call on the whole sorted sample gives
         bound = search(classes.perturbation_tm2(3, 1))
-        rng = np.random.default_rng(42)
-        xs = np.sort(np.exp(rng.uniform(np.log(1e-8), np.log(1e6), 20000)))
+        rng = random.Random(42)
+        lo, hi = math.log(1e-8), math.log(1e6)
+        u = np.array([rng.random() for _ in range(20000)])
+        xs = np.sort(np.exp(lo + (hi - lo) * u))
         member = class_member(tm2(3), 1, bound, xs)
         assert json.loads(out)["monte_carlo"] == {
             "seed": 42, "nonnegative": bool(np.all(member >= 0.0)),
@@ -959,7 +962,10 @@ class TestEngineReach:
     next term is about 1/sigma, sigma = (x/h)^(1/A), h = prod a^a."""
 
     @pytest.mark.parametrize("seq,x", [
-        ("tm3:r=1", "1e18"), ("gamma:0.092n+19.02,0.031n+10.74", "10")])
+        ("tm3:r=1", "1e18"), ("gamma:0.092n+19.02,0.031n+10.74", "10"),
+        # its nested grids could not agree to 1e-10 below the rounding of
+        # the symbol's phase, and it exited 3 after 2.5 s
+        ("tm3:r=1", "1e24")])
     def test_eval_within_the_tail_law(self, capsys, seq, x):
         code, out, err = run(capsys, "eval", "--seq", seq, "--x", x)
         assert (code, err) == (0, "")

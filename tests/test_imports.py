@@ -1,4 +1,4 @@
-"""Import cost: no process of the package loads SciPy.
+"""Import cost: no process of the package loads SciPy or numpy.random.
 
 Every special function the package evaluates (ln Gamma, psi, the Hurwitz
 zeta, K0) comes from gammamoments.special on NumPy, and the real ln Gamma
@@ -8,6 +8,11 @@ only.  The closed form of a single factor Gamma(an + b) with its moment
 checks and all three criteria, and a usage error, load neither numpy.ma,
 which SciPy once loaded but the package never needs, nor
 numpy.polynomial, which only an interpolant build needs.
+
+The Monte Carlo recheck of `class --find-gamma-max --mc-seed` draws its
+sample from the standard library's random, so neither the import, nor
+any CLI call of the benchmark, nor its vanishing workload loads
+numpy.random, whose import alone costs a process about 6 MB of RSS.
 
 The contour engine and the Chebyshev interpolant make no BLAS call, so a
 contour process never pays OpenBLAS's first-call buffers."""
@@ -23,7 +28,7 @@ import gammamoments
 _DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
 # importing any SciPy module first imports the package `scipy` itself, so
 # "scipy" missing from sys.modules means no SciPy module is loaded
-_WATCHED = ("scipy", "scipy.special") + _DEFERRED
+_WATCHED = ("scipy", "scipy.special") + _DEFERRED + ("numpy.random",)
 
 # runs `import gammamoments`, then each step in turn: an argv list through
 # cli.main, or a module name through importlib (exit code None); prints
@@ -110,7 +115,8 @@ _BENCHMARK_CALLS = [
 
 def test_vanishing_workload_loads_no_scipy():
     # the benchmark's library workload: check_vanishing for omega1, omega2
-    # (the complex K0) and omega3 (the rotated contour) in one process
+    # (the complex K0) and omega3 (the rotated contour) in one process,
+    # which loads no numpy.random either
     script = """
 import json, sys
 import gammamoments as gm
@@ -119,7 +125,8 @@ for family, r, k, ns in (("tm1", 2, 1, range(9)), ("tm2", 3, 1, range(9)),
     pert = getattr(gm, "perturbation_" + family)(r, k)
     for n in ns:
         gm.check_vanishing(pert, pert.seq, n)
-print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.random"]))
 """
     src = os.path.dirname(os.path.dirname(gammamoments.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

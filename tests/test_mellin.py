@@ -269,6 +269,16 @@ class TestBandEngine:
         assert log_w[0] == pytest.approx(float(_log_w2(r, np.array(log_x))),
                                          rel=1e-13)
 
+    def test_far_tail_stops_at_the_symbols_rounding(self):
+        # each node's phase Im phi rounds to about eps |phi| (1.1e-6 rad
+        # here, phi(c) = 4.8e9), so two grids could not agree to _RTOL and
+        # the engine raised "did not converge below 1e-10"; fixed grids of
+        # 2^8 to 2^14 intervals on the same contour give this value
+        log_w, sign = contour_log_densities(tm3(1), [55.0])
+        assert sign[0] > 0
+        assert log_w[0] == pytest.approx(-274907623.32124484,
+                                         abs=np.spacing(274907623.0))
+
     def test_tail_bands_take_a_fifth_of_the_symbol_points(self, monkeypatch):
         # a band's grid reads its contour alone; counting each band's
         # largest |ln x| as well took 12,526,995 symbol points here
