@@ -5,10 +5,11 @@ star factor (a*, b*) is the first with the largest multiplier, and omega
 = W_rest * omega1 is the Mellin convolution of the other factors' density
 with the star factor's first-family perturbation omega1 (w1 times a
 sine).  With theta = k pi / a* and ln mu = a* ln sec(theta) it is
-sec^{a*-b*}(theta) Im W(mu e^{-i k pi} x), one rotated contour sum
-(`_log_rotated`), which decays only while a* > 2|k|; tm1's omega1 and
-tm2's K0 ratio are its closed forms.  W + gamma omega = W_rest * (w1 +
-gamma omega1) and |omega1| <= w1, so every |gamma| <= 1 gives a density.
+sec^{a*-b*}(theta) Im W(mu e^{-i k pi} x), which decays only while a* >
+2|k|: tm1's and tm2's closed-form W at that rotated point
+(`weights._closed_form`), every other product's rotated contour sum
+(`_log_rotated`).  W + gamma omega = W_rest * (w1 + gamma omega1) and
+|omega1| <= w1, so every |gamma| <= 1 gives a density.
 
 `perturbation(seq, k)` is the one constructor; it checks k and a* > 2|k|
 once, and family, r (None past tm3) and the tail law are seq's.
@@ -35,8 +36,7 @@ from .errors import (ConstraintError, ConvergenceError, SearchError,
                      _at_x, _check_int)
 from .mellin import _contour_sums, mellin_convolve_many
 from .moments import MomentSequence, tm1, tm2, tm3
-from .special import bessel_k0e
-from .weights import _log_w1, _log_w2_front, principal_solution, w1
+from .weights import _closed_form, _log_w1, principal_solution, w1
 
 __all__ = ["Perturbation", "omega2", "omega2_via_convolution", "omega3",
            "perturbation_tm1", "perturbation_tm2", "perturbation_tm3",
@@ -57,7 +57,7 @@ class Perturbation:
     log_density: object = field(repr=False)  # array ln x -> (sign, ln |omega|)
 
     @property
-    def family(self):  # "tm1" | "tm2" | "tm3" | None
+    def family(self):  # seq's family name, or None
         return (self.seq.family or (None, None))[0]
 
     @property
@@ -99,68 +99,28 @@ def _check_rotation(seq, k):
             f"a > 2|k| (a={a:g}, {_name(seq)}, k={k})")
 
 
-# -- family 1 ---------------------------------------------------------------
-
-def _log_omega1(q, k, log_x, b=1.0):
-    """(sign, ln |omega1(q, k, x)|) at ln x: ln w1 + ln |sin|.
-
-    omega1(q, k) is the vanishing-moment partner of the density with
-    moments Gamma(qn + b) and needs q > 2|k|: the first family's omega.
-    """
-    phase0 = k * math.pi * (q - b) / q
-    slope = math.tan(k * math.pi / q)
-    return _signed_log(_log_w1(q, log_x, b),
-                       np.sin(phase0 + np.exp(log_x / q) * slope))
+def _signed_im_exp(log_value):
+    """(sign, ln |Im e^R|) of a complex R: Re R + ln |sin Im R|.  Where Re
+    R is -inf (past the double range) the value is 0, whatever Im R."""
+    phase = np.where(log_value.real == -np.inf, 0.0, log_value.imag)
+    return _signed_log(log_value.real, np.sin(phase))
 
 
 def perturbation_tm1(r, k) -> Perturbation:
     return perturbation(tm1(r), k)
 
 
-# -- family 2 ---------------------------------------------------------------
-
-def _beta(r, k):
-    """Principal square root of 1 + i tan(pi k / r); Re > 0 for r > 2|k|."""
-    return complex(np.sqrt(1.0 + 1j * math.tan(math.pi * k / r)))
-
-
-def _v_phase(r, k):
-    return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
-
-
-def _scaled_v(r, k, u):
-    """e^{2u} V(2u) at u = x^{1/2r}, V(z) = Re[phase K0(z beta)].
-
-    K0(w) = k0e(w) e^{-w}, so this is Re[phase k0e(2u beta)
-    e^{-2u(beta - 1)}], which stays finite where V underflows.  Its
-    callers have checked (r, k).
-    """
-    beta = _beta(r, k)
-    z = 2.0 * np.asarray(u, dtype=float)
-    return np.real(_v_phase(r, k)
-                   * (bessel_k0e(z * beta) * np.exp(-z * (beta - 1.0))))
-
-
-def _log_omega2(r, k, log_x):
-    """(sign, ln |omega2|) at ln x: ln W2 with V in place of K0(2u), so
-    only the complex K0 is evaluated."""
-    front = _log_w2_front(r, log_x)
-    u = np.exp(np.asarray(log_x, dtype=float) / (2.0 * r))
-    return _signed_log(front - 2.0 * u, _scaled_v(r, k, u))
-
-
 def omega2(r, k, x):
-    """Second-family perturbation, W2 times the complex-K0 ratio V/K0."""
+    """Second-family perturbation sec^{r-1}(theta) Im W2(r, lambda x)."""
     return perturbation_tm2(r, k).evaluate(x)
 
 
 def omega2_via_convolution(r, k, x):
-    """Same function by the convolution route (half-index densities)."""
+    """Same function by the convolution route, w1(r) * omega1(r, k)."""
     _check_rotation(tm2(r), k)
+    omega1 = perturbation(MomentSequence(((r, 1),)), k)
     return mellin_convolve_many(
-        lambda v: w1(r, v),
-        lambda v: _at_x(lambda lx: _log_omega1(r, k, lx), v),
-        x,
+        lambda v: w1(r, v), omega1.evaluate, x,
         log_f=lambda v: _log_w1(r, np.log(v)),
         log_g=lambda v: _log_w1(r, np.log(v)))
 
@@ -201,12 +161,14 @@ def perturbation_tm3(r, k) -> Perturbation:
 # -- class members ----------------------------------------------------------
 
 def perturbation(seq, k) -> Perturbation:
-    """omega with index k of seq's principal density: W_rest * omega1."""
+    """omega with index k of seq's principal density: Im of the closed
+    form for the first two families, else one rotated contour sum."""
     _check_rotation(seq, k)
-    (family, r), (a, b) = seq.family or (None, None), seq.factors[0]
-    log_omega = {"tm1": lambda log_x: _log_omega1(a, k, log_x, b),
-                 "tm2": lambda log_x: _log_omega2(r, k, log_x)}.get(
-        family, lambda log_x: _log_rotated(seq, k, log_x))
+    form = _closed_form(seq)
+    if form is None:
+        log_omega = lambda log_x: _log_rotated(seq, k, log_x)
+    else:
+        log_omega = lambda log_x: _signed_im_exp(form(log_x, k))
     return Perturbation(k=k, seq=seq, log_density=log_omega)
 
 

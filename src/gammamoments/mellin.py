@@ -237,9 +237,9 @@ def _saddles(seq, log_x):
     # psi(eps) = -1/eps - gamma + O(eps), and psi(1) = -gamma
     rest = float((weight[~holds, 0] * digamma(shift[~holds, 0])).sum()
                  + digamma(1.0) * weight[holds, 0].sum())
-    far = np.exp((log_x - float((weight * np.log(scale)).sum()))
-                 / seq.sum_a) + 1.0 - pole
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        far = np.exp((log_x - float((weight * np.log(scale)).sum()))
+                     / seq.sum_a) + 1.0 - pole
         near = np.where(rest > log_x, m / (rest - log_x), np.inf)
     lo = np.full(log_x.shape, math.log(1e-9))
     hi = np.full(log_x.shape, math.log(1e12))

@@ -27,8 +27,9 @@ real log-gamma of a moment target is `math.lgamma`
   ascending series below |z| = 0.1 (DLMF 10.31.2), the Sommerfeld
   integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a vectorised,
   self-checking trapezoid rule (DLMF 10.32.9) up to |z| = 30, and the
-  asymptotic series above (DLMF 10.40.2).  `bessel_k0_complex` and
-  `log_bessel_k0` are its unscaled and real-log forms.
+  asymptotic series above (DLMF 10.40.2).  `bessel_k0_complex` is its
+  unscaled form and `log_bessel_k0` its log, ln K0 of a real or complex
+  z: the one ln K0 of W2 and of omega2.
 
 Every function is elementwise: a value does not depend on the other
 points of its array, which the saddle search and the contour engine
@@ -422,7 +423,10 @@ def polygamma(m, x):
 # -- K0 -----------------------------------------------------------------------
 
 def log_bessel_k0(x):
-    """ln K0(x) for real x > 0, without underflow: ln(e^x K0(x)) - x."""
+    """ln K0(x) for real x > 0, or complex x with Re x > 0 (the principal
+    log), without underflow: ln(e^x K0(x)) - x; real in, real out."""
+    if np.iscomplexobj(x):
+        return np.log(bessel_k0e(x)) - np.asarray(x)
     arr = _check_x(x)
     out = np.log(_k0(arr.ravel(), scaled=True)).reshape(arr.shape) - arr
     return float(out) if arr.ndim == 0 else out

@@ -1,8 +1,9 @@
 """Principal weight functions for the four model families.
 
 The first two families have closed forms (stretched exponential, Bessel K0),
-which `principal_solution` picks by `MomentSequence.family` (the
-stretched exponential serves every single factor Gamma(an + b)); the
+which `_closed_form` picks by `MomentSequence.family` (the stretched
+exponential serves every single factor Gamma(an + b)) and also evaluates
+at the rotated point lambda x whose Im W is the perturbation omega; the
 third and fourth are defined operationally as inverse Mellin transforms
 of their gamma-product symbols.  For those, and for any other gamma
 product, ln W is interpolated once per sequence by Chebyshev polynomials
@@ -27,8 +28,7 @@ each knot it certifies (for tm3:r=1 and tm4:r=1 every knot up to x =
 0.1), and band quadrature the rest.
 
 `principal_solution(seq)` is the one constructor, for every sequence: it
-picks the log-density (w1, W2 or the interpolant) from seq.family, and a
-closed form certifies the tail exactly for the first two families;
+takes `_closed_form` at k = 0, whose tail is exact, else the interpolant;
 alpha0 and growth are read from seq, whose endpoint laws are exact.
 
 Every density is evaluated in ln x: `WeightFunction.log_density` takes
@@ -43,6 +43,7 @@ and x's shape otherwise.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,14 +94,21 @@ class WeightFunction:
 
 # -- family 1: moments (qn)!, density e^{-x^{1/q}} / (q x^{(q-1)/q}) --------
 
-def _log_w1(q, log_x, b=1.0):
-    """ln of x^{(b-q)/q} e^{-x^{1/q}} / q at ln x, the density with moments
-    Gamma(qn + b) for any q, b > 0 (u = x^{1/q} turns it into Gamma's
-    integral); b = 1 is w1(q, x).  Past the double range of x^{1/q}
-    (q < 1) ln W is -inf, without a warning."""
+def _log_w1(q, log_x, b=1.0, k=0):
+    """ln[sec^{q-b}(theta) W(lambda x)] at ln x, theta = k pi/q, for W =
+    x^{(b-q)/q} e^{-x^{1/q}} / q, the density with moments Gamma(qn + b)
+    for any q, b > 0 (u = x^{1/q} turns it into Gamma's integral); b = 1
+    is w1(q, x), k = 0 the real ln W.  lambda^{1/q} = 1 - i tan(theta),
+    so the real part is ln W's own expression, -inf without a warning
+    past the double range of x^{1/q} (q < 1)."""
     log_x = _check_log_x(log_x)
     with np.errstate(over="ignore"):
-        return -np.log(q) + ((b - q) / q) * log_x - np.exp(log_x / q)
+        u = np.exp(log_x / q)
+    front = -np.log(q) + ((b - q) / q) * log_x
+    if k:
+        front = front + 1j * (k * math.pi * (q - b) / q)
+        u = u * (1.0 - 1j * math.tan(k * math.pi / q))
+    return front - u
 
 
 def w1(q, x):
@@ -112,21 +120,47 @@ def w1(q, x):
 
 # -- family 2: moments [(rn)!]^2, density 2 K0(2 x^{1/2r}) / (r x^{(r-1)/r}) -
 
-def _log_w2(r, log_x):
-    """ln W2(r, x) at ln x; its callers check r."""
-    return (_log_w2_front(r, log_x)
-            + log_bessel_k0(2.0 * np.exp(log_x / (2.0 * r))))
-
-
-def _log_w2_front(r, log_x):
-    """ln(2 / (r x^{(r-1)/r})), W2's factor before K0, at a checked ln x."""
+def _log_w2(r, log_x, k=0):
+    """ln[sec^{r-1}(theta) W2(r, lambda x)] at ln x, theta = k pi/r, the
+    real ln W2 at k = 0: K0 at z = 2 x^{1/2r} lambda^{1/2r}, lambda^{1/2r}
+    = sqrt(1 - i tan(theta)).  Where x^{1/2r} underflows, ln K0(z) =
+    ln(-ln(z/2) - gamma) + O(z^2), ln(z/2) = ln x/2r + ln lambda^{1/2r};
+    from |z| = 1e300 on it is -z to its rounding, -inf without a warning
+    where z overflows.  Its callers check r."""
     log_x = _check_log_x(log_x)
-    return np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
+    root = np.sqrt(1.0 - 1j * math.tan(k * math.pi / r)) if k else 1.0
+    with np.errstate(over="ignore"):
+        z = np.asarray(2.0 * np.exp(log_x / (2.0 * r)) * root)
+    small = log_x / (2.0 * r) < math.log(np.finfo(float).tiny)
+    fit = ~small & (np.abs(z) < 1e300)
+    inside = z[fit]
+    log_k0 = np.negative(z, out=z)
+    log_k0[small] = np.log(-np.euler_gamma
+                           - (log_x[small] / (2.0 * r) + np.log(root)))
+    log_k0[fit] = log_bessel_k0(inside)
+    front = np.log(2.0) - np.log(float(r)) - ((r - 1.0) / r) * log_x
+    if k:
+        front = front + 1j * (k * math.pi * (r - 1.0) / r)
+    return front + log_k0
 
 
 def w2(r, x):
     _check_int(r, "r", 1)
     return _at_x(lambda log_x: (1.0, _log_w2(r, log_x)), x)
+
+
+def _closed_form(seq):
+    """(ln x, k) -> ln[sec^{a-b}(theta) W(lambda x)] for the first two
+    families' star factor (a, b), theta = k pi/a and ln lambda = a ln
+    sec(theta) - i k pi, else None.  k = 0 gives ln W, and omega is Im
+    of the exponential at k != 0."""
+    family, r = seq.family or (None, None)
+    if family == "tm1":
+        (a, b), = seq.factors
+        return lambda log_x, k: _log_w1(a, log_x, b, k)
+    if family == "tm2":
+        return lambda log_x, k: _log_w2(r, log_x, k)
+    return None
 
 
 # -- families 3 and 4: Mellin-Barnes evaluated ------------------------------
@@ -269,16 +303,13 @@ def _spline_log_evaluate(seq, log_x):
 # -- the constructor -------------------------------------------------------
 
 def principal_solution(seq: MomentSequence) -> WeightFunction:
-    """Principal density for a sequence, picked by seq.family: for the
-    first family's factor (a, b), x^{(b-a)/a} e^{-x^{1/a}} / a (w1(q, .)
-    at (q, 1)); W2(r) for the second; else the contour interpolant."""
-    family, r = seq.family or (None, None)
-    if family == "tm1":
-        (a, b), = seq.factors
-        log_density = lambda log_x: _log_w1(a, log_x, b)
-    elif family == "tm2":
-        log_density = lambda log_x: _log_w2(r, log_x)
-    else:
+    """Principal density for a sequence: the first two families' closed
+    form (`_closed_form` at k = 0), whose tail is exact, else the contour
+    interpolant."""
+    form = _closed_form(seq)
+    if form is None:
         log_density = lambda log_x: _spline_log_evaluate(seq, log_x)
+    else:
+        log_density = lambda log_x: form(log_x, 0)
     return WeightFunction(seq=seq, log_density=log_density,
-                          tail_certified=family in ("tm1", "tm2"))
+                          tail_certified=form is not None)

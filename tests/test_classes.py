@@ -20,14 +20,36 @@ from gammamoments import (ConstraintError, ConvergenceError, DomainError,
                           perturbation_tm1, perturbation_tm2,
                           perturbation_tm3, parse_descriptor,
                           principal_solution, tm1, tm2, tm3, tm4, w1, w2)
+import gammamoments.weights as weights
+from gammamoments.moments import gamma_product
 from gammamoments.special import bessel_k0e
 from gammamoments.weights import _log_w2
 from oracles import meijer_log_density
 
 
+# omega2 = W2 V / K0(2u), u = x^{1/2r}, V(z) = Re[phase K0(z beta)]: the
+# K0-ratio form of the second family, kept as an oracle of the closed form
+def _beta(r, k):
+    """Principal square root of 1 + i tan(pi k / r); Re > 0 for r > 2|k|."""
+    return complex(np.sqrt(1.0 + 1j * math.tan(math.pi * k / r)))
+
+
+def _v_phase(r, k):
+    return np.exp(1j * math.pi * (0.5 - k * (r - 1.0) / r))
+
+
+def _scaled_v(r, k, u):
+    """e^{2u} V(2u) = Re[phase k0e(2u beta) e^{-2u(beta - 1)}], finite
+    where V underflows."""
+    beta = _beta(r, k)
+    z = 2.0 * np.asarray(u, dtype=float)
+    return np.real(_v_phase(r, k)
+                   * (bessel_k0e(z * beta) * np.exp(-z * (beta - 1.0))))
+
+
 def _v_over_k0(r, k, u):
     """V/K0(2u) at u = x^{1/2r}: omega2 / W2, from the package's scaled K0."""
-    return classes._scaled_v(r, k, u) / bessel_k0e(2.0 * np.asarray(u))
+    return _scaled_v(r, k, u) / bessel_k0e(2.0 * np.asarray(u))
 
 _LAW_SEQUENCES = {
     **{make.__name__: [make(r) for r in range(1, 51)]
@@ -143,11 +165,69 @@ class TestOmega2:
         err = np.abs(omega2(r, k, xs) - want)
         assert np.all(err <= 1e-14 * w2(r, xs))
 
+    @pytest.mark.parametrize("k", [1, -1])
+    @pytest.mark.parametrize("log_x", [-1e5, -1e4, 1e4, 1e5])
+    def test_finite_at_every_finite_log_x(self, log_x, k):
+        # K0 once refused the underflowed z = 0 ("K0 requires Re z > 0");
+        # omega2 is now 2 V / (r x^{(r-1)/r}) at 30 digits below and 0
+        # above, where W2 is
+        mp = pytest.importorskip("mpmath")
+        r = 3
+        sign, log_abs = perturbation_tm2(r, k).log_density(log_x)
+        if log_x > 0:
+            assert (sign, log_abs) == (0.0, -math.inf)
+            return
+        with mp.workdps(30):
+            phase = mp.exp(1j * mp.pi * (mp.mpf(1) / 2
+                                         - mp.mpf(k) * (r - 1) / r))
+            beta = mp.sqrt(1 + 1j * mp.tan(mp.pi * k / r))
+            v = mp.re(phase * mp.besselk(
+                0, 2 * mp.exp(mp.mpf(log_x) / (2 * r)) * beta))
+            want = mp.log(2 * abs(v) / r) - mp.mpf(r - 1) / r * log_x
+        assert sign == mp.sign(v)
+        assert log_abs == pytest.approx(float(want), rel=1e-14)
+
     def test_constraint_violations(self):
         with pytest.raises(ConstraintError):
             omega2(2, 1, 1.0)
         with pytest.raises(ConstraintError):
             omega2(4, 2, 1.0)
+
+
+class TestOneClosedFormRule:
+    """omega of tm1 and tm2 is sec^{a-b}(theta) Im W(lambda x) from W's
+    closed form: the sine form of omega1 to the bit, and the V/K0 form
+    of omega2 to 1e-14 W2."""
+
+    @pytest.mark.parametrize("q,k,b", [(4, 1, 1), (4, -1, 1), (6, -2, 1),
+                                       (3, 1, 0.5)])
+    def test_omega1_is_the_sine_form_bit_for_bit(self, q, k, b):
+        rng = np.random.default_rng(100 * q + 10 * k + int(10 * b))
+        lx = np.sort(rng.uniform(-40.0, 40.0, 2000))
+        log_w1 = -np.log(q) + ((b - q) / q) * lx - np.exp(lx / q)
+        sine = np.sin(k * math.pi * (q - b) / q
+                      + np.exp(lx / q) * math.tan(k * math.pi / q))
+        pert = perturbation(gamma_product([(q, b)]), k)
+        sign, log_abs = pert.log_density(lx)
+        assert np.array_equal(sign, np.sign(sine))
+        assert np.array_equal(log_abs, log_w1 + np.log(np.abs(sine)))
+
+    def test_omega1_is_zero_past_the_double_range(self):
+        # the sine form's x^{1/q} once overflowed with a warning
+        pert = perturbation(tm1(2), 1)
+        assert pert.log_density(4000.0) == (0.0, -math.inf)
+        assert pert.evaluate(1e300) == 0.0
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (3, -1), (5, 2), (5, -2),
+                                     (9, 1), (40, 1)])
+    def test_omega2_matches_the_v_over_k0_form(self, r, k):
+        rng = np.random.default_rng(1000 * r + k)
+        lx = np.sort(rng.uniform(-40.0, 40.0, 2000))
+        sign, log_abs = perturbation_tm2(r, k).log_density(lx)
+        log_w = principal_solution(tm2(r)).log_density(lx)
+        got = sign * np.exp(log_abs - log_w)
+        want = _v_over_k0(r, k, np.exp(lx / (2.0 * r)))
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestOmega3:
@@ -350,7 +430,7 @@ class TestClassMembers:
         # and the ratio is continuous across |2u beta| = 1e9, where a
         # large-argument form once took over while the ratio is not yet
         # negligible (Re beta - 1 ~ 5e-8 at r = 5000)
-        beta = classes._beta(5000, 1)
+        beta = _beta(5000, 1)
         u = 0.5 * 1e9 / abs(beta) * np.array([1.0 - 1e-15, 1.0 + 1e-15])
         below, above = _v_over_k0(5000, 1, u)
         envelope = math.exp(-2.0 * u[0] * (beta.real - 1.0)) / abs(beta) ** 0.5
@@ -500,13 +580,14 @@ class TestGammaMax:
                  if k != 0 and r > 2 * abs(k)]
         for r, k in pairs:
             _, decay, limit = classes._search_inputs(perturbation_tm2(r, k))
-            beta, phase = classes._beta(r, k), classes._v_phase(r, k)
+            beta, phase = _beta(r, k), _v_phase(r, k)
             assert abs(decay - 2.0 * (beta.real - 1.0)) <= 4.0 * eps, (r, k)
             assert abs(limit - phase.real) <= 1e-14, (r, k)
 
     def test_nonfinite_bound_raises(self, monkeypatch):
-        monkeypatch.setattr(classes, "_scaled_v",
-                            lambda r, k, u: np.full(np.shape(u), np.nan))
+        monkeypatch.setattr(classes, "_signed_im_exp",
+                            lambda log_value: 2 * (np.full(np.shape(log_value),
+                                                           np.nan),))
         with pytest.raises(SearchError):
             find_gamma_max(perturbation_tm2(3, 1))
 
@@ -730,12 +811,12 @@ class TestPerturbationObjects:
 
     def test_build_evaluates_nothing(self, monkeypatch):
         # the constructors check (r, k) directly: no omega value, and for
-        # the second family no complex-K0 ratio, is computed
+        # the first two families no closed form, is computed
         def evaluated(*args, **kwargs):
             raise AssertionError("perturbation evaluated at build")
-        for name in ("_log_w1", "_log_w2_front", "_scaled_v",
-                     "_contour_sums"):
-            monkeypatch.setattr(classes, name, evaluated)
+        for module, name in ((weights, "_log_w1"), (weights, "_log_w2"),
+                             (classes, "_contour_sums")):
+            monkeypatch.setattr(module, name, evaluated)
         perturbation_tm1(2, 1)
         perturbation_tm2(3, 1)
         perturbation_tm3(3, 1)

@@ -1,6 +1,7 @@
 """Contour engine: closed-form transforms, saddle shifting, convolution."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -90,6 +91,16 @@ class TestSaddle:
         clear = seq.rightmost_pole + 1e-8
         assert np.all(got >= clear)
         assert got[-1] == clear
+
+    @pytest.mark.parametrize("seq", [tm3(1), tm4(1)], ids=["tm3", "tm4"])
+    @pytest.mark.parametrize("log_x", [2150.0, 3000.0])
+    def test_unbracketed_saddle_raises_without_a_warning(self, seq, log_x):
+        # the far-root guess e^{(ln x - sum a ln a)/A} overflowed from
+        # ln x ~ 2150 and warned before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="failed to bracket"):
+                contour_log_densities(seq, [log_x])
 
     def test_adapted_contour_beats_static_in_tail(self):
         seq = tm2(1)

@@ -113,6 +113,20 @@ class TestRealBessel:
             with pytest.raises(DomainError):
                 log_bessel_k0(bad)
 
+    def test_log_k0_at_complex_z(self):
+        # the principal log of K0 where K0 itself underflows; Im ln K0 is
+        # its phase modulo 2 pi
+        zs = np.array([0.05 + 0.02j, 1.0 + 1.0j, 3.0 - 8.0j, 900.0 + 300.0j])
+        got = log_bessel_k0(zs)
+        for z, value in zip(zs, got):
+            want = complex(mpmath.log(mpmath.besselk(0, complex(z))))
+            assert abs(value.real - want.real) <= 1e-14 * max(1.0, abs(want))
+            assert abs(np.exp(1j * (value.imag - want.imag)) - 1.0) <= 1e-12
+        assert isinstance(log_bessel_k0(1.0 + 1.0j), complex)
+        for bad in (-1.0 + 1.0j, 1j, complex(math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                log_bessel_k0(bad)
+
     def test_no_warning_in_range(self):
         # 800 is past the point where K0 itself underflows
         with warnings.catch_warnings():

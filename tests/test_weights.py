@@ -32,6 +32,27 @@ class TestClosedForms:
                     / (r * x ** ((r - 1.0) / r)))
             assert w2(r, x) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("log_x", [-1e5, -1e4, 1418.0, 1e4, 1e5])
+    def test_w2_at_every_finite_log_x(self, r, log_x):
+        # 2 x^{1/2r} once underflowed to 0 (DomainError) and overflowed
+        # with a warning (r = 1 from ln x ~ 1420); below it ln K0(z) =
+        # ln(-ln(z/2) - gamma) + O(z^2), near overflow ln K0(z) = -z to
+        # rounding, and past it ln W2 is -inf
+        mp = pytest.importorskip("mpmath")
+        got = weights._log_w2(r, log_x)
+        if log_x > 2 * r * 710:
+            assert got == -math.inf
+            return
+        with mp.workdps(30):
+            z = 2 * mp.exp(mp.mpf(log_x) / (2 * r))
+            want = float(mp.log(2 * mp.besselk(0, z) / r)
+                         - mp.mpf(r - 1) / r * log_x)
+        # ln W2 ~ -z there, and z = 2 e^{ln x/2r} carries the rounding of
+        # ln x/2r times ln x/2r
+        eps = np.finfo(float).eps
+        assert got == pytest.approx(want, rel=max(1e-15, eps * log_x / r))
+
     def test_w2_frozen_at_one(self):
         assert w2(1, 1.0) == pytest.approx(TWO_K0_2, rel=1e-13)
 
