@@ -52,7 +52,6 @@ __all__ = [
     "full_report",
 ]
 
-_SLOPE_DEAD_ZONE = 0.05  # around the critical decay exponent -1
 _KREIN_FIT_TOL = 0.05  # |fitted growth exponent - 2/A| noted above this
 _KREIN_FIT_WIDTH = 4.0  # width in ln x of the tail sample
 _KREIN_FIT_RANGE = math.log(1e4)  # ln of -ln W's growth across a certified fit
@@ -68,7 +67,7 @@ class CarlemanResult:
     verdict: str  # "Divergent" | "Convergent"
     terms: tuple  # of (n, a_n)
     fitted_decay_exponent: float
-    n_a_n_limit: float = math.nan  # lim n*a_n when the slope sits at -1
+    n_a_n_limit: float = math.nan  # lim n*a_n at slope -1 (A = 2)
 
 
 @dataclass(frozen=True)
@@ -105,26 +104,22 @@ def carleman(seq: MomentSequence) -> CarlemanResult:
     ln rho(n) = A n ln n + O(n) with A = sum_j a_j, so a_n decays like
     n^{-A/2} times a positive constant: S diverges exactly when A <= 2.
     The verdict comes from the exact A.  The decay exponent of a_n fitted
-    on the upper half of n = 1.._CARLEMAN_N_MAX, and at a fitted slope
-    near -1 the limit of n*a_n, are reported alongside it.
+    on the upper half of n = 1.._CARLEMAN_N_MAX is reported alongside it,
+    and so is the limit of n*a_n where the exact slope is -1 (A = 2).  By
+    Stirling, ln(n a_n) = (1 - A/2) ln n + A/2 - (ln h)/2 + o(1) with
+    h = prod_j a_j^{a_j}, so that limit is e/sqrt(h); at A != 2 it is NaN.
     """
     ns = np.arange(1, _CARLEMAN_N_MAX + 1)
     log_a = -log_moment(seq, ns) / (2.0 * ns)
-    a = np.exp(log_a)
-    terms = tuple((int(n), float(v)) for n, v in zip(ns, a))
+    terms = tuple((int(n), float(v)) for n, v in zip(ns, np.exp(log_a)))
 
     upper = ns >= _CARLEMAN_N_MAX // 2
     slope = _slope(np.log(ns[upper]), log_a[upper])
 
     limit = math.nan
-    if abs(slope + 1.0) <= _SLOPE_DEAD_ZONE:
-        # critical slope: n * a_n tends to a positive constant or grows
-        tail = ns >= (3 * _CARLEMAN_N_MAX) // 4
-        lim_seq = ns[tail] * a[tail]
-        if float(np.ptp(lim_seq) / np.max(lim_seq)) < 0.02:
-            limit = float(lim_seq[-1])
-        elif np.all(np.diff(lim_seq) > 0.0):
-            limit = math.inf
+    if seq.critical_gap == 0.0:  # A = 2: n a_n -> e / sqrt(h)
+        limit = math.exp(1.0 - 0.5 * sum(a * math.log(a)
+                                         for a, _ in seq.factors))
 
     verdict = "Convergent" if seq.critical_gap > 0.0 else "Divergent"
     return CarlemanResult(verdict, terms, slope, n_a_n_limit=limit)

@@ -23,13 +23,13 @@ margin of 2 per unit of A against aliasing, and the peak's width (see
 so its phase sum factors into
 baby and giant steps: e^{-i t_j ln x} costs about 2 sqrt(n) exponentials
 per knot, and the rest is an einsum contraction, which runs NumPy's own
-loops rather than BLAS: no density or perturbation call starts OpenBLAS,
-whose first product costs a process about 0.5 MB of peak RSS (only the
-convolution oracle keeps BLAS products).  The trapezoid grids are
-nested (2^k + 1 nodes), so a refinement evaluates the symbol only at the
-new midpoints, and every band knot, density or perturbation, is accepted
-once two of them agree to one tolerance, _RTOL (1e-10 of its summed
-part), or, in the far tail, to the rounding its nodes carry: each
+loops rather than BLAS: no call of this module starts OpenBLAS, whose
+first product costs a process about 0.5 MB of peak RSS.  The trapezoid
+grids are nested (2^k + 1 nodes), so a refinement evaluates the symbol
+only at the new midpoints, and every band knot, density or
+perturbation, is accepted once two of them agree to one tolerance,
+_RTOL (1e-10 of its summed part), or, in the far tail, to the rounding
+its nodes carry: each
 node's phase Im phi is rounded to about eps |phi|, so the stop test
 takes max(_RTOL, 64 eps max|phi|) over the band's coarsest grid.
 `contour_log_density` is the one-knot case.  This engine
@@ -59,10 +59,11 @@ pole's polynomial is taken relative to its own top power.
 A Mellin convolution of two principal densities needs no integral: its
 transform rho_a(s-1) rho_b(s-1) is the symbol of the product sequence,
 so the CLI's `convolve` evaluates that sequence's density with the
-engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly;
-its one caller is `classes.omega2_via_convolution`, the reference the
-benchmark checks omega2 against.  The tests check the engine against
-mpmath's Meijer G (tests/oracles.py), which shares none of its method.
+engine.  `mellin_convolve_many` integrates f(x/t) g(t) dt/t directly,
+on `verify`'s nested grids (one row per node, one column per x); its one
+caller is `classes.omega2_via_convolution`, the reference the benchmark
+checks omega2 against.  The tests check the engine against mpmath's
+Meijer G (tests/oracles.py), which shares none of its method.
 
 Every entry checks its x (or ln x) once, on entry: an x outside
 (0, inf) or a non-finite ln x raises DomainError.  The engine and the
@@ -84,6 +85,7 @@ from .errors import (ConstraintError, ConvergenceError, DomainError,
 from .moments import (MomentSequence, _factor_columns, _grouped_factors,
                       _ln_gamma_real, mellin_symbol)
 from .special import digamma, hurwitz_zeta, polygamma
+from .verify import _FIRST_GRID, _nested_grids
 
 __all__ = [
     "ContourSpec",
@@ -107,7 +109,6 @@ _SERIES_TOL = 1e-17  # first omitted pole's term bound, relative to the sum
 _SERIES_MARGIN = 0.1  # least |sum| / sum of the terms' bounds
 _POWER_EXP = 1000  # binary exponent of the series' top |w|^j past which it scales
 _CONVOLVE_RTOL = 1e-9  # relative change that settles a convolution
-_CONVOLVE_DEPTH = 14  # nested grids a convolution may take
 
 
 @dataclass(frozen=True)
@@ -706,9 +707,10 @@ def _residue_sums(seq, lx, psi):
 # Mellin convolution, called only by the oracle routes
 
 
-def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):
-    """Window in u where the log-integrand is within _LOG_DROP of its max."""
-    u = np.linspace(lo, hi, n)
+def _support_window(log_h):
+    """Window in u where the log-integrand is within _LOG_DROP of its max:
+    a scan of u in [-120, 120] at steps of 0.2, padded by 3 on each side."""
+    u = np.linspace(-120.0, 120.0, 1201)
     lh = log_h(u)
     if not np.any(np.isfinite(lh)):
         raise ConvergenceError("convolution integrand vanished everywhere")
@@ -716,7 +718,7 @@ def _support_window(log_h, lo=-120.0, hi=120.0, n=1201, pad=3.0):
     if m == np.inf:
         raise ConvergenceError("convolution integrand is unbounded")
     alive = np.nonzero(lh > m - _LOG_DROP)[0]
-    return u[alive[0]] - pad, u[alive[-1]] + pad, m
+    return u[alive[0]] - 3.0, u[alive[-1]] + 3.0
 
 
 def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
@@ -726,8 +728,9 @@ def mellin_convolve_many(f, g, xs, log_f=None, log_g=None):
     f and g must accept numpy arrays.  A scalar x gives a float, an array
     x its shape.  When log_f/log_g are given, the support scan runs in log
     domain (needed when the factors underflow).
-    Each value is accepted once two successive nested grids agree to
-    _CONVOLVE_RTOL (plus a roundoff floor), within _CONVOLVE_DEPTH grids.
+    Each value is accepted once two successive nested grids of
+    `verify._nested_grids` agree to _CONVOLVE_RTOL (plus a roundoff
+    floor), within its node cap.
     """
     xs = _check_x(xs)
     shape, xs = xs.shape, xs.ravel()
@@ -764,24 +767,17 @@ def _convolve_chunk(f, g, xs, log_f, log_g):
                 vals = np.maximum(vals, lf(x / t) + lg(t))
         return vals
 
-    u_lo, u_hi, _ = _support_window(log_h)
-    n = 257
-    prev = None
-    prev_abs = None
-    for _ in range(_CONVOLVE_DEPTH):
-        if xs.size * n > 50_000_000:
-            raise ConvergenceError(
-                "mellin convolution grid exceeded the memory budget before "
-                f"reaching rtol={_CONVOLVE_RTOL}")
-        u = np.linspace(u_lo, u_hi, n)
+    def integrand(u):  # one row per node, one column per x
         t = np.exp(u)
         with np.errstate(under="ignore"):
-            h = f(xs[:, None] / t[None, :]) * g(t)[None, :]
-        w = np.full(n, u[1] - u[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        vals = h @ w
-        abs_vals = np.abs(h) @ w
+            return f(xs[None, :] / t[:, None]) * g(t)[:, None]
+
+    prev = prev_abs = None
+    for u, h, _ in _nested_grids(integrand, *_support_window(log_h),
+                                 _FIRST_GRID):
+        du = u[1] - u[0]
+        vals, abs_vals = (du * (y.sum(axis=0) - 0.5 * (y[0] + y[-1]))
+                          for y in (h, np.abs(h)))
         if prev is not None:
             err = np.abs(vals - prev)
             # near zero crossings |vals| << abs_vals; roundoff on the
@@ -790,10 +786,9 @@ def _convolve_chunk(f, g, xs, log_f, log_g):
             if np.all(err <= _CONVOLVE_RTOL * np.abs(vals) + floor):
                 return vals
         prev, prev_abs = vals, abs_vals
-        n = 2 * (n - 1) + 1
     raise ConvergenceError(
-        f"mellin convolution failed to reach rtol={_CONVOLVE_RTOL} after "
-        f"{_CONVOLVE_DEPTH} levels")
+        f"mellin convolution failed to reach rtol={_CONVOLVE_RTOL} within "
+        "the node cap")
 
 
 def _log_abs_wrap(func):

@@ -23,12 +23,13 @@ real log-gamma of a moment target is `math.lgamma`
 * `hurwitz_zeta` (integer s >= 2, real q) is Euler-Maclaurin summation
   as in Cephes for every q, its tail scaled by q^(1-s) so that it does
   not underflow, and `polygamma` reads psi^(m) off it.
-* `bessel_k0e` is e^z K0(z) for real and complex z, Re z > 0: the
-  ascending series below |z| = 0.1 (DLMF 10.31.2), the Sommerfeld
-  integral K0(z) = int_0^inf exp(-z cosh t) dt summed by a vectorised,
-  self-checking trapezoid rule (DLMF 10.32.9) up to |z| = 30, and the
-  asymptotic series above (DLMF 10.40.2).  `bessel_k0_complex` is its
-  unscaled form and `log_bessel_k0` its log, ln K0 of a real or complex
+* K0 is computed in one form, `bessel_k0e` = e^z K0(z) for real and
+  complex z, Re z > 0: the ascending series below |z| = 0.1 (DLMF
+  10.31.2), the Sommerfeld integral K0(z) = int_0^inf exp(-z cosh t) dt
+  summed by a vectorised, self-checking trapezoid rule (DLMF 10.32.9) up
+  to |z| = 30, and the asymptotic series above (DLMF 10.40.2).  The
+  unscaled `bessel_k0_complex` is its product with e^{-z}, and
+  `log_bessel_k0`, ln `bessel_k0e(z)` - z, is ln K0 of a real or complex
   z: the one ln K0 of W2 and of omega2.
 
 Every function is elementwise: a value does not depend on the other
@@ -428,66 +429,68 @@ def log_bessel_k0(x):
     if np.iscomplexobj(x):
         return np.log(bessel_k0e(x)) - np.asarray(x)
     arr = _check_x(x)
-    out = np.log(_k0(arr.ravel(), scaled=True)).reshape(arr.shape) - arr
+    out = np.log(bessel_k0e(arr)) - arr
     return float(out) if arr.ndim == 0 else out
 
 
 def bessel_k0e(z):
-    """e^z K0(z) for real z > 0 or complex z with Re z > 0.
+    """e^z K0(z) for real z > 0 or complex z with Re z > 0, the one form
+    in which K0 is computed.
 
     Real in, real out.  Arrays are evaluated at once; each value is
     independent of the others in the array.  Raises ConvergenceError
     where the quadrature would need more than 2^20 nodes (Re z tiny
     against Im z).
     """
-    return _k0_entry(z, scaled=True)
-
-
-def bessel_k0_complex(z):
-    """K0(z) for Re z > 0 by principal-branch analytic continuation.
-
-    Arrays are evaluated at once; each value is independent of the others
-    in the array.  Raises ConvergenceError where the quadrature would need
-    more than 2^20 nodes (Re z tiny against Im z).
-    """
-    arr = _as_complex(z)
-    return _k0_entry(arr, scaled=False)
-
-
-def _k0_entry(z, scaled):
     real = not np.iscomplexobj(z)
     arr = np.asarray(z, dtype=np.float64 if real else np.complex128)
     if not np.all(np.isfinite(arr)):
         raise DomainError("non-finite argument")
     if np.any(arr.real <= 0.0):
         raise DomainError("K0 requires Re z > 0")
-    out = _k0(np.atleast_1d(arr).ravel(), scaled).reshape(arr.shape)
+    out = _k0(np.atleast_1d(arr).ravel()).reshape(arr.shape)
     if arr.ndim:
         return out
     return float(out) if real else complex(out)
 
 
-def _k0(z, scaled):
-    """K0 (e^z K0 when scaled) on a flat array with Re z > 0."""
+def bessel_k0_complex(z):
+    """K0(z) for Re z > 0 by principal-branch analytic continuation: the
+    product of e^{-z} and `bessel_k0e`.
+
+    Arrays are evaluated at once; each value is independent of the others
+    in the array.  Raises ConvergenceError where the quadrature would need
+    more than 2^20 nodes (Re z tiny against Im z).
+    """
+    arr = _as_complex(z)
+    flat = np.atleast_1d(arr).ravel()
+    scaled = bessel_k0e(flat)  # refuses Re z <= 0 before e^{-z} overflows
+    out = (np.exp(-flat) * scaled).reshape(arr.shape)
+    return out if arr.ndim else complex(out)
+
+
+def _k0(z):
+    """e^z K0(z) on a flat array with Re z > 0."""
     out = np.empty_like(z)
     size = np.abs(z)
     big = size >= _K0_ASYMPTOTIC_CUTOFF
     small = size < _K0_SERIES_CUTOFF
     mid = ~big & ~small
     if big.any():
-        out[big] = _k0_asymptotic(z[big], scaled)
+        out[big] = _k0_asymptotic(z[big])
     if small.any():
-        out[small] = _k0_series(z[small], scaled)
+        out[small] = _k0_series(z[small])
     # in chunks, which bounds the quadrature's working memory
     mid = np.flatnonzero(mid)
     for i in range(0, mid.size, _K0_CHUNK):
         part = mid[i:i + _K0_CHUNK]
-        out[part] = _k0_sommerfeld(z[part], scaled)
+        out[part] = _k0_sommerfeld(z[part])
     return out
 
 
-def _k0_series(z, scaled):
-    """K0(z) = -(ln(z/2) + gamma) I0(z) + sum_k H_k (z^2/4)^k / (k!)^2."""
+def _k0_series(z):
+    """e^z K0(z) from K0(z) = -(ln(z/2) + gamma) I0(z)
+    + sum_k H_k (z^2/4)^k / (k!)^2."""
     t = 0.25 * z * z
     term = np.ones_like(z)
     i0 = np.ones_like(z)
@@ -498,12 +501,11 @@ def _k0_series(z, scaled):
         harmonic += 1.0 / k
         i0 = i0 + term
         rest = rest + harmonic * term
-    out = rest - (np.log(0.5 * z) + _EULER) * i0
-    return out * np.exp(z) if scaled else out
+    return (rest - (np.log(0.5 * z) + _EULER) * i0) * np.exp(z)
 
 
-def _k0_asymptotic(z, scaled):
-    """K0(z) ~ sqrt(pi/2z) e^{-z} sum_k t_k, t_k = -t_{k-1} (2k-1)^2/(8zk).
+def _k0_asymptotic(z):
+    """e^z K0(z) ~ sqrt(pi/2z) sum_k t_k, t_k = -t_{k-1} (2k-1)^2/(8zk).
 
     Each point stops after the first term below 1e-17 of its running sum.
     """
@@ -517,14 +519,11 @@ def _k0_asymptotic(z, scaled):
         small = np.abs(term) < 1e-17 * np.abs(total)
         total = np.where(live, total + term, total)
         live &= ~small
-    front = np.sqrt(np.pi / (2.0 * z))
-    if not scaled:
-        front = front * np.exp(-z)
-    return front * total
+    return np.sqrt(np.pi / (2.0 * z)) * total
 
 
-def _k0_sommerfeld(z, scaled):
-    """K0(z) = e^{-z} int_0^t_max exp(-2z sinh^2(t/2)) dt on nested grids.
+def _k0_sommerfeld(z):
+    """e^z K0(z) = int_0^t_max exp(-2z sinh^2(t/2)) dt on nested grids.
 
     Writing z cosh t as z + 2z sinh^2(t/2) keeps the eps |z| roundoff of
     the phase out of every node.  The integrand is even and analytic, so
@@ -562,7 +561,7 @@ def _k0_sommerfeld(z, scaled):
         out[active] = new
         keep = ~done
         active, total, mag, h = active[keep], new[keep], mag[keep], h[keep]
-    return out if scaled else np.exp(-z) * out
+    return out
 
 
 def _sommerfeld_terms(z, t_max, u):

@@ -13,9 +13,10 @@ grids agree, is summed panel-by-panel between sign changes with
 compensated arithmetic.  No grid settles alone, so a check's first
 evaluation covers the first two grids (513 nodes) in one call; each
 refinement evaluates only its new midpoints.  One node cap, _NODE_CAP,
-bounds both checks' evaluations (grids up to 131,073 nodes), and no
-caller sets it.  An interpolated density's window may reach below
-x = 1e-20 (n = 0), past its interpolant; there, as everywhere, the
+bounds both checks' evaluations (grids up to 131,073 nodes), and the
+Mellin convolution oracle's, and no caller sets it.  An interpolated
+density's window may reach below x = 1e-20 (n = 0), past its
+interpolant; there, as everywhere, the
 contour engine answers each knot that its residue series certifies by
 the series, for densities and for omega3 alike, and the rest by band
 quadrature.
@@ -78,7 +79,8 @@ def _window(n, g, p, alpha0, beta):
 
 
 def _nested_grids(func, v_lo, v_hi, n_nodes):
-    """Yield (v, func(v), evaluations) on nested grids of 2^k + 1 nodes.
+    """Yield (v, func(v), evaluations) on nested grids of 2^k + 1 nodes;
+    func(v) has one row per node, a scalar or an array.
 
     No grid settles alone, so the first call evaluates func on the first
     two grids at once (2 n_nodes - 1 nodes) and yields both; a refinement
@@ -90,7 +92,7 @@ def _nested_grids(func, v_lo, v_hi, n_nodes):
     while used + fresh <= _NODE_CAP:
         v = np.linspace(v_lo, v_hi, n_nodes)
         if used:
-            coarse, vals = vals, np.empty(n_nodes)
+            coarse, vals = vals, np.empty((n_nodes,) + vals.shape[1:])
             vals[0::2] = coarse
             vals[1::2] = func(v[1::2])
         else:

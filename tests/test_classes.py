@@ -584,6 +584,33 @@ class TestGammaMax:
             assert abs(decay - 2.0 * (beta.real - 1.0)) <= 4.0 * eps, (r, k)
             assert abs(limit - phase.real) <= 1e-14, (r, k)
 
+    def test_ratio_never_negative_raises(self, monkeypatch):
+        # omega/W >= 0 on the whole scan leaves nothing to bound
+        monkeypatch.setattr(classes, "_search_inputs", lambda pert: (
+            lambda u: np.ones(np.shape(u)), 1.0, 0.5))
+        with pytest.raises(SearchError,
+                           match=r"omega/W never negative on the scan grid "
+                                 r"for \(r=3, k=1\); cannot bound the "
+                                 "amplitude"):
+            find_gamma_max(perturbation_tm3(3, 1))
+
+    def test_infimum_growing_under_refinement_raises(self, monkeypatch):
+        # the zoom finds -omega/W 100 times the scan's worst value: the
+        # ratio may be unbounded, and no bound is returned
+        calls = []
+
+        def ratio(u):
+            calls.append(np.size(u))
+            return np.full(np.shape(u), -1.0 if len(calls) == 1 else -100.0)
+
+        monkeypatch.setattr(classes, "_search_inputs",
+                            lambda pert: (ratio, 1.0, 0.5))
+        with pytest.raises(SearchError,
+                           match=r"omega/W infimum kept growing under "
+                                 r"refinement for \(r=3, k=1\); ratio "
+                                 "may be unbounded"):
+            find_gamma_max(perturbation_tm3(3, 1))
+
     def test_nonfinite_bound_raises(self, monkeypatch):
         monkeypatch.setattr(classes, "_signed_im_exp",
                             lambda log_value: 2 * (np.full(np.shape(log_value),

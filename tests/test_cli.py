@@ -21,7 +21,7 @@ import gammamoments.classes as classes
 import gammamoments.cli as cli
 import gammamoments.mellin as mellin
 import gammamoments.weights as weights
-from gammamoments import (class_member, contour_log_densities,
+from gammamoments import (PoleError, class_member, contour_log_densities,
                           parse_descriptor, principal_solution, tm2, tm3, tm4)
 from gammamoments.cli import main
 from gammamoments.verify import _PASS_TOL
@@ -370,6 +370,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--seq", "tm9:r=1")
         assert code == 1
         assert "error" in err
+
+    def test_other_package_error_exits_numeric(self, capsys, monkeypatch):
+        # a package error of no named kind (here a PoleError) takes the
+        # generic branch: exit 3, "error:" on stderr, nothing on stdout
+        def pole(seq):
+            raise PoleError("log-gamma pole at z = 0")
+
+        monkeypatch.setattr(cli, "principal_solution", pole)
+        code, out, err = run(capsys, "eval", "--seq", "tm3:r=1")
+        assert (code, out) == (3, "")
+        assert err == "error: log-gamma pole at z = 0\n"
 
     def test_usage_error_on_constraint(self, capsys):
         code, _, _ = run(capsys, "class", "--seq", "tm2:r=2", "--k", "1",

@@ -9,10 +9,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from gammamoments import (RefusesError, carleman, check_moment,
-                          converse_carleman, full_report, gamma_product, krein,
-                          parse_descriptor, principal_solution, tm1, tm2, tm3,
-                          tm4)
+from gammamoments import (ConvergenceError, RefusesError, carleman,
+                          check_moment, converse_carleman, full_report,
+                          gamma_product, krein, log_moment, parse_descriptor,
+                          principal_solution, tm1, tm2, tm3, tm4)
 
 
 class TestCarleman:
@@ -34,6 +34,33 @@ class TestCarleman:
         monkeypatch.setattr(crit, "_CARLEMAN_N_MAX", 400)
         res = carleman(tm1(1))
         assert res.n_a_n_limit == pytest.approx(2.718281828 / 2.0, rel=0.02)
+
+    @pytest.mark.parametrize("text, factors", [
+        ("gamma:1.98n+1", None), ("gamma:2.02n+1", None),
+        ("tm1:r=1", [(2, 1)]), ("gamma:n+1,n+1", [(1, 1), (1, 1)]),
+        ("gamma:2/3n+1,4/3n+1", [(mpmath.mpf(2) / 3, 1),
+                                 (mpmath.mpf(4) / 3, 1)])],
+        ids=["gamma:1.98n+1", "gamma:2.02n+1", "tm1:r=1", "gamma:n+1,n+1",
+             "gamma:2/3n+1,4/3n+1"])
+    def test_n_a_n_limit_from_the_exact_law(self, text, factors):
+        # ln(n a_n) = (1 - A/2) ln n + A/2 - (ln h)/2 + o(1), h = prod
+        # a_j^{a_j}: the limit is e/sqrt(h) at A = 2 and none elsewhere.
+        # A fitted slope within 0.05 of -1 once reported the last n a_n:
+        # 1.4290 for A = 1.98 (n a_n grows without bound), 1.2676 for
+        # A = 2.02 (it tends to 0), and 1.3459, 2.6702 and 2.5236 here
+        seq = parse_descriptor(text)
+        limit = carleman(seq).n_a_n_limit
+        if factors is None:
+            assert math.isnan(limit)
+            return
+        with mpmath.workdps(30):
+            want = float(mpmath.e / mpmath.sqrt(
+                mpmath.fprod(a ** a for a, _ in factors)))
+        assert abs(limit / want - 1.0) <= 1e-15
+        # the sequence itself approaches it: o(1) is O(ln n / n)
+        n = 10 ** 5
+        n_a_n = math.exp(math.log(n) - log_moment(seq, n) / (2.0 * n))
+        assert n_a_n == pytest.approx(limit, rel=1e-3)
 
     def test_terms_monotone_decreasing_when_convergent(self):
         res = carleman(tm1(2))
@@ -108,6 +135,17 @@ class TestKrein:
             "seq2-weight_tm1-Finite", "seq3-weight_tm2-Finite"])
     def test_closed_form_verdicts(self, seq, verdict):
         assert krein(principal_solution(seq)).verdict == verdict
+
+    def test_unsettled_remainder_raises(self, monkeypatch):
+        # two grids never agree within a negative tolerance, so the nested
+        # grids run to their node cap and the estimate is refused
+        import gammamoments.criteria as crit
+
+        monkeypatch.setattr(crit, "_KREIN_GRID_RTOL", -1.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"Krein remainder of W\[tm3:r=1\] changed "
+                                 "by .* between the last two trapezoid grids"):
+            krein(principal_solution(tm3(1)))
 
     @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
     def test_fitted_tail_exponent(self, q):

@@ -196,23 +196,21 @@ def test_guard_sees_a_deferred_import():
 # (OpenBLAS's buffers), and the benchmark's 10% `peak_rss_mb` bound would
 # not catch that coming back, so the engine (mellin.py) and the
 # interpolant (weights.py) contract with einsum at optimize=False: with
-# optimize, einsum goes through tensordot, and so BLAS, again.  Only
-# _convolve_chunk, the convolution oracle, keeps its matrix products.
-# The criteria (criteria.py) fit slopes in closed form, as polyfit runs
-# LAPACK's lstsq; leggauss, which runs its eigvalsh, stays barred too.
+# optimize, einsum goes through tensordot, and so BLAS, again.  No
+# function is exempt: the convolution oracle sums on verify's nested
+# grids, without a matrix product.  The criteria (criteria.py) fit slopes
+# in closed form, as polyfit runs LAPACK's lstsq; leggauss, which runs
+# its eigvalsh, stays barred too.
 _BLAS_FREE = ("mellin.py", "weights.py", "criteria.py")
 _BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot", "polyfit",
                "leggauss"}
 
 
 def _blas_uses(source):
-    """(line, what) of every BLAS-backed product in source outside
-    _convolve_chunk."""
+    """(line, what) of every BLAS-backed product in source."""
     found = []
 
     def visit(node):
-        if isinstance(node, ast.FunctionDef) and node.name == "_convolve_chunk":
-            return
         if (isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult)):
             found.append((node.lineno, "@"))
@@ -238,7 +236,7 @@ def test_engine_and_interpolant_make_no_blas_call():
 
 
 def test_guard_sees_a_blas_call():
-    # positive control: each kind the guard looks for, and the one exemption
+    # positive control: each kind the guard looks for
     source = """
 def _phase_sum(a, b):
     a @ b
@@ -249,9 +247,6 @@ def _phase_sum(a, b):
     leggauss(64)
     np.einsum("ij,jk->ik", a, b, optimize=True)
     np.einsum("ij,jk->ik", a, b)
-
-def _convolve_chunk(h, w):
-    return h @ w
 """
     assert [what for _, what in _blas_uses(source)] == [
         "@", "@", "np.dot", "np.linalg.solve", "np.polyfit", "leggauss",

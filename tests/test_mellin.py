@@ -741,6 +741,29 @@ class TestBands:
         assert len(self._check(*call)) > 1
 
 
+class TestRefusals:
+    # the fixed trapezoid reference refuses a sum it cannot trust
+    def _tm3_symbol(self, s):
+        return mellin_symbol(tm3(1), s)
+
+    def test_truncated_tail_raises(self):
+        # a window of t <= 1 leaves 6% of the integral beyond its ends
+        with pytest.raises(TruncationError,
+                           match=r"contour tail contributes 5\.90e-02 of the "
+                                 "integral; increase t_max"):
+            inverse_mellin_log(self._tm3_symbol, 1.0,
+                               ContourSpec(2.0, 1.0, 128))
+
+    def test_asymmetric_sum_raises(self):
+        # + 0.3i s breaks the conjugate symmetry of the symbol, so the sum
+        # keeps an imaginary part that a real density cannot have
+        with pytest.raises(ConvergenceError,
+                           match=r"contour sum asymmetry: Im/\|sum\| = "
+                                 r"3\.81e-01"):
+            inverse_mellin_log(lambda s: self._tm3_symbol(s) + 0.3j * s, 1.0,
+                               ContourSpec(2.0, 40.0, 4096))
+
+
 class TestConvolution:
     def test_exponential_square(self):
         # e^{-t} convolved with itself has Mellin transform Gamma(s)^2
@@ -776,3 +799,20 @@ class TestConvolution:
         with pytest.raises(DomainError):
             mellin_convolve_many(lambda v: np.exp(-v), lambda v: np.exp(-v),
                                  [-1.0])
+
+    def test_node_cap_enforced(self, monkeypatch):
+        # the convolution sums on verify's nested grids, under their one
+        # node cap: e^{-t} with itself settles on the first two grids,
+        # and one evaluation less leaves the second grid unstarted
+        def decay(v):
+            return np.exp(-v)
+
+        first = verify._FIRST_GRID
+        monkeypatch.setattr(verify, "_NODE_CAP", 2 * first - 1)
+        (got,) = mellin_convolve_many(decay, decay, [1.0])
+        assert got == pytest.approx(2.0 * sps.k0(2.0), rel=1e-8)
+        monkeypatch.setattr(verify, "_NODE_CAP", 2 * first - 2)
+        with pytest.raises(ConvergenceError,
+                           match=r"mellin convolution failed to reach "
+                                 r"rtol=1e-09 within the node cap"):
+            mellin_convolve_many(decay, decay, [1.0])
